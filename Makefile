@@ -1,12 +1,13 @@
 # Tier-1 verification for this repo. `make check` is what CI and every PR
-# must keep green: build, vet, then the full test suite under the race
-# detector (the async exchange paths are required to be race-clean).
+# must keep green: build, vet, the full test suite under the race detector
+# (the async exchange paths are required to be race-clean), then the tests
+# of the nested end-to-end benchmark module, which `./...` does not reach.
 # `make ci` is the CI entry point: formatting gate first, then check.
-.PHONY: ci check fmt-check build vet test race bench bench-paper bench-smoke staticcheck fuzz-smoke
+.PHONY: ci check fmt-check build vet test race benchmark-test bench bench-paper bench-smoke staticcheck fuzz-smoke
 
 ci: fmt-check staticcheck check
 
-check: build vet race
+check: build vet race benchmark-test
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -33,6 +34,11 @@ test:
 
 race:
 	go test -race ./...
+
+# benchmark/ is its own module (dgs/benchmark): traced loop == production
+# loop, and BENCHMARK.json == what the program reports.
+benchmark-test:
+	go test -C benchmark ./...
 
 # Benchmarks live next to `check` but stay out of it so the race tier stays
 # fast. `make bench` refreshes the tracked hot-path baseline (BENCH_PR2.json:
@@ -110,13 +116,15 @@ bench-smoke:
 	go run ./cmd/dgs-bench -readbench -read-pushes $(READ_SMOKE_PUSHES) -json $(READ_SMOKE_OUT)
 	go run ./cmd/dgs-benchdiff -read -baseline BENCH_PR10.json -current $(READ_SMOKE_OUT)
 
-# Short local fuzz pass over the wire and checkpoint decoders (the scheduled
-# CI job runs each target for minutes; see .github/workflows/fuzz.yml).
+# Short local fuzz pass over the wire and checkpoint decoders and the Top-k
+# kernel's equivalence with its frozen oracle (the scheduled CI job runs each
+# target for minutes; see .github/workflows/fuzz.yml).
 FUZZ_SMOKE_TIME ?= 10s
 
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzDecodeAny$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
+	go test -run '^$$' -fuzz '^FuzzTopKEquivalence$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzTernaryDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/quant
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/checkpoint
 	go test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/replica

@@ -1,6 +1,7 @@
 package optim
 
 import (
+	"math"
 	"time"
 
 	"dgs/internal/telemetry"
@@ -14,7 +15,6 @@ import (
 type optimMetrics struct {
 	prepareSeconds *telemetry.Histogram
 	topkNanos      *telemetry.Counter
-	rescaleNanos   *telemetry.Counter // SAMomentum only (nil elsewhere)
 	residualMass   *telemetry.Gauge
 }
 
@@ -25,14 +25,11 @@ func newOptimMetrics(rule string) *optimMetrics {
 			"Latency of one Prepare call (accumulate, select, assemble).",
 			telemetry.DurationBuckets(), "rule", rule),
 		topkNanos: reg.Counter("dgs_optim_topk_ns_total",
-			"Cumulative nanoseconds spent in Top-k selection.", "rule", rule),
+			"Cumulative per-layer nanoseconds in the fused selection passes (accumulate+histogram, resolve, emit+aftermath).",
+			"rule", rule),
 		residualMass: reg.Gauge("dgs_optim_residual_mass",
 			"L1 mass of the unsent residual/velocity after the last Prepare.",
 			"rule", rule),
-	}
-	if rule == "samomentum" {
-		m.rescaleNanos = reg.Counter("dgs_optim_samomentum_rescale_ns_total",
-			"Cumulative nanoseconds spent magnifying unsent coordinates by 1/m.")
 	}
 	return m
 }
@@ -40,27 +37,20 @@ func newOptimMetrics(rule string) *optimMetrics {
 // observe folds the per-layer accumulators into the shared metrics after
 // one Prepare call.
 func (m *optimMetrics) observe(ts *topkScratch, elapsed time.Duration) {
-	var topk, resc int64
+	var topk int64
 	var mass float64
 	for i := range ts.topkNs {
 		topk += ts.topkNs[i]
-		resc += ts.rescNs[i]
 		mass += ts.mass[i]
 	}
 	m.prepareSeconds.Observe(elapsed.Seconds())
 	if topk > 0 {
 		m.topkNanos.Add(uint64(topk))
 	}
-	if m.rescaleNanos != nil && resc > 0 {
-		m.rescaleNanos.Add(uint64(resc))
-	}
 	m.residualMass.Set(mass)
 }
 
-// absf is |v| widened to float64 for mass accumulation.
-func absf(v float32) float64 {
-	if v < 0 {
-		return float64(-v)
-	}
-	return float64(v)
-}
+// absf is |v| widened to float64 for mass accumulation. math.Abs compiles to
+// a sign-bit mask: a compare-and-negate here mispredicts on every other
+// coordinate of a zero-mean layer.
+func absf(v float32) float64 { return math.Abs(float64(v)) }

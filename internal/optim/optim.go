@@ -43,23 +43,83 @@ type WorkerOptimizer interface {
 // per-layer fan-out is not worth goroutine overhead.
 const parallelPrepThreshold = 1 << 16
 
-// forEachLayer runs fn(layer) for every layer. When more than one core is
+// layerRule is a sparsifying rule's per-layer Prepare body. Every rule makes
+// the same three passes over a layer's accumulation x, with the selection
+// kernel (sparse.Selector) fused into the two the rule needs anyway: the
+// accumulate pass folds g into x and feeds each new value to sel's
+// histogram, sel.Cut resolves the exact Top-k boundary, and one in-order
+// sweep moves the selected coordinates into c — already index-sorted —
+// while applying the rule's per-coordinate aftermath (zero the sent
+// residual, or magnify the unsent velocity by 1/m). It returns the L1 mass
+// left unsent. Layers are never empty here.
+type layerRule interface {
+	prepareLayer(i int, g []float32, lr float32, sel *sparse.Selector, c *sparse.Chunk) (mass float64)
+}
+
+// topkScratch holds the per-layer Top-k machinery shared by the sparsifying
+// rules: one Selector per layer so selection can fan out across cores, one
+// persistent chunk slot per layer so steady-state assembly allocates
+// nothing, and the assembled update returned to the caller.
+type topkScratch struct {
+	sel    []sparse.Selector
+	chunks []sparse.Chunk
+	out    sparse.Update
+
+	// The step in flight, held only while prepare runs: the per-layer body
+	// is a method on the scratch because a closure over these would escape
+	// through the fan-out's goroutines and allocate on every step.
+	rule  layerRule
+	grads [][]float32
+	lr    float32
+
+	// Per-layer telemetry accumulators. Each fan-out goroutine writes only
+	// its own layer's slot, so recording is contention- and race-free; the
+	// totals are summed serially after the fan-out joins.
+	topkNs []int64   // nanoseconds in the three fused passes
+	mass   []float64 // L1 mass of the unsent residual/velocity
+}
+
+func newTopkScratch(n int) topkScratch {
+	return topkScratch{
+		sel:    make([]sparse.Selector, n),
+		chunks: make([]sparse.Chunk, n),
+		topkNs: make([]int64, n),
+		mass:   make([]float64, n),
+	}
+}
+
+// prepare runs rule over every layer and assembles the chunks it emitted in
+// layer order, so the result is deterministic regardless of how the fan-out
+// interleaved.
+func (s *topkScratch) prepare(rule layerRule, grads [][]float32, lr float32, om *optimMetrics) sparse.Update {
+	p0 := time.Now()
+	s.rule, s.grads, s.lr = rule, grads, lr
+	s.forEachLayer()
+	s.rule, s.grads = nil, nil
+	s.out.Chunks = s.out.Chunks[:0]
+	for i := range s.chunks {
+		if len(s.chunks[i].Idx) > 0 {
+			s.out.Chunks = append(s.out.Chunks, s.chunks[i])
+		}
+	}
+	om.observe(s, time.Since(p0))
+	return s.out
+}
+
+// forEachLayer runs s.layer for every layer. When more than one core is
 // available and the model is large enough, layers are distributed across
 // goroutines via an atomic work counter; each layer touches only its own
 // state, so results are identical to the serial order.
-func forEachLayer(grads [][]float32, fn func(layer int)) {
-	n := len(grads)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+func (s *topkScratch) forEachLayer() {
+	n := len(s.grads)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	total := 0
-	for _, g := range grads {
+	for _, g := range s.grads {
 		total += len(g)
 	}
 	if workers <= 1 || total < parallelPrepThreshold {
 		for i := 0; i < n; i++ {
-			fn(i)
+			s.layer(i)
 		}
 		return
 	}
@@ -70,7 +130,7 @@ func forEachLayer(grads [][]float32, fn func(layer int)) {
 			if i >= n {
 				return
 			}
-			fn(i)
+			s.layer(i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -85,45 +145,15 @@ func forEachLayer(grads [][]float32, fn func(layer int)) {
 	wg.Wait()
 }
 
-// topkScratch holds the per-layer Top-k machinery shared by the sparsifying
-// rules: one Selector per layer so selection can fan out across cores, one
-// persistent chunk slot per layer so steady-state assembly allocates
-// nothing, and the assembled update returned to the caller.
-type topkScratch struct {
-	sel    []sparse.Selector
-	chunks []sparse.Chunk
-	filled []bool
-	out    sparse.Update
-
-	// Per-layer telemetry accumulators. Each forEachLayer goroutine writes
-	// only its own layer's slot, so recording is contention- and race-free;
-	// the totals are summed serially after the fan-out joins.
-	topkNs []int64   // nanoseconds spent in Top-k selection
-	rescNs []int64   // nanoseconds spent in the SAMomentum 1/m rescale
-	mass   []float64 // L1 mass of the unsent residual/velocity
-}
-
-func newTopkScratch(n int) topkScratch {
-	return topkScratch{
-		sel:    make([]sparse.Selector, n),
-		chunks: make([]sparse.Chunk, n),
-		filled: make([]bool, n),
-		topkNs: make([]int64, n),
-		rescNs: make([]int64, n),
-		mass:   make([]float64, n),
+func (s *topkScratch) layer(i int) {
+	if len(s.grads[i]) == 0 {
+		return // no chunk, no mass; rules may assume a non-empty layer
 	}
-}
-
-// assemble collects the chunks produced this step in layer order, so the
-// result is deterministic regardless of how the fan-out interleaved.
-func (s *topkScratch) assemble() sparse.Update {
-	s.out.Chunks = s.out.Chunks[:0]
-	for i := range s.chunks {
-		if s.filled[i] {
-			s.out.Chunks = append(s.out.Chunks, s.chunks[i])
-		}
-	}
-	return s.out
+	t0 := time.Now()
+	c := &s.chunks[i]
+	c.Layer, c.Idx, c.Val = i, c.Idx[:0], c.Val[:0]
+	s.mass[i] = s.rule.prepareLayer(i, s.grads[i], s.lr, &s.sel[i], c)
+	s.topkNs[i] = time.Since(t0).Nanoseconds()
 }
 
 // denseScratch caches the identity index slices and chunk headers the dense
@@ -257,36 +287,26 @@ func NewGradientDropping(layerSizes []int, keepRatio float64) *GradientDropping 
 // Prepare accumulates and selects: r += η∇; send top-k(r); r[sent] = 0.
 // Layers are processed in parallel on multi-core hosts.
 func (o *GradientDropping) Prepare(grads [][]float32, lr float32) sparse.Update {
-	p0 := time.Now()
-	forEachLayer(grads, func(i int) {
-		o.ts.filled[i] = false
-		o.ts.topkNs[i] = 0
-		r := o.r[i]
-		var mass float64
-		for j, v := range grads[i] {
-			r[j] += lr * v
-			mass += absf(r[j])
-		}
-		k := sparse.KForRatio(len(r), o.KeepRatio)
-		if k == 0 {
-			o.ts.mass[i] = mass
-			return
-		}
-		t0 := time.Now()
-		idx := o.ts.sel[i].TopK(r, k)
-		o.ts.topkNs[i] = time.Since(t0).Nanoseconds()
-		c := &o.ts.chunks[i]
-		sparse.GatherInto(c, i, r, idx)
-		sparse.ScatterZero(c, r)
-		for _, v := range c.Val {
+	return o.ts.prepare(o, grads, lr, o.om)
+}
+
+func (o *GradientDropping) prepareLayer(i int, g []float32, lr float32, sel *sparse.Selector, c *sparse.Chunk) (mass float64) {
+	r := o.r[i]
+	h := sel.Begin(len(r))
+	for j, v := range g {
+		r[j] += lr * v
+		mass += absf(r[j])
+		h.Add(r[j])
+	}
+	cut := sel.Cut(r, nil, sparse.KForRatio(len(r), o.KeepRatio))
+	for j, v := range r {
+		if cut.Keeps(v, int32(j)) {
+			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, v)
+			r[j] = 0
 			mass -= absf(v)
 		}
-		o.ts.mass[i] = mass
-		o.ts.filled[i] = true
-	})
-	upd := o.ts.assemble()
-	o.om.observe(&o.ts, time.Since(p0))
-	return upd
+	}
+	return mass
 }
 
 // Name implements WorkerOptimizer.
@@ -319,41 +339,28 @@ func NewDGC(layerSizes []int, m float32, keepRatio float64) *DGC {
 // Prepare applies momentum correction and factor masking. Layers are
 // processed in parallel on multi-core hosts.
 func (o *DGC) Prepare(grads [][]float32, lr float32) sparse.Update {
-	p0 := time.Now()
-	forEachLayer(grads, func(i int) {
-		o.ts.filled[i] = false
-		o.ts.topkNs[i] = 0
-		u, v := o.u[i], o.v[i]
-		var mass float64
-		for j, gv := range grads[i] {
-			u[j] = o.M*u[j] + lr*gv
-			v[j] += u[j]
-			mass += absf(v[j])
+	return o.ts.prepare(o, grads, lr, o.om)
+}
+
+func (o *DGC) prepareLayer(i int, g []float32, lr float32, sel *sparse.Selector, c *sparse.Chunk) (mass float64) {
+	u, v := o.u[i], o.v[i]
+	h := sel.Begin(len(v))
+	for j, gv := range g {
+		u[j] = o.M*u[j] + lr*gv
+		v[j] += u[j]
+		mass += absf(v[j])
+		h.Add(v[j])
+	}
+	cut := sel.Cut(v, nil, sparse.KForRatio(len(v), o.KeepRatio))
+	for j, vv := range v {
+		if cut.Keeps(vv, int32(j)) {
+			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, vv)
+			// Momentum factor masking: stop stale momentum at sent coords.
+			v[j], u[j] = 0, 0
+			mass -= absf(vv)
 		}
-		k := sparse.KForRatio(len(v), o.KeepRatio)
-		if k == 0 {
-			o.ts.mass[i] = mass
-			return
-		}
-		t0 := time.Now()
-		idx := o.ts.sel[i].TopK(v, k)
-		o.ts.topkNs[i] = time.Since(t0).Nanoseconds()
-		c := &o.ts.chunks[i]
-		sparse.GatherInto(c, i, v, idx)
-		sparse.ScatterZero(c, v)
-		// Momentum factor masking: stop stale momentum at sent coords.
-		for _, j := range c.Idx {
-			u[j] = 0
-		}
-		for _, cv := range c.Val {
-			mass -= absf(cv)
-		}
-		o.ts.mass[i] = mass
-		o.ts.filled[i] = true
-	})
-	upd := o.ts.assemble()
-	o.om.observe(&o.ts, time.Since(p0))
-	return upd
+	}
+	return mass
 }
 
 // Name implements WorkerOptimizer.
@@ -394,49 +401,28 @@ func NewSAMomentum(layerSizes []int, m float32, keepRatio float64) *SAMomentum {
 // Prepare implements Algorithm 3 lines 6–12. Layers are processed in
 // parallel on multi-core hosts.
 func (o *SAMomentum) Prepare(grads [][]float32, lr float32) sparse.Update {
-	p0 := time.Now()
-	invM := 1 / o.M
-	forEachLayer(grads, func(i int) {
-		o.ts.filled[i] = false
-		o.ts.topkNs[i], o.ts.rescNs[i] = 0, 0
-		u := o.u[i]
-		for j, gv := range grads[i] {
-			u[j] = o.M*u[j] + lr*gv
+	return o.ts.prepare(o, grads, lr, o.om)
+}
+
+func (o *SAMomentum) prepareLayer(i int, g []float32, lr float32, sel *sparse.Selector, c *sparse.Chunk) (mass float64) {
+	u, invM := o.u[i], 1/o.M
+	h := sel.Begin(len(u))
+	for j, gv := range g {
+		u[j] = o.M*u[j] + lr*gv
+		h.Add(u[j])
+	}
+	cut := sel.Cut(u, nil, sparse.KForRatio(len(u), o.KeepRatio))
+	for j, v := range u {
+		if cut.Keeps(v, int32(j)) {
+			// Sent: velocity retained as-is.
+			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, v)
+			continue
 		}
-		k := sparse.KForRatio(len(u), o.KeepRatio)
-		if k == 0 {
-			var mass float64
-			for _, uv := range u {
-				mass += absf(uv)
-			}
-			o.ts.mass[i] = mass
-			return
-		}
-		t0 := time.Now()
-		idx := o.ts.sel[i].TopK(u, k)
-		o.ts.topkNs[i] = time.Since(t0).Nanoseconds()
-		c := &o.ts.chunks[i]
-		sparse.GatherInto(c, i, u, idx)
-		// Magnify every unsent coordinate by 1/m. Walk the sorted sent
-		// indices alongside the full range.
-		t1 := time.Now()
-		var mass float64
-		si := 0
-		for j := range u {
-			if si < len(c.Idx) && int32(j) == c.Idx[si] {
-				si++ // sent: velocity retained as-is
-				continue
-			}
-			u[j] *= invM
-			mass += absf(u[j])
-		}
-		o.ts.rescNs[i] = time.Since(t1).Nanoseconds()
-		o.ts.mass[i] = mass
-		o.ts.filled[i] = true
-	})
-	upd := o.ts.assemble()
-	o.om.observe(&o.ts, time.Since(p0))
-	return upd
+		// Unsent: magnified by 1/m.
+		u[j] = v * invM
+		mass += absf(u[j])
+	}
+	return mass
 }
 
 // Name implements WorkerOptimizer.

@@ -77,14 +77,6 @@ func Scatter(c *Chunk, dst []float32, scale float32) {
 	}
 }
 
-// ScatterZero writes zeros into dst at the chunk's indices (used to clear
-// sent coordinates from a residual/accumulation buffer).
-func ScatterZero(c *Chunk, dst []float32) {
-	for _, j := range c.Idx {
-		dst[j] = 0
-	}
-}
-
 // SparsifyLayers selects the top keepRatio fraction of each layer of x by
 // absolute value and returns the sparse update. x is not modified.
 func SparsifyLayers(x [][]float32, keepRatio float64) Update {

@@ -126,10 +126,13 @@ func TestNextChunkResurrectsStorage(t *testing.T) {
 	}
 }
 
-func TestSelectorThresholdMatchesSort(t *testing.T) {
+func TestCutRankMatchesSort(t *testing.T) {
 	rng := tensor.NewRNG(34)
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(500)
+		if trial%5 == 0 {
+			n += 2 * exactCap // histogram path
+		}
 		x := make([]float32, n)
 		rng.FillNormal(x, 0, 1)
 		k := 1 + rng.Intn(n)
@@ -140,7 +143,7 @@ func TestSelectorThresholdMatchesSort(t *testing.T) {
 		sort.Sort(sort.Reverse(sort.Float64Slice(abs)))
 		want := float32(abs[k-1])
 		var sel Selector
-		if got := sel.Threshold(x, k); got != want {
+		if got := sel.Cut(x, nil, k).Rank(); got != want {
 			t.Fatalf("n=%d k=%d: threshold %v, want %v", n, k, got, want)
 		}
 	}
@@ -151,10 +154,14 @@ func TestSelectorSteadyStateAllocs(t *testing.T) {
 	tensor.NewRNG(35).FillNormal(x, 0, 1)
 	var sel Selector
 	k := len(x) / 100
+	gidx := make([]int32, len(x)/2)
+	for i := range gidx {
+		gidx[i] = int32(len(gidx) - i) // descending: the sort path runs too
+	}
 	sel.TopK(x, k) // warm the scratch
 	allocs := testing.AllocsPerRun(10, func() {
 		sel.TopK(x, k)
-		sel.Threshold(x, k)
+		sel.TopKList(x[:len(x)/2], gidx, k)
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state selection allocates %v objects, want 0", allocs)

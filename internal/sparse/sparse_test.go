@@ -136,13 +136,14 @@ func TestTopKLargeMatchesSort(t *testing.T) {
 	}
 }
 
-func TestThreshold(t *testing.T) {
+func TestCutRank(t *testing.T) {
 	x := []float32{0.1, -5, 3, -0.2, 4}
-	if thr := Threshold(x, 2); thr != 4 {
-		t.Fatalf("Threshold k=2 = %v, want 4", thr)
+	var sel Selector
+	if thr := sel.Cut(x, nil, 2).Rank(); thr != 4 {
+		t.Fatalf("threshold k=2 = %v, want 4", thr)
 	}
-	if thr := Threshold(x, 5); thr != 0.1 {
-		t.Fatalf("Threshold k=5 = %v, want 0.1", thr)
+	if thr := sel.Cut(x, nil, 5).Rank(); thr != 0.1 {
+		t.Fatalf("threshold k=5 = %v, want 0.1", thr)
 	}
 }
 
@@ -156,10 +157,6 @@ func TestGatherScatter(t *testing.T) {
 	Scatter(&c, dst, 0.5)
 	if dst[1] != 10 || dst[3] != 20 || dst[0] != 0 {
 		t.Fatalf("Scatter wrong: %v", dst)
-	}
-	ScatterZero(&c, x)
-	if x[1] != 0 || x[3] != 0 || x[0] != 10 {
-		t.Fatalf("ScatterZero wrong: %v", x)
 	}
 }
 

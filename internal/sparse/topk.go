@@ -4,7 +4,11 @@
 // exchanging sparse updates between workers and the parameter server.
 package sparse
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // KForRatio returns the number of elements to keep for a layer of n
 // elements at sparsification ratio R (keep fraction). The paper's R=1 means
@@ -22,91 +26,6 @@ func KForRatio(n int, ratio float64) int {
 		k = n
 	}
 	return k
-}
-
-// TopKIndices returns the indices of the k largest |x| values.
-// Ties are broken deterministically (lower index wins). The returned
-// indices are in ascending order. x is not modified.
-//
-// Each call allocates fresh scratch; hot paths that select every iteration
-// should hold a Selector instead.
-func TopKIndices(x []float32, k int) []int32 {
-	var s Selector
-	return s.TopK(x, k)
-}
-
-// Selector is reusable Top-k scratch. The zero value is ready to use; after
-// the first call on a layer its capacity is retained, so steady-state
-// selection allocates nothing. A Selector is not safe for concurrent use.
-type Selector struct {
-	idx []int32
-}
-
-// TopK returns the indices of the k largest |x| values in ascending order,
-// with deterministic tie-breaks (lower index wins). x is not modified. The
-// returned slice aliases the selector's scratch and is valid until the next
-// call on this Selector.
-func (s *Selector) TopK(x []float32, k int) []int32 {
-	n := len(x)
-	if k <= 0 || n == 0 {
-		return nil
-	}
-	idx := s.fill(n)
-	if k >= n {
-		return idx
-	}
-	quickselect(x, idx, k)
-	top := idx[:k]
-	sortInt32(top)
-	return top
-}
-
-// Threshold returns the k-th largest |x| (the paper's thr) without sorting
-// the selection: after quickselect the partition point itself is the k-th
-// order statistic, so no full Top-k materialisation or min-scan is needed.
-// It returns 0 for k <= 0 or empty x.
-func (s *Selector) Threshold(x []float32, k int) float32 {
-	n := len(x)
-	if k <= 0 || n == 0 {
-		return 0
-	}
-	if k >= n {
-		// Smallest |value| overall.
-		minAbs := absOf(x, 0)
-		for i := int32(1); i < int32(n); i++ {
-			if a := absOf(x, i); a < minAbs {
-				minAbs = a
-			}
-		}
-		return minAbs
-	}
-	idx := s.fill(n)
-	// quickselect maintains k-1 inside the shrinking [lo,hi] window, so on
-	// exit idx[k-1] holds exactly the k-th element of the descending-|x|
-	// order — the threshold.
-	quickselect(x, idx, k)
-	return absOf(x, idx[k-1])
-}
-
-// fill resizes the scratch to n identity indices.
-func (s *Selector) fill(n int) []int32 {
-	if cap(s.idx) < n {
-		s.idx = make([]int32, n)
-	}
-	s.idx = s.idx[:n]
-	for i := range s.idx {
-		s.idx[i] = int32(i)
-	}
-	return s.idx
-}
-
-// absOf returns |x[i]| without branching on NaN (NaN sorts last).
-func absOf(x []float32, i int32) float32 {
-	v := x[i]
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Rank maps a value to its selection magnitude: |v|, with NaN promoted to
@@ -128,78 +47,221 @@ func Rank(v float32) float32 {
 	return v
 }
 
-// less reports whether index a should come before b in descending-|x| order
-// with ascending-index tiebreak.
-func less(x []float32, a, b int32) bool {
-	av, bv := Rank(x[a]), Rank(x[b])
-	if av != bv {
-		return av > bv
+// Selection order. Every Top-k in the repo picks the first k elements of one
+// total order: descending Rank, ties broken by ascending coordinate. An
+// element's place in that order is a single integer, its composite:
+//
+//	bits 62..32  absMask ^ key, where key = min(Float32bits(v) & absMask,
+//	             infBits) is the IEEE-754 magnitude of v as an integer —
+//	             monotone in Rank, ±0 → 0, NaN clamped onto +Inf exactly as
+//	             Rank does — so a larger magnitude is a smaller composite
+//	bits 31..0   the coordinate: the position in a dense layer, gidx[i] in a
+//	             candidate list
+//
+// so "a sorts before b" is composite(a) < composite(b), and the selected set
+// is {composite ≤ the k-th smallest composite}: a Cut.
+const (
+	absMask = 0x7fffffff
+	infBits = 0x7f800000
+
+	// The composite is consumed most-significant digit first, histDigit bits
+	// at a time: 12 bits of the magnitude part is the 8 exponent bits plus 4
+	// of mantissa (16 buckets per octave), which leaves around 1 % of a
+	// gradient-shaped layer in the bucket that holds the threshold, while
+	// the 16 KiB of counters stay L1-resident.
+	compositeBits = 63
+	histDigit     = 12
+	topShift      = compositeBits - histDigit
+
+	// exactCap is the most composites the exact stage resolves by
+	// quickselect; a layer (or a histogram bucket) no larger than this
+	// skips further histogram passes.
+	exactCap = 1024
+)
+
+// orderKey is the magnitude half of the composite.
+func orderKey(v float32) uint32 {
+	key := math.Float32bits(v) & absMask
+	if key > infBits {
+		key = infBits
 	}
-	return a < b
+	return absMask ^ key
 }
 
-// quickselect partially orders idx so idx[:k] holds the top-k positions.
-func quickselect(x []float32, idx []int32, k int) {
-	lo, hi := 0, len(idx)-1
-	for lo < hi {
-		p := partition(x, idx, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
+func composite(v float32, ord int32) uint64 {
+	return uint64(orderKey(v))<<32 | uint64(uint32(ord))
+}
+
+// Cut is a selection boundary in the total order: an element is selected iff
+// it sorts at or before the k-th element.
+type Cut struct {
+	last uint64 // composite of the k-th element
+	key  uint32 // its magnitude key; nothing smaller is selected
+}
+
+// Keeps reports whether value v at coordinate ord is selected. One integer
+// compare rejects the unselected bulk; only values at or above the boundary
+// magnitude (NaN bit patterns included) pay for the exact composite.
+func (c Cut) Keeps(v float32, ord int32) bool {
+	return math.Float32bits(v)&absMask >= c.key && composite(v, ord) <= c.last
+}
+
+// Rank returns the selection threshold in Rank space: the magnitude of the
+// k-th element (+Inf if it is NaN), comparable against max-Rank summaries.
+func (c Cut) Rank() float32 { return math.Float32frombits(c.key) }
+
+// Hist counts elements by the top digit of their composite. A caller that
+// already walks a layer (optim's momentum/accumulate pass) feeds it through
+// Add so selection costs no extra pass for the first histogram level.
+type Hist [1 << histDigit]uint32
+
+// Add counts one value. A nil Hist (Selector.Begin on a small layer) counts
+// nothing, so callers fuse one loop for every layer size.
+func (h *Hist) Add(v float32) {
+	if h != nil {
+		h[orderKey(v)>>(topShift-32)&(1<<histDigit-1)]++
 	}
 }
 
-func partition(x []float32, idx []int32, lo, hi int) int {
-	// Median-of-three pivot to avoid quadratic behaviour on sorted data.
-	mid := lo + (hi-lo)/2
-	if less(x, idx[mid], idx[lo]) {
-		idx[lo], idx[mid] = idx[mid], idx[lo]
-	}
-	if less(x, idx[hi], idx[lo]) {
-		idx[lo], idx[hi] = idx[hi], idx[lo]
-	}
-	if less(x, idx[hi], idx[mid]) {
-		idx[mid], idx[hi] = idx[hi], idx[mid]
-	}
-	pivot := idx[mid]
-	idx[mid], idx[hi] = idx[hi], idx[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if less(x, idx[i], pivot) {
-			idx[i], idx[store] = idx[store], idx[i]
-			store++
-		}
-	}
-	idx[store], idx[hi] = idx[hi], idx[store]
-	return store
+// Selector is reusable Top-k scratch: the digit histogram, up to
+// max(k, exactCap) composites for the exact stage, and the k selected
+// positions — O(buckets + k), never O(layer). The zero
+// value is ready to use; after the first call on a layer its capacity is
+// retained, so steady-state selection allocates nothing. A Selector is not
+// safe for concurrent use.
+type Selector struct {
+	hist  *Hist
+	begun bool
+	cand  []uint64
+	out   []int32
 }
 
-func sortInt32(a []int32) {
-	// Insertion sort is fine: k is small relative to n and nearly unordered.
-	// Fall back to a simple quicksort for larger k.
-	if len(a) < 32 {
-		for i := 1; i < len(a); i++ {
-			v := a[i]
-			j := i - 1
-			for j >= 0 && a[j] > v {
-				a[j+1] = a[j]
-				j--
+// Begin starts a selection over n values whose first histogram pass the
+// caller performs itself: Add every value to the returned Hist, then call
+// Cut with those same values. It returns nil when n is small enough for the
+// exact stage alone.
+func (s *Selector) Begin(n int) *Hist {
+	if n <= exactCap {
+		return nil
+	}
+	s.begun = true
+	return s.resetHist()
+}
+
+func (s *Selector) resetHist() *Hist {
+	if s.hist == nil {
+		s.hist = new(Hist)
+	}
+	*s.hist = Hist{}
+	return s.hist
+}
+
+// Cut returns the boundary selecting the min(k, len(val)) first elements of
+// the total order, k ≥ 1 and val non-empty. gidx gives each value's
+// coordinate (unique, any order); nil means val is a dense layer and the
+// coordinate is the position. Linear time: each histogram level is one pass
+// over val that narrows the boundary's bucket by histDigit bits; once the
+// bucket fits the exact stage its composites are compacted and resolved by
+// quickselect. Gradient-shaped layers usually finish after one level (an
+// accumulation that piles up just under its own threshold can need two);
+// only heavy ties (an all-zero layer) descend further, through the
+// coordinate bits.
+func (s *Selector) Cut(val []float32, gidx []int32, k int) Cut {
+	r := min(k, len(val))   // 1-based place of the boundary within the bucket
+	fit := max(r, exactCap) // the exact stage's scratch stays O(k)
+	var prefix uint64       // the bucket: composites with c>>shift == prefix
+	shift := uint(compositeBits)
+	begun := s.begun
+	s.begun = false
+	if len(val) > exactCap {
+		h := s.hist
+		if !begun {
+			h = s.resetHist()
+			for _, v := range val {
+				h.Add(v)
 			}
-			a[j+1] = v
 		}
-		return
+		for {
+			width := min(shift, histDigit)
+			shift -= width
+			d, before := 0, 0
+			for before+int(h[d]) < r {
+				before += int(h[d])
+				d++
+			}
+			r -= before
+			prefix = prefix<<width | uint64(d)
+			if int(h[d]) <= fit || shift == 0 {
+				break
+			}
+			// Next level: histogram the following digit of this bucket.
+			*h = Hist{}
+			next := shift - min(shift, histDigit)
+			mask := uint64(1)<<(shift-next) - 1
+			lo, span := keyRange(prefix, shift)
+			for i, v := range val {
+				if math.Float32bits(v)&absMask-lo <= span {
+					if c := composite(v, ordOf(gidx, i)); c>>shift == prefix {
+						h[c>>next&mask]++
+					}
+				}
+			}
+		}
 	}
-	qsortInt32(a, 0, len(a)-1)
+	if need := min(len(val), fit); cap(s.cand) < need {
+		s.cand = make([]uint64, 0, need) // all a bucket can hold: never regrown mid-run
+	}
+	s.cand = s.cand[:0]
+	lo, span := keyRange(prefix, shift)
+	for i, v := range val {
+		if math.Float32bits(v)&absMask-lo <= span {
+			if c := composite(v, ordOf(gidx, i)); c>>shift == prefix {
+				s.cand = append(s.cand, c)
+			}
+		}
+	}
+	last := selectNth(s.cand, r-1)
+	return Cut{last: last, key: absMask ^ uint32(last>>32)}
 }
 
-func qsortInt32(a []int32, lo, hi int) {
+// keyRange returns the raw magnitude bits (Float32bits & absMask, before the
+// NaN clamp) that composites of the bucket c>>shift == prefix can carry, as
+// lo and hi−lo for a single unsigned compare. It is a cheap superset filter:
+// once shift reaches into the coordinate bits the bucket's composites share
+// one key but not every composite with that key is in the bucket.
+func keyRange(prefix uint64, shift uint) (lo, span uint32) {
+	first := uint32(prefix << shift >> 32)
+	final := uint32(((prefix+1)<<shift - 1) >> 32)
+	lo, hi := absMask^final, absMask^first
+	if hi >= infBits {
+		hi = absMask // NaN bit patterns clamp onto +Inf
+	}
+	return lo, hi - lo
+}
+
+func ordOf(gidx []int32, i int) int32 {
+	if gidx == nil {
+		return int32(i)
+	}
+	return gidx[i]
+}
+
+// selectNth returns the r-th smallest (0-based) element of a, reordering a.
+func selectNth(a []uint64, r int) uint64 {
+	lo, hi := 0, len(a)-1
 	for lo < hi {
-		p := a[lo+(hi-lo)/2]
+		// Median-of-three pivot, Hoare partition.
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[lo], a[mid] = a[mid], a[lo]
+		}
+		if a[hi] < a[lo] {
+			a[lo], a[hi] = a[hi], a[lo]
+		}
+		if a[hi] < a[mid] {
+			a[mid], a[hi] = a[hi], a[mid]
+		}
+		p := a[mid]
 		i, j := lo, hi
 		for i <= j {
 			for a[i] < p {
@@ -214,22 +276,45 @@ func qsortInt32(a []int32, lo, hi int) {
 				j--
 			}
 		}
-		// Recurse into the smaller half, loop on the larger.
-		if j-lo < hi-i {
-			qsortInt32(a, lo, j)
-			lo = i
-		} else {
-			qsortInt32(a, i, hi)
+		switch {
+		case r <= j:
 			hi = j
+		case r >= i:
+			lo = i
+		default:
+			return a[r]
 		}
 	}
+	return a[r]
 }
 
-// Threshold returns the k-th largest absolute value of x (the paper's thr).
-// It returns 0 for k <= 0 or empty x.
-func Threshold(x []float32, k int) float32 {
+// TopK returns the indices of the k largest |x| values in ascending order,
+// with deterministic tie-breaks (lower index wins). x is not modified. The
+// returned slice aliases the selector's scratch and is valid until the next
+// call on this Selector.
+func (s *Selector) TopK(x []float32, k int) []int32 {
+	if k <= 0 || len(x) == 0 {
+		return nil
+	}
+	cut := s.Cut(x, nil, k)
+	s.out = slices.Grow(s.out[:0], min(k, len(x)))
+	for i, v := range x {
+		if cut.Keeps(v, int32(i)) {
+			s.out = append(s.out, int32(i))
+		}
+	}
+	return s.out
+}
+
+// TopKIndices returns the indices of the k largest |x| values.
+// Ties are broken deterministically (lower index wins). The returned
+// indices are in ascending order. x is not modified.
+//
+// Each call allocates fresh scratch; hot paths that select every iteration
+// should hold a Selector instead.
+func TopKIndices(x []float32, k int) []int32 {
 	var s Selector
-	return s.Threshold(x, k)
+	return s.TopK(x, k)
 }
 
 // TopKList is bounded Top-k over a sparse candidate list: val[i] is the
@@ -248,123 +333,23 @@ func Threshold(x []float32, k int) float32 {
 // The positions alias the selector's scratch, valid until the next call.
 // k > len(val) selects everything.
 func (s *Selector) TopKList(val []float32, gidx []int32, k int) ([]int32, float32) {
-	n := len(val)
-	if k <= 0 || n == 0 {
+	if k <= 0 || len(val) == 0 {
 		return nil, 0
 	}
-	pos := s.fill(n)
-	if k >= n {
-		// Everything is selected; the threshold is the smallest magnitude.
-		thr := Rank(val[0])
-		for i := 1; i < n; i++ {
-			if r := Rank(val[i]); r < thr {
-				thr = r
-			}
-		}
-		sortPosByIdx(pos, gidx)
-		return pos, thr
-	}
-	quickselectList(val, gidx, pos, k)
-	// As in Threshold: after quickselect pos[k-1] is exactly the k-th entry
-	// of the descending order, so its magnitude is the threshold.
-	thr := Rank(val[pos[k-1]])
-	top := pos[:k]
-	sortPosByIdx(top, gidx)
-	return top, thr
-}
-
-// lessList is less() over a candidate list: descending Rank(val), ties by
-// ascending original coordinate — identical to the full-layer ordering.
-func lessList(val []float32, gidx []int32, a, b int32) bool {
-	av, bv := Rank(val[a]), Rank(val[b])
-	if av != bv {
-		return av > bv
-	}
-	return gidx[a] < gidx[b]
-}
-
-// quickselectList partially orders pos so pos[:k] holds the top-k list
-// positions under lessList.
-func quickselectList(val []float32, gidx []int32, pos []int32, k int) {
-	lo, hi := 0, len(pos)-1
-	for lo < hi {
-		p := partitionList(val, gidx, pos, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
+	cut := s.Cut(val, gidx, k)
+	s.out = slices.Grow(s.out[:0], min(k, len(val)))
+	ascending, last := true, int32(-1)
+	for i, v := range val {
+		if g := gidx[i]; cut.Keeps(v, g) {
+			s.out = append(s.out, int32(i))
+			ascending = ascending && g > last
+			last = g
 		}
 	}
-}
-
-func partitionList(val []float32, gidx []int32, pos []int32, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if lessList(val, gidx, pos[mid], pos[lo]) {
-		pos[lo], pos[mid] = pos[mid], pos[lo]
+	if !ascending {
+		// A promotion appended blocks out of order. Coordinates are unique,
+		// so ordering positions by them is total.
+		slices.SortFunc(s.out, func(a, b int32) int { return cmp.Compare(gidx[a], gidx[b]) })
 	}
-	if lessList(val, gidx, pos[hi], pos[lo]) {
-		pos[lo], pos[hi] = pos[hi], pos[lo]
-	}
-	if lessList(val, gidx, pos[hi], pos[mid]) {
-		pos[mid], pos[hi] = pos[hi], pos[mid]
-	}
-	pivot := pos[mid]
-	pos[mid], pos[hi] = pos[hi], pos[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if lessList(val, gidx, pos[i], pivot) {
-			pos[i], pos[store] = pos[store], pos[i]
-			store++
-		}
-	}
-	pos[store], pos[hi] = pos[hi], pos[store]
-	return store
-}
-
-// sortPosByIdx sorts list positions by their original coordinate ascending
-// (coordinates are unique, so the order is total).
-func sortPosByIdx(pos []int32, gidx []int32) {
-	if len(pos) < 32 {
-		for i := 1; i < len(pos); i++ {
-			v := pos[i]
-			j := i - 1
-			for j >= 0 && gidx[pos[j]] > gidx[v] {
-				pos[j+1] = pos[j]
-				j--
-			}
-			pos[j+1] = v
-		}
-		return
-	}
-	qsortPosByIdx(pos, gidx, 0, len(pos)-1)
-}
-
-func qsortPosByIdx(pos []int32, gidx []int32, lo, hi int) {
-	for lo < hi {
-		p := gidx[pos[lo+(hi-lo)/2]]
-		i, j := lo, hi
-		for i <= j {
-			for gidx[pos[i]] < p {
-				i++
-			}
-			for gidx[pos[j]] > p {
-				j--
-			}
-			if i <= j {
-				pos[i], pos[j] = pos[j], pos[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			qsortPosByIdx(pos, gidx, lo, j)
-			lo = i
-		} else {
-			qsortPosByIdx(pos, gidx, i, hi)
-			hi = j
-		}
-	}
+	return s.out, cut.Rank()
 }
