@@ -3,7 +3,7 @@
 # (the async exchange paths are required to be race-clean), then the tests
 # of the nested end-to-end benchmark module, which `./...` does not reach.
 # `make ci` is the CI entry point: formatting gate first, then check.
-.PHONY: ci check fmt-check build vet test race benchmark-test bench bench-paper bench-smoke staticcheck fuzz-smoke
+.PHONY: ci check fmt-check build vet test race benchmark-test bench bench-kernels bench-paper bench-smoke staticcheck fuzz-smoke
 
 ci: fmt-check staticcheck check
 
@@ -59,6 +59,16 @@ bench:
 	go run ./cmd/dgs-bench -aggbench
 	go run ./cmd/dgs-bench -readbench
 	$(MAKE) bench-paper PAPER_BENCHTIME=$(PAPER_BENCHTIME)
+
+# Forward/backward alone: one training step of each model the end-to-end
+# benchmark trains (ns/op, B/op, allocs/op), every GEMM shape such a step
+# performs, and the blocked-vs-baseline crossover that places
+# smallGemmVolume. DESIGN.md §8 quotes these.
+KERNEL_BENCHTIME ?= 1s
+
+bench-kernels:
+	go test -run '^$$' -bench 'BenchmarkTrainStep' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn
+	go test -run '^$$' -bench 'BenchmarkGemm' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/tensor
 
 # The paper benchmarks run full (short-scale) training per artefact, so the
 # suite needs more than go test's default 10-minute budget on small hosts.

@@ -24,6 +24,7 @@ type BatchNorm2D struct {
 	lastXHat []float32
 	lastStd  []float32 // per-channel 1/sqrt(var+eps)
 	lastDims [3]int    // batch, h, w
+	y, dx    *tensor.Tensor
 }
 
 // NewBatchNorm2D creates a BatchNorm over c channels.
@@ -53,29 +54,23 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	hw := h * w
 	n := batch * hw
-	y := tensor.New(x.Shape...)
+	bn.y = buffer(bn.y, x.Shape...)
+	y := bn.y
 
 	if train {
-		if len(bn.lastXHat) < x.Len() {
-			bn.lastXHat = make([]float32, x.Len())
-		}
-		if len(bn.lastStd) < bn.C {
-			bn.lastStd = make([]float32, bn.C)
-		}
+		bn.lastXHat = grow(bn.lastXHat, x.Len())
+		bn.lastStd = grow(bn.lastStd, bn.C)
 		bn.lastDims = [3]int{batch, h, w}
 		for ch := 0; ch < bn.C; ch++ {
-			var sum float64
+			var sum, vsum float64
 			for b := 0; b < batch; b++ {
-				base := (b*bn.C + ch) * hw
-				for _, v := range x.Data[base : base+hw] {
+				for _, v := range x.Data[(b*bn.C+ch)*hw:][:hw] {
 					sum += float64(v)
 				}
 			}
 			mean := float32(sum / float64(n))
-			var vsum float64
 			for b := 0; b < batch; b++ {
-				base := (b*bn.C + ch) * hw
-				for _, v := range x.Data[base : base+hw] {
+				for _, v := range x.Data[(b*bn.C+ch)*hw:][:hw] {
 					d := float64(v - mean)
 					vsum += d * d
 				}
@@ -86,10 +81,11 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			g, be := bn.Gamma.Value.Data[ch], bn.Beta.Value.Data[ch]
 			for b := 0; b < batch; b++ {
 				base := (b*bn.C + ch) * hw
-				for i := base; i < base+hw; i++ {
-					xh := (x.Data[i] - mean) * invStd
-					bn.lastXHat[i] = xh
-					y.Data[i] = g*xh + be
+				xhat, out := bn.lastXHat[base:base+hw], y.Data[base:base+hw]
+				for i, v := range x.Data[base : base+hw] {
+					xh := (v - mean) * invStd
+					xhat[i] = xh
+					out[i] = g*xh + be
 				}
 			}
 			bn.RunningMean[ch] = (1-bn.Momentum)*bn.RunningMean[ch] + bn.Momentum*mean
@@ -104,8 +100,9 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		g, be := bn.Gamma.Value.Data[ch], bn.Beta.Value.Data[ch]
 		for b := 0; b < batch; b++ {
 			base := (b*bn.C + ch) * hw
-			for i := base; i < base+hw; i++ {
-				y.Data[i] = g*(x.Data[i]-mean)*invStd + be
+			out := y.Data[base : base+hw]
+			for i, v := range x.Data[base : base+hw] {
+				out[i] = g*(v-mean)*invStd + be
 			}
 		}
 	}
@@ -117,27 +114,29 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	batch, h, w := bn.lastDims[0], bn.lastDims[1], bn.lastDims[2]
 	hw := h * w
 	n := float32(batch * hw)
-	dx := tensor.New(grad.Shape...)
+	bn.dx = buffer(bn.dx, grad.Shape...)
+	dx := bn.dx
 	for ch := 0; ch < bn.C; ch++ {
 		var dgSum, dbSum float64
 		for b := 0; b < batch; b++ {
 			base := (b*bn.C + ch) * hw
-			for i := base; i < base+hw; i++ {
-				dgSum += float64(grad.Data[i]) * float64(bn.lastXHat[i])
-				dbSum += float64(grad.Data[i])
+			xhat := bn.lastXHat[base : base+hw]
+			for i, gv := range grad.Data[base : base+hw] {
+				dgSum += float64(gv) * float64(xhat[i])
+				dbSum += float64(gv)
 			}
 		}
 		bn.Gamma.Grad.Data[ch] += float32(dgSum)
 		bn.Beta.Grad.Data[ch] += float32(dbSum)
 
-		g := bn.Gamma.Value.Data[ch]
-		invStd := bn.lastStd[ch]
+		scale := bn.Gamma.Value.Data[ch] * bn.lastStd[ch]
 		meanDy := float32(dbSum) / n
 		meanDyXHat := float32(dgSum) / n
 		for b := 0; b < batch; b++ {
 			base := (b*bn.C + ch) * hw
-			for i := base; i < base+hw; i++ {
-				dx.Data[i] = g * invStd * (grad.Data[i] - meanDy - bn.lastXHat[i]*meanDyXHat)
+			xhat, out := bn.lastXHat[base:base+hw], dx.Data[base:base+hw]
+			for i, gv := range grad.Data[base : base+hw] {
+				out[i] = scale * (gv - meanDy - xhat[i]*meanDyXHat)
 			}
 		}
 	}

@@ -6,23 +6,27 @@ import (
 	"dgs/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW inputs implemented as
-// im2col + GEMM. Weights are stored (outC, inC*kh*kw).
+// Conv2D is a 2-D convolution over NCHW inputs implemented as one
+// batch-wide im2col + GEMM: the whole batch's patches form a single
+// (InC*KH*KW) × (batch*OH*OW) matrix, so forward, dW and dX are one GEMM
+// each with every image's columns side by side. Weights are stored
+// (outC, inC*kh*kw).
 type Conv2D struct {
 	InC, OutC           int
 	KH, KW, Stride, Pad int
 	W, B                *Param
 
-	lastX    *tensor.Tensor
-	lastCols []float32 // im2col of the last training input (per batch image, reused)
-	colsBuf  []float32
-	h, w     int // input spatial dims from the last Forward
+	// cols is the im2col matrix of the last Forward; the dW GEMM of the
+	// Backward that follows reads it again.
+	cols    []float32
+	h, w    int  // input spatial dims of the last Forward
+	trained bool // the last Forward ran with train=true, so Backward may follow
 
-	// Backward scratch, reused across iterations. dxBuf is handed to the
-	// caller, which per the Layer contract consumes it before the next
-	// Backward; dcols never escapes.
-	dxBuf *tensor.Tensor
-	dcols []float32
+	// Scratch reused across iterations. ymat and gmat hold the output and
+	// its gradient channel-major (OutC × batch*OH*OW), the layout the GEMMs
+	// produce and consume; y and dx are what the layer hands out.
+	ymat, gmat, dcols []float32
+	y, dx             *tensor.Tensor
 }
 
 // NewConv2D creates a convolution layer with Kaiming init.
@@ -46,80 +50,59 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
 	krows := c.InC * c.KH * c.KW
-	cols := oh * ow
-	y := tensor.New(batch, c.OutC, oh, ow)
+	hw := oh * ow
+	n := batch * hw
+	c.h, c.w, c.trained = h, w, train
 
-	colSize := krows * cols
-	if train {
-		// Cache im2col per image for the weight-gradient pass.
-		if len(c.lastCols) < batch*colSize {
-			c.lastCols = make([]float32, batch*colSize)
-		}
-		c.lastX = x
-		c.h, c.w = h, w
-	} else if len(c.colsBuf) < colSize {
-		c.colsBuf = make([]float32, colSize)
-	}
-
-	for b := 0; b < batch; b++ {
-		var buf []float32
-		if train {
-			buf = c.lastCols[b*colSize : (b+1)*colSize]
-		} else {
-			buf = c.colsBuf[:colSize]
-		}
-		tensor.Im2Col(x.Data[b*c.InC*h*w:], c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow, buf)
-		out := y.Data[b*c.OutC*cols:]
-		// out(OutC, cols) = W(OutC, krows) * buf(krows, cols)
-		tensor.Gemm(1, c.W.Value.Data, c.OutC, krows, buf, cols, 0, out[:c.OutC*cols])
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := c.B.Value.Data[oc]
-			row := out[oc*cols : oc*cols+cols]
-			for i := range row {
-				row[i] += bias
+	c.cols = grow(c.cols, krows*n)
+	c.ymat = grow(c.ymat, c.OutC*n)
+	c.y = buffer(c.y, batch, c.OutC, oh, ow)
+	tensor.Im2Col(x.Data, batch, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow, c.cols)
+	// ymat(OutC, n) = W(OutC, krows) * cols(krows, n)
+	tensor.Gemm(1, c.W.Value.Data, c.OutC, krows, c.cols, n, 0, c.ymat)
+	// y[b][oc] = ymat[oc][b] + bias[oc]
+	for oc := 0; oc < c.OutC; oc++ {
+		bias := c.B.Value.Data[oc]
+		for b := 0; b < batch; b++ {
+			out := c.y.Data[(b*c.OutC+oc)*hw:][:hw]
+			for i, v := range c.ymat[oc*n+b*hw:][:hw] {
+				out[i] = v + bias
 			}
 		}
 	}
-	return y
+	return c.y
 }
 
 // Backward computes dX and accumulates dW, dB.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.lastX == nil {
+	if !c.trained {
 		panic("nn: Conv2D.Backward before Forward(train=true)")
 	}
-	batch := grad.Dim(0)
-	oh, ow := grad.Dim(2), grad.Dim(3)
-	cols := oh * ow
+	batch, oh, ow := grad.Dim(0), grad.Dim(2), grad.Dim(3)
+	hw := oh * ow
+	n := batch * hw
 	krows := c.InC * c.KH * c.KW
-	colSize := krows * cols
-	if c.dxBuf == nil || c.dxBuf.Dim(0) != batch || c.dxBuf.Dim(2) != c.h || c.dxBuf.Dim(3) != c.w {
-		c.dxBuf = tensor.New(batch, c.InC, c.h, c.w)
+	if len(c.cols) != krows*n {
+		panic(fmt.Sprintf("nn: Conv2D %s gradient %v does not match the last Forward", c.W.Name, grad.Shape))
 	}
-	dx := c.dxBuf // fully overwritten below: Col2Im zeroes each image region
-	if cap(c.dcols) < colSize {
-		c.dcols = make([]float32, colSize)
-	}
-	dcols := c.dcols[:colSize] // fully overwritten: GemmTA runs with beta=0
+	c.gmat = grow(c.gmat, c.OutC*n)
+	c.dcols = grow(c.dcols, krows*n) // fully overwritten: GemmTA runs with beta=0
+	c.dx = buffer(c.dx, batch, c.InC, c.h, c.w)
 
+	// gmat[oc][b] = grad[b][oc]; dB += per-channel sums, image by image
 	for b := 0; b < batch; b++ {
-		g := grad.Data[b*c.OutC*cols : (b+1)*c.OutC*cols]
-		bufCols := c.lastCols[b*colSize : (b+1)*colSize]
-		// dW(OutC,krows) += g(OutC,cols) * colsᵀ(cols,krows)
-		tensor.GemmTB(1, g, c.OutC, cols, bufCols, krows, 1, c.W.Grad.Data)
-		// dB += per-channel sums
 		for oc := 0; oc < c.OutC; oc++ {
-			var s float64
-			for _, v := range g[oc*cols : oc*cols+cols] {
-				s += float64(v)
-			}
-			c.B.Grad.Data[oc] += float32(s)
+			g := grad.Data[(b*c.OutC+oc)*hw:][:hw]
+			copy(c.gmat[oc*n+b*hw:], g)
+			c.B.Grad.Data[oc] += float32(tensor.Sum(g))
 		}
-		// dcols(krows,cols) = Wᵀ(krows,OutC) * g(OutC,cols)
-		tensor.GemmTA(1, c.W.Value.Data, c.OutC, krows, g, cols, 0, dcols)
-		tensor.Col2Im(dcols, c.InC, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, oh, ow, dx.Data[b*c.InC*c.h*c.w:])
 	}
-	return dx
+	// dW(OutC,krows) += gmat(OutC,n) * colsᵀ(n,krows)
+	tensor.GemmTB(1, c.gmat, c.OutC, n, c.cols, krows, 1, c.W.Grad.Data)
+	// dcols(krows,n) = Wᵀ(krows,OutC) * gmat(OutC,n)
+	tensor.GemmTA(1, c.W.Value.Data, c.OutC, krows, c.gmat, n, 0, c.dcols)
+	tensor.Col2Im(c.dcols, batch, c.InC, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, oh, ow, c.dx.Data)
+	return c.dx
 }
 
 // Params returns W then B.

@@ -13,7 +13,8 @@ type Dropout struct {
 	P   float32
 	rng *tensor.RNG
 
-	mask []bool
+	mask  []bool
+	y, dx *tensor.Tensor
 }
 
 // NewDropout creates the layer. p must be in [0,1); seed drives the mask
@@ -33,14 +34,15 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(d.mask) < x.Len() {
 		d.mask = make([]bool, x.Len())
 	}
-	y := tensor.New(x.Shape...)
+	d.y = buffer(d.y, x.Shape...)
+	y := d.y
 	scale := 1 / (1 - d.P)
 	for i, v := range x.Data {
-		if d.rng.Float32() >= d.P {
-			d.mask[i] = true
+		keep := d.rng.Float32() >= d.P
+		d.mask[i] = keep
+		y.Data[i] = 0
+		if keep {
 			y.Data[i] = v * scale
-		} else {
-			d.mask[i] = false
 		}
 	}
 	return y
@@ -51,9 +53,11 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.P == 0 {
 		return grad
 	}
-	dx := tensor.New(grad.Shape...)
+	d.dx = buffer(d.dx, grad.Shape...)
+	dx := d.dx
 	scale := 1 / (1 - d.P)
 	for i, g := range grad.Data {
+		dx.Data[i] = 0
 		if d.mask[i] {
 			dx.Data[i] = g * scale
 		}
@@ -69,6 +73,7 @@ type AvgPool2D struct {
 	K int
 
 	inShape []int
+	y, dx   *tensor.Tensor
 }
 
 // NewAvgPool2D creates the layer.
@@ -81,7 +86,8 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: AvgPool2D input %v not divisible by %d", x.Shape, p.K))
 	}
 	oh, ow := h/p.K, w/p.K
-	y := tensor.New(batch, c, oh, ow)
+	p.y = buffer(p.y, batch, c, oh, ow)
+	y := p.y
 	inv := 1 / float32(p.K*p.K)
 	for b := 0; b < batch; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -111,7 +117,8 @@ func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	batch, c := p.inShape[0], p.inShape[1]
 	h, w := p.inShape[2], p.inShape[3]
 	oh, ow := h/p.K, w/p.K
-	dx := tensor.New(p.inShape...)
+	p.dx = buffer(p.dx, p.inShape...)
+	dx := p.dx
 	inv := 1 / float32(p.K*p.K)
 	for b := 0; b < batch; b++ {
 		for ch := 0; ch < c; ch++ {

@@ -87,6 +87,31 @@ func TestGradientsStridedConv(t *testing.T) {
 	checkGradients(t, m, x, []int{1, 0})
 }
 
+// TestGradientsDownsamplingConvsBatch checks the two downsampling
+// convolutions of a ResNetS stage — the stride-2 3×3 and the stride-2 1×1
+// projection — at batch > 1 on a non-square input, each behind a stride-1
+// conv so that the first conv's parameter gradients also exercise the
+// second's input gradient (the batch-wide dcols GEMM and the strided
+// Col2Im).
+func TestGradientsDownsamplingConvsBatch(t *testing.T) {
+	for name, down := range map[string]func(rng *tensor.RNG) *Conv2D{
+		"3x3_stride2": func(rng *tensor.RNG) *Conv2D { return NewConv2D("down", 2, 3, 3, 2, 1, rng) },
+		"1x1_stride2": func(rng *tensor.RNG) *Conv2D { return NewConv2D("down", 2, 3, 1, 2, 0, rng) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := tensor.NewRNG(22)
+			m := NewModel(NewSequential(
+				NewConv2D("first", 1, 2, 3, 1, 1, rng),
+				down(rng),
+				NewGlobalAvgPool2D(),
+				NewLinear("head", 3, 2, rng),
+			))
+			x := smallInput(rng, 3, 1, 6, 9)
+			checkGradients(t, m, x, []int{1, 0, 1})
+		})
+	}
+}
+
 func TestGradientsConvNetWithBatchNorm(t *testing.T) {
 	// BatchNorm in train mode uses batch statistics; the finite-difference
 	// loss must be evaluated in train mode too for gradients to match, so

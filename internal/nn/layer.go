@@ -9,6 +9,18 @@
 // gradients into Param.Grad, and Params exposes the trainable state in a
 // stable order so distributed code can address "layer j" exactly as the
 // paper's algorithms do.
+//
+// Buffer ownership: the tensors Forward and Backward return alias storage
+// the layer owns (or the layer's input, for pure reshapes and identities),
+// allocated on first use and reused from then on, so a steady-state
+// training step allocates nothing per layer. A Forward result is valid
+// until that layer's next Forward, a Backward result until its next
+// Backward; a caller that needs either for longer copies it. Layers
+// themselves rely on this window: what Forward retains of its input or
+// output is read by the Backward that follows and by nothing later, so
+// Backward pairs with the layer's most recent Forward, which must have run
+// with train=true. Buffers follow the input shape (a final partial batch,
+// a different evaluation batch) and only grow.
 package nn
 
 import (
@@ -41,15 +53,45 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 type Layer interface {
 	// Forward computes the layer output for input x. When train is true the
 	// layer caches activations for Backward and uses training-mode
-	// behaviour (e.g. batch statistics in BatchNorm).
+	// behaviour (e.g. batch statistics in BatchNorm). The result aliases
+	// layer-owned storage and is valid until this layer's next Forward.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient wrt the layer output and returns the
 	// gradient wrt the layer input, accumulating parameter gradients.
-	// It must be called after a Forward with train=true.
+	// The layer's most recent Forward must have run with train=true. The
+	// result aliases layer-owned storage and is valid until this layer's
+	// next Backward.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the trainable parameters in a stable order
 	// (possibly empty).
 	Params() []*Param
+}
+
+// buffer returns a tensor of the given shape for a layer to fill and hand
+// out: buf itself, re-sliced, when its storage is large enough, otherwise a
+// fresh tensor. The contents are unspecified; callers overwrite all of it.
+func buffer(buf *tensor.Tensor, shape ...int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if buf == nil || cap(buf.Data) < n {
+		// New's panic message retains its argument; pass a copy so this
+		// function's own variadic slice stays on the caller's stack.
+		return tensor.New(append([]int(nil), shape...)...)
+	}
+	buf.Data = buf.Data[:n]
+	buf.Shape = append(buf.Shape[:0], shape...)
+	return buf
+}
+
+// grow is buffer for a bare slice: buf with length n, reallocated only when
+// it is too small, contents unspecified.
+func grow(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		return make([]float32, n)
+	}
+	return buf[:n]
 }
 
 // Model is a network plus utilities for flat parameter access used by the
@@ -59,6 +101,8 @@ type Model struct {
 	Net Layer
 	// params caches Net.Params() so ordering is computed once.
 	params []*Param
+	// grads caches the per-layer views Gradients returns.
+	grads [][]float32
 }
 
 // NewModel wraps a network.
@@ -133,10 +177,13 @@ func (m *Model) AllocLike() [][]float32 {
 }
 
 // Gradients returns the per-layer gradient slices (aliasing Param.Grad).
+// The outer slice is built once and shared by every call.
 func (m *Model) Gradients() [][]float32 {
-	out := make([][]float32, len(m.params))
-	for i, p := range m.params {
-		out[i] = p.Grad.Data
+	if m.grads == nil {
+		m.grads = make([][]float32, len(m.params))
+		for i, p := range m.params {
+			m.grads[i] = p.Grad.Data
+		}
 	}
-	return out
+	return m.grads
 }

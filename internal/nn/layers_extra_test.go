@@ -8,12 +8,12 @@ import (
 )
 
 func TestConv2DEvalModeMatchesTrainMode(t *testing.T) {
-	// The inference path uses a separate scratch buffer (colsBuf); outputs
-	// must be identical to the training path.
+	// Both modes run the same path into the same layer-owned output, so
+	// the training result is copied out before the second Forward.
 	rng := tensor.NewRNG(31)
 	c := NewConv2D("c", 2, 3, 3, 1, 1, rng)
 	x := smallInput(rng, 2, 2, 6, 6)
-	yTrain := c.Forward(x, true)
+	yTrain := c.Forward(x, true).Clone()
 	yEval := c.Forward(x, false)
 	for i := range yTrain.Data {
 		if yTrain.Data[i] != yEval.Data[i] {
@@ -53,12 +53,25 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 	cases := map[string]func(){
 		"linear": func() { NewLinear("l", 2, 2, rng).Backward(tensor.New(1, 2)) },
 		"conv":   func() { NewConv2D("c", 1, 1, 3, 1, 1, rng).Backward(tensor.New(1, 1, 2, 2)) },
+		// An eval Forward overwrites what the training Forward retained.
+		"linear after eval": func() {
+			l := NewLinear("l", 2, 2, rng)
+			l.Forward(tensor.New(1, 2), true)
+			l.Forward(tensor.New(1, 2), false)
+			l.Backward(tensor.New(1, 2))
+		},
+		"conv after eval": func() {
+			c := NewConv2D("c", 1, 1, 3, 1, 1, rng)
+			c.Forward(tensor.New(1, 1, 2, 2), true)
+			c.Forward(tensor.New(1, 1, 2, 2), false)
+			c.Backward(tensor.New(1, 1, 2, 2))
+		},
 	}
 	for name, fn := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: Backward before Forward must panic", name)
+					t.Errorf("%s: Backward without a preceding Forward(train=true) must panic", name)
 				}
 			}()
 			fn()

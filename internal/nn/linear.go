@@ -12,8 +12,8 @@ type Linear struct {
 	In, Out int
 	W, B    *Param
 
-	lastX *tensor.Tensor // cached input for Backward
-	dxBuf *tensor.Tensor // reused dX; consumed by the caller before the next Backward
+	lastX *tensor.Tensor // input of the last training Forward, valid through the Backward that follows
+	y, dx *tensor.Tensor // owned output and input-gradient buffers
 }
 
 // NewLinear creates a Linear layer with Kaiming-initialised weights.
@@ -34,12 +34,14 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Linear %s expects (batch,%d), got %v", l.W.Name, l.In, x.Shape))
 	}
 	batch := x.Dim(0)
-	y := tensor.New(batch, l.Out)
+	l.y = buffer(l.y, batch, l.Out)
+	y := l.y // fully overwritten: GemmTB runs with beta=0
 	// y(batch,out) = x(batch,in) * Wᵀ(in,out)
 	tensor.GemmTB(1, x.Data, batch, l.In, l.W.Value.Data, l.Out, 0, y.Data)
 	for i := 0; i < batch; i++ {
 		tensor.Axpy(1, l.B.Value.Data, y.Data[i*l.Out:(i+1)*l.Out])
 	}
+	l.lastX = nil // an eval pass overwrites the input an earlier training pass retained
 	if train {
 		l.lastX = x
 	}
@@ -59,12 +61,9 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		tensor.Axpy(1, grad.Data[i*l.Out:(i+1)*l.Out], l.B.Grad.Data)
 	}
 	// dX(batch,in) = grad(batch,out) * W(out,in)
-	if l.dxBuf == nil || l.dxBuf.Dim(0) != batch {
-		l.dxBuf = tensor.New(batch, l.In)
-	}
-	dx := l.dxBuf // fully overwritten: Gemm runs with beta=0
-	tensor.Gemm(1, grad.Data, batch, l.Out, l.W.Value.Data, l.In, 0, dx.Data)
-	return dx
+	l.dx = buffer(l.dx, batch, l.In) // fully overwritten: Gemm runs with beta=0
+	tensor.Gemm(1, grad.Data, batch, l.Out, l.W.Value.Data, l.In, 0, l.dx.Data)
+	return l.dx
 }
 
 // Params returns W then B.

@@ -59,6 +59,43 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// TestReLUSpecialValues locks ReLU to the comparison v > 0, value by value:
+// only strictly positive inputs (denormals and +Inf included) pass, forward
+// and backward; NaN, both zeros and every negative map to +0 — not to -0,
+// and not to NaN as a plain max(v, 0) would — and pass no gradient. The
+// backward pass reads the retained output, so it is checked after both a
+// training and an evaluation Forward.
+func TestReLUSpecialValues(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	denorm := math.Float32frombits(1) // smallest positive denormal
+	negNaN := math.Float32frombits(0xffc00001)
+	in := []float32{nan, negNaN, 0, float32(math.Copysign(0, -1)), denorm, -denorm, inf, -inf, 1.5, -1.5,
+		math.MaxFloat32, -math.MaxFloat32}
+	grads := []float32{2, nan, inf}
+	for _, train := range []bool{true, false} {
+		r := NewReLU()
+		y := r.Forward(tensor.FromSlice(append([]float32(nil), in...), 1, len(in)), train)
+		for _, g := range grads {
+			gt := tensor.New(1, len(in))
+			gt.Fill(g)
+			dx := r.Backward(gt)
+			for i, v := range in {
+				var wantY, wantDx float32 // +0
+				if v > 0 {
+					wantY, wantDx = v, g
+				}
+				if math.Float32bits(y.Data[i]) != math.Float32bits(wantY) {
+					t.Errorf("train=%v: ReLU(%v) = %v (bits %#x), want %v", train, v, y.Data[i], math.Float32bits(y.Data[i]), wantY)
+				}
+				if math.Float32bits(dx.Data[i]) != math.Float32bits(wantDx) {
+					t.Errorf("train=%v: dReLU(%v)·%v = %v (bits %#x), want %v", train, v, g, dx.Data[i], math.Float32bits(dx.Data[i]), wantDx)
+				}
+			}
+		}
+	}
+}
+
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten()
 	x := tensor.New(2, 3, 4)
@@ -146,7 +183,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		bn.Forward(x, true)
 	}
-	yTrain := bn.Forward(x, true)
+	yTrain := bn.Forward(x, true).Clone() // Forward reuses its output buffer
 	yEval := bn.Forward(x, false)
 	var maxDiff float64
 	for i := range yTrain.Data {

@@ -12,6 +12,7 @@ type MaxPool2D struct {
 
 	argmax  []int // flat input index chosen per output element
 	inShape []int
+	y, dx   *tensor.Tensor
 }
 
 // NewMaxPool2D creates a pooling layer with window and stride k.
@@ -24,7 +25,8 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MaxPool2D input %v not divisible by %d", x.Shape, p.K))
 	}
 	oh, ow := h/p.K, w/p.K
-	y := tensor.New(batch, c, oh, ow)
+	p.y = buffer(p.y, batch, c, oh, ow)
+	y := p.y
 	if train {
 		if len(p.argmax) < y.Len() {
 			p.argmax = make([]int, y.Len())
@@ -62,7 +64,9 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward routes gradients to the argmax positions.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(p.inShape...)
+	p.dx = buffer(p.dx, p.inShape...)
+	dx := p.dx
+	dx.Zero()
 	for i, g := range grad.Data {
 		dx.Data[p.argmax[i]] += g
 	}
@@ -75,6 +79,7 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 // GlobalAvgPool2D averages each channel's spatial map, producing (B, C).
 type GlobalAvgPool2D struct {
 	inShape []int
+	y, dx   *tensor.Tensor
 }
 
 // NewGlobalAvgPool2D creates the layer.
@@ -84,7 +89,8 @@ func NewGlobalAvgPool2D() *GlobalAvgPool2D { return &GlobalAvgPool2D{} }
 func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	hw := h * w
-	y := tensor.New(batch, c)
+	p.y = buffer(p.y, batch, c)
+	y := p.y
 	for b := 0; b < batch; b++ {
 		for ch := 0; ch < c; ch++ {
 			var s float64
@@ -105,7 +111,8 @@ func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (p *GlobalAvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	batch, c, h, w := p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3]
 	hw := h * w
-	dx := tensor.New(p.inShape...)
+	p.dx = buffer(p.dx, p.inShape...)
+	dx := p.dx
 	inv := 1 / float32(hw)
 	for b := 0; b < batch; b++ {
 		for ch := 0; ch < c; ch++ {

@@ -41,7 +41,8 @@ type Residual struct {
 	Body     Layer
 	Shortcut Layer // nil means identity
 
-	relu *ReLU
+	relu    *ReLU
+	sum, dx *tensor.Tensor // owned pre-activation sum and input-gradient buffers
 }
 
 // NewResidual builds a residual block with a trailing ReLU, matching the
@@ -50,33 +51,31 @@ func NewResidual(body, shortcut Layer) *Residual {
 	return &Residual{Body: body, Shortcut: shortcut, relu: NewReLU()}
 }
 
-// Forward computes relu(Body(x) + Shortcut(x)).
+// Forward computes relu(Body(x) + Shortcut(x)). The identity shortcut reads
+// x after Body has run; x belongs to the layer before this block, which
+// does not run again until the block returns.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := r.Body.Forward(x, train)
-	var s *tensor.Tensor
+	s := x
 	if r.Shortcut != nil {
 		s = r.Shortcut.Forward(x, train)
-	} else {
-		s = x
 	}
-	out := tensor.New(y.Shape...)
-	tensor.Add(out.Data, y.Data, s.Data)
-	return r.relu.Forward(out, train)
+	r.sum = buffer(r.sum, y.Shape...)
+	tensor.Add(r.sum.Data, y.Data, s.Data)
+	return r.relu.Forward(r.sum, train)
 }
 
 // Backward splits the gradient between branch and shortcut.
 func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	grad = r.relu.Backward(grad)
 	dBody := r.Body.Backward(grad)
+	dShort := grad
 	if r.Shortcut != nil {
-		dShort := r.Shortcut.Backward(grad)
-		dx := tensor.New(dBody.Shape...)
-		tensor.Add(dx.Data, dBody.Data, dShort.Data)
-		return dx
+		dShort = r.Shortcut.Backward(grad)
 	}
-	dx := tensor.New(dBody.Shape...)
-	tensor.Add(dx.Data, dBody.Data, grad.Data)
-	return dx
+	r.dx = buffer(r.dx, dBody.Shape...)
+	tensor.Add(r.dx.Data, dBody.Data, dShort.Data)
+	return r.dx
 }
 
 // Params returns body then shortcut parameters.

@@ -17,7 +17,8 @@ import (
 // They are also the dispatch target for tiny problems (below
 // smallGemmVolume), where packing overhead would dominate.
 
-// baselineParallelThreshold mirrors the old gemmParallelThreshold.
+// baselineParallelThreshold is the volume above which BaselineGemm fans
+// its rows out, as the pre-optimisation Gemm did.
 const baselineParallelThreshold = 64 * 64 * 64
 
 // BaselineGemm is the pre-optimisation Gemm: an ikj loop with row fan-out

@@ -36,11 +36,11 @@ func detectSIMD() bool {
 }
 
 // microKernel4x16AVX computes the full 4×16 tile product of the packed
-// panels ap (kb×4, p-major) and bp (kb×16, p-major) and stores it row-major
-// into out (overwriting all 64 floats). Implemented in gemm_kernel_amd64.s.
+// panels ap (kb×4, p-major) and bp (kb×16, p-major) and adds row r of it
+// into the 16 floats at c[r*ldc]. Implemented in gemm_kernel_amd64.s.
 //
 //go:noescape
-func microKernel4x16AVX(kb int, ap, bp, out *float32)
+func microKernel4x16AVX(kb int, ap, bp, c *float32, ldc int)
 
 // cpuidex executes CPUID with the given leaf and subleaf.
 //

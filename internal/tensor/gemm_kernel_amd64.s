@@ -1,21 +1,24 @@
 #include "textflag.h"
 
-// func microKernel4x16AVX(kb int, ap, bp, out *float32)
+// func microKernel4x16AVX(kb int, ap, bp, c *float32, ldc int)
 //
 // Computes the 4×16 micro-tile product of the packed panels
 //   ap: kb×4 floats, p-major (ap[p*4+r] = A[row r, depth p])
 //   bp: kb×16 floats, p-major (bp[p*16+j] = B[depth p, col j])
-// and stores the tile row-major into out[0:64], overwriting it.
+// in registers and adds row r of the tile into c[r*ldc : r*ldc+16]
+// (load, add, store), so full tiles accumulate straight into C.
 //
 // Register plan: Y0..Y7 hold the 4×16 accumulator (two 8-lane halves per
 // row), Y8/Y9 stream the B panel, Y10..Y13 hold broadcast A values. The
 // depth loop is unrolled ×2 so each accumulator is written every ~4 cycles,
 // covering the FMA latency chain.
-TEXT ·microKernel4x16AVX(SB), NOSPLIT, $0-32
+TEXT ·microKernel4x16AVX(SB), NOSPLIT, $0-40
 	MOVQ kb+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
-	MOVQ out+24(FP), DX
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), AX
+	SHLQ $2, AX        // AX = row stride of c in bytes
 
 	VZEROALL
 
@@ -81,14 +84,25 @@ tail:
 	VFMADD231PS  Y9, Y13, Y7
 
 store:
+	VADDPS  (DX), Y0, Y0
+	VADDPS  32(DX), Y1, Y1
 	VMOVUPS Y0, (DX)
 	VMOVUPS Y1, 32(DX)
-	VMOVUPS Y2, 64(DX)
-	VMOVUPS Y3, 96(DX)
-	VMOVUPS Y4, 128(DX)
-	VMOVUPS Y5, 160(DX)
-	VMOVUPS Y6, 192(DX)
-	VMOVUPS Y7, 224(DX)
+	ADDQ    AX, DX
+	VADDPS  (DX), Y2, Y2
+	VADDPS  32(DX), Y3, Y3
+	VMOVUPS Y2, (DX)
+	VMOVUPS Y3, 32(DX)
+	ADDQ    AX, DX
+	VADDPS  (DX), Y4, Y4
+	VADDPS  32(DX), Y5, Y5
+	VMOVUPS Y4, (DX)
+	VMOVUPS Y5, 32(DX)
+	ADDQ    AX, DX
+	VADDPS  (DX), Y6, Y6
+	VADDPS  32(DX), Y7, Y7
+	VMOVUPS Y6, (DX)
+	VMOVUPS Y7, 32(DX)
 	VZEROUPPER
 	RET
 

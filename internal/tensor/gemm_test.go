@@ -49,8 +49,9 @@ func TestGemmMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestGemmParallelPath(t *testing.T) {
-	// Large enough to exceed gemmParallelThreshold.
+func TestGemmSeveralRowBlocks(t *testing.T) {
+	// m spans two mc cache blocks, so the packed B block is reused across
+	// A blocks.
 	rng := NewRNG(2)
 	m, k, n := 128, 80, 96
 	a := randomMat(rng, m*k)
@@ -150,7 +151,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 		src[i] = float32(i)
 	}
 	dst := make([]float32, c*h*w)
-	Im2Col(src, c, h, w, 1, 1, 1, 0, h, w, dst)
+	Im2Col(src, 1, c, h, w, 1, 1, 1, 0, h, w, dst)
 	for i := range src {
 		if dst[i] != src[i] {
 			t.Fatalf("identity im2col differs at %d", i)
@@ -165,7 +166,7 @@ func TestIm2ColPadding(t *testing.T) {
 	oh := ConvOutSize(2, 3, 1, 1) // = 2
 	ow := oh
 	dst := make([]float32, 9*oh*ow)
-	Im2Col(src, 1, 2, 2, 3, 3, 1, 1, oh, ow, dst)
+	Im2Col(src, 1, 1, 2, 2, 3, 3, 1, 1, oh, ow, dst)
 	// For output (0,0): patch rows ki=0 all padded (iy=-1) => zeros.
 	cols := oh * ow
 	for kj := 0; kj < 3; kj++ {
@@ -189,9 +190,9 @@ func TestCol2ImAdjoint(t *testing.T) {
 	x := randomMat(rng, c*h*w)
 	y := randomMat(rng, c*kh*kw*oh*ow)
 	ix := make([]float32, c*kh*kw*oh*ow)
-	Im2Col(x, c, h, w, kh, kw, stride, pad, oh, ow, ix)
+	Im2Col(x, 1, c, h, w, kh, kw, stride, pad, oh, ow, ix)
 	cy := make([]float32, c*h*w)
-	Col2Im(y, c, h, w, kh, kw, stride, pad, oh, ow, cy)
+	Col2Im(y, 1, c, h, w, kh, kw, stride, pad, oh, ow, cy)
 	lhs := Dot(ix, y)
 	rhs := Dot(x, cy)
 	if math.Abs(lhs-rhs) > 1e-3*(1+math.Abs(lhs)) {

@@ -1,6 +1,6 @@
 // Package tensor provides a small dense float32 tensor library with the
 // operations needed to train neural networks: elementwise arithmetic,
-// BLAS-like vector kernels, and a goroutine-parallel GEMM.
+// BLAS-like vector kernels, and a blocked, packed GEMM.
 //
 // Tensors are row-major and always contiguous. The package is the compute
 // substrate for internal/nn; it deliberately implements only what training

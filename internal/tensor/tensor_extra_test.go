@@ -27,9 +27,9 @@ func TestGemmZeroDims(t *testing.T) {
 	Gemm(1, make([]float32, 3), 1, 3, make([]float32, 0), 0, 0, make([]float32, 0))
 }
 
-func TestGemmSingleRowStaysSerial(t *testing.T) {
-	// m=1 takes the serial path even above the volume threshold; verify
-	// correctness there.
+func TestGemmSingleRow(t *testing.T) {
+	// m=1 is one quarter-filled micro-tile row over two k blocks; every
+	// tile goes through the staging path.
 	rng := NewRNG(41)
 	k, n := 300, 300
 	a := randomMat(rng, k)
