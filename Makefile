@@ -63,12 +63,15 @@ bench:
 # Forward/backward alone: one training step of each model the end-to-end
 # benchmark trains (ns/op, B/op, allocs/op), every GEMM shape such a step
 # performs, and the blocked-vs-baseline crossover that places
-# smallGemmVolume. DESIGN.md §8 quotes these.
+# smallGemmVolume. DESIGN.md §8 quotes these. Then the server side alone:
+# Push under fleet contention at both candidate block sizes (ns/push,
+# allocs/op, updates applied per write-lock hold). DESIGN.md §11 quotes it.
 KERNEL_BENCHTIME ?= 1s
 
 bench-kernels:
 	go test -run '^$$' -bench 'BenchmarkTrainStep' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn
 	go test -run '^$$' -bench 'BenchmarkGemm' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/tensor
+	go test -run '^$$' -bench 'BenchmarkPushFleet' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/ps
 
 # The paper benchmarks run full (short-scale) training per artefact, so the
 # suite needs more than go test's default 10-minute budget on small hosts.

@@ -298,7 +298,13 @@ func (a *Aggregator) handle(worker int, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("agg: worker %d predates upstream reset, rejoin required", worker)
 	}
 	p := a.pend[slot]
-	if err := sparse.DecodeAnyInto(&p.upd, payload); err != nil {
+	err = sparse.DecodeAnyInto(&p.upd, payload)
+	if err == nil {
+		// One push that does not fit the model would make the upstream
+		// reject the whole merged window; refuse it alone, here.
+		err = p.upd.Validate(a.cfg.LayerSizes)
+	}
+	if err != nil {
 		a.mu.Unlock()
 		return nil, fmt.Errorf("agg: worker %d push: %w", worker, err)
 	}
@@ -467,7 +473,11 @@ func (a *Aggregator) completeOldest() {
 	}
 	n := copy(a.inflight, a.inflight[1:])
 	a.inflight = a.inflight[:n]
-	if err := sparse.DecodeAnyInto(&a.down, body); err != nil {
+	err = sparse.DecodeAnyInto(&a.down, body)
+	if err == nil {
+		err = a.down.Validate(a.cfg.LayerSizes)
+	}
+	if err != nil {
 		a.recover(append([]*window{w}, a.inflight...), err)
 		return
 	}

@@ -454,3 +454,48 @@ func TestEquivalenceQuantizedBitwise(t *testing.T) {
 		requireBitwise(t, "quantized: replica vs direct replica", c.replica, directLocal[k])
 	}
 }
+
+// A worker push that decodes but does not fit the model is refused on its
+// own, before it can join a window: the upstream would reject the merged
+// frame and fail every contributor with it.
+func TestBadWorkerFrameIsRefusedAlone(t *testing.T) {
+	sizes := []int{64, 16}
+	up, srv := startUpstream(t, ps.Config{LayerSizes: sizes, Workers: 1})
+	a, err := New(Config{
+		LayerSizes: sizes, MaxWorkers: 2,
+		Window: 1, Depth: 1, Dial: dialUp(srv.Addr()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	clients := []*aggClient{newAggClient(a, 0, sizes), newAggClient(a, 1, sizes)}
+
+	rng := tensor.NewRNG(5)
+	good := randUpdate(rng, sizes, 0.2)
+	if _, err := clients[0].push(&good); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []sparse.Update{
+		{Chunks: []sparse.Chunk{{Layer: 2, Idx: []int32{0}, Val: []float32{1}}}},
+		{Chunks: []sparse.Chunk{{Layer: 1, Idx: []int32{16}, Val: []float32{1}}}},
+	} {
+		if _, err := clients[0].push(&bad); err == nil {
+			t.Fatal("push outside the model geometry was accepted")
+		}
+		for k, c := range clients {
+			if _, err := c.push(&good); err != nil {
+				t.Fatalf("worker %d push after the bad frame: %v", k, err)
+			}
+		}
+	}
+	if st := a.Stats(); st.UpstreamResets != 0 || st.Windows != 5 {
+		t.Fatalf("stats %+v: want 5 windows and no upstream reset", st)
+	}
+	drainAll(t, clients, 200)
+	m := alloc(sizes)
+	up.MSnapshot(m)
+	for _, c := range clients {
+		requireBitwise(t, "worker replica vs upstream M", c.replica, m)
+	}
+}

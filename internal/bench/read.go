@@ -227,7 +227,7 @@ func RunRead(pushesPerWorker int) (*ReadReport, error) {
 		PushesPerWorker: pushesPerWorker,
 		Workers:         readWorkers,
 		Scrapers:        readScrapers,
-		BlockSize:       1 << sparse.AutoBlockShift(sizes),
+		BlockSize:       1 << sparse.AutoBlockShift(sizes, false),
 	}
 	rng := tensor.NewRNG(0x5EAD + 1)
 

@@ -267,7 +267,7 @@ func p99Of(lat []time.Duration) time.Duration {
 // methodology as every other gate.
 func measurePoint(workload string, sizes []int, updates [][]sparse.Update, workers, shards, pushesPerWorker int, secondaryRatio float64) ServerPoint {
 	pt := ServerPoint{Workload: workload, Workers: workers, Shards: shards,
-		BlockSize: 1 << sparse.AutoBlockShift(sizes)}
+		BlockSize: 1 << sparse.AutoBlockShift(sizes, secondaryRatio > 0)}
 
 	baseCfg := ps.Config{LayerSizes: sizes, Workers: workers}
 	cfg := ps.Config{LayerSizes: sizes, Workers: workers, Quiet: true}
@@ -312,7 +312,7 @@ func RunServer(pushesPerWorker int) (*ServerReport, error) {
 	rep := &ServerReport{
 		GoVersion:       runtime.Version(),
 		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		BlockSize:       1 << sparse.AutoBlockShift(embedSizes),
+		BlockSize:       1 << sparse.AutoBlockShift(embedSizes, false),
 		PushesPerWorker: pushesPerWorker,
 	}
 

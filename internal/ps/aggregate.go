@@ -19,20 +19,19 @@ import (
 // ApplyDiff folds a downward difference into the model: M ← M + g, stamping
 // the touched dirty-tracking blocks and advancing the timestamp by one —
 // the mirror-side analogue of Push's apply phase (which applies an upward
-// update with the opposite sign and per-push granularity). This is the only
-// write-lock acquisition an aggregation window performs regardless of how
-// many workers contributed.
+// update with the opposite sign through the apply queue; a mirror has one
+// writer, so ApplyDiff takes the lock directly). This is the only write-lock
+// acquisition an aggregation window performs regardless of how many workers
+// contributed. g must fit the model geometry (sparse.Update.Validate);
+// callers that decode it from outside bytes validate first.
 func (s *Server) ApplyDiff(g *sparse.Update) uint64 {
 	s.mu.Lock()
 	tNew := s.t.Load() + 1
-	for i := range g.Chunks {
-		c := &g.Chunks[i]
-		sparse.Scatter(c, s.m[c.Layer], 1)
-		sparse.MarkBlocks(s.mver[c.Layer], c.Idx, tNew, s.blockShift)
-	}
+	s.applyLocked(g, 1, tNew)
 	s.t.Store(tNew)
 	s.mu.Unlock()
 	s.pushes.Add(1)
+	s.applyBatches.Add(1)
 	return tNew
 }
 

@@ -1,6 +1,8 @@
 package ps
 
 import (
+	"sort"
+	"sync"
 	"testing"
 
 	"dgs/internal/sparse"
@@ -11,13 +13,18 @@ import (
 var benchSizes = []int{864, 32, 9216, 32, 18432, 64, 65536, 128, 1280, 10}
 
 func benchUpdate(rng *tensor.RNG, sizes []int) *sparse.Update {
+	return topKUpdate(rng, sizes, 0.01)
+}
+
+// topKUpdate builds a push holding the top ratio of each layer of a random
+// dense update.
+func topKUpdate(rng *tensor.RNG, sizes []int, ratio float64) *sparse.Update {
 	u := &sparse.Update{}
 	var sel sparse.Selector
 	for layer, n := range sizes {
 		x := make([]float32, n)
 		rng.FillNormal(x, 0, 1)
-		idx := sel.TopK(x, sparse.KForRatio(n, 0.01))
-		sparse.GatherInto(u.NextChunk(), layer, x, idx)
+		sparse.GatherInto(u.NextChunk(), layer, x, sel.TopK(x, sparse.KForRatio(n, ratio)))
 	}
 	return u
 }
@@ -83,5 +90,102 @@ func BenchmarkPushSecondary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.Push(0, g)
+	}
+}
+
+// The two geometries the end-to-end benchmark's server-side workloads run
+// on: the embedding fleet (four tables of 2^19, a push updates 64 whole
+// 64-element rows) and the 330k-parameter MLP (64-512-512-64, 5 % Top-k).
+var (
+	fleetEmbedSizes = []int{1 << 19, 1 << 19, 1 << 19, 1 << 19}
+	fleetMLPSizes   = []int{32768, 512, 262144, 512, 32768, 64}
+)
+
+// embedRowUpdate builds one row-clustered embedding push.
+func embedRowUpdate(rng *tensor.RNG, sizes []int) *sparse.Update {
+	const rowWidth, rowsPerPush = 64, 64
+	rows := make([][]int, len(sizes))
+	picked := map[[2]int]bool{}
+	for len(picked) < rowsPerPush {
+		table := rng.Intn(len(sizes))
+		row := rng.Intn(sizes[table] / rowWidth)
+		if !picked[[2]int{table, row}] {
+			picked[[2]int{table, row}] = true
+			rows[table] = append(rows[table], row)
+		}
+	}
+	u := &sparse.Update{}
+	for table, rs := range rows {
+		if len(rs) == 0 {
+			continue
+		}
+		sort.Ints(rs)
+		c := u.NextChunk()
+		c.Layer = table
+		for _, r := range rs {
+			for j := 0; j < rowWidth; j++ {
+				c.Idx = append(c.Idx, int32(r*rowWidth+j))
+			}
+		}
+		c.Val = make([]float32, len(c.Idx))
+		rng.FillNormal(c.Val, 0, 0.01)
+	}
+	return u
+}
+
+// BenchmarkPushFleet is Push under the contention the fleet workloads put
+// on it: every pusher goroutine owns one worker slot and cycles its own
+// pre-built updates, all against one server. ns/op is wall time per push
+// over all pushers; updates/batch is the mean number of updates one hold of
+// the model write lock applied. Each geometry runs at the auto-tuned block
+// and at the other candidate (DESIGN.md §11 records both).
+func BenchmarkPushFleet(b *testing.B) {
+	const variants = 16
+	for _, bc := range []struct {
+		name    string
+		cfg     Config
+		pushers int
+		build   func(rng *tensor.RNG) *sparse.Update
+	}{
+		// 17 slots, 16 pushers: the spare is embed_push_read's replica slot.
+		{"embed/auto", Config{LayerSizes: fleetEmbedSizes, Workers: 17}, 16,
+			func(rng *tensor.RNG) *sparse.Update { return embedRowUpdate(rng, fleetEmbedSizes) }},
+		{"embed/block1024", Config{LayerSizes: fleetEmbedSizes, Workers: 17, BlockShift: 10}, 16,
+			func(rng *tensor.RNG) *sparse.Update { return embedRowUpdate(rng, fleetEmbedSizes) }},
+		{"mlp_secondary/auto", Config{LayerSizes: fleetMLPSizes, Workers: 2, Secondary: true, SecondaryRatio: 0.05}, 2,
+			func(rng *tensor.RNG) *sparse.Update { return topKUpdate(rng, fleetMLPSizes, 0.05) }},
+		{"mlp_secondary/block64", Config{LayerSizes: fleetMLPSizes, Workers: 2, Secondary: true, SecondaryRatio: 0.05, BlockShift: 6}, 2,
+			func(rng *tensor.RNG) *sparse.Update { return topKUpdate(rng, fleetMLPSizes, 0.05) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.cfg.Quiet = true
+			srv := NewServer(bc.cfg)
+			rng := tensor.NewRNG(44)
+			updates := make([][]*sparse.Update, bc.pushers)
+			for k := range updates {
+				for v := 0; v < variants; v++ {
+					updates[k] = append(updates[k], bc.build(rng))
+				}
+				srv.Push(k, updates[k][0]) // warm the per-worker scratch
+			}
+			pushes0, batches0 := srv.pushes.Load(), srv.applyBatches.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for k := 0; k < bc.pushers; k++ {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					for i := k; i < b.N; i += bc.pushers {
+						srv.Push(k, updates[k][i/bc.pushers%variants])
+					}
+				}(k)
+			}
+			wg.Wait()
+			b.StopTimer()
+			if batches := srv.applyBatches.Load() - batches0; batches > 0 {
+				b.ReportMetric(float64(srv.pushes.Load()-pushes0)/float64(batches), "updates/batch")
+			}
+		})
 	}
 }

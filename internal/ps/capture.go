@@ -196,11 +196,17 @@ func (s *Server) restoreFrom(ss *checkpoint.ShardState) {
 
 // RestoreServer rebuilds an unsharded server from a checkpoint. The
 // configuration must describe the same geometry the checkpoint was taken
-// with (layer sizes, worker count, block shift); compression flags are free
-// to differ — they shape future exchanges, not stored state.
+// with (layer sizes, worker count); compression flags are free to differ —
+// they shape future exchanges, not stored state. The block shift is stored
+// state: an auto-tuned configuration (BlockShift == 0) adopts the
+// checkpoint's, whatever the auto rule would pick for cfg today, and only an
+// explicit, different BlockShift is rejected.
 func RestoreServer(cfg Config, st *checkpoint.State) (*Server, error) {
 	if len(st.Shards) != 1 {
 		return nil, fmt.Errorf("ps: checkpoint has %d shards, want 1 for an unsharded server", len(st.Shards))
+	}
+	if cfg.BlockShift == 0 {
+		cfg.BlockShift = st.BlockShift
 	}
 	s := NewServer(cfg)
 	if err := s.checkShardGeometry(&st.Shards[0], st.NumWorkers, st.BlockShift); err != nil {
@@ -270,7 +276,12 @@ func checkLayerPlacement(got, want []int, sh int) error {
 // RestoreShardedServer rebuilds a sharded server from a checkpoint. The
 // shard count and the deterministic cost-model LPT layer placement must
 // match the checkpoint's (same cfg.LayerSizes and shard count reproduce it).
+// Like RestoreServer, an auto-tuned configuration adopts the checkpoint's
+// block shift.
 func RestoreShardedServer(cfg Config, numShards int, st *checkpoint.State) (*ShardedServer, error) {
+	if cfg.BlockShift == 0 {
+		cfg.BlockShift = st.BlockShift
+	}
 	s := NewShardedServer(cfg, numShards)
 	if len(st.Shards) != len(s.shards) {
 		return nil, fmt.Errorf("ps: checkpoint has %d shards, server built %d", len(st.Shards), len(s.shards))

@@ -345,6 +345,109 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreAdoptsCheckpointBlockShift: the block shift is stored state, so
+// a configuration that leaves it to the auto rule takes the checkpoint's —
+// the rule depends on Secondary and has changed between releases, and
+// neither may strand a checkpoint. A checkpoint written at shift 10 restores
+// bitwise into an auto-configured server (which would pick 6 on its own),
+// and a plain <-> secondary flip across the restore still reaches Eq. 5.
+func TestRestoreAdoptsCheckpointBlockShift(t *testing.T) {
+	sizes := []int{1 << 14, 1 << 13, 5000}
+	auto := Config{LayerSizes: sizes, Workers: 3}
+	secondary := Config{LayerSizes: sizes, Workers: 3, Secondary: true, SecondaryRatio: 0.05}
+	if a, b := NewServer(auto).blockShift, NewServer(secondary).blockShift; a == b || a == 10 {
+		t.Fatalf("auto shifts %d (plain) and %d (secondary): the test needs them distinct and not 10", a, b)
+	}
+	checkpointOf := func(s interface {
+		NewCaptureState() *checkpoint.State
+		Capture(*checkpoint.State) (checkpoint.CaptureStats, error)
+	}) *checkpoint.State {
+		st := s.NewCaptureState()
+		if _, err := s.Capture(st); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := checkpoint.Decode(checkpoint.Encode(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+	// requireFixpoint pushes on, drains every worker and checks v_k == M.
+	requireFixpoint := func(label string, r *Server) {
+		drive(t, r, rand.New(rand.NewSource(3)), sizes, 30)
+		m, v := snapshotBuf(sizes), snapshotBuf(sizes)
+		var empty sparse.Update
+		for k := 0; k < 3; k++ {
+			for round := 0; ; round++ {
+				if G, _ := r.Push(k, &empty); G.NNZ() == 0 {
+					break
+				}
+				if round > 10000 {
+					t.Fatalf("%s: worker %d never drained", label, k)
+				}
+			}
+		}
+		r.MSnapshot(m)
+		for k := 0; k < 3; k++ {
+			r.VSnapshot(k, v)
+			if !reflect.DeepEqual(m, v) {
+				t.Fatalf("%s: v_%d != M after drain", label, k)
+			}
+		}
+	}
+
+	wide := auto
+	wide.BlockShift = 10
+	s := NewServer(wide)
+	drive(t, s, rand.New(rand.NewSource(1)), sizes, 40)
+	st := checkpointOf(s)
+
+	r, err := RestoreServer(auto, st)
+	if err != nil {
+		t.Fatalf("auto-configured restore of a shift-10 checkpoint: %v", err)
+	}
+	if r.blockShift != 10 {
+		t.Fatalf("restored server runs at shift %d, want the checkpoint's 10", r.blockShift)
+	}
+	seq := rand.New(rand.NewSource(2))
+	for i := 0; i < 30; i++ {
+		u := randUpdate(seq, sizes, 5)
+		gs, ts1 := s.Push(i%3, cloneUpdate(u))
+		gr, ts2 := r.Push(i%3, cloneUpdate(u))
+		if ts1 != ts2 || !updatesEqual(&gs, &gr) {
+			t.Fatalf("push %d: restored server diverges from the original", i)
+		}
+	}
+	explicit := auto
+	explicit.BlockShift = 6
+	if _, err := RestoreServer(explicit, st); err == nil {
+		t.Fatal("restore accepted an explicit block shift that differs from the checkpoint's")
+	}
+
+	// Plain checkpoint into a secondary server, and back.
+	r, err = RestoreServer(secondary, st)
+	if err != nil {
+		t.Fatalf("plain -> secondary restore: %v", err)
+	}
+	requireFixpoint("plain -> secondary", r)
+	r, err = RestoreServer(auto, checkpointOf(r))
+	if err != nil {
+		t.Fatalf("secondary -> plain restore: %v", err)
+	}
+	requireFixpoint("secondary -> plain", r)
+
+	// The sharded restore follows the same rule.
+	sh := NewShardedServer(secondary, 2)
+	drive(t, sh, rand.New(rand.NewSource(4)), sizes, 40)
+	rs, err := RestoreShardedServer(auto, 2, checkpointOf(sh))
+	if err != nil {
+		t.Fatalf("sharded secondary -> plain restore: %v", err)
+	}
+	if got, want := rs.shards[0].blockShift, sh.shards[0].blockShift; got != want {
+		t.Fatalf("sharded restore runs at shift %d, want the checkpoint's %d", got, want)
+	}
+}
+
 // TestCaptureConcurrentWithPushes exercises the quiesce path under the race
 // detector: captures interleave with pushes from every worker, and each
 // captured state must be internally consistent (decode round-trip checks

@@ -240,8 +240,9 @@ func TestPushEquivalenceUlpGap(t *testing.T) {
 // skips: after one worker's update lands in a single block of a large
 // layer, another worker's exchange must scan O(1) blocks, not the model.
 func TestDiffSkipsCleanBlocks(t *testing.T) {
-	cfg := Config{LayerSizes: []int{1 << 16}, Workers: 2, Quiet: true} // 64 blocks of 1024
+	cfg := Config{LayerSizes: []int{1 << 16}, Workers: 2, Quiet: true}
 	s := NewServer(cfg)
+	blocks := uint64(sparse.NumBlocks(cfg.LayerSizes[0], s.blockShift))
 	// Sync both workers once; never-touched blocks (version 0) are already
 	// skippable, so these exchanges only move the per-worker horizons.
 	var g0 sparse.Update
@@ -257,13 +258,13 @@ func TestDiffSkipsCleanBlocks(t *testing.T) {
 
 	scanned := after.DiffBlocksScanned - before.DiffBlocksScanned
 	skipped := after.DiffBlocksSkipped - before.DiffBlocksSkipped
-	// Two exchanges over a 64-block layer with one dirty block: worker 0's
-	// push scans the block it just dirtied, worker 1's scans the same single
+	// Two exchanges over the layer with one dirty block: worker 0's push
+	// scans the block it just dirtied, worker 1's scans the same single
 	// block. Everything else must be skipped.
 	if scanned != 2 {
 		t.Fatalf("scanned %d blocks, want 2 (dirty tracking not skipping)", scanned)
 	}
-	if skipped != 126 {
-		t.Fatalf("skipped %d blocks, want 126", skipped)
+	if want := 2*blocks - 2; skipped != want {
+		t.Fatalf("skipped %d blocks, want %d", skipped, want)
 	}
 }

@@ -20,6 +20,8 @@ type metrics struct {
 	downValues    *telemetry.Counter
 	density       *telemetry.Gauge
 	lockWait      *telemetry.Histogram
+	applyBatches  *telemetry.Counter
+	applyUpdates  *telemetry.Counter
 	blocksScanned *telemetry.Counter
 	blocksSkipped *telemetry.Counter
 	secCand       *telemetry.Counter
@@ -77,8 +79,12 @@ func newMetrics(layerSizes []int, workers int) *metrics {
 		density: reg.Gauge("dgs_ps_down_density",
 			"Density of the last downward difference: values sent / model size."),
 		lockWait: reg.Histogram("dgs_ps_push_lock_wait_seconds",
-			"Time a push spent waiting for the model write lock (apply-phase contention).",
+			"Time from a push entering the apply queue to its update being applied (write-lock wait plus its batch's applies).",
 			telemetry.DurationBuckets()),
+		applyBatches: reg.Counter("dgs_ps_apply_batches_total",
+			"Model write-lock holds taken by the apply queue."),
+		applyUpdates: reg.Counter("dgs_ps_apply_batch_updates_total",
+			"Updates applied under those holds; divided by the batches, the mean combined batch size."),
 		blocksScanned: reg.Counter("dgs_ps_diff_blocks_scanned_total",
 			"Dirty-tracking blocks visited while computing downward differences."),
 		blocksSkipped: reg.Counter("dgs_ps_diff_blocks_skipped_total",
@@ -130,6 +136,16 @@ func (m *metrics) observePush(worker int, stale, upNNZ, downNNZ uint64, lockWait
 	}
 }
 
+// observeBatch records one write-lock hold of the apply queue and the number
+// of updates it applied.
+func (m *metrics) observeBatch(updates uint64) {
+	if m == nil {
+		return
+	}
+	m.applyBatches.Inc()
+	m.applyUpdates.Add(updates)
+}
+
 // observeSnapRefresh records one copy-on-version shadow refresh.
 func (m *metrics) observeSnapRefresh(copied, skipped uint64) {
 	if m == nil {
@@ -170,6 +186,9 @@ func registerShardMetrics(shards []*Server) {
 		reg.GaugeFunc("dgs_ps_shard_pushes_total",
 			"Shard-local pushes applied (one logical push touches every shard).",
 			func() float64 { return float64(sh.pushes.Load()) }, "shard", label)
+		reg.GaugeFunc("dgs_ps_shard_apply_batches_total",
+			"Write-lock holds this shard's apply queue took (pushes / batches is its mean combined batch size).",
+			func() float64 { return float64(sh.applyBatches.Load()) }, "shard", label)
 		reg.GaugeFunc("dgs_ps_shard_diff_blocks_scanned_total",
 			"Dirty-tracking blocks this shard's downward diffs visited.",
 			func() float64 { return float64(sh.blocksScanned.Load()) }, "shard", label)

@@ -22,10 +22,24 @@
 //   - M carries per-layer block version stamps (sparse.MarkBlocks): the
 //     diff for worker k only visits blocks whose version exceeds the
 //     timestamp of k's last exchange. All other blocks still hold
-//     M == v_k exactly and contribute nothing.
-//   - One short write lock covers only the M ← M − g apply and the
-//     timestamp bump. The expensive diff/gather runs under a read lock, so
-//     any number of workers compute their differences concurrently.
+//     M == v_k exactly and contribute nothing. Without secondary
+//     compression the auto-tuned block is at most 64 elements (one
+//     embedding row), so a gather re-reads what pushes touched and little
+//     more (sparse.AutoBlockShift).
+//   - The M ← M − g applies are flat-combined. A pusher appends its update
+//     to the server's apply queue; whoever finds no combiner waiting
+//     becomes one, takes the model write lock once, takes the queue once
+//     the lock is granted — so every update that arrived while the lock
+//     drained its readers rides along — and applies the queued updates one
+//     by one, each with its own t+1 stamp, handing every pusher its own
+//     t0. What a write-lock acquisition costs is the reader drain, not the
+//     microsecond scatter, so paying it once per batch instead of once per
+//     push is what keeps a 16-session fleet's gathers running side by side.
+//     Per-update stamps (rather than one merged apply) keep t == Pushes,
+//     per-push staleness and every float of M exactly what a serial
+//     schedule of the same pushes produces.
+//   - The expensive diff/gather runs under a read lock, so any number of
+//     workers compute their differences concurrently.
 //   - v_k, prev(k) and the downward scratch are guarded per worker;
 //     statistics, the timestamp and epochs are atomics, so Stats(),
 //     Timestamp() and Epoch() never contend with an in-flight push.
@@ -65,12 +79,12 @@ type Config struct {
 	// accounting reflects the baseline's true cost.
 	DenseDownward bool
 	// BlockShift sets the dirty-tracking block size to 2^BlockShift
-	// elements. 0 auto-tunes from the layer geometry
-	// (sparse.AutoBlockShift): large uniform layers get the 1024-element
-	// default, mixed small-layer geometries get finer blocks so dirty
+	// elements. 0 auto-tunes from the layer geometry and the downward path
+	// (sparse.AutoBlockShift): at most 64 elements without Secondary, up to
+	// 1024 with it, finer for mixed small-layer geometries so dirty
 	// tracking can still resolve them. Smaller blocks skip more of the
 	// model per diff at the cost of a larger version array; the result is
-	// identical either way.
+	// identical either way. An explicit value wins in both modes.
 	BlockShift uint
 	// Quiet suppresses telemetry registration. ShardedServer sets it on its
 	// inner shards and instruments at the wrapper, so one logical push is
@@ -177,6 +191,15 @@ type workerState struct {
 	down sparse.Update
 	sel  sparse.Selector
 
+	// Apply-queue slot (see Server.enqueue). w.mu admits one Push per worker
+	// at a time, so one slot per worker is all the queue ever needs: pending
+	// is the update waiting to be applied, next links the slot into the
+	// queue, and applied (capacity 1) carries the pre-apply clock t0 back
+	// from whichever pusher combined the batch.
+	pending *sparse.Update
+	next    *workerState
+	applied chan uint64
+
 	// Residual-magnitude summaries for the secondary path (DESIGN.md §13),
 	// allocated only when Config.Secondary. smax[layer][b] is the exact
 	// maximum sparse.Rank (|·|, NaN→+Inf) of the suppressed residual
@@ -217,15 +240,27 @@ type Server struct {
 	cfg        Config
 	blockShift uint
 
-	// mu orders model writes against model reads: Push's apply phase holds
-	// the write lock only for the sparse M ← M − g scatter and version
-	// bump; diff computation and MSnapshot hold the read lock, so workers
-	// gather their differences concurrently.
+	// mu orders model writes against model reads: a combiner holds the
+	// write lock only for the sparse M ← M − g scatters and version bumps
+	// of one batch; diff computation and MSnapshot hold the read lock, so
+	// workers gather their differences concurrently.
 	mu   sync.RWMutex
 	m    [][]float32 // M: accumulation of updates
 	mver [][]uint64  // per layer, per block: timestamp of the last apply
 
 	t atomic.Uint64 // timestamp: number of updates applied
+
+	// Apply queue: pushers waiting for their update to be applied, linked
+	// through workerState.next in arrival order. combining is set while a
+	// combiner is waiting for the write lock — it will take the whole queue
+	// once the lock is granted, so later arrivals just enqueue and wait.
+	qmu          sync.Mutex
+	qhead, qtail *workerState
+	combining    bool
+	// applyBatches counts write-lock holds that applied updates, so
+	// pushes/applyBatches is the mean number of updates one hold combined.
+	// Not in Stats (BaselineServer has no counterpart); /metrics carries it.
+	applyBatches atomic.Uint64
 
 	// counters (see Stats)
 	pushes        atomic.Uint64
@@ -263,11 +298,7 @@ func NewServer(cfg Config) *Server {
 		panic(fmt.Sprintf("ps: secondary ratio %v out of (0,1]", cfg.SecondaryRatio))
 	}
 	if cfg.BlockShift == 0 {
-		// Auto-tune from the layer-size distribution: a model of small
-		// layers needs finer blocks than the 1024-element default for dirty
-		// tracking to skip anything. Deterministic in the sizes, so restart
-		// recovery reproduces the checkpoint's geometry.
-		cfg.BlockShift = sparse.AutoBlockShift(cfg.LayerSizes)
+		cfg.BlockShift = sparse.AutoBlockShift(cfg.LayerSizes, cfg.Secondary)
 	}
 	if cfg.BlockShift > 30 {
 		panic(fmt.Sprintf("ps: block shift %d out of range (0,30]", cfg.BlockShift))
@@ -292,6 +323,7 @@ func NewServer(cfg Config) *Server {
 	s.workers = make([]workerState, cfg.Workers)
 	for k := range s.workers {
 		w := &s.workers[k]
+		w.applied = make(chan uint64, 1)
 		w.v = alloc()
 		w.resid = make([][]uint64, len(cfg.LayerSizes))
 		w.vver = make([][]uint64, len(cfg.LayerSizes))
@@ -391,38 +423,47 @@ func (s *Server) Epoch(worker int) uint64 {
 // Push applies worker k's update g (M ← M − g), computes the downward model
 // difference G for k, advances v_k and prev(k), and returns G together with
 // the new server timestamp. It is safe for concurrent use by multiple
-// workers, and pushes from different workers overlap: only the sparse apply
-// itself serialises on the model write lock. The returned update aliases
-// per-worker server scratch: it is valid until this worker's next Push or
-// Resync, so steady-state exchanges allocate nothing. Callers that need to
-// retain it longer must copy.
+// workers, and pushes from different workers overlap: the sparse applies of
+// pushes that arrive together share one hold of the model write lock, and
+// the gathers run side by side under the read lock. The returned update
+// aliases per-worker server scratch: it is valid until this worker's next
+// Push or Resync, so steady-state exchanges allocate nothing. Callers that
+// need to retain it longer must copy.
+//
+// g must fit the model geometry (sparse.Update.Validate). Push panics on
+// the caller's goroutine if it does not, before the update can reach the
+// apply queue; callers that decode g from outside bytes validate first and
+// answer with an error.
 func (s *Server) Push(worker int, g *sparse.Update) (sparse.Update, uint64) {
 	if worker < 0 || worker >= s.cfg.Workers {
 		panic(fmt.Sprintf("ps: worker %d out of range [0,%d)", worker, s.cfg.Workers))
 	}
+	if err := g.Validate(s.cfg.LayerSizes); err != nil {
+		panic(fmt.Sprintf("ps: push from worker %d: %v", worker, err))
+	}
+	return s.push(worker, g)
+}
+
+// push is Push for an update already known to fit the geometry.
+func (s *Server) push(worker int, g *sparse.Update) (sparse.Update, uint64) {
 	w := &s.workers[worker]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 
-	// Apply the upward update: M ← M − g (Algorithm 2 line 3) and stamp the
-	// touched blocks. This is the only part that needs the write lock.
+	// Apply the upward update: M ← M − g (Algorithm 2 line 3), through the
+	// apply queue. The wait is enqueue → applied, whoever did the applying.
+	var start time.Time
+	if s.met != nil {
+		start = time.Now()
+	}
+	if s.enqueue(w, g) {
+		s.combine()
+	}
+	t0 := <-w.applied
 	var lockWait time.Duration
 	if s.met != nil {
-		start := time.Now()
-		s.mu.Lock()
 		lockWait = time.Since(start)
-	} else {
-		s.mu.Lock()
 	}
-	t0 := s.t.Load()
-	tNew := t0 + 1
-	for i := range g.Chunks {
-		c := &g.Chunks[i]
-		sparse.Scatter(c, s.m[c.Layer], -1)
-		sparse.MarkBlocks(s.mver[c.Layer], c.Idx, tNew, s.blockShift)
-	}
-	s.t.Store(tNew)
-	s.mu.Unlock()
 
 	// Staleness accounting: how many server updates happened since this
 	// worker last synchronised. Atomics — no lock held.
@@ -451,6 +492,68 @@ func (s *Server) Push(worker int, g *sparse.Update) (sparse.Update, uint64) {
 	}
 	s.met.observePush(worker, stale, uint64(g.NNZ()), uint64(w.down.NNZ()), lockWait, scanned, skipped, cand, rounds)
 	return w.down, tSeen
+}
+
+// enqueue appends w's update to the apply queue and reports whether the
+// caller must combine: true for the first arrival since the last batch was
+// taken, false for everyone who finds a combiner already waiting.
+func (s *Server) enqueue(w *workerState, g *sparse.Update) (lead bool) {
+	w.pending, w.next = g, nil
+	s.qmu.Lock()
+	if s.qtail == nil {
+		s.qhead = w
+	} else {
+		s.qtail.next = w
+	}
+	s.qtail = w
+	lead = !s.combining
+	s.combining = true
+	s.qmu.Unlock()
+	return lead
+}
+
+// combine applies one batch: everything queued by the time the write lock
+// is granted, in arrival order, each update with its own stamp. The queue
+// is taken after the lock, not before, so pushes that arrived while the
+// lock drained its readers join this batch instead of paying for a drain
+// of their own; clearing combining in the same step makes the next arrival
+// the next batch's combiner. Every queued update passed Validate on its own
+// pusher's goroutine, so nothing here can panic and strand the followers.
+// Pushers are released only after the unlock: they go straight to RLock.
+func (s *Server) combine() {
+	s.mu.Lock()
+	s.qmu.Lock()
+	batch := s.qhead
+	s.qhead, s.qtail, s.combining = nil, nil, false
+	s.qmu.Unlock()
+
+	t0 := s.t.Load()
+	t := t0
+	for w := batch; w != nil; w = w.next {
+		t++
+		s.applyLocked(w.pending, -1, t)
+	}
+	s.t.Store(t)
+	s.mu.Unlock()
+
+	s.applyBatches.Add(1)
+	s.met.observeBatch(t - t0)
+	for w := batch; w != nil; t0++ {
+		// A released pusher may re-enqueue at once and rewrite its link.
+		next := w.next
+		w.applied <- t0
+		w = next
+	}
+}
+
+// applyLocked folds scale·g into M and stamps the touched blocks. The caller
+// holds the model write lock and has validated g.
+func (s *Server) applyLocked(g *sparse.Update, scale float32, stamp uint64) {
+	for i := range g.Chunks {
+		c := &g.Chunks[i]
+		sparse.Scatter(c, s.m[c.Layer], scale)
+		sparse.MarkBlocks(s.mver[c.Layer], c.Idx, stamp, s.blockShift)
+	}
 }
 
 // gatherDown assembles the downward update for w into w.down and records it
@@ -629,9 +732,10 @@ func (s *Server) VSnapshotT(worker int, dst [][]float32) uint64 {
 }
 
 // StateBytes reports server memory: M plus one v_k per worker — the paper's
-// §5.6.2 overhead of NumWorkers × model size. (Block versions and residual
-// bitmaps add one uint64 per 4 KiB of parameters and one bit per block per
-// worker; both are noise next to the float payload and are not counted.)
+// §5.6.2 overhead of NumWorkers × model size. (Block versions add one uint64
+// per block to M and to each v_k — about 3 % at 64-element blocks, less at
+// coarser ones — and residual bitmaps one bit per block per worker; neither
+// is counted.)
 func (s *Server) StateBytes() int {
 	n := 0
 	for _, l := range s.cfg.LayerSizes {

@@ -92,7 +92,7 @@ func NewShardedServer(cfg Config, numShards int) *ShardedServer {
 		// Resolve the auto block shift once, from the full layer set: each
 		// shard seeing only its own layers would derive different shifts,
 		// and checkpoint geometry validation requires one shared value.
-		cfg.BlockShift = sparse.AutoBlockShift(cfg.LayerSizes)
+		cfg.BlockShift = sparse.AutoBlockShift(cfg.LayerSizes, cfg.Secondary)
 	}
 	s := &ShardedServer{
 		layerShard: make([]int, len(cfg.LayerSizes)),
@@ -189,7 +189,7 @@ func shardApplyLoop(jobs <-chan shardJob) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	for job := range jobs {
-		G, ts := job.shard.Push(job.worker, job.in)
+		G, ts := job.shard.push(job.worker, job.in)
 		*job.outG = G
 		*job.outTS = ts
 		job.wg.Done()
@@ -208,6 +208,12 @@ func (s *ShardedServer) Push(worker int, g *sparse.Update) (sparse.Update, uint6
 	if worker < 0 || worker >= len(s.split) {
 		panic(fmt.Sprintf("ps: worker %d out of range [0,%d)", worker, len(s.split)))
 	}
+	// Validate here, on the caller's goroutine: the pieces are applied by
+	// pool goroutines and shard combiners, where a panic would take the
+	// process down or strand other workers' pushes.
+	if err := g.Validate(s.sizes); err != nil {
+		panic(fmt.Sprintf("ps: push from worker %d: %v", worker, err))
+	}
 	// Split the upward update per shard, remapping layer ids.
 	sp := &s.split[worker]
 	for sh := range sp.perShard {
@@ -215,9 +221,6 @@ func (s *ShardedServer) Push(worker int, g *sparse.Update) (sparse.Update, uint6
 	}
 	for i := range g.Chunks {
 		c := g.Chunks[i]
-		if c.Layer < 0 || c.Layer >= len(s.layerShard) {
-			panic(fmt.Sprintf("ps: sharded push references layer %d of %d", c.Layer, len(s.layerShard)))
-		}
 		sh := s.layerShard[c.Layer]
 		local := c // copy the chunk header; index/value slices are shared
 		local.Layer = s.layerLocal[c.Layer]
@@ -252,7 +255,7 @@ func (s *ShardedServer) Push(worker int, g *sparse.Update) (sparse.Update, uint6
 		}
 	} else {
 		for sh, shard := range s.shards {
-			G, ts := shard.Push(worker, &sp.perShard[sh])
+			G, ts := shard.push(worker, &sp.perShard[sh])
 			clock += ts
 			for i := range G.Chunks {
 				c := G.Chunks[i]

@@ -9,10 +9,20 @@ import "sort"
 // version exceeds s — for sparse update streams that is a small fraction of
 // the model, which turns a full-model scan into an O(changed) one.
 
-// DefaultBlockShift gives 1024-element blocks: coarse enough that the
-// version array is negligible (one uint64 per 4 KiB of parameters), fine
-// enough that a sparse push dirties only the neighbourhoods it touched.
+// DefaultBlockShift gives 1024-element blocks, the coarsest AutoBlockShift
+// ever picks: the version array is negligible (one uint64 per 4 KiB of
+// parameters). Only servers that keep per-block residual summaries (Eq. 6
+// secondary compression) still tune up to it — see PlainBlockShift.
 const DefaultBlockShift = 10
+
+// PlainBlockShift caps the auto-tuned block of a server without secondary
+// compression at 64 elements: four cache lines, one embedding row. A plain
+// gather re-reads every dirty block of M and of v_k in full, so a block
+// wider than what a push actually touches multiplies the gather's memory
+// traffic by the ratio (16x on row-clustered embedding pushes at 1024).
+// The version arrays then cost one uint64 per 256 B, about 3 % of M and of
+// each v_k.
+const PlainBlockShift = 6
 
 // NumBlocks returns how many 2^shift-element blocks cover n elements.
 func NumBlocks(n int, shift uint) int {
@@ -33,18 +43,26 @@ func BlockSpan(b int, shift uint, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// AutoBlockShift picks a dirty-tracking block shift from a model's
-// layer-size distribution: the largest shift (capped at DefaultBlockShift)
-// at which the median layer still spans at least 64 blocks, floored at 2.
-// Large embedding-style layers keep the cheap 1024-element default, while
-// models dominated by small layers (a CNN's conv kernels) get blocks fine
-// enough that dirty tracking can actually skip anything — at the default, a
-// few-hundred-element layer collapses into a single block and every diff
-// rescans it. The answer depends only on the sizes, so a restarted server
-// built from the same configuration reproduces the checkpoint's geometry.
-func AutoBlockShift(sizes []int) uint {
+// AutoBlockShift is the one rule that picks a dirty-tracking block shift
+// when the configuration leaves it open (ps.Config.BlockShift == 0), from
+// the model's layer-size distribution and the downward path: the largest
+// shift at which the median layer still spans at least 64 blocks, floored
+// at 2 and capped at PlainBlockShift — or, for a server with secondary
+// compression, at DefaultBlockShift. Models dominated by small layers (a
+// CNN's conv kernels) get blocks fine enough that dirty tracking can skip
+// anything at all; large layers get 64-element blocks on the plain path,
+// where a block is pure re-read cost, and up to 1024 on the secondary
+// path, whose per-block residual summaries and threshold carry-over
+// measurably lose when narrowed (DESIGN.md §11). A checkpoint records the
+// shift it was taken at and a restore adopts it, so the rule is free to
+// differ between the server that wrote a checkpoint and the one reading it.
+func AutoBlockShift(sizes []int, secondary bool) uint {
+	limit := uint(PlainBlockShift)
+	if secondary {
+		limit = DefaultBlockShift
+	}
 	if len(sizes) == 0 {
-		return DefaultBlockShift
+		return limit
 	}
 	sorted := append([]int(nil), sizes...)
 	sort.Ints(sorted)
@@ -53,7 +71,7 @@ func AutoBlockShift(sizes []int) uint {
 		med = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
 	}
 	shift := uint(2)
-	for shift < DefaultBlockShift && med>>(shift+1) >= 64 {
+	for shift < limit && med>>(shift+1) >= 64 {
 		shift++
 	}
 	return shift

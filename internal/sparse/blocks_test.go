@@ -36,33 +36,52 @@ func TestBlockSpan(t *testing.T) {
 }
 
 func TestAutoBlockShift(t *testing.T) {
+	embed := []int{1 << 19, 1 << 19, 1 << 19, 1 << 19}
+	// The benchmark's 330k-parameter MLP (64-512-512-64) and ResNetS.
+	mlp := []int{32768, 512, 262144, 512, 32768, 64}
+	resnet := []int{216, 8, 8, 8, 576, 8, 8, 8, 576, 8, 8, 8, 1152, 16, 16, 16, 2304, 16, 16, 16,
+		128, 16, 16, 16, 4608, 32, 32, 32, 9216, 32, 32, 32, 512, 32, 32, 32, 320, 10}
 	cases := []struct {
-		name  string
-		sizes []int
-		want  uint
+		name      string
+		sizes     []int
+		secondary bool
+		want      uint
 	}{
-		{"empty", nil, DefaultBlockShift},
-		// Embedding-style: huge layers keep the cheap default.
-		{"embedding", []int{1 << 19, 1 << 19, 1 << 19, 1 << 19}, DefaultBlockShift},
-		{"one_big", []int{1 << 16}, DefaultBlockShift},
-		// CIFAR-CNN geometry: median ~496 elements — the default would
-		// collapse most layers into one block; auto picks fine blocks.
-		{"cnn", []int{864, 32, 9216, 32, 18432, 64, 65536, 128, 1280, 10}, 2},
+		{"empty", nil, false, PlainBlockShift},
+		{"empty_secondary", nil, true, DefaultBlockShift},
+		// Embedding-style: a plain gather tracks single 64-element rows; the
+		// secondary summaries keep the coarse 1024-element blocks.
+		{"embedding", embed, false, PlainBlockShift},
+		{"embedding_secondary", embed, true, DefaultBlockShift},
+		{"one_big", []int{1 << 16}, false, PlainBlockShift},
+		{"one_big_secondary", []int{1 << 16}, true, DefaultBlockShift},
+		// MLP: median 16640 supports 64 blocks at shift 8 but not 9.
+		{"mlp", mlp, false, PlainBlockShift},
+		{"mlp_secondary", mlp, true, 8},
+		// Median of 16 elements: floored at shift 2 either way.
+		{"resnet", resnet, false, 2},
+		{"resnet_secondary", resnet, true, 2},
+		// CIFAR-CNN geometry: median ~496 elements — a coarse block would
+		// collapse most layers into one; auto picks fine blocks.
+		{"cnn", []int{864, 32, 9216, 32, 18432, 64, 65536, 128, 1280, 10}, true, 2},
 		// All tiny: floored at shift 2, never finer.
-		{"tiny", []int{8, 8, 8}, 2},
+		{"tiny", []int{8, 8, 8}, false, 2},
 		// Median of 4096 supports 64 blocks at shift 6 but not shift 7.
-		{"mid", []int{4096, 4096, 4096}, 6},
+		{"mid", []int{4096, 4096, 4096}, true, 6},
+		// Below the plain cap the two paths agree.
+		{"small", []int{2048, 2048, 2048}, false, 5},
+		{"small_secondary", []int{2048, 2048, 2048}, true, 5},
 	}
 	for _, tc := range cases {
-		if got := AutoBlockShift(tc.sizes); got != tc.want {
-			t.Errorf("%s: AutoBlockShift(%v) = %d, want %d", tc.name, tc.sizes, got, tc.want)
+		if got := AutoBlockShift(tc.sizes, tc.secondary); got != tc.want {
+			t.Errorf("%s: AutoBlockShift(%v, %v) = %d, want %d", tc.name, tc.sizes, tc.secondary, got, tc.want)
 		}
 	}
 	// The result is a pure function of the sizes (restart determinism) and
 	// must not mutate its argument.
 	sizes := []int{100, 5, 90000}
 	before := append([]int(nil), sizes...)
-	a, b := AutoBlockShift(sizes), AutoBlockShift(sizes)
+	a, b := AutoBlockShift(sizes, true), AutoBlockShift(sizes, true)
 	if a != b {
 		t.Fatalf("non-deterministic: %d then %d", a, b)
 	}

@@ -156,6 +156,11 @@ func (h *codecHandler) handler(server ps.Pusher) transport.Handler {
 			if err := sparse.DecodeAnyInto(g, payload); err != nil {
 				return nil, fmt.Errorf("trainer: decode push from worker %d: %w", worker, err)
 			}
+			// A frame that decodes may still not fit this model; Push panics
+			// on one, so turn it into an error frame here.
+			if err := g.Validate(server.LayerSizes()); err != nil {
+				return nil, fmt.Errorf("trainer: push from worker %d: %w", worker, err)
+			}
 			reqID, _ = sparse.FrameCodecID(payload)
 		}
 		drain := g.NNZ() == 0

@@ -1,10 +1,13 @@
 package trainer
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"dgs/internal/ps"
 	"dgs/internal/sparse"
+	"dgs/internal/transport"
 )
 
 func TestHandlerDecodesAndResponds(t *testing.T) {
@@ -81,5 +84,59 @@ func TestHandlerWorksWithShardedServer(t *testing.T) {
 	}
 	if !seen[0] || !seen[1] {
 		t.Fatalf("expected differences for both layers, got %+v", G.Chunks)
+	}
+}
+
+// TestBadFrameOverTCPDoesNotWedgeServer sends, over real TCP through the
+// production handler stack, a push that decodes but does not fit the model.
+// It must come back as an error frame — never reach Push, whose apply phase
+// would panic with the model write lock held — and both the other worker's
+// and the offender's next valid pushes must complete.
+func TestBadFrameOverTCPDoesNotWedgeServer(t *testing.T) {
+	sizes := []int{8, 8}
+	for _, tc := range []struct {
+		name   string
+		server ps.Pusher
+		shards uint64
+	}{
+		{"server", ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 2}), 1},
+		{"sharded", ps.NewShardedServer(ps.Config{LayerSizes: sizes, Workers: 2}, 2), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eo := ExactlyOnceHandler(tc.server)
+			lis, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			dial := NewDialStack(DialOptions{Addr: lis.Addr(), Timeout: 5 * time.Second})
+			var conns [2]transport.Transport
+			for k := range conns {
+				if conns[k], err = dial(); err != nil {
+					t.Fatal(err)
+				}
+				defer conns[k].Close()
+			}
+			good := sparse.Encode(&sparse.Update{Chunks: []sparse.Chunk{{Layer: 1, Idx: []int32{3}, Val: []float32{1}}}})
+			for _, bad := range []sparse.Update{
+				{Chunks: []sparse.Chunk{{Layer: 2, Idx: []int32{0}, Val: []float32{1}}}},
+				{Chunks: []sparse.Chunk{{Layer: 0, Idx: []int32{8}, Val: []float32{1}}}},
+			} {
+				var srvErr *transport.ServerError
+				if _, err := conns[0].Exchange(0, sparse.Encode(&bad)); !errors.As(err, &srvErr) {
+					t.Fatalf("bad frame: got %v, want an error frame", err)
+				}
+				for k, c := range conns {
+					if _, err := c.Exchange(k, good); err != nil {
+						t.Fatalf("worker %d push after the bad frame: %v", k, err)
+					}
+				}
+			}
+			// Only the valid pushes were applied: two rounds of two workers
+			// (the sharded server counts each once per shard).
+			if got := tc.server.Stats().Pushes; got != 4*tc.shards {
+				t.Fatalf("server applied %d pushes, want %d", got, 4*tc.shards)
+			}
+		})
 	}
 }

@@ -15,6 +15,25 @@ import (
 	"dgs/internal/transport"
 )
 
+// gatedTransport holds its worker at a step barrier: the exchange after the
+// first hold ones waits for gate to close. The crash-recovery test uses it
+// to keep every worker mid-run until the server is gone — a worker's steps
+// take a fraction of a checkpoint's fsync, so left alone the run can finish
+// before the kill condition is ever met and the kill lands on nobody.
+type gatedTransport struct {
+	transport.Transport
+	done, hold int
+	gate       <-chan struct{}
+}
+
+func (g *gatedTransport) Exchange(worker int, payload []byte) ([]byte, error) {
+	if g.done == g.hold {
+		<-g.gate
+	}
+	g.done++
+	return g.Transport.Exchange(worker, payload)
+}
+
 // The crash-recovery acceptance test: a pipelined (depth 2) multi-worker
 // training run whose parameter server is kill-9'd mid-training and replaced
 // by a fresh process restored from the latest asynchronous checkpoint on
@@ -70,7 +89,11 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 
 	// Workers: plain TCP session stacks (no injected link faults — the
 	// fault under test is the server crash) with a generous retry budget to
-	// ride out the restart window.
+	// ride out the restart window. Each holds after holdAt of its 64 steps
+	// until the server has been killed, so the kill condition below is met
+	// with every worker still owing steps, whatever a step costs.
+	const holdAt = 20
+	killed := make(chan struct{})
 	dial := func() (transport.Transport, error) {
 		rc := transport.NewReconnecting(func() (transport.Transport, error) {
 			c, err := transport.DialTCP(addr)
@@ -83,7 +106,7 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 		rc.MaxRetries = 100
 		rc.Backoff = time.Millisecond
 		rc.MaxBackoff = 8 * time.Millisecond
-		return transport.NewSessionClient(rc), nil
+		return &gatedTransport{Transport: transport.NewSessionClient(rc), hold: holdAt, gate: killed}, nil
 	}
 
 	var wg sync.WaitGroup
@@ -99,8 +122,9 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 
 	// The kill: wait until training is genuinely under way AND at least one
 	// checkpoint is durable, then SIGKILL-style teardown — close the
-	// listener with exchanges in flight and discard the server object
-	// entirely. Nothing in memory survives.
+	// listener, drop every connection and discard the server object
+	// entirely. Nothing in memory survives. Only then are the workers let
+	// go: each finds its server gone with most of its steps still to do.
 	for server.Stats().Pushes < 60 || written.Load() < 1 {
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -109,6 +133,7 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 	srv.Close()
 	killT := server.Timestamp()
 	server, eo = nil, nil
+	close(killed)
 
 	// The restart: recover from the latest on-disk checkpoint, fresh
 	// middleware (new incarnation), same address.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func echoHandler(worker int, payload []byte) ([]byte, error) {
@@ -158,8 +159,24 @@ func TestTCPManyClientsConcurrently(t *testing.T) {
 			t.Fatalf("worker %d served %d rounds, want %d", k, seen[k], rounds)
 		}
 	}
-	if srv.Traffic.Exchanges() != workers*rounds {
-		t.Fatalf("server exchanges %d, want %d", srv.Traffic.Exchanges(), workers*rounds)
+	waitServerExchanges(t, srv, workers*rounds)
+}
+
+// waitServerExchanges waits until the server has counted want successful
+// exchanges. It counts one after writing the response, so a client that
+// already holds the response can be ahead of the counter; the count must
+// still arrive, and must not overshoot.
+func waitServerExchanges(t *testing.T, srv *TCPServer, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Traffic.Exchanges() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("server counted %d exchanges, want %d", srv.Traffic.Exchanges(), want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if got := srv.Traffic.Exchanges(); got != want {
+		t.Fatalf("server counted %d exchanges, want %d", got, want)
 	}
 }
 
