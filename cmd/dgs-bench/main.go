@@ -255,8 +255,8 @@ func runServer(path string, pushesPerWorker int) error {
 	fmt.Printf("snapshot stall (2 scrapers): full-lock %9.0f pushes/sec (p99 %7.0f µs) vs copy-on-version %9.0f (p99 %7.0f µs) = %5.2fx\n",
 		rep.SnapStallLockedPushesPerSec, rep.SnapStallLockedP99Micros,
 		rep.SnapStallCopyPushesPerSec, rep.SnapStallCopyP99Micros, rep.SnapStallSpeedup)
-	fmt.Printf("gated: embed 8-worker %.2fx, secondary 8-worker %.2fx, cnn skip ratio %.3f\n",
-		rep.SpeedupAt8, rep.SecondarySpeedupAt8, rep.CNNScanSkipRatio)
+	fmt.Printf("gated: embed 8-worker %.2fx, cnn skip ratio %.3f\n",
+		rep.SpeedupAt8, rep.CNNScanSkipRatio)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

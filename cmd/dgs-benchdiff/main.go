@@ -31,13 +31,10 @@
 // are again within-run ratios: the dirty-tracking server and the frozen
 // single-mutex BaselineServer are measured in the same process on the same
 // updates, and the 8-worker embed speedup must clear an absolute floor
-// (-min-server-speedup, default 2×) on any machine. Two further gates cover
-// the secondary-compression path: the embed_secondary 8-worker speedup
-// (residual-summary gather vs the baseline's full-layer Top-k rescan, both
-// with secondary on) must clear -min-secondary-speedup (default 3×), and
-// the cnn workload's scan/skip ratio — a pure counting ratio, not a timing —
-// must stay above -min-cnn-skip (default 0.5) now that auto block-shift
-// adapts the block size to the layer geometry.
+// (-min-server-speedup, default 2×) on any machine. A further gate covers
+// the block geometry: the cnn workload's scan/skip ratio — a pure counting
+// ratio, not a timing — must stay above -min-cnn-skip (default 0.5) now that
+// auto block-shift adapts the block size to the layer geometry.
 //
 // With -agg the reports are aggregation-tier reports (dgs-bench -aggbench,
 // tracked in BENCH_PR9.json). The gated quantity is once more a within-run
@@ -156,7 +153,7 @@ func diffPipeline(baseline, current *bench.PipelineReport, minSpeedup float64) [
 // within-run ratio (dirty-tracking server vs frozen single-mutex baseline,
 // same process, same updates); the committed baseline report must itself
 // satisfy the gate so a stale tracked file fails loudly here, not in review.
-func diffServer(baseline, current *bench.ServerReport, minSpeedup, minSecondary, minCNNSkip float64) []string {
+func diffServer(baseline, current *bench.ServerReport, minSpeedup, minCNNSkip float64) []string {
 	var problems []string
 	check := func(rep *bench.ServerReport, name string) {
 		if rep.SpeedupAt8 < minSpeedup {
@@ -164,31 +161,24 @@ func diffServer(baseline, current *bench.ServerReport, minSpeedup, minSecondary,
 				"%s: 8-worker server speedup %.2fx below floor %.2fx (vs single-mutex baseline, embed workload)",
 				name, rep.SpeedupAt8, minSpeedup))
 		}
-		if rep.SecondarySpeedupAt8 < minSecondary {
-			problems = append(problems, fmt.Sprintf(
-				"%s: 8-worker secondary speedup %.2fx below floor %.2fx (residual-summary gather vs full-scan Top-k baseline)",
-				name, rep.SecondarySpeedupAt8, minSecondary))
-		}
 		if rep.CNNScanSkipRatio < minCNNSkip {
 			problems = append(problems, fmt.Sprintf(
 				"%s: cnn scan/skip ratio %.3f below floor %.2f (auto block-shift should skip most of the mixed geometry)",
 				name, rep.CNNScanSkipRatio, minCNNSkip))
 		}
-		for _, want := range []string{"embed", "embed_secondary"} {
-			found := false
-			for _, pt := range rep.Results {
-				if pt.Workload == want && pt.Workers == 8 {
-					found = true
-					if pt.PushesPerSec <= 0 || pt.BaselinePushesPerSec <= 0 {
-						problems = append(problems, fmt.Sprintf(
-							"%s: %s 8-worker row has non-positive throughput (%.1f / %.1f pushes/sec)",
-							name, want, pt.PushesPerSec, pt.BaselinePushesPerSec))
-					}
+		found := false
+		for _, pt := range rep.Results {
+			if pt.Workload == "embed" && pt.Workers == 8 {
+				found = true
+				if pt.PushesPerSec <= 0 || pt.BaselinePushesPerSec <= 0 {
+					problems = append(problems, fmt.Sprintf(
+						"%s: embed 8-worker row has non-positive throughput (%.1f / %.1f pushes/sec)",
+						name, pt.PushesPerSec, pt.BaselinePushesPerSec))
 				}
 			}
-			if !found {
-				problems = append(problems, fmt.Sprintf("%s: %s 8-worker row missing from report", name, want))
-			}
+		}
+		if !found {
+			problems = append(problems, fmt.Sprintf("%s: embed 8-worker row missing from report", name))
 		}
 	}
 	check(baseline, "baseline")
@@ -455,7 +445,6 @@ func main() {
 		minPipeline  = flag.Float64("min-pipeline-speedup", 1.3, "pipelined-vs-sync steps/sec floor (with -pipeline)")
 		server       = flag.Bool("server", false, "diff server saturation reports (dgs-bench -serverbench) instead of microbench reports")
 		minServer    = flag.Float64("min-server-speedup", 2.0, "8-worker pushes/sec floor vs the single-mutex baseline (with -server)")
-		minSecondary = flag.Float64("min-secondary-speedup", 3.0, "8-worker secondary pushes/sec floor vs the full-scan Top-k baseline (with -server)")
 		minCNNSkip   = flag.Float64("min-cnn-skip", 0.5, "cnn workload scan/skip ratio floor under auto block-shift (with -server)")
 		wire         = flag.Bool("wire", false, "diff wire-compression reports (dgs-bench -wirebench) instead of microbench reports")
 		maxWireRatio = flag.Float64("max-wire-ratio", 0.5, "quantized embed bytes/step ceiling relative to codec 0 (with -wire)")
@@ -549,15 +538,15 @@ func main() {
 		fatalIf(err)
 		current, err := loadServer(*currentPath)
 		fatalIf(err)
-		problems := diffServer(baseline, current, *minServer, *minSecondary, *minCNNSkip)
+		problems := diffServer(baseline, current, *minServer, *minCNNSkip)
 		if len(problems) > 0 {
 			for _, p := range problems {
 				fmt.Fprintln(os.Stderr, "dgs-benchdiff: FAIL:", p)
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("dgs-benchdiff: OK (server %.2fx vs single-mutex, secondary %.2fx vs full-scan at 8 workers, cnn skip %.2f; floors %.2fx/%.2fx/%.2f)\n",
-			current.SpeedupAt8, current.SecondarySpeedupAt8, current.CNNScanSkipRatio, *minServer, *minSecondary, *minCNNSkip)
+		fmt.Printf("dgs-benchdiff: OK (server %.2fx vs single-mutex at 8 workers, cnn skip %.2f; floors %.2fx/%.2f)\n",
+			current.SpeedupAt8, current.CNNScanSkipRatio, *minServer, *minCNNSkip)
 		return
 	}
 	if *pipeline {

@@ -96,27 +96,23 @@ func serverReport(speedupAt8 float64) *bench.ServerReport {
 			{Workload: "embed", Workers: 8, Shards: 1,
 				PushesPerSec: 1000 * speedupAt8, BaselinePushesPerSec: 1000,
 				Speedup: speedupAt8, ScanSkipRatio: 0.9, BlockSize: 1024},
-			{Workload: "embed_secondary", Workers: 8, Shards: 1,
-				PushesPerSec: 4000, BaselinePushesPerSec: 800,
-				Speedup: 5.0, ScanSkipRatio: 0.95, BlockSize: 1024},
 			{Workload: "cnn", Workers: 8, Shards: 1,
 				PushesPerSec: 5000, BaselinePushesPerSec: 3000, Speedup: 1.6,
 				ScanSkipRatio: 0.7, BlockSize: 4},
 		},
-		SpeedupAt8:          speedupAt8,
-		SecondarySpeedupAt8: 5.0,
-		CNNScanSkipRatio:    0.7,
+		SpeedupAt8:       speedupAt8,
+		CNNScanSkipRatio: 0.7,
 	}
 }
 
 func TestDiffServerPasses(t *testing.T) {
-	if p := diffServer(serverReport(4.0), serverReport(2.3), 2.0, 3.0, 0.5); len(p) != 0 {
+	if p := diffServer(serverReport(4.0), serverReport(2.3), 2.0, 0.5); len(p) != 0 {
 		t.Fatalf("expected clean server diff, got %v", p)
 	}
 }
 
 func TestDiffServerFailsBelowFloor(t *testing.T) {
-	p := diffServer(serverReport(4.0), serverReport(1.7), 2.0, 3.0, 0.5)
+	p := diffServer(serverReport(4.0), serverReport(1.7), 2.0, 0.5)
 	wantProblem(t, p, "current")
 	wantProblem(t, p, "below floor")
 }
@@ -124,7 +120,7 @@ func TestDiffServerFailsBelowFloor(t *testing.T) {
 func TestDiffServerFailsOnStaleBaseline(t *testing.T) {
 	// The committed baseline must itself satisfy the gate, so a stale
 	// tracked report fails loudly rather than masking a regression.
-	p := diffServer(serverReport(1.2), serverReport(3.0), 2.0, 3.0, 0.5)
+	p := diffServer(serverReport(1.2), serverReport(3.0), 2.0, 0.5)
 	wantProblem(t, p, "baseline")
 	wantProblem(t, p, "below floor")
 }
@@ -132,36 +128,21 @@ func TestDiffServerFailsOnStaleBaseline(t *testing.T) {
 func TestDiffServerFailsOnMissingRow(t *testing.T) {
 	cur := serverReport(3.0)
 	cur.Results = cur.Results[1:] // drop the embed 8-worker row
-	p := diffServer(serverReport(4.0), cur, 2.0, 3.0, 0.5)
+	p := diffServer(serverReport(4.0), cur, 2.0, 0.5)
 	wantProblem(t, p, "embed 8-worker row missing")
 }
 
 func TestDiffServerFailsOnBogusThroughput(t *testing.T) {
 	cur := serverReport(3.0)
 	cur.Results[0].BaselinePushesPerSec = 0
-	p := diffServer(serverReport(4.0), cur, 2.0, 3.0, 0.5)
+	p := diffServer(serverReport(4.0), cur, 2.0, 0.5)
 	wantProblem(t, p, "non-positive throughput")
-}
-
-func TestDiffServerFailsBelowSecondaryFloor(t *testing.T) {
-	cur := serverReport(3.0)
-	cur.SecondarySpeedupAt8 = 2.1
-	p := diffServer(serverReport(4.0), cur, 2.0, 3.0, 0.5)
-	wantProblem(t, p, "current")
-	wantProblem(t, p, "secondary speedup 2.10x below floor 3.00x")
-}
-
-func TestDiffServerFailsOnMissingSecondaryRow(t *testing.T) {
-	cur := serverReport(3.0)
-	cur.Results = append(cur.Results[:1], cur.Results[2:]...) // drop embed_secondary
-	p := diffServer(serverReport(4.0), cur, 2.0, 3.0, 0.5)
-	wantProblem(t, p, "embed_secondary 8-worker row missing")
 }
 
 func TestDiffServerFailsBelowCNNSkipFloor(t *testing.T) {
 	cur := serverReport(3.0)
 	cur.CNNScanSkipRatio = 0.02 // the pre-auto-shift regime
-	p := diffServer(serverReport(4.0), cur, 2.0, 3.0, 0.5)
+	p := diffServer(serverReport(4.0), cur, 2.0, 0.5)
 	wantProblem(t, p, "cnn scan/skip ratio 0.020 below floor 0.50")
 }
 

@@ -38,9 +38,7 @@ type ServerPoint struct {
 
 	// ScanSkipRatio is the fraction of dirty-tracking blocks the diff proved
 	// untouched and skipped (skipped / (scanned + skipped)); 0 for the
-	// baseline, which always scans the full model. For secondary workloads
-	// "skipped" includes residual-summary skips (clean blocks whose max
-	// residual provably falls below the Top-k threshold).
+	// baseline, which always scans the full model.
 	ScanSkipRatio float64 `json:"scan_skip_ratio"`
 
 	// BlockSize is the resolved dirty-tracking block size for this point.
@@ -66,14 +64,7 @@ type ServerReport struct {
 	// over the single-mutex baseline, measured in this run.
 	SpeedupAt8 float64 `json:"speedup_embed_8_workers"`
 
-	// SecondarySpeedupAt8 is the second gated number: with secondary
-	// compression on for both sides, the residual-summary server's 8-worker
-	// pushes/sec over the full-scan BaselineServer (which recomputes the
-	// per-layer Top-k over the complete M−v_k diff on every push), measured
-	// in this run on the embed workload.
-	SecondarySpeedupAt8 float64 `json:"speedup_secondary_8_workers"`
-
-	// CNNScanSkipRatio is the third gated number: the cnn workload's
+	// CNNScanSkipRatio is the second gated number: the cnn workload's
 	// scan/skip ratio. With the fixed 1024-element default blocks the
 	// dominant 65536-element layer kept every block dirty (ratio ~0.001);
 	// auto block-shift resolves the mixed geometry finely enough that the
@@ -261,22 +252,12 @@ func p99Of(lat []time.Duration) time.Duration {
 
 // measurePoint benchmarks one (workload, workers, shards) cell: baseline
 // first, then the dirty-tracking server, on identical pre-generated updates.
-// A secondaryRatio > 0 turns on secondary compression for BOTH sides, so the
-// speedup isolates the residual-summary gather against the full-scan Top-k
-// the BaselineServer performs — the same within-run, machine-relative
-// methodology as every other gate.
-func measurePoint(workload string, sizes []int, updates [][]sparse.Update, workers, shards, pushesPerWorker int, secondaryRatio float64) ServerPoint {
+func measurePoint(workload string, sizes []int, updates [][]sparse.Update, workers, shards, pushesPerWorker int) ServerPoint {
 	pt := ServerPoint{Workload: workload, Workers: workers, Shards: shards,
-		BlockSize: 1 << sparse.AutoBlockShift(sizes, secondaryRatio > 0)}
+		BlockSize: 1 << sparse.AutoBlockShift(sizes, false)}
 
-	baseCfg := ps.Config{LayerSizes: sizes, Workers: workers}
 	cfg := ps.Config{LayerSizes: sizes, Workers: workers, Quiet: true}
-	if secondaryRatio > 0 {
-		baseCfg.Secondary, baseCfg.SecondaryRatio = true, secondaryRatio
-		cfg.Secondary, cfg.SecondaryRatio = true, secondaryRatio
-	}
-
-	base := ps.NewBaselineServer(baseCfg)
+	base := ps.NewBaselineServer(ps.Config{LayerSizes: sizes, Workers: workers})
 	pt.BaselinePushesPerSec, pt.BaselineP99Micros, pt.BaselineWorstWorkerMicros = runSaturation(base, updates, workers, pushesPerWorker)
 
 	var cur serverTarget
@@ -319,7 +300,7 @@ func RunServer(pushesPerWorker int) (*ServerReport, error) {
 	// Embed workload across the worker sweep — the 8-worker row is gated.
 	for _, n := range []int{1, 2, 4, 8} {
 		upd := embedUpdates(rng, n, variants)
-		pt := measurePoint("embed", embedSizes, upd, n, 1, pushesPerWorker, 0)
+		pt := measurePoint("embed", embedSizes, upd, n, 1, pushesPerWorker)
 		rep.Results = append(rep.Results, pt)
 		if n == 8 {
 			rep.SpeedupAt8 = pt.Speedup
@@ -329,23 +310,14 @@ func RunServer(pushesPerWorker int) (*ServerReport, error) {
 	// Sharded embed at 8 workers: layer-parallel shards stack on top of the
 	// dirty tracking (each shard has its own write lock).
 	updSharded := embedUpdates(rng, 8, variants)
-	rep.Results = append(rep.Results, measurePoint("embed_sharded", embedSizes, updSharded, 8, 4, pushesPerWorker, 0))
-
-	// Secondary compression at 8 workers, gated: both sides keep the top 1%
-	// of the downward difference, but the baseline rescans every element of
-	// M−v_k per push while the residual-summary server narrows the Top-k to
-	// dirty and residual-bearing blocks.
-	updSec := embedUpdates(rng, 8, variants)
-	ptSec := measurePoint("embed_secondary", embedSizes, updSec, 8, 1, pushesPerWorker, 0.01)
-	rep.Results = append(rep.Results, ptSec)
-	rep.SecondarySpeedupAt8 = ptSec.Speedup
+	rep.Results = append(rep.Results, measurePoint("embed_sharded", embedSizes, updSharded, 8, 4, pushesPerWorker))
 
 	// CNN geometry, gated on the scan/skip ratio: uniform top-1% updates
 	// left nearly every 1024-element block of the dominant layer dirty
 	// (ratio ~0.001 through PR 6); auto block-shift picks 4-element blocks
 	// for this mixed geometry and the diff skips the majority of the model.
 	updCNN := cnnUpdates(rng, 8, variants)
-	ptCNN := measurePoint("cnn", cnnSizes, updCNN, 8, 1, pushesPerWorker, 0)
+	ptCNN := measurePoint("cnn", cnnSizes, updCNN, 8, 1, pushesPerWorker)
 	rep.Results = append(rep.Results, ptCNN)
 	rep.CNNScanSkipRatio = ptCNN.ScanSkipRatio
 

@@ -298,7 +298,7 @@ func (o *GradientDropping) prepareLayer(i int, g []float32, lr float32, sel *spa
 		mass += absf(r[j])
 		h.Add(r[j])
 	}
-	cut := sel.Cut(r, nil, sparse.KForRatio(len(r), o.KeepRatio))
+	cut := sel.Cut(r, sparse.KForRatio(len(r), o.KeepRatio))
 	for j, v := range r {
 		if cut.Keeps(v, int32(j)) {
 			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, v)
@@ -351,7 +351,7 @@ func (o *DGC) prepareLayer(i int, g []float32, lr float32, sel *sparse.Selector,
 		mass += absf(v[j])
 		h.Add(v[j])
 	}
-	cut := sel.Cut(v, nil, sparse.KForRatio(len(v), o.KeepRatio))
+	cut := sel.Cut(v, sparse.KForRatio(len(v), o.KeepRatio))
 	for j, vv := range v {
 		if cut.Keeps(vv, int32(j)) {
 			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, vv)
@@ -411,7 +411,7 @@ func (o *SAMomentum) prepareLayer(i int, g []float32, lr float32, sel *sparse.Se
 		u[j] = o.M*u[j] + lr*gv
 		h.Add(u[j])
 	}
-	cut := sel.Cut(u, nil, sparse.KForRatio(len(u), o.KeepRatio))
+	cut := sel.Cut(u, sparse.KForRatio(len(u), o.KeepRatio))
 	for j, v := range u {
 		if cut.Keeps(v, int32(j)) {
 			// Sent: velocity retained as-is.

@@ -52,20 +52,7 @@ func (s *Server) Gather(worker int) (sparse.Update, uint64) {
 	stale := s.t.Load() - w.prev
 	s.stalenessSum.Add(stale)
 	atomicMax(&s.maxStaleness, stale)
-
-	s.mu.RLock()
-	tSeen := s.t.Load()
-	scanned, skipped, cand, rounds := s.gatherDown(w, w.syncVer, tSeen)
-	s.mu.RUnlock()
-
-	w.prev = tSeen
-	w.syncVer = tSeen
-	s.blocksScanned.Add(scanned)
-	s.blocksSkipped.Add(skipped)
-	if s.cfg.Secondary {
-		s.secCand.Add(cand)
-		s.secRounds.Add(rounds)
-	}
+	tSeen, _, _, _ := s.gatherDown(w)
 	return w.down, tSeen
 }
 
@@ -121,12 +108,7 @@ func (s *Server) ApplyGathered(worker int, g *sparse.Update, tSeen uint64) {
 				}
 			}
 			vver[b] = tSeen
-			word, bit := b>>6, uint(b&63)
-			if clean {
-				resid[word] &^= 1 << bit
-			} else {
-				resid[word] |= 1 << bit
-			}
+			setResid(resid, b, !clean)
 			lo = hi
 		}
 	}
@@ -138,9 +120,9 @@ func (s *Server) ApplyGathered(worker int, g *sparse.Update, tSeen uint64) {
 
 // DownHorizon reports worker k's downward synchronisation fingerprint: the
 // dirty-tracking horizon of its last gather and whether the worker carries
-// no residual at that horizon. Clean means v_k == M(horizon) bitwise: the
-// last gather left no float-rounding stragglers (resid bitmap, plain path)
-// and no suppressed Eq. 6 mass (residNNZ summaries, secondary path). Two
+// no residual at that horizon. Clean means v_k == M(horizon) bitwise: no
+// residual bit is set, so the last gather left no float-rounding straggler
+// and no suppressed Eq. 6 mass, and nothing was folded in since. Two
 // workers with equal clean fingerprints therefore hold bitwise-identical
 // v_k, so their next gathers against the same M produce bitwise-identical
 // diffs — the property that lets the aggregator encode a downward frame
@@ -156,18 +138,6 @@ func (s *Server) DownHorizon(worker int) (horizon uint64, clean bool) {
 	for _, bits := range w.resid {
 		for _, word := range bits {
 			if word != 0 {
-				return w.syncVer, false
-			}
-		}
-	}
-	if s.cfg.Secondary {
-		if w.sumStale {
-			// Post-restore: summaries zeroed but v_k is not; nothing is
-			// provable until the next gather rebuilds them.
-			return w.syncVer, false
-		}
-		for _, n := range w.residNNZ {
-			if n != 0 {
 				return w.syncVer, false
 			}
 		}

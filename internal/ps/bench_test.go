@@ -42,9 +42,10 @@ func TestPushSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSecondaryPushSteadyStateAllocs extends the zero-allocation invariant
-// to the secondary path: candidate lists, segment tables, pending lists,
-// selection marks, and the Top-k selector scratch must all reach a steady
-// footprint after warmup.
+// to the secondary path: the dense difference scratch, the downward chunks
+// and the Top-k selector scratch must all reach a steady footprint after
+// warmup — on the CNN geometry with one pusher, and on the MLP geometry
+// (mlp_dual_pipe's server) with two pushers leading and following batches.
 func TestSecondaryPushSteadyStateAllocs(t *testing.T) {
 	srv := NewServer(Config{LayerSizes: benchSizes, Workers: 1, Secondary: true, SecondaryRatio: 0.01})
 	g := benchUpdate(tensor.NewRNG(41), benchSizes)
@@ -52,6 +53,12 @@ func TestSecondaryPushSteadyStateAllocs(t *testing.T) {
 	srv.Push(0, g)
 	if allocs := testing.AllocsPerRun(10, func() { srv.Push(0, g) }); allocs > 0 {
 		t.Fatalf("steady-state secondary Push allocates %v objects, want 0", allocs)
+	}
+
+	mlp := NewServer(Config{LayerSizes: fleetMLPSizes, Workers: 2, Secondary: true, SecondaryRatio: 0.05})
+	pair := [2]*sparse.Update{topKUpdate(tensor.NewRNG(41), fleetMLPSizes, 0.05), topKUpdate(tensor.NewRNG(42), fleetMLPSizes, 0.05)}
+	if allocs := concurrentPushAllocs(mlp, pair); allocs > 0 {
+		t.Fatalf("two concurrent steady-state secondary MLP pushes allocate %v objects, want 0", allocs)
 	}
 }
 

@@ -166,9 +166,18 @@ func (s *Server) captureInto(ss *checkpoint.ShardState) checkpoint.CaptureStats 
 }
 
 // restoreFrom installs a shard snapshot into this (freshly built) server.
-// Geometry must be pre-validated. The vver stamps stay zero: the server now
-// matches the State exactly, so every block is correctly "already captured"
-// relative to the State's horizon.
+// Geometry must be pre-validated. Every v-block is stamped with the State's
+// clock: captures into the State itself (horizon T) skip them, as the
+// server matches it exactly, while a fresh NewCaptureState (horizon 0)
+// copies them — the checkpoint does not persist vver, and a zero stamp
+// would leave the restored v_k out of every later fresh capture.
+//
+// Every worker's dirty horizon restarts at 0, so its next gather rescans
+// every block an apply ever touched (never-touched blocks hold M == 0 ==
+// v_k). That keeps a restore sound whatever the checkpoint's residual bits
+// say: those written before the bits also tracked suppressed Eq. 6 mass
+// under-approximate it. A worker reconnecting after a restart is resynced
+// anyway, so the rescan costs nothing in practice.
 func (s *Server) restoreFrom(ss *checkpoint.ShardState) {
 	for layer := range s.m {
 		copy(s.m[layer], ss.M[layer])
@@ -180,17 +189,14 @@ func (s *Server) restoreFrom(ss *checkpoint.ShardState) {
 		w := &s.workers[k]
 		sw := &ss.Workers[k]
 		w.prev = sw.Prev
-		w.syncVer = sw.SyncVer
 		w.epoch.Store(sw.Epoch)
 		for layer := range w.v {
 			copy(w.v[layer], sw.V[layer])
 			copy(w.resid[layer], sw.Resid[layer])
+			for b := range w.vver[layer] {
+				w.vver[layer][b] = ss.T
+			}
 		}
-		// Residual summaries (secondary path) are not persisted: the restored
-		// worker has syncVer > 0 with zeroed smax, which would wrongly skip
-		// clean blocks still holding residual mass. Force one full rebuild
-		// scan on the next gather.
-		w.sumStale = true
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"dgs/internal/checkpoint"
+	"dgs/internal/nn"
 	"dgs/internal/sparse"
+	"dgs/internal/tensor"
 )
 
 // randUpdate builds a sparse update touching a few random coordinates of a
@@ -113,11 +115,9 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 }
 
 // TestSecondaryCaptureRestoreRoundTrip is the restore path's sharp edge for
-// the residual summaries: checkpoints do not persist smax/snnz, and a
-// restored secondary worker has syncVer > 0 — without the forced rebuild
-// scan (workerState.sumStale) it would trust its zeroed summaries, skip
-// clean blocks that still hold suppressed residual mass, and its downward
-// differences would silently diverge from the original server's.
+// suppressed Eq. 6 residual: version-clean blocks still holding mass must
+// be rescanned after the restore, or the restored server's downward
+// differences silently diverge from the original server's.
 func TestSecondaryCaptureRestoreRoundTrip(t *testing.T) {
 	cfg := captureConfig()
 	cfg.Secondary = true
@@ -313,6 +313,62 @@ func TestShardedCaptureRestore(t *testing.T) {
 		if !updatesEqual(&gs, &gr) {
 			t.Fatalf("push %d: sharded downward differences diverge after restore", i)
 		}
+	}
+}
+
+// TestShardedCaptureRestoreModelGeometries: the geometries the benchmark
+// trains, on 2 shards with Secondary at 5 % (mlp_dual_pipe's server), round
+// trip through Capture → Encode → Decode → Restore bitwise. Cost-model LPT
+// places a dominant layer first, so a shard's layers only decode if each
+// shard lists them in ascending global id.
+func TestShardedCaptureRestoreModelGeometries(t *testing.T) {
+	for name, sizes := range map[string][]int{
+		"mlp":     nn.NewMLP(tensor.NewRNG(1), 64, 512, 512, 64).LayerSizes(),
+		"resnets": nn.NewResNetS(tensor.NewRNG(1), nn.DefaultResNetS(10)).LayerSizes(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{LayerSizes: sizes, Workers: 2, Secondary: true, SecondaryRatio: 0.05, Quiet: true}
+			s := NewShardedServer(cfg, 2)
+			rng := tensor.NewRNG(8)
+			for i := 0; i < 6; i++ {
+				s.Push(i%2, topKUpdate(rng, sizes, 0.05))
+			}
+			st := s.NewCaptureState()
+			if _, err := s.Capture(st); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := checkpoint.Decode(checkpoint.Encode(st))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			r, err := RestoreShardedServer(cfg, 2, dec)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			again := r.NewCaptureState()
+			if _, err := r.Capture(again); err != nil {
+				t.Fatal(err)
+			}
+			for sh := range st.Shards {
+				a, b := &st.Shards[sh], &again.Shards[sh]
+				if !reflect.DeepEqual(a.Layers, b.Layers) || !reflect.DeepEqual(a.M, b.M) || !reflect.DeepEqual(a.MVer, b.MVer) {
+					t.Fatalf("shard %d: restored M differs", sh)
+				}
+				for k := range a.Workers {
+					if !reflect.DeepEqual(a.Workers[k].V, b.Workers[k].V) || !reflect.DeepEqual(a.Workers[k].Resid, b.Workers[k].Resid) {
+						t.Fatalf("shard %d: restored v_%d differs", sh, k)
+					}
+				}
+			}
+			for i := 0; i < 6; i++ {
+				u := topKUpdate(rng, sizes, 0.05)
+				gs, ts1 := s.Push(i%2, cloneUpdate(u))
+				gr, ts2 := r.Push(i%2, cloneUpdate(u))
+				if ts1 != ts2 || !updatesEqual(&gs, &gr) {
+					t.Fatalf("push %d: restored server diverges from the original", i)
+				}
+			}
+		})
 	}
 }
 

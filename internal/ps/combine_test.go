@@ -223,23 +223,29 @@ func TestConcurrentPushSteadyStateAllocs(t *testing.T) {
 	} {
 		srv := NewServer(cfg)
 		g := [2]*sparse.Update{benchUpdate(tensor.NewRNG(41), benchSizes), benchUpdate(tensor.NewRNG(42), benchSizes)}
-		start, done := make(chan struct{}), make(chan struct{})
-		go func() {
-			for range start {
-				srv.Push(1, g[1])
-				done <- struct{}{}
-			}
-		}()
-		both := func() {
-			start <- struct{}{}
-			srv.Push(0, g[0])
-			<-done
-		}
-		both()
-		both()
-		if allocs := testing.AllocsPerRun(20, both); allocs > 0 {
+		if allocs := concurrentPushAllocs(srv, g); allocs > 0 {
 			t.Errorf("%s: two concurrent steady-state pushes allocate %v objects, want 0", name, allocs)
 		}
-		close(start)
 	}
+}
+
+// concurrentPushAllocs warms srv's workers 0 and 1 up, then reports the
+// allocations of one round in which both push g[k] at once.
+func concurrentPushAllocs(srv *Server, g [2]*sparse.Update) float64 {
+	start, done := make(chan struct{}), make(chan struct{})
+	defer close(start)
+	go func() {
+		for range start {
+			srv.Push(1, g[1])
+			done <- struct{}{}
+		}
+	}()
+	both := func() {
+		start <- struct{}{}
+		srv.Push(0, g[0])
+		<-done
+	}
+	both()
+	both()
+	return testing.AllocsPerRun(20, both)
 }

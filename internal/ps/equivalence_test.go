@@ -73,11 +73,11 @@ func requireSameState(t *testing.T, label string, sizes []int, got, want pusherU
 		}
 	}
 	gs, ws := got.Stats(), want.Stats()
-	// The baseline has no diff tracking, no candidate-narrowed secondary
-	// path, and no copy-on-version snapshot engine; those counters are
-	// expected to diverge.
+	// The baseline has no diff tracking, no secondary candidate counter,
+	// and no copy-on-version snapshot engine; those counters are expected
+	// to diverge.
 	gs.DiffBlocksScanned, gs.DiffBlocksSkipped = 0, 0
-	gs.SecondaryCandidates, gs.SecondaryRounds = 0, 0
+	gs.SecondaryCandidates = 0
 	gs.SnapshotRefreshes, gs.SnapshotBlocksCopied = 0, 0
 	gs.SnapshotBlocksSkipped, gs.SnapshotReads = 0, 0
 	if gs != ws {
@@ -108,8 +108,8 @@ func TestPushEquivalence(t *testing.T) {
 		{"secondary_k_floor", Config{LayerSizes: []int{64, 257}, Workers: 3, Secondary: true, SecondaryRatio: 1e-9, Quiet: true}},
 		{"secondary_half", Config{LayerSizes: []int{17, 1000, 3}, Workers: 3, Secondary: true, SecondaryRatio: 0.5, Quiet: true}},
 		{"secondary_keep_all", Config{LayerSizes: []int{64, 257}, Workers: 2, Secondary: true, SecondaryRatio: 1.0, Quiet: true}},
-		// Tiny blocks make the candidate set span many blocks, exercising the
-		// pending-promotion loop and per-block summary maintenance hard.
+		// Tiny blocks spread the suppressed residual over many blocks, so
+		// most gathers skip some blocks and rescan others by their resid bit.
 		{"secondary_tiny_blocks", Config{LayerSizes: []int{17, 1000, 3}, Workers: 3, Secondary: true, SecondaryRatio: 0.1, BlockShift: 4, Quiet: true}},
 		{"dense_downward", Config{LayerSizes: []int{33, 80}, Workers: 2, DenseDownward: true, Quiet: true}},
 	}

@@ -35,14 +35,10 @@ type DownFolder interface {
 //
 // Dirty-tracking bookkeeping mirrors what a stale v_k needs elsewhere:
 // every touched block gets its residual bit set (the block may be
-// version-clean, and sparseDiff would otherwise prove its diff zero and
-// skip the error forever), its v-version stamped one past the current clock
-// (same rule as Resync: strictly beyond any capture horizon recorded so
-// far, so the next checkpoint copies the folded state), and — under
-// secondary compression — its residual summary recomputed so smax/snnz
-// stay exact. M is frozen by the read lock during the recompute; if a
-// concurrent apply lands after it, that apply stamps the block past the
-// worker's sync horizon and forces a rescan anyway.
+// version-clean, and the gather would otherwise prove its diff zero and
+// skip the error forever), and its v-version stamped one past the current
+// clock (same rule as Resync: strictly beyond any capture horizon recorded
+// so far, so the next checkpoint copies the folded state).
 //
 // The transport layer serialises a worker's exchanges, so FoldDown runs
 // between that worker's pushes; the locks exist to order it against
@@ -69,34 +65,10 @@ func (s *Server) FoldDown(worker int, e *sparse.Update) {
 		for j, idx := range c.Idx {
 			vl[idx] -= c.Val[j]
 		}
-		resid := w.resid[c.Layer]
-		prevB := -1
+		// Unconditionally marking is safe: the next rescan clears a bit
+		// again if its block turns out clean.
 		for _, idx := range c.Idx {
-			b := int(idx) >> s.blockShift
-			if b == prevB {
-				continue
-			}
-			prevB = b
-			// Unconditionally marking is safe: the next rescan clears the bit
-			// again if the block turns out clean.
-			resid[b>>6] |= 1 << uint(b&63)
-			if s.cfg.Secondary {
-				ml := s.m[c.Layer]
-				lo, hi := sparse.BlockSpan(b, s.blockShift, len(ml))
-				var newMax float32
-				var newNNZ int32
-				for j := lo; j < hi; j++ {
-					if d := ml[j] - vl[j]; d != 0 {
-						newNNZ++
-						if r := sparse.Rank(d); r > newMax {
-							newMax = r
-						}
-					}
-				}
-				w.residNNZ[c.Layer] += int(newNNZ - w.snnz[c.Layer][b])
-				w.snnz[c.Layer][b] = newNNZ
-				w.smax[c.Layer][b] = newMax
-			}
+			setResid(w.resid[c.Layer], int(idx)>>s.blockShift, true)
 		}
 		sparse.MarkBlocks(w.vver[c.Layer], c.Idx, stamp, s.blockShift)
 	}

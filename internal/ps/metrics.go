@@ -25,7 +25,6 @@ type metrics struct {
 	blocksScanned *telemetry.Counter
 	blocksSkipped *telemetry.Counter
 	secCand       *telemetry.Counter
-	secRounds     *telemetry.Counter
 	snapRefreshes *telemetry.Counter
 	snapCopied    *telemetry.Counter
 	snapSkipped   *telemetry.Counter
@@ -90,9 +89,7 @@ func newMetrics(layerSizes []int, workers int) *metrics {
 		blocksSkipped: reg.Counter("dgs_ps_diff_blocks_skipped_total",
 			"Dirty-tracking blocks proved untouched and skipped by the diff."),
 		secCand: reg.Counter("dgs_ps_secondary_candidates_total",
-			"Coordinates entering the secondary Top-k candidate list (full scan would be pushes x model size)."),
-		secRounds: reg.Counter("dgs_ps_secondary_rounds_total",
-			"Threshold-promotion rounds run by the secondary gather (near one per push means the carried threshold held)."),
+			"Nonzero coordinates of the downward difference the secondary Top-k selected from."),
 		snapRefreshes: reg.Counter("dgs_ps_snapshot_refreshes_total",
 			"Copy-on-version shadow refreshes (model read lock held O(dirty blocks) each)."),
 		snapCopied: reg.Counter("dgs_ps_snapshot_blocks_copied_total",
@@ -118,7 +115,7 @@ func newMetrics(layerSizes []int, workers int) *metrics {
 }
 
 // observePush records one completed exchange. All paths are alloc-free.
-func (m *metrics) observePush(worker int, stale, upNNZ, downNNZ uint64, lockWait time.Duration, scanned, skipped, secCand, secRounds uint64) {
+func (m *metrics) observePush(worker int, stale, upNNZ, downNNZ uint64, lockWait time.Duration, scanned, skipped, secCand uint64) {
 	if m == nil {
 		return
 	}
@@ -130,7 +127,6 @@ func (m *metrics) observePush(worker int, stale, upNNZ, downNNZ uint64, lockWait
 	m.blocksScanned.Add(scanned)
 	m.blocksSkipped.Add(skipped)
 	m.secCand.Add(secCand)
-	m.secRounds.Add(secRounds)
 	if m.modelSize > 0 {
 		m.density.Set(float64(downNNZ) / m.modelSize)
 	}
@@ -196,11 +192,8 @@ func registerShardMetrics(shards []*Server) {
 			"Dirty-tracking blocks this shard's downward diffs proved untouched.",
 			func() float64 { return float64(sh.blocksSkipped.Load()) }, "shard", label)
 		reg.GaugeFunc("dgs_ps_shard_secondary_candidates_total",
-			"Coordinates entering this shard's secondary Top-k candidate lists.",
+			"Nonzero coordinates this shard's secondary Top-k selected from.",
 			func() float64 { return float64(sh.secCand.Load()) }, "shard", label)
-		reg.GaugeFunc("dgs_ps_shard_secondary_rounds_total",
-			"Threshold-promotion rounds run by this shard's secondary gathers.",
-			func() float64 { return float64(sh.secRounds.Load()) }, "shard", label)
 		rate := &pushRate{src: sh.pushes.Load}
 		reg.GaugeFunc("dgs_ps_shard_pushes_per_sec",
 			"Shard-local push throughput since the previous metrics collection.",

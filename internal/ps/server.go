@@ -46,13 +46,19 @@
 //
 // Results are bitwise-identical to the frozen single-mutex BaselineServer
 // (enforced by TestPushEquivalence): the skipped blocks are exactly those
-// where the diff is provably zero, and a per-worker residual bitmap keeps
-// rescanning the rare block where float rounding left v_k + (M−v_k) ≠ M,
-// which the full scan would have re-sent as a tiny correction.
+// where the diff is provably zero. A per-worker residual bitmap keeps
+// rescanning every block that still held a nonzero M − v_k after the
+// worker's last gather: the rare float-rounding sliver (v_k + (M−v_k) ≠ M)
+// the full scan would re-send as a tiny correction, and, under secondary
+// compression (Eq. 6), the mass the Top-k left behind. The secondary gather
+// is one fused pass that writes M − v_k into dense scratch while feeding the
+// Top-k histogram, then one pass that emits what the selection keeps
+// (DESIGN.md §13).
 package ps
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,8 +89,9 @@ type Config struct {
 	// (sparse.AutoBlockShift): at most 64 elements without Secondary, up to
 	// 1024 with it, finer for mixed small-layer geometries so dirty
 	// tracking can still resolve them. Smaller blocks skip more of the
-	// model per diff at the cost of a larger version array; the result is
-	// identical either way. An explicit value wins in both modes.
+	// model per diff at the cost of a larger version array and, under
+	// Secondary, a per-block cost in both passes of the gather; the result
+	// is identical either way. An explicit value wins in both modes.
 	BlockShift uint
 	// Quiet suppresses telemetry registration. ShardedServer sets it on its
 	// inner shards and instruments at the wrapper, so one logical push is
@@ -107,18 +114,13 @@ type Stats struct {
 	// Resyncs is the number of worker state resets (crash/rejoin recoveries).
 	Resyncs uint64
 	// DiffBlocksScanned / DiffBlocksSkipped count dirty-tracking blocks the
-	// downward diff visited vs proved untouched and skipped. Their ratio is
-	// the fraction of full-model work the diff tracking eliminated. The
-	// secondary path contributes too: a skipped block there is one whose
-	// residual summary proved it cannot reach the Top-k threshold.
+	// downward diff visited vs proved to hold M == v_k and skipped. Their
+	// ratio is the fraction of full-model work the diff tracking eliminated.
 	DiffBlocksScanned uint64
 	DiffBlocksSkipped uint64
-	// SecondaryCandidates counts coordinates that entered the secondary
-	// Top-k candidate list (the full-scan equivalent would be pushes ×
-	// model size); SecondaryRounds counts threshold-promotion rounds, so
-	// Rounds/Pushes near 1 means the carried threshold almost always holds.
+	// SecondaryCandidates counts the nonzero coordinates of M − v_k the
+	// secondary (Eq. 6) Top-k selected from, summed over gathers.
 	SecondaryCandidates uint64
-	SecondaryRounds     uint64
 	// SnapshotRefreshes / SnapshotBlocksCopied / SnapshotBlocksSkipped count
 	// copy-on-version shadow refreshes and their per-block outcomes;
 	// SnapshotReads counts cuts served from the shadow (snapshot.go). The
@@ -168,19 +170,21 @@ type workerState struct {
 	// Resync resets it to 0 (blocks never touched still hold M == 0 == v_k,
 	// everything else is rescanned, which re-ships the dense snapshot).
 	syncVer uint64
-	// resid[layer] is a per-block bitmap of coordinates where float
-	// rounding left v_k ≠ M after an exchange (v + (M−v) is not always
-	// exact). Set bits force a rescan even when the block version is clean,
-	// so the tiny correction the full scan would re-send still goes out and
-	// results stay bitwise-identical to BaselineServer.
+	// resid[layer] is a per-block bitmap. A gather leaves a block's bit set
+	// iff the block still holds a nonzero M − v_k: a float-rounding sliver
+	// (v + (M−v) is not always exact) or, under secondary compression, mass
+	// the Top-k did not select. FoldDown sets the bits of the blocks it
+	// touches. The invariant every gather relies on: a block holding a
+	// nonzero M − v_k is version-dirty (mver > syncVer) or has its bit set.
+	// Set bits force a rescan, so what the full scan would re-send still
+	// goes out and results stay bitwise-identical to BaselineServer.
 	resid [][]uint64
 	// vver[layer] stamps each dirty-tracking block of v with the timestamp
 	// of the last exchange that changed it — the checkpoint analogue of
 	// mver. Capture copies only v-blocks stamped after its previous
 	// horizon, so steady-state checkpoints are incremental on the worker
-	// state too, not just on M. Not persisted: a restored server matches
-	// its checkpoint exactly, so an all-zero vver correctly marks
-	// everything as already captured.
+	// state too, not just on M. Not persisted: a restore stamps every
+	// block with the checkpoint's clock (see restoreFrom).
 	vver [][]uint64
 	// epoch is the incarnation counter, bumped on Resync. Atomic so the
 	// transport's fencing reads never touch a lock.
@@ -189,7 +193,11 @@ type workerState struct {
 	// it lives until this worker's next exchange, so steady-state pushes
 	// allocate nothing.
 	down sparse.Update
+	// Secondary gather scratch: sel is the Top-k selector, diff holds
+	// M − v_k for one layer at a time. diff is grown on first use, to the
+	// largest layer, and is all-zero between gathers (see secondaryDiff).
 	sel  sparse.Selector
+	diff []float32
 
 	// Apply-queue slot (see Server.enqueue). w.mu admits one Push per worker
 	// at a time, so one slot per worker is all the queue ever needs: pending
@@ -199,40 +207,6 @@ type workerState struct {
 	pending *sparse.Update
 	next    *workerState
 	applied chan uint64
-
-	// Residual-magnitude summaries for the secondary path (DESIGN.md §13),
-	// allocated only when Config.Secondary. smax[layer][b] is the exact
-	// maximum sparse.Rank (|·|, NaN→+Inf) of the suppressed residual
-	// M − v_k inside dirty-tracking block b; snnz[layer][b] counts its
-	// nonzero coordinates; residNNZ[layer] is the layer-wide total (the
-	// exact nnz the Top-k k must be clamped to). The summaries are exact
-	// for version-clean blocks because only this worker's own gathers write
-	// v_k and only stamped applies change M — see secondaryGather.
-	smax     [][]float32
-	snnz     [][]int32
-	residNNZ []int
-	// thr[layer] carries the previous exchange's selection threshold
-	// (Rank space): clean blocks whose summary max falls below it are
-	// deferred unread and only re-read if the in-exchange promotion loop
-	// proves the real threshold dropped far enough to reach them.
-	thr []float32
-	// sumStale forces the next gather to rebuild the summaries with a full
-	// scan of every ever-touched block. Set by restoreFrom: summaries are
-	// not persisted in checkpoints, and a restored worker may have
-	// syncVer > 0 with zeroed smax, which would otherwise skip blocks that
-	// still hold residual mass.
-	sumStale bool
-	// Secondary gather scratch (amortised like down; steady-state pushes
-	// allocate nothing): the compacted candidate list, the per-scanned-block
-	// segment table, the pending (deferred clean block) list, and the
-	// selection marks.
-	candVal []float32
-	candIdx []int32
-	scanB   []int32
-	segLo   []int32
-	segHi   []int32
-	pend    []int32
-	selMark []bool
 }
 
 // Server is a thread-safe DGS parameter server.
@@ -270,7 +244,6 @@ type Server struct {
 	blocksScanned atomic.Uint64
 	blocksSkipped atomic.Uint64
 	secCand       atomic.Uint64
-	secRounds     atomic.Uint64
 
 	workers []workerState
 
@@ -331,16 +304,6 @@ func NewServer(cfg Config) *Server {
 			w.resid[i] = make([]uint64, (len(s.mver[i])+63)/64)
 			w.vver[i] = make([]uint64, len(s.mver[i]))
 		}
-		if cfg.Secondary {
-			w.smax = make([][]float32, len(cfg.LayerSizes))
-			w.snnz = make([][]int32, len(cfg.LayerSizes))
-			w.residNNZ = make([]int, len(cfg.LayerSizes))
-			w.thr = make([]float32, len(cfg.LayerSizes))
-			for i := range w.smax {
-				w.smax[i] = make([]float32, len(s.mver[i]))
-				w.snnz[i] = make([]int32, len(s.mver[i]))
-			}
-		}
 	}
 	s.denseIdx = make([]int32, maxLayer)
 	for i := range s.denseIdx {
@@ -386,21 +349,6 @@ func (s *Server) Resync(worker int) {
 		for i := range ver {
 			ver[i] = vstamp
 		}
-	}
-	// Zeroed residual summaries are consistent with syncVer = 0: every
-	// ever-touched block has mver > 0 and is version-dirty against the reset
-	// horizon, so the next gather rescans it and rebuilds its summary, while
-	// never-touched blocks really do hold M == 0 == v_k (zero residual).
-	if s.cfg.Secondary {
-		for layer := range w.smax {
-			for b := range w.smax[layer] {
-				w.smax[layer][b] = 0
-				w.snnz[layer][b] = 0
-			}
-			w.residNNZ[layer] = 0
-			w.thr[layer] = 0
-		}
-		w.sumStale = false
 	}
 	w.prev = s.t.Load()
 	// syncVer 0 forces the next diff to visit every block ever touched:
@@ -472,25 +420,10 @@ func (s *Server) push(worker int, g *sparse.Update) (sparse.Update, uint64) {
 	s.stalenessSum.Add(stale)
 	atomicMax(&s.maxStaleness, stale)
 
-	// Compute G = M − v_k (Eq. 3 / Algorithm 2 line 4) under the read lock:
-	// concurrent pushes by other workers gather here in parallel. tSeen is
-	// the timestamp whose applies are fully visible to this read section
-	// (every apply completes under the write lock before t advances), so it
-	// is the horizon v_k is synchronised to afterwards.
-	s.mu.RLock()
-	tSeen := s.t.Load()
-	scanned, skipped, cand, rounds := s.gatherDown(w, w.syncVer, tSeen)
-	s.mu.RUnlock()
-
-	w.prev = tSeen
-	w.syncVer = tSeen
-	s.blocksScanned.Add(scanned)
-	s.blocksSkipped.Add(skipped)
-	if s.cfg.Secondary {
-		s.secCand.Add(cand)
-		s.secRounds.Add(rounds)
-	}
-	s.met.observePush(worker, stale, uint64(g.NNZ()), uint64(w.down.NNZ()), lockWait, scanned, skipped, cand, rounds)
+	// Compute G = M − v_k (Eq. 3 / Algorithm 2 line 4); concurrent pushes
+	// by other workers gather in parallel.
+	tSeen, scanned, skipped, cand := s.gatherDown(w)
+	s.met.observePush(worker, stale, uint64(g.NNZ()), uint64(w.down.NNZ()), lockWait, scanned, skipped, cand)
 	return w.down, tSeen
 }
 
@@ -556,53 +489,61 @@ func (s *Server) applyLocked(g *sparse.Update, scale float32, stamp uint64) {
 	}
 }
 
-// gatherDown assembles the downward update for w into w.down and records it
-// in v_k. The caller holds w.mu and s.mu.RLock. since is the dirty-tracking
-// horizon: in the sparse non-secondary path, blocks stamped at or before it
-// (and without a residual bit) are skipped outright. stamp is the timestamp
-// written into w.vver for every v-block this gather changes (checkpoint
-// dirty tracking); Push passes tSeen, which is strictly greater than any
-// capture horizon recorded before this gather began.
-func (s *Server) gatherDown(w *workerState, since, stamp uint64) (scanned, skipped, cand, rounds uint64) {
+// gatherDown assembles the downward update for w into w.down, records it in
+// v_k, and moves w's horizons to the clock it saw. The caller holds w.mu;
+// gatherDown takes the model read lock itself, so gathers of different
+// workers run side by side. tSeen is the timestamp whose applies are fully
+// visible to the read section (every apply completes under the write lock
+// before t advances): the horizon v_k is synchronised to afterwards, and the
+// stamp written into w.vver for every v-block this gather changes — strictly
+// greater than any capture horizon recorded before the gather began.
+func (s *Server) gatherDown(w *workerState) (tSeen, scanned, skipped, cand uint64) {
+	s.mu.RLock()
+	tSeen = s.t.Load()
+	since := w.syncVer
 	out := &w.down
 	out.Chunks = out.Chunks[:0]
 	for layer := range s.m {
 		ml, vl := s.m[layer], w.v[layer]
-		switch {
-		case s.cfg.DenseDownward:
+		if s.cfg.DenseDownward {
 			// Ship every coordinate (whole-model download semantics). Any of
 			// them may have changed v, so stamp the whole layer.
 			denseDiff(out.NextChunk(), layer, ml, vl, s.denseIdx)
 			for b := range w.vver[layer] {
-				w.vver[layer][b] = stamp
+				w.vver[layer][b] = tSeen
 			}
-		case s.cfg.Secondary:
-			// Secondary compression: keep only the top R% of |G| for this
-			// layer; the remainder stays implicit in M − v_k and is
-			// transmitted once it grows large enough (Eq. 6). The residual
-			// summaries bound that remainder per block, so the Top-k runs
-			// over dirty + residual-bearing blocks instead of the full layer
-			// (see secondary.go and DESIGN.md §13).
-			sc, sk, cd, rd := s.secondaryGather(w, out, layer, since, stamp)
-			scanned += sc
-			skipped += sk
-			cand += cd
-			rounds += rd
-		default:
-			c := out.NextChunk()
-			sc, sk := sparseDiff(c, layer, ml, vl, s.mver[layer], w.resid[layer], w.vver[layer], since, stamp, s.blockShift)
-			scanned += sc
-			skipped += sk
-			if len(c.Idx) == 0 {
-				// No difference in this layer: match the full scan, which
-				// emits no chunk (the popped slot's storage stays pooled).
-				out.Chunks = out.Chunks[:len(out.Chunks)-1]
-			}
+			continue
+		}
+		c := out.NextChunk()
+		var sc, sk uint64
+		if s.cfg.Secondary {
+			// Keep only the top R% of |G| for this layer; the remainder stays
+			// implicit in M − v_k and is transmitted once it grows large
+			// enough (Eq. 6).
+			var nnz uint64
+			sc, sk, nnz = s.secondaryDiff(w, c, layer, since, tSeen)
+			cand += nnz
+		} else {
+			sc, sk = sparseDiff(c, layer, ml, vl, s.mver[layer], w.resid[layer], w.vver[layer], since, tSeen, s.blockShift)
+		}
+		scanned += sc
+		skipped += sk
+		if len(c.Idx) == 0 {
+			// No difference in this layer: match the full scan, which emits
+			// no chunk (the popped slot's storage stays pooled).
+			out.Chunks = out.Chunks[:len(out.Chunks)-1]
 		}
 	}
-	// A restore-triggered summary rebuild covers every layer in one gather.
-	w.sumStale = false
-	return scanned, skipped, cand, rounds
+	s.mu.RUnlock()
+
+	w.prev = tSeen
+	w.syncVer = tSeen
+	s.blocksScanned.Add(scanned)
+	s.blocksSkipped.Add(skipped)
+	if s.cfg.Secondary {
+		s.secCand.Add(cand)
+	}
+	return tSeen, scanned, skipped, cand
 }
 
 // denseDiff fills c with the complete difference ml − vl (every coordinate,
@@ -635,37 +576,119 @@ func sparseDiff(c *sparse.Chunk, layer int, ml, vl []float32, ver, resid, vver [
 	c.Idx = c.Idx[:0]
 	c.Val = c.Val[:0]
 	for b := range ver {
-		word, bit := b>>6, uint(b&63)
-		if ver[b] <= since && resid[word]&(1<<bit) == 0 {
+		if !dirty(ver, resid, b, since) {
 			skipped++
 			continue
 		}
 		scanned++
 		lo, hi := sparse.BlockSpan(b, shift, len(ml))
-		clean := true
-		changed := false
+		sent := len(c.Idx)
+		left := false
 		for j := lo; j < hi; j++ {
 			dv := ml[j] - vl[j]
 			if dv != 0 {
 				c.Idx = append(c.Idx, int32(j))
 				c.Val = append(c.Val, dv)
 				vl[j] += dv
-				changed = true
-				if vl[j] != ml[j] {
-					clean = false
-				}
+				left = left || vl[j] != ml[j]
 			}
 		}
-		if changed {
+		if len(c.Idx) > sent {
 			vver[b] = stamp
 		}
-		if clean {
-			resid[word] &^= 1 << bit
-		} else {
-			resid[word] |= 1 << bit
-		}
+		setResid(resid, b, left)
 	}
 	return scanned, skipped
+}
+
+// secondaryDiff is sparseDiff under Eq. 6: of the nonzero coordinates of
+// ml − vl it appends only the top R% of the layer (descending sparse.Rank,
+// ties to the lower coordinate) into c, ascending, and folds those into vl;
+// the rest stays in M − v_k as suppressed residual for a later exchange.
+// It reports blocks scanned and skipped and the nonzeros selected from.
+//
+// Pass 1 writes d = ml − vl of every block sparseDiff would visit into the
+// worker's dense scratch, feeds the selector's first histogram level and
+// counts nonzeros branch-free. A skipped block holds M == v_k (the resid
+// invariant), so it enters the histogram as a count of zeros, unread. The
+// Cut then resolves k = min(KForRatio, nnz) over d. Pass 2 revisits the
+// same blocks — a block's resid bit is read before pass 2 rewrites it —
+// emits what the Cut keeps, folds it into vl, re-zeroes d behind it, and
+// leaves each block's bit set iff a nonzero M − v_k remains there. Same d,
+// same k, same Cut, same ascending emit and same v += d as BaselineServer's
+// full-scan TopK: the chunk and v_k are bitwise its.
+func (s *Server) secondaryDiff(w *workerState, c *sparse.Chunk, layer int, since, stamp uint64) (scanned, skipped, nnz uint64) {
+	const absMask = 0x7fffffff
+	ml, vl := s.m[layer], w.v[layer]
+	ver, resid, vver := s.mver[layer], w.resid[layer], w.vver[layer]
+	if len(w.diff) < len(ml) {
+		w.diff = make([]float32, len(ml))
+	}
+	d := w.diff[:len(ml)]
+	h := w.sel.Begin(len(d))
+	for b := range ver {
+		lo, hi := sparse.BlockSpan(b, s.blockShift, len(ml))
+		if !dirty(ver, resid, b, since) {
+			skipped++
+			h.AddZeros(hi - lo)
+			continue
+		}
+		scanned++
+		for j := lo; j < hi; j++ {
+			dv := ml[j] - vl[j]
+			d[j] = dv
+			h.Add(dv)
+			// 1 iff |dv| has a nonzero bit: ±0 count 0, NaN counts 1.
+			nnz += uint64((math.Float32bits(dv)&absMask + absMask) >> 31)
+		}
+	}
+	var cut sparse.Cut // selects nothing: a layer without nonzeros ships nothing
+	if k := min(sparse.KForRatio(len(ml), s.cfg.SecondaryRatio), int(nnz)); k > 0 {
+		cut = w.sel.Cut(d, k)
+	}
+
+	c.Layer = layer
+	c.Idx = c.Idx[:0]
+	c.Val = c.Val[:0]
+	for b := range ver {
+		if !dirty(ver, resid, b, since) {
+			continue
+		}
+		lo, hi := sparse.BlockSpan(b, s.blockShift, len(ml))
+		sent := len(c.Idx)
+		left := false
+		for j := lo; j < hi; j++ {
+			dv := d[j]
+			d[j] = 0
+			if cut.Keeps(dv, int32(j)) {
+				c.Idx = append(c.Idx, int32(j))
+				c.Val = append(c.Val, dv)
+				vl[j] += dv
+				dv = ml[j] - vl[j]
+			}
+			left = left || dv != 0
+		}
+		if len(c.Idx) > sent {
+			vver[b] = stamp
+		}
+		setResid(resid, b, left)
+	}
+	return scanned, skipped, nnz
+}
+
+// dirty reports whether a gather must visit block b: an apply stamped it
+// after the worker's horizon since, or it held residual M − v_k afterwards.
+func dirty(ver, resid []uint64, b int, since uint64) bool {
+	return ver[b] > since || resid[b>>6]&(1<<uint(b&63)) != 0
+}
+
+// setResid sets or clears block b's residual bit.
+func setResid(resid []uint64, b int, on bool) {
+	if on {
+		resid[b>>6] |= 1 << uint(b&63)
+	} else {
+		resid[b>>6] &^= 1 << uint(b&63)
+	}
 }
 
 // atomicMax raises v to x if x is larger (CAS loop; no-op when not).
@@ -692,7 +715,6 @@ func (s *Server) Stats() Stats {
 		DiffBlocksScanned:     s.blocksScanned.Load(),
 		DiffBlocksSkipped:     s.blocksSkipped.Load(),
 		SecondaryCandidates:   s.secCand.Load(),
-		SecondaryRounds:       s.secRounds.Load(),
 		SnapshotRefreshes:     s.snapRefreshes.Load(),
 		SnapshotBlocksCopied:  s.snapCopied.Load(),
 		SnapshotBlocksSkipped: s.snapSkipped.Load(),

@@ -116,9 +116,7 @@ func NewShardedServer(cfg Config, numShards int) *ShardedServer {
 		return order[a] < order[b]
 	})
 	load := make([]int, numShards)
-	shardLayers := make([][]int, numShards)
 	for _, l := range order {
-		n := cfg.LayerSizes[l]
 		lightest := 0
 		for i := 1; i < numShards; i++ {
 			if load[i] < load[lightest] {
@@ -126,9 +124,17 @@ func NewShardedServer(cfg Config, numShards int) *ShardedServer {
 			}
 		}
 		s.layerShard[l] = lightest
-		s.layerLocal[l] = len(shardLayers[lightest])
-		shardLayers[lightest] = append(shardLayers[lightest], n)
-		load[lightest] += cost(n)
+		load[lightest] += cost(cfg.LayerSizes[l])
+	}
+	// Each shard lists its layers in ascending global id, whatever order LPT
+	// placed them in: that is the order checkpoint.Decode rebuilds a shard's
+	// layer list in, so a sharded checkpoint restores.
+	shardLayers := make([][]int, numShards)
+	s.globalOf = make([][]int, numShards)
+	for l, sh := range s.layerShard {
+		s.layerLocal[l] = len(shardLayers[sh])
+		shardLayers[sh] = append(shardLayers[sh], cfg.LayerSizes[l])
+		s.globalOf[sh] = append(s.globalOf[sh], l)
 	}
 	for i := 0; i < numShards; i++ {
 		sc := cfg
@@ -140,14 +146,6 @@ func NewShardedServer(cfg Config, numShards int) *ShardedServer {
 			sc.LayerSizes = []int{0}
 		}
 		s.shards = append(s.shards, NewServer(sc))
-	}
-	// Invert the layer placement once: local→global per shard.
-	s.globalOf = make([][]int, numShards)
-	for l, sh := range s.layerShard {
-		for len(s.globalOf[sh]) <= s.layerLocal[l] {
-			s.globalOf[sh] = append(s.globalOf[sh], 0)
-		}
-		s.globalOf[sh][s.layerLocal[l]] = l
 	}
 	s.split = make([]shardSplit, cfg.Workers)
 	for k := range s.split {
@@ -277,7 +275,7 @@ func (s *ShardedServer) Push(worker int, g *sparse.Update) (sparse.Update, uint6
 		// wrapper reports zero (it holds no model lock itself) and surfaces
 		// the shard values through Stats and the dgs_ps_shard_* labelled
 		// children instead.
-		s.met.observePush(worker, uint64(stale), uint64(g.NNZ()), uint64(sp.out.NNZ()), 0, 0, 0, 0, 0)
+		s.met.observePush(worker, uint64(stale), uint64(g.NNZ()), uint64(sp.out.NNZ()), 0, 0, 0, 0)
 	}
 	s.prevClock[worker] = clock
 	return sp.out, clock
@@ -363,7 +361,6 @@ func (s *ShardedServer) Stats() Stats {
 		total.DiffBlocksScanned += st.DiffBlocksScanned
 		total.DiffBlocksSkipped += st.DiffBlocksSkipped
 		total.SecondaryCandidates += st.SecondaryCandidates
-		total.SecondaryRounds += st.SecondaryRounds
 		if st.MaxStaleness > total.MaxStaleness {
 			total.MaxStaleness = st.MaxStaleness
 		}

@@ -121,10 +121,10 @@ func TestServerStress(t *testing.T) {
 }
 
 // TestSecondaryServerStress is the same concurrent drill with secondary
-// compression on, so the per-worker residual-summary structures (smax,
-// snnz, residNNZ, the candidate/pending scratch, and the threshold
-// carry-over) update while pushes from other workers, resyncs, Stats,
-// Timestamp, and snapshot pollers all race them under -race.
+// compression on, so the per-worker secondary state (residual bits, the
+// dense difference scratch and the selector) updates while pushes from
+// other workers, resyncs, Stats, Timestamp, and snapshot pollers all race
+// it under -race.
 func TestSecondaryServerStress(t *testing.T) {
 	sizes := []int{1 << 11, 257, 33}
 	const workers = 8

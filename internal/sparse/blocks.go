@@ -11,8 +11,8 @@ import "sort"
 
 // DefaultBlockShift gives 1024-element blocks, the coarsest AutoBlockShift
 // ever picks: the version array is negligible (one uint64 per 4 KiB of
-// parameters). Only servers that keep per-block residual summaries (Eq. 6
-// secondary compression) still tune up to it — see PlainBlockShift.
+// parameters). Only servers with Eq. 6 secondary compression still tune up
+// to it — see PlainBlockShift and AutoBlockShift.
 const DefaultBlockShift = 10
 
 // PlainBlockShift caps the auto-tuned block of a server without secondary
@@ -52,8 +52,9 @@ func BlockSpan(b int, shift uint, n int) (lo, hi int) {
 // CNN's conv kernels) get blocks fine enough that dirty tracking can skip
 // anything at all; large layers get 64-element blocks on the plain path,
 // where a block is pure re-read cost, and up to 1024 on the secondary
-// path, whose per-block residual summaries and threshold carry-over
-// measurably lose when narrowed (DESIGN.md §11). A checkpoint records the
+// path, whose gather visits every block in each of its two passes and is
+// measurably slower at 64 elements on dense Top-k pushes (DESIGN.md §11,
+// §13). A checkpoint records the
 // shift it was taken at and a restore adopts it, so the rule is free to
 // differ between the server that wrote a checkpoint and the one reading it.
 func AutoBlockShift(sizes []int, secondary bool) uint {

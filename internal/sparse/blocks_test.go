@@ -50,7 +50,7 @@ func TestAutoBlockShift(t *testing.T) {
 		{"empty", nil, false, PlainBlockShift},
 		{"empty_secondary", nil, true, DefaultBlockShift},
 		// Embedding-style: a plain gather tracks single 64-element rows; the
-		// secondary summaries keep the coarse 1024-element blocks.
+		// secondary gather keeps the coarse 1024-element blocks.
 		{"embedding", embed, false, PlainBlockShift},
 		{"embedding_secondary", embed, true, DefaultBlockShift},
 		{"one_big", []int{1 << 16}, false, PlainBlockShift},

@@ -24,33 +24,6 @@ func oracleTopK(x []float32, k int) []int32 {
 	return top
 }
 
-// oracleTopKList is the pre-kernel Selector.TopKList.
-func oracleTopKList(val []float32, gidx []int32, k int) ([]int32, float32) {
-	n := len(val)
-	if k <= 0 || n == 0 {
-		return nil, 0
-	}
-	pos := oracleFill(n)
-	byCoord := func(p []int32) {
-		sort.Slice(p, func(a, b int) bool { return gidx[p[a]] < gidx[p[b]] })
-	}
-	if k >= n {
-		thr := Rank(val[0])
-		for i := 1; i < n; i++ {
-			if r := Rank(val[i]); r < thr {
-				thr = r
-			}
-		}
-		byCoord(pos)
-		return pos, thr
-	}
-	oracleQuickselectList(val, gidx, pos, k)
-	thr := Rank(val[pos[k-1]])
-	top := pos[:k]
-	byCoord(top)
-	return top, thr
-}
-
 func oracleFill(n int) []int32 {
 	idx := make([]int32, n)
 	for i := range idx {
@@ -103,52 +76,5 @@ func oraclePartition(x []float32, idx []int32, lo, hi int) int {
 		}
 	}
 	idx[store], idx[hi] = idx[hi], idx[store]
-	return store
-}
-
-func oracleLessList(val []float32, gidx []int32, a, b int32) bool {
-	av, bv := Rank(val[a]), Rank(val[b])
-	if av != bv {
-		return av > bv
-	}
-	return gidx[a] < gidx[b]
-}
-
-func oracleQuickselectList(val []float32, gidx []int32, pos []int32, k int) {
-	lo, hi := 0, len(pos)-1
-	for lo < hi {
-		p := oraclePartitionList(val, gidx, pos, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-}
-
-func oraclePartitionList(val []float32, gidx []int32, pos []int32, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if oracleLessList(val, gidx, pos[mid], pos[lo]) {
-		pos[lo], pos[mid] = pos[mid], pos[lo]
-	}
-	if oracleLessList(val, gidx, pos[hi], pos[lo]) {
-		pos[lo], pos[hi] = pos[hi], pos[lo]
-	}
-	if oracleLessList(val, gidx, pos[hi], pos[mid]) {
-		pos[mid], pos[hi] = pos[hi], pos[mid]
-	}
-	pivot := pos[mid]
-	pos[mid], pos[hi] = pos[hi], pos[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if oracleLessList(val, gidx, pos[i], pivot) {
-			pos[i], pos[store] = pos[store], pos[i]
-			store++
-		}
-	}
-	pos[store], pos[hi] = pos[hi], pos[store]
 	return store
 }

@@ -143,7 +143,7 @@ func TestCutRankMatchesSort(t *testing.T) {
 		sort.Sort(sort.Reverse(sort.Float64Slice(abs)))
 		want := float32(abs[k-1])
 		var sel Selector
-		if got := sel.Cut(x, nil, k).Rank(); got != want {
+		if got := sel.Cut(x, k).Rank(); got != want {
 			t.Fatalf("n=%d k=%d: threshold %v, want %v", n, k, got, want)
 		}
 	}
@@ -154,14 +154,9 @@ func TestSelectorSteadyStateAllocs(t *testing.T) {
 	tensor.NewRNG(35).FillNormal(x, 0, 1)
 	var sel Selector
 	k := len(x) / 100
-	gidx := make([]int32, len(x)/2)
-	for i := range gidx {
-		gidx[i] = int32(len(gidx) - i) // descending: the sort path runs too
-	}
 	sel.TopK(x, k) // warm the scratch
 	allocs := testing.AllocsPerRun(10, func() {
 		sel.TopK(x, k)
-		sel.TopKList(x[:len(x)/2], gidx, k)
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state selection allocates %v objects, want 0", allocs)

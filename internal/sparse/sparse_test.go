@@ -139,11 +139,27 @@ func TestTopKLargeMatchesSort(t *testing.T) {
 func TestCutRank(t *testing.T) {
 	x := []float32{0.1, -5, 3, -0.2, 4}
 	var sel Selector
-	if thr := sel.Cut(x, nil, 2).Rank(); thr != 4 {
+	if thr := sel.Cut(x, 2).Rank(); thr != 4 {
 		t.Fatalf("threshold k=2 = %v, want 4", thr)
 	}
-	if thr := sel.Cut(x, nil, 5).Rank(); thr != 0.1 {
+	if thr := sel.Cut(x, 5).Rank(); thr != 0.1 {
 		t.Fatalf("threshold k=5 = %v, want 0.1", thr)
+	}
+}
+
+// TestRankTotalOrder: Rank must promote NaN to +Inf so selection has a
+// strict total order — what is selected must not depend on array layout.
+func TestRankTotalOrder(t *testing.T) {
+	nan := float32(math.NaN())
+	if r := Rank(nan); !math.IsInf(float64(r), 1) {
+		t.Fatalf("Rank(NaN) = %v, want +Inf", r)
+	}
+	if Rank(-3) != 3 || Rank(3) != 3 || Rank(0) != 0 {
+		t.Fatal("Rank must be |v| for non-NaN")
+	}
+	// A NaN beats every finite value in selection.
+	if got := new(Selector).TopK([]float32{1e30, nan}, 1); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("NaN not selected first: %v", got)
 	}
 }
 

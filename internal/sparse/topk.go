@@ -5,7 +5,6 @@
 package sparse
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -30,13 +29,10 @@ func KForRatio(n int, ratio float64) int {
 
 // Rank maps a value to its selection magnitude: |v|, with NaN promoted to
 // +Inf. NaN payloads sort first (and deterministically, by index) instead of
-// leaving the comparator without a total order — selection results must not
-// depend on array layout, because TopKList runs the same selection over a
-// compacted candidate list and has to pick the identical coordinate set.
-// A NaN gradient coordinate is already a diverged run; shipping it first
-// surfaces the divergence instead of hiding it. Exported because ps keeps
-// per-block residual summaries in this same magnitude space (max Rank per
-// block) and compares them against selection thresholds.
+// leaving the comparator without a total order, so a selection never
+// depends on how NaNs happen to be laid out. A NaN gradient coordinate is
+// already a diverged run; shipping it first surfaces the divergence instead
+// of hiding it.
 func Rank(v float32) float32 {
 	if v != v {
 		return float32(math.Inf(1))
@@ -55,8 +51,7 @@ func Rank(v float32) float32 {
 //	             infBits) is the IEEE-754 magnitude of v as an integer —
 //	             monotone in Rank, ±0 → 0, NaN clamped onto +Inf exactly as
 //	             Rank does — so a larger magnitude is a smaller composite
-//	bits 31..0   the coordinate: the position in a dense layer, gidx[i] in a
-//	             candidate list
+//	bits 31..0   the coordinate: the position in the layer
 //
 // so "a sorts before b" is composite(a) < composite(b), and the selected set
 // is {composite ≤ the k-th smallest composite}: a Cut.
@@ -93,7 +88,7 @@ func composite(v float32, ord int32) uint64 {
 }
 
 // Cut is a selection boundary in the total order: an element is selected iff
-// it sorts at or before the k-th element.
+// it sorts at or before the k-th element. The zero Cut selects nothing.
 type Cut struct {
 	last uint64 // composite of the k-th element
 	key  uint32 // its magnitude key; nothing smaller is selected
@@ -107,7 +102,7 @@ func (c Cut) Keeps(v float32, ord int32) bool {
 }
 
 // Rank returns the selection threshold in Rank space: the magnitude of the
-// k-th element (+Inf if it is NaN), comparable against max-Rank summaries.
+// k-th element (+Inf if it is NaN).
 func (c Cut) Rank() float32 { return math.Float32frombits(c.key) }
 
 // Hist counts elements by the top digit of their composite. A caller that
@@ -120,6 +115,14 @@ type Hist [1 << histDigit]uint32
 func (h *Hist) Add(v float32) {
 	if h != nil {
 		h[orderKey(v)>>(topShift-32)&(1<<histDigit-1)]++
+	}
+}
+
+// AddZeros counts n zero values at once: a caller that knows a run of the
+// layer is zero (ps's version-clean blocks) need not walk it.
+func (h *Hist) AddZeros(n int) {
+	if h != nil {
+		h[orderKey(0)>>(topShift-32)&(1<<histDigit-1)] += uint32(n)
 	}
 }
 
@@ -157,16 +160,15 @@ func (s *Selector) resetHist() *Hist {
 }
 
 // Cut returns the boundary selecting the min(k, len(val)) first elements of
-// the total order, k ≥ 1 and val non-empty. gidx gives each value's
-// coordinate (unique, any order); nil means val is a dense layer and the
-// coordinate is the position. Linear time: each histogram level is one pass
+// the total order, k ≥ 1 and val non-empty; val[i] sits at coordinate i.
+// Linear time: each histogram level is one pass
 // over val that narrows the boundary's bucket by histDigit bits; once the
 // bucket fits the exact stage its composites are compacted and resolved by
 // quickselect. Gradient-shaped layers usually finish after one level (an
 // accumulation that piles up just under its own threshold can need two);
 // only heavy ties (an all-zero layer) descend further, through the
 // coordinate bits.
-func (s *Selector) Cut(val []float32, gidx []int32, k int) Cut {
+func (s *Selector) Cut(val []float32, k int) Cut {
 	r := min(k, len(val))   // 1-based place of the boundary within the bucket
 	fit := max(r, exactCap) // the exact stage's scratch stays O(k)
 	var prefix uint64       // the bucket: composites with c>>shift == prefix
@@ -201,7 +203,7 @@ func (s *Selector) Cut(val []float32, gidx []int32, k int) Cut {
 			lo, span := keyRange(prefix, shift)
 			for i, v := range val {
 				if math.Float32bits(v)&absMask-lo <= span {
-					if c := composite(v, ordOf(gidx, i)); c>>shift == prefix {
+					if c := composite(v, int32(i)); c>>shift == prefix {
 						h[c>>next&mask]++
 					}
 				}
@@ -215,7 +217,7 @@ func (s *Selector) Cut(val []float32, gidx []int32, k int) Cut {
 	lo, span := keyRange(prefix, shift)
 	for i, v := range val {
 		if math.Float32bits(v)&absMask-lo <= span {
-			if c := composite(v, ordOf(gidx, i)); c>>shift == prefix {
+			if c := composite(v, int32(i)); c>>shift == prefix {
 				s.cand = append(s.cand, c)
 			}
 		}
@@ -237,13 +239,6 @@ func keyRange(prefix uint64, shift uint) (lo, span uint32) {
 		hi = absMask // NaN bit patterns clamp onto +Inf
 	}
 	return lo, hi - lo
-}
-
-func ordOf(gidx []int32, i int) int32 {
-	if gidx == nil {
-		return int32(i)
-	}
-	return gidx[i]
 }
 
 // selectNth returns the r-th smallest (0-based) element of a, reordering a.
@@ -296,7 +291,7 @@ func (s *Selector) TopK(x []float32, k int) []int32 {
 	if k <= 0 || len(x) == 0 {
 		return nil
 	}
-	cut := s.Cut(x, nil, k)
+	cut := s.Cut(x, k)
 	s.out = slices.Grow(s.out[:0], min(k, len(x)))
 	for i, v := range x {
 		if cut.Keeps(v, int32(i)) {
@@ -315,41 +310,4 @@ func (s *Selector) TopK(x []float32, k int) []int32 {
 func TopKIndices(x []float32, k int) []int32 {
 	var s Selector
 	return s.TopK(x, k)
-}
-
-// TopKList is bounded Top-k over a sparse candidate list: val[i] is the
-// value living at original coordinate gidx[i] (coordinates unique, order of
-// the list arbitrary). It selects the k largest-|val| entries under exactly
-// the ordering TopK applies to a full dense layer — descending magnitude,
-// ties broken by ascending original coordinate — so as long as the list
-// contains every coordinate that could reach the top k, the selected set is
-// bitwise-identical to a full-layer TopK, at O(len(val)) instead of
-// O(layer). This is what lets ps.Server run secondary compression over only
-// the dirty + residual-bearing blocks (DESIGN.md §13).
-//
-// It returns positions into val/gidx ordered by ascending gidx, plus the
-// selection threshold in Rank space (the k-th magnitude; +Inf if the k-th
-// entry is NaN) — comparable against per-block max-Rank summaries.
-// The positions alias the selector's scratch, valid until the next call.
-// k > len(val) selects everything.
-func (s *Selector) TopKList(val []float32, gidx []int32, k int) ([]int32, float32) {
-	if k <= 0 || len(val) == 0 {
-		return nil, 0
-	}
-	cut := s.Cut(val, gidx, k)
-	s.out = slices.Grow(s.out[:0], min(k, len(val)))
-	ascending, last := true, int32(-1)
-	for i, v := range val {
-		if g := gidx[i]; cut.Keeps(v, g) {
-			s.out = append(s.out, int32(i))
-			ascending = ascending && g > last
-			last = g
-		}
-	}
-	if !ascending {
-		// A promotion appended blocks out of order. Coordinates are unique,
-		// so ordering positions by them is total.
-		slices.SortFunc(s.out, func(a, b int32) int { return cmp.Compare(gidx[a], gidx[b]) })
-	}
-	return s.out, cut.Rank()
 }

@@ -11,12 +11,10 @@ import (
 )
 
 // checkTopKEquivalence asserts that the histogram-select kernel picks
-// exactly what the frozen quickselect oracle picks, for the dense layer x
-// and for the same values laid out as a candidate list under gidx (unique
-// coordinates, arbitrary order), through the plain and the fused entry
-// points. sel is reused across calls on purpose: stale scratch must not
-// leak between selections.
-func checkTopKEquivalence(t testing.TB, sel *Selector, x []float32, gidx []int32, k int) {
+// exactly what the frozen quickselect oracle picks for the layer x, through
+// the plain and the fused entry points. sel is reused across calls on
+// purpose: stale scratch must not leak between selections.
+func checkTopKEquivalence(t testing.TB, sel *Selector, x []float32, k int) {
 	t.Helper()
 	want := oracleTopK(x, k)
 	got := sel.TopK(x, k)
@@ -31,7 +29,7 @@ func checkTopKEquivalence(t testing.TB, sel *Selector, x []float32, gidx []int32
 		for _, v := range x {
 			h.Add(v)
 		}
-		cut := sel.Cut(x, nil, k)
+		cut := sel.Cut(x, k)
 		var fused []int32
 		for i, v := range x {
 			if cut.Keeps(v, int32(i)) {
@@ -42,22 +40,6 @@ func checkTopKEquivalence(t testing.TB, sel *Selector, x []float32, gidx []int32
 			t.Fatalf("fused Cut n=%d k=%d: kernel and oracle differ\n got  %v\n want %v", len(x), k, head(fused), head(want))
 		}
 	}
-
-	wantPos, wantThr := oracleTopKList(x, gidx, k)
-	gotPos, gotThr := sel.TopKList(x, gidx, k)
-	if len(gotPos) != len(wantPos) {
-		t.Fatalf("TopKList n=%d k=%d: selected %d, oracle %d", len(x), k, len(gotPos), len(wantPos))
-	}
-	for i := range gotPos {
-		if gidx[gotPos[i]] != gidx[wantPos[i]] {
-			t.Fatalf("TopKList n=%d k=%d entry %d: coordinate %d, oracle %d",
-				len(x), k, i, gidx[gotPos[i]], gidx[wantPos[i]])
-		}
-	}
-	// == rather than bit equality: the oracle can report a −0 threshold.
-	if gotThr != wantThr {
-		t.Fatalf("TopKList n=%d k=%d: thr %v, oracle %v", len(x), k, gotThr, wantThr)
-	}
 }
 
 func head(a []int32) []int32 {
@@ -65,19 +47,6 @@ func head(a []int32) []int32 {
 		return a[:16]
 	}
 	return a
-}
-
-// shuffledCoords returns n unique non-contiguous coordinates in random order.
-func shuffledCoords(rng *tensor.RNG, n int) []int32 {
-	g := make([]int32, n)
-	for i := range g {
-		g[i] = int32(3*i + 1)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		g[i], g[j] = g[j], g[i]
-	}
-	return g
 }
 
 // equivalenceSizes straddle exactCap: the exact stage alone, one histogram
@@ -148,7 +117,6 @@ func TestTopKEquivalenceTable(t *testing.T) {
 			return math.Float32frombits(0x3f800000 | uint32(i*37)&0x7ffff)
 		}},
 	}
-	rng := tensor.NewRNG(41)
 	var sel Selector
 	for _, tc := range cases {
 		for _, n := range equivalenceSizes {
@@ -156,10 +124,9 @@ func TestTopKEquivalenceTable(t *testing.T) {
 			for i := range x {
 				x[i] = tc.gen(i, n)
 			}
-			gidx := shuffledCoords(rng, n)
 			for _, k := range []int{0, 1, n / 20, n / 2, n - 1, n, n + 3} {
 				t.Run(fmt.Sprintf("%s/n=%d/k=%d", tc.name, n, k), func(t *testing.T) {
-					checkTopKEquivalence(t, &sel, x, gidx, k)
+					checkTopKEquivalence(t, &sel, x, k)
 				})
 			}
 		}
@@ -197,7 +164,7 @@ func TestTopKEquivalenceProperty(t *testing.T) {
 		if trial%3 == 0 {
 			k = KForRatio(n, 0.01*float64(1+rng.Intn(5)))
 		}
-		checkTopKEquivalence(t, &sel, x, shuffledCoords(rng, n), k)
+		checkTopKEquivalence(t, &sel, x, k)
 	}
 }
 
@@ -229,8 +196,7 @@ func FuzzTopKEquivalence(f *testing.F) {
 				x = append(x, math.Float32frombits(le.Uint32(data[4*i:])))
 			}
 		}
-		gidx := shuffledCoords(tensor.NewRNG(uint64(k)+1), len(x))
 		var sel Selector
-		checkTopKEquivalence(t, &sel, x, gidx, int(k)%(len(x)+2))
+		checkTopKEquivalence(t, &sel, x, int(k)%(len(x)+2))
 	})
 }
