@@ -4,6 +4,10 @@
 // single multiplexed upstream connection, and fans the server's downward
 // diff back out — computing each worker's diff against a local mirror of
 // the upstream shard and encoding it once per distinct subscriber state.
+// The fan-out of a window runs on every core (fanout.go): one gather and
+// encode per residual-dirty worker and per clean fingerprint group, then
+// one O(nnz) fold and frame copy per remaining group member, each worker
+// answered as soon as its frame is built.
 //
 // Fidelity: merging is the union of Top-k supports with values summed in
 // worker-slot order (Ozfatura et al., PAPERS.md — sparse contributions can
@@ -114,6 +118,14 @@ type pending struct {
 	resp  []byte
 	err   error
 	ready chan struct{}
+
+	// Fan-out state for the window being completed (see fanout.run): the
+	// clean group leader this slot shares with (nil: it gathers itself),
+	// and what a gather returned — G aliases the mirror's gather scratch
+	// for this slot.
+	lead  *pending
+	G     sparse.Update
+	tSeen uint64
 }
 
 // window is one aggregation batch: the contributions that will merge into a
@@ -134,8 +146,9 @@ type Stats struct {
 	// frames'; their ratio is the upstream dedup factor.
 	PartNNZ   uint64
 	MergedNNZ uint64
-	// SharedFrames were served from the encode-once cache; EncodedFrames
-	// were encoded fresh.
+	// SharedFrames were served from the encode-once cache (a copy of their
+	// clean fingerprint group leader's frame); EncodedFrames were encoded
+	// fresh. Every part is exactly one of the two.
 	SharedFrames  uint64
 	EncodedFrames uint64
 	// UpstreamResets counts mirror rebuilds (upstream restarts/failures).
@@ -174,11 +187,7 @@ type Aggregator struct {
 	down     sparse.Update
 	upFrame  []byte
 	srcs     []*sparse.Update
-	shareOK  bool
-	shareH   uint64        // fingerprint horizon of the cached frame
-	shareT   uint64        // gather timestamp of the cached frame
-	shareBuf []byte        // encoded frame, copied to matching subscribers
-	shareUpd sparse.Update // decoded frame, folded into matching subscribers' v_k
+	fan      fanout
 }
 
 // New builds an aggregator and starts its upstream forwarder.
@@ -463,7 +472,8 @@ func (a *Aggregator) newUpstream() *transport.PipelinedSession {
 }
 
 // completeOldest finishes the oldest in-flight window: apply the upstream
-// diff to the mirror once, then gather and answer every contributor.
+// diff to the mirror once, then fan out — gather and answer every
+// contributor, on every core (fanout.run).
 func (a *Aggregator) completeOldest() {
 	w := a.inflight[0]
 	body, err := a.up.Await()
@@ -486,40 +496,7 @@ func (a *Aggregator) completeOldest() {
 	// workers contributed.
 	a.loc.ApplyDiff(&a.down)
 
-	// Fan out: compute each contributor's diff against the refreshed mirror.
-	// Workers sharing a downward fingerprint (same horizon, residual-clean)
-	// provably hold bitwise-identical v_k and so would gather bitwise-
-	// identical diffs — the first such worker's gather is cached (encoded
-	// frame + decoded update) and every later match skips both the dirty-
-	// block scan (ApplyGathered folds the cached update, O(nnz)) and the
-	// encode (memcpy of the cached frame). The cache is valid for this
-	// window only: this goroutine is the mirror's sole writer, so the
-	// timestamp the cached gather observed cannot move under us.
-	shared, encoded := uint64(0), uint64(0)
-	a.shareOK = false
-	for _, p := range w.parts {
-		preH, preClean := a.loc.DownHorizon(p.slot)
-		if preClean && a.shareOK && preH == a.shareH {
-			a.loc.ApplyGathered(p.slot, &a.shareUpd, a.shareT)
-			p.resp = append(p.resp[:0], a.shareBuf...)
-			shared++
-		} else {
-			G, tSeen := a.loc.Gather(p.slot)
-			p.resp = sparse.AppendEncode(p.resp[:0], &G)
-			encoded++
-			if preClean {
-				// G aliases this slot's gather scratch; later iterations only
-				// touch other slots' scratch, so holding the slice headers for
-				// the rest of the window is safe and copy-free.
-				a.shareUpd = G
-				a.shareBuf = append(a.shareBuf[:0], p.resp...)
-				a.shareH, a.shareT = preH, tSeen
-				a.shareOK = true
-			}
-		}
-		p.err = nil
-		p.ready <- struct{}{}
-	}
+	shared, encoded := a.fan.run(a.loc, w.parts)
 	a.mu.Lock()
 	a.stats.SharedFrames += shared
 	a.stats.EncodedFrames += encoded

@@ -190,6 +190,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	var hdr [8]byte
 	var idb [8]byte
 	var rhdr [13]byte
+	// wb and wbufs back the single-writev response write, as in
+	// TCPClient: wbufs is re-pointed at wb before every write because
+	// net.Buffers.WriteTo consumes the slice as it drains.
+	var wb [2][]byte
+	var wbufs net.Buffers
 	// payload is the per-connection request buffer, grown once to the
 	// largest frame seen (the response mirror of TCPClient.respBuf). Safe to
 	// reuse across frames: handlers may alias it in their response, but the
@@ -266,10 +271,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			binary.LittleEndian.PutUint64(rhdr[5:], reqid)
 			rlen = 13
 		}
-		if _, err := conn.Write(rhdr[:rlen]); err != nil {
-			return
-		}
-		if _, err := conn.Write(resp); err != nil {
+		// Header and payload in one writev: one syscall per exchange, and no
+		// separate tiny header segment under TCP_NODELAY.
+		wb[0], wb[1] = rhdr[:rlen], resp
+		wbufs = wb[:]
+		if _, err := wbufs.WriteTo(conn); err != nil {
 			return
 		}
 		if status == statusOK {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -97,9 +98,11 @@ func TestTCPServerSurvivesHandlerPanic(t *testing.T) {
 // rejected, so a retry would deterministically fail (and, before the session
 // layer, could double-apply side effects).
 func TestReconnectingDoesNotRetryServerErrors(t *testing.T) {
-	calls := 0
+	// Atomic: a response arriving over the socket orders nothing for the
+	// race detector.
+	var calls atomic.Int32
 	srv, err := ListenTCP("127.0.0.1:0", func(worker int, payload []byte) ([]byte, error) {
-		calls++
+		calls.Add(1)
 		return nil, errors.New("always rejected")
 	})
 	if err != nil {
@@ -116,8 +119,8 @@ func TestReconnectingDoesNotRetryServerErrors(t *testing.T) {
 	if !errors.As(err, &srvErr) {
 		t.Fatalf("err %v, want ServerError", err)
 	}
-	if calls != 1 {
-		t.Fatalf("handler called %d times; application errors must not be retried", calls)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("handler called %d times; application errors must not be retried", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -154,9 +155,14 @@ func TestTCPManyClientsConcurrently(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	// The handlers wrote seen under mu; a response arriving over the socket
+	// orders nothing for the race detector, so read it under mu too.
+	mu.Lock()
+	served := maps.Clone(seen)
+	mu.Unlock()
 	for k := 0; k < workers; k++ {
-		if seen[k] != rounds {
-			t.Fatalf("worker %d served %d rounds, want %d", k, seen[k], rounds)
+		if served[k] != rounds {
+			t.Fatalf("worker %d served %d rounds, want %d", k, served[k], rounds)
 		}
 	}
 	waitServerExchanges(t, srv, workers*rounds)
