@@ -181,8 +181,8 @@ func NewShardedServer(cfg Config, numShards int) *ShardedServer {
 // the results into the job's per-worker slots. The goroutine is pinned to
 // its OS thread: shard applies are short critical sections over hot version
 // arrays, and letting the scheduler migrate them across threads mid-stream
-// thrashes the caches those arrays live in (visible on the serverbench cnn
-// workload, whose many small layers make per-push cache state dominate).
+// thrashes the caches those arrays live in (visible on a small-CNN
+// geometry, whose many small layers make per-push cache state dominate).
 func shardApplyLoop(jobs <-chan shardJob) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()

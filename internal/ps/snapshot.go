@@ -33,9 +33,9 @@ import (
 // write section), so shadow == M(t) for a t that actually existed — the same
 // guarantee the old full-lock MSnapshot gave, minus the stall.
 //
-// MSnapshotLocked keeps the old full-lock path verbatim as the frozen
-// equivalence and measurement baseline (serverbench's snapshot-stall column
-// and TestSnapshotEquivalence compare against it). Do not "improve" it.
+// MSnapshotLocked, in baseline_test.go, keeps the old full-lock path
+// verbatim as the frozen equivalence baseline TestSnapshotEquivalence
+// compares against.
 
 // snapState is the lazily-allocated shadow of M. mu orders the refresh
 // writer against snapshot readers; s.mu is only held inside refreshShadow,
@@ -176,19 +176,6 @@ func (s *Server) MSnapshot(dst [][]float32) uint64 {
 	s.snapReads.Add(1)
 	s.met.observeSnapRead()
 	return sn.t.Load()
-}
-
-// MSnapshotLocked is the frozen pre-copy-on-version snapshot: a full O(model)
-// copy under the model read lock, stalling any concurrent Push's write
-// section for the whole copy. Kept verbatim as the equivalence baseline and
-// the serverbench snapshot-stall measurement reference, mirroring
-// BaselineServer. Do not "improve" it.
-func (s *Server) MSnapshotLocked(dst [][]float32) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i := range s.m {
-		copy(dst[i], s.m[i])
-	}
 }
 
 // SnapshotT returns the clock of the shadow's most recent refresh (0 before

@@ -1,8 +1,7 @@
-// Package quant implements the compression extensions the paper's
+// Package quant implements the compression extension the paper's
 // conclusion proposes combining with DGS: TernGrad-style ternary
 // quantization (Wen et al., NeurIPS 2017) applied to the sparse values,
-// and random coordinate dropping (Wangni et al., NeurIPS 2018) as an
-// alternative to Top-k selection.
+// registered as wire codec 1.
 package quant
 
 import (
@@ -69,49 +68,4 @@ func TernarizeUpdate(u *sparse.Update, rng *tensor.RNG) sparse.Update {
 		out.Chunks = append(out.Chunks, q)
 	}
 	return out
-}
-
-// RandomKIndices selects k coordinates of x uniformly at random (without
-// replacement), in ascending order — Wangni et al.'s unbiased alternative
-// to magnitude-based Top-k. The caller rescales kept values by n/k to stay
-// unbiased; Rescale does that.
-func RandomKIndices(n, k int, rng *tensor.RNG) []int32 {
-	if k <= 0 || n == 0 {
-		return nil
-	}
-	if k >= n {
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
-	}
-	// Floyd's algorithm: k uniform samples without replacement.
-	chosen := make(map[int32]bool, k)
-	for j := n - k; j < n; j++ {
-		t := int32(rng.Intn(j + 1))
-		if chosen[t] {
-			t = int32(j)
-		}
-		chosen[t] = true
-	}
-	out := make([]int32, 0, k)
-	for i := int32(0); int(i) < n; i++ {
-		if chosen[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Rescale multiplies a chunk's values by n/k so that random-k selection is
-// an unbiased estimator of the dense vector.
-func Rescale(c *sparse.Chunk, n int) {
-	if c.NNZ() == 0 {
-		return
-	}
-	scale := float32(n) / float32(c.NNZ())
-	for i := range c.Val {
-		c.Val[i] *= scale
-	}
 }

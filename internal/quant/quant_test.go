@@ -3,7 +3,6 @@ package quant
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"dgs/internal/sparse"
 	"dgs/internal/tensor"
@@ -68,71 +67,4 @@ func TestTernarizeUpdatePreservesStructure(t *testing.T) {
 			t.Fatal("zero chunk should be dropped entirely")
 		}
 	}
-}
-
-func TestRandomKIndicesProperties(t *testing.T) {
-	f := func(seed int64, nRaw, kRaw uint8) bool {
-		n := int(nRaw)%100 + 1
-		k := int(kRaw)%n + 1
-		rng := tensor.NewRNG(uint64(seed))
-		idx := RandomKIndices(n, k, rng)
-		if len(idx) != k {
-			return false
-		}
-		seen := map[int32]bool{}
-		prev := int32(-1)
-		for _, i := range idx {
-			if i <= prev || i < 0 || int(i) >= n || seen[i] {
-				return false
-			}
-			seen[i] = true
-			prev = i
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRandomKIndicesEdges(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	if got := RandomKIndices(0, 3, rng); got != nil {
-		t.Fatal("n=0 must return nil")
-	}
-	if got := RandomKIndices(5, 0, rng); got != nil {
-		t.Fatal("k=0 must return nil")
-	}
-	got := RandomKIndices(4, 9, rng)
-	if len(got) != 4 {
-		t.Fatal("k>n must return all")
-	}
-}
-
-func TestRandomKUniform(t *testing.T) {
-	// Each coordinate of n=10 should be chosen with probability k/n = 0.3.
-	rng := tensor.NewRNG(6)
-	counts := make([]int, 10)
-	const trials = 5000
-	for i := 0; i < trials; i++ {
-		for _, idx := range RandomKIndices(10, 3, rng) {
-			counts[idx]++
-		}
-	}
-	for i, c := range counts {
-		p := float64(c) / trials
-		if math.Abs(p-0.3) > 0.04 {
-			t.Fatalf("coordinate %d selected with p=%.3f, want 0.3", i, p)
-		}
-	}
-}
-
-func TestRescaleUnbiased(t *testing.T) {
-	c := sparse.Chunk{Layer: 0, Idx: []int32{0, 1}, Val: []float32{1, 2}}
-	Rescale(&c, 10)
-	if c.Val[0] != 5 || c.Val[1] != 10 {
-		t.Fatalf("rescale wrong: %v", c.Val)
-	}
-	empty := sparse.Chunk{}
-	Rescale(&empty, 10) // must not panic
 }

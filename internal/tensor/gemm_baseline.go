@@ -1,62 +1,16 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
-
-// This file freezes the pre-optimisation GEMM kernels exactly as they were
+// This file freezes the pre-optimisation GEMM loops exactly as they were
 // before the blocked engine landed. They serve two purposes:
 //
+//   - dispatch target for tiny problems (below smallGemmVolume), where
+//     packing overhead would dominate;
 //   - equivalence reference: the table-driven kernel tests assert the
-//     blocked engine matches these loops within float tolerance;
-//   - benchmark baseline: cmd/dgs-bench -microbench reports the blocked
-//     engine's speedup over these kernels in BENCH_PR2.json, so the perf
-//     trajectory is tracked rather than asserted by hand.
-//
-// They are also the dispatch target for tiny problems (below
-// smallGemmVolume), where packing overhead would dominate.
-
-// baselineParallelThreshold is the volume above which BaselineGemm fans
-// its rows out, as the pre-optimisation Gemm did.
-const baselineParallelThreshold = 64 * 64 * 64
-
-// BaselineGemm is the pre-optimisation Gemm: an ikj loop with row fan-out
-// across goroutines for large problems.
-func BaselineGemm(alpha float32, a []float32, m, k int, b []float32, n int, beta float32, c []float32) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic("tensor: Gemm buffer too small for stated dimensions")
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if m*n*k < baselineParallelThreshold || workers == 1 || m == 1 {
-		baselineGemmRows(alpha, a, m, k, b, n, beta, c, 0, m)
-		return
-	}
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			baselineGemmRows(alpha, a, m, k, b, n, beta, c, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
+//     blocked engine matches these loops within float tolerance
+//     (BaselineGemm, the row fan-out around baselineGemmRows, lives in
+//     gemm_baseline_test.go since only the tests call it), and
+//     BenchmarkGemmCutoff times them against the blocked engine to place
+//     smallGemmVolume.
 
 // baselineGemmRows computes rows [lo,hi) of C using an ikj loop order that
 // streams through B row-wise (cache friendly for row-major data).

@@ -31,8 +31,8 @@ import (
 // quantization bitwise. Two rules protect that invariant at the edges:
 // empty pushes (the drain/sync probes) are always answered raw, so a drain
 // converges on exact diffs instead of oscillating on quantized ones; and a
-// server without FoldDown support (the frozen BaselineServer) is answered
-// raw too, never lossily.
+// server without FoldDown support (a ps.Pusher that is not a ps.DownFolder)
+// is answered raw too, never lossily.
 
 // downQuantState is the server's per-worker downward quantization scratch.
 // A worker's exchanges are serialised by the transport (the same contract

@@ -121,11 +121,16 @@ func TestForcedRawPolicyPinsDownward(t *testing.T) {
 	}
 }
 
+// noFoldPusher exposes only the ps.Pusher surface of a server, hiding
+// FoldDown: the shape of a library caller's Pusher that cannot absorb
+// quantization error.
+type noFoldPusher struct{ ps.Pusher }
+
 // TestBaselineServerAnsweredRaw: a server without FoldDown support cannot
 // absorb downward quantization error, so the mirror policy must degrade it
 // to raw answers, and forcing a lossy codec onto it must fail up front.
 func TestBaselineServerAnsweredRaw(t *testing.T) {
-	base := ps.NewBaselineServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
+	base := noFoldPusher{ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})}
 	h, err := HandlerWithCodec(base, "mirror")
 	if err != nil {
 		t.Fatal(err)

@@ -81,10 +81,48 @@ func TestServeLoopZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestClientExchangeZeroAllocs: a steady-state TCPClient round trip against
+// an echo server allocates nothing on either end — the client's grow-once
+// response buffer and single-writev request, the server's grow-once request
+// buffer. AllocsPerRun counts every goroutine, so the serve loop is covered
+// too; each echo is checked byte for byte.
+func TestClientExchangeZeroAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	srv, err := ListenTCP("127.0.0.1:0", func(worker int, payload []byte) ([]byte, error) {
+		return payload, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	payload := bytes.Repeat([]byte{0x5a, 0xc3}, 8<<10)
+	exchange := func() {
+		resp, err := cli.Exchange(0, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp, payload) {
+			t.Fatalf("echo returned %d bytes that differ from the %d sent", len(resp), len(payload))
+		}
+	}
+	exchange() // grow the buffers once
+	if allocs := testing.AllocsPerRun(50, exchange); allocs > 0 {
+		t.Fatalf("client exchange: %v allocs per round trip, want 0", allocs)
+	}
+}
+
 // BenchmarkTCPExchange measures one client round trip against an echo
-// server over a real socket. The steady-state path must be allocation-free
-// on both ends (grow-once buffers, single-writev request) — the tracked
-// invariant in BENCH_PR4.json.
+// server over a real socket. The steady-state path is allocation-free on
+// both ends (grow-once buffers, single-writev request);
+// TestClientExchangeZeroAllocs asserts it.
 func BenchmarkTCPExchange(b *testing.B) {
 	srv, err := ListenTCP("127.0.0.1:0", func(worker int, payload []byte) ([]byte, error) {
 		return payload, nil
