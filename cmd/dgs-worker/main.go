@@ -97,11 +97,12 @@ func main() {
 		PipelineDepth: *pipeline,
 	}
 
-	// Transport stack: trainer.NewDialStack builds the canonical client
-	// layering — SessionClient → Reconnecting → optional Faulty → TCPClient,
-	// or the native PipelinedSession when -pipeline > 1 without fault
-	// injection. Each call is one worker incarnation; its hello makes the
-	// server resync this id and ship a dense snapshot.
+	// Transport stack: trainer.NewDialStack builds the one client — a
+	// PipelinedSession with -pipeline exchanges in flight over wire-v2 mux
+	// links, each optionally wrapped in the seeded Faulty decorator (the
+	// -fault-* flags apply at any depth). Each call is one worker
+	// incarnation; its hello makes the server resync this id and ship a
+	// dense snapshot.
 	var faults *transport.FaultConfig
 	if *faultDrop > 0 || *faultTorn > 0 || *faultDup > 0 || *faultReset > 0 || *faultDelay > 0 {
 		faults = &transport.FaultConfig{

@@ -122,8 +122,8 @@ func requireProbeLedger(t *testing.T, m []float32, acked [][]bool, pushes int) {
 }
 
 // An aggregator crashes mid-window and a replacement takes over its address.
-// Workers ride transport.Reconnecting + fresh-incarnation rejoins through
-// the crash; afterwards the probe ledger shows no acknowledged push lost,
+// Workers ride session redials + fresh-incarnation rejoins through the
+// crash; afterwards the probe ledger shows no acknowledged push lost,
 // no push double-applied, and every replica equals the upstream model
 // bitwise.
 func TestChaosAggregatorCrashMidWindow(t *testing.T) {
@@ -151,16 +151,16 @@ func TestChaosAggregatorCrashMidWindow(t *testing.T) {
 	var addrMu sync.Mutex
 	addr := lis1.Addr()
 	dialWorker := func() transport.Transport {
-		rc := transport.NewReconnecting(func() (transport.Transport, error) {
+		p := transport.NewPipelinedSession(func() (transport.MuxLink, error) {
 			addrMu.Lock()
 			a := addr
 			addrMu.Unlock()
-			return transport.DialTCP(a)
-		})
-		rc.MaxRetries = 8
-		rc.Backoff = 2 * time.Millisecond
-		rc.MaxBackoff = 20 * time.Millisecond
-		return transport.NewSessionClient(rc)
+			return transport.DialMux(a)
+		}, 1)
+		p.MaxRetries = 8
+		p.Backoff = 2 * time.Millisecond
+		p.MaxBackoff = 20 * time.Millisecond
+		return p
 	}
 
 	fleet := make([]*chaosWorker, workers)
@@ -256,9 +256,12 @@ func TestChaosUpstreamRestartRebuildsMirror(t *testing.T) {
 	}
 	defer a.Close()
 
-	dialWorker := func() transport.Transport {
-		return transport.NewSessionClient(transport.NewLoopback(a.Handler()))
+	lis, err := transport.ListenTCP("127.0.0.1:0", a.Handler())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer lis.Close()
+	dialWorker := func() transport.Transport { return dialAgg(lis.Addr()) }
 	fleet := make([]*chaosWorker, workers)
 	for k := range fleet {
 		fleet[k] = newChaosWorker(k, sizes, dialWorker)
@@ -339,9 +342,12 @@ func TestChaosAggStress(t *testing.T) {
 		}
 		defer a.Close()
 		tier = append(tier, a)
-		dial := func() transport.Transport {
-			return transport.NewSessionClient(transport.NewLoopback(a.Handler()))
+		lis, err := transport.ListenTCP("127.0.0.1:0", a.Handler())
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer lis.Close()
+		dial := func() transport.Transport { return dialAgg(lis.Addr()) }
 		for k := 0; k < workersPerAgg; k++ {
 			fleet = append(fleet, newChaosWorker(k, sizes, dial))
 		}

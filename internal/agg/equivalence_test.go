@@ -60,21 +60,38 @@ func dialUp(addr string) func() (transport.MuxLink, error) {
 	return func() (transport.MuxLink, error) { return transport.DialMux(addr) }
 }
 
-// aggClient is a scripted worker attached to an aggregator via in-process
-// loopback (the downstream path's correctness does not depend on TCP).
+// aggClient is a scripted worker attached to an aggregator through its own
+// loopback TCP listener and a depth-1 session, the path production workers
+// take.
 type aggClient struct {
 	tr      transport.Transport
+	lis     *transport.TCPServer
 	id      int
 	replica [][]float32
 	down    sparse.Update
 }
 
-func newAggClient(a *Aggregator, id int, sizes []int) *aggClient {
-	return &aggClient{
-		tr:      transport.NewSessionClient(transport.NewLoopback(a.Handler())),
-		id:      id,
-		replica: alloc(sizes),
+func newAggClient(t *testing.T, a *Aggregator, id int, sizes []int) *aggClient {
+	t.Helper()
+	lis, err := transport.ListenTCP("127.0.0.1:0", a.Handler())
+	if err != nil {
+		t.Fatal(err)
 	}
+	c := &aggClient{tr: dialAgg(lis.Addr()), lis: lis, id: id, replica: alloc(sizes)}
+	t.Cleanup(c.close)
+	return c
+}
+
+// dialAgg starts a fresh worker session against an aggregator's address.
+func dialAgg(addr string) transport.Transport {
+	p := transport.NewPipelinedSession(dialUp(addr), 1)
+	p.Backoff = time.Millisecond
+	return p
+}
+
+func (c *aggClient) close() {
+	c.tr.Close()
+	c.lis.Close()
 }
 
 // push sends one update and applies the returned diff to the replica.
@@ -158,7 +175,7 @@ func TestEquivalenceSequentialBitwise(t *testing.T) {
 
 	clients := make([]*aggClient, workers)
 	for k := range clients {
-		clients[k] = newAggClient(a, k, sizes)
+		clients[k] = newAggClient(t, a, k, sizes)
 	}
 	directLocal := make([][][]float32, workers)
 	for k := range directLocal {
@@ -222,7 +239,7 @@ func TestEquivalenceMergedWindowBitwise(t *testing.T) {
 	clients := make([]*aggClient, workers)
 	var warm sync.WaitGroup
 	for k := range clients {
-		clients[k] = newAggClient(a, k, sizes)
+		clients[k] = newAggClient(t, a, k, sizes)
 	}
 	var empty sparse.Update
 	for _, c := range clients {
@@ -301,7 +318,7 @@ func TestEquivalenceConcurrentFixpoint(t *testing.T) {
 		defer a.Close()
 		tier = append(tier, a)
 		for k := 0; k < workersPerAgg; k++ {
-			clients = append(clients, newAggClient(a, k, sizes))
+			clients = append(clients, newAggClient(t, a, k, sizes))
 		}
 	}
 
@@ -398,7 +415,7 @@ func TestEquivalenceQuantizedBitwise(t *testing.T) {
 	clients := make([]*aggClient, workers)
 	directLocal := make([][][]float32, workers)
 	for k := range clients {
-		clients[k] = newAggClient(a, k, sizes)
+		clients[k] = newAggClient(t, a, k, sizes)
 		directLocal[k] = alloc(sizes)
 	}
 
@@ -469,7 +486,7 @@ func TestBadWorkerFrameIsRefusedAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	clients := []*aggClient{newAggClient(a, 0, sizes), newAggClient(a, 1, sizes)}
+	clients := []*aggClient{newAggClient(t, a, 0, sizes), newAggClient(t, a, 1, sizes)}
 
 	rng := tensor.NewRNG(5)
 	good := randUpdate(rng, sizes, 0.2)

@@ -236,7 +236,7 @@ func TestFanOutLeaksNoGoroutines(t *testing.T) {
 			}
 			clients := make([]*aggClient, workers)
 			for k := range clients {
-				clients[k] = newAggClient(a, k, sizes)
+				clients[k] = newAggClient(t, a, k, sizes)
 			}
 
 			// Every worker pushes until the aggregator stops answering (Kill)
@@ -281,7 +281,7 @@ func TestFanOutLeaksNoGoroutines(t *testing.T) {
 				a.Close()
 			}
 			for _, c := range clients {
-				c.tr.Close()
+				c.close()
 			}
 			if st := a.Stats(); st.SharedFrames+st.EncodedFrames == 0 {
 				t.Fatalf("stats %+v: no window was fanned out", st)

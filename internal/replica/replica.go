@@ -58,9 +58,8 @@ type Config struct {
 	// occupy ordinary worker slots; give each replica its own id, disjoint
 	// from the trainers'.
 	Worker int
-	// Dial establishes the inner transport (normally Reconnecting over TCP,
-	// see DialStack). The replica wraps each incarnation in a fresh
-	// read-session client itself. Required.
+	// Dial starts a fresh read-session client, one per incarnation (see
+	// DialStack). Required.
 	Dial func() (transport.Transport, error)
 	// Codec names the downward compression requested for steady-state polls
 	// ("" = raw). Lossy codecs are safe: the upstream folds the projection
@@ -209,29 +208,31 @@ func (r *Replica) mirrorConfig() ps.Config {
 	}
 }
 
-// DialStack returns a Config.Dial building the canonical inner stack:
-// Reconnecting (redial + re-send) over TCP with a per-exchange deadline.
-// Zero durations / counts keep the transport defaults.
+// DialStack returns a Config.Dial building the canonical client: a
+// reader-role PipelinedSession at depth 1 (redial + replay) over a mux link
+// with a per-exchange deadline. Zero durations / counts keep the transport
+// defaults.
 func DialStack(addr string, timeout time.Duration, retries int, backoff, maxBackoff time.Duration) func() (transport.Transport, error) {
 	return func() (transport.Transport, error) {
-		rc := transport.NewReconnecting(func() (transport.Transport, error) {
-			c, err := transport.DialTCP(addr)
+		s := transport.NewPipelinedSession(func() (transport.MuxLink, error) {
+			c, err := transport.DialMux(addr)
 			if err != nil {
 				return nil, err
 			}
 			c.ExchangeTimeout = timeout
 			return c, nil
-		})
+		}, 1)
+		s.Reader = true
 		if retries > 0 {
-			rc.MaxRetries = retries
+			s.MaxRetries = retries
 		}
 		if backoff > 0 {
-			rc.Backoff = backoff
+			s.Backoff = backoff
 		}
 		if maxBackoff > 0 {
-			rc.MaxBackoff = maxBackoff
+			s.MaxBackoff = maxBackoff
 		}
-		return rc, nil
+		return s, nil
 	}
 }
 
@@ -274,14 +275,12 @@ func (r *Replica) pollOnce(forceRaw bool) (int, error) {
 		return 0, err
 	}
 	if r.tr == nil {
-		inner, err := r.cfg.Dial()
+		tr, err := r.cfg.Dial()
 		if err != nil {
 			r.noteErr(err)
 			return 0, err
 		}
-		sc := transport.NewSessionClient(inner)
-		sc.Reader = true
-		r.tr = sc
+		r.tr = tr
 	}
 	frame := r.probe
 	r.pollSeq++

@@ -46,12 +46,8 @@ func alloc(sizes []int) [][]float32 {
 
 // dialTrainer builds a plain (non-reader) worker client.
 func dialTrainer(addr string) transport.Transport {
-	rc := transport.NewReconnecting(func() (transport.Transport, error) {
-		return transport.DialTCP(addr)
-	})
-	rc.MaxRetries = 6
-	rc.Backoff = 2 * time.Millisecond
-	return transport.NewSessionClient(rc)
+	tr, _ := trainer.NewDialStack(trainer.DialOptions{Addr: addr, Retries: 6, Backoff: 2 * time.Millisecond})()
+	return tr
 }
 
 // pushRandom sends one sparse random update as worker id and discards the

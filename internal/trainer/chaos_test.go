@@ -30,79 +30,169 @@ func chaosFaults(seed uint64) transport.FaultConfig {
 	}
 }
 
-// chaosDialer builds the production transport stack — SessionClient →
-// Reconnecting → Faulty → TCPClient — with a per-attempt exchange budget:
-// when budget >= 0, the stack permanently dies after that many exchanges
-// (simulating a worker crash mid-training).
-func chaosDialer(addr string, seedBase *atomic.Uint64, budget int64) func() (transport.Transport, error) {
-	return func() (transport.Transport, error) {
-		remaining := &atomic.Int64{}
-		if budget >= 0 {
-			remaining.Store(budget)
-		} else {
-			remaining.Store(math.MaxInt64)
-		}
-		rc := transport.NewReconnecting(func() (transport.Transport, error) {
-			c, err := transport.DialTCP(addr)
-			if err != nil {
-				return nil, err
-			}
-			c.ExchangeTimeout = 10 * time.Second
-			return &killswitch{
-				inner:     transport.NewFaulty(c, chaosFaults(seedBase.Add(1))),
-				remaining: remaining,
-			}, nil
-		})
-		rc.MaxRetries = 40
-		rc.Backoff = time.Millisecond
-		rc.MaxBackoff = 4 * time.Millisecond
-		return transport.NewSessionClient(rc), nil
+// fleet dials worker sessions through the production stack (NewDialStack;
+// with opts.Faults set, every link is a seeded Faulty) and remembers each
+// worker's latest session, kept open past its training loop, so a test can
+// drain the worker through the incarnation that finished: a fresh
+// session's hello would resync v_k and make v_k == M hold trivially.
+type fleet struct {
+	opts  DialOptions
+	seeds atomic.Uint64
+	mu    sync.Mutex
+	last  map[int]transport.Pipeliner
+}
+
+func newFleet(opts DialOptions) *fleet {
+	return &fleet{opts: opts, last: map[int]transport.Pipeliner{}}
+}
+
+// chaosFleet is the fleet of the chaos harness: chaosFaults on every link,
+// a generous redial budget and a per-exchange deadline.
+func chaosFleet(addr string, depth int) *fleet {
+	faults := chaosFaults(0)
+	return newFleet(DialOptions{
+		Addr: addr, Pipeline: depth, Faults: &faults, Timeout: 10 * time.Second,
+		Retries: 40, Backoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
+	})
+}
+
+// session dials a fresh session for worker id and records it as the
+// worker's latest. Faulty links draw a fresh seed per session.
+func (f *fleet) session(id int) transport.Pipeliner {
+	opts := f.opts
+	if opts.Faults != nil {
+		fc := *opts.Faults
+		fc.Seed = f.seeds.Add(1000)
+		opts.Faults = &fc
 	}
-}
-
-// killswitch fails every exchange once its shared budget runs out —
-// including after reconnects — so a whole client stack dies like a crashed
-// worker process.
-type killswitch struct {
-	inner     transport.Transport
-	remaining *atomic.Int64
-}
-
-func (k *killswitch) Exchange(worker int, payload []byte) ([]byte, error) {
-	if k.remaining.Add(-1) < 0 {
-		return nil, errors.New("chaos: worker crashed")
-	}
-	return k.inner.Exchange(worker, payload)
-}
-
-func (k *killswitch) Close() error { return k.inner.Close() }
-
-// drainWorker exchanges empty pushes (sessionless, straight through the
-// middleware passthrough) until the server has no difference left for the
-// worker, then returns how many exchanges it took.
-func drainWorker(t *testing.T, addr string, worker int) int {
-	t.Helper()
-	cli, err := transport.DialTCP(addr)
+	tr, err := NewDialStack(opts)()
 	if err != nil {
-		t.Fatal(err)
+		panic(err) // sessions dial lazily: building one cannot fail
 	}
-	defer cli.Close()
+	f.mu.Lock()
+	f.last[id] = tr.(transport.Pipeliner)
+	f.mu.Unlock()
+	return tr.(transport.Pipeliner)
+}
+
+// dialer is worker id's dial for RunResilientWorkerLoop. With crashAfter >=
+// 0 the first incarnation dies after that many submits (a worker crash
+// mid-training); the loop rejoins as a fresh one.
+func (f *fleet) dialer(id, crashAfter int) func() (transport.Transport, error) {
+	return func() (transport.Transport, error) {
+		s := f.session(id)
+		if crashAfter >= 0 {
+			ks := &killswitch{Pipeliner: s, remaining: crashAfter}
+			crashAfter = -1
+			return ks, nil
+		}
+		return keepOpen{s}, nil
+	}
+}
+
+// drain exchanges empty pushes on worker k's latest session until the
+// server has no difference left for it, decoding with the strict raw
+// decoder (drains are always answered raw).
+func (f *fleet) drain(t *testing.T, k int) {
+	t.Helper()
+	f.mu.Lock()
+	s := f.last[k]
+	f.mu.Unlock()
 	empty := sparse.Encode(&sparse.Update{})
 	for i := 1; i <= 64; i++ {
-		resp, err := cli.Exchange(worker, empty)
+		resp, err := s.Exchange(k, empty)
 		if err != nil {
-			t.Fatalf("drain worker %d: %v", worker, err)
+			t.Fatalf("drain worker %d: %v", k, err)
 		}
 		G, err := sparse.Decode(resp)
 		if err != nil {
-			t.Fatalf("drain worker %d decode: %v", worker, err)
+			t.Fatalf("drain worker %d decode: %v", k, err)
 		}
 		if G.NNZ() == 0 {
-			return i
+			return
 		}
 	}
-	t.Fatalf("worker %d difference did not drain", worker)
-	return 0
+	t.Fatalf("worker %d difference did not drain", k)
+}
+
+func (f *fleet) close() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, s := range f.last {
+		s.Close()
+	}
+}
+
+// requireDrainedFixpoint drains every worker through its latest session and
+// checks Eq. 5 bitwise: each worker's sent-accumulation v_k equals the
+// update accumulation M. A lost or double-applied frame anywhere in the run
+// would leave a worker's v_k permanently out of step with what it was
+// actually sent.
+func requireDrainedFixpoint(t *testing.T, f *fleet, server *ps.Server, sizes []int, workers int) {
+	t.Helper()
+	for k := 0; k < workers; k++ {
+		f.drain(t, k)
+	}
+	m, v := snapshotBuffer(sizes), snapshotBuffer(sizes)
+	server.MSnapshot(m)
+	for k := 0; k < workers; k++ {
+		server.VSnapshot(k, v)
+		for layer := range m {
+			for j := range m[layer] {
+				if v[layer][j] != m[layer][j] {
+					t.Fatalf("worker %d: v[%d][%d]=%v != M=%v — exchange state diverged", k, layer, j, v[layer][j], m[layer][j])
+				}
+			}
+		}
+	}
+}
+
+// keepOpen leaves the session open when the worker loop is done with it,
+// for the drain.
+type keepOpen struct{ transport.Pipeliner }
+
+func (keepOpen) Close() error { return nil }
+
+// killswitch crashes its worker: once the submit budget runs out every
+// submit fails, so the incarnation dies like a killed process.
+type killswitch struct {
+	transport.Pipeliner
+	remaining int
+}
+
+func (k *killswitch) Submit(worker int, payload []byte) error {
+	if k.remaining--; k.remaining < 0 {
+		return errors.New("chaos: worker crashed")
+	}
+	return k.Pipeliner.Submit(worker, payload)
+}
+
+// runChaos trains cfg.Workers workers through f against the server at its
+// address, worker 3 crashing after 40 submits and rejoining, and returns
+// their results.
+func runChaos(t *testing.T, cfg Config, f *fleet) []*Result {
+	t.Helper()
+	var wg sync.WaitGroup
+	results := make([]*Result, cfg.Workers)
+	errs := make([]error, cfg.Workers)
+	for id := 0; id < cfg.Workers; id++ {
+		crashAfter := -1
+		if id == 3 {
+			crashAfter = 40
+		}
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			results[id], errs[id] = RunResilientWorkerLoop(cfg, id, f.dialer(id, crashAfter), 3)
+		}(id)
+	}
+	wg.Wait()
+	for id, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", id, err)
+		}
+	}
+	return results
 }
 
 // The chaos harness: 4 workers train over real TCP while the transport
@@ -123,38 +213,12 @@ func TestChaosTrainingSurvivesFaultsExactlyOnce(t *testing.T) {
 	srv.SetExchangeTimeout(20 * time.Second)
 	defer srv.Close()
 
-	var seedBase atomic.Uint64
-	var wg sync.WaitGroup
-	results := make([]*Result, 4)
-	errs := make([]error, 4)
-	for id := 0; id < 4; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if id == 3 {
-				// Worker 3 crashes after ~40 exchanges; the resilient loop
-				// rejoins it as a new incarnation (hello → server resync →
-				// dense snapshot onto a fresh replica).
-				attempt := 0
-				dial := func() (transport.Transport, error) {
-					attempt++
-					if attempt == 1 {
-						return chaosDialer(srv.Addr(), &seedBase, 40)()
-					}
-					return chaosDialer(srv.Addr(), &seedBase, -1)()
-				}
-				results[id], errs[id] = RunResilientWorkerLoop(cfg, id, dial, 3)
-				return
-			}
-			results[id], errs[id] = RunResilientWorkerLoop(cfg, id, chaosDialer(srv.Addr(), &seedBase, -1), 3)
-		}(id)
-	}
-	wg.Wait()
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", id, err)
-		}
-	}
+	f := chaosFleet(srv.Addr(), 1)
+	defer f.close()
+	// Worker 3 crashes mid-training; the resilient loop rejoins it as a new
+	// incarnation (hello → server resync → dense snapshot onto a fresh
+	// replica).
+	results := runChaos(t, cfg, f)
 
 	// Convergence despite the chaos: worker 0 syncs with the server and
 	// evaluates at the end of its loop.
@@ -174,34 +238,15 @@ func TestChaosTrainingSurvivesFaultsExactlyOnce(t *testing.T) {
 		t.Fatalf("resyncs %d != incarnations %d", st.Resyncs, ss.Hellos)
 	}
 
-	// Model-difference invariant: after draining each worker, its
-	// sent-accumulation v_k must equal the update accumulation M exactly
-	// (Eq. 5; without secondary compression nothing may be left implicit).
-	// A lost or double-applied frame anywhere in the run would leave a
-	// worker's v_k permanently out of step with what it was actually sent.
-	m := snapshotBuffer(sizes)
-	v := snapshotBuffer(sizes)
-	for k := 0; k < 4; k++ {
-		drainWorker(t, srv.Addr(), k)
-	}
-	server.MSnapshot(m)
-	for k := 0; k < 4; k++ {
-		server.VSnapshot(k, v)
-		for layer := range m {
-			for j := range m[layer] {
-				if v[layer][j] != m[layer][j] {
-					t.Fatalf("worker %d: v[%d][%d]=%v != M=%v — exchange state diverged", k, layer, j, v[layer][j], m[layer][j])
-				}
-			}
-		}
-	}
+	// Model-difference invariant (Eq. 5; without secondary compression
+	// nothing may be left implicit).
+	requireDrainedFixpoint(t, f, server, sizes, 4)
 }
 
-// The same chaos harness at PipelineDepth 2: each worker's SessionClient
-// stack is driven through a QueuedPipeliner, so faults now land while a
-// second exchange is queued behind the one that failed. The exactly-once
-// guarantees and the Eq. 5 invariant must hold unchanged, and training must
-// still converge.
+// The same chaos harness at PipelineDepth 2: the faults now land on a link
+// with a second exchange in flight behind the one that failed, and the
+// session replays the whole window. The exactly-once guarantees and the
+// Eq. 5 invariant must hold unchanged, and training must still converge.
 func TestChaosTrainingSurvivesFaultsPipelined(t *testing.T) {
 	cfg := quickConfig(DGS, 4)
 	cfg.PipelineDepth = 2
@@ -216,36 +261,9 @@ func TestChaosTrainingSurvivesFaultsPipelined(t *testing.T) {
 	srv.SetExchangeTimeout(20 * time.Second)
 	defer srv.Close()
 
-	var seedBase atomic.Uint64
-	var wg sync.WaitGroup
-	results := make([]*Result, 4)
-	errs := make([]error, 4)
-	for id := 0; id < 4; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if id == 3 {
-				// Worker 3 crashes with exchanges in flight and rejoins.
-				attempt := 0
-				dial := func() (transport.Transport, error) {
-					attempt++
-					if attempt == 1 {
-						return chaosDialer(srv.Addr(), &seedBase, 40)()
-					}
-					return chaosDialer(srv.Addr(), &seedBase, -1)()
-				}
-				results[id], errs[id] = RunResilientWorkerLoop(cfg, id, dial, 3)
-				return
-			}
-			results[id], errs[id] = RunResilientWorkerLoop(cfg, id, chaosDialer(srv.Addr(), &seedBase, -1), 3)
-		}(id)
-	}
-	wg.Wait()
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", id, err)
-		}
-	}
+	f := chaosFleet(srv.Addr(), 2)
+	defer f.close()
+	results := runChaos(t, cfg, f) // worker 3 crashes with exchanges in flight
 
 	if acc := results[0].FinalAccuracy; acc < 0.6 {
 		t.Fatalf("final accuracy %.3f under chaos at depth 2; training diverged", acc)
@@ -261,22 +279,7 @@ func TestChaosTrainingSurvivesFaultsPipelined(t *testing.T) {
 		t.Fatalf("resyncs %d != incarnations %d", st.Resyncs, ss.Hellos)
 	}
 
-	m := snapshotBuffer(sizes)
-	v := snapshotBuffer(sizes)
-	for k := 0; k < 4; k++ {
-		drainWorker(t, srv.Addr(), k)
-	}
-	server.MSnapshot(m)
-	for k := 0; k < 4; k++ {
-		server.VSnapshot(k, v)
-		for layer := range m {
-			for j := range m[layer] {
-				if v[layer][j] != m[layer][j] {
-					t.Fatalf("worker %d: v[%d][%d]=%v != M=%v — exchange state diverged", k, layer, j, v[layer][j], m[layer][j])
-				}
-			}
-		}
-	}
+	requireDrainedFixpoint(t, f, server, sizes, 4)
 }
 
 func snapshotBuffer(sizes []int) [][]float32 {
@@ -305,12 +308,9 @@ func TestChaosWorkerReplicaMatchesServerState(t *testing.T) {
 	}
 	defer srv.Close()
 
-	var seedBase atomic.Uint64
-	tr, err := chaosDialer(srv.Addr(), &seedBase, -1)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	f := chaosFleet(srv.Addr(), 1)
+	defer f.close()
+	tr := f.session(0)
 
 	var iterCounter, computeNanos atomic.Int64
 	res := &Result{
@@ -358,17 +358,24 @@ func TestChaosWorkerReplicaMatchesServerState(t *testing.T) {
 func TestRetriedPushAppliedExactlyOnce(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{4}, Workers: 1})
 	eo := ExactlyOnceHandler(server)
-	lb := transport.NewLoopback(eo.Handle)
-	torn := &tearNthResponse{inner: lb, tearAt: 2} // tear the push, not the hello
-	rc := transport.NewReconnecting(func() (transport.Transport, error) { return torn, nil })
-	rc.Backoff = time.Millisecond
-	sc := transport.NewSessionClient(rc)
+	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	torn := &tearNth{tearAt: 2} // tear the push, not the hello
+	sc := transport.NewPipelinedSession(func() (transport.MuxLink, error) {
+		c, err := transport.DialMux(srv.Addr())
+		return &tornLink{MuxLink: c, n: torn}, err
+	}, 1)
+	sc.Backoff = time.Millisecond
+	defer sc.Close()
 
-	// Hello/join exchange (exchange 1).
+	// Hello/join exchange (delivery 1).
 	if _, err := sc.Exchange(0, sparse.Encode(&sparse.Update{})); err != nil {
 		t.Fatal(err)
 	}
-	// The push (exchange 2): its response is torn, forcing a wire retry.
+	// The push (delivery 2): its response is torn, forcing a wire retry.
 	g := sparse.Update{Chunks: []sparse.Chunk{{Layer: 0, Idx: []int32{1}, Val: []float32{2}}}}
 	resp, err := sc.Exchange(0, sparse.Encode(&g))
 	if err != nil {
@@ -377,8 +384,8 @@ func TestRetriedPushAppliedExactlyOnce(t *testing.T) {
 	if _, err := sparse.Decode(resp); err != nil {
 		t.Fatal(err)
 	}
-	if torn.calls < 3 {
-		t.Fatalf("only %d wire deliveries; the tear did not force a retry", torn.calls)
+	if torn.recvs < 3 {
+		t.Fatalf("only %d wire deliveries; the tear did not force a retry", torn.recvs)
 	}
 	if st := eo.Stats(); st.Replays != 1 {
 		t.Fatalf("session stats %+v, want exactly one replay", st)
@@ -394,24 +401,22 @@ func TestRetriedPushAppliedExactlyOnce(t *testing.T) {
 	}
 }
 
-// tearNthResponse delivers every exchange but loses the response of the
-// tearAt-th wire delivery.
-type tearNthResponse struct {
-	inner  transport.Transport
-	calls  int
-	tearAt int
+// tearNth counts responses across every link it wraps and loses the
+// tearAt-th one after it was read.
+type tearNth struct{ recvs, tearAt int }
+
+type tornLink struct {
+	transport.MuxLink
+	n *tearNth
 }
 
-func (f *tearNthResponse) Exchange(worker int, payload []byte) ([]byte, error) {
-	f.calls++
-	resp, err := f.inner.Exchange(worker, payload)
+func (l *tornLink) Recv(buf []byte) (uint64, []byte, error) {
+	id, resp, err := l.MuxLink.Recv(buf)
 	if err != nil {
-		return nil, err
+		return id, resp, err
 	}
-	if f.calls == f.tearAt {
-		return nil, fmt.Errorf("torn response (delivery %d)", f.calls)
+	if l.n.recvs++; l.n.recvs == l.n.tearAt {
+		return 0, resp, fmt.Errorf("torn response (delivery %d)", l.n.recvs)
 	}
-	return resp, nil
+	return id, resp, nil
 }
-
-func (f *tearNthResponse) Close() error { return f.inner.Close() }

@@ -2,7 +2,6 @@ package trainer
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"dgs/internal/optim"
@@ -21,8 +20,8 @@ import (
 // codec the request arrived in (or a forced policy codec, but only to
 // requests that already proved themselves v3), so a v2 worker talking to a
 // v3 server falls back to codec 0 without either side knowing the other's
-// version; a v3 worker talking to a v2 server sees one "bad magic" error
-// frame and downgrades itself to raw for the rest of the run.
+// version. A v3 worker needs a v3 server: a v2 server refuses its first
+// non-raw frame with a "bad magic" error, which ends the run.
 //
 // Both directions apply the *decoded* values and fold the projection error
 // of lossy codecs into residual state — the worker into its optimizer
@@ -232,17 +231,4 @@ func (u *upCodec) encode(dst []byte, upd *sparse.Update, rng *tensor.RNG) []byte
 		u.folder.FoldResidual(&u.e)
 	}
 	return u.quant.AppendEncode(dst, &u.q)
-}
-
-// fallbackToRaw reports whether an exchange error means the peer predates
-// the v3 frame (it rejected the magic), in which case the worker downgrades
-// to codec 0. The quantized update was already prepared and its error
-// folded, so the caller re-sends the same values raw — the accounting is
-// unchanged, only the encoding widens.
-func (u *upCodec) fallbackToRaw(err error) bool {
-	if u.quant == nil || err == nil || !strings.Contains(err.Error(), "bad magic") {
-		return false
-	}
-	u.quant = nil
-	return true
 }

@@ -1,15 +1,11 @@
 package trainer
 
 import (
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"dgs/internal/ps"
 	"dgs/internal/sparse"
-	"dgs/internal/stats"
 	"dgs/internal/tensor"
 	"dgs/internal/transport"
 )
@@ -148,79 +144,6 @@ func TestBaselineServerAnsweredRaw(t *testing.T) {
 	}
 }
 
-// TestV3WorkerFallsBackToRawAgainstV2Server: a worker configured for a v3
-// codec against a server that only speaks the legacy framing sees exactly
-// one "bad magic" error, re-sends the same values raw, and stays on codec 0
-// for the rest of the run — training completes as if raw had been configured.
-func TestV3WorkerFallsBackToRawAgainstV2Server(t *testing.T) {
-	cfg := quickConfig(DGS, 1)
-	cfg.Codec = "ternary"
-	if err := cfg.normalise(); err != nil {
-		t.Fatal(err)
-	}
-	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
-	sizes := proto.LayerSizes()
-	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 1, Quiet: true})
-	var badMagic atomic.Int64
-	// A v2-era handler: strict legacy decode, raw answers, no registry.
-	v2 := func(worker int, payload []byte) ([]byte, error) {
-		g, err := sparse.Decode(payload)
-		if err != nil {
-			if strings.Contains(err.Error(), "bad magic") {
-				badMagic.Add(1)
-			}
-			return nil, err
-		}
-		G, _ := server.Push(worker, g)
-		return sparse.Encode(&G), nil
-	}
-
-	var iterCounter, computeNanos atomic.Int64
-	res := &Result{Loss: stats.NewSeries("v2-loss"), Accuracy: stats.NewSeries("v2-acc")}
-	w := worker{
-		cfg: &cfg, id: 0, sizes: sizes, tr: transport.NewLoopback(v2),
-		totalIters: 120, samplesPerEpoch: float64(cfg.Dataset.NumTrain()),
-		iterCounter: &iterCounter, computeNanos: &computeNanos,
-		lr: newSchedule(&cfg, 120), res: res,
-	}
-	if _, err := w.run(); err != nil {
-		t.Fatalf("run against v2 server: %v", err)
-	}
-	if got := badMagic.Load(); got != 1 {
-		t.Fatalf("v2 server rejected %d frames; the worker must downgrade after exactly one bad-magic error", got)
-	}
-}
-
-// TestFallbackToRawTriggers pins the classification: only a bad-magic
-// server error downgrades the codec, and only once; unrelated errors leave
-// the quantizer in place so transient faults keep the negotiated codec.
-func TestFallbackToRawTriggers(t *testing.T) {
-	c, err := sparse.CodecByName("ternary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := c.(sparse.Quantizer)
-	u := &upCodec{quant: q}
-	if u.fallbackToRaw(nil) {
-		t.Fatal("nil error must not downgrade")
-	}
-	if u.fallbackToRaw(&transport.ServerError{Msg: "decode push from worker 0: boom"}) {
-		t.Fatal("unrelated server error must not downgrade")
-	}
-	if u.quant == nil {
-		t.Fatal("quantizer dropped without a downgrade")
-	}
-	if !u.fallbackToRaw(&transport.ServerError{Msg: "decode push from worker 0: sparse: bad magic"}) {
-		t.Fatal("bad-magic server error must downgrade")
-	}
-	if u.quant != nil {
-		t.Fatal("downgrade must clear the quantizer")
-	}
-	if u.fallbackToRaw(&transport.ServerError{Msg: "sparse: bad magic"}) {
-		t.Fatal("an already-raw codec has nothing to downgrade")
-	}
-}
-
 // The acceptance-criteria chaos run under double quantization: every
 // exchange both ways rides the ternary codec (mirror policy), faults and a
 // worker crash included, and after draining each worker the server must
@@ -243,38 +166,12 @@ func TestChaosQuantizedTrainingDrainsExact(t *testing.T) {
 	srv.SetExchangeTimeout(20 * time.Second)
 	defer srv.Close()
 
-	var seedBase atomic.Uint64
-	var wg sync.WaitGroup
-	results := make([]*Result, 4)
-	errs := make([]error, 4)
-	for id := 0; id < 4; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if id == 3 {
-				// Worker 3 crashes mid-training and rejoins; the resync dense
-				// snapshot must stay exact under the lossy codec (drains and
-				// snapshots are answered raw).
-				attempt := 0
-				dial := func() (transport.Transport, error) {
-					attempt++
-					if attempt == 1 {
-						return chaosDialer(srv.Addr(), &seedBase, 40)()
-					}
-					return chaosDialer(srv.Addr(), &seedBase, -1)()
-				}
-				results[id], errs[id] = RunResilientWorkerLoop(cfg, id, dial, 3)
-				return
-			}
-			results[id], errs[id] = RunResilientWorkerLoop(cfg, id, chaosDialer(srv.Addr(), &seedBase, -1), 3)
-		}(id)
-	}
-	wg.Wait()
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", id, err)
-		}
-	}
+	// Worker 3 crashes mid-training and rejoins; the resync dense snapshot
+	// must stay exact under the lossy codec (drains and snapshots are
+	// answered raw).
+	f := chaosFleet(srv.Addr(), 1)
+	defer f.close()
+	results := runChaos(t, cfg, f)
 	if acc := results[0].FinalAccuracy; acc < 0.6 {
 		t.Fatalf("final accuracy %.3f under quantized chaos; training diverged", acc)
 	}
@@ -282,23 +179,8 @@ func TestChaosQuantizedTrainingDrainsExact(t *testing.T) {
 		t.Fatal("no replays recorded — the fault schedule never exercised the replay cache")
 	}
 
-	// drainWorker decodes with the strict legacy decoder, so it doubles as
-	// the end-to-end check that drains are answered raw.
-	m := snapshotBuffer(sizes)
-	v := snapshotBuffer(sizes)
-	for k := 0; k < 4; k++ {
-		drainWorker(t, srv.Addr(), k)
-	}
-	server.MSnapshot(m)
-	for k := 0; k < 4; k++ {
-		server.VSnapshot(k, v)
-		for layer := range m {
-			for j := range m[layer] {
-				if v[layer][j] != m[layer][j] {
-					t.Fatalf("worker %d: v[%d][%d]=%v != M=%v — quantization error leaked out of residual state",
-						k, layer, j, v[layer][j], m[layer][j])
-				}
-			}
-		}
-	}
+	// The drain decodes with the strict legacy decoder, so it doubles as the
+	// end-to-end check that drains are answered raw; a quantization error
+	// leaked out of residual state would leave v_k != M.
+	requireDrainedFixpoint(t, f, server, sizes, 4)
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // DialOptions configures NewDialStack, the canonical client transport stack
-// shared by cmd/dgs-worker, the aggregation benchmarks, and anything else
-// that speaks to a dgs-server or dgs-agg endpoint as a worker.
+// shared by cmd/dgs-worker, the benchmark, and anything else that speaks to
+// a dgs-server or dgs-agg endpoint as a worker.
 type DialOptions struct {
 	// Addr is the server or aggregator endpoint.
 	Addr string
-	// Pipeline is the in-flight exchange depth; >1 (without fault injection)
-	// selects the native PipelinedSession over wire-v2 mux framing.
+	// Pipeline is the in-flight exchange depth (0 and 1 both mean the
+	// synchronous exchange).
 	Pipeline int
 	// Retries / Backoff / MaxBackoff shape the redial policy. Zero values
 	// keep the transport defaults.
@@ -22,68 +22,44 @@ type DialOptions struct {
 	MaxBackoff time.Duration
 	// Timeout is the per-exchange deadline (0 disables).
 	Timeout time.Duration
-	// Faults, when non-nil, wraps the connection in the seeded chaos
-	// decorator. Each dial advances the seed so a reconnected incarnation
-	// draws a fresh fault schedule. Fault injection forces the synchronous
-	// stack even when Pipeline > 1 (the decorators are one-frame-at-a-time).
+	// Faults, when non-nil, wraps every link the session dials in the seeded
+	// chaos decorator, at any Pipeline depth. Each dial advances the seed so
+	// a redialled link draws a fresh fault schedule.
 	Faults *transport.FaultConfig
 }
 
 // NewDialStack builds the worker-side transport dialer. Every call of the
-// returned function is one worker incarnation, stacked top to bottom as
-// SessionClient (exactly-once envelope) → Reconnecting (redial + re-send
-// the same frame) → optional Faulty (seeded chaos) → TCPClient with a
-// per-exchange deadline; or, with Pipeline > 1 and no fault injection, the
-// native PipelinedSession (same envelope plus redial-with-replay,
-// multiplexing up to depth in-flight exchanges on one connection). A fresh
-// incarnation's hello makes the server resync the worker id and ship a
-// dense snapshot.
+// returned function is one worker incarnation: a PipelinedSession (the
+// exactly-once envelope, redial with replay of the in-flight window) over
+// wire-v2 mux links with a per-exchange deadline, each link optionally
+// wrapped in Faulty. A fresh incarnation's hello makes the server resync
+// the worker id and ship a dense snapshot.
 func NewDialStack(opts DialOptions) func() (transport.Transport, error) {
 	dials := uint64(0)
 	return func() (transport.Transport, error) {
-		if opts.Pipeline > 1 && opts.Faults == nil {
-			ps := transport.NewPipelinedSession(func() (transport.MuxLink, error) {
-				c, err := transport.DialMux(opts.Addr)
-				if err != nil {
-					return nil, err
-				}
-				c.ExchangeTimeout = opts.Timeout
-				return c, nil
-			}, opts.Pipeline)
-			if opts.Retries > 0 {
-				ps.MaxRetries = opts.Retries
-			}
-			if opts.Backoff > 0 {
-				ps.Backoff = opts.Backoff
-			}
-			if opts.MaxBackoff > 0 {
-				ps.MaxBackoff = opts.MaxBackoff
-			}
-			return ps, nil
-		}
-		rc := transport.NewReconnecting(func() (transport.Transport, error) {
-			c, err := transport.DialTCP(opts.Addr)
+		ps := transport.NewPipelinedSession(func() (transport.MuxLink, error) {
+			c, err := transport.DialMux(opts.Addr)
 			if err != nil {
 				return nil, err
 			}
 			c.ExchangeTimeout = opts.Timeout
-			dials++
-			if opts.Faults != nil {
-				fc := *opts.Faults
-				fc.Seed += dials
-				return transport.NewFaulty(c, fc), nil
+			if opts.Faults == nil {
+				return c, nil
 			}
-			return c, nil
-		})
+			dials++
+			fc := *opts.Faults
+			fc.Seed += dials
+			return transport.NewFaulty(c, fc), nil
+		}, opts.Pipeline)
 		if opts.Retries > 0 {
-			rc.MaxRetries = opts.Retries
+			ps.MaxRetries = opts.Retries
 		}
 		if opts.Backoff > 0 {
-			rc.Backoff = opts.Backoff
+			ps.Backoff = opts.Backoff
 		}
 		if opts.MaxBackoff > 0 {
-			rc.MaxBackoff = opts.MaxBackoff
+			ps.MaxBackoff = opts.MaxBackoff
 		}
-		return transport.NewSessionClient(rc), nil
+		return ps, nil
 	}
 }

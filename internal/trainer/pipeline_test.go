@@ -8,10 +8,10 @@ import (
 	"dgs/internal/transport"
 )
 
-// Depth 0 and depth 1 take the untouched synchronous loop, so a
-// single-worker run (fully deterministic: no scheduler interleaving) must
-// reproduce the baseline bit for bit. This is the guard that pipelining
-// stays opt-in for the paper figures.
+// Depth 0 and depth 1 are both the synchronous exchange, so a single-worker
+// run (fully deterministic: no scheduler interleaving) must reproduce the
+// baseline bit for bit. This is the guard that pipelining stays opt-in for
+// the paper figures.
 func TestPipelineDepthOneIsBitwiseIdentical(t *testing.T) {
 	base, err := Run(quickConfig(DGS, 1))
 	if err != nil {
@@ -37,9 +37,9 @@ func TestPipelineDepthOneIsBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// Depth 2 over the in-process loopback: the QueuedPipeliner wrap of a
-// synchronous transport. The extra ≤1 step of client-side staleness must
-// not break convergence on the easy mixture.
+// Depth 2 over the in-process loopback, which runs the handler at Submit.
+// The extra ≤1 step of client-side staleness must not break convergence on
+// the easy mixture.
 func TestPipelinedTrainingConverges(t *testing.T) {
 	cfg := quickConfig(DGS, 4)
 	cfg.PipelineDepth = 2

@@ -13,15 +13,21 @@ import (
 // RunWorkerLoop runs a single worker's training loop against an external
 // transport — the multi-process deployment mode, where the parameter server
 // lives in another process (cmd/dgs-server) and each cmd/dgs-worker process
-// calls this. The worker processes its 1/Workers share of the total
-// iteration budget. Worker 0 evaluates and reports accuracy; other workers
-// report loss only.
+// calls this. The transport must be a transport.Pipeliner (a session from
+// NewDialStack, or a Loopback); the final model sync of worker 0 runs on it
+// too. The worker processes its 1/Workers share of the total iteration
+// budget. Worker 0 evaluates and reports accuracy; other workers report
+// loss only.
 func RunWorkerLoop(cfg Config, id int, tr transport.Transport) (*Result, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
 	}
 	if id < 0 || id >= cfg.Workers {
 		return nil, fmt.Errorf("trainer: worker id %d out of range [0,%d)", id, cfg.Workers)
+	}
+	pipe, ok := tr.(transport.Pipeliner)
+	if !ok {
+		return nil, fmt.Errorf("trainer: worker %d: transport %T is not a transport.Pipeliner", id, tr)
 	}
 	totalIters := cfg.Epochs * cfg.Dataset.NumTrain() / cfg.BatchSize
 	share := totalIters / cfg.Workers
@@ -40,7 +46,7 @@ func RunWorkerLoop(cfg Config, id int, tr transport.Transport) (*Result, error) 
 	// counter in expectation.
 	localLR := newSchedule(&cfg, totalIters)
 	w := worker{
-		cfg: &cfg, id: id, sizes: nil, tr: tr,
+		cfg: &cfg, id: id, sizes: nil, tr: pipe,
 		totalIters: share, samplesPerEpoch: float64(cfg.Dataset.NumTrain()) / float64(cfg.Workers),
 		iterCounter: &iterCounter, computeNanos: &computeNanos,
 		lr:  func(iter int64) float32 { return localLR(iter * int64(cfg.Workers)) },
@@ -60,13 +66,13 @@ func RunWorkerLoop(cfg Config, id int, tr transport.Transport) (*Result, error) 
 		}
 		res.FinalAccuracy = evaluate(&cfg, model)
 	}
-	res.ComputePerIter = float64(computeNanos.Load()) / 1e9 / float64(maxInt(share, 1))
+	res.ComputePerIter = float64(computeNanos.Load()) / 1e9 / float64(max(share, 1))
 	return res, nil
 }
 
 // RunResilientWorkerLoop is RunWorkerLoop with crash/rejoin recovery: each
-// attempt dials a fresh transport stack (typically SessionClient over
-// Reconnecting, via dial), and when an attempt dies on a transport failure
+// attempt dials a fresh session (typically through NewDialStack), and when
+// an attempt dies on a transport failure
 // the loop rejoins as a new worker incarnation — the session hello makes
 // the server Resync this worker and ship a dense snapshot, so the rebuilt
 // θ0 replica lands on the current server model and training continues.

@@ -16,7 +16,7 @@ func TestRunWorkerLoopAgainstStandaloneServer(t *testing.T) {
 	cfg := quickConfig(DGS, 2)
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	server := ps.NewServer(ps.Config{LayerSizes: proto.LayerSizes(), Workers: 2})
-	srv, err := transport.ListenTCP("127.0.0.1:0", Handler(server))
+	srv, err := transport.ListenTCP("127.0.0.1:0", ExactlyOnceHandler(server).Handle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestRunWorkerLoopAgainstStandaloneServer(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			cli, err := transport.DialTCP(srv.Addr())
+			cli, err := NewDialStack(DialOptions{Addr: srv.Addr()})()
 			if err != nil {
 				errs[id] = err
 				return
@@ -68,6 +68,15 @@ func TestRunWorkerLoopRejectsBadID(t *testing.T) {
 	}
 	if _, err := RunWorkerLoop(cfg, -1, lb); err == nil {
 		t.Fatal("negative worker id must be rejected")
+	}
+}
+
+// The loop needs a Pipeliner; a plain Transport is refused up front.
+func TestRunWorkerLoopRequiresPipeliner(t *testing.T) {
+	cfg := quickConfig(DGS, 1)
+	var tr transport.Transport = struct{ transport.Transport }{transport.NewLoopback(nil)}
+	if _, err := RunWorkerLoop(cfg, 0, tr); err == nil {
+		t.Fatal("a transport that cannot pipeline must be rejected")
 	}
 }
 

@@ -15,23 +15,23 @@ import (
 	"dgs/internal/transport"
 )
 
-// gatedTransport holds its worker at a step barrier: the exchange after the
+// gatedSession holds its worker at a step barrier: the submit after the
 // first hold ones waits for gate to close. The crash-recovery test uses it
 // to keep every worker mid-run until the server is gone — a worker's steps
 // take a fraction of a checkpoint's fsync, so left alone the run can finish
 // before the kill condition is ever met and the kill lands on nobody.
-type gatedTransport struct {
-	transport.Transport
+type gatedSession struct {
+	transport.Pipeliner
 	done, hold int
 	gate       <-chan struct{}
 }
 
-func (g *gatedTransport) Exchange(worker int, payload []byte) ([]byte, error) {
+func (g *gatedSession) Submit(worker int, payload []byte) error {
 	if g.done == g.hold {
 		<-g.gate
 	}
 	g.done++
-	return g.Transport.Exchange(worker, payload)
+	return g.Pipeliner.Submit(worker, payload)
 }
 
 // The crash-recovery acceptance test: a pipelined (depth 2) multi-worker
@@ -87,27 +87,18 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 		}
 	}()
 
-	// Workers: plain TCP session stacks (no injected link faults — the
-	// fault under test is the server crash) with a generous retry budget to
-	// ride out the restart window. Each holds after holdAt of its 64 steps
-	// until the server has been killed, so the kill condition below is met
-	// with every worker still owing steps, whatever a step costs.
+	// Workers: plain session stacks (no injected link faults — the fault
+	// under test is the server crash) with a generous retry budget to ride
+	// out the restart window. Each holds after holdAt of its 64 steps until
+	// the server has been killed, so the kill condition below is met with
+	// every worker still owing steps, whatever a step costs.
 	const holdAt = 20
 	killed := make(chan struct{})
-	dial := func() (transport.Transport, error) {
-		rc := transport.NewReconnecting(func() (transport.Transport, error) {
-			c, err := transport.DialTCP(addr)
-			if err != nil {
-				return nil, err
-			}
-			c.ExchangeTimeout = 10 * time.Second
-			return c, nil
-		})
-		rc.MaxRetries = 100
-		rc.Backoff = time.Millisecond
-		rc.MaxBackoff = 8 * time.Millisecond
-		return &gatedTransport{Transport: transport.NewSessionClient(rc), hold: holdAt, gate: killed}, nil
-	}
+	f := newFleet(DialOptions{
+		Addr: addr, Pipeline: cfg.PipelineDepth, Timeout: 10 * time.Second,
+		Retries: 100, Backoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
+	})
+	defer f.close()
 
 	var wg sync.WaitGroup
 	results := make([]*Result, 4)
@@ -116,6 +107,9 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			dial := func() (transport.Transport, error) {
+				return &gatedSession{Pipeliner: keepOpen{f.session(id)}, hold: holdAt, gate: killed}, nil
+			}
 			results[id], errs[id] = RunResilientWorkerLoop(cfg, id, dial, 5)
 		}(id)
 	}
@@ -177,22 +171,7 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 	}
 
 	// Eq. 5 on the restored server: after drain, v_k == M bitwise.
-	m := snapshotBuffer(sizes)
-	v := snapshotBuffer(sizes)
-	for k := 0; k < 4; k++ {
-		drainWorker(t, addr, k)
-	}
-	server2.MSnapshot(m)
-	for k := 0; k < 4; k++ {
-		server2.VSnapshot(k, v)
-		for layer := range m {
-			for j := range m[layer] {
-				if v[layer][j] != m[layer][j] {
-					t.Fatalf("worker %d: v[%d][%d]=%v != M=%v after crash-recovery", k, layer, j, v[layer][j], m[layer][j])
-				}
-			}
-		}
-	}
+	requireDrainedFixpoint(t, f, server2, sizes, 4)
 }
 
 // Overload backpressure end-to-end: a parameter server admitting only one
@@ -221,20 +200,11 @@ func TestChaosOverloadedServerShedsAndRecovers(t *testing.T) {
 	srv.SetExchangeTimeout(20 * time.Second)
 	defer srv.Close()
 
-	dial := func() (transport.Transport, error) {
-		rc := transport.NewReconnecting(func() (transport.Transport, error) {
-			c, err := transport.DialTCP(srv.Addr())
-			if err != nil {
-				return nil, err
-			}
-			c.ExchangeTimeout = 10 * time.Second
-			return c, nil
-		})
-		rc.MaxRetries = 200
-		rc.Backoff = 100 * time.Microsecond
-		rc.MaxBackoff = 2 * time.Millisecond
-		return transport.NewSessionClient(rc), nil
-	}
+	f := newFleet(DialOptions{
+		Addr: srv.Addr(), Timeout: 10 * time.Second,
+		Retries: 200, Backoff: 100 * time.Microsecond, MaxBackoff: 2 * time.Millisecond,
+	})
+	defer f.close()
 
 	var wg sync.WaitGroup
 	results := make([]*Result, 4)
@@ -243,7 +213,7 @@ func TestChaosOverloadedServerShedsAndRecovers(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = RunResilientWorkerLoop(cfg, id, dial, 3)
+			results[id], errs[id] = RunResilientWorkerLoop(cfg, id, f.dialer(id, -1), 3)
 		}(id)
 	}
 	wg.Wait()
@@ -265,22 +235,7 @@ func TestChaosOverloadedServerShedsAndRecovers(t *testing.T) {
 	}
 
 	// A shed push must never have touched the server: exactly-once holds.
-	m := snapshotBuffer(sizes)
-	v := snapshotBuffer(sizes)
-	for k := 0; k < 4; k++ {
-		drainWorker(t, srv.Addr(), k)
-	}
-	server.MSnapshot(m)
-	for k := 0; k < 4; k++ {
-		server.VSnapshot(k, v)
-		for layer := range m {
-			for j := range m[layer] {
-				if v[layer][j] != m[layer][j] {
-					t.Fatalf("worker %d: v[%d][%d]=%v != M=%v under backpressure", k, layer, j, v[layer][j], m[layer][j])
-				}
-			}
-		}
-	}
+	requireDrainedFixpoint(t, f, server, sizes, 4)
 }
 
 // Graceful drain against live traffic: Drain stops admission, in-flight
@@ -309,7 +264,7 @@ func TestChaosGracefulDrainFinalCheckpoint(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			tr, err := dialSession(srv.Addr())
+			tr, err := NewDialStack(DialOptions{Addr: srv.Addr(), Backoff: time.Millisecond, Timeout: 10 * time.Second})()
 			if err != nil {
 				t.Errorf("worker %d dial: %v", id, err)
 				return
@@ -374,21 +329,6 @@ func TestChaosGracefulDrainFinalCheckpoint(t *testing.T) {
 			}
 		}
 	}
-}
-
-// dialSession builds the plain session-over-reconnect stack the drain test
-// drives by hand.
-func dialSession(addr string) (transport.Transport, error) {
-	rc := transport.NewReconnecting(func() (transport.Transport, error) {
-		c, err := transport.DialTCP(addr)
-		if err != nil {
-			return nil, err
-		}
-		c.ExchangeTimeout = 10 * time.Second
-		return c, nil
-	})
-	rc.Backoff = time.Millisecond
-	return transport.NewSessionClient(rc), nil
 }
 
 // trainPushPayload builds a tiny deterministic sparse push for layer 0,

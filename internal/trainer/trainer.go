@@ -131,14 +131,14 @@ type Config struct {
 	// EvalLimit caps test examples per evaluation (0 = all).
 	EvalLimit int
 	// TCPAddr, when non-empty (e.g. "127.0.0.1:0"), runs the exchange over
-	// real TCP sockets: the run starts an in-process TCP parameter server
-	// and every worker dials its own connection. Empty means in-process
+	// real TCP sockets: the run starts an in-process exactly-once parameter
+	// server and every worker dials its own session. Empty means in-process
 	// loopback.
 	TCPAddr string
-	// PipelineDepth bounds each worker's in-flight exchanges. 0 or 1 keeps
-	// today's synchronous loop (the exact same code path, so baselines and
-	// the paper figures are bit-identical); D > 1 overlaps up to D
-	// exchanges with compute, applying each downward difference at the
+	// PipelineDepth bounds each worker's in-flight exchanges. 0 or 1 is the
+	// synchronous exchange (each step submits and awaits at once, so
+	// baselines and the paper figures are unchanged); D > 1 overlaps up to
+	// D exchanges with compute, applying each downward difference at the
 	// next batch boundary — bounded-delay ASGD with at most D−1 extra
 	// steps of client-side delay (see DESIGN.md §10).
 	PipelineDepth int
@@ -168,7 +168,8 @@ type Result struct {
 	Accuracy *stats.Series
 	// Iterations is the total number of worker pushes.
 	Iterations int
-	// BytesUp/BytesDown are total encoded wire bytes (training only,
+	// BytesUp/BytesDown are total encoded update bytes, without session or
+	// framing headers, so loopback and TCP runs agree (training only,
 	// excluding the final evaluation sync).
 	BytesUp, BytesDown int64
 	// AvgUpBytes/AvgDownBytes are mean bytes per iteration, used to drive
@@ -294,8 +295,7 @@ func Handler(server ps.Pusher) transport.Handler {
 // retried pushes are answered from the per-worker replay cache instead of
 // being re-applied, and a rejoining worker incarnation triggers a server
 // Resync so its first response ships a dense snapshot. This is the handler
-// the TCP deployment path (cmd/dgs-server, chaos tests) should serve;
-// sessionless clients pass through unchanged.
+// the TCP deployment path (cmd/dgs-server, chaos tests) should serve.
 func ExactlyOnceHandler(server ps.Pusher) *transport.ExactlyOnce {
 	eo, err := ExactlyOnceHandlerWithCodec(server, "mirror")
 	if err != nil {
@@ -341,23 +341,40 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// makeTransport hands each worker (and the final sync) its own handle;
-	// traffic() reads the server-side byte counters afterwards.
-	var makeTransport func() (transport.Transport, error)
-	var traffic *transport.Traffic
+	// Every worker gets its own Pipeliner. Traffic is counted by a loopback
+	// in both modes — over TCP the session middleware serves its Exchange —
+	// so it sees application payloads and both modes report one volume.
+	traffic := &transport.Traffic{}
+	loopback := func() *transport.Loopback { return &transport.Loopback{H: handler, Traffic: traffic} }
+	trs := make([]transport.Pipeliner, cfg.Workers)
 	if cfg.TCPAddr != "" {
-		srv, err := transport.ListenTCP(cfg.TCPAddr, handler)
+		eo := transport.NewExactlyOnce(loopback().Exchange, func(k int) error {
+			server.Resync(k)
+			return nil
+		})
+		srv, err := transport.ListenTCP(cfg.TCPAddr, eo.Handle)
 		if err != nil {
 			return nil, err
 		}
 		defer srv.Close()
-		traffic = srv.Traffic
-		makeTransport = func() (transport.Transport, error) { return transport.DialTCP(srv.Addr()) }
+		dial := NewDialStack(DialOptions{Addr: srv.Addr(), Pipeline: cfg.PipelineDepth})
+		for k := range trs {
+			tr, err := dial()
+			if err != nil {
+				return nil, err
+			}
+			trs[k] = tr.(transport.Pipeliner)
+		}
 	} else {
-		loop := transport.NewLoopback(handler)
-		traffic = loop.Traffic
-		makeTransport = func() (transport.Transport, error) { return loop, nil }
+		for k := range trs {
+			trs[k] = loopback()
+		}
 	}
+	defer func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}()
 
 	totalIters := cfg.Epochs * cfg.Dataset.NumTrain() / cfg.BatchSize
 	if totalIters < 1 {
@@ -383,14 +400,8 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			tr, err := makeTransport()
-			if err != nil {
-				errCh <- fmt.Errorf("trainer: worker %d transport: %w", k, err)
-				return
-			}
-			defer tr.Close()
 			w := worker{
-				cfg: &cfg, id: k, sizes: sizes, tr: tr,
+				cfg: &cfg, id: k, sizes: sizes, tr: trs[k],
 				totalIters: totalIters, samplesPerEpoch: samplesPerEpoch,
 				iterCounter: &iterCounter, computeNanos: &computeNanos,
 				lr: lr, res: res,
@@ -418,17 +429,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Server = server.Stats()
 	res.ServerStateBytes = server.StateBytes()
-	res.ComputePerIter = float64(computeNanos.Load()) / 1e9 / float64(maxInt(totalIters, 1))
+	res.ComputePerIter = float64(computeNanos.Load()) / 1e9 / float64(max(totalIters, 1))
 
 	// Final accuracy: sync worker 0's replica with the server (empty pushes
 	// drain any secondary-compression remainder), then evaluate. Traffic
-	// counters above were captured before this sync.
-	syncTr, err := makeTransport()
-	if err != nil {
-		return nil, err
-	}
-	defer syncTr.Close()
-	if err := syncModel(syncTr, 0, models[0]); err != nil {
+	// counters above were captured before this sync. The sync reuses worker
+	// 0's session: a fresh one's hello would resync v_0 and ship the dense
+	// M, which added onto the replica would double it.
+	if err := syncModel(trs[0], 0, models[0]); err != nil {
 		return nil, err
 	}
 	res.FinalAccuracy = evaluate(&cfg, models[0])
@@ -525,7 +533,7 @@ type worker struct {
 	cfg             *Config
 	id              int
 	sizes           []int
-	tr              transport.Transport
+	tr              transport.Pipeliner
 	totalIters      int
 	samplesPerEpoch float64
 	iterCounter     *atomic.Int64
@@ -533,24 +541,30 @@ type worker struct {
 	lr              func(int64) float32
 	res             *Result
 
-	// per-iteration exchange scratch: the encoded upward payload and the
-	// decoded downward update, reused so the steady-state loop allocates
-	// nothing in the exchange path.
-	encBuf []byte
-	down   sparse.Update
+	// down is the decoded downward update, reused so the steady-state loop
+	// allocates nothing in the exchange path.
+	down sparse.Update
 }
 
-// run is the worker training loop. It returns its model replica so the
-// coordinator can evaluate the final state.
+// run is the worker training loop, with up to PipelineDepth exchanges in
+// flight: step t's Top-k encode → round trip → downward decode overlaps
+// step t+1's forward/backward. Responses are awaited strictly in submit
+// order and applied at the next batch boundary, so the replica is always
+// the server state as of some recent exchange — bounded-delay ASGD with at
+// most depth−1 steps of client-side delay folded into the staleness the
+// server already accounts for (the in-flight pushes advance its clock
+// before this worker applies their responses). At depth 1 each step submits
+// and awaits at once: the synchronous exchange. It returns the model
+// replica so the coordinator can evaluate the final state.
 //
-// PipelineDepth > 1 dispatches to the pipelined loop in pipeline.go; depth
-// 0/1 runs the loop below — deliberately the untouched synchronous path,
-// so default runs reproduce pre-pipelining results bit for bit.
+// SAMomentum/residual correctness across in-flight boundaries: Prepare runs
+// serially in this goroutine and performs the unsent-coordinate rescale
+// (Eq. 14–16) before the payload is handed to the transport, and the
+// payload is immediately encoded into a private ring slot — the optimizer
+// state is never referenced after handoff.
 func (w *worker) run() (*nn.Model, error) {
-	if w.cfg.PipelineDepth > 1 {
-		return w.runPipelined(w.cfg.PipelineDepth)
-	}
 	cfg := w.cfg
+	depth := max(cfg.PipelineDepth, 1)
 	// Identical init across replicas: every worker seeds its model RNG the
 	// same way, so all start from θ0 (the PS tracks only differences).
 	model := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
@@ -561,13 +575,52 @@ func (w *worker) run() (*nn.Model, error) {
 	loader := data.NewLoader(cfg.Dataset, cfg.BatchSize, cfg.Seed+uint64(1000+w.id), true)
 	qrng := tensor.NewRNG(cfg.Seed + uint64(7000+w.id))
 	codec := newUpCodec(cfg.Codec, opt)
+	pipe := w.tr
+
+	// A submitted payload is owned by the transport until its Await
+	// resolves (the session retains the bytes for replay-on-reconnect), so
+	// each in-flight exchange needs its own grow-once encode buffer.
+	encBufs := make([][]byte, depth+1)
+	encSlot := 0
 
 	nextEval := float64(cfg.EvalEveryEpochs)
 	params := model.Params()
 
+	// awaitApply resolves the oldest in-flight exchange and applies its
+	// downward model difference to the replica.
+	awaitApply := func() error {
+		a0 := time.Now()
+		respBytes, err := pipe.Await()
+		blocked := time.Since(a0)
+		pipeMet.blockedSeconds.Add(blocked.Seconds())
+		pipeMet.stageAwait.Observe(blocked.Seconds())
+		pipeMet.inflight.Set(float64(pipe.InFlight()))
+		if err != nil {
+			return fmt.Errorf("trainer: worker %d exchange: %w", w.id, err)
+		}
+		if err := sparse.DecodeAnyInto(&w.down, respBytes); err != nil {
+			return fmt.Errorf("trainer: worker %d decode response: %w", w.id, err)
+		}
+		p0 := time.Now()
+		for ci := range w.down.Chunks {
+			c := &w.down.Chunks[ci]
+			sparse.Scatter(c, params[c.Layer].Value.Data, 1)
+		}
+		pipeMet.stageApply.Observe(time.Since(p0).Seconds())
+		return nil
+	}
+
 	for {
 		iter := w.iterCounter.Add(1) - 1
 		if iter >= int64(w.totalIters) {
+			// Drain: every in-flight response must land on the replica
+			// before it is returned for evaluation (and before the final
+			// syncModel reuses the transport synchronously).
+			for pipe.InFlight() > 0 {
+				if err := awaitApply(); err != nil {
+					return model, err
+				}
+			}
 			return model, nil
 		}
 		batch := loader.Next()
@@ -601,27 +654,27 @@ func (w *worker) run() (*nn.Model, error) {
 		if cfg.Ternary {
 			upd = quant.TernarizeUpdate(&upd, qrng)
 		}
-		// Transports either consume the payload synchronously (loopback) or
-		// copy it (session framing, TCP write), so the buffer is free for
-		// reuse as soon as Exchange returns.
-		w.encBuf = codec.encode(w.encBuf[:0], &upd, qrng)
+		e0 := time.Now()
+		payload := codec.encode(encBufs[encSlot][:0], &upd, qrng)
+		encBufs[encSlot] = payload
+		encSlot = (encSlot + 1) % len(encBufs)
+		pipeMet.stageEncode.Observe(time.Since(e0).Seconds())
 
-		respBytes, err := w.tr.Exchange(w.id, w.encBuf)
-		if codec.fallbackToRaw(err) {
-			// The server predates the v3 frame: re-send the same quantized
-			// values as a raw frame and stay on codec 0 from here on.
-			w.encBuf = sparse.AppendEncode(w.encBuf[:0], &codec.q)
-			respBytes, err = w.tr.Exchange(w.id, w.encBuf)
+		s0 := time.Now()
+		if err := pipe.Submit(w.id, payload); err != nil {
+			return model, fmt.Errorf("trainer: worker %d submit: %w", w.id, err)
 		}
-		if err != nil {
-			return model, fmt.Errorf("trainer: worker %d exchange: %w", w.id, err)
-		}
-		if err := sparse.DecodeAnyInto(&w.down, respBytes); err != nil {
-			return model, fmt.Errorf("trainer: worker %d decode response: %w", w.id, err)
-		}
-		for ci := range w.down.Chunks {
-			c := &w.down.Chunks[ci]
-			sparse.Scatter(c, params[c.Layer].Value.Data, 1)
+		pipeMet.stageSubmit.Observe(time.Since(s0).Seconds())
+		pipeMet.inflight.Set(float64(pipe.InFlight()))
+
+		// The window is full once depth exchanges are in flight: resolve
+		// the oldest (at depth > 1 submitted before this step's compute
+		// began, so its round trip has been hiding behind it) and apply its
+		// difference at this batch boundary.
+		if pipe.InFlight() >= depth {
+			if err := awaitApply(); err != nil {
+				return model, err
+			}
 		}
 		observeStep(iterStart)
 
@@ -629,8 +682,9 @@ func (w *worker) run() (*nn.Model, error) {
 		w.res.Loss.Add(epoch, loss)
 
 		// Worker 0 owns periodic evaluation. It runs between its own
-		// iterations on its own replica (which tracks the server model),
-		// so no synchronisation with other workers is needed.
+		// iterations on its own replica, which lags the server by the
+		// in-flight responses (at most depth−1 steps), so no
+		// synchronisation with other workers is needed.
 		if w.id == 0 && epoch >= nextEval {
 			acc := evaluate(cfg, model)
 			w.res.Accuracy.Add(epoch, acc)
@@ -670,11 +724,4 @@ func clipGlobalNorm(grads [][]float32, c float32) {
 	for _, g := range grads {
 		tensor.Scale(scale, g)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,17 +1,15 @@
 package transport
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
 )
 
-// Full-jitter backoff and context cancellation in the reconnect layer.
+// Full-jitter backoff in the session's retry loop.
 
 func TestSleepForFullJitterCeilings(t *testing.T) {
-	r := &Reconnecting{Backoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
-	r.Rand = func() float64 { return 0.5 } // midpoint draw makes ceilings visible
+	p := &PipelinedSession{Backoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
+	p.jitter = func() float64 { return 0.5 } // midpoint draw makes ceilings visible
 	cases := []struct {
 		attempt int
 		want    time.Duration
@@ -23,78 +21,47 @@ func TestSleepForFullJitterCeilings(t *testing.T) {
 		{10, 40 * time.Millisecond}, // cap holds; no overflow from 2^10
 	}
 	for _, c := range cases {
-		if got := r.sleepFor(c.attempt, 0); got != c.want {
+		if got := p.sleepFor(c.attempt, 0); got != c.want {
 			t.Errorf("sleepFor(%d) = %v, want %v", c.attempt, got, c.want)
 		}
 	}
 }
 
 func TestSleepForHonoursRetryHintFloor(t *testing.T) {
-	r := &Reconnecting{Backoff: 4 * time.Millisecond}
-	r.Rand = func() float64 { return 0.25 }
+	p := &PipelinedSession{Backoff: 4 * time.Millisecond}
+	p.jitter = func() float64 { return 0.25 }
 	// Jittered draw (1ms) is below the server's hint: the hint wins.
-	if got := r.sleepFor(1, 30*time.Millisecond); got != 30*time.Millisecond {
+	if got := p.sleepFor(1, 30*time.Millisecond); got != 30*time.Millisecond {
 		t.Fatalf("floored sleep = %v, want 30ms", got)
 	}
 	// Jitter above the hint is kept (the hint is a minimum, not a target).
-	r.Rand = func() float64 { return 0.75 }
-	r.Backoff = 100 * time.Millisecond
-	if got := r.sleepFor(1, 30*time.Millisecond); got != 75*time.Millisecond {
+	p.jitter = func() float64 { return 0.75 }
+	p.Backoff = 100 * time.Millisecond
+	if got := p.sleepFor(1, 30*time.Millisecond); got != 75*time.Millisecond {
 		t.Fatalf("sleep above floor = %v, want 75ms", got)
 	}
 }
 
 func TestSleepForZeroBackoffSleepsNothing(t *testing.T) {
-	r := &Reconnecting{}
-	r.Rand = func() float64 { t.Fatal("zero backoff must not draw jitter"); return 0 }
-	if got := r.sleepFor(3, 0); got != 0 {
+	p := &PipelinedSession{}
+	p.jitter = func() float64 { t.Fatal("zero backoff must not draw jitter"); return 0 }
+	if got := p.sleepFor(3, 0); got != 0 {
 		t.Fatalf("zero-backoff sleep = %v, want 0", got)
 	}
 }
 
 func TestSleepForDeterministicUnderSeededRand(t *testing.T) {
-	mk := func() *Reconnecting {
-		r := &Reconnecting{Backoff: 10 * time.Millisecond, MaxBackoff: time.Second}
+	mk := func() *PipelinedSession {
+		p := &PipelinedSession{Backoff: 10 * time.Millisecond, MaxBackoff: time.Second}
 		seq := []float64{0.1, 0.9, 0.4}
 		i := 0
-		r.Rand = func() float64 { v := seq[i%len(seq)]; i++; return v }
-		return r
+		p.jitter = func() float64 { v := seq[i%len(seq)]; i++; return v }
+		return p
 	}
 	a, b := mk(), mk()
 	for attempt := 1; attempt <= 3; attempt++ {
 		if da, db := a.sleepFor(attempt, 0), b.sleepFor(attempt, 0); da != db {
 			t.Fatalf("attempt %d: %v != %v under identical seeds", attempt, da, db)
 		}
-	}
-}
-
-func TestReconnectingCtxCancelsBackoffWait(t *testing.T) {
-	dead := func() (Transport, error) { return nil, errors.New("host unreachable") }
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	r := NewReconnecting(dead)
-	r.Backoff = 10 * time.Second // without cancellation this test would hang
-	r.Ctx = ctx
-
-	start := time.Now()
-	_, err := r.Exchange(0, nil)
-	if err == nil {
-		t.Fatal("exchange against dead dialer succeeded")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want a context.DeadlineExceeded chain", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v; backoff wait ignored ctx", elapsed)
-	}
-}
-
-func TestReconnectingCtxPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := NewReconnecting(func() (Transport, error) { return nil, errors.New("nope") })
-	r.Ctx = ctx
-	if _, err := r.Exchange(0, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }

@@ -9,36 +9,36 @@ import (
 	"time"
 )
 
-// ErrInjected marks a failure produced by the Faulty wrapper. It models a
-// network fault (not a server rejection), so retry layers treat it exactly
+// ErrInjected marks a failure produced by the Faulty decorator. It models a
+// network fault (not a server rejection), so the session treats it exactly
 // like a real connection error.
 var ErrInjected = errors.New("transport: injected fault")
 
-// FaultConfig parameterises a Faulty wrapper. All probabilities are rolled
-// independently per exchange from one seeded generator, so a given (seed,
-// call sequence) produces the same fault schedule on every run.
+// FaultConfig parameterises a Faulty decorator. All probabilities are rolled
+// independently per submitted frame from one seeded generator, so a given
+// (seed, submit sequence) produces the same fault schedule on every run.
 type FaultConfig struct {
 	// Seed drives the fault schedule deterministically.
 	Seed uint64
-	// DropBeforeSend is the probability an exchange fails before the
-	// request leaves the client — the server never sees it.
+	// DropBeforeSend is the probability a request is lost before it leaves
+	// the client — the server never sees it, and the link breaks there.
 	DropBeforeSend float64
 	// DropAfterSend is the probability the request is delivered and
 	// processed but the response is lost (torn response) — the dangerous
 	// asymmetric failure the replay cache exists for.
 	DropAfterSend float64
-	// Duplicate is the probability the request is delivered twice (the
+	// Duplicate is the probability the request is written twice (the
 	// second delivery must hit the server's replay cache).
 	Duplicate float64
-	// Reset is the probability the underlying connection is closed before
-	// the exchange, forcing the caller's reconnect path.
+	// Reset is the probability the underlying connection is closed instead
+	// of writing the request, forcing the session's redial-and-replay.
 	Reset float64
-	// Delay is the probability an exchange is delayed by a uniform random
+	// Delay is the probability a request is delayed by a uniform random
 	// duration up to MaxDelay (jitter; stresses staleness and deadlines).
 	Delay    float64
 	MaxDelay time.Duration
 	// ServerRestart is the probability the server "restarts" under this
-	// exchange: the connection resets (like Reset) and every later response
+	// request: the connection resets (like Reset) and every later response
 	// through any Faulty sharing the same Restart state carries a skewed
 	// server incarnation id, so session clients observe exactly what a real
 	// process replacement looks like on the wire — a dropped connection
@@ -49,14 +49,14 @@ type FaultConfig struct {
 	// recovery machinery.
 	ServerRestart float64
 	// Restart shares the simulated incarnation skew among the Faulty
-	// wrappers of one logical cluster (every worker must see the same
+	// decorators of one logical cluster (every worker must see the same
 	// "restart"). Nil with ServerRestart > 0 gets a private state, which is
 	// only right for single-client tests.
 	Restart *RestartState
 }
 
 // RestartState carries the cumulative incarnation skew of simulated server
-// restarts. Share one instance across all Faulty wrappers pointing at the
+// restarts. Share one instance across all Faulty decorators pointing at the
 // same server.
 type RestartState struct {
 	skew     atomic.Uint64
@@ -76,22 +76,41 @@ type FaultStats struct {
 	DropsBefore, DropsAfter, Duplicates, Resets, Delays, ServerRestarts uint64
 }
 
-// Faulty wraps a Transport and injects seeded, deterministic faults. Place
-// it UNDER the retry layer (Reconnecting's Dial returns a Faulty-wrapped
-// TCPClient) so injected failures exercise the real recovery path:
-// reconnect, re-send, server-side replay dedupe.
+// Faulty decorates a MuxLink with seeded, deterministic faults. Place it
+// under the session (PipelinedSession's Dial returns a Faulty-wrapped
+// MuxConn) so injected failures exercise the real recovery path: redial,
+// replay of the window, server-side replay dedupe.
+//
+// A drop or reset breaks the link at that frame, the way a real connection
+// failure does: nothing more is written on the link, and Recv fails once
+// the faulted frame reaches the head of the window (a reset closes the
+// socket, so earlier responses are lost too; after a drop they still
+// arrive). A torn response is read, then lost, and breaks the link the same
+// way. A duplicate is written twice; Recv discards the first response and
+// returns the second under the id the session expects.
 type Faulty struct {
-	inner Transport
+	inner MuxLink
 
-	mu     sync.Mutex
-	cfg    FaultConfig
-	rng    *rand.Rand
-	stats  FaultStats
-	closed bool
+	mu    sync.Mutex // guards the schedule and stats against Stats readers
+	cfg   FaultConfig
+	rng   *rand.Rand
+	stats FaultStats
+
+	// Link state, owned by the session goroutine like the link itself.
+	broken bool        // a fault broke the link: nothing more is written
+	fates  []frameFate // one per submitted frame, oldest first
 }
 
-// NewFaulty wraps a transport with a fault schedule.
-func NewFaulty(inner Transport, cfg FaultConfig) *Faulty {
+// frameFate is what Recv does when a submitted frame reaches the head.
+type frameFate struct {
+	id   uint64
+	lost string // non-empty: never written; Recv fails with this cause
+	dup  bool   // written twice: the first response is discarded
+	torn bool   // the response is read, then lost
+}
+
+// NewFaulty wraps a link with a fault schedule.
+func NewFaulty(inner MuxLink, cfg FaultConfig) *Faulty {
 	if cfg.ServerRestart > 0 && cfg.Restart == nil {
 		cfg.Restart = &RestartState{}
 	}
@@ -105,17 +124,17 @@ func (f *Faulty) Stats() FaultStats {
 	return f.stats
 }
 
-// Exchange implements Transport, possibly injecting one fault. Fault rolls
+// Submit implements MuxLink, possibly injecting one fault. Fault rolls
 // happen in a fixed order (delay, reset, restart, drop-before, duplicate,
 // drop-after) so the schedule is reproducible from the seed alone; a
 // probability of zero draws nothing, so enabling a new fault kind does not
-// shift the schedule of the others.
-func (f *Faulty) Exchange(worker int, payload []byte) ([]byte, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("%w: connection reset", ErrInjected)
+// shift the schedule of the others. A broken link rolls nothing.
+func (f *Faulty) Submit(worker int, frame []byte) (uint64, error) {
+	if f.broken {
+		f.fates = append(f.fates, frameFate{lost: "link broken by an earlier fault"})
+		return 0, nil
 	}
+	f.mu.Lock()
 	var sleep time.Duration
 	if f.roll(f.cfg.Delay) && f.cfg.MaxDelay > 0 {
 		sleep = time.Duration(f.rng.Int63n(int64(f.cfg.MaxDelay)))
@@ -127,74 +146,98 @@ func (f *Faulty) Exchange(worker int, payload []byte) ([]byte, error) {
 	dropBefore := f.roll(f.cfg.DropBeforeSend)
 	duplicate := f.roll(f.cfg.Duplicate)
 	dropAfter := f.roll(f.cfg.DropAfterSend)
-	if restart {
+	var lost string // set when the request is never written
+	dup, torn := false, false
+	switch {
+	case restart:
 		// The restart subsumes a reset: same wire symptom, plus the skew.
 		// The delta is drawn under f.mu so schedules stay seed-reproducible.
 		f.stats.ServerRestarts++
 		tmet.faultRestart.Inc()
-		f.closed = true
 		f.cfg.Restart.fire(uint64(f.rng.Int63()) | 1)
-		reset = false
-	} else if reset {
+		lost = "server restarted (connection reset)"
+	case reset:
 		f.stats.Resets++
 		tmet.faultReset.Inc()
-		f.closed = true
-	} else if dropBefore {
+		lost = "connection reset"
+	case dropBefore:
 		f.stats.DropsBefore++
 		tmet.faultDropBefore.Inc()
-	} else if duplicate {
+		lost = "request dropped before send"
+	case duplicate:
 		f.stats.Duplicates++
 		tmet.faultDuplicate.Inc()
-	} else if dropAfter {
+		dup = true
+	case dropAfter:
 		f.stats.DropsAfter++
 		tmet.faultDropAfter.Inc()
+		torn = true
 	}
 	f.mu.Unlock()
 
 	if sleep > 0 {
 		time.Sleep(sleep)
 	}
-	switch {
-	case restart:
-		f.inner.Close()
-		return nil, fmt.Errorf("%w: server restarted (connection reset)", ErrInjected)
-	case reset:
-		f.inner.Close()
-		return nil, fmt.Errorf("%w: connection reset", ErrInjected)
-	case dropBefore:
-		return nil, fmt.Errorf("%w: request dropped before send", ErrInjected)
-	case duplicate:
-		// Deliver twice; surface the second response. Both roundtrips carry
-		// the same envelope, so the server must apply the exchange once and
-		// answer the duplicate from its replay cache.
-		if _, err := f.inner.Exchange(worker, payload); err != nil {
-			return nil, err
+	if lost != "" {
+		f.broken = true
+		if restart || reset {
+			f.inner.Close()
 		}
-		resp, err := f.inner.Exchange(worker, payload)
-		return f.skewed(resp), err
-	case dropAfter:
-		// The server processes the request; the client never sees the
-		// response (torn response). The caller's retry layer will tear down
-		// this connection and re-send the same frame.
-		if _, err := f.inner.Exchange(worker, payload); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: response torn", ErrInjected)
-	default:
-		resp, err := f.inner.Exchange(worker, payload)
-		return f.skewed(resp), err
+		f.fates = append(f.fates, frameFate{lost: lost})
+		return 0, nil
 	}
+	id, err := f.inner.Submit(worker, frame)
+	if err == nil && dup {
+		// Both copies carry the same envelope: the server must apply the
+		// exchange once and answer the second from its replay cache.
+		_, err = f.inner.Submit(worker, frame)
+	}
+	if err != nil {
+		return 0, err
+	}
+	f.fates = append(f.fates, frameFate{id: id, dup: dup, torn: torn})
+	return id, nil
 }
 
-// skewed applies the simulated-restart incarnation skew to a session
-// response so the client sees the post-"restart" server identity.
-func (f *Faulty) skewed(resp []byte) []byte {
-	if st := f.cfg.Restart; st != nil {
-		if skew := st.skew.Load(); skew != 0 {
-			patchSessionRespIncarnation(resp, skew)
+// Recv implements MuxLink: it resolves the oldest submitted frame according
+// to its fate.
+func (f *Faulty) Recv(buf []byte) (uint64, []byte, error) {
+	if len(f.fates) == 0 {
+		return f.inner.Recv(buf) // misuse: the inner link reports it
+	}
+	fate := f.fates[0]
+	f.fates = f.fates[:copy(f.fates, f.fates[1:])]
+	if fate.lost != "" {
+		return 0, buf, fmt.Errorf("%w: %s", ErrInjected, fate.lost)
+	}
+	if fate.dup {
+		_, first, err := f.inner.Recv(buf)
+		var srvErr *ServerError
+		var ra *RetryAfterError
+		if err != nil && !errors.As(err, &srvErr) && !errors.As(err, &ra) {
+			return 0, first, err
+		}
+		buf = first
+	}
+	id, resp, err := f.inner.Recv(buf)
+	if fate.torn {
+		// The server processed the request; the client never sees the
+		// response, and the stream is unusable from here.
+		f.broken = true
+		return 0, resp, fmt.Errorf("%w: response torn", ErrInjected)
+	}
+	if fate.dup {
+		id = fate.id
+	}
+	if err == nil {
+		if st := f.cfg.Restart; st != nil {
+			if skew := st.skew.Load(); skew != 0 {
+				// The client sees the post-"restart" server identity.
+				patchSessionRespIncarnation(resp, skew)
+			}
 		}
 	}
-	return resp
+	return id, resp, err
 }
 
 // roll draws one Bernoulli sample; callers hold f.mu.
@@ -205,10 +248,8 @@ func (f *Faulty) roll(p float64) bool {
 	return f.rng.Float64() < p
 }
 
-// Close implements Transport.
+// Close implements MuxLink.
 func (f *Faulty) Close() error {
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
+	f.broken = true
 	return f.inner.Close()
 }

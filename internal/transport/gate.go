@@ -16,7 +16,7 @@ import (
 // push path holds per-worker and model locks, so admitted requests beyond
 // the server's service rate only lengthen lock convoys and grow the heap —
 // they never finish sooner. Shedding at admission keeps the queue in the
-// workers (who back off with jitter, see Reconnecting) where waiting is
+// workers (who back off with jitter, see PipelinedSession) where waiting is
 // free, and keeps server latency bounded under overload. This is the
 // paper's asynchrony story under stress: slow the senders down, never block
 // the parameter server.

@@ -149,17 +149,20 @@ func TestGateDrainHonoursContext(t *testing.T) {
 	}
 }
 
-// TestRetryAfterRoundTripTCP drives the full wire path: a gated handler
-// sheds load with statusRetry frames, the TCP client decodes them into
-// *RetryAfterError with the connection intact, and Reconnecting re-sends on
+// TestRetryAfterRoundTripTCP drives the full wire path at depth 1: a gated
+// handler sheds load with statusRetry frames, the mux link decodes them into
+// *RetryAfterError with the connection intact, and the session re-sends on
 // the same connection until admitted.
 func TestRetryAfterRoundTripTCP(t *testing.T) {
 	var rejections atomic.Int64
+	eo := NewExactlyOnce(func(worker int, payload []byte) ([]byte, error) {
+		return append([]byte("ok:"), payload...), nil
+	}, nil)
 	gated := func(worker int, payload []byte) ([]byte, error) {
 		if rejections.Add(1) <= 3 {
 			return nil, &RetryAfterError{After: time.Millisecond}
 		}
-		return append([]byte("ok:"), payload...), nil
+		return eo.Handle(worker, payload)
 	}
 	srv, err := ListenTCP("127.0.0.1:0", gated)
 	if err != nil {
@@ -168,15 +171,15 @@ func TestRetryAfterRoundTripTCP(t *testing.T) {
 	defer srv.Close()
 
 	var dials atomic.Int64
-	r := NewReconnecting(func() (Transport, error) {
+	p := NewPipelinedSession(func() (MuxLink, error) {
 		dials.Add(1)
-		return DialTCP(srv.Addr())
-	})
-	r.MaxRetries = 10
-	r.Backoff = 0 // hint-only sleeps keep the test fast
-	defer r.Close()
+		return DialMux(srv.Addr())
+	}, 1)
+	p.MaxRetries = 10
+	p.Backoff = 0 // hint-only sleeps keep the test fast
+	defer p.Close()
 
-	resp, err := r.Exchange(3, []byte("p"))
+	resp, err := p.Exchange(3, []byte("p"))
 	if err != nil {
 		t.Fatalf("exchange through overload: %v", err)
 	}

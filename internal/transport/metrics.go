@@ -19,7 +19,6 @@ var tmet = struct {
 	sessReaderHellos *telemetry.Counter
 	sessStale        *telemetry.Counter
 	sessBadSeq       *telemetry.Counter
-	sessPassthrough  *telemetry.Counter
 	sessResets       *telemetry.Counter
 
 	faultDropBefore *telemetry.Counter
@@ -45,9 +44,9 @@ func init() {
 	tmet.exchangeErrors = reg.Counter("dgs_transport_exchange_errors_total",
 		"Client-side exchange failures (network faults and server rejections).")
 	tmet.retries = reg.Counter("dgs_transport_retries_total",
-		"Exchange attempts beyond the first in the reconnect layer.")
+		"Exchange attempts beyond the first in the session client.")
 	tmet.dials = reg.Counter("dgs_transport_dials_total",
-		"Connections established by the reconnect layer.")
+		"Connections established by the session client.")
 
 	tmet.sessExchanges = reg.Counter("dgs_session_exchanges_total",
 		"Session frames executed against the handler exactly once.")
@@ -61,15 +60,13 @@ func init() {
 		"Frames fenced off for carrying a superseded session.")
 	tmet.sessBadSeq = reg.Counter("dgs_session_badseq_total",
 		"Frames rejected for unorderable sequence numbers.")
-	tmet.sessPassthrough = reg.Counter("dgs_session_passthrough_total",
-		"Sessionless frames forwarded without exactly-once guarantees.")
 	tmet.sessResets = reg.Counter("dgs_session_resets_total",
 		"Incarnation resets fencing every downstream session (upstream restarts).")
 
 	fault := func(kind, help string) *telemetry.Counter {
 		return reg.Counter("dgs_transport_injected_faults_total", help, "kind", kind)
 	}
-	help := "Faults injected by the chaos wrapper, by kind."
+	help := "Faults injected by the chaos decorator, by kind."
 	tmet.faultDropBefore = fault("drop_before", help)
 	tmet.faultDropAfter = fault("drop_after", help)
 	tmet.faultDuplicate = fault("duplicate", help)

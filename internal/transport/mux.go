@@ -12,8 +12,8 @@ import (
 // MuxLink is the wire-v2 client interface the pipelined session layer
 // drives: Submit writes one framed request without waiting for its
 // response; Recv blocks for the oldest outstanding response. MuxConn is the
-// real-socket implementation; DelayedLink decorates any link with a
-// simulated round-trip time for benchmarks and tests.
+// real-socket implementation; Faulty decorates any link with seeded fault
+// injection.
 type MuxLink interface {
 	Submit(worker int, frame []byte) (id uint64, err error)
 	Recv(buf []byte) (id uint64, resp []byte, err error)
@@ -42,7 +42,7 @@ var ErrMuxMisuse = errors.New("transport: mux link misuse")
 //
 // A MuxConn is owned by one goroutine (normally a PipelinedSession); it is
 // not safe for concurrent use. After any partial frame the connection is
-// broken and every call fails fast, like TCPClient.
+// broken and every call fails fast with ErrBrokenConn.
 type MuxConn struct {
 	Traffic *Traffic
 
@@ -57,9 +57,11 @@ type MuxConn struct {
 	pending int
 	broken  bool
 
-	// hdr and wb back the single-writev request write (see TCPClient); rhdr
-	// receives response headers (a field, not a local, so the read path
-	// stays allocation-free — locals passed through net.Conn escape).
+	// hdr and wb back the single-writev request write (one syscall, one
+	// packet for small frames; wbufs is re-pointed at wb before every write
+	// because net.Buffers.WriteTo consumes the slice as it drains); rhdr
+	// receives response headers. Fields, not locals, so the exchange path
+	// stays allocation-free — locals passed through net.Conn escape.
 	hdr   [16]byte
 	rhdr  [13]byte
 	wb    [2][]byte
@@ -174,43 +176,3 @@ func (m *MuxConn) Close() error {
 	m.broken = true
 	return m.conn.Close()
 }
-
-// DelayedLink decorates a MuxLink with a fixed simulated round-trip time:
-// a response becomes readable no earlier than RTT after its request was
-// submitted. It gives benchmarks and tests a deterministic network latency
-// on top of real sockets (the discrete-event netsim package models whole
-// runs; this injects delay into a live exchange path), so pipelined-vs-
-// synchronous comparisons measure latency hiding rather than loopback
-// speed.
-type DelayedLink struct {
-	Link MuxLink
-	RTT  time.Duration
-
-	due []time.Time
-}
-
-// Submit forwards to the inner link and stamps the response's earliest
-// delivery time.
-func (d *DelayedLink) Submit(worker int, frame []byte) (uint64, error) {
-	id, err := d.Link.Submit(worker, frame)
-	if err == nil {
-		d.due = append(d.due, time.Now().Add(d.RTT))
-	}
-	return id, err
-}
-
-// Recv forwards to the inner link, then sleeps until the oldest request's
-// RTT has elapsed.
-func (d *DelayedLink) Recv(buf []byte) (uint64, []byte, error) {
-	id, resp, err := d.Link.Recv(buf)
-	if len(d.due) > 0 {
-		if wait := time.Until(d.due[0]); wait > 0 && err == nil {
-			time.Sleep(wait)
-		}
-		d.due = d.due[:copy(d.due, d.due[1:])]
-	}
-	return id, resp, err
-}
-
-// Close closes the inner link.
-func (d *DelayedLink) Close() error { return d.Link.Close() }

@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -58,43 +61,46 @@ func TestMuxMultipleInFlight(t *testing.T) {
 	}
 }
 
-// Both framings coexist on one server: a v1 TCPClient and a v2 MuxConn
-// interleave without confusing each other.
-func TestMuxAndV1Coexist(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", plainEcho)
+// The server speaks wire v2 only: a request without the mux flag (the
+// retired v1 framing) gets its connection closed without reaching the
+// handler, and v2 clients are served as before.
+func TestServerRefusesV1Frames(t *testing.T) {
+	var calls atomic.Int32
+	srv, err := ListenTCP("127.0.0.1:0", func(worker int, payload []byte) ([]byte, error) {
+		calls.Add(1)
+		return payload, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	v1, err := DialTCP(srv.Addr())
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	v2, err := DialMux(srv.Addr())
-	if err != nil {
+	defer conn.Close()
+	v1 := binary.LittleEndian.AppendUint32(nil, 8) // length
+	v1 = binary.LittleEndian.AppendUint32(v1, 0)   // worker 0, no mux flag
+	v1 = append(v1, "v1 frame"...)
+	if _, err := conn.Write(v1); err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 16)); err == nil {
+		t.Fatalf("server answered a v1 frame with %d bytes", n)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("handler ran %d times on a v1 frame", n)
+	}
 
-	id, err := v2.Submit(1, []byte("mux"))
+	m, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := v1.Exchange(0, []byte("plain"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "plain" {
-		t.Fatalf("v1 exchange = %q", resp)
-	}
-	gotID, mresp, err := v2.Recv(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotID != id || string(mresp) != "mux" {
-		t.Fatalf("v2 recv = id %d %q, want id %d %q", gotID, mresp, id, "mux")
+	defer m.Close()
+	if resp, err := exchange(m, 1, []byte("mux")); err != nil || string(resp) != "mux" {
+		t.Fatalf("v2 exchange = %q, %v", resp, err)
 	}
 }
 
@@ -184,32 +190,5 @@ func TestMuxRecvWithoutSubmitIsMisuse(t *testing.T) {
 	defer m.Close()
 	if _, _, err := m.Recv(nil); !errors.Is(err, ErrMuxMisuse) {
 		t.Fatalf("err = %v, want ErrMuxMisuse", err)
-	}
-}
-
-// DelayedLink holds responses until the simulated RTT has elapsed.
-func TestDelayedLinkEnforcesRTT(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	m, err := DialMux(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rtt = 30 * time.Millisecond
-	d := &DelayedLink{Link: m, RTT: rtt}
-	defer d.Close()
-
-	start := time.Now()
-	if _, err := d.Submit(0, []byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := d.Recv(nil); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < rtt {
-		t.Fatalf("round trip took %v, want at least the simulated rtt %v", elapsed, rtt)
 	}
 }

@@ -3,37 +3,25 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 )
 
 // Pipelined exchange path.
 //
-// The synchronous worker loop pays one full network round trip per training
-// step: encode → Exchange (blocks) → decode → next forward pass. A
-// Pipeliner splits Exchange into Submit (enqueue the request, return
-// immediately) and Await (block for the oldest in-flight response), so the
-// worker computes step t+1 while step t's round trip is on the wire. With
-// PipelineDepth D the worker keeps up to D exchanges in flight and applies
-// each downward difference at the next batch boundary — bounded-delay
-// asynchronous SGD with a client-side delay of at most D−1 steps on top of
-// the server-side staleness the PS already accounts for.
+// A synchronous exchange pays one full network round trip per training
+// step: encode → round trip → decode → next forward pass. A Pipeliner splits
+// Exchange into Submit (send the request, return immediately) and Await
+// (block for the oldest in-flight response), so the worker can compute step
+// t+1 while step t's round trip is on the wire. With depth D the worker
+// keeps up to D exchanges in flight and applies each downward difference at
+// the next batch boundary — bounded-delay asynchronous SGD with a
+// client-side delay of at most D−1 steps on top of the server-side
+// staleness the PS already accounts for. Depth 1 is the synchronous
+// exchange: Submit, then Await at once.
 //
-// Two implementations:
-//
-//   - QueuedPipeliner wraps any synchronous Transport (loopback, the
-//     SessionClient/Reconnecting/Faulty chaos stack, a bare TCPClient) with
-//     a comms goroutine: submits queue, exchanges run serially in order off
-//     the caller's critical path. Exactly-once semantics are whatever the
-//     wrapped stack provides; at most one request is on the wire at a time,
-//     so the one round trip per step is hidden behind compute.
-//
-//   - PipelinedSession is the native async client for the multi-process
-//     deployment: session/seq envelope (exactly-once), wire-v2 mux framing
-//     (up to D requests physically in flight on one connection), and
-//     reconnect-with-replay (on a network fault it redials and re-sends
-//     every unresolved window frame verbatim, oldest first; the server's
-//     replay window deduplicates). No goroutines: the kernel socket
-//     buffers carry the overlap.
+// PipelinedSession is the worker-side implementation over the network;
+// Loopback is the in-process one.
 type Pipeliner interface {
 	Transport
 	// Submit enqueues one exchange and returns without waiting for the
@@ -58,135 +46,6 @@ var (
 	errWindowEmpty = errors.New("transport: pipeline window empty (await without submit)")
 )
 
-type queuedJob struct {
-	worker  int
-	payload []byte
-}
-
-type queuedResult struct {
-	resp []byte
-	err  error
-}
-
-// QueuedPipeliner implements Pipeliner over any synchronous Transport with
-// one comms goroutine: Submit hands the exchange to the goroutine and
-// returns; the goroutine runs the inner Exchanges strictly in submit order,
-// copies each response into its own slot (the inner transport may reuse its
-// response buffer — TCPClient does), and queues the result for Await.
-//
-// Like the transports it wraps, a QueuedPipeliner serves one worker
-// goroutine. An Await error does not stop the queue: later submits may
-// already have executed server-side; callers abort and rejoin as a fresh
-// incarnation, exactly as with a failed synchronous Exchange.
-type QueuedPipeliner struct {
-	inner   Transport
-	jobs    chan queuedJob
-	results chan queuedResult
-
-	// bufs is the response-slot ring (depth+1 slots, grown once each): a
-	// result handed to Await stays valid until depth+1 further exchanges
-	// complete, which requires at least one more Await first.
-	bufs  [][]byte
-	wslot int // owned by the comms goroutine
-
-	inflight int // owned by the caller goroutine
-	stopped  bool
-}
-
-// NewQueuedPipeliner wraps inner with an in-flight bound of depth. The
-// inner transport's lifetime stays with the caller: Stop terminates the
-// comms goroutine without closing inner, Close does both.
-func NewQueuedPipeliner(inner Transport, depth int) *QueuedPipeliner {
-	if depth < 1 {
-		depth = 1
-	}
-	q := &QueuedPipeliner{
-		inner:   inner,
-		jobs:    make(chan queuedJob, depth),
-		results: make(chan queuedResult, depth),
-		bufs:    make([][]byte, depth+1),
-	}
-	go q.loop()
-	return q
-}
-
-func (q *QueuedPipeliner) loop() {
-	defer close(q.results)
-	for job := range q.jobs {
-		t0 := time.Now()
-		resp, err := q.inner.Exchange(job.worker, job.payload)
-		tmet.pipeCommSeconds.Add(time.Since(t0).Seconds())
-		var out []byte
-		if err == nil {
-			// Copy before the next Exchange reuses the inner response
-			// buffer.
-			out = append(q.bufs[q.wslot][:0], resp...)
-			q.bufs[q.wslot] = out
-			q.wslot = (q.wslot + 1) % len(q.bufs)
-		}
-		q.results <- queuedResult{resp: out, err: err}
-	}
-}
-
-// Submit implements Pipeliner.
-func (q *QueuedPipeliner) Submit(worker int, payload []byte) error {
-	if q.stopped {
-		return errors.New("transport: pipeliner stopped")
-	}
-	if q.inflight == cap(q.jobs) {
-		return errWindowFull
-	}
-	q.jobs <- queuedJob{worker: worker, payload: payload}
-	q.inflight++
-	return nil
-}
-
-// Await implements Pipeliner.
-func (q *QueuedPipeliner) Await() ([]byte, error) {
-	if q.inflight == 0 {
-		return nil, errWindowEmpty
-	}
-	r := <-q.results
-	q.inflight--
-	return r.resp, r.err
-}
-
-// InFlight implements Pipeliner.
-func (q *QueuedPipeliner) InFlight() int { return q.inflight }
-
-// Exchange implements Transport: a synchronous submit+await. The window
-// must be drained first (the trainer drains before its final model sync).
-func (q *QueuedPipeliner) Exchange(worker int, payload []byte) ([]byte, error) {
-	if q.inflight != 0 {
-		return nil, errWindowFull
-	}
-	if err := q.Submit(worker, payload); err != nil {
-		return nil, err
-	}
-	return q.Await()
-}
-
-// Stop terminates the comms goroutine and discards any outstanding
-// results, leaving the inner transport open (its lifetime belongs to the
-// caller). Safe to call more than once.
-func (q *QueuedPipeliner) Stop() {
-	if q.stopped {
-		return
-	}
-	q.stopped = true
-	close(q.jobs)
-	for range q.results {
-		// Drain until the comms goroutine closes the channel.
-	}
-	q.inflight = 0
-}
-
-// Close implements Transport: Stop plus closing the inner transport.
-func (q *QueuedPipeliner) Close() error {
-	q.Stop()
-	return q.inner.Close()
-}
-
 // pipeSlot is one in-flight exchange in a PipelinedSession's window.
 type pipeSlot struct {
 	worker int
@@ -203,54 +62,76 @@ type pipeSlot struct {
 	sent      time.Time
 }
 
-// PipelinedSession implements Pipeliner for the multi-process deployment:
-// it fuses the session/seq exactly-once envelope (SessionClient), bounded
-// retry with redial (Reconnecting), and wire-v2 multiplexed framing
-// (MuxConn) into one client that keeps up to Depth exchanges physically in
-// flight on a single connection.
+// PipelinedSession is the worker-side client: the session/seq exactly-once
+// envelope (see session.go), bounded retry with redial, and wire-v2
+// multiplexed framing (MuxConn), keeping up to Depth exchanges physically
+// in flight on a single connection. No goroutines: the kernel socket
+// buffers carry the overlap.
 //
 // Failure handling: any network fault closes the link; the next Await
-// redials (with exponential backoff, bounded by MaxRetries per await) and
-// re-submits every unresolved window frame in order. Frames the server
-// already executed are answered from its replay window without re-running
-// the handler; frames it never saw execute normally — exactly-once either
-// way. A response id that does not match the oldest in-flight request
-// (stream desynchronisation) is treated the same as a network fault.
-// Stale-session and bad-seq rejections are terminal, as with SessionClient.
+// redials (bounded by MaxRetries per await, with capped full-jitter
+// exponential backoff) and re-submits every unresolved window frame in
+// order. Frames the server already executed are answered from its replay
+// window without re-running the handler; frames it never saw execute
+// normally — exactly-once either way. A response id that does not match the
+// oldest in-flight request (stream desynchronisation) is treated the same
+// as a network fault. An admission rejection (RetryAfterError) backs off
+// for at least the server's hint before re-sending.
+//
+// Backoff: attempt k sleeps uniform[0, min(MaxBackoff, Backoff·2^(k−1))),
+// the AWS architecture-blog scheme. The jitter decorrelates a herd of
+// workers that all lost the same server or all got shed by the same
+// overloaded one, so their retries spread out instead of stampeding back in
+// lockstep.
+//
+// Terminal outcomes — ErrServerRestarted, ErrStaleSession, ErrBadSeq and
+// exhausted retries — end the incarnation: the session drops its window
+// and every later Submit, Await and Exchange returns the same error.
+// Recovery is a fresh session, whose hello makes the server resync the
+// worker; the resilient worker loop, the replica and the aggregator all
+// rejoin that way.
 //
 // One PipelinedSession is one worker incarnation serving one goroutine.
 type PipelinedSession struct {
 	// Dial establishes a fresh mux link (normally DialMux, optionally
-	// wrapped in DelayedLink for benchmarks).
+	// wrapped in Faulty).
 	Dial func() (MuxLink, error)
 	// Depth is the maximum number of in-flight exchanges (minimum 1).
 	Depth int
 	// MaxRetries bounds redial attempts per Await after the first. 0 means
 	// no retries. NewPipelinedSession sets 3.
 	MaxRetries int
-	// Backoff is the base delay between attempts, doubled each retry;
-	// MaxBackoff caps the doubling. NewPipelinedSession sets 50 ms / 2 s.
+	// Backoff is the base of the full-jitter schedule (0 sleeps nothing);
+	// MaxBackoff caps its growth (0 means uncapped). NewPipelinedSession
+	// sets 50 ms / 2 s.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 	// SessionID identifies this incarnation. NewPipelinedSession draws a
 	// random one; tests may set it explicitly (must be nonzero).
 	SessionID uint64
+	// Reader declares the read-session role (flagReader) on every frame:
+	// this client is a diff subscriber (replica/evaluator), not a trainer.
+	// Set before the first Submit.
+	Reader bool
 
-	link        MuxLink
-	seq         uint64
-	established bool
-	epoch       uint64
+	// jitter draws the backoff fraction in [0,1); nil uses math/rand.
+	jitter func() float64
+
+	link  MuxLink
+	seq   uint64
+	epoch uint64
 	// serverInc is the pinned server incarnation (0 = none yet); a response
-	// carrying a different one surfaces ErrServerRestarted, and the next
-	// Submit starts a fresh hello (see rejoin below).
+	// carrying a different one ends the session with ErrServerRestarted.
 	serverInc uint64
-	slots     []pipeSlot
-	head, n   int
+	// err is the terminal outcome, returned by every call once set.
+	err     error
+	slots   []pipeSlot
+	head, n int
 }
 
 // NewPipelinedSession builds a pipelined session client with the default
-// retry policy (3 retries, 50 ms exponential backoff capped at 2 s) and a
-// fresh random session id.
+// retry policy (3 retries, 50 ms full-jitter exponential backoff capped at
+// 2 s) and a fresh random session id.
 func NewPipelinedSession(dial func() (MuxLink, error), depth int) *PipelinedSession {
 	if depth < 1 {
 		depth = 1
@@ -267,11 +148,7 @@ func NewPipelinedSession(dial func() (MuxLink, error), depth int) *PipelinedSess
 
 func (p *PipelinedSession) init() {
 	if p.slots == nil {
-		d := p.Depth
-		if d < 1 {
-			d = 1
-		}
-		p.slots = make([]pipeSlot, d)
+		p.slots = make([]pipeSlot, max(p.Depth, 1))
 	}
 }
 
@@ -291,6 +168,9 @@ func (p *PipelinedSession) InFlight() int { return p.n }
 // recovered by Await's redial-and-replay (the frame is safely parked in
 // the window either way).
 func (p *PipelinedSession) Submit(worker int, payload []byte) error {
+	if p.err != nil {
+		return p.err
+	}
 	p.init()
 	if p.n == len(p.slots) {
 		return errWindowFull
@@ -301,6 +181,9 @@ func (p *PipelinedSession) Submit(worker int, payload []byte) error {
 		// Only the incarnation's first frame says hello; replays re-send
 		// the same bytes, so a lost hello is replayed as a hello.
 		flags = flagHello
+	}
+	if p.Reader {
+		flags |= flagReader
 	}
 	s := &p.slots[(p.head+p.n)%len(p.slots)]
 	s.worker = worker
@@ -359,37 +242,66 @@ func (p *PipelinedSession) dropLink() {
 	}
 }
 
-// pop retires the oldest window slot.
-func (p *PipelinedSession) pop() {
-	p.head = (p.head + 1) % len(p.slots)
-	p.n--
+// fail ends the incarnation with a terminal error (see the type comment).
+func (p *PipelinedSession) fail(err error) error {
+	p.err = err
+	p.dropLink()
+	p.n = 0
+	return err
+}
+
+// sleepFor returns the full-jitter delay before retry attempt k (1-based):
+// uniform in [0, min(MaxBackoff, Backoff·2^(k−1))), floored at floor (the
+// server's retry-after hint, which jitter must stretch but never undercut).
+func (p *PipelinedSession) sleepFor(attempt int, floor time.Duration) time.Duration {
+	ceil := p.Backoff
+	for i := 1; i < attempt && ceil > 0; i++ {
+		ceil *= 2
+		if p.MaxBackoff > 0 && ceil >= p.MaxBackoff {
+			ceil = p.MaxBackoff
+			break
+		}
+	}
+	var d time.Duration
+	if ceil > 0 {
+		f := p.jitter
+		if f == nil {
+			f = rand.Float64
+		}
+		d = time.Duration(f() * float64(ceil))
+	}
+	return max(d, floor)
 }
 
 // Await implements Pipeliner: it resolves the oldest in-flight exchange,
 // redialling and replaying the window on network faults.
 func (p *PipelinedSession) Await() ([]byte, error) {
+	resp, err := p.await()
+	if err != nil {
+		tmet.exchangeErrors.Inc()
+	}
+	return resp, err
+}
+
+func (p *PipelinedSession) await() ([]byte, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
 	if p.n == 0 {
 		return nil, errWindowEmpty
 	}
-	retries := p.MaxRetries
-	if retries < 0 {
-		retries = 0
-	}
-	backoff := p.Backoff
 	var lastErr error
+	var floor time.Duration // the latest retry-after hint, for the next wait
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			if attempt > retries {
-				return nil, fmt.Errorf("transport: pipelined exchange failed after %d attempts: %w", attempt, lastErr)
+			if attempt > max(p.MaxRetries, 0) {
+				return nil, p.fail(fmt.Errorf("transport: exchange failed after %d attempts: %w", attempt, lastErr))
 			}
 			tmet.retries.Inc()
-			if backoff > 0 {
-				time.Sleep(backoff)
-				backoff *= 2
-				if p.MaxBackoff > 0 && backoff > p.MaxBackoff {
-					backoff = p.MaxBackoff
-				}
+			if d := p.sleepFor(attempt, floor); d > 0 {
+				time.Sleep(d)
 			}
+			floor = 0
 		}
 		if err := p.pump(); err != nil {
 			lastErr = err
@@ -398,80 +310,85 @@ func (p *PipelinedSession) Await() ([]byte, error) {
 		s := &p.slots[p.head]
 		id, resp, err := p.link.Recv(s.resp)
 		s.resp = resp // keep the (possibly grown) buffer either way
-		if err != nil {
-			var ra *RetryAfterError
-			if errors.As(err, &ra) {
-				// Admission rejection of the oldest frame (server overloaded
-				// or draining): honour the server's hint, then replay the
-				// whole window — frames behind the head may have executed or
-				// bounced, and the replay cache deduplicates either way.
-				lastErr = err
-				p.dropLink()
-				if ra.After > 0 {
-					time.Sleep(ra.After)
-				}
-				continue
+		if err == nil {
+			if id == s.wireID {
+				return p.resolve(s, resp)
 			}
-			var srvErr *ServerError
-			if errors.As(err, &srvErr) {
-				// Delivered and rejected at the framing layer: the link is
-				// intact and a replay would fail identically.
-				p.pop()
-				return nil, err
-			}
-			lastErr = err
-			p.dropLink()
-			continue
-		}
-		if id != s.wireID {
 			lastErr = fmt.Errorf("transport: response id %d does not match oldest in-flight request %d", id, s.wireID)
 			p.dropLink()
 			continue
 		}
-		status, epoch, inc, body, derr := decodeSessionResp(resp)
-		if derr != nil {
+		// Declared here, off the success path: errors.As makes them escape.
+		var ra *RetryAfterError
+		var srvErr *ServerError
+		switch {
+		case errors.As(err, &ra):
+			// Admission rejection of the oldest frame (server overloaded or
+			// draining): never executed, link intact. Alone in the window it
+			// is simply re-sent on the same link; frames behind it may have
+			// executed or bounced, so a fuller window is replayed on a fresh
+			// link and the replay cache deduplicates.
+			lastErr, floor = err, ra.After
+			if p.n == 1 {
+				s.submitted = false
+			} else {
+				p.dropLink()
+			}
+		case errors.As(err, &srvErr):
+			// Delivered and rejected at the framing layer: the link is
+			// intact and a replay would fail identically.
 			p.pop()
-			return nil, derr
-		}
-		p.epoch = epoch
-		if p.serverInc == 0 {
-			p.serverInc = inc
-		} else if inc != p.serverInc {
-			// Server restart: the whole in-flight window was addressed to a
-			// session the new server never adopted. Surface the recoverable
-			// error; the resilient worker loop rejoins as a fresh incarnation
-			// (new PipelinedSession), which hellos and resyncs.
-			p.serverInc = inc
-			p.established = false
-			p.pop()
-			return nil, fmt.Errorf("%w (worker %d)", ErrServerRestarted, s.worker)
-		}
-		switch status {
-		case statusOK:
-			p.established = true
-			tmet.pipeCommSeconds.Add(time.Since(s.sent).Seconds())
-			p.pop()
-			return body, nil
-		case statusError:
-			p.pop()
-			return nil, &ServerError{Msg: string(body)}
-		case statusStaleSession:
-			p.pop()
-			return nil, fmt.Errorf("%w (worker %d now at epoch %d)", ErrStaleSession, s.worker, epoch)
-		case statusBadSeq:
-			p.pop()
-			return nil, fmt.Errorf("%w (worker %d, epoch %d)", ErrBadSeq, s.worker, epoch)
+			return nil, err
 		default:
-			p.pop()
-			return nil, fmt.Errorf("transport: unknown session status 0x%02x", status)
+			lastErr = err
+			p.dropLink()
 		}
 	}
 }
 
-// Exchange implements Transport: a synchronous submit+await, used by the
-// final model sync after the trainer drains the window.
+// resolve decodes the session envelope of the oldest slot's response and
+// retires the slot.
+func (p *PipelinedSession) resolve(s *pipeSlot, resp []byte) ([]byte, error) {
+	p.pop()
+	status, epoch, inc, body, err := decodeSessionResp(resp)
+	if err != nil {
+		return nil, err
+	}
+	p.epoch = epoch
+	if p.serverInc == 0 {
+		p.serverInc = inc
+	} else if inc != p.serverInc {
+		// Server restart: the whole window was addressed to a session the
+		// new server never adopted.
+		return nil, p.fail(fmt.Errorf("%w (worker %d)", ErrServerRestarted, s.worker))
+	}
+	switch status {
+	case statusOK:
+		rtt := time.Since(s.sent).Seconds()
+		tmet.exchangeSeconds.Observe(rtt)
+		tmet.pipeCommSeconds.Add(rtt)
+		return body, nil
+	case statusError:
+		return nil, &ServerError{Msg: string(body)}
+	case statusStaleSession:
+		return nil, p.fail(fmt.Errorf("%w (worker %d now at epoch %d)", ErrStaleSession, s.worker, epoch))
+	case statusBadSeq:
+		return nil, p.fail(fmt.Errorf("%w (worker %d, epoch %d)", ErrBadSeq, s.worker, epoch))
+	default:
+		return nil, fmt.Errorf("transport: unknown session status 0x%02x", status)
+	}
+}
+
+// pop retires the oldest window slot.
+func (p *PipelinedSession) pop() {
+	p.head = (p.head + 1) % len(p.slots)
+	p.n--
+}
+
+// Exchange implements Transport: a synchronous submit+await, used for
+// hellos, drains and the final model sync on a drained window.
 func (p *PipelinedSession) Exchange(worker int, payload []byte) ([]byte, error) {
-	if p.n != 0 {
+	if p.err == nil && p.n != 0 {
 		return nil, errWindowFull
 	}
 	if err := p.Submit(worker, payload); err != nil {
@@ -491,6 +408,6 @@ func (p *PipelinedSession) Close() error {
 }
 
 var (
-	_ Pipeliner = (*QueuedPipeliner)(nil)
 	_ Pipeliner = (*PipelinedSession)(nil)
+	_ Pipeliner = (*Loopback)(nil)
 )

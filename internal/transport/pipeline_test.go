@@ -4,82 +4,178 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
-func TestQueuedPipelinerOverlapsAndOrders(t *testing.T) {
-	q := NewQueuedPipeliner(NewLoopback(func(worker int, payload []byte) ([]byte, error) {
-		return []byte(fmt.Sprintf("w%d:%s", worker, payload)), nil
-	}), 3)
-	defer q.Close()
+func TestPipelinedSessionWindowMisuse(t *testing.T) {
+	eo := NewExactlyOnce(plainEcho, nil)
+	p := NewPipelinedSession(func() (MuxLink, error) { return &memLink{h: eo.Handle}, nil }, 2)
 
-	for i := 0; i < 3; i++ {
-		if err := q.Submit(7, []byte(fmt.Sprintf("r%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if q.InFlight() != 3 {
-		t.Fatalf("in flight %d, want 3", q.InFlight())
-	}
-	for i := 0; i < 3; i++ {
-		resp, err := q.Await()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("w7:r%d", i); string(resp) != want {
-			t.Fatalf("await %d = %q, want %q (responses must resolve in submit order)", i, resp, want)
-		}
-	}
-	if q.InFlight() != 0 {
-		t.Fatalf("in flight %d after drain", q.InFlight())
-	}
-}
-
-func TestQueuedPipelinerWindowMisuse(t *testing.T) {
-	q := NewQueuedPipeliner(NewLoopback(plainEcho), 2)
-	defer q.Close()
-
-	if _, err := q.Await(); !errors.Is(err, errWindowEmpty) {
+	if _, err := p.Await(); !errors.Is(err, errWindowEmpty) {
 		t.Fatalf("await on empty window: %v", err)
 	}
-	if err := q.Submit(0, []byte("a")); err != nil {
+	if err := p.Submit(0, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Submit(0, []byte("b")); err != nil {
+	if err := p.Submit(0, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Submit(0, []byte("c")); !errors.Is(err, errWindowFull) {
+	if err := p.Submit(0, []byte("c")); !errors.Is(err, errWindowFull) {
 		t.Fatalf("submit beyond depth: %v", err)
 	}
 	// Exchange is only legal on a drained window (the trainer drains before
 	// its final model sync).
-	if _, err := q.Exchange(0, []byte("x")); !errors.Is(err, errWindowFull) {
+	if _, err := p.Exchange(0, []byte("x")); !errors.Is(err, errWindowFull) {
 		t.Fatalf("exchange with in-flight work: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := q.Await(); err != nil {
+		if _, err := p.Await(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if resp, err := q.Exchange(1, []byte("x")); err != nil || string(resp) != "x" {
+	if resp, err := p.Exchange(0, []byte("x")); err != nil || string(resp) != "x" {
 		t.Fatalf("drained exchange = %q, %v", resp, err)
 	}
 }
 
-// Stop kills the comms goroutine but leaves the inner transport with the
-// caller (the trainer reuses it for the final synchronous model sync).
-func TestQueuedPipelinerStopLeavesInnerOpen(t *testing.T) {
-	inner := NewLoopback(plainEcho)
-	q := NewQueuedPipeliner(inner, 2)
-	if err := q.Submit(0, []byte("pending")); err != nil {
+// A terminal outcome ends the incarnation for good. At depth 2, a server
+// restart with two frames in flight must surface as ErrServerRestarted on
+// both Awaits (the second frame bounced off the same restarted server) and
+// on every later call — never as a supersession, which callers treat as
+// fatal — and nothing more may reach the handler.
+func TestPipelinedSessionTerminalErrorsAreSticky(t *testing.T) {
+	h := &countingHandler{}
+	eo, addr := sessionServer(t, h.handle)
+	p := dialSession(t, addr, 2)
+	if _, err := p.Exchange(0, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	q.Stop()
-	q.Stop() // idempotent
-	if err := q.Submit(0, []byte("late")); err == nil {
-		t.Fatal("submit after stop must fail")
+	eo.Reset() // the server's session table is gone; a new incarnation answers
+
+	for _, m := range []string{"b", "c"} {
+		if err := p.Submit(0, []byte(m)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if resp, err := inner.Exchange(0, []byte("direct")); err != nil || string(resp) != "direct" {
-		t.Fatalf("inner transport unusable after Stop: %q, %v", resp, err)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Await(); !errors.Is(err, ErrServerRestarted) {
+			t.Fatalf("await %d after the restart: %v, want ErrServerRestarted", i, err)
+		}
+	}
+	if err := p.Submit(0, []byte("d")); !errors.Is(err, ErrServerRestarted) {
+		t.Fatalf("submit on a restarted session: %v", err)
+	}
+	if _, err := p.Exchange(0, []byte("e")); !errors.Is(err, ErrServerRestarted) {
+		t.Fatalf("exchange on a restarted session: %v", err)
+	}
+	if p.InFlight() != 0 {
+		t.Fatalf("%d frames still in flight on a dead session", p.InFlight())
+	}
+	if h.count() != 1 {
+		t.Fatalf("handler ran %d times; only the pre-restart frame may execute", h.count())
+	}
+	// Callers rejoin with a fresh session.
+	if resp, err := dialSession(t, addr, 2).Exchange(0, []byte("f")); err != nil || string(resp) != "w0:f" {
+		t.Fatalf("fresh session after the restart = %q, %v", resp, err)
+	}
+}
+
+// closedDial returns a dialer whose first failures links are already dead,
+// followed by working links to h.
+func closedDial(h Handler, failures int, dials *int) func() (MuxLink, error) {
+	return func() (MuxLink, error) {
+		*dials++
+		return &memLink{h: h, closed: *dials <= failures}, nil
+	}
+}
+
+func TestPipelinedSessionRedialsThroughFailures(t *testing.T) {
+	eo := NewExactlyOnce(echoHandler, nil)
+	dials := 0
+	p := NewPipelinedSession(closedDial(eo.Handle, 2, &dials), 1)
+	p.Backoff = time.Millisecond
+	resp, err := p.Exchange(3, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp) != "\x03x" {
+		t.Fatalf("resp %q", resp)
+	}
+	if dials != 3 {
+		t.Fatalf("dialed %d times, want 3 (two dead links then a live one)", dials)
+	}
+}
+
+func TestPipelinedSessionGivesUpAfterBudget(t *testing.T) {
+	eo := NewExactlyOnce(echoHandler, nil)
+	dials := 0
+	p := NewPipelinedSession(closedDial(eo.Handle, 1000, &dials), 1)
+	p.Backoff = time.Microsecond
+	p.MaxRetries = 2
+	_, err := p.Exchange(0, nil)
+	if err == nil {
+		t.Fatal("must give up after the retry budget")
+	}
+	if _, again := p.Exchange(0, nil); again != err {
+		t.Fatalf("exhausted session answered %v, want the same terminal error %v", again, err)
+	}
+}
+
+func TestPipelinedSessionDialFailures(t *testing.T) {
+	eo := NewExactlyOnce(echoHandler, nil)
+	attempts := 0
+	p := NewPipelinedSession(func() (MuxLink, error) {
+		attempts++
+		if attempts < 3 {
+			return nil, errors.New("refused")
+		}
+		return &memLink{h: eo.Handle}, nil
+	}, 1)
+	p.Backoff = time.Microsecond
+	resp, err := p.Exchange(1, []byte("y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp) != "\x01y" {
+		t.Fatalf("resp %q", resp)
+	}
+}
+
+// A listener that goes away and comes back on the same address, serving
+// the same session table (the process survived, only its sockets died):
+// the session redials, replays, and carries on without a rejoin.
+func TestPipelinedSessionSurvivesListenerRestart(t *testing.T) {
+	eo := NewExactlyOnce(echoHandler, nil)
+	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	p := dialSession(t, addr, 1)
+	p.Backoff = 10 * time.Millisecond
+	p.MaxRetries = 10
+
+	if _, err := p.Exchange(0, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := ListenTCP(addr, eo.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+
+	resp, err := p.Exchange(0, []byte("after"))
+	if err != nil {
+		t.Fatalf("exchange after the listener restart: %v", err)
+	}
+	if string(resp[1:]) != "after" {
+		t.Fatalf("resp %q", resp)
+	}
+	if st := eo.Stats(); st.Hellos != 1 {
+		t.Fatalf("%d hellos; the session must carry on, not rejoin", st.Hellos)
 	}
 }
 
@@ -254,11 +350,16 @@ func TestPipelinedSessionStaleSessionIsTerminal(t *testing.T) {
 	if _, err := b.Exchange(3, []byte("b1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Exchange(3, []byte("a2")); !errors.Is(err, ErrStaleSession) {
-		t.Fatalf("fenced exchange: %v, want ErrStaleSession", err)
+	for i := 0; i < 2; i++ {
+		if _, err := a.Exchange(3, []byte("a2")); !errors.Is(err, ErrStaleSession) {
+			t.Fatalf("fenced exchange %d: %v, want ErrStaleSession", i, err)
+		}
 	}
 	if h.count() != 2 {
 		t.Fatalf("handler ran %d times; the stale frame must not execute", h.count())
+	}
+	if st := eo.Stats(); st.StaleRejected != 1 {
+		t.Fatalf("stats %+v: a fenced session must stop sending after its first rejection", st)
 	}
 }
 

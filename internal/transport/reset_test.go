@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -12,9 +13,14 @@ import (
 // the hello → resync path after an upstream restart invalidates the mirror.
 
 func TestResetFencesEstablishedSessions(t *testing.T) {
-	joins := 0
-	eo := NewExactlyOnce(okHandler, func(worker int) error { joins++; return nil })
-	c := NewSessionClient(NewLoopback(eo.Handle))
+	var joins atomic.Int32 // the hook runs on the server's goroutines
+	eo := NewExactlyOnce(okHandler, func(worker int) error { joins.Add(1); return nil })
+	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := dialSession(t, srv.Addr(), 1)
 
 	if _, err := c.Exchange(3, []byte("a")); err != nil {
 		t.Fatal(err)
@@ -31,7 +37,7 @@ func TestResetFencesEstablishedSessions(t *testing.T) {
 
 	// The established client's next frame must bounce as the recoverable
 	// restart error, never the fatal supersession error.
-	_, err := c.Exchange(3, []byte("c"))
+	_, err = c.Exchange(3, []byte("c"))
 	if !errors.Is(err, ErrServerRestarted) {
 		t.Fatalf("exchange after Reset: got %v, want ErrServerRestarted", err)
 	}
@@ -39,17 +45,17 @@ func TestResetFencesEstablishedSessions(t *testing.T) {
 		t.Fatal("Reset must not surface as the fatal stale-session error")
 	}
 
-	// Re-hello in place: the retry joins the new incarnation and triggers
-	// the resync hook.
-	resp, err := c.Exchange(3, []byte("d"))
+	// A fresh session joins the new incarnation and triggers the resync
+	// hook.
+	resp, err := dialSession(t, srv.Addr(), 1).Exchange(3, []byte("d"))
 	if err != nil {
 		t.Fatalf("rejoin exchange: %v", err)
 	}
 	if string(resp) != "\x03d" {
 		t.Fatalf("rejoin resp %q", resp)
 	}
-	if joins != 2 { // initial hello + post-reset rejoin
-		t.Fatalf("onJoin ran %d times, want 2", joins)
+	if n := joins.Load(); n != 2 { // initial hello + post-reset rejoin
+		t.Fatalf("onJoin ran %d times, want 2", n)
 	}
 	if st := eo.Stats(); st.Resets != 1 || st.Hellos != 2 || st.StaleRejected != 1 {
 		t.Fatalf("post-reset stats %+v: want 1 reset, 2 hellos (join + rejoin), 1 stale rejection", st)
@@ -68,7 +74,12 @@ func TestResetMidExchangeAnswersOldIncarnation(t *testing.T) {
 		once.Do(func() { close(inHandler); <-release })
 		return okHandler(worker, payload)
 	}
-	c := NewSessionClient(NewLoopback(eo.Handle))
+	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := dialSession(t, srv.Addr(), 1)
 
 	done := make(chan error, 1)
 	go func() {
@@ -81,11 +92,11 @@ func TestResetMidExchangeAnswersOldIncarnation(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("in-flight exchange failed across Reset: %v", err)
 	}
-	// The next frame sees the new incarnation and recovers via re-hello.
+	// The next frame sees the new incarnation; a fresh session recovers.
 	if _, err := c.Exchange(5, []byte("y")); !errors.Is(err, ErrServerRestarted) {
 		t.Fatalf("post-reset exchange: got %v, want ErrServerRestarted", err)
 	}
-	if _, err := c.Exchange(5, []byte("z")); err != nil {
+	if _, err := dialSession(t, srv.Addr(), 1).Exchange(5, []byte("z")); err != nil {
 		t.Fatalf("rejoin exchange: %v", err)
 	}
 }

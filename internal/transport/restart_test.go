@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,64 +15,10 @@ func okHandler(worker int, payload []byte) ([]byte, error) {
 	return append([]byte{byte(worker)}, payload...), nil
 }
 
-// swapServer routes exchanges to whichever ExactlyOnce is currently
-// installed, simulating a server process restart without tearing down the
-// transport.
-type swapServer struct {
-	cur atomic.Pointer[ExactlyOnce]
-}
-
-func (s *swapServer) handle(worker int, payload []byte) ([]byte, error) {
-	return s.cur.Load().Handle(worker, payload)
-}
-
-func TestSessionClientDetectsServerRestart(t *testing.T) {
-	sw := &swapServer{}
-	eo1 := NewExactlyOnce(okHandler, nil)
-	sw.cur.Store(eo1)
-	c := NewSessionClient(NewLoopback(sw.handle))
-
-	if _, err := c.Exchange(1, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exchange(1, []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Restart" the server: fresh middleware, empty session table, new
-	// incarnation.
-	eo2 := NewExactlyOnce(okHandler, nil)
-	if eo2.Incarnation() == eo1.Incarnation() {
-		t.Fatal("fresh middleware reused the incarnation id")
-	}
-	sw.cur.Store(eo2)
-
-	_, err := c.Exchange(1, []byte("c"))
-	if !errors.Is(err, ErrServerRestarted) {
-		t.Fatalf("exchange against restarted server: got %v, want ErrServerRestarted", err)
-	}
-	if errors.Is(err, ErrStaleSession) {
-		t.Fatal("restart must not be reported as the fatal stale-session error")
-	}
-
-	// The next exchange re-hellos and succeeds against the new server.
-	resp, err := c.Exchange(1, []byte("d"))
-	if err != nil {
-		t.Fatalf("rejoin exchange: %v", err)
-	}
-	if string(resp) != "\x01d" {
-		t.Fatalf("rejoin resp %q", resp)
-	}
-	if st := eo2.Stats(); st.Hellos != 1 || st.StaleRejected != 1 {
-		t.Fatalf("new server stats %+v: want 1 hello, 1 stale rejection", st)
-	}
-}
-
-// TestSessionClientStableAcrossExchanges: the incarnation check must not
-// false-positive during a normal session.
-func TestSessionClientStableIncarnation(t *testing.T) {
-	eo := NewExactlyOnce(okHandler, nil)
-	c := NewSessionClient(NewLoopback(eo.Handle))
+// The incarnation check must not false-positive during a normal session.
+func TestPipelinedSessionStableIncarnation(t *testing.T) {
+	_, addr := sessionServer(t, okHandler)
+	c := dialSession(t, addr, 1)
 	for i := 0; i < 10; i++ {
 		if _, err := c.Exchange(2, []byte{byte(i)}); err != nil {
 			t.Fatalf("exchange %d: %v", i, err)
@@ -81,9 +26,9 @@ func TestSessionClientStableIncarnation(t *testing.T) {
 	}
 }
 
-// TestPipelinedSessionDetectsServerRestart runs the same scenario over the
-// real wire: TCP server killed mid-window and replaced on the same address
-// by a fresh process (new ExactlyOnce). The pipelined client's replay must
+// TestPipelinedSessionDetectsServerRestart: the TCP server is killed
+// mid-window and replaced on the same address by a fresh process (new
+// ExactlyOnce). The pipelined client's replay must
 // come back as ErrServerRestarted, and a fresh incarnation must be able to
 // join the new server.
 func TestPipelinedSessionDetectsServerRestart(t *testing.T) {

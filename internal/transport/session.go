@@ -29,11 +29,12 @@ import (
 //	          u64 incarnation | application payload (or error text)
 //
 // Each client incarnation owns one random session id; each logical exchange
-// gets the next sequence number. Retries (see Reconnecting) re-send the
+// gets the next sequence number. Retries (see PipelinedSession) re-send the
 // same envelope bytes, so the server can recognise them: the ExactlyOnce
 // middleware keeps, per worker, the last sequence number it executed and
 // the full encoded response, and answers a repeated (session, seq) from
-// that replay cache without re-invoking the handler.
+// that replay cache without re-invoking the handler. A frame without the
+// envelope is refused with an error frame: no client is sessionless.
 //
 // Crash/rejoin: a client's first exchange carries flagHello. A hello with a
 // new session id declares a new worker incarnation — the middleware bumps
@@ -50,9 +51,9 @@ import (
 // server lost its session table — typically a crash/restart, where the old
 // session is unknown and the frame bounced with statusStaleSession. That
 // MUST NOT be treated like worker supersession (which is fatal): the client
-// surfaces ErrServerRestarted, un-establishes itself, and the retry layer
-// rejoins with a hello so the server resyncs the worker against its
-// restored state.
+// surfaces ErrServerRestarted and the caller rejoins with a fresh session,
+// whose hello makes the server resync the worker against its restored
+// state.
 const (
 	sessionReqMagic  = 0x53534744 // "DGSS" little endian
 	sessionRespMagic = 0x52534744 // "DGSR" little endian
@@ -82,8 +83,8 @@ const (
 	statusBadSeq       = 0x03
 )
 
-// ErrStaleSession is returned by SessionClient when the server has adopted a
-// newer incarnation for this worker id. The exchange was NOT applied.
+// ErrStaleSession is returned when the server has adopted a newer
+// incarnation for this worker id. The exchange was NOT applied.
 // Recovery means starting a fresh session (rebuild the replica and hello
 // again); retrying the same frame can never succeed.
 var ErrStaleSession = errors.New("transport: session superseded by a newer worker incarnation")
@@ -100,13 +101,9 @@ var ErrBadSeq = errors.New("transport: sequence number out of order")
 // resync) and continue; the resilient worker loop does exactly that.
 var ErrServerRestarted = errors.New("transport: server restarted (new incarnation)")
 
-func encodeSessionReq(flags byte, session, seq uint64, payload []byte) []byte {
-	return appendSessionReq(nil, flags, session, seq, payload)
-}
-
-// appendSessionReq encodes the session envelope into dst's capacity (the
-// grow-once variant the pipelined session uses for its per-slot frame
-// buffers, which must survive until the exchange resolves for replay).
+// appendSessionReq encodes the session envelope into dst's capacity: the
+// pipelined session's per-slot frame buffers grow once and survive until
+// the exchange resolves, for replay.
 func appendSessionReq(dst []byte, flags byte, session, seq uint64, payload []byte) []byte {
 	need := reqHeaderLen + len(payload)
 	if cap(dst) < need {
@@ -130,14 +127,6 @@ func decodeSessionReq(b []byte) (flags byte, session, seq uint64, payload []byte
 		return 0, 0, 0, nil, fmt.Errorf("transport: session protocol version %d unsupported", b[4])
 	}
 	return b[5], binary.LittleEndian.Uint64(b[6:]), binary.LittleEndian.Uint64(b[14:]), b[reqHeaderLen:], nil
-}
-
-// IsSessionFrame reports whether a request payload carries the session
-// envelope. The ExactlyOnce middleware passes other payloads straight to
-// the inner handler, so sessionless clients (in-process loopback runs, old
-// tooling) keep working — without exactly-once guarantees.
-func IsSessionFrame(b []byte) bool {
-	return len(b) >= reqHeaderLen && binary.LittleEndian.Uint32(b) == sessionReqMagic
 }
 
 func encodeSessionResp(status byte, epoch, incarnation uint64, payload []byte) []byte {
@@ -172,39 +161,6 @@ func patchSessionRespIncarnation(b []byte, delta uint64) {
 	binary.LittleEndian.PutUint64(b[14:], binary.LittleEndian.Uint64(b[14:])+delta)
 }
 
-// SessionClient implements Transport on top of an inner transport (normally
-// a *Reconnecting), attaching the session envelope to every exchange. One
-// SessionClient is one worker incarnation: it owns a session id, numbers
-// its exchanges, and sends a hello on the first one so the server resyncs
-// the worker's state. Safe for use by a single worker goroutine (like
-// TCPClient, exchanges are serialised internally).
-type SessionClient struct {
-	// T is the inner transport. Retries inside T re-send the same envelope
-	// bytes, which is exactly what makes the server-side replay cache work.
-	T Transport
-	// SessionID identifies this incarnation. NewSessionClient draws a
-	// random one; tests may set it explicitly (must be nonzero).
-	SessionID uint64
-	// Reader declares the read-session role (flagReader) on every frame:
-	// this client is a diff subscriber (replica/evaluator), not a trainer.
-	// Set before the first Exchange.
-	Reader bool
-
-	mu          sync.Mutex
-	seq         uint64
-	established bool
-	epoch       uint64
-	// serverInc is the server incarnation pinned on the first response
-	// (0 = none yet). A response carrying any other value surfaces
-	// ErrServerRestarted, see the protocol comment above.
-	serverInc uint64
-}
-
-// NewSessionClient wraps an inner transport with a fresh random session.
-func NewSessionClient(t Transport) *SessionClient {
-	return &SessionClient{T: t, SessionID: randomSession()}
-}
-
 func randomSession() uint64 {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -216,78 +172,6 @@ func randomSession() uint64 {
 	}
 	return id
 }
-
-// Epoch returns the worker epoch the server reported on the last successful
-// exchange (the incarnation counter; useful for logging and tests).
-func (c *SessionClient) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// Exchange implements Transport. The first successful exchange of a client
-// performs the hello/resync handshake as a side effect; every exchange is
-// delivered to the application handler exactly once even when the inner
-// transport retries.
-func (c *SessionClient) Exchange(worker int, payload []byte) ([]byte, error) {
-	c.mu.Lock()
-	c.seq++
-	flags := byte(0)
-	if !c.established {
-		flags = flagHello
-	}
-	if c.Reader {
-		flags |= flagReader
-	}
-	env := encodeSessionReq(flags, c.SessionID, c.seq, payload)
-	c.mu.Unlock()
-
-	raw, err := c.T.Exchange(worker, env)
-	if err != nil {
-		return nil, err
-	}
-	status, epoch, inc, body, err := decodeSessionResp(raw)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.epoch = epoch
-	restarted := false
-	switch {
-	case c.serverInc == 0:
-		c.serverInc = inc
-	case inc != c.serverInc:
-		// The server lost its session table: adopt the new incarnation and
-		// fall back to un-established so the next exchange says hello. A
-		// stale-session bounce from a restarted server lands here rather
-		// than in the fatal ErrStaleSession branch below.
-		restarted = true
-		c.serverInc = inc
-		c.established = false
-	}
-	if status == statusOK && !restarted {
-		c.established = true
-	}
-	c.mu.Unlock()
-	if restarted {
-		return nil, fmt.Errorf("%w (worker %d)", ErrServerRestarted, worker)
-	}
-	switch status {
-	case statusOK:
-		return body, nil
-	case statusError:
-		return nil, &ServerError{Msg: string(body)}
-	case statusStaleSession:
-		return nil, fmt.Errorf("%w (worker %d now at epoch %d)", ErrStaleSession, worker, epoch)
-	case statusBadSeq:
-		return nil, fmt.Errorf("%w (worker %d, epoch %d)", ErrBadSeq, worker, epoch)
-	default:
-		return nil, fmt.Errorf("transport: unknown session status 0x%02x", status)
-	}
-}
-
-// Close implements Transport.
-func (c *SessionClient) Close() error { return c.T.Close() }
 
 // SessionStats is a snapshot of the ExactlyOnce middleware counters.
 type SessionStats struct {
@@ -306,8 +190,6 @@ type SessionStats struct {
 	StaleRejected uint64
 	// BadSeq counts frames rejected for unorderable sequence numbers.
 	BadSeq uint64
-	// Passthrough counts sessionless frames forwarded verbatim.
-	Passthrough uint64
 	// Resets counts incarnation resets (Reset calls) fencing every session.
 	Resets uint64
 }
@@ -400,15 +282,6 @@ func NewExactlyOnce(h Handler, onJoin func(worker int) error) *ExactlyOnce {
 // Incarnation returns the server incarnation id sent in every response.
 func (e *ExactlyOnce) Incarnation() uint64 { return e.incarnation.Load() }
 
-// SetIncarnation overrides the incarnation id (tests; must run before the
-// first exchange is served). Zero is reserved and rejected.
-func (e *ExactlyOnce) SetIncarnation(id uint64) {
-	if id == 0 {
-		panic("transport: zero server incarnation is reserved")
-	}
-	e.incarnation.Store(id)
-}
-
 // Reset adopts a fresh incarnation and discards every worker session and
 // replay cache, exactly as if the process hosting this middleware had
 // crashed and restarted — without dropping TCP connections. From the next
@@ -470,16 +343,12 @@ func (e *ExactlyOnce) count(f func(*SessionStats)) {
 	e.mu.Unlock()
 }
 
-// Handle is the wrapped Handler: pass it to ListenTCP / NewLoopback.
+// Handle is the wrapped Handler: pass it to ListenTCP.
 func (e *ExactlyOnce) Handle(worker int, payload []byte) ([]byte, error) {
-	if !IsSessionFrame(payload) {
-		// Sessionless client: forward verbatim, no exactly-once guarantee.
-		e.count(func(s *SessionStats) { s.Passthrough++ })
-		tmet.sessPassthrough.Inc()
-		return e.h(worker, payload)
-	}
 	flags, session, seq, app, err := decodeSessionReq(payload)
 	if err != nil {
+		// A frame without the envelope cannot be deduplicated, so it never
+		// reaches the handler: the server answers it with an error frame.
 		return nil, err
 	}
 	// One consistent incarnation per frame: a Reset landing mid-exchange

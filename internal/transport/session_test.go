@@ -34,11 +34,36 @@ func (c *countingHandler) count() int {
 	return len(c.calls)
 }
 
+// encodeSessionReq encodes one request envelope into a fresh buffer.
+func encodeSessionReq(flags byte, session, seq uint64, payload []byte) []byte {
+	return appendSessionReq(nil, flags, session, seq, payload)
+}
+
+// sessionServer serves h behind the exactly-once middleware on a loopback
+// TCP port for the duration of the test.
+func sessionServer(t *testing.T, h Handler) (*ExactlyOnce, string) {
+	t.Helper()
+	eo := NewExactlyOnce(h, nil)
+	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return eo, srv.Addr()
+}
+
+// dialSession returns a session of the given depth against addr, closed
+// when the test ends.
+func dialSession(t *testing.T, addr string, depth int) *PipelinedSession {
+	t.Helper()
+	p := NewPipelinedSession(func() (MuxLink, error) { return DialMux(addr) }, depth)
+	p.Backoff = time.Millisecond
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
 func TestSessionEnvelopeRoundTrip(t *testing.T) {
 	req := encodeSessionReq(flagHello, 0xdeadbeef, 42, []byte("payload"))
-	if !IsSessionFrame(req) {
-		t.Fatal("encoded request not recognised as session frame")
-	}
 	flags, sess, seq, body, err := decodeSessionReq(req)
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +79,10 @@ func TestSessionEnvelopeRoundTrip(t *testing.T) {
 	if st != statusOK || epoch != 7 || inc != 11 || !bytes.Equal(rbody, []byte("resp")) {
 		t.Fatalf("decoded %x %d %d %q", st, epoch, inc, rbody)
 	}
-	if IsSessionFrame([]byte("short")) || IsSessionFrame(nil) {
-		t.Fatal("non-session payloads must not be recognised")
+	for _, b := range [][]byte{nil, []byte("short"), []byte("a long payload without any envelope")} {
+		if _, _, _, _, err := decodeSessionReq(b); err == nil {
+			t.Fatalf("%q decoded as a session frame", b)
+		}
 	}
 }
 
@@ -209,30 +236,29 @@ func TestExactlyOnceCachesHandlerErrors(t *testing.T) {
 	}
 }
 
-func TestExactlyOncePassthroughForSessionlessClients(t *testing.T) {
+// A frame without the envelope cannot be deduplicated: the middleware
+// answers it with an error (an error frame on the wire) and the handler
+// never runs.
+func TestExactlyOnceRefusesSessionlessFrames(t *testing.T) {
 	h := &countingHandler{}
 	eo := NewExactlyOnce(h.handle, nil)
-	resp, err := eo.Handle(2, []byte("legacy"))
-	if err != nil {
-		t.Fatal(err)
+	for _, payload := range [][]byte{[]byte("legacy"), nil} {
+		if resp, err := eo.Handle(2, payload); err == nil {
+			t.Fatalf("sessionless %q answered %q, want an error", payload, resp)
+		}
 	}
-	if string(resp) != "w2:legacy" {
-		t.Fatalf("resp %q", resp)
+	if h.count() != 0 {
+		t.Fatalf("handler ran %d times on sessionless frames", h.count())
 	}
-	if eo.Stats().Passthrough != 1 {
-		t.Fatalf("stats %+v", eo.Stats())
-	}
-	// Empty payloads (drain pushes from sessionless clients) pass through too.
-	if _, err := eo.Handle(2, nil); err != nil {
-		t.Fatal(err)
+	if st := eo.Stats(); st != (SessionStats{}) {
+		t.Fatalf("sessionless frames touched the session state: %+v", st)
 	}
 }
 
-func TestSessionClientSurfacesStatuses(t *testing.T) {
+func TestPipelinedSessionSurfacesStatuses(t *testing.T) {
 	h := &countingHandler{fail: map[string]bool{"bad": true}}
-	eo := NewExactlyOnce(h.handle, nil)
-	lb := NewLoopback(eo.Handle)
-	sc := &SessionClient{T: lb, SessionID: 77}
+	_, addr := sessionServer(t, h.handle)
+	sc := dialSession(t, addr, 1)
 	resp, err := sc.Exchange(0, []byte("fine"))
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +273,12 @@ func TestSessionClientSurfacesStatuses(t *testing.T) {
 	if _, err := sc.Exchange(0, []byte("bad")); !errors.As(err, &srvErr) {
 		t.Fatalf("err %v, want ServerError", err)
 	}
+	// A handler error is the exchange's answer, not the session's end.
+	if resp, err := sc.Exchange(0, []byte("again")); err != nil || string(resp) != "w0:again" {
+		t.Fatalf("exchange after a handler error = %q, %v", resp, err)
+	}
 	// A second incarnation fences the first out.
-	sc2 := &SessionClient{T: lb, SessionID: 78}
+	sc2 := dialSession(t, addr, 1)
 	if _, err := sc2.Exchange(0, []byte("takeover")); err != nil {
 		t.Fatal(err)
 	}
@@ -257,74 +287,21 @@ func TestSessionClientSurfacesStatuses(t *testing.T) {
 	}
 }
 
-// tornOnce fails an exchange AFTER the inner transport processed it, exactly
-// once — the classic torn response.
-type tornOnce struct {
-	inner Transport
-	torn  bool
-}
-
-func (f *tornOnce) Exchange(worker int, payload []byte) ([]byte, error) {
-	resp, err := f.inner.Exchange(worker, payload)
-	if err != nil {
-		return nil, err
-	}
-	if !f.torn {
-		f.torn = true
-		return nil, errors.New("torn response")
-	}
-	return resp, nil
-}
-
-func (f *tornOnce) Close() error { return f.inner.Close() }
-
-// End-to-end exactly-once: SessionClient over a retrying transport whose
-// first response is torn. The server must execute the exchange once and the
-// retry must observe the cached response.
-func TestSessionClientRetryAfterTornResponseIsExactlyOnce(t *testing.T) {
-	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
-	lb := NewLoopback(eo.Handle)
-	torn := &tornOnce{inner: lb} // shared across redials: tears exactly one response
-	rc := NewReconnecting(func() (Transport, error) { return torn, nil })
-	rc.Backoff = time.Millisecond
-	sc := &SessionClient{T: rc, SessionID: 123}
-	resp, err := sc.Exchange(4, []byte("grad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "w4:grad" {
-		t.Fatalf("resp %q", resp)
-	}
-	if h.count() != 1 {
-		t.Fatalf("handler ran %d times; the torn-response retry must be deduplicated", h.count())
-	}
-	st := eo.Stats()
-	if st.Replays != 1 {
-		t.Fatalf("stats %+v, want exactly one replay", st)
-	}
-}
-
-// The full stack over real sockets: SessionClient → Reconnecting → Faulty →
-// TCPClient against a TCPServer, with every fault class enabled. Each
+// The full stack over real sockets: PipelinedSession at depth 2 over Faulty
+// mux links against a TCPServer, with every fault class enabled. Each
 // logical exchange must reach the handler exactly once, in order.
 func TestSessionOverFaultyTCPDeliversExactlyOnce(t *testing.T) {
 	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
-	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	var dials atomic.Uint64
-	rc := NewReconnecting(func() (Transport, error) {
-		c, err := DialTCP(srv.Addr())
+	_, addr := sessionServer(t, h.handle)
+	var dials uint64
+	sc := NewPipelinedSession(func() (MuxLink, error) {
+		c, err := DialMux(addr)
 		if err != nil {
 			return nil, err
 		}
+		dials++
 		return NewFaulty(c, FaultConfig{
-			Seed:           dials.Add(1),
+			Seed:           dials,
 			DropBeforeSend: 0.1,
 			DropAfterSend:  0.1,
 			Duplicate:      0.1,
@@ -332,22 +309,29 @@ func TestSessionOverFaultyTCPDeliversExactlyOnce(t *testing.T) {
 			Delay:          0.1,
 			MaxDelay:       200 * time.Microsecond,
 		}), nil
-	})
-	rc.MaxRetries = 50
-	rc.Backoff = 200 * time.Microsecond
-	sc := &SessionClient{T: rc, SessionID: 4242}
+	}, 2)
+	sc.MaxRetries = 50
+	sc.Backoff = 200 * time.Microsecond
 	defer sc.Close()
 
 	const rounds = 60
-	for i := 0; i < rounds; i++ {
-		msg := fmt.Sprintf("m%03d", i)
-		resp, err := sc.Exchange(1, []byte(msg))
+	next := 0
+	for recvd := 0; recvd < rounds; {
+		if next < rounds && sc.InFlight() < 2 {
+			if err := sc.Submit(1, []byte(fmt.Sprintf("m%03d", next))); err != nil {
+				t.Fatalf("submit %d: %v", next, err)
+			}
+			next++
+			continue
+		}
+		resp, err := sc.Await()
 		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
+			t.Fatalf("round %d: %v", recvd, err)
 		}
-		if string(resp) != "w1:"+msg {
-			t.Fatalf("round %d: resp %q", i, resp)
+		if want := fmt.Sprintf("w1:m%03d", recvd); string(resp) != want {
+			t.Fatalf("round %d: resp %q, want %q", recvd, resp, want)
 		}
+		recvd++
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

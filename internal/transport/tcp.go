@@ -11,14 +11,11 @@ import (
 	"time"
 )
 
-// Wire framing (little endian):
+// Wire framing (v2, little endian):
 //
-//	v1 request:  u32 payload length | u32 worker id | payload
-//	v1 response: u32 payload length | u8 status | payload
-//
-//	v2 request:  u32 payload length | u32 worker id (bit 31 set) |
-//	             u64 request id | payload
-//	v2 response: u32 payload length | u8 status | u64 request id | payload
+//	request:  u32 payload length | u32 worker id (bit 31 set) |
+//	          u64 request id | payload
+//	response: u32 payload length | u8 status | u64 request id | payload
 //
 // The response status byte distinguishes a successful exchange (statusOK,
 // payload is the handler's response) from a handler failure (statusError,
@@ -29,15 +26,14 @@ import (
 // while retrying a network fault is safe under the exactly-once session
 // protocol (see session.go).
 //
-// v2 is the pipelined (multiplexed) variant: setting bit 31 of the worker
-// field announces an explicit request id that the server echoes back in the
-// response header, which lets one connection carry several in-flight
-// exchanges (see MuxConn in mux.go) while the client verifies that requests
-// and responses stay paired. The server still processes a connection's
-// frames strictly in arrival order — required by the session layer's
-// sequence numbering — so responses come back in request order and the id
-// is a pairing check, not a reordering mechanism. Both framings coexist on
-// one server; each request is answered in the framing it arrived in.
+// The request id, echoed back in the response header, lets one connection
+// carry several in-flight exchanges (see MuxConn in mux.go) while the
+// client verifies that requests and responses stay paired. The server
+// processes a connection's frames strictly in arrival order — required by
+// the session layer's sequence numbering — so responses come back in
+// request order and the id is a pairing check, not a reordering mechanism.
+// Bit 31 of the worker field marks the framing: the unmarked request of the
+// retired v1 framing (no request id) is refused by closing the connection.
 //
 // maxFrame bounds allocations against corrupt or hostile length prefixes.
 const maxFrame = 1 << 30
@@ -105,8 +101,8 @@ func decodeRetryHint(b []byte) time.Duration {
 	return time.Duration(binary.LittleEndian.Uint32(b)) * time.Millisecond
 }
 
-// ErrBrokenConn is returned by TCPClient.Exchange after a previous exchange
-// failed partway through a frame. The stream position is then unknown
+// ErrBrokenConn is returned by MuxConn after a previous call failed partway
+// through a frame. The stream position is then unknown
 // (a half-written request or half-read response would desynchronise all
 // subsequent frames), so the client refuses further use instead of
 // interleaving garbage; callers reconnect to recover.
@@ -187,16 +183,15 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	// All fixed-size frame headers live outside the loop: locals passed
 	// through the net.Conn interface escape to the heap, and the per-frame
 	// serve path must not allocate.
-	var hdr [8]byte
-	var idb [8]byte
+	var hdr [16]byte
 	var rhdr [13]byte
-	// wb and wbufs back the single-writev response write, as in
-	// TCPClient: wbufs is re-pointed at wb before every write because
+	// wb and wbufs back the single-writev response write, as in MuxConn:
+	// wbufs is re-pointed at wb before every write because
 	// net.Buffers.WriteTo consumes the slice as it drains.
 	var wb [2][]byte
 	var wbufs net.Buffers
 	// payload is the per-connection request buffer, grown once to the
-	// largest frame seen (the response mirror of TCPClient.respBuf). Safe to
+	// largest frame seen (the mirror of a slot's response buffer). Safe to
 	// reuse across frames: handlers may alias it in their response, but the
 	// response is written before the next frame is read, and anything
 	// retained longer (the exactly-once replay cache) is freshly encoded.
@@ -218,22 +213,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			}
 		}
 		n := binary.LittleEndian.Uint32(hdr[:4])
-		worker := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxFrame {
+		worker := binary.LittleEndian.Uint32(hdr[4:8])
+		if n > maxFrame || worker&muxWorkerFlag == 0 {
 			return
 		}
-		// Wire v2: the mux flag announces an 8-byte request id after the
-		// header, echoed back so the client can verify request/response
-		// pairing across several in-flight exchanges.
-		mux := worker&muxWorkerFlag != 0
-		var reqid uint64
-		if mux {
-			worker &^= muxWorkerFlag
-			if _, err := io.ReadFull(conn, idb[:]); err != nil {
-				return
-			}
-			reqid = binary.LittleEndian.Uint64(idb[:])
-		}
+		worker &^= muxWorkerFlag
 		if cap(payload) < int(n) {
 			payload = make([]byte, n)
 		}
@@ -264,16 +248,13 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 				resp = []byte(err.Error())
 			}
 		}
+		// The request id is echoed verbatim from the request header.
 		binary.LittleEndian.PutUint32(rhdr[:4], uint32(len(resp)))
 		rhdr[4] = status
-		rlen := 5
-		if mux {
-			binary.LittleEndian.PutUint64(rhdr[5:], reqid)
-			rlen = 13
-		}
+		copy(rhdr[5:], hdr[8:])
 		// Header and payload in one writev: one syscall per exchange, and no
 		// separate tiny header segment under TCP_NODELAY.
-		wb[0], wb[1] = rhdr[:rlen], resp
+		wb[0], wb[1] = rhdr[:], resp
 		wbufs = wb[:]
 		if _, err := wbufs.WriteTo(conn); err != nil {
 			return
@@ -319,128 +300,3 @@ func (s *TCPServer) Close() error {
 	s.wg.Wait()
 	return err
 }
-
-// TCPClient is the worker-side transport over one TCP connection. A client
-// serialises its own exchanges; use one client per worker goroutine.
-type TCPClient struct {
-	Traffic *Traffic
-
-	// ExchangeTimeout, when positive, bounds one whole Exchange round trip
-	// (request write + response read). Set it before the first Exchange. A
-	// deadline expiry breaks the connection (the stream position is
-	// unknown), so pair timeouts with a reconnect layer.
-	ExchangeTimeout time.Duration
-
-	conn   net.Conn
-	mu     sync.Mutex
-	broken bool
-
-	// respBuf is the per-client response buffer, grown once to the largest
-	// response seen and then reused, so the steady-state exchange path is
-	// allocation-free (mirroring ps.Server.Push's per-worker scratch).
-	respBuf []byte
-	// hdr and wb back the single-writev request write; wbufs is re-pointed
-	// at wb before every write because net.Buffers.WriteTo consumes the
-	// slice as it drains. rhdr receives the response header (a struct field
-	// rather than a local because locals passed through the net.Conn
-	// interface escape to the heap, and the steady-state exchange must not
-	// allocate).
-	hdr   [8]byte
-	rhdr  [5]byte
-	wb    [2][]byte
-	wbufs net.Buffers
-}
-
-// DialTCP connects to a TCPServer.
-func DialTCP(addr string) (*TCPClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return &TCPClient{conn: conn, Traffic: &Traffic{}}, nil
-}
-
-// Exchange implements Transport. After any partial write or read failure the
-// connection is marked broken and every subsequent call fails fast with
-// ErrBrokenConn: a half-transmitted frame leaves the stream desynchronised,
-// and continuing would silently pair requests with the wrong responses.
-//
-// Aliasing contract (like ps.Server.Push): the returned slice aliases the
-// client's reusable response buffer and is valid only until this client's
-// next Exchange. Callers that retain a response across exchanges must copy
-// it; the trainer decodes immediately (sparse.DecodeInto copies), and the
-// pipelined adapters copy into their own slots before the next exchange.
-func (c *TCPClient) Exchange(worker int, payload []byte) ([]byte, error) {
-	resp, err := c.exchange(worker, payload)
-	if err != nil {
-		tmet.exchangeErrors.Inc()
-	}
-	return resp, err
-}
-
-func (c *TCPClient) exchange(worker int, payload []byte) ([]byte, error) {
-	t0 := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		return nil, ErrBrokenConn
-	}
-	if c.ExchangeTimeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.ExchangeTimeout)); err != nil {
-			c.broken = true
-			return nil, fmt.Errorf("transport: set deadline: %w", err)
-		}
-	}
-	// Header and payload go out in one writev: a single syscall, and a
-	// single packet for the common small-frame case instead of a 8-byte
-	// header segment followed by the payload.
-	binary.LittleEndian.PutUint32(c.hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(c.hdr[4:], uint32(worker))
-	c.wb[0] = c.hdr[:]
-	c.wb[1] = payload
-	c.wbufs = net.Buffers(c.wb[:])
-	if _, err := c.wbufs.WriteTo(c.conn); err != nil {
-		c.broken = true
-		return nil, fmt.Errorf("transport: write request: %w", err)
-	}
-	if _, err := io.ReadFull(c.conn, c.rhdr[:]); err != nil {
-		c.broken = true
-		return nil, fmt.Errorf("transport: read response header: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(c.rhdr[:4])
-	status := c.rhdr[4]
-	if n > maxFrame {
-		c.broken = true
-		return nil, errors.New("transport: response frame too large")
-	}
-	if cap(c.respBuf) < int(n) {
-		c.respBuf = make([]byte, n)
-	}
-	resp := c.respBuf[:n]
-	if _, err := io.ReadFull(c.conn, resp); err != nil {
-		c.broken = true
-		return nil, fmt.Errorf("transport: read response: %w", err)
-	}
-	if c.ExchangeTimeout > 0 {
-		if err := c.conn.SetDeadline(time.Time{}); err != nil {
-			c.broken = true
-			return nil, fmt.Errorf("transport: clear deadline: %w", err)
-		}
-	}
-	switch status {
-	case statusOK:
-	case statusRetry:
-		// Admission rejection: the frame was intact and never executed, so
-		// the connection stays usable and a re-send after the hint is safe.
-		return nil, &RetryAfterError{After: decodeRetryHint(resp)}
-	default:
-		// The frame itself was intact, so the connection stays usable.
-		return nil, &ServerError{Msg: string(resp)}
-	}
-	tmet.exchangeSeconds.Observe(time.Since(t0).Seconds())
-	c.Traffic.Record(len(payload), len(resp))
-	return resp, nil
-}
-
-// Close implements Transport.
-func (c *TCPClient) Close() error { return c.conn.Close() }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -23,13 +24,13 @@ func TestTCPServerReturnsErrorFrameOnHandlerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := DialTCP(srv.Addr())
+	cli, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 
-	_, err = cli.Exchange(0, []byte("poison"))
+	_, err = exchange(cli, 0, []byte("poison"))
 	var srvErr *ServerError
 	if !errors.As(err, &srvErr) {
 		t.Fatalf("err %v, want ServerError", err)
@@ -38,7 +39,7 @@ func TestTCPServerReturnsErrorFrameOnHandlerFailure(t *testing.T) {
 		t.Fatalf("error frame lost the message: %q", srvErr.Msg)
 	}
 	// The connection survived the error frame.
-	resp, err := cli.Exchange(0, []byte("fine"))
+	resp, err := exchange(cli, 0, []byte("fine"))
 	if err != nil {
 		t.Fatalf("connection did not survive an error frame: %v", err)
 	}
@@ -66,12 +67,12 @@ func TestTCPServerSurvivesHandlerPanic(t *testing.T) {
 	}
 	defer srv.Close()
 
-	bad, err := DialTCP(srv.Addr())
+	bad, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bad.Close()
-	_, err = bad.Exchange(0, []byte("boom"))
+	_, err = exchange(bad, 0, []byte("boom"))
 	var srvErr *ServerError
 	if !errors.As(err, &srvErr) {
 		t.Fatalf("err %v, want ServerError", err)
@@ -80,24 +81,25 @@ func TestTCPServerSurvivesHandlerPanic(t *testing.T) {
 		t.Fatalf("error frame should name the panic: %q", srvErr.Msg)
 	}
 	// The panicking client's own connection survives...
-	if _, err := bad.Exchange(0, []byte("ok")); err != nil {
+	if _, err := exchange(bad, 0, []byte("ok")); err != nil {
 		t.Fatalf("connection did not survive the panic: %v", err)
 	}
 	// ...and so does everyone else's.
-	other, err := DialTCP(srv.Addr())
+	other, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	if _, err := other.Exchange(1, []byte("alive")); err != nil {
+	if _, err := exchange(other, 1, []byte("alive")); err != nil {
 		t.Fatalf("server died serving an unrelated connection: %v", err)
 	}
 }
 
-// Reconnecting must not retry a ServerError: the request was delivered and
-// rejected, so a retry would deterministically fail (and, before the session
-// layer, could double-apply side effects).
-func TestReconnectingDoesNotRetryServerErrors(t *testing.T) {
+// The session must not retry a ServerError: the request was delivered and
+// rejected, so a retry would deterministically fail (and, without the
+// replay cache, could double-apply side effects). The rejection is not
+// terminal either: the next exchange goes out on the same link.
+func TestPipelinedSessionDoesNotRetryServerErrors(t *testing.T) {
 	// Atomic: a response arriving over the socket orders nothing for the
 	// race detector.
 	var calls atomic.Int32
@@ -109,73 +111,80 @@ func TestReconnectingDoesNotRetryServerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc := NewReconnecting(func() (Transport, error) { return DialTCP(srv.Addr()) })
-	rc.MaxRetries = 5
-	rc.Backoff = time.Millisecond
-	defer rc.Close()
+	dials := 0
+	p := NewPipelinedSession(func() (MuxLink, error) { dials++; return DialMux(srv.Addr()) }, 1)
+	p.MaxRetries = 5
+	p.Backoff = time.Millisecond
+	defer p.Close()
 
-	_, err = rc.Exchange(0, []byte("x"))
-	var srvErr *ServerError
-	if !errors.As(err, &srvErr) {
-		t.Fatalf("err %v, want ServerError", err)
+	for i := int32(1); i <= 2; i++ {
+		_, err = p.Exchange(0, []byte("x"))
+		var srvErr *ServerError
+		if !errors.As(err, &srvErr) {
+			t.Fatalf("err %v, want ServerError", err)
+		}
+		if n := calls.Load(); n != i {
+			t.Fatalf("handler called %d times for %d exchanges; application errors must not be retried", n, i)
+		}
 	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("handler called %d times; application errors must not be retried", n)
+	if dials != 1 {
+		t.Fatalf("dialed %d times; an error frame leaves the link intact", dials)
 	}
 }
 
 // Explicit zeros disable retry and backoff; the constructor installs the
 // defaults.
-func TestReconnectingExplicitZeroDisablesRetries(t *testing.T) {
+func TestPipelinedSessionExplicitZeroDisablesRetries(t *testing.T) {
 	dials := 0
-	r := &Reconnecting{Dial: func() (Transport, error) {
+	p := &PipelinedSession{Dial: func() (MuxLink, error) {
 		dials++
 		return nil, errors.New("refused")
-	}}
+	}, SessionID: 1}
 	start := time.Now()
-	if _, err := r.Exchange(0, nil); err == nil {
+	if _, err := p.Exchange(0, nil); err == nil {
 		t.Fatal("must fail with no retries")
 	}
-	if dials != 1 {
-		t.Fatalf("dialed %d times with MaxRetries=0, want exactly 1", dials)
+	// Submit dials eagerly and Await tries once more: no retry in between.
+	if dials != 2 {
+		t.Fatalf("dialed %d times with MaxRetries=0, want 2 (submit, then the one await attempt)", dials)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Fatalf("Backoff=0 slept %v", elapsed)
 	}
-	if def := NewReconnecting(nil); def.MaxRetries != 3 || def.Backoff != 50*time.Millisecond || def.MaxBackoff != 2*time.Second {
+	if def := NewPipelinedSession(nil, 0); def.MaxRetries != 3 || def.Backoff != 50*time.Millisecond || def.MaxBackoff != 2*time.Second || def.Depth != 1 {
 		t.Fatalf("constructor defaults changed: %+v", def)
 	}
 }
 
-func TestTCPClientBrokenConnFailsFast(t *testing.T) {
+func TestMuxConnBrokenConnFailsFast(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := DialTCP(srv.Addr())
+	cli, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.Exchange(0, []byte("ok")); err != nil {
+	if _, err := exchange(cli, 0, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the server so the next exchange fails mid-frame.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Exchange(0, []byte("fails")); err == nil {
+	if _, err := exchange(cli, 0, []byte("fails")); err == nil {
 		t.Fatal("exchange against a dead server must fail")
 	}
 	// From now on the client must refuse to touch the stream.
-	if _, err := cli.Exchange(0, []byte("later")); !errors.Is(err, ErrBrokenConn) {
+	if _, err := exchange(cli, 0, []byte("later")); !errors.Is(err, ErrBrokenConn) {
 		t.Fatalf("err %v, want ErrBrokenConn", err)
 	}
 }
 
 // A stalled server (handler never returns) must not hang a client that set a
 // per-exchange deadline.
-func TestTCPClientExchangeTimeout(t *testing.T) {
+func TestMuxConnExchangeTimeout(t *testing.T) {
 	block := make(chan struct{})
 	srv, err := ListenTCP("127.0.0.1:0", func(worker int, payload []byte) ([]byte, error) {
 		<-block
@@ -187,14 +196,14 @@ func TestTCPClientExchangeTimeout(t *testing.T) {
 	defer srv.Close()
 	defer close(block)
 
-	cli, err := DialTCP(srv.Addr())
+	cli, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 	cli.ExchangeTimeout = 50 * time.Millisecond
 	start := time.Now()
-	_, err = cli.Exchange(0, []byte("x"))
+	_, err = exchange(cli, 0, []byte("x"))
 	if err == nil {
 		t.Fatal("exchange against a stalled handler must time out")
 	}
@@ -206,7 +215,7 @@ func TestTCPClientExchangeTimeout(t *testing.T) {
 		t.Fatalf("timed out only after %v", elapsed)
 	}
 	// Deadline expiry breaks the stream.
-	if _, err := cli.Exchange(0, []byte("y")); !errors.Is(err, ErrBrokenConn) {
+	if _, err := exchange(cli, 0, []byte("y")); !errors.Is(err, ErrBrokenConn) {
 		t.Fatalf("err %v, want ErrBrokenConn", err)
 	}
 }
@@ -227,7 +236,9 @@ func TestTCPServerExchangeTimeout(t *testing.T) {
 	}
 	defer conn.Close()
 	// Header promising a 100-byte payload that never arrives.
-	hdr := []byte{100, 0, 0, 0, 0, 0, 0, 0}
+	hdr := binary.LittleEndian.AppendUint32(nil, 100)
+	hdr = binary.LittleEndian.AppendUint32(hdr, muxWorkerFlag)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1)
 	if _, err := conn.Write(hdr); err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +249,12 @@ func TestTCPServerExchangeTimeout(t *testing.T) {
 		t.Fatal("server should have closed the stalled connection")
 	}
 	// A healthy client is still served.
-	cli, err := DialTCP(srv.Addr())
+	cli, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.Exchange(1, []byte("alive")); err != nil {
+	if _, err := exchange(cli, 1, []byte("alive")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,14 @@
 // Package transport moves encoded updates between workers and the
-// parameter server. Two implementations share one interface: Loopback
-// (in-process, for goroutine-based training) and TCP (real sockets, for
-// multi-process clusters). Both count traffic so experiments can report
-// exact communication volumes.
+// parameter server. A worker holds a Pipeliner: Submit sends one update,
+// Await returns the server's response, oldest first, with up to a
+// configured depth of exchanges in flight (depth 1 is the synchronous
+// exchange). There are two: PipelinedSession, the one network client — an
+// exactly-once session over wire-v2 multiplexed framing to a TCPServer
+// serving an ExactlyOnce handler, with redial-and-replay on faults — and
+// Loopback, which runs the handler in-process. Faulty decorates the
+// session's link with seeded fault injection, and Gate sheds load on the
+// server side. Traffic counters let experiments report exact communication
+// volumes.
 package transport
 
 import (
@@ -47,10 +53,20 @@ func (t *Traffic) Exchanges() int64 { return t.exchanges.Load() }
 type Handler func(worker int, payload []byte) ([]byte, error)
 
 // Loopback dispatches exchanges directly to a Handler in-process while
-// still exercising the full encode/decode path and recording traffic.
+// still exercising the full encode/decode path and recording traffic. As a
+// Pipeliner it runs the handler inline at Submit and hands the result out at
+// Await, so one Loopback serves one worker goroutine; Exchange alone is safe
+// for concurrent use.
 type Loopback struct {
 	H       Handler
 	Traffic *Traffic
+
+	pending []loopResult // submitted, not yet awaited; oldest first
+}
+
+type loopResult struct {
+	resp []byte
+	err  error
 }
 
 // NewLoopback wraps a handler.
@@ -70,6 +86,29 @@ func (l *Loopback) Exchange(worker int, payload []byte) ([]byte, error) {
 	l.Traffic.Record(len(payload), len(resp))
 	return resp, nil
 }
+
+// Submit implements Pipeliner: the handler runs here, in the caller's
+// goroutine, and its response waits for Await. Handlers return fresh
+// response slices (the exactly-once replay cache already relies on that),
+// so holding them is safe.
+func (l *Loopback) Submit(worker int, payload []byte) error {
+	resp, err := l.Exchange(worker, payload)
+	l.pending = append(l.pending, loopResult{resp, err})
+	return nil
+}
+
+// Await implements Pipeliner.
+func (l *Loopback) Await() ([]byte, error) {
+	if len(l.pending) == 0 {
+		return nil, errWindowEmpty
+	}
+	r := l.pending[0]
+	l.pending = l.pending[:copy(l.pending, l.pending[1:])]
+	return r.resp, r.err
+}
+
+// InFlight implements Pipeliner.
+func (l *Loopback) InFlight() int { return len(l.pending) }
 
 // Close implements Transport; loopback holds no resources.
 func (l *Loopback) Close() error { return nil }

@@ -30,6 +30,51 @@ func TestLoopbackExchange(t *testing.T) {
 	}
 }
 
+// As a Pipeliner, a loopback runs each handler at Submit and hands the
+// results out at Await in submit order.
+func TestLoopbackPipelinesInOrder(t *testing.T) {
+	l := NewLoopback(func(worker int, payload []byte) ([]byte, error) {
+		return []byte(fmt.Sprintf("w%d:%s", worker, payload)), nil
+	})
+	for i := 0; i < 3; i++ {
+		if err := l.Submit(7, []byte(fmt.Sprintf("r%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.InFlight() != 3 {
+		t.Fatalf("in flight %d, want 3", l.InFlight())
+	}
+	for i := 0; i < 3; i++ {
+		resp, err := l.Await()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("w7:r%d", i); string(resp) != want {
+			t.Fatalf("await %d = %q, want %q (responses must resolve in submit order)", i, resp, want)
+		}
+	}
+	if _, err := l.Await(); !errors.Is(err, errWindowEmpty) {
+		t.Fatalf("await on a drained loopback: %v", err)
+	}
+	if l.Traffic.Exchanges() != 3 {
+		t.Fatalf("traffic counted %d exchanges, want 3", l.Traffic.Exchanges())
+	}
+}
+
+// exchange is one synchronous round trip on a mux link, checking that the
+// response id pairs up with the request.
+func exchange(l MuxLink, worker int, payload []byte) ([]byte, error) {
+	id, err := l.Submit(worker, payload)
+	if err != nil {
+		return nil, err
+	}
+	got, resp, err := l.Recv(nil)
+	if err == nil && got != id {
+		return nil, fmt.Errorf("response id %d, want %d", got, id)
+	}
+	return resp, err
+}
+
 func TestLoopbackPropagatesError(t *testing.T) {
 	want := errors.New("boom")
 	l := NewLoopback(func(int, []byte) ([]byte, error) { return nil, want })
@@ -47,12 +92,12 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := DialTCP(srv.Addr())
+	cli, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	resp, err := cli.Exchange(7, []byte("payload"))
+	resp, err := exchange(cli, 7, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +115,12 @@ func TestTCPEmptyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := DialTCP(srv.Addr())
+	cli, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	resp, err := cli.Exchange(1, nil)
+	resp, err := exchange(cli, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +135,7 @@ func TestTCPLargePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := DialTCP(srv.Addr())
+	cli, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +144,7 @@ func TestTCPLargePayload(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	resp, err := cli.Exchange(0, big)
+	resp, err := exchange(cli, 0, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +175,7 @@ func TestTCPManyClientsConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			cli, err := DialTCP(srv.Addr())
+			cli, err := DialMux(srv.Addr())
 			if err != nil {
 				errs <- err
 				return
@@ -138,7 +183,7 @@ func TestTCPManyClientsConcurrently(t *testing.T) {
 			defer cli.Close()
 			for r := 0; r < rounds; r++ {
 				msg := []byte(fmt.Sprintf("w%d-r%d", k, r))
-				resp, err := cli.Exchange(k, msg)
+				resp, err := exchange(cli, k, msg)
 				if err != nil {
 					errs <- err
 					return
@@ -191,24 +236,24 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := DialTCP(srv.Addr())
+	cli, err := DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.Exchange(0, []byte("x")); err != nil {
+	if _, err := exchange(cli, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Exchange(0, []byte("y")); err == nil {
+	if _, err := exchange(cli, 0, []byte("y")); err == nil {
 		t.Fatal("exchange after server close must fail")
 	}
 }
 
 func TestDialUnreachable(t *testing.T) {
-	if _, err := DialTCP("127.0.0.1:1"); err == nil {
+	if _, err := DialMux("127.0.0.1:1"); err == nil {
 		t.Fatal("dialing a dead port must fail")
 	}
 }
