@@ -56,7 +56,8 @@ bench: bench-kernels bench-paper
 # performs, and the blocked-vs-baseline crossover that places
 # smallGemmVolume. DESIGN.md §8 quotes these. Then the server side alone:
 # Push under fleet contention at both candidate block sizes (ns/push,
-# allocs/op, updates applied per write-lock hold). DESIGN.md §11 quotes it.
+# allocs/op, updates applied per write-lock hold), and Eq. 6 on ResNet-18 at
+# the paper's scale (a ≈0.6 GB server). DESIGN.md §11 and §13 quote it.
 KERNEL_BENCHTIME ?= 1s
 
 bench-kernels:

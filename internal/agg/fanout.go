@@ -1,10 +1,7 @@
 package agg
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
+	"dgs/internal/par"
 	"dgs/internal/ps"
 	"dgs/internal/sparse"
 )
@@ -70,13 +67,15 @@ func (f *fanout) run(loc *ps.Server, parts []*pending) (shared, encoded uint64) 
 		f.gather = append(f.gather, p)
 	}
 
-	eachPart(f.gather, func(p *pending) {
+	par.Each(len(f.gather), func(i int) {
+		p := f.gather[i]
 		p.G, p.tSeen = loc.Gather(p.slot)
 		p.resp = sparse.AppendEncode(p.resp[:0], &p.G)
 		p.err = nil
 		p.ready <- struct{}{}
 	})
-	eachPart(f.share, func(p *pending) {
+	par.Each(len(f.share), func(i int) {
+		p := f.share[i]
 		l := p.lead
 		loc.ApplyGathered(p.slot, &l.G, l.tSeen)
 		p.resp = append(p.resp[:0], l.resp...)
@@ -84,32 +83,4 @@ func (f *fanout) run(loc *ps.Server, parts []*pending) (shared, encoded uint64) 
 		p.ready <- struct{}{}
 	})
 	return uint64(len(f.share)), uint64(len(f.gather))
-}
-
-// eachPart runs do on every part across min(GOMAXPROCS, len(parts))
-// goroutines, the caller being one of them, and returns once all are done.
-// Parts are claimed one at a time from a shared cursor, so one slow gather
-// does not hold back a fixed share of the rest. At GOMAXPROCS 1 this is the
-// plain serial loop on the caller's goroutine.
-func eachPart(parts []*pending, do func(*pending)) {
-	n := min(runtime.GOMAXPROCS(0), len(parts))
-	if n == 0 {
-		return
-	}
-	var next atomic.Int64
-	claim := func() {
-		for i := int(next.Add(1) - 1); i < len(parts); i = int(next.Add(1) - 1) {
-			do(parts[i])
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for range n - 1 {
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	claim()
-	wg.Wait()
 }

@@ -17,11 +17,9 @@
 package optim
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"dgs/internal/par"
 	"dgs/internal/sparse"
 )
 
@@ -68,9 +66,10 @@ type topkScratch struct {
 	// The step in flight, held only while prepare runs: the per-layer body
 	// is a method on the scratch because a closure over these would escape
 	// through the fan-out's goroutines and allocate on every step.
-	rule  layerRule
-	grads [][]float32
-	lr    float32
+	rule    layerRule
+	grads   [][]float32
+	lr      float32
+	layerFn func(int) // s.layer, the fan-out's body
 
 	// Per-layer telemetry accumulators. Each fan-out goroutine writes only
 	// its own layer's slot, so recording is contention- and race-free; the
@@ -106,43 +105,24 @@ func (s *topkScratch) prepare(rule layerRule, grads [][]float32, lr float32, om 
 	return s.out
 }
 
-// forEachLayer runs s.layer for every layer. When more than one core is
-// available and the model is large enough, layers are distributed across
-// goroutines via an atomic work counter; each layer touches only its own
+// forEachLayer runs s.layer for every layer. When the model is large enough
+// the layers fan out across cores (par.Each); each layer touches only its own
 // state, so results are identical to the serial order.
 func (s *topkScratch) forEachLayer() {
-	n := len(s.grads)
-	workers := min(runtime.GOMAXPROCS(0), n)
 	total := 0
 	for _, g := range s.grads {
 		total += len(g)
 	}
-	if workers <= 1 || total < parallelPrepThreshold {
-		for i := 0; i < n; i++ {
+	if total < parallelPrepThreshold {
+		for i := range s.grads {
 			s.layer(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			s.layer(i)
-		}
+	if s.layerFn == nil {
+		s.layerFn = s.layer // bound once: a method value per step would allocate
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	par.Each(len(s.grads), s.layerFn)
 }
 
 func (s *topkScratch) layer(i int) {

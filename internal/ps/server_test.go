@@ -285,10 +285,3 @@ func TestPushBadWorkerPanics(t *testing.T) {
 	empty := sparse.Update{}
 	s.Push(5, &empty)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -13,11 +13,11 @@ package ssgd
 
 import (
 	"fmt"
-	"sync"
 
 	"dgs/internal/data"
 	"dgs/internal/nn"
 	"dgs/internal/optim"
+	"dgs/internal/par"
 	"dgs/internal/sparse"
 	"dgs/internal/stats"
 	"dgs/internal/tensor"
@@ -158,22 +158,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// Parallel gradient computation on identical replicas.
-		var wg sync.WaitGroup
-		for k := 0; k < cfg.Workers; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				batch := loaders[k].Next()
-				m := replicas[k]
-				m.ZeroGrad()
-				logits := m.Forward(batch.X, true)
-				loss, g := nn.SoftmaxCrossEntropy(logits, batch.Labels)
-				m.Backward(g)
-				losses[k] = loss
-				updates[k] = workerOpts[k].Prepare(m.Gradients(), lr)
-			}(k)
-		}
-		wg.Wait()
+		par.Each(cfg.Workers, func(k int) {
+			batch := loaders[k].Next()
+			m := replicas[k]
+			m.ZeroGrad()
+			logits := m.Forward(batch.X, true)
+			loss, g := nn.SoftmaxCrossEntropy(logits, batch.Labels)
+			m.Backward(g)
+			losses[k] = loss
+			updates[k] = workerOpts[k].Prepare(m.Gradients(), lr)
+		})
 
 		// Barrier: aggregate the (sparse) worker contributions, averaging
 		// across workers as in data-parallel SGD.
