@@ -286,9 +286,10 @@ func (a *Aggregator) onJoin(worker int) error {
 
 // handle is the inner downstream handler: decode, enqueue into the current
 // window, wait for the window's upstream round trip, answer the gathered
-// downward diff. The response is always raw — workers decode any
-// registered codec, and the mirror's diffs are exact.
-func (a *Aggregator) handle(worker int, payload []byte) ([]byte, error) {
+// downward diff appended to dst. The response is always raw — workers
+// decode any registered codec, and the mirror's diffs are exact. The
+// fan-out encodes into the slot's reused p.resp, so the answer is a copy.
+func (a *Aggregator) handle(dst []byte, worker int, payload []byte) ([]byte, error) {
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
@@ -339,7 +340,7 @@ func (a *Aggregator) handle(worker int, payload []byte) ([]byte, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	return p.resp, nil
+	return append(dst, p.resp...), nil
 }
 
 // flushLocked hands the window to the forwarder. Caller holds a.mu.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Wire format (little endian):
@@ -40,56 +41,88 @@ func Encode(u *Update) []byte {
 }
 
 // AppendEncode serialises an update, appending to dst and returning the
-// extended slice. Passing dst[:0] of a retained buffer makes steady-state
-// encoding allocation-free; the buffer grows to the worst-case size once
-// and is then reused.
+// extended slice. When dst lacks EncodedLenBound(u) spare bytes it makes
+// one allocation of exactly that much room, so passing dst[:0] of a
+// retained buffer makes steady-state encoding allocation-free, and a dst
+// carrying a prefix (the session envelope's reserved header) gets the
+// frame appended without a second copy.
 func AppendEncode(dst []byte, u *Update) []byte {
-	// Size estimate: header + per-chunk worst case.
-	size := 4 + binary.MaxVarintLen64
-	for i := range u.Chunks {
-		size += 1 + 2*binary.MaxVarintLen64 + len(u.Chunks[i].Idx)*binary.MaxVarintLen32 + 4*len(u.Chunks[i].Val)
-	}
-	base := len(dst)
-	if cap(dst)-base < size {
-		grown := make([]byte, base, base+size)
+	if size := EncodedLenBound(u); cap(dst)-len(dst) < size {
+		grown := make([]byte, len(dst), len(dst)+size)
 		copy(grown, dst)
 		dst = grown
 	}
-	buf := dst[base : base+size]
-	binary.LittleEndian.PutUint32(buf, codecMagic)
-	off := 4
-	off += binary.PutUvarint(buf[off:], uint64(len(u.Chunks)))
+	// Every append below fits the capacity just ensured.
+	dst = binary.LittleEndian.AppendUint32(dst, codecMagic)
+	dst = binary.AppendUvarint(dst, uint64(len(u.Chunks)))
 	for i := range u.Chunks {
 		c := &u.Chunks[i]
 		if len(c.Idx) != len(c.Val) {
 			panic(fmt.Sprintf("sparse: encode chunk layer %d: %d idx vs %d val", c.Layer, len(c.Idx), len(c.Val)))
 		}
-		off += binary.PutUvarint(buf[off:], uint64(c.Layer))
+		dst = binary.AppendUvarint(dst, uint64(c.Layer))
 		dense := isDenseChunk(c)
 		if dense {
-			buf[off] = flagDense
+			dst = append(dst, flagDense)
 		} else {
-			buf[off] = 0
+			dst = append(dst, 0)
 		}
-		off++
-		off += binary.PutUvarint(buf[off:], uint64(len(c.Idx)))
+		dst = binary.AppendUvarint(dst, uint64(len(c.Idx)))
 		if !dense {
-			prev := int32(-1)
-			for _, j := range c.Idx {
-				if j <= prev {
-					panic(fmt.Sprintf("sparse: encode chunk layer %d: indices not ascending", c.Layer))
-				}
-				off += binary.PutUvarint(buf[off:], uint64(j-prev-1))
-				prev = j
-			}
+			dst = appendGaps(dst, c)
 		}
 		for _, v := range c.Val {
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-			off += 4
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 		}
 	}
-	return dst[:base+off]
+	return dst
 }
+
+// appendGaps appends c's delta-encoded indices. Gaps below 128 — every gap
+// inside a run of adjacent indices — take the one-byte append without the
+// varint loop.
+func appendGaps(dst []byte, c *Chunk) []byte {
+	prev := int32(-1)
+	for _, j := range c.Idx {
+		if j <= prev {
+			panic(fmt.Sprintf("sparse: encode chunk layer %d: indices not ascending", c.Layer))
+		}
+		// uint32 wraps like the int32 difference it replaces, so the first
+		// gap of an index at math.MaxInt32 is still exact.
+		g := uint32(j - prev - 1)
+		prev = j
+		if g < 0x80 {
+			dst = append(dst, byte(g))
+		} else {
+			dst = binary.AppendUvarint(dst, uint64(g))
+		}
+	}
+	return dst
+}
+
+// EncodedLenBound returns an upper bound on len(Encode(u)) computed from
+// each chunk's length and last index alone, without walking the indices.
+// For n ascending indices whose last is s−1 the n varint gaps sum to s−n,
+// and a varint of gap g costs at most 1 + log2(g+1)/7 bytes — a concave
+// function of g — so by Jensen the gaps together cost at most
+// n + n·log2(s/n)/7 < n + ⌈n·bits.Len(⌊s/n⌋)/7⌉ bytes. u must satisfy
+// Validate's ordering; the layer and nnz varints are sized exactly.
+func EncodedLenBound(u *Update) int {
+	size := 4 + uvarintLen(uint64(len(u.Chunks)))
+	for i := range u.Chunks {
+		c := &u.Chunks[i]
+		n := len(c.Idx)
+		size += uvarintLen(uint64(c.Layer)) + 1 + uvarintLen(uint64(n)) + 4*len(c.Val)
+		if n > 0 && !isDenseChunk(c) {
+			s := int(c.Idx[n-1]) + 1
+			size += n + (n*bits.Len(uint(s/n))+6)/7
+		}
+	}
+	return size
+}
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Decode parses a serialised update into a fresh Update.
 func Decode(b []byte) (*Update, error) {

@@ -377,6 +377,33 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeEmbedRows encodes a downward frame shaped like the
+// server-bound fleet's: four 2¹⁹-element embedding tables, each with 256
+// whole 64-element rows changed (64 Ki nonzeros, mostly zero gaps).
+func BenchmarkEncodeEmbedRows(b *testing.B) {
+	rng := tensor.NewRNG(1)
+	const table, width, rows = 1 << 19, 64, 256
+	u := &Update{}
+	for layer := 0; layer < 4; layer++ {
+		c := u.NextChunk()
+		c.Layer = layer
+		for _, r := range rng.Perm(table / width)[:rows] {
+			for j := 0; j < width; j++ {
+				c.Idx = append(c.Idx, int32(r*width+j))
+			}
+		}
+		sort.Slice(c.Idx, func(i, j int) bool { return c.Idx[i] < c.Idx[j] })
+		c.Val = make([]float32, len(c.Idx))
+		rng.FillNormal(c.Val, 0, 1)
+	}
+	b.SetBytes(int64(len(Encode(u))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Encode(u)
+	}
+}
+
 func TestDenseChunkEncodesWithoutIndexOverhead(t *testing.T) {
 	// A dense chunk must cost ~4 bytes/value so the ASGD baseline's traffic
 	// is not artificially inflated by index bytes.

@@ -91,22 +91,23 @@ func (h *codecHandler) respCodec(reqID byte, drain bool) sparse.Quantizer {
 	return q // a lossless forced codec also lands on raw
 }
 
-// encodeDown serialises the downward difference, quantizing and folding the
-// projection error into v_k when the exchange negotiated a lossy codec. The
-// returned bytes are freshly allocated: the exactly-once replay cache
-// retains them, which is also what makes FoldDown exactly-once — a retried
-// push is answered from the cache without re-running this path.
-func (h *codecHandler) encodeDown(worker int, reqID byte, drain bool, G *sparse.Update) []byte {
+// encodeDown appends the serialised downward difference to dst, quantizing
+// and folding the projection error into v_k when the exchange negotiated a
+// lossy codec. The appended frame lands in a fresh allocation (dst never
+// has spare capacity): the exactly-once replay cache retains it, which is
+// also what makes FoldDown exactly-once — a retried push is answered from
+// the cache without re-running this path.
+func (h *codecHandler) encodeDown(dst []byte, worker int, reqID byte, drain bool, G *sparse.Update) []byte {
 	q := h.respCodec(reqID, drain)
 	if q == nil {
-		return sparse.Encode(G)
+		return sparse.AppendEncode(dst, G)
 	}
 	st := h.state(worker)
 	q.Quantize(&st.q, G, st.rng, &st.e)
 	if st.e.NNZ() > 0 {
 		h.folder.FoldDown(worker, &st.e)
 	}
-	return q.AppendEncode(nil, &st.q)
+	return q.AppendEncode(dst, &st.q)
 }
 
 // HandlerWithCodec builds the server-side transport handler with a downward
@@ -120,7 +121,8 @@ func HandlerWithCodec(server ps.Pusher, policy string) (transport.Handler, error
 	if err != nil {
 		return nil, err
 	}
-	return h.handler(server), nil
+	ah := h.appendHandler(server)
+	return func(worker int, payload []byte) ([]byte, error) { return ah(nil, worker, payload) }, nil
 }
 
 func newCodecHandler(server ps.Pusher, policy string) (*codecHandler, error) {
@@ -144,11 +146,15 @@ func newCodecHandler(server ps.Pusher, policy string) (*codecHandler, error) {
 	return h, nil
 }
 
-func (h *codecHandler) handler(server ps.Pusher) transport.Handler {
+// appendHandler is the exchange itself — decode, Push, encode — appending
+// the downward frame to dst, so the session middleware's reserved envelope
+// prefix and the frame share the one allocation encodeDown makes.
+func (h *codecHandler) appendHandler(server ps.Pusher) transport.AppendHandler {
 	hm := newHandlerMetrics(server.LayerSizes())
-	return func(worker int, payload []byte) ([]byte, error) {
-		g := updPool.Get().(*sparse.Update)
-		defer updPool.Put(g)
+	return func(dst []byte, worker int, payload []byte) ([]byte, error) {
+		sc := scratchPool.Get().(*exchangeScratch)
+		defer scratchPool.Put(sc)
+		g := &sc.push
 		g.Chunks = g.Chunks[:0]
 		reqID := sparse.CodecRaw
 		if len(payload) > 0 {
@@ -171,9 +177,10 @@ func (h *codecHandler) handler(server ps.Pusher) transport.Handler {
 			// reader's mirror stays bitwise equal to v_k even lossily.
 			drain = false
 		}
-		G, _ := server.Push(worker, g)
-		resp := h.encodeDown(worker, reqID, drain, &G)
-		hm.observe(len(payload), len(resp))
+		sc.diff, _ = server.Push(worker, g)
+		resp := h.encodeDown(dst, worker, reqID, drain, &sc.diff)
+		sc.diff = sparse.Update{} // the server's scratch, not ours to keep
+		hm.observe(len(payload), len(resp)-len(dst))
 		return resp, nil
 	}
 }
@@ -186,7 +193,7 @@ func ExactlyOnceHandlerWithCodec(server ps.Pusher, policy string) (*transport.Ex
 	if err != nil {
 		return nil, err
 	}
-	eo := transport.NewExactlyOnce(h.handler(server), func(worker int) error {
+	eo := transport.NewExactlyOnce(h.appendHandler(server), func(worker int) error {
 		server.Resync(worker)
 		return nil
 	})

@@ -275,10 +275,15 @@ func serverConfig(cfg *Config, sizes []int) ps.Config {
 	return sc
 }
 
-// updPool recycles decode-side Updates across handler calls. Only the
-// decode side is pooled: response byte slices are retained by the
-// exactly-once replay cache, so they must stay freshly allocated.
-var updPool = sync.Pool{New: func() any { return new(sparse.Update) }}
+// exchangeScratch is one handler call's Updates: the decoded push and the
+// header of the difference Push returns. Pooling the pair keeps both off
+// the per-exchange allocation count (the difference's address reaches a
+// Quantizer interface call, so a local would escape). Response byte slices
+// are not pooled: the exactly-once replay cache retains them, so they must
+// stay freshly allocated.
+type exchangeScratch struct{ push, diff sparse.Update }
+
+var scratchPool = sync.Pool{New: func() any { return new(exchangeScratch) }}
 
 // Handler builds the server-side transport handler: decode → Push → encode.
 // It is shared by the in-process loopback and the TCP server binary, and
@@ -350,7 +355,12 @@ func Run(cfg Config) (*Result, error) {
 	loopback := func() *transport.Loopback { return &transport.Loopback{H: handler, Traffic: traffic} }
 	trs := make([]transport.Pipeliner, cfg.Workers)
 	if cfg.TCPAddr != "" {
-		eo := transport.NewExactlyOnce(loopback().Exchange, func(k int) error {
+		lb := loopback()
+		exchange := func(dst []byte, k int, payload []byte) ([]byte, error) {
+			resp, err := lb.Exchange(k, payload)
+			return append(dst, resp...), err
+		}
+		eo := transport.NewExactlyOnce(exchange, func(k int) error {
 			server.Resync(k)
 			return nil
 		})

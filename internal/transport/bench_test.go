@@ -90,11 +90,7 @@ func sessionEchoServer(t testing.TB) string {
 			out = make([]byte, need)
 		}
 		out = out[:respHeaderLen+len(app)]
-		binary.LittleEndian.PutUint32(out, sessionRespMagic)
-		out[4] = sessionVersion
-		out[5] = statusOK
-		binary.LittleEndian.PutUint64(out[6:], 1)  // epoch
-		binary.LittleEndian.PutUint64(out[14:], 7) // incarnation
+		putSessionResp(out, statusOK, 1, 7)
 		copy(out[respHeaderLen:], app)
 		return out, nil
 	})

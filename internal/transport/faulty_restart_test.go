@@ -16,9 +16,9 @@ import (
 
 func TestFaultyServerRestartForcesRehello(t *testing.T) {
 	var applied atomic.Int64
-	eo := NewExactlyOnce(func(worker int, payload []byte) ([]byte, error) {
+	eo := NewExactlyOnce(func(dst []byte, worker int, payload []byte) ([]byte, error) {
 		applied.Add(1)
-		return payload, nil
+		return append(dst, payload...), nil
 	}, nil)
 
 	st := &RestartState{}
@@ -94,7 +94,7 @@ func TestFaultyServerRestartSkewIsStable(t *testing.T) {
 	// After a restart fires, every connection sharing the RestartState must
 	// present the same skewed incarnation — a flapping identity would make
 	// every rejoin fail with ErrServerRestarted forever.
-	eo := NewExactlyOnce(okHandler, nil)
+	eo := NewExactlyOnce(appending(okHandler), nil)
 	st := &RestartState{}
 	f1 := NewFaulty(&memLink{h: eo.Handle}, FaultConfig{Seed: 1, ServerRestart: 1, Restart: st})
 	if _, err := exchange(f1, 0, []byte("x")); !errors.Is(err, ErrInjected) {

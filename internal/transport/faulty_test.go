@@ -92,7 +92,7 @@ func TestFaultyIsDeterministicPerSeed(t *testing.T) {
 // the same fault counts and the same outcomes, redials included.
 func TestFaultyDeterministic(t *testing.T) {
 	run := func() (FaultStats, []string) {
-		eo := NewExactlyOnce(echoHandler, nil)
+		eo := NewExactlyOnce(appending(echoHandler), nil)
 		var faults []*Faulty
 		p := NewPipelinedSession(func() (MuxLink, error) {
 			f := NewFaulty(&memLink{h: eo.Handle}, FaultConfig{

@@ -155,8 +155,8 @@ func TestGateDrainHonoursContext(t *testing.T) {
 // the same connection until admitted.
 func TestRetryAfterRoundTripTCP(t *testing.T) {
 	var rejections atomic.Int64
-	eo := NewExactlyOnce(func(worker int, payload []byte) ([]byte, error) {
-		return append([]byte("ok:"), payload...), nil
+	eo := NewExactlyOnce(func(dst []byte, worker int, payload []byte) ([]byte, error) {
+		return append(append(dst, "ok:"...), payload...), nil
 	}, nil)
 	gated := func(worker int, payload []byte) ([]byte, error) {
 		if rejections.Add(1) <= 3 {
@@ -200,9 +200,9 @@ func TestRetryAfterRoundTripTCP(t *testing.T) {
 func TestRetryAfterRoundTripMux(t *testing.T) {
 	var applied atomic.Int64
 	var shed atomic.Int64
-	eo := NewExactlyOnce(func(worker int, payload []byte) ([]byte, error) {
+	eo := NewExactlyOnce(func(dst []byte, worker int, payload []byte) ([]byte, error) {
 		applied.Add(1)
-		return payload, nil
+		return append(dst, payload...), nil
 	}, nil)
 	// Shed the first frame of the second window at admission, outside the
 	// session layer, exactly as a Gate would.

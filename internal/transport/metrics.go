@@ -20,6 +20,7 @@ var tmet = struct {
 	sessStale        *telemetry.Counter
 	sessBadSeq       *telemetry.Counter
 	sessResets       *telemetry.Counter
+	sessReplayBytes  *telemetry.Gauge
 
 	faultDropBefore *telemetry.Counter
 	faultDropAfter  *telemetry.Counter
@@ -62,6 +63,8 @@ func init() {
 		"Frames rejected for unorderable sequence numbers.")
 	tmet.sessResets = reg.Counter("dgs_session_resets_total",
 		"Incarnation resets fencing every downstream session (upstream restarts).")
+	tmet.sessReplayBytes = reg.Gauge("dgs_session_replay_bytes",
+		"Capacity of the encoded responses the exactly-once replay caches retain.")
 
 	fault := func(kind, help string) *telemetry.Counter {
 		return reg.Counter("dgs_transport_injected_faults_total", help, "kind", kind)

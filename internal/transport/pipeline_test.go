@@ -8,7 +8,7 @@ import (
 )
 
 func TestPipelinedSessionWindowMisuse(t *testing.T) {
-	eo := NewExactlyOnce(plainEcho, nil)
+	eo := NewExactlyOnce(appending(plainEcho), nil)
 	p := NewPipelinedSession(func() (MuxLink, error) { return &memLink{h: eo.Handle}, nil }, 2)
 
 	if _, err := p.Await(); !errors.Is(err, errWindowEmpty) {
@@ -90,7 +90,7 @@ func closedDial(h Handler, failures int, dials *int) func() (MuxLink, error) {
 }
 
 func TestPipelinedSessionRedialsThroughFailures(t *testing.T) {
-	eo := NewExactlyOnce(echoHandler, nil)
+	eo := NewExactlyOnce(appending(echoHandler), nil)
 	dials := 0
 	p := NewPipelinedSession(closedDial(eo.Handle, 2, &dials), 1)
 	p.Backoff = time.Millisecond
@@ -107,7 +107,7 @@ func TestPipelinedSessionRedialsThroughFailures(t *testing.T) {
 }
 
 func TestPipelinedSessionGivesUpAfterBudget(t *testing.T) {
-	eo := NewExactlyOnce(echoHandler, nil)
+	eo := NewExactlyOnce(appending(echoHandler), nil)
 	dials := 0
 	p := NewPipelinedSession(closedDial(eo.Handle, 1000, &dials), 1)
 	p.Backoff = time.Microsecond
@@ -122,7 +122,7 @@ func TestPipelinedSessionGivesUpAfterBudget(t *testing.T) {
 }
 
 func TestPipelinedSessionDialFailures(t *testing.T) {
-	eo := NewExactlyOnce(echoHandler, nil)
+	eo := NewExactlyOnce(appending(echoHandler), nil)
 	attempts := 0
 	p := NewPipelinedSession(func() (MuxLink, error) {
 		attempts++
@@ -145,7 +145,7 @@ func TestPipelinedSessionDialFailures(t *testing.T) {
 // the same session table (the process survived, only its sockets died):
 // the session redials, replays, and carries on without a rejoin.
 func TestPipelinedSessionSurvivesListenerRestart(t *testing.T) {
-	eo := NewExactlyOnce(echoHandler, nil)
+	eo := NewExactlyOnce(appending(echoHandler), nil)
 	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func (l *lyingID) Recv(buf []byte) (uint64, []byte, error) {
 // response.
 func TestPipelinedSessionExactlyOnceAcrossLinkDrop(t *testing.T) {
 	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
+	eo := NewExactlyOnce(appending(h.handle), nil)
 	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestPipelinedSessionExactlyOnceAcrossLinkDrop(t *testing.T) {
 // replay rather than deliver a mispaired response.
 func TestPipelinedSessionDetectsIDMismatch(t *testing.T) {
 	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
+	eo := NewExactlyOnce(appending(h.handle), nil)
 	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestPipelinedSessionDetectsIDMismatch(t *testing.T) {
 // ErrStaleSession instead of replaying forever.
 func TestPipelinedSessionStaleSessionIsTerminal(t *testing.T) {
 	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
+	eo := NewExactlyOnce(appending(h.handle), nil)
 	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestPipelinedSessionStaleSessionIsTerminal(t *testing.T) {
 // silently re-executed.
 func TestExactlyOnceEvictsBeyondReplayWindow(t *testing.T) {
 	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
+	eo := NewExactlyOnce(appending(h.handle), nil)
 	eo.Window = 4
 
 	frames := make([][]byte, 0, 6)

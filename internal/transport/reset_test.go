@@ -14,7 +14,7 @@ import (
 
 func TestResetFencesEstablishedSessions(t *testing.T) {
 	var joins atomic.Int32 // the hook runs on the server's goroutines
-	eo := NewExactlyOnce(okHandler, func(worker int) error { joins.Add(1); return nil })
+	eo := NewExactlyOnce(appending(okHandler), func(worker int) error { joins.Add(1); return nil })
 	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
 	if err != nil {
 		t.Fatal(err)
@@ -66,14 +66,14 @@ func TestResetFencesEstablishedSessions(t *testing.T) {
 // in-flight exchange answers with the incarnation it read at entry, so its
 // client accepts the response, and only the following frame gets fenced.
 func TestResetMidExchangeAnswersOldIncarnation(t *testing.T) {
-	eo := NewExactlyOnce(okHandler, nil)
+	eo := NewExactlyOnce(appending(okHandler), nil)
 	inHandler := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	eo.h = func(worker int, payload []byte) ([]byte, error) {
+	eo.h = appending(func(worker int, payload []byte) ([]byte, error) {
 		once.Do(func() { close(inHandler); <-release })
 		return okHandler(worker, payload)
-	}
+	})
 	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
 	if err != nil {
 		t.Fatal(err)

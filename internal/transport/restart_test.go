@@ -32,7 +32,7 @@ func TestPipelinedSessionStableIncarnation(t *testing.T) {
 // come back as ErrServerRestarted, and a fresh incarnation must be able to
 // join the new server.
 func TestPipelinedSessionDetectsServerRestart(t *testing.T) {
-	eo1 := NewExactlyOnce(okHandler, nil)
+	eo1 := NewExactlyOnce(appending(okHandler), nil)
 	srv, err := ListenTCP("127.0.0.1:0", eo1.Handle)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestPipelinedSessionDetectsServerRestart(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	eo2 := NewExactlyOnce(okHandler, nil)
+	eo2 := NewExactlyOnce(appending(okHandler), nil)
 	srv2, err := ListenTCP(addr, eo2.Handle)
 	if err != nil {
 		t.Fatal(err)

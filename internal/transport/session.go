@@ -129,13 +129,25 @@ func decodeSessionReq(b []byte) (flags byte, session, seq uint64, payload []byte
 	return b[5], binary.LittleEndian.Uint64(b[6:]), binary.LittleEndian.Uint64(b[14:]), b[reqHeaderLen:], nil
 }
 
-func encodeSessionResp(status byte, epoch, incarnation uint64, payload []byte) []byte {
-	buf := make([]byte, respHeaderLen+len(payload))
+// respReserve is the envelope prefix ExactlyOnce hands its AppendHandler as
+// dst. Its capacity is exactly its length, so the handler's first append
+// makes the response's one allocation and nothing ever writes into the
+// shared array itself.
+var respReserve [respHeaderLen]byte
+
+// putSessionResp writes the response envelope into buf's first
+// respHeaderLen bytes, in place.
+func putSessionResp(buf []byte, status byte, epoch, incarnation uint64) {
 	binary.LittleEndian.PutUint32(buf, sessionRespMagic)
 	buf[4] = sessionVersion
 	buf[5] = status
 	binary.LittleEndian.PutUint64(buf[6:], epoch)
 	binary.LittleEndian.PutUint64(buf[14:], incarnation)
+}
+
+func encodeSessionResp(status byte, epoch, incarnation uint64, payload []byte) []byte {
+	buf := make([]byte, respHeaderLen+len(payload))
+	putSessionResp(buf, status, epoch, incarnation)
 	copy(buf[respHeaderLen:], payload)
 	return buf
 }
@@ -192,6 +204,11 @@ type SessionStats struct {
 	BadSeq uint64
 	// Resets counts incarnation resets (Reset calls) fencing every session.
 	Resets uint64
+	// ReplayBytes is the capacity of the responses the replay cache
+	// currently retains, summed over every worker: a level, not a counter.
+	// Stores and evictions move it, and a hello or Reset drops what the
+	// discarded windows held.
+	ReplayBytes uint64
 }
 
 // DefaultReplayWindow is the per-worker replay cache depth: the server can
@@ -200,8 +217,11 @@ type SessionStats struct {
 // connection dies, and on reconnect it replays the whole window oldest
 // first — so the cache must hold at least PipelineDepth entries or a replay
 // of the oldest in-flight frame would land beyond the window and be
-// rejected as BadSeq. 16 covers every supported pipeline depth with slack;
-// entries are response byte slices that the handler allocated anyway.
+// rejected as BadSeq. 16 covers every supported pipeline depth with slack.
+// Entries are the response frames themselves — each executed exchange's
+// one allocation, which the TCP server also wrote — so the cache costs no
+// copies, only retention: up to DefaultReplayWindow downward frames per
+// worker (SessionStats.ReplayBytes reports the total).
 const DefaultReplayWindow = 16
 
 // replayEntry caches one executed exchange's full encoded response.
@@ -237,18 +257,43 @@ func (ws *workerSession) lookup(seq uint64) []byte {
 }
 
 // store caches the response for seq, evicting whatever occupied its ring
-// slot.
-func (ws *workerSession) store(seq uint64, resp []byte) {
-	ws.window[seq%uint64(len(ws.window))] = replayEntry{seq: seq, resp: resp}
+// slot, and returns the evicted response's capacity.
+func (ws *workerSession) store(seq uint64, resp []byte) (evicted int) {
+	ent := &ws.window[seq%uint64(len(ws.window))]
+	evicted = cap(ent.resp)
+	*ent = replayEntry{seq: seq, resp: resp}
+	return evicted
 }
 
-// ExactlyOnce is server-side middleware that upgrades any Handler to
+// drop empties the replay cache and returns the capacity it held.
+func (ws *workerSession) drop() (held int) {
+	for _, ent := range ws.window {
+		held += cap(ent.resp)
+	}
+	clear(ws.window)
+	return held
+}
+
+// AppendHandler is the application handler ExactlyOnce wraps. It appends
+// its response payload to dst and returns the extended slice, or an error
+// whose text becomes the error frame. dst holds the session envelope's
+// reserved respHeaderLen-byte prefix and has no spare capacity, so the
+// handler's first append makes the response's one allocation — sized by
+// the handler, e.g. sparse.AppendEncode's bound — and the middleware then
+// writes the envelope into the prefix in place. That one buffer is what
+// the TCP server writes and what the replay cache keeps: the handler must
+// return dst extended (never a different slice) and must not touch the
+// returned bytes afterwards. A handler producing its payload in a buffer it
+// reuses appends a copy.
+type AppendHandler func(dst []byte, worker int, payload []byte) ([]byte, error)
+
+// ExactlyOnce is server-side middleware that upgrades an AppendHandler to
 // exactly-once semantics under the session protocol: duplicate frames are
 // answered from a per-worker replay cache, stale incarnations are fenced
 // off by epoch, and new incarnations trigger the OnJoin resync hook before
 // their first exchange executes.
 type ExactlyOnce struct {
-	h Handler
+	h AppendHandler
 	// onJoin runs when a new incarnation of a worker is adopted, before its
 	// first exchange reaches the handler. The parameter server resets the
 	// worker's difference accumulator here.
@@ -273,7 +318,7 @@ type ExactlyOnce struct {
 // NewExactlyOnce wraps a handler. onJoin may be nil. The middleware draws a
 // fresh random incarnation id: by construction a restarted server announces
 // a different incarnation than its predecessor.
-func NewExactlyOnce(h Handler, onJoin func(worker int) error) *ExactlyOnce {
+func NewExactlyOnce(h AppendHandler, onJoin func(worker int) error) *ExactlyOnce {
 	e := &ExactlyOnce{h: h, onJoin: onJoin, workers: map[int]*workerSession{}}
 	e.incarnation.Store(randomSession())
 	return e
@@ -297,6 +342,8 @@ func (e *ExactlyOnce) Reset() {
 	e.mu.Lock()
 	e.workers = map[int]*workerSession{}
 	e.stats.Resets++
+	tmet.sessReplayBytes.Add(-float64(e.stats.ReplayBytes))
+	e.stats.ReplayBytes = 0
 	e.mu.Unlock()
 	e.incarnation.Store(randomSession())
 	tmet.sessResets.Inc()
@@ -343,6 +390,20 @@ func (e *ExactlyOnce) count(f func(*SessionStats)) {
 	e.mu.Unlock()
 }
 
+// retain moves the replay-cache byte level by added − released for worker's
+// session ws, together with f's counter updates. A ws that a Reset has
+// orphaned is skipped: the Reset already released everything it held.
+func (e *ExactlyOnce) retain(worker int, ws *workerSession, added, released int, f func(*SessionStats)) {
+	e.mu.Lock()
+	f(&e.stats)
+	if e.workers[worker] == ws {
+		e.stats.ReplayBytes += uint64(added)
+		e.stats.ReplayBytes -= uint64(released)
+		tmet.sessReplayBytes.Add(float64(added - released))
+	}
+	e.mu.Unlock()
+}
+
 // Handle is the wrapped Handler: pass it to ListenTCP.
 func (e *ExactlyOnce) Handle(worker int, payload []byte) ([]byte, error) {
 	flags, session, seq, app, err := decodeSessionReq(payload)
@@ -383,8 +444,7 @@ func (e *ExactlyOnce) Handle(worker int, payload []byte) ([]byte, error) {
 		// frames the server never saw (lost before delivery) must not block
 		// the incarnation from joining.
 		ws.lastSeq = seq - 1
-		clear(ws.window)
-		e.count(func(s *SessionStats) { s.Hellos++ })
+		e.retain(worker, ws, 0, ws.drop(), func(s *SessionStats) { s.Hellos++ })
 		tmet.sessHellos.Inc()
 		if ws.reader.Load() {
 			e.count(func(s *SessionStats) { s.ReaderHellos++ })
@@ -409,22 +469,25 @@ func (e *ExactlyOnce) Handle(worker int, payload []byte) ([]byte, error) {
 		tmet.sessBadSeq.Inc()
 		return encodeSessionResp(statusBadSeq, ws.epoch, inc, nil), nil
 	case seq == ws.lastSeq+1:
-		resp, herr := e.h(worker, app)
-		var enc []byte
-		if herr != nil {
+		resp, herr := e.h(respReserve[:], worker, app)
+		switch {
+		case herr != nil:
 			// Cache failures too: the handler rejected this frame without
 			// applying it (decode errors precede any mutation), and a retry
 			// of the same bytes must fail identically rather than re-enter
 			// the handler.
-			enc = encodeSessionResp(statusError, ws.epoch, inc, []byte(herr.Error()))
-		} else {
-			enc = encodeSessionResp(statusOK, ws.epoch, inc, resp)
+			resp = encodeSessionResp(statusError, ws.epoch, inc, []byte(herr.Error()))
+		case len(resp) == respHeaderLen:
+			// Nothing appended: resp may still be the shared reservation.
+			resp = encodeSessionResp(statusOK, ws.epoch, inc, nil)
+		default:
+			putSessionResp(resp, statusOK, ws.epoch, inc)
 		}
 		ws.lastSeq = seq
-		ws.store(seq, enc)
-		e.count(func(s *SessionStats) { s.Exchanges++ })
+		evicted := ws.store(seq, resp)
+		e.retain(worker, ws, cap(resp), evicted, func(s *SessionStats) { s.Exchanges++ })
 		tmet.sessExchanges.Inc()
-		return enc, nil
+		return resp, nil
 	default:
 		// A sequence gap: frames on one connection arrive in order, and a
 		// reconnecting client replays its window oldest-first, so a gap

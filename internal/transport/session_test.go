@@ -34,6 +34,15 @@ func (c *countingHandler) count() int {
 	return len(c.calls)
 }
 
+// appending adapts a test Handler to the AppendHandler ExactlyOnce wraps:
+// its response is copied after the reserved envelope prefix.
+func appending(h Handler) AppendHandler {
+	return func(dst []byte, worker int, payload []byte) ([]byte, error) {
+		resp, err := h(worker, payload)
+		return append(dst, resp...), err
+	}
+}
+
 // encodeSessionReq encodes one request envelope into a fresh buffer.
 func encodeSessionReq(flags byte, session, seq uint64, payload []byte) []byte {
 	return appendSessionReq(nil, flags, session, seq, payload)
@@ -43,7 +52,7 @@ func encodeSessionReq(flags byte, session, seq uint64, payload []byte) []byte {
 // TCP port for the duration of the test.
 func sessionServer(t *testing.T, h Handler) (*ExactlyOnce, string) {
 	t.Helper()
-	eo := NewExactlyOnce(h, nil)
+	eo := NewExactlyOnce(appending(h), nil)
 	srv, err := ListenTCP("127.0.0.1:0", eo.Handle)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +99,7 @@ func TestSessionEnvelopeRoundTrip(t *testing.T) {
 // must answer from the replay cache without re-invoking the handler.
 func TestExactlyOnceReplaysDuplicateFrame(t *testing.T) {
 	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
+	eo := NewExactlyOnce(appending(h.handle), nil)
 
 	frame := encodeSessionReq(flagHello, 99, 1, []byte("push-a"))
 	first, err := eo.Handle(3, frame)
@@ -125,7 +134,7 @@ func TestExactlyOnceReplaysDuplicateFrame(t *testing.T) {
 func TestExactlyOnceHelloTriggersJoinOnce(t *testing.T) {
 	h := &countingHandler{}
 	var joins atomic.Int64
-	eo := NewExactlyOnce(h.handle, func(worker int) error {
+	eo := NewExactlyOnce(appending(h.handle), func(worker int) error {
 		joins.Add(1)
 		return nil
 	})
@@ -160,7 +169,7 @@ func TestExactlyOnceHelloTriggersJoinOnce(t *testing.T) {
 
 func TestExactlyOnceFencesStaleIncarnation(t *testing.T) {
 	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
+	eo := NewExactlyOnce(appending(h.handle), nil)
 	// Incarnation A joins and pushes.
 	if _, err := eo.Handle(1, encodeSessionReq(flagHello, 10, 1, []byte("a1"))); err != nil {
 		t.Fatal(err)
@@ -192,7 +201,7 @@ func TestExactlyOnceFencesStaleIncarnation(t *testing.T) {
 
 func TestExactlyOnceRejectsSequenceGap(t *testing.T) {
 	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
+	eo := NewExactlyOnce(appending(h.handle), nil)
 	if _, err := eo.Handle(0, encodeSessionReq(flagHello, 20, 1, []byte("a"))); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +220,7 @@ func TestExactlyOnceRejectsSequenceGap(t *testing.T) {
 
 func TestExactlyOnceCachesHandlerErrors(t *testing.T) {
 	h := &countingHandler{fail: map[string]bool{"bad": true}}
-	eo := NewExactlyOnce(h.handle, nil)
+	eo := NewExactlyOnce(appending(h.handle), nil)
 	if _, err := eo.Handle(0, encodeSessionReq(flagHello, 30, 1, []byte("ok"))); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +250,7 @@ func TestExactlyOnceCachesHandlerErrors(t *testing.T) {
 // never runs.
 func TestExactlyOnceRefusesSessionlessFrames(t *testing.T) {
 	h := &countingHandler{}
-	eo := NewExactlyOnce(h.handle, nil)
+	eo := NewExactlyOnce(appending(h.handle), nil)
 	for _, payload := range [][]byte{[]byte("legacy"), nil} {
 		if resp, err := eo.Handle(2, payload); err == nil {
 			t.Fatalf("sessionless %q answered %q, want an error", payload, resp)
@@ -343,4 +352,104 @@ func TestSessionOverFaultyTCPDeliversExactlyOnce(t *testing.T) {
 			t.Fatalf("call %d was %q, want %q — ordering broken", i, call, want)
 		}
 	}
+}
+
+// TestExactlyOnceReplayImmutable: a replay is byte-identical to the first
+// answer after Window−1 later exchanges of the same worker, while other
+// workers exchange concurrently. Every response is the buffer the handler
+// appended into — the one the TCP server writes and the replay cache keeps
+// — so nothing may write into it again: not the handler (which must not
+// reuse it), and not the middleware, including for header-only responses,
+// where the handler appended nothing to the shared envelope reservation.
+// Each worker runs three incarnations, so workers' envelopes differ in
+// epoch as well as payload.
+func TestExactlyOnceReplayImmutable(t *testing.T) {
+	eo := NewExactlyOnce(func(dst []byte, worker int, payload []byte) ([]byte, error) {
+		return append(dst, payload...), nil
+	}, nil)
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round <= w%3; round++ {
+				session := uint64(100*w + round + 1)
+				frame := func(seq uint64) []byte {
+					flags := byte(0)
+					if seq == 1 {
+						flags = flagHello
+					}
+					var payload []byte
+					if seq%3 != 0 { // every third answer is header-only
+						payload = []byte(fmt.Sprintf("worker %d round %d seq %d", w, round, seq))
+					}
+					return encodeSessionReq(flags, session, seq, payload)
+				}
+				want := make([][]byte, DefaultReplayWindow+1)
+				for seq := uint64(1); seq <= DefaultReplayWindow; seq++ {
+					resp, err := eo.Handle(w, frame(seq))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want[seq] = bytes.Clone(resp)
+				}
+				for seq := uint64(1); seq <= DefaultReplayWindow; seq++ {
+					got, err := eo.Handle(w, frame(seq))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(got, want[seq]) {
+						t.Errorf("worker %d round %d: replay of seq %d\n got % x\nwant % x", w, round, seq, got, want[seq])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := eo.Stats(); st.Replays != st.Exchanges {
+		t.Fatalf("stats %+v: every executed exchange was replayed once", st)
+	}
+}
+
+// TestSessionReplayBytes: SessionStats.ReplayBytes and the
+// dgs_session_replay_bytes gauge track the capacity the replay cache
+// retains — up on store, down on eviction, hello and Reset.
+func TestSessionReplayBytes(t *testing.T) {
+	eo := NewExactlyOnce(func(dst []byte, worker int, payload []byte) ([]byte, error) {
+		return append(dst, payload...), nil
+	}, nil)
+	eo.Window = 2
+	gauge0 := tmet.sessReplayBytes.Value()
+	check := func(when string, want int) {
+		t.Helper()
+		if got := eo.Stats().ReplayBytes; got != uint64(want) {
+			t.Fatalf("%s: ReplayBytes %d, want %d", when, got, want)
+		}
+		if got := tmet.sessReplayBytes.Value() - gauge0; got != float64(want) {
+			t.Fatalf("%s: gauge moved by %v, want %d", when, got, want)
+		}
+	}
+	handle := func(worker int, flags byte, session, seq uint64, n int) int {
+		t.Helper()
+		resp, err := eo.Handle(worker, encodeSessionReq(flags, session, seq, make([]byte, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cap(resp)
+	}
+	a1 := handle(0, flagHello, 1, 1, 100)
+	a2 := handle(0, 0, 1, 2, 1000)
+	b1 := handle(1, flagHello, 2, 1, 10)
+	check("after three exchanges", a1+a2+b1)
+	handle(0, 0, 1, 1, 100) // a replay retains nothing new
+	check("after a replay", a1+a2+b1)
+	a3 := handle(0, 0, 1, 3, 5000) // evicts seq 1 from the two-slot ring
+	check("after an eviction", a2+a3+b1)
+	c1 := handle(0, flagHello, 3, 1, 50) // a new incarnation drops the old window
+	check("after a hello", c1+b1)
+	eo.Reset()
+	check("after Reset", 0)
 }
