@@ -1,6 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§5). Each benchmark regenerates its artefact at Short scale
-// (minutes of CPU; use cmd/dgs-bench -full for paper-faithful runs),
+// (minutes of CPU; use `dgs exp -full` for paper-faithful runs),
 // prints the rendered report, and asserts the paper's *shape*: who wins,
 // by roughly what factor, and where the crossovers fall. Absolute numbers
 // belong to the synthetic substrate (see DESIGN.md §2).

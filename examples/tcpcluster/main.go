@@ -1,6 +1,6 @@
 // TCP cluster: the same DGS training, but every worker↔server exchange
 // crosses a real TCP socket (the multi-process deployment path used by
-// cmd/dgs-server and cmd/dgs-worker). Setting Config.TCPAddr is the only
+// `dgs server` and `dgs worker`). Setting Config.TCPAddr is the only
 // change from the in-process quickstart.
 package main
 
@@ -30,5 +30,5 @@ func main() {
 	fmt.Printf("  final accuracy: %.2f%%\n", 100*res.FinalAccuracy)
 	fmt.Printf("  wire traffic:   %.2f MB up, %.2f MB down across %d iterations\n",
 		float64(res.BytesUp)/1e6, float64(res.BytesDown)/1e6, res.Iterations)
-	fmt.Println("\nFor separate processes, run cmd/dgs-server and cmd/dgs-worker instead.")
+	fmt.Println("\nFor separate processes, run `go run ./cmd/dgs server` and `go run ./cmd/dgs worker` instead.")
 }

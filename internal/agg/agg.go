@@ -156,7 +156,7 @@ type Stats struct {
 }
 
 // Aggregator is the in-process aggregation engine. Serve its Handler over
-// any transport listener (cmd/dgs-agg uses ListenTCP).
+// any transport listener (`dgs agg` uses ListenTCP).
 type Aggregator struct {
 	cfg  Config
 	eo   *transport.ExactlyOnce
@@ -223,7 +223,7 @@ func (a *Aggregator) mirrorConfig() ps.Config {
 }
 
 // Handler is the downstream transport handler: admission gate outside the
-// exactly-once session layer, same stacking as cmd/dgs-server.
+// exactly-once session layer, same stacking as `dgs server`.
 func (a *Aggregator) Handler() transport.Handler { return a.gate.Handle }
 
 // Sessions exposes the downstream session-layer counters.

@@ -14,7 +14,7 @@ import (
 
 // upstream is one in-process parameter-server endpoint: a real ps.Server
 // behind the exactly-once session middleware and a TCP listener, the same
-// stack cmd/dgs-server serves.
+// stack `dgs server` serves.
 type upstream struct {
 	server *ps.Server
 	eo     *transport.ExactlyOnce

@@ -24,7 +24,7 @@ type SVGOptions struct {
 
 // WriteSVG renders the series as an SVG line chart — the repository's
 // publication-style counterpart of the terminal ASCII plots, used by
-// cmd/dgs-plot and dgs-bench -out to regenerate the paper's figures as
+// `dgs plot` and `dgs exp -out` to regenerate the paper's figures as
 // image files.
 func WriteSVG(w io.Writer, opt SVGOptions, series ...*Series) error {
 	if opt.Width <= 0 {

@@ -12,8 +12,8 @@ import (
 
 // Server is the embeddable observability endpoint: /metrics (Prometheus
 // text format), /healthz, /manifest (JSON run manifest when attached) and
-// the full /debug/pprof suite. dgs-server, dgs-worker and the in-process
-// sim all embed one; it costs nothing until something scrapes it.
+// the full /debug/pprof suite. Every dgs subcommand that runs a process
+// (server, worker, agg, replica, train) and the in-process sim embed one; it costs nothing until something scrapes it.
 type Server struct {
 	reg *Registry
 	ln  net.Listener

@@ -58,7 +58,7 @@ func TestConcurrentUpdates(t *testing.T) {
 
 // TestScrapeDuringRegistration renders and exports the registry while
 // another goroutine is still creating metrics and re-registering gauge
-// callbacks. That interleaving happens in shipped flows — dgs-worker serves
+// callbacks. That interleaving happens in shipped flows — `dgs worker` serves
 // /metrics before the trainer constructs its optimizers, and
 // Manifest.StartPeriodic exports while trainer.Run is still wiring workers —
 // so under -race this is the proof that collection never walks live registry

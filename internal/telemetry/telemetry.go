@@ -203,7 +203,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // lock: the children slice holds child copies (labels, metric pointers, fn),
 // already sorted by label set. Rendering and export walk these copies, never
 // the live family maps, because registration is concurrent with collection
-// in shipped flows — dgs-worker serves /metrics before the trainer has
+// in shipped flows — `dgs worker` serves /metrics before the trainer has
 // constructed its optimizers, and Manifest.StartPeriodic exports while
 // trainer.Run is still wiring workers. Metric values are still read live
 // through the copied pointers (atomics; monitoring tolerates that).

@@ -7,8 +7,8 @@ import (
 )
 
 // DialOptions configures NewDialStack, the canonical client transport stack
-// shared by cmd/dgs-worker, the benchmark, and anything else that speaks to
-// a dgs-server or dgs-agg endpoint as a worker.
+// shared by `dgs worker`, the benchmark, and anything else that speaks to
+// a `dgs server` or `dgs agg` endpoint as a worker.
 type DialOptions struct {
 	// Addr is the server or aggregator endpoint.
 	Addr string

@@ -12,7 +12,7 @@ import (
 
 // RunWorkerLoop runs a single worker's training loop against an external
 // transport — the multi-process deployment mode, where the parameter server
-// lives in another process (cmd/dgs-server) and each cmd/dgs-worker process
+// lives in another process (`dgs server`) and each `dgs worker` process
 // calls this. The transport must be a transport.Pipeliner (a session from
 // NewDialStack, or a Loopback); the final model sync of worker 0 runs on it
 // too. The worker processes its 1/Workers share of the total iteration

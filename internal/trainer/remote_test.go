@@ -10,8 +10,8 @@ import (
 )
 
 // Multi-process deployment path: a standalone TCP parameter server with
-// independent RunWorkerLoop workers, exactly as cmd/dgs-server and
-// cmd/dgs-worker wire things up.
+// independent RunWorkerLoop workers, exactly as `dgs server` and
+// `dgs worker` wire things up.
 func TestRunWorkerLoopAgainstStandaloneServer(t *testing.T) {
 	cfg := quickConfig(DGS, 2)
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))

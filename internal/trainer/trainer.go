@@ -302,7 +302,7 @@ func Handler(server ps.Pusher) transport.Handler {
 // retried pushes are answered from the per-worker replay cache instead of
 // being re-applied, and a rejoining worker incarnation triggers a server
 // Resync so its first response ships a dense snapshot. This is the handler
-// the TCP deployment path (cmd/dgs-server, chaos tests) should serve.
+// the TCP deployment path (`dgs server`, chaos tests) should serve.
 func ExactlyOnceHandler(server ps.Pusher) *transport.ExactlyOnce {
 	eo, err := ExactlyOnceHandlerWithCodec(server, "mirror")
 	if err != nil {
