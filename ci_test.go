@@ -99,24 +99,36 @@ func testFuncs(t *testing.T, patterns []string) []string {
 			addDir(root)
 			continue
 		}
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if path != root {
-				if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
-					return filepath.SkipDir
-				}
-				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-					return filepath.SkipDir
-				}
-			}
-			addDir(path)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		for _, dir := range moduleDirs(t, root) {
+			addDir(dir)
 		}
 	}
 	return names
+}
+
+// moduleDirs returns root and every directory below it that belongs to this
+// module: hidden directories, testdata and nested modules such as
+// benchmark/ are skipped.
+func moduleDirs(t *testing.T, root string) []string {
+	t.Helper()
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root {
+			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
 }

@@ -131,7 +131,6 @@ type pending struct {
 // window is one aggregation batch: the contributions that will merge into a
 // single upstream push.
 type window struct {
-	gen     uint64
 	parts   []*pending
 	flushed bool
 	timer   *time.Timer
@@ -162,13 +161,15 @@ type Aggregator struct {
 	eo   *transport.ExactlyOnce
 	gate *transport.Gate
 
+	// mirror tracks the upstream's v_agg; rebuilt (generation bumped) on
+	// every upstream reset, under mu.
+	mirror *ps.Mirror
+
 	mu      sync.Mutex
-	loc     *ps.Server     // upstream mirror; replaced on upstream reset
 	slots   map[int]int    // downstream worker id → mirror slot
-	joinGen map[int]uint64 // worker id → upGen at last adoption
+	joinGen map[int]uint64 // worker id → mirror generation at last adoption
 	pend    []*pending     // per mirror slot
 	cur     *window        // filling window (nil between windows)
-	upGen   uint64         // bumped on every upstream reset
 	closed  bool
 	killed  bool
 	stats   Stats
@@ -197,13 +198,13 @@ func New(cfg Config) (*Aggregator, error) {
 	}
 	a := &Aggregator{
 		cfg:     cfg,
+		mirror:  ps.NewMirror(cfg.LayerSizes, cfg.MaxWorkers, cfg.BlockShift),
 		slots:   make(map[int]int, cfg.MaxWorkers),
 		joinGen: make(map[int]uint64, cfg.MaxWorkers),
 		pend:    make([]*pending, 0, cfg.MaxWorkers),
 		windows: make(chan *window, cfg.MaxWorkers+1),
 		done:    make(chan struct{}),
 	}
-	a.loc = ps.NewServer(a.mirrorConfig())
 	a.eo = transport.NewExactlyOnce(a.handle, a.onJoin)
 	a.eo.Window = cfg.ReplayWindow
 	a.gate = transport.NewGate(a.eo.Handle, cfg.MaxInflight)
@@ -211,15 +212,6 @@ func New(cfg Config) (*Aggregator, error) {
 	a.gate.DrainHint = cfg.DrainHint
 	go a.run()
 	return a, nil
-}
-
-func (a *Aggregator) mirrorConfig() ps.Config {
-	return ps.Config{
-		LayerSizes: a.cfg.LayerSizes,
-		Workers:    a.cfg.MaxWorkers,
-		BlockShift: a.cfg.BlockShift,
-		Quiet:      true, // the mirror's counters would shadow the real server's
-	}
 }
 
 // Handler is the downstream transport handler: admission gate outside the
@@ -248,9 +240,8 @@ func (a *Aggregator) Stats() Stats {
 // Mirror returns the current upstream mirror (tests; read it only when no
 // exchanges are in flight).
 func (a *Aggregator) Mirror() *ps.Server {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.loc
+	srv, _ := a.mirror.Server()
+	return srv
 }
 
 func (a *Aggregator) slotLocked(worker int) (int, error) {
@@ -279,8 +270,9 @@ func (a *Aggregator) onJoin(worker int) error {
 	if err != nil {
 		return err
 	}
-	a.joinGen[worker] = a.upGen
-	a.loc.Resync(slot)
+	srv, gen := a.mirror.Server()
+	a.joinGen[worker] = gen
+	srv.Resync(slot)
 	return nil
 }
 
@@ -300,7 +292,8 @@ func (a *Aggregator) handle(dst []byte, worker int, payload []byte) ([]byte, err
 		a.mu.Unlock()
 		return nil, err
 	}
-	if g, ok := a.joinGen[worker]; !ok || g != a.upGen {
+	_, gen := a.mirror.Server()
+	if g, ok := a.joinGen[worker]; !ok || g != gen {
 		// Adopted under a dead upstream generation: the mirror state its
 		// session was built on is gone. Fail the exchange so the worker
 		// rejoins (hello → resync) under the current generation.
@@ -308,19 +301,15 @@ func (a *Aggregator) handle(dst []byte, worker int, payload []byte) ([]byte, err
 		return nil, fmt.Errorf("agg: worker %d predates upstream reset, rejoin required", worker)
 	}
 	p := a.pend[slot]
-	err = sparse.DecodeAnyInto(&p.upd, payload)
-	if err == nil {
-		// One push that does not fit the model would make the upstream
-		// reject the whole merged window; refuse it alone, here.
-		err = p.upd.Validate(a.cfg.LayerSizes)
-	}
-	if err != nil {
+	// One push that does not fit the model would make the upstream reject
+	// the whole merged window; refuse it alone, here.
+	if err := a.mirror.Decode(&p.upd, payload); err != nil {
 		a.mu.Unlock()
 		return nil, fmt.Errorf("agg: worker %d push: %w", worker, err)
 	}
 	w := a.cur
 	if w == nil {
-		w = &window{gen: a.upGen}
+		w = &window{}
 		a.cur = w
 		w.timer = time.AfterFunc(a.cfg.WindowWait, func() {
 			a.mu.Lock()
@@ -484,20 +473,18 @@ func (a *Aggregator) completeOldest() {
 	}
 	n := copy(a.inflight, a.inflight[1:])
 	a.inflight = a.inflight[:n]
-	err = sparse.DecodeAnyInto(&a.down, body)
-	if err == nil {
-		err = a.down.Validate(a.cfg.LayerSizes)
-	}
-	if err != nil {
+	if err := a.mirror.Decode(&a.down, body); err != nil {
 		a.recover(append([]*window{w}, a.inflight...), err)
 		return
 	}
 
 	// One write-lock acquisition for the whole window, however many
-	// workers contributed.
-	a.loc.ApplyDiff(&a.down)
+	// workers contributed. recover runs on this goroutine too, so srv is
+	// the current mirror throughout.
+	srv, _ := a.mirror.Server()
+	srv.ApplyDiff(&a.down)
 
-	shared, encoded := a.fan.run(a.loc, w.parts)
+	shared, encoded := a.fan.run(srv, w.parts)
 	a.mu.Lock()
 	a.stats.SharedFrames += shared
 	a.stats.EncodedFrames += encoded
@@ -526,7 +513,12 @@ func (a *Aggregator) recover(failed []*window, cause error) {
 		a.up = nil
 	}
 	a.mu.Lock()
-	a.upGen++
+	// Fresh mirror, paired with the fresh upstream incarnation the next
+	// submit dials: the new session's hello makes the upstream resync
+	// v_agg to zero, and its first downward diff — dense M against that
+	// zero — rebuilds this mirror in one apply, so mirror == v_agg holds
+	// from the first exchange of the new generation.
+	a.mirror.Rebuild()
 	a.stats.UpstreamResets++
 	// Everything queued behind the failure is stale too: drain the channel
 	// and the filling window so their workers fail fast and rejoin.
@@ -548,12 +540,6 @@ func (a *Aggregator) recover(failed []*window, cause error) {
 		a.cur = nil
 		failed = append(failed, w)
 	}
-	// Fresh mirror, paired with the fresh upstream incarnation the next
-	// submit dials: the new session's hello makes the upstream resync
-	// v_agg to zero, and its first downward diff — dense M against that
-	// zero — rebuilds this mirror in one apply, so mirror == v_agg holds
-	// from the first exchange of the new generation.
-	a.loc = ps.NewServer(a.mirrorConfig())
 	a.mu.Unlock()
 	amet.resets.Inc()
 

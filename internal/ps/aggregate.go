@@ -7,7 +7,8 @@ import (
 )
 
 // Aggregation-tier support (DESIGN.md §15). An aggregator keeps a local
-// mirror of its upstream shard as a plain Server: M here tracks the
+// mirror of its upstream shard as a plain Server (held by a Mirror,
+// mirror.go): M here tracks the
 // upstream M by applying the downward diffs the upstream returns for the
 // aggregator's merged pushes, and each subscribed worker's v_k lives in the
 // mirror exactly as it would on the shard. The split below is what lets one

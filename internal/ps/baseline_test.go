@@ -214,9 +214,9 @@ func (s *BaselineServer) StateBytes() int {
 // LayerSizes returns the configured layer sizes.
 func (s *BaselineServer) LayerSizes() []int { return s.cfg.LayerSizes }
 
-// MSnapshotLocked is the frozen pre-copy-on-version snapshot: a full O(model)
-// copy under the model read lock, stalling any concurrent Push's write
-// section for the whole copy. Kept verbatim as the equivalence baseline
+// MSnapshotLocked is the frozen full-copy snapshot: a full O(model) copy
+// under the model read lock, stalling any concurrent Push's write section
+// for the whole copy. Kept verbatim as the equivalence baseline
 // TestSnapshotEquivalence cuts against, mirroring BaselineServer. Do not
 // "improve" it.
 func (s *Server) MSnapshotLocked(dst [][]float32) {

@@ -73,13 +73,10 @@ func requireSameState(t *testing.T, label string, sizes []int, got, want pusherU
 		}
 	}
 	gs, ws := got.Stats(), want.Stats()
-	// The baseline has no diff tracking, no secondary candidate counter,
-	// and no copy-on-version snapshot engine; those counters are expected
-	// to diverge.
+	// The baseline has no diff tracking and no secondary candidate counter;
+	// those counters are expected to diverge.
 	gs.DiffBlocksScanned, gs.DiffBlocksSkipped = 0, 0
 	gs.SecondaryCandidates = 0
-	gs.SnapshotRefreshes, gs.SnapshotBlocksCopied = 0, 0
-	gs.SnapshotBlocksSkipped, gs.SnapshotReads = 0, 0
 	if gs != ws {
 		t.Fatalf("%s: stats %+v, baseline %+v", label, gs, ws)
 	}

@@ -25,10 +25,6 @@ type metrics struct {
 	blocksScanned *telemetry.Counter
 	blocksSkipped *telemetry.Counter
 	secCand       *telemetry.Counter
-	snapRefreshes *telemetry.Counter
-	snapCopied    *telemetry.Counter
-	snapSkipped   *telemetry.Counter
-	snapReads     *telemetry.Counter
 	staleness     []*telemetry.Histogram // per worker
 	modelSize     float64
 }
@@ -90,14 +86,6 @@ func newMetrics(layerSizes []int, workers int) *metrics {
 			"Dirty-tracking blocks proved untouched and skipped by the diff."),
 		secCand: reg.Counter("dgs_ps_secondary_candidates_total",
 			"Nonzero coordinates of the downward difference the secondary Top-k selected from."),
-		snapRefreshes: reg.Counter("dgs_ps_snapshot_refreshes_total",
-			"Copy-on-version shadow refreshes (model read lock held O(dirty blocks) each)."),
-		snapCopied: reg.Counter("dgs_ps_snapshot_blocks_copied_total",
-			"Blocks a shadow refresh copied because their version advanced since the previous cut."),
-		snapSkipped: reg.Counter("dgs_ps_snapshot_blocks_skipped_total",
-			"Blocks a shadow refresh proved unchanged and skipped."),
-		snapReads: reg.Counter("dgs_ps_snapshot_reads_total",
-			"Snapshot cuts served from the shadow without touching the model lock."),
 		staleness: make([]*telemetry.Histogram, workers),
 	}
 	rate := &pushRate{src: m.pushes.Value}
@@ -140,24 +128,6 @@ func (m *metrics) observeBatch(updates uint64) {
 	}
 	m.applyBatches.Inc()
 	m.applyUpdates.Add(updates)
-}
-
-// observeSnapRefresh records one copy-on-version shadow refresh.
-func (m *metrics) observeSnapRefresh(copied, skipped uint64) {
-	if m == nil {
-		return
-	}
-	m.snapRefreshes.Inc()
-	m.snapCopied.Add(copied)
-	m.snapSkipped.Add(skipped)
-}
-
-// observeSnapRead records one snapshot cut served from the shadow.
-func (m *metrics) observeSnapRead() {
-	if m == nil {
-		return
-	}
-	m.snapReads.Inc()
 }
 
 // observeResync records one worker state reset.

@@ -121,15 +121,6 @@ type Stats struct {
 	// SecondaryCandidates counts the nonzero coordinates of M − v_k the
 	// secondary (Eq. 6) Top-k selected from, summed over gathers.
 	SecondaryCandidates uint64
-	// SnapshotRefreshes / SnapshotBlocksCopied / SnapshotBlocksSkipped count
-	// copy-on-version shadow refreshes and their per-block outcomes;
-	// SnapshotReads counts cuts served from the shadow (snapshot.go). The
-	// copied/skipped ratio is the fraction of full-model copy work the
-	// version tracking eliminated on the read path.
-	SnapshotRefreshes     uint64
-	SnapshotBlocksCopied  uint64
-	SnapshotBlocksSkipped uint64
-	SnapshotReads         uint64
 }
 
 // Pusher is the server-side exchange interface shared by Server and
@@ -249,16 +240,6 @@ type Server struct {
 
 	denseIdx []int32 // 0..maxLayer-1, shared read-only by all dense gathers
 
-	// Copy-on-version snapshot shadow (snapshot.go), allocated on first
-	// snapshot read. The pointer is atomic so the lock-free SnapshotT
-	// staleness probe never races the lazy allocation.
-	snapOnce      sync.Once
-	snap          atomic.Pointer[snapState]
-	snapRefreshes atomic.Uint64
-	snapCopied    atomic.Uint64
-	snapSkipped   atomic.Uint64
-	snapReads     atomic.Uint64
-
 	met *metrics // nil when cfg.Quiet
 }
 
@@ -276,15 +257,7 @@ func NewServer(cfg Config) *Server {
 	if cfg.BlockShift > 30 {
 		panic(fmt.Sprintf("ps: block shift %d out of range (0,30]", cfg.BlockShift))
 	}
-	s := &Server{cfg: cfg, blockShift: cfg.BlockShift}
-	alloc := func() [][]float32 {
-		out := make([][]float32, len(cfg.LayerSizes))
-		for i, n := range cfg.LayerSizes {
-			out[i] = make([]float32, n)
-		}
-		return out
-	}
-	s.m = alloc()
+	s := &Server{cfg: cfg, blockShift: cfg.BlockShift, m: zeroModel(cfg.LayerSizes)}
 	s.mver = make([][]uint64, len(cfg.LayerSizes))
 	maxLayer := 0
 	for i, n := range cfg.LayerSizes {
@@ -297,7 +270,7 @@ func NewServer(cfg Config) *Server {
 	for k := range s.workers {
 		w := &s.workers[k]
 		w.applied = make(chan uint64, 1)
-		w.v = alloc()
+		w.v = zeroModel(cfg.LayerSizes)
 		w.resid = make([][]uint64, len(cfg.LayerSizes))
 		w.vver = make([][]uint64, len(cfg.LayerSizes))
 		for i := range w.resid {
@@ -313,6 +286,15 @@ func NewServer(cfg Config) *Server {
 		s.met = newMetrics(cfg.LayerSizes, cfg.Workers)
 	}
 	return s
+}
+
+// zeroModel allocates one zero slice per layer.
+func zeroModel(sizes []int) [][]float32 {
+	out := make([][]float32, len(sizes))
+	for i, n := range sizes {
+		out[i] = make([]float32, n)
+	}
+	return out
 }
 
 // Resync resets worker k's server-side state for a crash/rejoin: v_k is
@@ -708,17 +690,13 @@ func (s *Server) Timestamp() uint64 { return s.t.Load() }
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Pushes:                s.pushes.Load(),
-		StalenessSum:          s.stalenessSum.Load(),
-		MaxStaleness:          s.maxStaleness.Load(),
-		Resyncs:               s.resyncs.Load(),
-		DiffBlocksScanned:     s.blocksScanned.Load(),
-		DiffBlocksSkipped:     s.blocksSkipped.Load(),
-		SecondaryCandidates:   s.secCand.Load(),
-		SnapshotRefreshes:     s.snapRefreshes.Load(),
-		SnapshotBlocksCopied:  s.snapCopied.Load(),
-		SnapshotBlocksSkipped: s.snapSkipped.Load(),
-		SnapshotReads:         s.snapReads.Load(),
+		Pushes:              s.pushes.Load(),
+		StalenessSum:        s.stalenessSum.Load(),
+		MaxStaleness:        s.maxStaleness.Load(),
+		Resyncs:             s.resyncs.Load(),
+		DiffBlocksScanned:   s.blocksScanned.Load(),
+		DiffBlocksSkipped:   s.blocksSkipped.Load(),
+		SecondaryCandidates: s.secCand.Load(),
 	}
 }
 

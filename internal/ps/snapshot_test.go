@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -12,19 +13,40 @@ import (
 )
 
 // TestSnapshotEquivalence interleaves pushes with snapshot reads and checks
-// the copy-on-version paths (MSnapshot, incremental Snapshot) against the
-// frozen full-lock MSnapshotLocked bitwise at every cut. The interleaving
-// matters: each round dirties a different subset of blocks, so the shadow
-// refresh and the reader's incremental cut both exercise their skip paths.
+// both read paths (MSnapshot, incremental Snapshot) against the frozen
+// full-lock MSnapshotLocked bitwise at every cut. The interleaving matters:
+// each round dirties a different subset of blocks, so the reader's
+// incremental cut exercises its skip path. Every round also plants a NaN
+// sentinel in a block of the reader's buffer that the next push leaves
+// clean, and one in a block it dirties: the next cut must not copy the
+// clean block (the sentinel survives) and must refresh the dirty one.
 func TestSnapshotEquivalence(t *testing.T) {
 	sizes := []int{1 << 14, 257, 33}
 	const workers = 3
 	s := NewServer(Config{LayerSizes: sizes, Workers: workers, BlockShift: 6, Quiet: true})
 	rng := tensor.NewRNG(7)
 	st := s.NewSnapshotState()
+	shift := s.blockShift
+	nan := float32(math.NaN())
 	for round := 0; round < 20; round++ {
 		k := round % workers
 		g := randomUpdate(rng, sizes, 0.005)
+		// Sentinels: the first block g leaves alone, and g's first block.
+		touched := map[int]bool{}
+		for _, j := range g.Chunks[0].Idx {
+			touched[int(j)>>shift] = true
+		}
+		clean := 0
+		for touched[clean] {
+			clean++
+		}
+		dirtyJ := int(g.Chunks[0].Idx[0])
+		cleanJ := clean << shift
+		var cleanWas float32
+		if round > 0 {
+			cleanWas = st.m[0][cleanJ]
+			st.m[0][cleanJ], st.m[0][dirtyJ] = nan, nan
+		}
 		s.Push(k, &g)
 
 		locked := alloc(sizes)
@@ -36,6 +58,15 @@ func TestSnapshotEquivalence(t *testing.T) {
 			t.Fatalf("round %d: snapshot stamped %d, clock is %d", round, ts, s.Timestamp())
 		}
 		inc := st.Model()
+		if round > 0 {
+			if !math.IsNaN(float64(inc[0][cleanJ])) {
+				t.Fatalf("round %d: clean block %d re-copied (sentinel overwritten)", round, clean)
+			}
+			if math.IsNaN(float64(inc[0][dirtyJ])) {
+				t.Fatalf("round %d: dirty coordinate %d not refreshed", round, dirtyJ)
+			}
+			inc[0][cleanJ] = cleanWas
+		}
 		for l := range sizes {
 			for j := range locked[l] {
 				if cov[l][j] != locked[l][j] {
@@ -47,20 +78,57 @@ func TestSnapshotEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// The incremental reader must have skipped most of the model: each round
-	// dirties a handful of blocks out of ~40.
-	stats := s.Stats()
-	if stats.SnapshotBlocksCopied == 0 || stats.SnapshotBlocksSkipped == 0 {
-		t.Fatalf("copy-on-version never exercised both paths: %+v", stats)
+}
+
+// TestSnapshotRestoredServer: a fresh cut of a server rebuilt from a
+// checkpoint equals its MSnapshot bitwise. The restore copies the block
+// stamps with M, so every block a push ever touched is stamped above a fresh
+// state's clock 0 and the first cut copies it.
+func TestSnapshotRestoredServer(t *testing.T) {
+	cfg := captureConfig()
+	s := NewServer(cfg)
+	drive(t, s, rand.New(rand.NewSource(5)), cfg.LayerSizes, 30)
+	cs := s.NewCaptureState()
+	if _, err := s.Capture(cs); err != nil {
+		t.Fatal(err)
 	}
-	if stats.SnapshotBlocksCopied >= stats.SnapshotBlocksSkipped {
-		t.Errorf("expected refreshes to skip more blocks than they copy on sparse pushes: copied %d skipped %d",
-			stats.SnapshotBlocksCopied, stats.SnapshotBlocksSkipped)
+	r, err := RestoreServer(cfg, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := alloc(cfg.LayerSizes)
+	tFull := r.MSnapshot(full)
+	st := r.NewSnapshotState()
+	if ts := r.Snapshot(st); ts != tFull || ts != s.Timestamp() {
+		t.Fatalf("restored cut stamped %d, MSnapshot %d, original clock %d", ts, tFull, s.Timestamp())
+	}
+	for l, layer := range full {
+		for j, v := range layer {
+			if math.Float32bits(st.Model()[l][j]) != math.Float32bits(v) {
+				t.Fatalf("restored cut [%d][%d]=%v, MSnapshot %v", l, j, st.Model()[l][j], v)
+			}
+		}
+	}
+}
+
+// TestSnapshotSteadyStateAllocs: an incremental cut allocates nothing.
+func TestSnapshotSteadyStateAllocs(t *testing.T) {
+	sizes := []int{1 << 12, 257}
+	s := NewServer(Config{LayerSizes: sizes, Workers: 1, Quiet: true})
+	g := randomUpdate(tensor.NewRNG(3), sizes, 0.01)
+	st := s.NewSnapshotState()
+	s.Push(0, &g)
+	s.Snapshot(st)
+	if allocs := testing.AllocsPerRun(10, func() {
+		s.Push(0, &g)
+		s.Snapshot(st)
+	}); allocs > 0 {
+		t.Fatalf("incremental Snapshot allocates %v objects, want 0", allocs)
 	}
 }
 
 // TestSnapshotPrefixConsistentUnderChurn is the snapshot-under-churn property
-// test: every copy-on-version cut taken while workers push concurrently must
+// test: every incremental cut taken while workers push concurrently must
 // equal a prefix-consistent server state — the state a BaselineServer reaches
 // after replaying, for each worker, exactly the pushes that had completed
 // their apply at the cut — bitwise, with the cut's stamp equal to the total
@@ -117,7 +185,7 @@ func TestSnapshotPrefixConsistentUnderChurn(t *testing.T) {
 		}(k)
 	}
 
-	// Reader: incremental copy-on-version cuts while the churn runs.
+	// Reader: incremental cuts while the churn runs.
 	type cut struct {
 		t uint64
 		m []float32
@@ -278,24 +346,23 @@ func TestVSnapshotTCut(t *testing.T) {
 // TestSnapshotEngineStress joins the -race stress family: the full
 // runServerStress drill (pushes, resyncs, Stats/Timestamp pollers) with the
 // snapshot pollers routed through an incremental SnapshotState reader, the
-// frozen MSnapshotLocked path, the stamped VSnapshotT, and the lock-free
-// SnapshotT staleness probe all racing each other.
+// frozen MSnapshotLocked path and the stamped VSnapshotT all racing each
+// other.
 func TestSnapshotEngineStress(t *testing.T) {
 	sizes := []int{1 << 11, 257, 33}
 	const workers = 8
 	s := NewServer(Config{LayerSizes: sizes, Workers: workers, BlockShift: 7, Quiet: true})
 	st := s.NewSnapshotState()
 	snapM := func(dst [][]float32) {
-		// Alternate engine cuts with the frozen lock path and the lock-free
-		// staleness probe so all three race the pushes.
-		s.Snapshot(st)
+		// Alternate incremental cuts with the frozen lock path so both race
+		// the pushes.
+		if ts := s.Snapshot(st); ts > s.Timestamp() {
+			t.Errorf("cut stamped %d ahead of server clock %d", ts, s.Timestamp())
+		}
 		for l, layer := range st.Model() {
 			copy(dst[l], layer)
 		}
 		s.MSnapshotLocked(dst)
-		if got, now := s.SnapshotT(), s.Timestamp(); got > now {
-			t.Errorf("shadow clock %d ahead of server clock %d", got, now)
-		}
 	}
 	snapV := func(worker int, dst [][]float32) {
 		if ts := s.VSnapshotT(worker, dst); ts > s.Timestamp() {

@@ -10,15 +10,13 @@ import (
 // bareReplica builds a replica around a mirror only — no subscription loop,
 // no transport — so applyFrame can be driven with hand-built wire bytes.
 func bareReplica(sizes []int) *Replica {
-	r := &Replica{cfg: Config{LayerSizes: sizes}}
-	r.mirror = ps.NewServer(r.mirrorConfig())
-	return r
+	return &Replica{cfg: Config{LayerSizes: sizes}, mirror: ps.NewMirror(sizes, 1, 0)}
 }
 
 func mirrorIsZero(t *testing.T, r *Replica, sizes []int) bool {
 	t.Helper()
 	m := alloc(sizes)
-	r.mirror.MSnapshot(m)
+	r.MSnapshot(m)
 	for _, layer := range m {
 		for _, v := range layer {
 			if v != 0 {

@@ -35,8 +35,8 @@ const modelWireVersion = 1
 const modelHeaderLen = 4 + 4 + 8 + 8 + 4
 
 // Handler returns the replica's HTTP mux. Every /model request is one
-// snapshot cut through a shared copy-on-version cursor, so consecutive
-// requests pay only for blocks that changed between them.
+// snapshot cut through a shared incremental cursor, so consecutive requests
+// copy only the blocks that changed between them.
 func (r *Replica) Handler() http.Handler {
 	h := &httpServer{r: r, rs: r.NewReaderState()}
 	mux := http.NewServeMux()
@@ -49,9 +49,11 @@ func (r *Replica) Handler() http.Handler {
 type httpServer struct {
 	r *Replica
 
-	// mu serialises /model requests over the shared incremental cursor; the
-	// cut itself never blocks the subscription loop (that is the point of
-	// the snapshot engine).
+	// mu serialises /model requests over the shared incremental cursor. A
+	// cut holds the mirror's model read lock only while it reads the block
+	// stamps and copies the blocks changed since the previous request, so
+	// the subscription loop's next apply waits at most that long; encoding
+	// the dump holds no mirror lock.
 	mu sync.Mutex
 	rs *ReaderState
 }

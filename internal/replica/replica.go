@@ -2,8 +2,8 @@
 // §16): a read-only mirror of an upstream parameter server that subscribes
 // to downward diffs as a pseudo-worker — a read-session (transport
 // flagReader) whose pushes are always empty — and serves the mirrored model
-// to any number of local readers through the copy-on-version snapshot
-// engine, plus an HTTP endpoint for out-of-process reads.
+// to any number of local readers through incremental snapshot cursors, plus
+// an HTTP endpoint for out-of-process reads.
 //
 // Fidelity: the upstream's exchange path already maintains, per worker, the
 // sent-accumulation v_k that tracks exactly what that worker applied — the
@@ -138,9 +138,9 @@ type Replica struct {
 	probe []byte // empty update framed in the requested codec
 	raw   []byte // empty update framed raw (exact probe)
 
-	mu     sync.RWMutex
-	mirror *ps.Server
-	gen    uint64
+	// mirror tracks this slot's upstream v_k; the poll loop is its only
+	// writer. Its generation is the read generation.
+	mirror *ps.Mirror
 
 	polls      atomic.Uint64
 	emptyPolls atomic.Uint64
@@ -190,22 +190,13 @@ func New(cfg Config) (*Replica, error) {
 		codec:   codec,
 		probe:   codec.AppendEncode(nil, &empty),
 		raw:     sparse.AppendEncode(nil, &empty),
+		mirror:  ps.NewMirror(cfg.LayerSizes, 1, cfg.BlockShift),
 		syncReq: make(chan syncRequest),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	r.mirror = ps.NewServer(r.mirrorConfig())
 	go r.run()
 	return r, nil
-}
-
-func (r *Replica) mirrorConfig() ps.Config {
-	return ps.Config{
-		LayerSizes: r.cfg.LayerSizes,
-		Workers:    1,
-		BlockShift: r.cfg.BlockShift,
-		Quiet:      true, // the mirror's counters would shadow the upstream's
-	}
 }
 
 // DialStack returns a Config.Dial building the canonical client: a
@@ -240,12 +231,7 @@ func DialStack(addr string, timeout time.Duration, retries int, backoff, maxBack
 // and is the mirror's only writer.
 func (r *Replica) run() {
 	defer close(r.done)
-	defer func() {
-		if r.tr != nil {
-			r.tr.Close()
-			r.tr = nil
-		}
-	}()
+	defer r.closeLink()
 	tick := time.NewTicker(r.cfg.PollInterval)
 	defer tick.Stop()
 	// Subscribe eagerly: the first poll's hello rebuilds the mirror from a
@@ -316,50 +302,55 @@ func (r *Replica) pollOnce(forceRaw bool) (int, error) {
 	return nnz, nil
 }
 
-// applyFrame decodes one downward frame and folds it into the mirror. The
-// frame is hostile input until Validate proves it fits the model geometry —
-// ApplyDiff indexes layers and blocks without bounds checks of its own, so
-// nothing reaches it unvalidated (FuzzReplicaFrame pins this).
+// applyFrame decodes one downward frame and folds it into the mirror unless
+// it is empty, so the mirror's clock counts applied diffs. The frame is
+// hostile input until the mirror's Decode validates it against the model
+// geometry (FuzzReplicaFrame pins this).
 func (r *Replica) applyFrame(resp []byte) (int, error) {
-	if err := sparse.DecodeAnyInto(&r.scratch, resp); err != nil {
-		return 0, err
-	}
-	if err := r.scratch.Validate(r.cfg.LayerSizes); err != nil {
+	if err := r.mirror.Decode(&r.scratch, resp); err != nil {
 		return 0, fmt.Errorf("replica: downward frame: %w", err)
 	}
 	nnz := r.scratch.NNZ()
 	if nnz > 0 {
-		r.mu.RLock()
-		mirror := r.mirror
-		r.mu.RUnlock()
-		mirror.ApplyDiff(&r.scratch)
+		srv, _ := r.mirror.Server()
+		srv.ApplyDiff(&r.scratch)
 	}
 	return nnz, nil
+}
+
+func (r *Replica) closeLink() {
+	if r.tr != nil {
+		r.tr.Close()
+		r.tr = nil
+	}
+}
+
+// rebuild ends the current incarnation and discards the mirror, the one
+// path both resync and the Sync-time rebase take: the next poll's hello
+// makes the upstream Resync this slot (v_k ← 0), and its first downward
+// frame, dense M against that zero, rebuilds the fresh mirror in one apply —
+// mirror == v_k by construction. Readers see the generation bump and
+// re-baseline. A rebuilt mirror has absorbed no lossy frame yet.
+func (r *Replica) rebuild() {
+	r.closeLink()
+	r.mirror.Rebuild()
+	r.lossyApplied = false
 }
 
 // resync handles a terminal incarnation failure: the upstream either
 // restarted (incarnation fence) or became unreachable past the redial
 // budget, and in both cases the next session's hello zeroes this slot's
-// v_k server-side — so the local mirror is discarded too, keeping
-// mirror == v_k by construction. Readers see the generation bump and
-// re-baseline.
+// v_k server-side, so the mirror is rebuilt.
 func (r *Replica) resync(cause error) {
-	if r.tr != nil {
-		r.tr.Close()
-		r.tr = nil
-	}
 	if errors.Is(cause, transport.ErrStaleSession) {
 		// Another live incarnation owns this worker id (a second replica
 		// misconfigured onto the same slot). Rejoining would fence out the
 		// legitimate owner; park instead.
+		r.closeLink()
 		r.setFatal(fmt.Errorf("replica: worker %d superseded: %w", r.cfg.Worker, cause))
 		return
 	}
-	fresh := ps.NewServer(r.mirrorConfig())
-	r.mu.Lock()
-	r.mirror = fresh
-	r.gen++
-	r.mu.Unlock()
+	r.rebuild()
 	r.resyncs.Add(1)
 	rmet.resyncs.Inc()
 	r.noteErr(cause)
@@ -369,34 +360,19 @@ func (r *Replica) resync(cause error) {
 	}
 }
 
-// rebase discards the current incarnation and mirror so the next poll's
-// hello rebuilds from a dense raw snapshot. Used when lossy frames have been
-// applied: the dense raw rebuild plus raw-only polls replay exactly the
-// float sequence the upstream folds into v_k, restoring bitwise equality
-// that incremental raw diffs cannot (they are computed against v_k, which a
-// FoldDown rounding may have nudged off this mirror by one ULP).
-func (r *Replica) rebase() {
-	if r.tr != nil {
-		r.tr.Close()
-		r.tr = nil
-	}
-	fresh := ps.NewServer(r.mirrorConfig())
-	r.mu.Lock()
-	r.mirror = fresh
-	r.gen++
-	r.mu.Unlock()
-	r.lossyApplied = false
-	r.rebases.Add(1)
-	rmet.rebases.Inc()
-}
-
 // syncUntilDrained raw-polls until a poll applies nothing — proof that
 // mirror == v_k == M at that exchange — retrying failed incarnations until
-// ctx expires. A mirror that has absorbed lossy frames is re-based first so
-// the drained state is bitwise M, not M up to FoldDown rounding.
+// ctx expires. A mirror that has absorbed lossy frames is re-based (rebuilt)
+// first so the drained state is bitwise M, not M up to FoldDown rounding:
+// the dense raw rebuild plus raw-only polls replay exactly the float
+// sequence the upstream folds into v_k, which incremental raw diffs cannot
+// (they are computed against v_k, which a FoldDown rounding may have nudged
+// off this mirror by one ULP).
 func (r *Replica) syncUntilDrained(ctx context.Context) error {
 	if r.lossyApplied {
-		r.rebase()
+		r.rebuild()
+		r.rebases.Add(1)
+		rmet.rebases.Inc()
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -428,6 +404,10 @@ func (r *Replica) Sync(ctx context.Context) error {
 	select {
 	case r.syncReq <- req:
 	case <-r.done:
+		// A parked loop exits on its own; report why, not "closed".
+		if err := r.fatalErr(); err != nil {
+			return err
+		}
 		return ErrClosed
 	case <-ctx.Done():
 		return ctx.Err()
@@ -440,8 +420,8 @@ func (r *Replica) Sync(ctx context.Context) error {
 	}
 }
 
-// ReaderState is one reader's incremental snapshot cursor: per-block
-// versions against the mirror's shadow plus the generation they belong to.
+// ReaderState is one reader's incremental snapshot cursor: a cut buffer
+// with the mirror clock of its last cut, plus the generation it belongs to.
 // Not safe for concurrent use; give each reader its own.
 type ReaderState struct {
 	gen uint64
@@ -452,16 +432,14 @@ type ReaderState struct {
 // performs a full copy, later ones copy only blocks that changed.
 func (r *Replica) NewReaderState() *ReaderState { return &ReaderState{} }
 
-// Snapshot serves one consistent cut of the mirrored model through the
-// copy-on-version engine. The returned slices belong to rs and stay valid
-// until its next Snapshot. stamp is the mirror's logical clock (diffs
-// applied since the generation began); gen is the read generation — when it
-// differs from a previous cut's, the upstream restarted in between and
-// stamps are not comparable across the boundary.
+// Snapshot serves one consistent cut of the mirrored model, copying only the
+// blocks the mirror applied since rs's last cut. The returned slices belong
+// to rs and stay valid until its next Snapshot. stamp is the mirror's
+// logical clock (diffs applied since the generation began); gen is the read
+// generation — when it differs from a previous cut's, the upstream restarted
+// in between and stamps are not comparable across the boundary.
 func (r *Replica) Snapshot(rs *ReaderState) (model [][]float32, stamp, gen uint64) {
-	r.mu.RLock()
-	mirror, g := r.mirror, r.gen
-	r.mu.RUnlock()
+	mirror, g := r.mirror.Server()
 	if rs.st == nil || rs.gen != g {
 		rs.st = mirror.NewSnapshotState()
 		rs.gen = g
@@ -475,9 +453,7 @@ func (r *Replica) Snapshot(rs *ReaderState) (model [][]float32, stamp, gen uint6
 // MSnapshot copies the mirrored model into dst (caller-allocated, one slice
 // per layer) and returns the cut's stamp and generation.
 func (r *Replica) MSnapshot(dst [][]float32) (stamp, gen uint64) {
-	r.mu.RLock()
-	mirror, g := r.mirror, r.gen
-	r.mu.RUnlock()
+	mirror, g := r.mirror.Server()
 	ts := mirror.MSnapshot(dst)
 	r.reads.Add(1)
 	rmet.reads.Inc()
@@ -486,9 +462,8 @@ func (r *Replica) MSnapshot(dst [][]float32) (stamp, gen uint64) {
 
 // Generation returns the current read generation.
 func (r *Replica) Generation() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gen
+	_, gen := r.mirror.Server()
+	return gen
 }
 
 // Err returns the fatal error that parked the subscription loop, if any
@@ -497,9 +472,7 @@ func (r *Replica) Err() error { return r.fatalErr() }
 
 // Stats snapshots the replica counters.
 func (r *Replica) Stats() Stats {
-	r.mu.RLock()
-	gen, mirror := r.gen, r.mirror
-	r.mu.RUnlock()
+	mirror, gen := r.mirror.Server()
 	st := Stats{
 		Polls:         r.polls.Load(),
 		EmptyPolls:    r.emptyPolls.Load(),

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -405,5 +406,36 @@ func TestReplicaSupersededParks(t *testing.T) {
 	// The survivor keeps serving.
 	if err := r2.Err(); err != nil {
 		t.Fatalf("legitimate replica parked: %v", err)
+	}
+}
+
+// TestReplicaParkedSyncReportsSupersession: once a superseded replica has
+// parked, Sync reports the supersession — errors.Is ErrStaleSession — for
+// as long as the replica stays parked, not ErrClosed after the parked loop
+// exits, since Close was never called.
+func TestReplicaParkedSyncReportsSupersession(t *testing.T) {
+	sizes := []int{1 << 9}
+	u := startUpstream(t, sizes, 2, "mirror")
+	r1 := newReplica(t, u, sizes, 1, "raw", 8)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := r1.Sync(ctx); err != nil {
+		t.Fatalf("first replica sync: %v", err)
+	}
+	r2 := newReplica(t, u, sizes, 1, "raw", 8) // misconfigured double-claim
+	if err := r2.Sync(ctx); err != nil {
+		t.Fatalf("second replica sync: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for r1.Err() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if r1.Err() == nil {
+		t.Fatal("superseded replica did not park")
+	}
+	// Well past the poll interval: the parked loop has exited by now.
+	time.Sleep(200 * time.Millisecond)
+	if err := r1.Sync(ctx); !errors.Is(err, transport.ErrStaleSession) {
+		t.Fatalf("parked replica Sync = %v, want the supersession (ErrStaleSession)", err)
 	}
 }
