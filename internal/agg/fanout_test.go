@@ -162,26 +162,32 @@ func fanOutVsSerial(t *testing.T, seed uint64) {
 
 // requireSameMirrors compares the two mirrors' complete state through
 // checkpoint captures with horizon since, taken into V buffers pre-filled
-// with a NaN sentinel. A capture copies M and MVer blocks stamped after
-// since, every worker's prev, syncVer, epoch and residual bitmap, and
-// exactly the v-blocks whose vver stamp is newer than since — so the
-// sentinel left in the others pins the set of v-blocks each window stamped.
-// Every stamp a window writes is its own clock, so equal sets window after
-// window are equal vver arrays.
+// with a NaN sentinel, and through every slot's DownHorizon fingerprint. A
+// capture copies M and MVer blocks stamped after since, every worker's prev
+// and epoch, and exactly the v-blocks whose vver stamp is newer than since —
+// so the sentinel left in the others pins the set of v-blocks each window
+// stamped. Every stamp a window writes is its own clock, so equal sets
+// window after window are equal vver arrays. The fingerprint covers what a
+// capture does not hold: each slot's dirty-tracking horizon and whether any
+// residual bit is set.
 func requireSameMirrors(t *testing.T, what string, a, b *ps.Server, since uint64) {
 	t.Helper()
 	ca, cb := captureSince(t, a, since), captureSince(t, b, since)
+	for k := range ca.Shards[0].Workers {
+		ha, cla := a.DownHorizon(k)
+		hb, clb := b.DownHorizon(k)
+		if ha != hb || cla != clb {
+			t.Fatalf("%s: slot %d fingerprint (%d, clean %v) vs reference (%d, %v)", what, k, ha, cla, hb, clb)
+		}
+	}
 	if !bytes.Equal(checkpoint.Encode(ca), checkpoint.Encode(cb)) {
 		for k := range ca.Shards[0].Workers {
 			wa, wb := &ca.Shards[0].Workers[k], &cb.Shards[0].Workers[k]
-			if wa.Prev != wb.Prev || wa.SyncVer != wb.SyncVer || wa.Epoch != wb.Epoch {
-				t.Fatalf("%s: slot %d clocks (prev %d, syncVer %d, epoch %d) vs reference (%d, %d, %d)",
-					what, k, wa.Prev, wa.SyncVer, wa.Epoch, wb.Prev, wb.SyncVer, wb.Epoch)
+			if wa.Prev != wb.Prev || wa.Epoch != wb.Epoch {
+				t.Fatalf("%s: slot %d clocks (prev %d, epoch %d) vs reference (%d, %d)",
+					what, k, wa.Prev, wa.Epoch, wb.Prev, wb.Epoch)
 			}
 			for l := range wa.V {
-				if !slices.Equal(wa.Resid[l], wb.Resid[l]) {
-					t.Fatalf("%s: slot %d layer %d residual bitmap differs from the reference", what, k, l)
-				}
 				for j := range wa.V[l] {
 					if math.Float32bits(wa.V[l][j]) != math.Float32bits(wb.V[l][j]) {
 						t.Fatalf("%s: slot %d v[%d][%d] (or its vver stamp) differs: %v vs %v",

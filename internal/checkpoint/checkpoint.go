@@ -1,34 +1,34 @@
 // Package checkpoint implements the parameter server's crash-safe on-disk
-// snapshot format (DESIGN.md §12). A checkpoint captures everything the DGS
-// exchange protocol cannot reconstruct after a server crash: the update
-// accumulation M (Eq. 2), every worker's sent-accumulation v_k together with
-// its staleness baseline, dirty-tracking horizon and incarnation epoch, the
-// per-block version stamps and residual bitmaps that make the PR-5 diff
-// skipping exact, and the logical clock t. Restoring that state (ps.Restore*)
-// yields a server whose subsequent exchanges are bitwise-identical to the
-// one that crashed, so the Eq. 5 drain invariant (v_k == M) survives a full
-// kill/restart cycle.
+// snapshot format (DESIGN.md §12). A checkpoint holds what Algorithm 2's
+// server state is: the update accumulation M (Eq. 2) with its per-block
+// version stamps, the logical clock t, and every worker's sent-accumulation
+// v_k with its staleness baseline and incarnation epoch. Restoring it
+// (ps.Restore*) yields a server whose subsequent exchanges are
+// bitwise-identical to the one that crashed, so the Eq. 5 drain invariant
+// (v_k == M) survives a full kill/restart cycle. The gather's dirty-tracking
+// state (each worker's horizon and residual bitmap) is not stored: restore
+// derives a sound version of it from the block stamps.
 //
 // # File format
 //
-// Little endian throughout. A file is a header followed by a stream of
-// CRC-framed sections and a terminating end section:
+// Little endian throughout. A file is a header and a body, each followed by
+// its CRC-32C:
 //
 //	u32 magic "DGSK" | u32 format version | u32 header length |
-//	header bytes | u32 CRC-32C(header bytes)
-//
-//	section: u8 kind | u32 shard | u32 worker | u32 layer |
-//	         u32 payload length | payload | u32 CRC-32C(section)
+//	header | u32 CRC(header) | body | u32 CRC(body)
 //
 // The header records the snapshot identity (server incarnation, checkpoint
-// sequence number, wall-clock time) and the full model geometry (workers,
-// block shift, per-layer sizes and shard placement), so a decoder can
-// bounds-check every section against the expected geometry before touching
-// its payload. The end section carries the section count, which makes
-// truncation after a valid section detectable. Every length field is checked
-// against the bytes actually remaining before any allocation — a hostile or
-// torn file fails cleanly instead of provoking huge allocations or reads
-// past the buffer (mirroring the sparse.DecodeInto hardening).
+// sequence number, wall-clock time), the full model geometry (workers, block
+// shift, per-layer sizes and shard placement) and the codec name. The body
+// carries no framing of its own: its layout is fixed by that geometry. Per
+// shard, in order: T and CapturedT, then M and MVer for each layer the shard
+// owns; then, per worker, Prev and Epoch followed by V for each layer.
+//
+// Decode computes the body length the geometry implies, without overflow,
+// and requires it to equal the bytes present before it allocates anything:
+// a hostile or torn file fails cleanly instead of provoking huge allocations
+// or reads past the buffer (mirroring the sparse.DecodeInto hardening). A
+// file of another format version is refused with ErrFormatVersion.
 //
 // # Atomicity
 //
@@ -59,24 +59,18 @@ import (
 // Magic and version of the on-disk format.
 const (
 	fileMagic     = 0x4B534744 // "DGSK" little endian
-	formatVersion = 1
-)
-
-// Section kinds. Every kind's payload size is fully determined by the
-// header geometry, which is what lets Decode bounds-check before reading.
-const (
-	secShardMeta  = 1 // per shard: u64 t | u64 capturedT
-	secMLayer     = 2 // per (shard, layer): the layer of M, 4 bytes/coord
-	secMVerLayer  = 3 // per (shard, layer): block version stamps, 8 bytes/block
-	secWorkerMeta = 4 // per (shard, worker): u64 prev | u64 syncVer | u64 epoch
-	secVLayer     = 5 // per (shard, worker, layer): the layer of v_k
-	secResidLayer = 6 // per (shard, worker, layer): residual bitmap words
-	secEnd        = 7 // u64 section count (including this one)
+	formatVersion = 2
 )
 
 // ErrNoCheckpoint is returned by LoadLatest when the directory holds no
 // decodable checkpoint.
 var ErrNoCheckpoint = errors.New("checkpoint: no valid checkpoint found")
+
+// ErrFormatVersion is returned, wrapped with the version found, for a file
+// written in a format version this build does not read. Unlike corruption it
+// is not skipped: LoadLatest returns it at once, so a server never starts
+// from θ0 (and later prunes) beside files it merely cannot read.
+var ErrFormatVersion = errors.New("checkpoint: unsupported format version")
 
 // crcTable is the Castagnoli polynomial table shared by encode and decode.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -84,16 +78,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // WorkerState is one worker's server-side exchange state within a shard.
 type WorkerState struct {
 	// Prev is the shard timestamp at the worker's last exchange (staleness
-	// baseline) and SyncVer its dirty-tracking horizon.
-	Prev, SyncVer uint64
+	// baseline).
+	Prev uint64
 	// Epoch is the worker's incarnation counter. Persisting it keeps epoch
 	// fencing monotone across server restarts.
 	Epoch uint64
 	// V is the sent-accumulation v_k, one slice per shard-local layer.
 	V [][]float32
-	// Resid is the per-layer residual bitmap (one bit per dirty-tracking
-	// block where float rounding left v_k ≠ M).
-	Resid [][]uint64
 }
 
 // ShardState is one shard's complete model state. An unsharded server is a
@@ -136,10 +127,9 @@ type State struct {
 	// Codec records the wire codec policy the server ran with (DESIGN.md
 	// §14), so an operator restoring a snapshot can reproduce the run's
 	// configuration. Informational: quantization error is folded into the
-	// persisted v_k/residual state at exchange time, so the snapshot is
-	// codec-agnostic and a restored server may legally change policy.
-	// Encoded as a header extension; snapshots from before the field decode
-	// with it empty.
+	// persisted v_k at exchange time, so the snapshot is codec-agnostic and
+	// a restored server may legally change policy. At most 255 bytes are
+	// stored.
 	Codec string
 	// Shards holds one entry per server shard.
 	Shards []ShardState
@@ -207,38 +197,36 @@ func ObserveCapture(cs CaptureStats) {
 	met.skipped.Add(cs.BlocksSkipped)
 }
 
-// Encode serialises st. The output decodes back with Decode; appendSection
-// frames every section with its own CRC.
+// Encode serialises st. The output decodes back with Decode.
 func Encode(st *State) []byte {
-	// Header.
-	hdr := make([]byte, 0, 64+16*st.NumLayers())
-	hdr = le64(hdr, st.Incarnation)
-	hdr = le64(hdr, st.Seq)
-	hdr = le64(hdr, uint64(st.WallNano))
-	hdr = le32(hdr, uint32(st.NumWorkers))
-	hdr = le32(hdr, uint32(st.BlockShift))
-	hdr = le32(hdr, uint32(len(st.Shards)))
+	le := binary.LittleEndian
 	nLayers := st.NumLayers()
-	hdr = le32(hdr, uint32(nLayers))
+	hdr := make([]byte, 0, 41+12*nLayers+len(st.Codec))
+	hdr = le.AppendUint64(hdr, st.Incarnation)
+	hdr = le.AppendUint64(hdr, st.Seq)
+	hdr = le.AppendUint64(hdr, uint64(st.WallNano))
+	hdr = le.AppendUint32(hdr, uint32(st.NumWorkers))
+	hdr = le.AppendUint32(hdr, uint32(st.BlockShift))
+	hdr = le.AppendUint32(hdr, uint32(len(st.Shards)))
+	hdr = le.AppendUint32(hdr, uint32(nLayers))
 	// Global layer table: size and owning shard for every global layer id.
 	// Layer ids must form exactly 0..nLayers-1 across shards.
 	sizes := make([]uint64, nLayers)
 	shardOf := make([]uint32, nLayers)
+	body := 0
 	for sh := range st.Shards {
 		s := &st.Shards[sh]
+		body += 16 * (1 + len(s.Workers))
 		for li, gl := range s.Layers {
 			sizes[gl] = uint64(s.Sizes[li])
 			shardOf[gl] = uint32(sh)
+			body += 4*s.Sizes[li]*(1+len(s.Workers)) + 8*len(s.MVer[li])
 		}
 	}
 	for gl := 0; gl < nLayers; gl++ {
-		hdr = le64(hdr, sizes[gl])
-		hdr = le32(hdr, shardOf[gl])
+		hdr = le.AppendUint64(hdr, sizes[gl])
+		hdr = le.AppendUint32(hdr, shardOf[gl])
 	}
-	// Header extension: length-prefixed codec name. Pre-extension decoders
-	// required the header to end at the layer table, so files carrying the
-	// extension are format-compatible forward only; pre-extension files
-	// (no trailing bytes) still decode, with Codec empty.
 	codec := st.Codec
 	if len(codec) > 255 {
 		codec = codec[:255]
@@ -246,321 +234,187 @@ func Encode(st *State) []byte {
 	hdr = append(hdr, byte(len(codec)))
 	hdr = append(hdr, codec...)
 
-	buf := make([]byte, 0, 12+len(hdr)+4+est(st))
-	buf = le32(buf, fileMagic)
-	buf = le32(buf, formatVersion)
-	buf = le32(buf, uint32(len(hdr)))
+	buf := make([]byte, 0, 12+len(hdr)+4+body+4)
+	buf = le.AppendUint32(buf, fileMagic)
+	buf = le.AppendUint32(buf, formatVersion)
+	buf = le.AppendUint32(buf, uint32(len(hdr)))
 	buf = append(buf, hdr...)
-	buf = le32(buf, crc32.Checksum(hdr, crcTable))
-
-	sections := uint64(0)
-	emit := func(kind byte, shard, worker, layer int, payload []byte) {
-		buf = appendSection(buf, kind, shard, worker, layer, payload)
-		sections++
-	}
-	var scratch []byte
+	buf = le.AppendUint32(buf, crc32.Checksum(hdr, crcTable))
+	start := len(buf)
 	for sh := range st.Shards {
 		s := &st.Shards[sh]
-		scratch = scratch[:0]
-		scratch = le64(scratch, s.T)
-		scratch = le64(scratch, s.CapturedT)
-		emit(secShardMeta, sh, 0, 0, scratch)
+		buf = le.AppendUint64(buf, s.T)
+		buf = le.AppendUint64(buf, s.CapturedT)
 		for li := range s.Layers {
-			emit(secMLayer, sh, 0, li, f32Bytes(&scratch, s.M[li]))
-			emit(secMVerLayer, sh, 0, li, u64Bytes(&scratch, s.MVer[li]))
+			buf = appendF32s(buf, s.M[li])
+			for _, v := range s.MVer[li] {
+				buf = le.AppendUint64(buf, v)
+			}
 		}
 		for k := range s.Workers {
 			w := &s.Workers[k]
-			scratch = scratch[:0]
-			scratch = le64(scratch, w.Prev)
-			scratch = le64(scratch, w.SyncVer)
-			scratch = le64(scratch, w.Epoch)
-			emit(secWorkerMeta, sh, k, 0, scratch)
+			buf = le.AppendUint64(buf, w.Prev)
+			buf = le.AppendUint64(buf, w.Epoch)
 			for li := range s.Layers {
-				emit(secVLayer, sh, k, li, f32Bytes(&scratch, w.V[li]))
-				emit(secResidLayer, sh, k, li, u64Bytes(&scratch, w.Resid[li]))
+				buf = appendF32s(buf, w.V[li])
 			}
 		}
 	}
-	scratch = scratch[:0]
-	scratch = le64(scratch, sections+1)
-	buf = appendSection(buf, secEnd, 0, 0, 0, scratch)
-	return buf
+	return le.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
 }
 
-// est approximates the encoded size for one up-front allocation.
-func est(st *State) int {
-	n := 0
-	for sh := range st.Shards {
-		s := &st.Shards[sh]
-		for li := range s.Layers {
-			n += 4*s.Sizes[li] + 8*len(s.MVer[li]) + 2*sectionOverhead
-		}
-		for range s.Workers {
-			n += 24 + sectionOverhead
-			for li := range s.Layers {
-				n += 4 * s.Sizes[li]
-				n += 8 * ((len(s.MVer[li]) + 63) / 64)
-				n += 2 * sectionOverhead
-			}
-		}
-		n += 16 + sectionOverhead
+func appendF32s(b []byte, v []float32) []byte {
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
 	}
-	return n + sectionOverhead
+	return b
 }
 
-const sectionOverhead = 1 + 4 + 4 + 4 + 4 + 4 // kind + shard + worker + layer + len + crc
-
-// appendSection frames one section: the CRC covers the section header and
-// payload, so a flipped byte anywhere in the section is caught.
-func appendSection(buf []byte, kind byte, shard, worker, layer int, payload []byte) []byte {
-	start := len(buf)
-	buf = append(buf, kind)
-	buf = le32(buf, uint32(shard))
-	buf = le32(buf, uint32(worker))
-	buf = le32(buf, uint32(layer))
-	buf = le32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return le32(buf, crc32.Checksum(buf[start:], crcTable))
-}
-
-// Decode parses an encoded checkpoint, validating magic, version, CRCs,
-// geometry and every length field against the remaining bytes.
+// Decode parses an encoded checkpoint, validating magic, version, both
+// CRCs, the geometry, and the body length the geometry implies.
 func Decode(b []byte) (*State, error) {
+	le := binary.LittleEndian
 	if len(b) < 12 {
 		return nil, errors.New("checkpoint: file shorter than fixed header")
 	}
-	if binary.LittleEndian.Uint32(b) != fileMagic {
+	if le.Uint32(b) != fileMagic {
 		return nil, errors.New("checkpoint: bad magic")
 	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != formatVersion {
-		return nil, fmt.Errorf("checkpoint: format version %d unsupported", v)
+	if v := le.Uint32(b[4:]); v != formatVersion {
+		return nil, fmt.Errorf("%w %d (this build reads version %d)", ErrFormatVersion, v, formatVersion)
 	}
-	hdrLen := int(binary.LittleEndian.Uint32(b[8:]))
-	if hdrLen < 0 || hdrLen > len(b)-16 {
-		return nil, fmt.Errorf("checkpoint: header length %d exceeds %d remaining bytes", hdrLen, len(b)-16)
+	hdrLen := int(le.Uint32(b[8:]))
+	if hdrLen < 0 || hdrLen > len(b)-20 {
+		return nil, fmt.Errorf("checkpoint: header length %d exceeds %d remaining bytes", hdrLen, len(b)-20)
 	}
 	hdr := b[12 : 12+hdrLen]
-	if crc32.Checksum(hdr, crcTable) != binary.LittleEndian.Uint32(b[12+hdrLen:]) {
+	if crc32.Checksum(hdr, crcTable) != le.Uint32(b[12+hdrLen:]) {
 		return nil, errors.New("checkpoint: header CRC mismatch")
 	}
-	st, err := decodeHeader(hdr)
+	body := b[16+hdrLen : len(b)-4]
+	st, err := decodeHeader(hdr, len(body))
 	if err != nil {
 		return nil, err
 	}
-	body := b[12+hdrLen+4:]
-	if err := decodeSections(st, body); err != nil {
-		return nil, err
+	if crc32.Checksum(body, crcTable) != le.Uint32(b[len(b)-4:]) {
+		return nil, errors.New("checkpoint: body CRC mismatch")
+	}
+	r := reader{body}
+	for sh := range st.Shards {
+		s := &st.Shards[sh]
+		s.T = r.u64()
+		s.CapturedT = r.u64()
+		s.M = make([][]float32, len(s.Sizes))
+		s.MVer = make([][]uint64, len(s.Sizes))
+		for li, n := range s.Sizes {
+			s.M[li] = r.f32s(n)
+			s.MVer[li] = make([]uint64, numBlocks(n, st.BlockShift))
+			for i := range s.MVer[li] {
+				s.MVer[li][i] = r.u64()
+			}
+		}
+		s.Workers = make([]WorkerState, st.NumWorkers)
+		for k := range s.Workers {
+			w := &s.Workers[k]
+			w.Prev = r.u64()
+			w.Epoch = r.u64()
+			w.V = make([][]float32, len(s.Sizes))
+			for li, n := range s.Sizes {
+				w.V[li] = r.f32s(n)
+			}
+		}
 	}
 	return st, nil
 }
 
-func decodeHeader(hdr []byte) (*State, error) {
+// decodeHeader validates the header geometry and requires the body length
+// it implies to equal bodyLen before allocating the State.
+func decodeHeader(hdr []byte, bodyLen int) (*State, error) {
+	le := binary.LittleEndian
 	const fixed = 8 + 8 + 8 + 4 + 4 + 4 + 4
 	if len(hdr) < fixed {
 		return nil, errors.New("checkpoint: truncated header")
 	}
-	st := &State{
-		Incarnation: binary.LittleEndian.Uint64(hdr),
-		Seq:         binary.LittleEndian.Uint64(hdr[8:]),
-		WallNano:    int64(binary.LittleEndian.Uint64(hdr[16:])),
-		NumWorkers:  int(binary.LittleEndian.Uint32(hdr[24:])),
-		BlockShift:  uint(binary.LittleEndian.Uint32(hdr[28:])),
+	workers := le.Uint32(hdr[24:])
+	shift := uint(le.Uint32(hdr[28:]))
+	nShards := int(le.Uint32(hdr[32:]))
+	nLayers := int(le.Uint32(hdr[36:]))
+	if workers < 1 || workers > 1<<20 {
+		return nil, fmt.Errorf("checkpoint: implausible worker count %d", workers)
 	}
-	nShards := int(binary.LittleEndian.Uint32(hdr[32:]))
-	nLayers := int(binary.LittleEndian.Uint32(hdr[36:]))
-	if st.NumWorkers < 1 || st.NumWorkers > 1<<20 {
-		return nil, fmt.Errorf("checkpoint: implausible worker count %d", st.NumWorkers)
-	}
-	if st.BlockShift == 0 || st.BlockShift > 30 {
-		return nil, fmt.Errorf("checkpoint: block shift %d out of (0,30]", st.BlockShift)
+	if shift == 0 || shift > 30 {
+		return nil, fmt.Errorf("checkpoint: block shift %d out of (0,30]", shift)
 	}
 	if nShards < 1 || nLayers < 1 || nShards > nLayers {
 		return nil, fmt.Errorf("checkpoint: implausible geometry (%d shards, %d layers)", nShards, nLayers)
 	}
-	// The layer table must fit the header, optionally followed by the
-	// length-prefixed codec-name extension (absent in pre-extension files).
-	rest := len(hdr) - fixed - 12*nLayers
-	if rest < 0 {
-		return nil, fmt.Errorf("checkpoint: layer table is %d bytes, want %d for %d layers",
-			len(hdr)-fixed, 12*nLayers, nLayers)
+	// The layer table, then the length-prefixed codec name, end the header.
+	if nLayers > (len(hdr)-fixed-1)/12 {
+		return nil, fmt.Errorf("checkpoint: %d-byte header cannot hold %d layers", len(hdr), nLayers)
 	}
-	if rest > 0 {
-		ext := hdr[fixed+12*nLayers:]
-		if n := int(ext[0]); rest != 1+n {
-			return nil, fmt.Errorf("checkpoint: codec extension is %d bytes, want %d", rest, 1+n)
-		}
-		st.Codec = string(ext[1:])
+	ext := hdr[fixed+12*nLayers:]
+	if len(ext) != 1+int(ext[0]) {
+		return nil, fmt.Errorf("checkpoint: codec extension is %d bytes, want %d", len(ext), 1+int(ext[0]))
 	}
-	st.Shards = make([]ShardState, nShards)
-	off := fixed
-	for gl := 0; gl < nLayers; gl++ {
-		size := binary.LittleEndian.Uint64(hdr[off:])
-		shard := int(binary.LittleEndian.Uint32(hdr[off+8:]))
-		off += 12
+	// The body length the geometry implies: per shard T and CapturedT, and
+	// per shard and worker Prev and Epoch; per layer M, MVer and one V per
+	// worker. Every term is below 2^57 and the sum stops growing once it
+	// passes the bytes present, so no geometry can overflow it.
+	want := uint64(bodyLen)
+	need := 16 * uint64(nShards) * (1 + uint64(workers))
+	for gl := 0; gl < nLayers && need <= want; gl++ {
+		size := le.Uint64(hdr[fixed+12*gl:])
+		shard := int(le.Uint32(hdr[fixed+12*gl+8:]))
 		if size > 1<<31 {
 			return nil, fmt.Errorf("checkpoint: layer %d size %d implausible", gl, size)
 		}
 		if shard < 0 || shard >= nShards {
 			return nil, fmt.Errorf("checkpoint: layer %d assigned to shard %d of %d", gl, shard, nShards)
 		}
-		s := &st.Shards[shard]
+		need += 4*size*(1+uint64(workers)) + 8*uint64(numBlocks(int(size), shift))
+	}
+	if need != want {
+		return nil, fmt.Errorf("checkpoint: geometry implies a body of %d bytes or more, file holds %d", need, want)
+	}
+	st := &State{
+		Incarnation: le.Uint64(hdr),
+		Seq:         le.Uint64(hdr[8:]),
+		WallNano:    int64(le.Uint64(hdr[16:])),
+		NumWorkers:  int(workers),
+		BlockShift:  shift,
+		Codec:       string(ext[1:]),
+		Shards:      make([]ShardState, nShards),
+	}
+	for gl := 0; gl < nLayers; gl++ {
+		s := &st.Shards[le.Uint32(hdr[fixed+12*gl+8:])]
 		s.Layers = append(s.Layers, gl)
-		s.Sizes = append(s.Sizes, int(size))
+		s.Sizes = append(s.Sizes, int(le.Uint64(hdr[fixed+12*gl:])))
 	}
 	for sh := range st.Shards {
-		s := &st.Shards[sh]
-		if len(s.Layers) == 0 {
+		if len(st.Shards[sh].Layers) == 0 {
 			return nil, fmt.Errorf("checkpoint: shard %d owns no layers", sh)
-		}
-		s.M = make([][]float32, len(s.Layers))
-		s.MVer = make([][]uint64, len(s.Layers))
-		s.Workers = make([]WorkerState, st.NumWorkers)
-		for k := range s.Workers {
-			s.Workers[k].V = make([][]float32, len(s.Layers))
-			s.Workers[k].Resid = make([][]uint64, len(s.Layers))
 		}
 	}
 	return st, nil
 }
 
-// decodeSections parses the CRC-framed section stream, requiring every
-// expected section exactly once and a correct end marker.
-func decodeSections(st *State, b []byte) error {
-	seen := map[[4]uint32]bool{}
-	sections := uint64(0)
-	off := 0
-	ended := false
-	for off < len(b) {
-		if ended {
-			return fmt.Errorf("checkpoint: %d bytes after end section", len(b)-off)
-		}
-		if len(b)-off < sectionOverhead-4 {
-			return fmt.Errorf("checkpoint: truncated section header at offset %d", off)
-		}
-		kind := b[off]
-		shard := int(binary.LittleEndian.Uint32(b[off+1:]))
-		worker := int(binary.LittleEndian.Uint32(b[off+5:]))
-		layer := int(binary.LittleEndian.Uint32(b[off+9:]))
-		plen := int(binary.LittleEndian.Uint32(b[off+13:]))
-		// Bound the payload length by the bytes actually remaining before
-		// any slicing: a hostile length cannot read past the buffer.
-		if plen < 0 || plen > len(b)-off-sectionOverhead {
-			return fmt.Errorf("checkpoint: section at offset %d claims %d payload bytes, %d remain",
-				off, plen, len(b)-off-sectionOverhead)
-		}
-		payload := b[off+17 : off+17+plen]
-		wantCRC := binary.LittleEndian.Uint32(b[off+17+plen:])
-		if crc32.Checksum(b[off:off+17+plen], crcTable) != wantCRC {
-			return fmt.Errorf("checkpoint: section CRC mismatch at offset %d", off)
-		}
-		off += sectionOverhead + plen
-		sections++
+// reader consumes a body whose length decodeHeader has already checked, so
+// no read can run past it.
+type reader struct{ b []byte }
 
-		if kind != secEnd {
-			if shard < 0 || shard >= len(st.Shards) {
-				return fmt.Errorf("checkpoint: section references shard %d of %d", shard, len(st.Shards))
-			}
-		}
-		key := [4]uint32{uint32(kind), uint32(shard), uint32(worker), uint32(layer)}
-		if seen[key] {
-			return fmt.Errorf("checkpoint: duplicate section kind=%d shard=%d worker=%d layer=%d", kind, shard, worker, layer)
-		}
-		seen[key] = true
+func (r *reader) u64() uint64 {
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
 
-		var s *ShardState
-		if kind != secEnd {
-			s = &st.Shards[shard]
-			if kind == secMLayer || kind == secMVerLayer || kind == secVLayer || kind == secResidLayer {
-				if layer < 0 || layer >= len(s.Layers) {
-					return fmt.Errorf("checkpoint: section references layer %d of %d in shard %d", layer, len(s.Layers), shard)
-				}
-			}
-			if kind == secWorkerMeta || kind == secVLayer || kind == secResidLayer {
-				if worker < 0 || worker >= st.NumWorkers {
-					return fmt.Errorf("checkpoint: section references worker %d of %d", worker, st.NumWorkers)
-				}
-			}
-		}
-		switch kind {
-		case secShardMeta:
-			if plen != 16 {
-				return fmt.Errorf("checkpoint: shard meta payload %d bytes, want 16", plen)
-			}
-			s.T = binary.LittleEndian.Uint64(payload)
-			s.CapturedT = binary.LittleEndian.Uint64(payload[8:])
-		case secMLayer:
-			v, err := f32Payload(payload, s.Sizes[layer])
-			if err != nil {
-				return fmt.Errorf("checkpoint: M shard %d layer %d: %w", shard, layer, err)
-			}
-			s.M[layer] = v
-		case secMVerLayer:
-			want := numBlocks(s.Sizes[layer], st.BlockShift)
-			v, err := u64Payload(payload, want)
-			if err != nil {
-				return fmt.Errorf("checkpoint: MVer shard %d layer %d: %w", shard, layer, err)
-			}
-			s.MVer[layer] = v
-		case secWorkerMeta:
-			if plen != 24 {
-				return fmt.Errorf("checkpoint: worker meta payload %d bytes, want 24", plen)
-			}
-			w := &s.Workers[worker]
-			w.Prev = binary.LittleEndian.Uint64(payload)
-			w.SyncVer = binary.LittleEndian.Uint64(payload[8:])
-			w.Epoch = binary.LittleEndian.Uint64(payload[16:])
-		case secVLayer:
-			v, err := f32Payload(payload, s.Sizes[layer])
-			if err != nil {
-				return fmt.Errorf("checkpoint: V shard %d worker %d layer %d: %w", shard, worker, layer, err)
-			}
-			s.Workers[worker].V[layer] = v
-		case secResidLayer:
-			want := (numBlocks(s.Sizes[layer], st.BlockShift) + 63) / 64
-			v, err := u64Payload(payload, want)
-			if err != nil {
-				return fmt.Errorf("checkpoint: resid shard %d worker %d layer %d: %w", shard, worker, layer, err)
-			}
-			s.Workers[worker].Resid[layer] = v
-		case secEnd:
-			if plen != 8 {
-				return fmt.Errorf("checkpoint: end payload %d bytes, want 8", plen)
-			}
-			if got := binary.LittleEndian.Uint64(payload); got != sections {
-				return fmt.Errorf("checkpoint: end section claims %d sections, read %d", got, sections)
-			}
-			ended = true
-		default:
-			return fmt.Errorf("checkpoint: unknown section kind %d", kind)
-		}
+func (r *reader) f32s(n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[4*i:]))
 	}
-	if !ended {
-		return errors.New("checkpoint: missing end section (truncated file)")
-	}
-	// Completeness: every layer / worker section must be present.
-	for sh := range st.Shards {
-		s := &st.Shards[sh]
-		if !seen[[4]uint32{secShardMeta, uint32(sh), 0, 0}] {
-			return fmt.Errorf("checkpoint: shard %d missing meta section", sh)
-		}
-		for li := range s.Layers {
-			if s.M[li] == nil || s.MVer[li] == nil {
-				return fmt.Errorf("checkpoint: shard %d layer %d missing M/MVer sections", sh, li)
-			}
-		}
-		for k := range s.Workers {
-			if !seen[[4]uint32{secWorkerMeta, uint32(sh), uint32(k), 0}] {
-				return fmt.Errorf("checkpoint: shard %d worker %d missing meta section", sh, k)
-			}
-			for li := range s.Layers {
-				if s.Workers[k].V[li] == nil || s.Workers[k].Resid[li] == nil {
-					return fmt.Errorf("checkpoint: shard %d worker %d layer %d missing V/resid sections", sh, k, li)
-				}
-			}
-		}
-	}
-	return nil
+	r.b = r.b[4*n:]
+	return out
 }
 
 // numBlocks mirrors sparse.NumBlocks without importing it (checkpoint stays
@@ -570,63 +424,6 @@ func numBlocks(n int, shift uint) int {
 		return 0
 	}
 	return (n + (1 << shift) - 1) >> shift
-}
-
-// f32Payload validates and copies a float32 section payload.
-func f32Payload(b []byte, want int) ([]float32, error) {
-	if len(b) != 4*want {
-		return nil, fmt.Errorf("payload %d bytes, want %d", len(b), 4*want)
-	}
-	out := make([]float32, want)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
-}
-
-// u64Payload validates and copies a uint64 section payload.
-func u64Payload(b []byte, want int) ([]uint64, error) {
-	if len(b) != 8*want {
-		return nil, fmt.Errorf("payload %d bytes, want %d", len(b), 8*want)
-	}
-	out := make([]uint64, want)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return out, nil
-}
-
-func f32Bytes(scratch *[]byte, v []float32) []byte {
-	b := (*scratch)[:0]
-	if cap(b) < 4*len(v) {
-		b = make([]byte, 0, 4*len(v))
-	}
-	for _, x := range v {
-		b = le32(b, math.Float32bits(x))
-	}
-	*scratch = b
-	return b
-}
-
-func u64Bytes(scratch *[]byte, v []uint64) []byte {
-	b := (*scratch)[:0]
-	if cap(b) < 8*len(v) {
-		b = make([]byte, 0, 8*len(v))
-	}
-	for _, x := range v {
-		b = le64(b, x)
-	}
-	*scratch = b
-	return b
-}
-
-func le32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func le64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 // Writer writes checkpoints atomically into a directory, pruning old files.
@@ -773,8 +570,10 @@ func Load(path string) (*State, error) {
 // LoadLatest returns the newest checkpoint in dir that decodes cleanly,
 // together with its path. Corrupt or truncated files (e.g. the latest one
 // when the machine died mid-rename on a weak filesystem) are skipped in
-// favour of the previous checkpoint. Returns ErrNoCheckpoint when the
-// directory holds nothing usable (including when it does not exist).
+// favour of the previous checkpoint; a file of another format version is
+// not, and its ErrFormatVersion is returned at once. Returns
+// ErrNoCheckpoint when the directory holds nothing usable (including when
+// it does not exist).
 func LoadLatest(dir string) (*State, string, error) {
 	names := listCheckpoints(dir)
 	var lastErr error
@@ -783,6 +582,9 @@ func LoadLatest(dir string) (*State, string, error) {
 		st, err := Load(path)
 		if err == nil {
 			return st, path, nil
+		}
+		if errors.Is(err, ErrFormatVersion) {
+			return nil, path, err
 		}
 		lastErr = err
 	}

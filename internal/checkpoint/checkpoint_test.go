@@ -52,19 +52,13 @@ func testState(seed uint64) *State {
 			s.MVer = append(s.MVer, mv)
 		}
 		for k := 0; k < st.NumWorkers; k++ {
-			w := WorkerState{Prev: next() % 90, SyncVer: next() % 90, Epoch: uint64(k)}
+			w := WorkerState{Prev: next() % 90, Epoch: uint64(k)}
 			for _, sz := range lo.sizes {
 				v := make([]float32, sz)
 				for i := range v {
 					v[i] = float32(next()%1000) / 17
 				}
 				w.V = append(w.V, v)
-				nb := numBlocks(sz, shift)
-				r := make([]uint64, (nb+63)/64)
-				for i := range r {
-					r[i] = next()
-				}
-				w.Resid = append(w.Resid, r)
 			}
 			s.Workers = append(s.Workers, w)
 		}
@@ -194,7 +188,7 @@ func TestDecodeHostileInputs(t *testing.T) {
 		"truncated mid": enc[:len(enc)/2],
 		"truncated end": enc[:len(enc)-5],
 		"trailing junk": append(append([]byte(nil), enc...), 1, 2, 3),
-		"section crc":   mutate(enc, func(b []byte) { b[len(b)-30] ^= 1 }),
+		"body crc":      mutate(enc, func(b []byte) { b[len(b)-30] ^= 1 }),
 		"huge workers": mutate(enc, func(b []byte) {
 			binary.LittleEndian.PutUint32(b[12+24:], 1<<24) // NumWorkers field
 			refixHeaderCRC(b)
@@ -220,44 +214,90 @@ func TestDecodeHostileInputs(t *testing.T) {
 	}
 }
 
-// Section payload lengths are bounded by the remaining bytes before any
-// allocation: a section claiming a huge payload must be rejected.
-func TestDecodeHostileSectionLength(t *testing.T) {
-	enc := Encode(testState(1))
+// frame wraps a header and a body in the file layout, CRCs included, so a
+// test can hand Decode any geometry and any body length.
+func frame(hdr, body []byte) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, fileMagic)
+	b = le.AppendUint32(b, formatVersion)
+	b = le.AppendUint32(b, uint32(len(hdr)))
+	b = append(b, hdr...)
+	b = le.AppendUint32(b, crc32.Checksum(hdr, crcTable))
+	b = append(b, body...)
+	return le.AppendUint32(b, crc32.Checksum(body, crcTable))
+}
+
+// split returns an encoded file's header and body.
+func split(enc []byte) (hdr, body []byte) {
 	hdrLen := int(binary.LittleEndian.Uint32(enc[8:]))
-	secOff := 12 + hdrLen + 4 // first section
-	b := mutate(enc, func(b []byte) {
-		binary.LittleEndian.PutUint32(b[secOff+13:], 1<<29) // payload length field
-	})
-	if _, err := Decode(b); err == nil {
-		t.Fatal("decode accepted section with hostile payload length")
+	return enc[12 : 12+hdrLen], enc[16+hdrLen : len(enc)-4]
+}
+
+// TestDecodeTruncatedBody: every proper prefix of a valid file fails,
+// whether the cut falls in the header, the body or the body CRC.
+func TestDecodeTruncatedBody(t *testing.T) {
+	enc := Encode(testState(1))
+	for n := 0; n < len(enc); n++ {
+		if _, err := Decode(enc[:n]); err == nil {
+			t.Fatalf("decode accepted a file truncated to %d of %d bytes", n, len(enc))
+		}
 	}
 }
 
-func TestDecodeMissingSection(t *testing.T) {
-	// Re-encode by hand without any worker sections: completeness check
-	// must catch the absence.
-	st := testState(1)
-	enc := Encode(st)
-	// Find the first secWorkerMeta section and truncate the file there,
-	// then append a fresh end section claiming the right count.
-	hdrLen := int(binary.LittleEndian.Uint32(enc[8:]))
-	off := 12 + hdrLen + 4
-	sections := uint64(0)
-	for off < len(enc) {
-		kind := enc[off]
-		plen := int(binary.LittleEndian.Uint32(enc[off+13:]))
-		if kind == secWorkerMeta {
-			break
-		}
-		off += sectionOverhead + plen
-		sections++
+// TestDecodeBodyLength: the body must be exactly as long as the header's
+// geometry implies. A body a byte or a word shorter or longer fails even
+// with its CRC recomputed, before anything is allocated for it.
+func TestDecodeBodyLength(t *testing.T) {
+	hdr, body := split(Encode(testState(1)))
+	if _, err := Decode(frame(hdr, body)); err != nil {
+		t.Fatalf("reframed valid file: %v", err)
 	}
-	var end []byte
-	end = le64(end, sections+1)
-	b := appendSection(append([]byte(nil), enc[:off]...), secEnd, 0, 0, 0, end)
-	if _, err := Decode(b); err == nil {
-		t.Fatal("decode accepted checkpoint with missing worker sections")
+	for _, delta := range []int{-8, -1, 1, 8} {
+		b := append([]byte(nil), body...)
+		if delta < 0 {
+			b = b[:len(b)+delta]
+		} else {
+			b = append(b, make([]byte, delta)...)
+		}
+		_, err := Decode(frame(hdr, b))
+		if err == nil || !strings.Contains(err.Error(), "implies a body") {
+			t.Errorf("body %+d bytes: got %v, want a body-length error", delta, err)
+		}
+	}
+}
+
+// A file written in another format version is refused rather than skipped:
+// LoadLatest must not fall back past it to an older file (or to no file,
+// after which a server would start from θ0 and prune what it could not
+// read).
+func TestLoadLatestRefusesOtherVersion(t *testing.T) {
+	dir := t.TempDir()
+	w := &Writer{Dir: dir}
+	old := testState(1)
+	old.Seq = 1
+	if _, err := w.Write(old); err != nil {
+		t.Fatal(err)
+	}
+	newer := testState(2)
+	newer.Seq = 2
+	path, err := w.Write(newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[4:], 99)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, gotPath, err := LoadLatest(dir)
+	if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "99") {
+		t.Fatalf("LoadLatest = (%v, %s, %v), want ErrFormatVersion naming version 99", st != nil, gotPath, err)
+	}
+	if gotPath != path {
+		t.Fatalf("error names %s, want the unreadable %s", gotPath, path)
 	}
 }
 

@@ -32,17 +32,15 @@ func FuzzDecode(f *testing.F) {
 	refixHeaderCRC(hugeWorkers)
 	f.Add(hugeWorkers)
 
-	// Hostile section: first section claiming a ~512 MiB payload inside a
-	// few-KiB file.
-	hdrLen := int(binary.LittleEndian.Uint32(valid[8:]))
-	hugeSec := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(hugeSec[12+hdrLen+4+13:], 1<<29)
-	f.Add(hugeSec)
+	// Body one word longer than the geometry implies, CRC recomputed.
+	hdr, body := split(valid)
+	f.Add(frame(hdr, append(append([]byte(nil), body...), 0, 0, 0, 0)))
 
-	// Truncation right after a valid section boundary (end marker absent).
-	secOff := 12 + hdrLen + 4
-	firstLen := int(binary.LittleEndian.Uint32(valid[secOff+13:]))
-	f.Add(valid[:secOff+sectionOverhead+firstLen])
+	// Body CRC missing: the file ends where the body does.
+	f.Add(valid[:len(valid)-4])
+
+	// Geometry whose body length overflows int.
+	f.Add(overflowingGeometry())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := Decode(b)
@@ -62,7 +60,7 @@ func FuzzDecode(f *testing.F) {
 
 // TestDecodeRejectsImplausibleGeometry pins the hostile-header behaviour
 // down as plain tests: small files claiming huge worker counts, layer
-// sizes, or payload lengths must fail with an error, not a giant make.
+// sizes, or body lengths must fail with an error, not a giant make.
 func TestDecodeRejectsImplausibleGeometry(t *testing.T) {
 	valid := Encode(testState(1))
 	hdrLen := int(binary.LittleEndian.Uint32(valid[8:]))
@@ -84,13 +82,31 @@ func TestDecodeRejectsImplausibleGeometry(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[12+40:], 1<<40)
 			refixHeaderCRC(b)
 		}),
-		"huge section payload": mk(func(b []byte) {
+		"body overwritten": mk(func(b []byte) {
 			binary.LittleEndian.PutUint32(b[12+hdrLen+4+13:], 1<<29)
 		}),
+		"body length overflows int": overflowingGeometry(),
 	}
 	for name, b := range frames {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("%s: hostile frame decoded without error", name)
 		}
 	}
+}
+
+// overflowingGeometry is a small file whose header claims 1024 layers of
+// 2^31 elements on 2^20 workers: V alone would take 2^63 + 2^43 bytes, past
+// int on every platform.
+func overflowingGeometry() []byte {
+	le := binary.LittleEndian
+	hdr := make([]byte, 24) // incarnation, seq, wall clock
+	hdr = le.AppendUint32(hdr, 1<<20)
+	hdr = le.AppendUint32(hdr, 6)
+	hdr = le.AppendUint32(hdr, 1)
+	hdr = le.AppendUint32(hdr, 1024)
+	for range 1024 {
+		hdr = le.AppendUint64(hdr, 1<<31)
+		hdr = le.AppendUint32(hdr, 0)
+	}
+	return frame(append(hdr, 0), make([]byte, 64))
 }

@@ -2,8 +2,10 @@ package ps
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"dgs/internal/checkpoint"
 	"dgs/internal/sparse"
 	"dgs/internal/tensor"
 )
@@ -207,6 +209,11 @@ func TestApplyGatheredMatchesGather(t *testing.T) {
 				}
 			}
 		}
+		for layer := range s.workers[0].resid {
+			if !slices.Equal(s.workers[0].resid[layer], s.workers[1].resid[layer]) {
+				t.Fatalf("round %d: layer %d residual bitmaps diverged", round, layer)
+			}
+		}
 	}
 	if shareHits == 0 {
 		t.Fatal("share fast path never exercised")
@@ -252,5 +259,47 @@ func TestDownHorizonResidualDirty(t *testing.T) {
 		if v[0][j] != m[0][j] {
 			t.Fatalf("post-drain v_0[0][%d]=%v != M=%v", j, v[0][j], m[0][j])
 		}
+	}
+}
+
+// TestRestoredDownHorizonNotClean: the aggregator serves one downward frame
+// to every worker whose DownHorizon fingerprints are equal and clean. A
+// checkpoint does not hold the horizons, so a restored server must not call
+// a worker holding touched blocks clean. Here worker 0 drained to M(1) and
+// worker 1 to M(2) before the capture: after the restore their next gathers
+// differ, so their fingerprints must not both be clean.
+func TestRestoredDownHorizonNotClean(t *testing.T) {
+	sizes := []int{256, 64}
+	cfg := Config{LayerSizes: sizes, Workers: 3, Quiet: true}
+	s := NewServer(cfg)
+	rng := tensor.NewRNG(5)
+	g1, g2 := randomUpdate(rng, sizes, 0.3), randomUpdate(rng, sizes, 0.3)
+	s.Push(2, &g1)
+	s.Gather(0)
+	s.Push(2, &g2)
+	s.Gather(1)
+	st := s.NewCaptureState()
+	if _, err := s.Capture(st); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := checkpoint.Decode(checkpoint.Encode(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreServer(cfg, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, c0 := r.DownHorizon(0)
+	h1, c1 := r.DownHorizon(1)
+	G0, _ := r.Gather(0)
+	frame0 := append([]byte(nil), sparse.Encode(&G0)...)
+	G1, _ := r.Gather(1)
+	if bytes.Equal(frame0, sparse.Encode(&G1)) {
+		t.Fatal("fixture: the restored workers' gathers should differ")
+	}
+	if c0 || c1 {
+		t.Fatalf("restored fingerprints (%d, %v) and (%d, %v): a worker holding touched blocks reports clean",
+			h0, c0, h1, c1)
 	}
 }

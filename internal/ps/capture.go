@@ -15,7 +15,8 @@ import (
 // snapshot buffer — its CapturedT horizon records the clock of the previous
 // capture, and the next capture copies only blocks of M stamped after it
 // (mver, maintained by Push's apply phase) and blocks of each v_k stamped
-// after it (vver, maintained by gatherDown). Everything else in the State is
+// after it (vver, maintained by gatherDown), through the same copyStamped
+// read Snapshot uses; MVer is copied whole. Everything else in the State is
 // already bitwise-correct from the previous capture, so steady-state
 // checkpoints cost O(blocks dirtied since the last one), not O(model ×
 // workers).
@@ -47,21 +48,14 @@ func (s *Server) NewCaptureState() *checkpoint.State {
 func initShardState(ss *checkpoint.ShardState, layers, sizes []int, workers int, shift uint) {
 	ss.Layers = append([]int(nil), layers...)
 	ss.Sizes = append([]int(nil), sizes...)
-	ss.M = make([][]float32, len(sizes))
+	ss.M = zeroModel(sizes)
 	ss.MVer = make([][]uint64, len(sizes))
 	for i, n := range sizes {
-		ss.M[i] = make([]float32, n)
 		ss.MVer[i] = make([]uint64, sparse.NumBlocks(n, shift))
 	}
 	ss.Workers = make([]checkpoint.WorkerState, workers)
 	for k := range ss.Workers {
-		w := &ss.Workers[k]
-		w.V = make([][]float32, len(sizes))
-		w.Resid = make([][]uint64, len(sizes))
-		for i, n := range sizes {
-			w.V[i] = make([]float32, n)
-			w.Resid[i] = make([]uint64, (sparse.NumBlocks(n, shift)+63)/64)
-		}
+		ss.Workers[k].V = zeroModel(sizes)
 	}
 }
 
@@ -121,43 +115,26 @@ func (s *Server) captureInto(ss *checkpoint.ShardState) checkpoint.CaptureStats 
 	defer s.mu.RUnlock()
 
 	var cs checkpoint.CaptureStats
+	tally := func(ver []uint64, blocks, elems int) {
+		cs.BlocksCopied += uint64(blocks)
+		cs.BlocksSkipped += uint64(len(ver) - blocks)
+		cs.Bytes += 4 * uint64(elems)
+	}
 	t := s.t.Load()
 	since := ss.CapturedT
 	for layer, ml := range s.m {
-		ver := s.mver[layer]
-		for b := range ver {
-			if ver[b] <= since {
-				cs.BlocksSkipped++
-				continue
-			}
-			lo, hi := sparse.BlockSpan(b, s.blockShift, len(ml))
-			copy(ss.M[layer][lo:hi], ml[lo:hi])
-			ss.MVer[layer][b] = ver[b]
-			cs.BlocksCopied++
-			cs.Bytes += 4 * uint64(hi-lo)
-		}
+		copy(ss.MVer[layer], s.mver[layer])
+		blocks, elems := copyStamped(ss.M[layer], ml, s.mver[layer], since, s.blockShift)
+		tally(s.mver[layer], blocks, elems)
 	}
 	for k := range s.workers {
 		w := &s.workers[k]
 		sw := &ss.Workers[k]
 		sw.Prev = w.prev
-		sw.SyncVer = w.syncVer
 		sw.Epoch = w.epoch.Load()
-		for layer := range w.v {
-			// Residual bitmaps are one bit per block — copy unconditionally.
-			copy(sw.Resid[layer], w.resid[layer])
-			vl := w.v[layer]
-			ver := w.vver[layer]
-			for b := range ver {
-				if ver[b] <= since {
-					cs.BlocksSkipped++
-					continue
-				}
-				lo, hi := sparse.BlockSpan(b, s.blockShift, len(vl))
-				copy(sw.V[layer][lo:hi], vl[lo:hi])
-				cs.BlocksCopied++
-				cs.Bytes += 4 * uint64(hi-lo)
-			}
+		for layer, vl := range w.v {
+			blocks, elems := copyStamped(sw.V[layer], vl, w.vver[layer], since, s.blockShift)
+			tally(w.vver[layer], blocks, elems)
 		}
 	}
 	ss.T = t
@@ -172,11 +149,13 @@ func (s *Server) captureInto(ss *checkpoint.ShardState) checkpoint.CaptureStats 
 // copies them — the checkpoint does not persist vver, and a zero stamp
 // would leave the restored v_k out of every later fresh capture.
 //
-// Every worker's dirty horizon restarts at 0, so its next gather rescans
-// every block an apply ever touched (never-touched blocks hold M == 0 ==
-// v_k). That keeps a restore sound whatever the checkpoint's residual bits
-// say: those written before the bits also tracked suppressed Eq. 6 mass
-// under-approximate it. A worker reconnecting after a restart is resynced
+// Nor does it persist the gather's dirty tracking. Every worker's horizon
+// stays at 0 and every block an apply ever touched (mver ≠ 0) gets its
+// residual bit, so the next gather rescans exactly those blocks
+// (never-touched ones hold M == 0 == v_k), and DownHorizon reports no
+// worker holding a touched block as clean: the file does not say at which
+// horizon each v_k last matched M, so no two restored workers can prove
+// their v_k equal. A worker reconnecting after a restart is resynced
 // anyway, so the rescan costs nothing in practice.
 func (s *Server) restoreFrom(ss *checkpoint.ShardState) {
 	for layer := range s.m {
@@ -190,10 +169,10 @@ func (s *Server) restoreFrom(ss *checkpoint.ShardState) {
 		sw := &ss.Workers[k]
 		w.prev = sw.Prev
 		w.epoch.Store(sw.Epoch)
-		for layer := range w.v {
+		for layer, ver := range s.mver {
 			copy(w.v[layer], sw.V[layer])
-			copy(w.resid[layer], sw.Resid[layer])
-			for b := range w.vver[layer] {
+			for b, v := range ver {
+				setResid(w.resid[layer], b, v != 0)
 				w.vver[layer][b] = ss.T
 			}
 		}

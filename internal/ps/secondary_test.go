@@ -288,10 +288,10 @@ func runSecondarySchedule(t *testing.T, cfg Config, shards int, seed uint64) {
 	}
 }
 
-// TestRestoreRescansSuppressedResidual restores a checkpoint whose
-// version-clean blocks hold suppressed Eq. 6 mass with their residual bits
-// clear — what a checkpoint written before the bits tracked that mass holds.
-// The restored server must drain exactly as the never-restarted one does.
+// TestRestoreRescansSuppressedResidual restores a checkpoint taken while
+// version-clean blocks hold suppressed Eq. 6 mass. The file stores no
+// residual bits, so restore must rescan those blocks on its own: the
+// restored server must drain exactly as the never-restarted one does.
 func TestRestoreRescansSuppressedResidual(t *testing.T) {
 	sizes := []int{4096, 64}
 	cfg := Config{LayerSizes: sizes, Workers: 2, Secondary: true, SecondaryRatio: 0.05, Quiet: true}
@@ -310,9 +310,6 @@ func TestRestoreRescansSuppressedResidual(t *testing.T) {
 	dec, err := checkpoint.Decode(checkpoint.Encode(st))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, bits := range dec.Shards[0].Workers[0].Resid {
-		clear(bits)
 	}
 	r, err := RestoreServer(cfg, dec)
 	if err != nil {

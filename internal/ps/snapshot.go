@@ -57,15 +57,26 @@ func (s *Server) Snapshot(st *SnapshotState) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for layer, ml := range s.m {
-		for b, v := range s.mver[layer] {
-			if v > st.t {
-				lo, hi := sparse.BlockSpan(b, s.blockShift, len(ml))
-				copy(st.m[layer][lo:hi], ml[lo:hi])
-			}
-		}
+		copyStamped(st.m[layer], ml, s.mver[layer], st.t, s.blockShift)
 	}
 	st.t = s.t.Load()
 	return st.t
+}
+
+// copyStamped copies into dst the blocks of src whose stamp in ver is above
+// since — the blocks changed after a cut taken at since — and returns how
+// many blocks and elements it copied. It is the one "what changed since
+// stamp s" read: Snapshot runs it over M, Capture over M and every v_k.
+func copyStamped(dst, src []float32, ver []uint64, since uint64, shift uint) (blocks, elems int) {
+	for b, v := range ver {
+		if v > since {
+			lo, hi := sparse.BlockSpan(b, shift, len(src))
+			copy(dst[lo:hi], src[lo:hi])
+			blocks++
+			elems += hi - lo
+		}
+	}
+	return blocks, elems
 }
 
 // MSnapshot copies the current update accumulation M (θ_t − θ_0) into dst
