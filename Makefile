@@ -71,9 +71,9 @@ bench-paper:
 	go test -short -bench . -benchtime $(PAPER_BENCHTIME) -run '^$$' -timeout 60m
 
 # Short local fuzz pass over the wire and checkpoint decoders, the Top-k
-# kernel's equivalence with its frozen oracle and the encoder's size bound
-# (the scheduled CI job runs each target for minutes; see
-# .github/workflows/fuzz.yml).
+# kernel's equivalence with its frozen oracle, the encoder's size bound and
+# the streaming kernels' AVX2 bodies against their Go twins (the scheduled
+# CI job runs each target for minutes; see .github/workflows/fuzz.yml).
 FUZZ_SMOKE_TIME ?= 10s
 
 fuzz-smoke:
@@ -81,6 +81,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeAny$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzTopKEquivalence$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzEncodedLenBound$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
+	go test -run '^$$' -fuzz '^FuzzStreamKernels$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/tensor
 	go test -run '^$$' -fuzz '^FuzzTernaryDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/quant
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/checkpoint
 	go test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/replica

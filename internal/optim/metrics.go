@@ -9,12 +9,11 @@ import (
 
 // optimMetrics instruments one sparsifying update rule. Handles are
 // resolved once at construction; per-step recording is a few atomic
-// operations. The per-layer accumulators live in topkScratch so the
-// forEachLayer fan-out writes without contention (each goroutine touches
-// only its own layer index) and the totals are summed serially afterwards.
+// operations.
 type optimMetrics struct {
 	prepareSeconds *telemetry.Histogram
 	topkNanos      *telemetry.Counter
+	topkMisses     *telemetry.Counter
 	residualMass   *telemetry.Gauge
 }
 
@@ -25,27 +24,25 @@ func newOptimMetrics(rule string) *optimMetrics {
 			"Latency of one Prepare call (accumulate, select, assemble).",
 			telemetry.DurationBuckets(), "rule", rule),
 		topkNanos: reg.Counter("dgs_optim_topk_ns_total",
-			"Cumulative per-layer nanoseconds in the fused selection passes (accumulate+histogram, resolve, emit+aftermath).",
+			"Cumulative nanoseconds in the layer walk (accumulate, select and emit): per layer, the accumulate-and-count pass, then either the warm sweep, candidate resolve and O(k) compaction or, on a miss, the histogram Cut and emit sweep.",
+			"rule", rule),
+		topkMisses: reg.Counter("dgs_optim_topk_misses_total",
+			"Layer-steps whose warm-start floor did not bracket the Top-k boundary (first step, too few or too many candidates), so the layer took the histogram path; layers no longer than the candidate bound are not counted.",
 			"rule", rule),
 		residualMass: reg.Gauge("dgs_optim_residual_mass",
-			"L1 mass of the unsent residual/velocity after the last Prepare.",
+			"L1 mass of the unsent residual/velocity after the last Prepare, as s·(Σ|x| − Σ|sent|) per layer; NaN when a layer holds ±Inf.",
 			"rule", rule),
 	}
 	return m
 }
 
-// observe folds the per-layer accumulators into the shared metrics after
-// one Prepare call.
-func (m *optimMetrics) observe(ts *topkScratch, elapsed time.Duration) {
-	var topk int64
-	var mass float64
-	for i := range ts.topkNs {
-		topk += ts.topkNs[i]
-		mass += ts.mass[i]
-	}
+// observe records one Prepare call: its latency, the time in the layer
+// walk, the unsent mass and the layers that missed.
+func (m *optimMetrics) observe(elapsed, topk time.Duration, mass float64, misses int) {
 	m.prepareSeconds.Observe(elapsed.Seconds())
-	if topk > 0 {
-		m.topkNanos.Add(uint64(topk))
+	m.topkNanos.Add(uint64(topk.Nanoseconds()))
+	if misses > 0 {
+		m.topkMisses.Add(uint64(misses))
 	}
 	m.residualMass.Set(mass)
 }

@@ -17,10 +17,11 @@
 package optim
 
 import (
+	"slices"
 	"time"
 
-	"dgs/internal/par"
 	"dgs/internal/sparse"
+	"dgs/internal/tensor"
 )
 
 // WorkerOptimizer turns local gradients into the update a worker transmits.
@@ -37,103 +38,134 @@ type WorkerOptimizer interface {
 	StateBytes() int
 }
 
-// parallelPrepThreshold is the total element count below which Prepare's
-// per-layer fan-out is not worth goroutine overhead.
-const parallelPrepThreshold = 1 << 16
+// candidateSlack bounds a warm step's candidates at candidateSlack·max(k,
+// sparse.ExactCap), which keeps the chunk slot and the Selector's scratch
+// O(k). Training puts 1.2–2.1·k over the floor, i.i.d. draws settle
+// SAMomentum's velocity at 2–3·k, and a hit at the bound still costs less
+// than a miss (DESIGN.md §8).
+const candidateSlack = 4
 
-// layerRule is a sparsifying rule's per-layer Prepare body. Every rule makes
-// the same three passes over a layer's accumulation x, with the selection
-// kernel (sparse.Selector) fused into the two the rule needs anyway: the
-// accumulate pass folds g into x and feeds each new value to sel's
-// histogram, sel.Cut resolves the exact Top-k boundary, and one in-order
-// sweep moves the selected coordinates into c — already index-sorted —
-// while applying the rule's per-coordinate aftermath (zero the sent
-// residual, or magnify the unsent velocity by 1/m). It returns the L1 mass
-// left unsent. Layers are never empty here.
+// layerRule is what a sparsifying rule adds to the Top-k every rule shares
+// (topkScratch.layer): the pass that folds a gradient into its state and the
+// aftermath of sending a coordinate.
 type layerRule interface {
-	prepareLayer(i int, g []float32, lr float32, sel *sparse.Selector, c *sparse.Chunk) (mass float64)
+	// accumulate folds layer i's gradient g (scaled by lr) into the rule's
+	// state with tensor.AxpbyCount and returns the vector x the Top-k
+	// selects from, how many of its coordinates have magnitude at or above
+	// floor, and Σ|x|. Layers are never empty here.
+	accumulate(i int, g []float32, lr float32, floor uint32) (x []float32, count int, sum float64)
+	// sent applies the rule's aftermath to layer i's coordinates idx, just
+	// selected for sending.
+	sent(i int, idx []int32)
 }
 
 // topkScratch holds the per-layer Top-k machinery shared by the sparsifying
-// rules: one Selector per layer so selection can fan out across cores, one
-// persistent chunk slot per layer so steady-state assembly allocates
-// nothing, and the assembled update returned to the caller.
+// rules: one Selector per layer, so each layer keeps its own warm-start
+// floor, one persistent chunk slot per layer so steady-state assembly
+// allocates nothing, and the assembled update returned to the caller.
 type topkScratch struct {
 	sel    []sparse.Selector
 	chunks []sparse.Chunk
 	out    sparse.Update
-
-	// The step in flight, held only while prepare runs: the per-layer body
-	// is a method on the scratch because a closure over these would escape
-	// through the fan-out's goroutines and allocate on every step.
-	rule    layerRule
-	grads   [][]float32
-	lr      float32
-	layerFn func(int) // s.layer, the fan-out's body
-
-	// Per-layer telemetry accumulators. Each fan-out goroutine writes only
-	// its own layer's slot, so recording is contention- and race-free; the
-	// totals are summed serially after the fan-out joins.
-	topkNs []int64   // nanoseconds in the three fused passes
-	mass   []float64 // L1 mass of the unsent residual/velocity
+	om     *optimMetrics
+	missed []bool // which layers the last prepare counted as misses
 }
 
-func newTopkScratch(n int) topkScratch {
+func newTopkScratch(n int, rule string) topkScratch {
 	return topkScratch{
 		sel:    make([]sparse.Selector, n),
 		chunks: make([]sparse.Chunk, n),
-		topkNs: make([]int64, n),
-		mass:   make([]float64, n),
+		om:     newOptimMetrics(rule),
+		missed: make([]bool, n),
 	}
 }
 
-// prepare runs rule over every layer and assembles the chunks it emitted in
-// layer order, so the result is deterministic regardless of how the fan-out
-// interleaved.
-func (s *topkScratch) prepare(rule layerRule, grads [][]float32, lr float32, om *optimMetrics) sparse.Update {
+// prepare runs rule over every layer in order, sending the keep fraction of
+// each and multiplying the unsent coordinates by scale, and assembles the
+// chunks it emitted in layer order.
+func (s *topkScratch) prepare(rule layerRule, grads [][]float32, lr float32, keep float64, scale float32) sparse.Update {
 	p0 := time.Now()
-	s.rule, s.grads, s.lr = rule, grads, lr
-	s.forEachLayer()
-	s.rule, s.grads = nil, nil
+	var mass float64
+	misses := 0
+	for i, g := range grads {
+		mass += s.layer(rule, i, g, lr, keep, scale)
+		if s.missed[i] {
+			misses++
+		}
+	}
+	topk := time.Since(p0)
 	s.out.Chunks = s.out.Chunks[:0]
 	for i := range s.chunks {
 		if len(s.chunks[i].Idx) > 0 {
 			s.out.Chunks = append(s.out.Chunks, s.chunks[i])
 		}
 	}
-	om.observe(s, time.Since(p0))
+	s.om.observe(time.Since(p0), topk, mass, misses)
 	return s.out
 }
 
-// forEachLayer runs s.layer for every layer. When the model is large enough
-// the layers fan out across cores (par.Each); each layer touches only its own
-// state, so results are identical to the serial order.
-func (s *topkScratch) forEachLayer() {
-	total := 0
-	for _, g := range s.grads {
-		total += len(g)
+// layer selects the exact Top-k of layer i, warm-started from the boundary
+// its Selector resolved last step (DESIGN.md §8), and returns the L1 mass
+// left unsent. Pass 1 is the rule's accumulate, which counts the
+// coordinates at or above the Selector's floor. When there are at least k
+// and at most candidateSlack·max(k, ExactCap) of them (a hit), pass 2 is one
+// Sweep that scales every coordinate below the floor and appends the rest
+// to the chunk slot in index order; the exact boundary is resolved over
+// those candidates alone, and an O(k) compaction keeps the selected ones and
+// scales the others. On any other count (the first step always) the layer
+// takes the histogram path: Cut over the whole layer, then one emit sweep.
+// Both paths select the same set. Only a layer longer than the candidate
+// bound counts that as a miss: on a shorter one the histogram path is O(k)
+// work too.
+func (s *topkScratch) layer(rule layerRule, i int, g []float32, lr float32, keep float64, scale float32) (mass float64) {
+	if len(g) == 0 {
+		return 0 // no chunk, no mass; rules may assume a non-empty layer
 	}
-	if total < parallelPrepThreshold {
-		for i := range s.grads {
-			s.layer(i)
+	sel, c := &s.sel[i], &s.chunks[i]
+	k := sparse.KForRatio(len(g), keep)
+	most := candidateSlack * max(k, sparse.ExactCap)
+	floor, warm := sel.Floor()
+	x, count, sum := rule.accumulate(i, g, lr, floor)
+	hit := warm && count >= k && count <= most
+	var sentMass float64
+	if hit {
+		room := count + tensor.StreamLanes
+		c.Idx, c.Val = tensor.Sweep(x, scale, floor, slices.Grow(c.Idx[:0], room), slices.Grow(c.Val[:0], room))
+		cut := sel.CutCandidates(c.Idx, c.Val, k)
+		n := 0
+		for j, ord := range c.Idx {
+			v := c.Val[j]
+			if cut.Keeps(v, ord) {
+				c.Idx[n], c.Val[n] = ord, v
+				n++
+				sentMass += absf(v)
+			} else if scale != 1 {
+				x[ord] = v * scale
+			}
 		}
-		return
+		c.Idx, c.Val = c.Idx[:n], c.Val[:n]
+	} else {
+		cut := sel.Cut(x, k)
+		c.Idx, c.Val = c.Idx[:0], c.Val[:0]
+		for j, v := range x {
+			if cut.Keeps(v, int32(j)) {
+				c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, v)
+				sentMass += absf(v)
+			} else if scale != 1 {
+				x[j] = v * scale
+			}
+		}
 	}
-	if s.layerFn == nil {
-		s.layerFn = s.layer // bound once: a method value per step would allocate
+	c.Layer = i
+	rule.sent(i, c.Idx)
+	s.missed[i] = !hit && len(g) > most
+	if len(c.Idx) == len(x) {
+		return 0 // everything sent; the subtraction below would leave rounding
 	}
-	par.Each(len(s.grads), s.layerFn)
-}
-
-func (s *topkScratch) layer(i int) {
-	if len(s.grads[i]) == 0 {
-		return // no chunk, no mass; rules may assume a non-empty layer
-	}
-	t0 := time.Now()
-	c := &s.chunks[i]
-	c.Layer, c.Idx, c.Val = i, c.Idx[:0], c.Val[:0]
-	s.mass[i] = s.rule.prepareLayer(i, s.grads[i], s.lr, &s.sel[i], c)
-	s.topkNs[i] = time.Since(t0).Nanoseconds()
+	// Σ|unsent| = Σ|x| − Σ|sent|, clamped at 0 against rounding. A layer
+	// holding ±Inf reads NaN (Inf − Inf) where a direct sum over only the
+	// unsent coordinates could stay finite.
+	return float64(scale) * max(0, sum-sentMass)
 }
 
 // denseScratch caches the identity index slices and chunk headers the dense
@@ -255,38 +287,28 @@ type GradientDropping struct {
 	KeepRatio float64
 	r         [][]float32
 	ts        topkScratch
-	om        *optimMetrics
 }
 
 // NewGradientDropping creates the rule.
 func NewGradientDropping(layerSizes []int, keepRatio float64) *GradientDropping {
-	return &GradientDropping{KeepRatio: keepRatio, r: allocLike(layerSizes),
-		ts: newTopkScratch(len(layerSizes)), om: newOptimMetrics("gd")}
+	return &GradientDropping{KeepRatio: keepRatio, r: allocLike(layerSizes), ts: newTopkScratch(len(layerSizes), "gd")}
 }
 
 // Prepare accumulates and selects: r += η∇; send top-k(r); r[sent] = 0.
-// Layers are processed in parallel on multi-core hosts.
 func (o *GradientDropping) Prepare(grads [][]float32, lr float32) sparse.Update {
-	return o.ts.prepare(o, grads, lr, o.om)
+	return o.ts.prepare(o, grads, lr, o.KeepRatio, 1)
 }
 
-func (o *GradientDropping) prepareLayer(i int, g []float32, lr float32, sel *sparse.Selector, c *sparse.Chunk) (mass float64) {
+func (o *GradientDropping) accumulate(i int, g []float32, lr float32, floor uint32) ([]float32, int, float64) {
+	count, sum := tensor.AxpbyCount(o.r[i], g, 1, lr, floor)
+	return o.r[i], count, sum
+}
+
+func (o *GradientDropping) sent(i int, idx []int32) {
 	r := o.r[i]
-	h := sel.Begin(len(r))
-	for j, v := range g {
-		r[j] += lr * v
-		mass += absf(r[j])
-		h.Add(r[j])
+	for _, j := range idx {
+		r[j] = 0
 	}
-	cut := sel.Cut(r, sparse.KForRatio(len(r), o.KeepRatio))
-	for j, v := range r {
-		if cut.Keeps(v, int32(j)) {
-			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, v)
-			r[j] = 0
-			mass -= absf(v)
-		}
-	}
-	return mass
 }
 
 // Name implements WorkerOptimizer.
@@ -307,40 +329,31 @@ type DGC struct {
 	KeepRatio float64
 	u, v      [][]float32
 	ts        topkScratch
-	om        *optimMetrics
 }
 
 // NewDGC creates the rule.
 func NewDGC(layerSizes []int, m float32, keepRatio float64) *DGC {
 	return &DGC{M: m, KeepRatio: keepRatio, u: allocLike(layerSizes), v: allocLike(layerSizes),
-		ts: newTopkScratch(len(layerSizes)), om: newOptimMetrics("dgc")}
+		ts: newTopkScratch(len(layerSizes), "dgc")}
 }
 
-// Prepare applies momentum correction and factor masking. Layers are
-// processed in parallel on multi-core hosts.
+// Prepare applies momentum correction and factor masking.
 func (o *DGC) Prepare(grads [][]float32, lr float32) sparse.Update {
-	return o.ts.prepare(o, grads, lr, o.om)
+	return o.ts.prepare(o, grads, lr, o.KeepRatio, 1)
 }
 
-func (o *DGC) prepareLayer(i int, g []float32, lr float32, sel *sparse.Selector, c *sparse.Chunk) (mass float64) {
+func (o *DGC) accumulate(i int, g []float32, lr float32, floor uint32) ([]float32, int, float64) {
+	tensor.AxpbyCount(o.u[i], g, o.M, lr, floor)
+	count, sum := tensor.AxpbyCount(o.v[i], o.u[i], 1, 1, floor)
+	return o.v[i], count, sum
+}
+
+// sent is momentum factor masking: stop stale momentum at sent coordinates.
+func (o *DGC) sent(i int, idx []int32) {
 	u, v := o.u[i], o.v[i]
-	h := sel.Begin(len(v))
-	for j, gv := range g {
-		u[j] = o.M*u[j] + lr*gv
-		v[j] += u[j]
-		mass += absf(v[j])
-		h.Add(v[j])
+	for _, j := range idx {
+		u[j], v[j] = 0, 0
 	}
-	cut := sel.Cut(v, sparse.KForRatio(len(v), o.KeepRatio))
-	for j, vv := range v {
-		if cut.Keeps(vv, int32(j)) {
-			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, vv)
-			// Momentum factor masking: stop stale momentum at sent coords.
-			v[j], u[j] = 0, 0
-			mass -= absf(vv)
-		}
-	}
-	return mass
 }
 
 // Name implements WorkerOptimizer.
@@ -365,7 +378,6 @@ type SAMomentum struct {
 	KeepRatio float64
 	u         [][]float32
 	ts        topkScratch
-	om        *optimMetrics
 }
 
 // NewSAMomentum creates the rule. m must be in (0,1): the 1/m rescale is
@@ -375,35 +387,22 @@ func NewSAMomentum(layerSizes []int, m float32, keepRatio float64) *SAMomentum {
 		panic("optim: SAMomentum requires 0 < m < 1")
 	}
 	return &SAMomentum{M: m, KeepRatio: keepRatio, u: allocLike(layerSizes),
-		ts: newTopkScratch(len(layerSizes)), om: newOptimMetrics("samomentum")}
+		ts: newTopkScratch(len(layerSizes), "samomentum")}
 }
 
-// Prepare implements Algorithm 3 lines 6–12. Layers are processed in
-// parallel on multi-core hosts.
+// Prepare implements Algorithm 3 lines 6–12: the unsent coordinates are
+// magnified by 1/m.
 func (o *SAMomentum) Prepare(grads [][]float32, lr float32) sparse.Update {
-	return o.ts.prepare(o, grads, lr, o.om)
+	return o.ts.prepare(o, grads, lr, o.KeepRatio, 1/o.M)
 }
 
-func (o *SAMomentum) prepareLayer(i int, g []float32, lr float32, sel *sparse.Selector, c *sparse.Chunk) (mass float64) {
-	u, invM := o.u[i], 1/o.M
-	h := sel.Begin(len(u))
-	for j, gv := range g {
-		u[j] = o.M*u[j] + lr*gv
-		h.Add(u[j])
-	}
-	cut := sel.Cut(u, sparse.KForRatio(len(u), o.KeepRatio))
-	for j, v := range u {
-		if cut.Keeps(v, int32(j)) {
-			// Sent: velocity retained as-is.
-			c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, v)
-			continue
-		}
-		// Unsent: magnified by 1/m.
-		u[j] = v * invM
-		mass += absf(u[j])
-	}
-	return mass
+func (o *SAMomentum) accumulate(i int, g []float32, lr float32, floor uint32) ([]float32, int, float64) {
+	count, sum := tensor.AxpbyCount(o.u[i], g, o.M, lr, floor)
+	return o.u[i], count, sum
 }
+
+// sent keeps the velocity of sent coordinates as it is.
+func (o *SAMomentum) sent(int, []int32) {}
 
 // Name implements WorkerOptimizer.
 func (o *SAMomentum) Name() string { return "DGS" }

@@ -131,7 +131,7 @@ func TestCutRankMatchesSort(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(500)
 		if trial%5 == 0 {
-			n += 2 * exactCap // histogram path
+			n += 2 * ExactCap // histogram path
 		}
 		x := make([]float32, n)
 		rng.FillNormal(x, 0, 1)

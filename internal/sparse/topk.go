@@ -68,10 +68,14 @@ const (
 	histDigit     = 12
 	topShift      = compositeBits - histDigit
 
-	// exactCap is the most composites the exact stage resolves by
+	// ExactCap is the most composites the exact stage resolves by
 	// quickselect; a layer (or a histogram bucket) no larger than this
 	// skips further histogram passes.
-	exactCap = 1024
+	ExactCap = 1024
+
+	// bucketKeys is the width of one top-digit bucket in magnitude bits:
+	// 1/16 of an octave, a factor of 2^(1/16) ≈ 1.044 in |v|.
+	bucketKeys = 1 << (topShift - 32)
 )
 
 // orderKey is the magnitude half of the composite.
@@ -127,7 +131,7 @@ func (h *Hist) AddZeros(n int) {
 }
 
 // Selector is reusable Top-k scratch: the digit histogram, up to
-// max(k, exactCap) composites for the exact stage, and the k selected
+// max(k, ExactCap) composites for the exact stage, and the k selected
 // positions — O(buckets + k), never O(layer). The zero
 // value is ready to use; after the first call on a layer its capacity is
 // retained, so steady-state selection allocates nothing. A Selector is not
@@ -137,6 +141,11 @@ type Selector struct {
 	begun bool
 	cand  []uint64
 	out   []int32
+
+	// floor is the warm-start floor Floor reports, set by every resolved
+	// boundary; warm says one has been.
+	floor uint32
+	warm  bool
 }
 
 // Begin starts a selection over n values whose first histogram pass the
@@ -144,7 +153,7 @@ type Selector struct {
 // Cut with those same values. It returns nil when n is small enough for the
 // exact stage alone.
 func (s *Selector) Begin(n int) *Hist {
-	if n <= exactCap {
+	if n <= ExactCap {
 		return nil
 	}
 	s.begun = true
@@ -170,12 +179,12 @@ func (s *Selector) resetHist() *Hist {
 // coordinate bits.
 func (s *Selector) Cut(val []float32, k int) Cut {
 	r := min(k, len(val))   // 1-based place of the boundary within the bucket
-	fit := max(r, exactCap) // the exact stage's scratch stays O(k)
+	fit := max(r, ExactCap) // the exact stage's scratch stays O(k)
 	var prefix uint64       // the bucket: composites with c>>shift == prefix
 	shift := uint(compositeBits)
 	begun := s.begun
 	s.begun = false
-	if len(val) > exactCap {
+	if len(val) > ExactCap {
 		h := s.hist
 		if !begun {
 			h = s.resetHist()
@@ -222,8 +231,40 @@ func (s *Selector) Cut(val []float32, k int) Cut {
 			}
 		}
 	}
+	return s.resolve(r)
+}
+
+// Floor returns the magnitude bits (Float32bits(v) & 0x7fffffff) one
+// top-digit histogram bucket (≈4.4 % of |v|) below the last boundary this
+// Selector resolved, and false before it has resolved one. A caller that
+// selects from the same layer every step, as optim's rules do, counts the
+// coordinates at or above it while it writes the layer; when there are at
+// least k of them and not too many, CutCandidates over just those finds the
+// exact boundary.
+func (s *Selector) Floor() (floor uint32, ok bool) { return s.floor, s.warm }
+
+// CutCandidates returns the Cut that Cut(val, k) would return for the whole
+// layer, given only its candidates: the coordinates idx, ascending, with
+// their values val, of every element whose magnitude bits are at or above
+// some floor, at least k of them. Every element that sorts at or before the
+// k-th then has a candidate's magnitude, so the k-th composite of the
+// candidates is the layer's: it is Cut over the candidates as a layer of
+// their own, and because idx ascends, a candidate's position in val orders
+// ties as its coordinate does and the boundary's position translates to its
+// coordinate. Scratch is O(len(idx)).
+func (s *Selector) CutCandidates(idx []int32, val []float32, k int) Cut {
+	cut := s.Cut(val, k)
+	cut.last = cut.last>>32<<32 | uint64(uint32(idx[uint32(cut.last)]))
+	return cut
+}
+
+// resolve selects the r-th (1-based) smallest composite of s.cand as the
+// boundary and records the floor below it for the next selection.
+func (s *Selector) resolve(r int) Cut {
 	last := selectNth(s.cand, r-1)
-	return Cut{last: last, key: absMask ^ uint32(last>>32)}
+	cut := Cut{last: last, key: absMask ^ uint32(last>>32)}
+	s.floor, s.warm = cut.key-min(cut.key, bucketKeys), true
+	return cut
 }
 
 // keyRange returns the raw magnitude bits (Float32bits & absMask, before the

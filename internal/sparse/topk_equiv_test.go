@@ -39,6 +39,40 @@ func checkTopKEquivalence(t testing.TB, sel *Selector, x []float32, k int) {
 		if !slices.Equal(fused, want) {
 			t.Fatalf("fused Cut n=%d k=%d: kernel and oracle differ\n got  %v\n want %v", len(x), k, head(fused), head(want))
 		}
+
+		// Warm form, as optim drives it on the next step: the candidates at
+		// or above a floor resolve the same selection whenever there are at
+		// least k of them — at the floor this Cut left, one far below it
+		// and 0.
+		floor, _ := sel.Floor()
+		for _, f := range []uint32{floor, floor / 2, 0} {
+			checkCutCandidates(t, sel, x, k, f, want)
+		}
+	}
+}
+
+func checkCutCandidates(t testing.TB, sel *Selector, x []float32, k int, floor uint32, want []int32) {
+	t.Helper()
+	var idx []int32
+	var val []float32
+	for i, v := range x {
+		if math.Float32bits(v)&absMask >= floor {
+			idx, val = append(idx, int32(i)), append(val, v)
+		}
+	}
+	if len(idx) < k {
+		return
+	}
+	cut := sel.CutCandidates(idx, val, k)
+	var warm []int32
+	for j, i := range idx {
+		if cut.Keeps(val[j], i) {
+			warm = append(warm, i)
+		}
+	}
+	if !slices.Equal(warm, want) {
+		t.Fatalf("CutCandidates n=%d k=%d floor=%#x (%d candidates): kernel and oracle differ\n got  %v\n want %v",
+			len(x), k, floor, len(idx), head(warm), head(want))
 	}
 }
 
@@ -49,9 +83,9 @@ func head(a []int32) []int32 {
 	return a
 }
 
-// equivalenceSizes straddle exactCap: the exact stage alone, one histogram
+// equivalenceSizes straddle ExactCap: the exact stage alone, one histogram
 // level, and (for heavy ties) the descent through every digit.
-var equivalenceSizes = []int{1, 2, 7, 100, exactCap, exactCap + 1, 3*exactCap + 5}
+var equivalenceSizes = []int{1, 2, 7, 100, ExactCap, ExactCap + 1, 3*ExactCap + 5}
 
 func TestTopKEquivalenceTable(t *testing.T) {
 	nan := float32(math.NaN())
@@ -135,14 +169,14 @@ func TestTopKEquivalenceTable(t *testing.T) {
 
 // TestTopKEquivalenceProperty draws gradient-shaped and adversarial layers
 // from a seeded generator: ~2^40 of dynamic range salted with zeros, NaNs,
-// infinities and repeated values, at sizes on both sides of exactCap.
+// infinities and repeated values, at sizes on both sides of ExactCap.
 func TestTopKEquivalenceProperty(t *testing.T) {
 	rng := tensor.NewRNG(43)
 	var sel Selector
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(300)
 		if trial%4 == 0 {
-			n = exactCap/2 + rng.Intn(4*exactCap)
+			n = ExactCap/2 + rng.Intn(4*ExactCap)
 		}
 		x := make([]float32, n)
 		dup := (rng.Float32() - 0.5) * 8
@@ -169,7 +203,7 @@ func TestTopKEquivalenceProperty(t *testing.T) {
 }
 
 // FuzzTopKEquivalence decodes the input as little-endian float32s, tiles
-// them rep times (so short inputs still cross exactCap, and every value is
+// them rep times (so short inputs still cross ExactCap, and every value is
 // a heavy tie) and checks kernel ≡ oracle for the fuzzed k.
 func FuzzTopKEquivalence(f *testing.F) {
 	le := binary.LittleEndian

@@ -32,9 +32,10 @@ const (
 	smallGemmVolume = 8 * 8 * 8
 )
 
-// SIMDKernelEnabled reports whether the AVX2+FMA micro-kernel is active on
-// this host (false on other architectures or when the CPU lacks the
-// features). Exposed for benchmark reports and diagnostics.
+// SIMDKernelEnabled reports whether the AVX2 kernels (the GEMM micro-kernel
+// and the streaming kernels) are active on this host (false on other
+// architectures, when the CPU lacks the features, or under
+// DGS_DISABLE_SIMD). Exposed for benchmark reports and diagnostics.
 func SIMDKernelEnabled() bool { return useSIMDKernel }
 
 // Gemm computes C = alpha*A*B + beta*C for row-major matrices,

@@ -16,9 +16,10 @@ import (
 // The kernel choice is a package global resolved at init, and mutating it
 // in-process would race with any parallel test that calls Gemm, so the
 // check re-executes this test binary with DGS_DISABLE_SIMD=1 set: the child
-// picks the generic kernel at startup and runs the comparisons below plus
-// the direct-vs-staged tile check, and no in-process state is ever touched.
-// (CI's generic-gemm job runs the whole package this way.)
+// picks the generic kernels at startup and runs the comparisons below, the
+// direct-vs-staged tile check and the streaming kernels' loop checks (their
+// Go twins), and no in-process state is ever touched. (CI's generic-gemm
+// job runs the whole package this way.)
 func TestGenericKernelMatchesBaseline(t *testing.T) {
 	if os.Getenv("DGS_TEST_GENERIC_CHILD") != "" {
 		if SIMDKernelEnabled() {
@@ -28,7 +29,7 @@ func TestGenericKernelMatchesBaseline(t *testing.T) {
 		return
 	}
 	cmd := exec.Command(os.Args[0], "-test.v",
-		"-test.run=^(TestGenericKernelMatchesBaseline|TestGemmDirectEqualsStagedTile)$")
+		"-test.run=^(TestGenericKernelMatchesBaseline|TestGemmDirectEqualsStagedTile|TestAxpbyCountMatchesLoop|TestSweepMatchesLoop)$")
 	cmd.Env = append(os.Environ(), "DGS_TEST_GENERIC_CHILD=1", "DGS_DISABLE_SIMD=1")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

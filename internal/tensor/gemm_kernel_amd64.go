@@ -4,11 +4,12 @@ package tensor
 
 import "os"
 
-// useSIMDKernel reports whether the AVX2+FMA micro-kernel may be used.
-// It requires CPU support for AVX2 and FMA plus OS support for saving the
-// YMM register state (OSXSAVE + XCR0 bits 1 and 2). Setting
-// DGS_DISABLE_SIMD=1 forces the portable Go micro-kernel, so CI can
-// exercise the generic path on AVX2 machines.
+// useSIMDKernel reports whether the AVX2 kernels may be used: the GEMM
+// micro-kernel and the streaming kernels of stream.go. It requires CPU
+// support for AVX2, FMA and POPCNT plus OS support for saving the YMM
+// register state (OSXSAVE + XCR0 bits 1 and 2). Setting DGS_DISABLE_SIMD=1
+// forces the portable Go twins, so CI can exercise the generic path on
+// AVX2 machines.
 var useSIMDKernel = detectSIMD()
 
 func detectSIMD() bool {
@@ -21,11 +22,12 @@ func detectSIMD() bool {
 	}
 	const (
 		fmaBit     = 1 << 12
+		popcntBit  = 1 << 23
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
 	_, _, c1, _ := cpuidex(1, 0)
-	if c1&fmaBit == 0 || c1&osxsaveBit == 0 || c1&avxBit == 0 {
+	if c1&fmaBit == 0 || c1&popcntBit == 0 || c1&osxsaveBit == 0 || c1&avxBit == 0 {
 		return false
 	}
 	if xeax, _ := xgetbv(); xeax&0x6 != 0x6 {
