@@ -82,6 +82,5 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTopKEquivalence$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzEncodedLenBound$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzStreamKernels$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/tensor
-	go test -run '^$$' -fuzz '^FuzzTernaryDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/quant
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/checkpoint
 	go test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/replica

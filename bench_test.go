@@ -184,16 +184,16 @@ func BenchmarkMemoryUsage(b *testing.B) {
 	}
 }
 
-// BenchmarkAblations exercises the design-choice ablations: ternary
+// BenchmarkAblations exercises the design-choice ablations: SBC
 // quantization of sparse values (paper §6 future work), secondary-ratio
-// sweep, keep-ratio sweep. Shape: ternary shrinks upward traffic further;
+// sweep, keep-ratio sweep. Shape: SBC shrinks upward traffic further;
 // secondary compression caps downward traffic.
 func BenchmarkAblations(b *testing.B) {
 	rep := runExperiment(b, "ablations")
 	v := rep.Values
-	if v["upbytes_dgs+ternary"] >= v["upbytes_dgs"] {
-		b.Errorf("ternary upward bytes %.0f should undercut plain DGS %.0f",
-			v["upbytes_dgs+ternary"], v["upbytes_dgs"])
+	if v["upbytes_dgs+sbc"] >= v["upbytes_dgs"] {
+		b.Errorf("SBC upward bytes %.0f should undercut plain DGS %.0f",
+			v["upbytes_dgs+sbc"], v["upbytes_dgs"])
 	}
 	if v["downbytes_dgs+secondary0.01"] > v["downbytes_dgs"]*1.05 {
 		b.Errorf("secondary compression downward bytes %.0f should not exceed plain DGS %.0f",

@@ -254,7 +254,7 @@ func (t *training) register(fs *flag.FlagSet) {
 	fs.Float64Var(&t.lr, "lr", 0.1, "initial learning rate")
 	fs.Float64Var(&t.momentum, "momentum", 0.7, "momentum coefficient m")
 	fs.Float64Var(&t.KeepRatio, "keep", 0.01, "Top-k keep ratio R (0.01 = top 1%)")
-	fs.StringVar(&t.Codec, "codec", "raw", "wire compression backend (raw|ternary|sbc); lossy codecs fold their error into the residual state")
+	fs.StringVar(&t.Codec, "codec", "raw", "wire compression backend (raw|sbc); sbc folds its error into the residual state")
 	fs.Uint64Var(&t.Seed, "seed", 1, "random seed (workers must share it for identical θ0)")
 	fs.IntVar(&t.PipelineDepth, "pipeline", 1, "in-flight exchanges per worker (1 = synchronous, >1 overlaps comm with compute)")
 }

@@ -61,7 +61,7 @@ func TestAdvertisedCodecsAreLinked(t *testing.T) {
 			}
 		}
 	}
-	for _, codec := range []string{"raw", "ternary", "sbc"} {
+	for _, codec := range []string{"raw", "sbc"} {
 		if !seen[codec] {
 			t.Errorf("no -codec usage advertises %q", codec)
 		}

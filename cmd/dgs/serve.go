@@ -37,7 +37,7 @@ func serverCmd(fs *flag.FlagSet) func() {
 	secondary := fs.Bool("secondary", false, "enable downward secondary compression")
 	ratio := fs.Float64("ratio", 0.01, "secondary compression keep ratio")
 	denseDown := fs.Bool("dense-down", false, "ship the whole model downward (ASGD mode)")
-	codec := fs.String("codec", "mirror", "downward wire codec policy: mirror (answer in the request's codec) or a codec name (raw|ternary|sbc) forced for v3 peers")
+	codec := fs.String("codec", "mirror", "downward wire codec policy: mirror (answer in the request's codec) or a codec name (raw|sbc) forced for v3 peers")
 	shards := fs.Int("shards", 1, "partition layers across this many lock-independent shards (in one process, a few percent faster than 1 at most)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-exchange deadline (0 disables)")
 	ckptDir := fs.String("checkpoint-dir", "", "directory for crash-recovery checkpoints (empty disables; restores the latest on start)")
@@ -289,7 +289,7 @@ func replicaCmd(fs *flag.FlagSet) func() {
 	var dial trainer.DialOptions
 	worker := fs.Int("worker", 0, "this replica's worker id at the upstream server")
 	httpAddr := fs.String("http", "127.0.0.1:7080", "HTTP listen address for /model, /replicaz, /healthz")
-	codec := fs.String("codec", "raw", "downward wire codec for steady-state polls (raw|ternary|sbc)")
+	codec := fs.String("codec", "raw", "downward wire codec for steady-state polls (raw|sbc)")
 	poll := fs.Duration("poll", 50*time.Millisecond, "subscription poll interval (read staleness bound)")
 	syncEvery := fs.Int("sync-every", 8, "every Nth poll is a raw exact probe (1 pins every poll raw)")
 	svc.register(fs, "")

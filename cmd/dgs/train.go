@@ -100,7 +100,6 @@ func trainCmd(fs *flag.FlagSet) func() {
 	wd := fs.Float64("wd", 0, "L2 weight decay (0 = off)")
 	fs.BoolVar(&tr.Secondary, "secondary", false, "enable downward secondary compression")
 	fs.Float64Var(&tr.WarmupFrac, "warmup", 0, "warm-up fraction of training (0 = off)")
-	fs.BoolVar(&tr.Ternary, "ternary", false, "ternary-quantize sparse values (legacy, no error feedback; prefer -codec)")
 	fs.IntVar(&tr.Shards, "shards", 1, "parameter-server shards (in one process, a few percent faster than 1 at most)")
 	fs.Float64Var(&tr.DataScale, "datascale", 1, "dataset size multiplier")
 	fs.StringVar(&tr.TCPAddr, "tcp", "", "run exchanges over TCP at this address (e.g. 127.0.0.1:0)")

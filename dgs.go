@@ -137,18 +137,13 @@ type Config struct {
 	GradClip float32
 	// WeightDecay, when positive, adds L2 regularisation (∇ + wd·θ).
 	WeightDecay float32
-	// Ternary additionally quantizes sparse upward values to {−s, 0, +s}
-	// with unbiased stochastic rounding (TernGrad combination, paper §6).
-	// The legacy flag drops the quantization error; prefer Codec, which
-	// folds it into residual state on both directions of the exchange.
-	Ternary bool
 	// Codec selects the wire compression backend for both directions of
-	// the exchange: "raw" (exact float32 values, the default), "ternary"
-	// (stochastic {−s, 0, +s} quantization) or "sbc" (sparse binary
-	// compression: per-sign mean magnitudes + Rice-coded indices). Lossy
-	// codecs fold their projection error into residual state — the worker
-	// into its optimizer accumulation, the server into v_k — so nothing is
-	// lost, only deferred (DESIGN.md §14).
+	// the exchange: "raw" (exact float32 values, the default) or "sbc"
+	// (sparse binary compression: per-sign mean magnitudes + Rice-coded
+	// indices). SBC folds its projection error into residual state — the
+	// worker into its optimizer state or error memory, the server into
+	// v_k — so each error is deferred and delivered once, never lost
+	// (DESIGN.md §7, §14).
 	Codec string
 	// WarmupFrac, when positive, enables DGC-style warm-up over that
 	// fraction of training (learning-rate ramp + sparsity annealing).
@@ -293,7 +288,6 @@ func buildTrainerConfig(cfg Config) (*trainer.Config, error) {
 		SecondaryRatio: cfg.SecondaryRatio,
 		GradClip:       cfg.GradClip,
 		WeightDecay:    cfg.WeightDecay,
-		Ternary:        cfg.Ternary,
 		Codec:          cfg.Codec,
 		WarmupFrac:     cfg.WarmupFrac,
 		Seed:           cfg.Seed,

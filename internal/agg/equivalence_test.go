@@ -386,8 +386,7 @@ func TestEquivalenceConcurrentFixpoint(t *testing.T) {
 	}
 }
 
-// Quantized upward codec through the tier: workers push stochastic-ternary
-// frames; the aggregator decodes, merges the decoded values, and forwards
+// Quantized upward codec through the tier: workers push SBC frames; the aggregator decodes, merges the decoded values, and forwards
 // raw — exactly the values a direct server would have applied. Sequential
 // window-1 script, so the comparison is bitwise across topologies.
 func TestEquivalenceQuantizedBitwise(t *testing.T) {
@@ -406,7 +405,7 @@ func TestEquivalenceQuantizedBitwise(t *testing.T) {
 	// always-raw downward policy.
 	direct := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: workers})
 
-	codec, err := sparse.CodecByName("ternary")
+	codec, err := sparse.CodecByName("sbc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,14 +419,13 @@ func TestEquivalenceQuantizedBitwise(t *testing.T) {
 	}
 
 	rng := tensor.NewRNG(23)
-	qrng := tensor.NewRNG(24)
 	var q, e sparse.Update
 	for step := 0; step < 8; step++ {
 		k := step % workers
 		g := randUpdate(rng, sizes, 0.4)
-		quant.Quantize(&q, &g, qrng, &e)
+		quant.Quantize(&q, &g, &e)
 		// Both topologies receive the identical quantized update: the agg
-		// client ships it in the ternary wire codec, the direct server gets
+		// client ships it in the SBC wire codec, the direct server gets
 		// the decoded equivalent.
 		frame := quant.AppendEncode(nil, &q)
 		resp, err := clients[k].tr.Exchange(k, frame)

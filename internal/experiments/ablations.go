@@ -11,13 +11,13 @@ import (
 // Ablations exercises the design choices DESIGN.md calls out beyond the
 // paper's headline tables:
 //
-//   - DGS + TernGrad-style ternary quantization of the sparse values
-//     (the paper's §6 future-work combination);
+//   - DGS + SBC quantization of the sparse values (the paper's §6
+//     future-work combination of sparsification and quantization);
 //   - secondary-compression ratio sweep (bandwidth knob of §4.2.2);
 //   - keep-ratio sweep (R = 1%, 5%, 25%).
 func Ablations(s Scale) (*Report, error) {
 	p := cifarPreset(s)
-	title := "Ablations: ternary combination, secondary ratio, keep ratio"
+	title := "Ablations: SBC combination, secondary ratio, keep ratio"
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	values := map[string]float64{}
@@ -49,11 +49,11 @@ func Ablations(s Scale) (*Report, error) {
 	}
 	addRow("DGS (R=1%)", base)
 
-	tern, err := run("dgs+ternary", func(c *trainer.Config) { c.Ternary = true })
+	sbc, err := run("dgs+sbc", func(c *trainer.Config) { c.Codec = "sbc" })
 	if err != nil {
 		return nil, err
 	}
-	addRow("DGS + ternary values", tern)
+	addRow("DGS + SBC values", sbc)
 
 	for _, ratio := range []float64{0.01, 0.05} {
 		ratio := ratio
@@ -79,7 +79,7 @@ func Ablations(s Scale) (*Report, error) {
 	}
 
 	b.WriteString(tbl.String())
-	b.WriteString("\nTernary quantization shrinks upward bytes further at a small accuracy cost;\n")
+	b.WriteString("\nSBC quantization shrinks upward bytes further at a small accuracy cost;\n")
 	b.WriteString("secondary compression bounds downward traffic; larger R trades bytes for\n")
 	b.WriteString("faster per-coordinate information flow.\n")
 	return &Report{ID: "ablations", Title: title, Text: b.String(), Values: values}, nil

@@ -373,10 +373,16 @@ func (o *DGC) StateBytes() int { return totalBytes(o.u, o.v) }
 // unsent coordinates are magnified by 1/m so that a coordinate silent for
 // T steps telescopes to u_{c+T} = m·u_c + η·Σ∇ (paper Eq. 16) — exactly
 // per-parameter enlarged-batch MSGD, so momentum never disappears.
+//
+// Under a lossy wire codec the rule also keeps an error memory e, the
+// shortfall the codec withheld from sent coordinates (see FoldResidual):
+// Top-k selects from u + e, a sent coordinate ships u + e and clears its e,
+// and e is never rescaled, so each folded error reaches the server once.
 type SAMomentum struct {
 	M         float32
 	KeepRatio float64
 	u         [][]float32
+	e         [][]float32 // nil until the first FoldResidual
 	ts        topkScratch
 }
 
@@ -398,17 +404,40 @@ func (o *SAMomentum) Prepare(grads [][]float32, lr float32) sparse.Update {
 
 func (o *SAMomentum) accumulate(i int, g []float32, lr float32, floor uint32) ([]float32, int, float64) {
 	count, sum := tensor.AxpbyCount(o.u[i], g, o.M, lr, floor)
+	if o.e != nil {
+		// Select from u + e: e rides in u through the selection, and sent
+		// takes it out again.
+		count, sum = tensor.AxpbyCount(o.u[i], o.e[i], 1, 1, floor)
+	}
 	return o.u[i], count, sum
 }
 
-// sent keeps the velocity of sent coordinates as it is.
-func (o *SAMomentum) sent(int, []int32) {}
+// sent keeps the velocity of sent coordinates as it is. With an error
+// memory it also takes e back out of u: a sent coordinate shipped u + e, so
+// u keeps its velocity and e is paid; an unsent one was rescaled as u + e,
+// so subtracting e/m leaves u rescaled and e as it was.
+func (o *SAMomentum) sent(i int, idx []int32) {
+	if o.e == nil {
+		return
+	}
+	u, e := o.u[i], o.e[i]
+	for _, j := range idx {
+		u[j] -= e[j]
+		e[j] = 0
+	}
+	s := 1 / o.M
+	for j, ev := range e {
+		if ev != 0 {
+			u[j] -= float32(ev * s)
+		}
+	}
+}
 
 // Name implements WorkerOptimizer.
 func (o *SAMomentum) Name() string { return "DGS" }
 
 // StateBytes implements WorkerOptimizer.
-func (o *SAMomentum) StateBytes() int { return totalBytes(o.u) }
+func (o *SAMomentum) StateBytes() int { return totalBytes(o.u, o.e) }
 
 // Velocity exposes the internal buffer for invariant tests.
 func (o *SAMomentum) Velocity() [][]float32 { return o.u }
@@ -433,11 +462,10 @@ func (o *SAMomentum) SetKeepRatio(r float64) { o.KeepRatio = r }
 // ResidualFolder is implemented by optimizers whose local accumulation can
 // absorb upward quantization error. When a lossy wire codec projects the
 // prepared update g onto q, the shortfall e = g − q never reaches the
-// server; folding e back into the accumulation the Top-k selects from puts
-// it on the same path as sparsification residual, so it re-enters a later
-// update instead of being lost (Double Quantization's error feedback). The
-// dense baselines keep no residual state and deliberately do not implement
-// this — quantizing them is the biased TernGrad setting.
+// server; folding e back into what the Top-k selects from makes it re-enter
+// a later update exactly once instead of being lost (error feedback, which
+// converges for a contractive codec such as SBC). The dense baselines keep
+// no residual state and deliberately do not implement this.
 type ResidualFolder interface {
 	// FoldResidual adds e into the optimizer's accumulation state. Called
 	// between Prepare invocations, after the quantized update was shipped.
@@ -445,7 +473,9 @@ type ResidualFolder interface {
 }
 
 // FoldResidual implements ResidualFolder: the error rejoins the dropping
-// residual r, exactly where an unsent coordinate would have kept it.
+// residual r, exactly where an unsent coordinate would have kept it. r is
+// never rescaled and is zeroed when sent, so it already delivers the error
+// once and needs no separate memory.
 func (o *GradientDropping) FoldResidual(e *sparse.Update) {
 	for i := range e.Chunks {
 		c := &e.Chunks[i]
@@ -456,7 +486,8 @@ func (o *GradientDropping) FoldResidual(e *sparse.Update) {
 // FoldResidual implements ResidualFolder: the error rejoins the velocity
 // accumulation v that Top-k selects from. u stays masked — the momentum
 // factor masking already stopped stale momentum at the sent coordinates,
-// and the error is a send shortfall, not fresh gradient.
+// and the error is a send shortfall, not fresh gradient. Like GD's r, v is
+// never rescaled and is zeroed when sent, so the error goes out once.
 func (o *DGC) FoldResidual(e *sparse.Update) {
 	for i := range e.Chunks {
 		c := &e.Chunks[i]
@@ -464,13 +495,21 @@ func (o *DGC) FoldResidual(e *sparse.Update) {
 	}
 }
 
-// FoldResidual implements ResidualFolder: the error rejoins the velocity u.
-// Sent coordinates retain their velocity under Algorithm 3, so adding the
-// unshipped remainder there keeps the telescoped per-coordinate sum (paper
-// Eq. 16) accounting for everything the server has not yet received.
+// FoldResidual implements ResidualFolder: the error joins the error memory,
+// allocated on the first fold. It cannot join the velocity u as the other
+// rules' errors join their residuals: Algorithm 3 keeps u at sent
+// coordinates and magnifies it at unsent ones, so the error would be sent
+// again with momentum and the server would receive about e·m/(1−m) in
+// place of e.
 func (o *SAMomentum) FoldResidual(e *sparse.Update) {
+	if o.e == nil {
+		o.e = make([][]float32, len(o.u))
+		for i, l := range o.u {
+			o.e[i] = make([]float32, len(l))
+		}
+	}
 	for i := range e.Chunks {
 		c := &e.Chunks[i]
-		sparse.Scatter(c, o.u[c.Layer], 1)
+		sparse.Scatter(c, o.e[c.Layer], 1)
 	}
 }

@@ -26,6 +26,7 @@ type unfused struct {
 	m    float32
 	keep float64
 	u, v [][]float32
+	e    [][]float32 // SAMomentum's error memory, nil until the first fold
 
 	// mass is the direct in-order Σ|unsent| of the last prepare, each term
 	// the exact float64 product of the unsent value and its rescale (so
@@ -49,6 +50,9 @@ func (o *unfused) prepare(grads [][]float32, lr float32) sparse.Update {
 				sel = v
 			case "sam":
 				u[j] = float32(o.m*u[j]) + float32(lr*gv)
+				if o.e != nil {
+					u[j] += o.e[i][j]
+				}
 			}
 		}
 		idx := sparse.TopKIndices(sel, sparse.KForRatio(len(sel), o.keep))
@@ -85,16 +89,36 @@ func (o *unfused) prepare(grads [][]float32, lr float32) sparse.Update {
 					u[j] *= scale
 				}
 			}
+			if o.e == nil {
+				break
+			}
+			e := o.e[i]
+			for _, j := range idx {
+				u[j] -= e[j]
+				e[j] = 0
+			}
+			for j := range u {
+				if e[j] != 0 {
+					u[j] -= float32(e[j] * scale)
+				}
+			}
 		}
 	}
 	return out
 }
 
-// fold is FoldResidual on the reference: into the vector Top-k selects from.
+// fold is FoldResidual on the reference: into the vector Top-k selects
+// from, or SAMomentum's error memory.
 func (o *unfused) fold(e *sparse.Update) {
 	dst := o.u
-	if o.rule == "dgc" {
+	switch o.rule {
+	case "dgc":
 		dst = o.v
+	case "sam":
+		if o.e == nil {
+			o.e = allocLike(scheduleSizes)
+		}
+		dst = o.e
 	}
 	applyUpdate(*e, dst)
 }
@@ -244,8 +268,13 @@ func TestPrepareMatchesUnfusedReference(t *testing.T) {
 						name, step, ci, g.Layer, len(g.Idx), w.Layer, len(w.Idx))
 				}
 			}
+			e := errorMemory(tc.opt)
+			if (e == nil) != (tc.ref.e == nil) {
+				t.Fatalf("%s step %d: error memory allocated %v, reference %v", name, step, e != nil, tc.ref.e != nil)
+			}
 			for i := range scheduleSizes {
-				if !bitsEqual(tc.u[i], tc.ref.u[i]) || (tc.v != nil && !bitsEqual(tc.v[i], tc.ref.v[i])) {
+				if !bitsEqual(tc.u[i], tc.ref.u[i]) || (tc.v != nil && !bitsEqual(tc.v[i], tc.ref.v[i])) ||
+					(e != nil && !bitsEqual(e[i], tc.ref.e[i])) {
 					t.Fatalf("%s step %d layer %d: state differs from reference", name, step, i)
 				}
 			}
@@ -257,8 +286,10 @@ func TestPrepareMatchesUnfusedReference(t *testing.T) {
 // Prepare derives as s·(Σ|x| − Σ|sent|) without a pass of its own, to the
 // reference's direct in-order Σ|unsent| on hit and miss steps, and to the
 // Σ|unsent| of the state Prepare leaves within the float32 rounding of
-// SAMomentum's rescale (2⁻²⁴ of each term). It reads exactly 0 when every
-// coordinate is sent, and NaN once a sent coordinate is infinite.
+// SAMomentum's rescale (2⁻²⁴ of each term). SAMomentum selects from u + e
+// once it has an error memory, so its state term is u + e/m: the gauge
+// counts e at the rescale too. It reads exactly 0 when every coordinate is
+// sent, and NaN once a sent coordinate is infinite.
 func TestResidualMassMatchesDirectSum(t *testing.T) {
 	for _, tc := range newScheduleCases() {
 		name, gauge := tc.opt.Name(), scratchOf(tc.opt).om.residualMass
@@ -284,12 +315,18 @@ func TestResidualMassMatchesDirectSum(t *testing.T) {
 					sent[[2]int{c.Layer, int(j)}] = true
 				}
 			}
+			e := errorMemory(tc.opt)
 			var stored float64
 			for i, l := range state {
 				for j, v := range l {
-					if !sent[[2]int{i, j}] {
-						stored += math.Abs(float64(v))
+					if sent[[2]int{i, j}] {
+						continue
 					}
+					x := float64(v)
+					if e != nil {
+						x += float64(e[i][j]) / float64(tc.ref.m)
+					}
+					stored += math.Abs(x)
 				}
 			}
 			if math.Abs(m-stored) > 0x1p-24*stored {
@@ -308,6 +345,10 @@ func TestPrepareSteadyStateAllocs(t *testing.T) {
 	for _, g := range grads {
 		rng.FillNormal(g, 0, 1)
 	}
+	sbc, err := sparse.CodecByName("sbc")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, build := range sparsifiers {
 		o := build(mlpSizes)
 		// Chunk capacity grows by doubling, so a few steps settle it even as
@@ -317,6 +358,22 @@ func TestPrepareSteadyStateAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(10, func() { o.Prepare(grads, 0.1) }); allocs > 0 {
 			t.Errorf("%s: steady-state Prepare allocates %v objects, want 0", o.Name(), allocs)
+		}
+		// The same after an SBC fold, which gives SAMomentum its error
+		// memory: the steps after it fold an SBC error of their own.
+		var q, e sparse.Update
+		upd := o.Prepare(grads, 0.1)
+		sbc.(sparse.Quantizer).Quantize(&q, &upd, &e)
+		o.(ResidualFolder).FoldResidual(&e)
+		for warm := 0; warm < 4; warm++ {
+			o.Prepare(grads, 0.1)
+			o.(ResidualFolder).FoldResidual(&e)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			o.Prepare(grads, 0.1)
+			o.(ResidualFolder).FoldResidual(&e)
+		}); allocs > 0 {
+			t.Errorf("%s: Prepare after an SBC fold allocates %v objects, want 0", o.Name(), allocs)
 		}
 	}
 }
@@ -384,6 +441,15 @@ var sparsifiers = []func(sizes []int) WorkerOptimizer{
 	func(sizes []int) WorkerOptimizer { return NewGradientDropping(sizes, 0.05) },
 	func(sizes []int) WorkerOptimizer { return NewDGC(sizes, 0.7, 0.05) },
 	func(sizes []int) WorkerOptimizer { return NewSAMomentum(sizes, 0.7, 0.05) },
+}
+
+// errorMemory returns SAMomentum's error memory, nil for the other rules
+// and before the first fold.
+func errorMemory(o WorkerOptimizer) [][]float32 {
+	if sam, ok := o.(*SAMomentum); ok {
+		return sam.e
+	}
+	return nil
 }
 
 func scratchOf(o WorkerOptimizer) *topkScratch {

@@ -106,36 +106,23 @@ func baselineFold(b *BaselineServer, worker int, e *sparse.Update) {
 	}
 }
 
-// ternaryError is the error a ternary downward codec leaves on frame G:
-// per chunk, q = ±s (s = mean |G|) where |G| ≥ s/2 and 0 elsewhere, and
-// e = G − q at every coordinate G ships.
-func ternaryError(G *sparse.Update) *sparse.Update {
-	e := &sparse.Update{}
-	for i := range G.Chunks {
-		g := &G.Chunks[i]
-		var sum float64
-		for _, v := range g.Val {
-			sum += math.Abs(float64(v))
-		}
-		scale := float32(sum / float64(len(g.Val)))
-		c := e.NextChunk()
-		c.Layer = g.Layer
-		for j, v := range g.Val {
-			var q float32
-			if float32(math.Abs(float64(v))) >= scale/2 {
-				q = float32(math.Copysign(float64(scale), float64(v)))
-			}
-			c.Idx = append(c.Idx, g.Idx[j])
-			c.Val = append(c.Val, v-q)
-		}
+// sbcError is the error the SBC downward codec leaves on frame G: per
+// chunk, every positive value becomes the positive mean and every negative
+// one the negative mean, and e = G − q wherever that is not zero.
+func sbcError(G *sparse.Update) *sparse.Update {
+	c, err := sparse.CodecByName("sbc")
+	if err != nil {
+		panic(err)
 	}
-	return e
+	var q, e sparse.Update
+	c.(sparse.Quantizer).Quantize(&q, G, &e)
+	return &e
 }
 
 // TestSecondaryScheduleProperty drives seeded random multi-worker schedules
 // through a Secondary Server or ShardedServer and the frozen full-scan
 // BaselineServer side by side: pushes whose values span 2^±25 (so rounding
-// slivers occur), empty pushes, Resync, FoldDown of a ternary codec's error
+// slivers occur), empty pushes, Resync, FoldDown of the SBC codec's error
 // on the worker's last frame, and Capture → Encode → Decode → Restore of the
 // server mid-stream. Every downward frame must be bitwise the baseline's,
 // the residual invariant must hold after every operation, M and every v_k
@@ -242,7 +229,7 @@ func runSecondarySchedule(t *testing.T, cfg Config, shards int, seed uint64) {
 		case op < 8:
 			var empty sparse.Update
 			G := push(step, k, &empty)
-			folds[k] = ternaryError(&G)
+			folds[k] = sbcError(&G)
 		default:
 			g := randomUpdate(rng, sizes, 0.2)
 			scale := float32(math.Pow(2, float64(rng.Intn(51)-25)))
@@ -252,7 +239,7 @@ func runSecondarySchedule(t *testing.T, cfg Config, shards int, seed uint64) {
 				}
 			}
 			G := push(step, k, &g)
-			folds[k] = ternaryError(&G)
+			folds[k] = sbcError(&G)
 		}
 		invariant(fmt.Sprintf("step %d", step))
 		if step%50 == 49 {

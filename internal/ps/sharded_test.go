@@ -18,8 +18,8 @@ import (
 // layer, and both the plain gather and Eq. 6's Top-k work per layer, so fed
 // the same schedule the two must ship bitwise the same frames (up to chunk
 // order) and end with bitwise the same M and v_k. The schedule mixes Top-k
-// pushes from three workers with empty pushes, Resync and FoldDown of a
-// ternary codec's error, on an odd small geometry, the benchmark MLP and
+// pushes from three workers with empty pushes, Resync and FoldDown of the
+// SBC codec's error, on an odd small geometry, the benchmark MLP and
 // ResNetS, serially and on two cores (where the shards' pushes run side by
 // side).
 func TestShardedEquivalentToSingleServer(t *testing.T) {
@@ -77,7 +77,7 @@ func runShardedEquivalence(t *testing.T, cfg Config) {
 			G1, _ := single.Push(k, g)
 			G2, _ := sharded.Push(k, g)
 			requireSameFrame(t, step, &G2, &G1)
-			folds[k] = ternaryError(&G1)
+			folds[k] = sbcError(&G1)
 		}
 	}
 	a, b := alloc(sizes), alloc(sizes)

@@ -90,7 +90,7 @@ func TestReplicaAcceptsRegisteredCodecFrames(t *testing.T) {
 		{Layer: 0, Idx: []int32{0, 5, 31}, Val: []float32{1, -2, 0.5}},
 		{Layer: 1, Idx: []int32{16}, Val: []float32{3}},
 	}}
-	for _, name := range []string{"raw", "ternary", "sbc"} {
+	for _, name := range []string{"raw", "sbc"} {
 		c, err := sparse.CodecByName(name)
 		if err != nil {
 			t.Fatalf("codec %s: %v", name, err)
@@ -112,15 +112,16 @@ func TestReplicaAcceptsRegisteredCodecFrames(t *testing.T) {
 
 // FuzzReplicaFrame feeds arbitrary bytes to the replica's subscription
 // decoder: applyFrame must never panic, and any frame it rejects must leave
-// the mirror bitwise untouched. Seeds cover every registered codec, frames
-// that decode but violate the model geometry, and raw corruption.
+// the mirror bitwise untouched. Seeds cover every registered codec, the
+// reserved codec id 1 of the removed ternary codec, frames that decode but
+// violate the model geometry, and raw corruption.
 func FuzzReplicaFrame(f *testing.F) {
 	sizes := []int{32, 17}
 	u := &sparse.Update{Chunks: []sparse.Chunk{
 		{Layer: 0, Idx: []int32{0, 5, 31}, Val: []float32{1, -2, 0.5}},
 		{Layer: 1, Idx: []int32{2, 16}, Val: []float32{3, -4}},
 	}}
-	for _, name := range []string{"raw", "ternary", "sbc"} {
+	for _, name := range []string{"raw", "sbc"} {
 		c, err := sparse.CodecByName(name)
 		if err != nil {
 			f.Fatal(err)
@@ -128,6 +129,11 @@ func FuzzReplicaFrame(f *testing.F) {
 		f.Add(c.AppendEncode(nil, u))
 		f.Add(c.AppendEncode(nil, &sparse.Update{}))
 	}
+	// Codec id 1, reserved: a well-formed frame of the removed ternary
+	// codec (one chunk, layer 0, scale 2, two indices, signs) and an empty
+	// one.
+	f.Add(append(sparse.AppendV3Header(nil, 1), 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x02, 0x01, 0x04, 0x02))
+	f.Add(append(sparse.AppendV3Header(nil, 1), 0x00))
 	f.Add(rawFrame(&sparse.Update{Chunks: []sparse.Chunk{
 		{Layer: 7, Idx: []int32{0}, Val: []float32{1}},
 	}}))

@@ -147,7 +147,7 @@ func TestReplicaDrainEquivalence(t *testing.T) {
 }
 
 // TestReplicaLossyCodecDrain runs the steady state over a lossy downward
-// codec (every poll but the drain probes is ternary-quantized; the upstream
+// codec (every poll but the drain probes is SBC-quantized; the upstream
 // folds the projection error into the replica's v_k), then drains: the
 // final mirror must STILL equal the upstream M bitwise. FoldDown rounding
 // can leave a lossy mirror one ULP off v_k, so Sync re-bases (fresh
@@ -155,7 +155,7 @@ func TestReplicaDrainEquivalence(t *testing.T) {
 func TestReplicaLossyCodecDrain(t *testing.T) {
 	sizes := []int{1 << 10, 129}
 	u := startUpstream(t, sizes, 2, "mirror")
-	r := newReplica(t, u, sizes, 1, "ternary", 1<<30) // steady polls never raw
+	r := newReplica(t, u, sizes, 1, "sbc", 1<<30) // steady polls never raw
 
 	wtr := dialTrainer(u.srv.Addr())
 	defer wtr.Close()

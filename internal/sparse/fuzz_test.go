@@ -58,7 +58,7 @@ func FuzzDecodeAny(f *testing.F) {
 		f.Fatal(err)
 	}
 	var q, e Update
-	sbc.(Quantizer).Quantize(&q, u, nil, &e) // sbc is deterministic, no rng
+	sbc.(Quantizer).Quantize(&q, u, &e)
 	f.Add(sbc.AppendEncode(nil, &q))
 	f.Add(sbc.AppendEncode(nil, u)) // unquantized input: the lossy projection
 	f.Add(sbc.AppendEncode(nil, &Update{}))
@@ -91,9 +91,19 @@ func FuzzDecodeAny(f *testing.F) {
 	longRun = append(longRun, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
 	f.Add(longRun)
 
+	f.Add(retiredTernaryFrame())
+
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkDecodeAny(t, b)
 	})
+}
+
+// retiredTernaryFrame is a well-formed frame of the removed ternary codec,
+// id 1: one chunk, layer 0, scale 2, indices 1 and 5 as deltas, then the
+// sign byte (the second value negative). The id stays reserved, so every
+// process refuses such a frame as an unknown codec.
+func retiredTernaryFrame() []byte {
+	return append(AppendV3Header(nil, 1), 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x02, 0x01, 0x04, 0x02)
 }
 
 // TestDecodeAnyRejectsHostileV3 pins the v3 hostile-frame behaviour down as
@@ -109,6 +119,7 @@ func TestDecodeAnyRejectsHostileV3(t *testing.T) {
 		"rice k 31":         append(AppendV3Header(nil, CodecSBC), 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 31, 0x00),
 		"unary run 64":      append(AppendV3Header(nil, CodecSBC), 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
 		"trailing sbc byte": append(sbcFrame(t), 0x00),
+		"retired id 1":      retiredTernaryFrame(),
 	}
 	var u Update
 	for name, b := range frames {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	_ "dgs/internal/quant" // registers the ternary codec
 	"dgs/internal/sparse"
 	"dgs/internal/tensor"
 )
@@ -33,7 +32,7 @@ func quantSources(t *testing.T, name string, rng *tensor.RNG, sizes []int, n int
 			sparse.GatherInto(raw.NextChunk(), layer, x, idx)
 		}
 		var quantized, e sparse.Update
-		q.Quantize(&quantized, raw, rng, &e)
+		q.Quantize(&quantized, raw, &e)
 		frame := q.AppendEncode(nil, &quantized)
 		dec := &sparse.Update{}
 		if err := sparse.DecodeAnyInto(dec, frame); err != nil {
@@ -44,61 +43,59 @@ func quantSources(t *testing.T, name string, rng *tensor.RNG, sizes []int, n int
 	return srcs
 }
 
-// Quantized inputs: frames produced by the lossy wire codecs decode to
-// exact float values (the quantization already happened worker-side); the
+// Quantized inputs: frames produced by the lossy wire codec decode to exact
+// float values (the quantization already happened worker-side); the
 // aggregator merges those decoded values, and the result must be canonical,
 // deterministic, and equal to an order-preserving dense-accumulator
-// reference — for ternary (collisions of ±s scale points, including exact
-// cancellation) and sbc alike.
+// reference — SBC's per-worker ±μ points collide on shared coordinates.
 func TestMergeQuantizedInputs(t *testing.T) {
 	rng := tensor.NewRNG(44)
 	sizes := []int{4096, 128}
-	for _, name := range []string{"ternary", "sbc"} {
-		srcs := quantSources(t, name, rng, sizes, 4)
-		got := sparse.Merge(srcs)
-		if err := got.Validate(sizes); err != nil {
-			t.Fatalf("codec %s: merged update not canonical: %v", name, err)
-		}
+	const name = "sbc"
+	srcs := quantSources(t, name, rng, sizes, 4)
+	got := sparse.Merge(srcs)
+	if err := got.Validate(sizes); err != nil {
+		t.Fatalf("codec %s: merged update not canonical: %v", name, err)
+	}
 
-		// Order-preserving dense reference: same left-to-right per-coordinate
-		// float chain as the merger, so equality is bitwise.
-		dense := make([][]float32, len(sizes))
-		hit := make([][]bool, len(sizes))
-		for i, n := range sizes {
-			dense[i] = make([]float32, n)
-			hit[i] = make([]bool, n)
-		}
-		for _, u := range srcs {
-			for i := range u.Chunks {
-				c := &u.Chunks[i]
-				for j, ix := range c.Idx {
-					dense[c.Layer][ix] += c.Val[j]
-					hit[c.Layer][ix] = true
-				}
-			}
-		}
-		for i := range got.Chunks {
-			c := &got.Chunks[i]
+	// Order-preserving dense reference: same left-to-right per-coordinate
+	// float chain as the merger, so equality is bitwise.
+	dense := make([][]float32, len(sizes))
+	hit := make([][]bool, len(sizes))
+	for i, n := range sizes {
+		dense[i] = make([]float32, n)
+		hit[i] = make([]bool, n)
+	}
+	for _, u := range srcs {
+		for i := range u.Chunks {
+			c := &u.Chunks[i]
 			for j, ix := range c.Idx {
-				if !hit[c.Layer][ix] {
-					t.Fatalf("codec %s: coordinate (%d,%d) not in the union", name, c.Layer, ix)
-				}
-				hit[c.Layer][ix] = false // consumed: duplicates would refail
-				if c.Val[j] != dense[c.Layer][ix] {
-					t.Fatalf("codec %s: (%d,%d) = %v, want %v", name, c.Layer, ix, c.Val[j], dense[c.Layer][ix])
-				}
+				dense[c.Layer][ix] += c.Val[j]
+				hit[c.Layer][ix] = true
 			}
 		}
-		for layer := range hit {
-			for ix, h := range hit[layer] {
-				if h {
-					t.Fatalf("codec %s: union coordinate (%d,%d) missing from merge", name, layer, ix)
-				}
+	}
+	for i := range got.Chunks {
+		c := &got.Chunks[i]
+		for j, ix := range c.Idx {
+			if !hit[c.Layer][ix] {
+				t.Fatalf("codec %s: coordinate (%d,%d) not in the union", name, c.Layer, ix)
+			}
+			hit[c.Layer][ix] = false // consumed: duplicates would refail
+			if c.Val[j] != dense[c.Layer][ix] {
+				t.Fatalf("codec %s: (%d,%d) = %v, want %v", name, c.Layer, ix, c.Val[j], dense[c.Layer][ix])
 			}
 		}
+	}
+	for layer := range hit {
+		for ix, h := range hit[layer] {
+			if h {
+				t.Fatalf("codec %s: union coordinate (%d,%d) missing from merge", name, layer, ix)
+			}
+		}
+	}
 
-		if !bytes.Equal(sparse.Encode(got), sparse.Encode(sparse.Merge(srcs))) {
-			t.Fatalf("codec %s: merge not reproducible", name)
-		}
+	if !bytes.Equal(sparse.Encode(got), sparse.Encode(sparse.Merge(srcs))) {
+		t.Fatalf("codec %s: merge not reproducible", name)
 	}
 }

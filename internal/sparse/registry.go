@@ -25,11 +25,12 @@ const codecMagicV3 = 0x44475333 // "DGS3"
 const v3HeaderLen = 5
 
 // Well-known codec ids. The id is wire protocol: once shipped it must never
-// be reused for a different encoding.
+// be reused for a different encoding. Id 1 was stochastic ternary, removed
+// because error feedback does not make it train (DESIGN.md §7); it stays
+// reserved, and a frame carrying it is refused as an unknown codec.
 const (
-	CodecRaw     byte = 0 // legacy DGS1 sparse chunks, exact values
-	CodecTernary byte = 1 // stochastic ternary: per-chunk scale + sign bits
-	CodecSBC     byte = 2 // sparse binary compression: Rice-coded gaps + per-sign means
+	CodecRaw byte = 0 // legacy DGS1 sparse chunks, exact values
+	CodecSBC byte = 2 // sparse binary compression: Rice-coded gaps + per-sign means
 )
 
 // Codec is one wire compression backend. AppendEncode and DecodeInto operate
@@ -47,18 +48,12 @@ const (
 type Codec interface {
 	// ID is the wire codec id carried in the v3 frame header.
 	ID() byte
-	// Name is the stable flag-friendly name ("raw", "ternary", "sbc").
+	// Name is the stable flag-friendly name ("raw", "sbc").
 	Name() string
 	// AppendEncode serialises u as a full frame, appending to dst.
 	AppendEncode(dst []byte, u *Update) []byte
 	// DecodeInto parses a full frame into u, reusing u's storage.
 	DecodeInto(u *Update, b []byte) error
-}
-
-// ValueRNG is the randomness a stochastic quantizer consumes. tensor.RNG
-// satisfies it; the indirection keeps sparse free of a tensor dependency.
-type ValueRNG interface {
-	Float32() float32
 }
 
 // Quantizer is implemented by lossy codecs. Quantize projects src onto the
@@ -75,7 +70,7 @@ type ValueRNG interface {
 // own v_k until the difference is exactly zero.
 type Quantizer interface {
 	Codec
-	Quantize(dst *Update, src *Update, rng ValueRNG, errOut *Update)
+	Quantize(dst *Update, src *Update, errOut *Update)
 }
 
 var (
@@ -177,7 +172,7 @@ func DecodeAnyInto(u *Update, b []byte) error {
 }
 
 // AppendV3Header writes the fixed v3 frame prefix. Codec implementations
-// (in this package and in quant) start their AppendEncode with it.
+// start their AppendEncode with it.
 func AppendV3Header(dst []byte, id byte) []byte {
 	var hdr [v3HeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:], codecMagicV3)
@@ -185,8 +180,8 @@ func AppendV3Header(dst []byte, id byte) []byte {
 	return append(dst, hdr[:]...)
 }
 
-// CheckV3Header validates the prefix and returns the body.
-func CheckV3Header(b []byte, id byte) ([]byte, error) {
+// checkV3Header validates the prefix and returns the body.
+func checkV3Header(b []byte, id byte) ([]byte, error) {
 	if len(b) < v3HeaderLen || binary.LittleEndian.Uint32(b) != codecMagicV3 {
 		return nil, fmt.Errorf("sparse: bad magic")
 	}

@@ -202,7 +202,7 @@ func (sbcCodec) AppendEncode(dst []byte, u *Update) []byte {
 }
 
 func (sbcCodec) DecodeInto(u *Update, b []byte) error {
-	body, err := CheckV3Header(b, CodecSBC)
+	body, err := checkV3Header(b, CodecSBC)
 	if err != nil {
 		return err
 	}
@@ -301,7 +301,7 @@ func (sbcCodec) DecodeInto(u *Update, b []byte) error {
 // zeros are dropped. The projection error src − dst (one float32
 // subtraction per coordinate) lands in errOut so the caller can fold it
 // into residual state.
-func (sbcCodec) Quantize(dst *Update, src *Update, _ ValueRNG, errOut *Update) {
+func (sbcCodec) Quantize(dst *Update, src *Update, errOut *Update) {
 	dst.Chunks = dst.Chunks[:0]
 	errOut.Chunks = errOut.Chunks[:0]
 	for i := range src.Chunks {

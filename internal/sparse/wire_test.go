@@ -1,4 +1,4 @@
-package quant
+package sparse_test
 
 import (
 	"sort"
@@ -62,13 +62,12 @@ func wireBytes(t *testing.T, codec sparse.Codec, sizes []int, updates []sparse.U
 	t.Helper()
 	srv := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 1, Quiet: true})
 	q, lossy := codec.(sparse.Quantizer)
-	rng := tensor.NewRNG(0x3170 ^ uint64(codec.ID()))
 	var qUp, eUp, qDown, eDown, dec sparse.Update
 	var buf []byte
 	for i := 0; i < steps; i++ {
 		u := &updates[i%len(updates)]
 		if lossy {
-			q.Quantize(&qUp, u, rng, &eUp)
+			q.Quantize(&qUp, u, &eUp)
 			u = &qUp
 		}
 		buf = codec.AppendEncode(buf[:0], u)
@@ -80,7 +79,7 @@ func wireBytes(t *testing.T, codec sparse.Codec, sizes []int, updates []sparse.U
 		G, _ := srv.Push(0, &dec)
 		g := &G
 		if lossy {
-			q.Quantize(&qDown, g, rng, &eDown)
+			q.Quantize(&qDown, g, &eDown)
 			srv.FoldDown(0, &eDown)
 			g = &qDown
 		}
@@ -96,8 +95,8 @@ func wireBytes(t *testing.T, codec sparse.Codec, sizes []int, updates []sparse.U
 // TestLossyCodecWireRatio: every registered lossy codec at least halves the
 // embed workload's wire against codec 0, in both directions. This is a
 // byte count over a fixed-seed exchange sequence, not a timing. A non-raw
-// codec that is not a Quantizer, or a missing ternary or sbc registration,
-// fails the test rather than shrinking what it covers.
+// codec that is not a Quantizer, or a missing sbc registration, fails the
+// test rather than shrinking what it covers.
 func TestLossyCodecWireRatio(t *testing.T) {
 	const steps = 16
 	sizes := make([]int, embedTables)
@@ -131,9 +130,7 @@ func TestLossyCodecWireRatio(t *testing.T) {
 		}
 		covered[c.Name()] = true
 	}
-	for _, name := range []string{"ternary", "sbc"} {
-		if !covered[name] {
-			t.Errorf("lossy codec %q is not registered; the ratio check did not cover it", name)
-		}
+	if !covered["sbc"] {
+		t.Error(`lossy codec "sbc" is not registered; the ratio check did not cover it`)
 	}
 }

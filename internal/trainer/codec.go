@@ -7,7 +7,6 @@ import (
 	"dgs/internal/optim"
 	"dgs/internal/ps"
 	"dgs/internal/sparse"
-	"dgs/internal/tensor"
 	"dgs/internal/transport"
 )
 
@@ -38,14 +37,8 @@ import (
 // Push's scratch relies on), so the state needs no lock of its own — only
 // the map that holds it does.
 type downQuantState struct {
-	rng  *tensor.RNG
 	q, e sparse.Update
 }
-
-// downSeed derives the server-side quantization RNG seed for a worker.
-// Deterministic so runs are reproducible; distinct per worker so their
-// stochastic rounding decorrelates.
-func downSeed(worker int) uint64 { return 0xD06AC0DE ^ uint64(worker)*0x9E3779B97F4A7C15 }
 
 type codecHandler struct {
 	folder ps.DownFolder // nil when the server cannot fold quantization error
@@ -69,7 +62,7 @@ func (h *codecHandler) state(worker int) *downQuantState {
 	defer h.mu.Unlock()
 	st := h.workers[worker]
 	if st == nil {
-		st = &downQuantState{rng: tensor.NewRNG(downSeed(worker))}
+		st = &downQuantState{}
 		h.workers[worker] = st
 	}
 	return st
@@ -103,7 +96,7 @@ func (h *codecHandler) encodeDown(dst []byte, worker int, reqID byte, drain bool
 		return sparse.AppendEncode(dst, G)
 	}
 	st := h.state(worker)
-	q.Quantize(&st.q, G, st.rng, &st.e)
+	q.Quantize(&st.q, G, &st.e)
 	if st.e.NNZ() > 0 {
 		h.folder.FoldDown(worker, &st.e)
 	}
@@ -210,9 +203,8 @@ type upCodec struct {
 }
 
 // newUpCodec resolves a validated codec name against the optimizer. Lossy
-// codecs without a residual-folding optimizer still work — the error is
-// simply dropped, the biased TernGrad setting the legacy Ternary flag
-// already offers — but sparsifying optimizers all fold.
+// codecs without a residual-folding optimizer (the dense baselines) still
+// work — the error is simply dropped — but sparsifying optimizers all fold.
 func newUpCodec(name string, opt optim.WorkerOptimizer) *upCodec {
 	c, err := sparse.CodecByName(name)
 	if err != nil {
@@ -229,11 +221,11 @@ func newUpCodec(name string, opt optim.WorkerOptimizer) *upCodec {
 // quantized first and the projection error folded back into the optimizer's
 // accumulation, so it re-enters a later Top-k instead of being lost; the
 // encoded frame then carries exactly the values the server will decode.
-func (u *upCodec) encode(dst []byte, upd *sparse.Update, rng *tensor.RNG) []byte {
+func (u *upCodec) encode(dst []byte, upd *sparse.Update) []byte {
 	if u.quant == nil {
 		return sparse.AppendEncode(dst, upd)
 	}
-	u.quant.Quantize(&u.q, upd, rng, &u.e)
+	u.quant.Quantize(&u.q, upd, &u.e)
 	if u.folder != nil && u.e.NNZ() > 0 {
 		u.folder.FoldResidual(&u.e)
 	}

@@ -1,6 +1,8 @@
 package trainer
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,9 +42,9 @@ func compatPush(t *testing.T, h transport.Handler, worker int, payload []byte) b
 }
 
 func compatUpdate() *sparse.Update {
-	// Values of equal magnitude survive both lossy codecs exactly (ternary
-	// projects onto ±max, sbc onto ±mean), keeping these tests about frame
-	// negotiation rather than quantization error.
+	// Values of equal magnitude survive SBC's projection onto ±mean exactly,
+	// keeping these tests about frame negotiation rather than quantization
+	// error.
 	return &sparse.Update{Chunks: []sparse.Chunk{
 		{Layer: 0, Idx: []int32{1, 4, 9}, Val: []float32{1, -1, 1}},
 	}}
@@ -66,17 +68,13 @@ func TestMirrorPolicyAnswersInRequestCodec(t *testing.T) {
 		t.Fatalf("raw request answered with codec %d, want raw", id)
 	}
 	compatPush(t, h, 1, sparse.Encode(g))
-	if id := compatPush(t, h, 0, encodeWith(t, "ternary", g)); id != sparse.CodecTernary {
-		t.Fatalf("ternary request answered with codec %d, want ternary", id)
-	}
-	compatPush(t, h, 1, sparse.Encode(g))
 	if id := compatPush(t, h, 0, encodeWith(t, "sbc", g)); id != sparse.CodecSBC {
 		t.Fatalf("sbc request answered with codec %d, want sbc", id)
 	}
 	// Drain rule: an empty push is answered raw no matter how it is framed,
 	// so the drain fixpoint converges on exact diffs.
 	compatPush(t, h, 1, sparse.Encode(g))
-	if id := compatPush(t, h, 0, encodeWith(t, "ternary", &sparse.Update{})); id != sparse.CodecRaw {
+	if id := compatPush(t, h, 0, encodeWith(t, "sbc", &sparse.Update{})); id != sparse.CodecRaw {
 		t.Fatalf("drain answered with codec %d, want raw", id)
 	}
 }
@@ -86,7 +84,7 @@ func TestMirrorPolicyAnswersInRequestCodec(t *testing.T) {
 // frame — it must still be answered raw.
 func TestForcedPolicyAppliesOnlyToV3Requests(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
-	h, err := HandlerWithCodec(server, "ternary")
+	h, err := HandlerWithCodec(server, "sbc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +93,9 @@ func TestForcedPolicyAppliesOnlyToV3Requests(t *testing.T) {
 	if id := compatPush(t, h, 0, sparse.Encode(g)); id != sparse.CodecRaw {
 		t.Fatalf("raw request under forced policy answered with codec %d, want raw", id)
 	}
-	// A v3 request in a different codec gets the forced one, not a mirror.
 	compatPush(t, h, 1, sparse.Encode(g))
-	if id := compatPush(t, h, 0, encodeWith(t, "sbc", g)); id != sparse.CodecTernary {
-		t.Fatalf("sbc request under forced ternary answered with codec %d, want ternary", id)
+	if id := compatPush(t, h, 0, encodeWith(t, "sbc", g)); id != sparse.CodecSBC {
+		t.Fatalf("sbc request under forced sbc answered with codec %d, want sbc", id)
 	}
 }
 
@@ -112,8 +109,8 @@ func TestForcedRawPolicyPinsDownward(t *testing.T) {
 	}
 	g := compatUpdate()
 	compatPush(t, h, 1, sparse.Encode(g))
-	if id := compatPush(t, h, 0, encodeWith(t, "ternary", g)); id != sparse.CodecRaw {
-		t.Fatalf("ternary request under forced raw answered with codec %d, want raw", id)
+	if id := compatPush(t, h, 0, encodeWith(t, "sbc", g)); id != sparse.CodecRaw {
+		t.Fatalf("sbc request under forced raw answered with codec %d, want raw", id)
 	}
 }
 
@@ -133,10 +130,10 @@ func TestBaselineServerAnsweredRaw(t *testing.T) {
 	}
 	g := compatUpdate()
 	compatPush(t, h, 1, sparse.Encode(g))
-	if id := compatPush(t, h, 0, encodeWith(t, "ternary", g)); id != sparse.CodecRaw {
+	if id := compatPush(t, h, 0, encodeWith(t, "sbc", g)); id != sparse.CodecRaw {
 		t.Fatalf("fold-incapable server answered with codec %d, want raw", id)
 	}
-	if _, err := HandlerWithCodec(base, "ternary"); err == nil {
+	if _, err := HandlerWithCodec(base, "sbc"); err == nil {
 		t.Fatal("forcing a lossy codec onto a fold-incapable server must fail")
 	}
 	if _, err := HandlerWithCodec(base, "no-such-codec"); err == nil {
@@ -144,14 +141,63 @@ func TestBaselineServerAnsweredRaw(t *testing.T) {
 	}
 }
 
+// TestRetiredCodecIDRefused: codec id 1 belonged to the removed ternary
+// codec and stays reserved. A push framed with it, sent over TCP through
+// the production handler stack, must come back as an error frame, and the
+// server must be left as it was: no push applied, M and v_k unchanged.
+func TestRetiredCodecIDRefused(t *testing.T) {
+	sizes := []int{8}
+	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 1})
+	eo, err := ExactlyOnceHandlerWithCodec(server, "mirror")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	conn, err := NewDialStack(DialOptions{Addr: lis.Addr(), Timeout: 5 * time.Second})()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Exchange(0, sparse.Encode(&sparse.Update{Chunks: []sparse.Chunk{{Layer: 0, Idx: []int32{3}, Val: []float32{1}}}})); err != nil {
+		t.Fatal(err)
+	}
+	state := func() (m, v []float32, pushes uint64) {
+		M, V := [][]float32{make([]float32, 8)}, [][]float32{make([]float32, 8)}
+		server.MSnapshot(M)
+		server.VSnapshot(0, V)
+		return M[0], V[0], server.Stats().Pushes
+	}
+	m0, v0, p0 := state()
+
+	// One chunk, layer 0, scale 2, two delta-coded indices and a sign byte:
+	// a well-formed frame of the retired codec.
+	retired := append(sparse.AppendV3Header(nil, 1), 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x02, 0x01, 0x04, 0x02)
+	var srvErr *transport.ServerError
+	if _, err := conn.Exchange(0, retired); !errors.As(err, &srvErr) {
+		t.Fatalf("codec id 1 push: got %v, want an error frame", err)
+	}
+	m1, v1, p1 := state()
+	if p1 != p0 || !slices.Equal(m1, m0) || !slices.Equal(v1, v0) {
+		t.Fatalf("refused push changed the server: pushes %d → %d, M %v → %v, v_k %v → %v", p0, p1, m0, m1, v0, v1)
+	}
+	// The session survives the refusal.
+	if _, err := conn.Exchange(0, sparse.Encode(&sparse.Update{})); err != nil {
+		t.Fatalf("push after the refused frame: %v", err)
+	}
+}
+
 // The acceptance-criteria chaos run under double quantization: every
-// exchange both ways rides the ternary codec (mirror policy), faults and a
+// exchange both ways rides the SBC codec (mirror policy), faults and a
 // worker crash included, and after draining each worker the server must
 // still satisfy v_k == M bitwise — quantization error folded into residual
 // state on both sides, never lost.
 func TestChaosQuantizedTrainingDrainsExact(t *testing.T) {
 	cfg := quickConfig(DGS, 4)
-	cfg.Codec = "ternary"
+	cfg.Codec = "sbc"
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	sizes := proto.LayerSizes()
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 4})

@@ -79,23 +79,3 @@ func TestRunWorkerLoopRequiresPipeliner(t *testing.T) {
 		t.Fatal("a transport that cannot pipeline must be rejected")
 	}
 }
-
-func TestTernaryTrainingStillLearns(t *testing.T) {
-	cfg := quickConfig(DGS, 4)
-	cfg.Ternary = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAccuracy < 0.6 {
-		t.Fatalf("ternary-quantized DGS accuracy %.3f; should still learn", res.FinalAccuracy)
-	}
-	// Quantized updates must be smaller on the wire than plain DGS.
-	plain, err := Run(quickConfig(DGS, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgUpBytes >= plain.AvgUpBytes {
-		t.Fatalf("ternary up bytes %.0f should undercut plain %.0f", res.AvgUpBytes, plain.AvgUpBytes)
-	}
-}

@@ -126,7 +126,7 @@ func TestSessionFrameAllocs(t *testing.T) {
 	}
 }
 
-// TestSessionResponseIsEnvelopePlusFrame: for raw, ternary and sbc pushes,
+// TestSessionResponseIsEnvelopePlusFrame: for raw and sbc pushes,
 // every session response is byte-equal to the OK envelope followed by the
 // frame the plain handler (HandlerWithCodec, which encodes into a fresh
 // slice) answers for the same exchange on an identical server — so writing
@@ -134,7 +134,7 @@ func TestSessionFrameAllocs(t *testing.T) {
 // and drain probes included.
 func TestSessionResponseIsEnvelopePlusFrame(t *testing.T) {
 	const size = 512
-	for _, codec := range []string{"raw", "ternary", "sbc"} {
+	for _, codec := range []string{"raw", "sbc"} {
 		t.Run(codec, func(t *testing.T) {
 			cfg := ps.Config{LayerSizes: []int{size, size}, Workers: 2, Quiet: true}
 			eo, err := ExactlyOnceHandlerWithCodec(ps.NewServer(cfg), "mirror")

@@ -16,7 +16,6 @@ import (
 	"dgs/internal/nn"
 	"dgs/internal/optim"
 	"dgs/internal/ps"
-	"dgs/internal/quant"
 	"dgs/internal/sparse"
 	"dgs/internal/stats"
 	"dgs/internal/telemetry"
@@ -92,19 +91,14 @@ type Config struct {
 	// GradClip, when positive, clips each iteration's gradient to this
 	// global L2 norm before the optimizer (DGC uses clipping).
 	GradClip float32
-	// Ternary additionally quantizes the sparse upward values to
-	// {−s, 0, +s} with unbiased stochastic rounding — the TernGrad
-	// combination the paper's conclusion proposes as future work. Unlike
-	// Codec below it drops the quantization error (no feedback) and ships
-	// the result as raw f32 frames; it predates the codec registry and is
-	// kept for the paper-table comparisons.
-	Ternary bool
 	// Codec selects the wire compression backend for both directions
-	// ("raw"/"" = exact sparse chunks, "ternary", "sbc"; DESIGN.md §14).
-	// Lossy codecs fold their projection error into the worker's optimizer
-	// residual on the way up and into the server's v_k on the way down, so
-	// the Eq. 5 drain invariant still holds bitwise. The server mirrors the
-	// worker's codec per exchange, so mixed fleets interoperate.
+	// ("raw"/"" = exact sparse chunks, "sbc" = sparse binary compression;
+	// DESIGN.md §14). SBC folds its projection error into the worker's
+	// optimizer residual on the way up (SAMomentum keeps a separate error
+	// memory for it) and into the server's v_k on the way down, so each
+	// error is delivered once and the Eq. 5 drain invariant still holds
+	// bitwise. The server mirrors the worker's codec per exchange, so mixed
+	// fleets interoperate.
 	Codec string
 	// WeightDecay, when positive, adds L2 regularisation: the gradient
 	// becomes ∇ + wd·θ before the update rule (standard for ResNet-style
@@ -585,7 +579,6 @@ func (w *worker) run() (*nn.Model, error) {
 		w.res.WorkerStateBytes = opt.StateBytes()
 	}
 	loader := data.NewLoader(cfg.Dataset, cfg.BatchSize, cfg.Seed+uint64(1000+w.id), true)
-	qrng := tensor.NewRNG(cfg.Seed + uint64(7000+w.id))
 	codec := newUpCodec(cfg.Codec, opt)
 	pipe := w.tr
 
@@ -663,11 +656,8 @@ func (w *worker) run() (*nn.Model, error) {
 			}
 		}
 		upd := opt.Prepare(grads, stepLR)
-		if cfg.Ternary {
-			upd = quant.TernarizeUpdate(&upd, qrng)
-		}
 		e0 := time.Now()
-		payload := codec.encode(encBufs[encSlot][:0], &upd, qrng)
+		payload := codec.encode(encBufs[encSlot][:0], &upd)
 		encBufs[encSlot] = payload
 		encSlot = (encSlot + 1) % len(encBufs)
 		pipeMet.stageEncode.Observe(time.Since(e0).Seconds())
