@@ -70,10 +70,12 @@ bench-kernels:
 bench-paper:
 	go test -short -bench . -benchtime $(PAPER_BENCHTIME) -run '^$$' -timeout 60m
 
-# Short local fuzz pass over the wire and checkpoint decoders, the Top-k
-# kernel's equivalence with its frozen oracle, the encoder's size bound and
-# the streaming kernels' AVX2 bodies against their Go twins (the scheduled
-# CI job runs each target for minutes; see .github/workflows/fuzz.yml).
+# Short local fuzz pass over the wire decoders (the raw decoder, FuzzDecode,
+# and the codec-id dispatch every frame goes through, FuzzDecodeAny), the
+# checkpoint and replica-frame decoders, the Top-k kernel's equivalence with
+# its frozen oracle, the encoder's size bound and the streaming kernels'
+# AVX2 bodies against their Go twins (the scheduled CI job runs each target
+# for minutes; see .github/workflows/fuzz.yml).
 FUZZ_SMOKE_TIME ?= 10s
 
 fuzz-smoke:

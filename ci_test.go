@@ -2,8 +2,6 @@ package dgs
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -77,15 +75,7 @@ func testFuncs(t *testing.T, patterns []string) []string {
 	t.Helper()
 	var names []string
 	addDir := func(dir string) {
-		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, path := range files {
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, f := range parseDir(t, dir, true) {
 			for _, d := range f.Decls {
 				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
 					names = append(names, fn.Name.Name)

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"dgs"
 	"dgs/internal/sparse"
 )
 
@@ -38,9 +37,8 @@ func commandNames() []string {
 }
 
 // TestAdvertisedCodecsAreLinked: every codec name a -codec usage string
-// offers resolves in this binary's codec registry. A codec registers from
-// its package's init, so a binary that does not import that package cannot
-// decode the frames its flags invite.
+// offers resolves in the codec table, so no flag invites frames that the
+// binary cannot decode.
 func TestAdvertisedCodecsAreLinked(t *testing.T) {
 	choices := regexp.MustCompile(`\(([a-z]+(?:\|[a-z]+)+)\)`)
 	seen := map[string]bool{}
@@ -84,16 +82,6 @@ func TestBlockShift(t *testing.T) {
 		shift, err := blockShift(c.size)
 		if (err == nil) != c.ok || shift != c.shift {
 			t.Errorf("blockShift(%d) = %d, %v; want %d, ok=%v", c.size, shift, err, c.shift, c.ok)
-		}
-	}
-}
-
-// TestMethodNamesAgree: dgs train converts the parsed trainer.Method to
-// dgs.Method by number, so both enumerations must name every method alike.
-func TestMethodNamesAgree(t *testing.T) {
-	for name, m := range methods {
-		if got, want := dgs.Method(m).String(), m.String(); got != want {
-			t.Errorf("-method %s: dgs.Method %q, trainer.Method %q", name, got, want)
 		}
 	}
 }

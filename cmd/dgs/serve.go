@@ -37,7 +37,7 @@ func serverCmd(fs *flag.FlagSet) func() {
 	secondary := fs.Bool("secondary", false, "enable downward secondary compression")
 	ratio := fs.Float64("ratio", 0.01, "secondary compression keep ratio")
 	denseDown := fs.Bool("dense-down", false, "ship the whole model downward (ASGD mode)")
-	codec := fs.String("codec", "mirror", "downward wire codec policy: mirror (answer in the request's codec) or a codec name (raw|sbc) forced for v3 peers")
+	codec := fs.String("codec", "mirror", "downward wire codec policy: mirror (answer in the request's codec) or a codec name (raw|sbc) forced on lossy requests; raw requests and drains are answered raw")
 	shards := fs.Int("shards", 1, "partition layers across this many lock-independent shards (in one process, a few percent faster than 1 at most)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-exchange deadline (0 disables)")
 	ckptDir := fs.String("checkpoint-dir", "", "directory for crash-recovery checkpoints (empty disables; restores the latest on start)")

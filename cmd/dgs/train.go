@@ -107,8 +107,7 @@ func trainCmd(fs *flag.FlagSet) func() {
 	metricsFlag(fs, &tr.MetricsAddr, "")
 	csv := fs.String("csv", "", "write loss/accuracy curves to this CSV file")
 	return func() {
-		// dgs.Method numbers the paper's methods in trainer.Method's order.
-		tr.Method = dgs.Method(must(pick("method", tr.method, methodNames, methods)))
+		tr.Method = must(pick("method", tr.method, methodNames, methods))
 		tr.Model = must(pick("model", *model, "resnets|cnn|mlp", models))
 		tr.Dataset = must(pick("dataset", *dataset, "cifar|imagenet|mixture|spirals", datasets))
 		tr.LR, tr.Momentum = float32(tr.lr), float32(tr.momentum)

@@ -31,46 +31,28 @@ import (
 	"dgs/internal/trainer"
 )
 
-// Method selects the distributed training algorithm.
-type Method int
+// Method selects the distributed training algorithm. It is the trainer's
+// own enum, so no conversion sits between the two; String returns the
+// paper's name for a method.
+type Method = trainer.Method
 
 // The five methods evaluated in the paper (Table 5).
 const (
 	// MSGD is single-node momentum SGD — the accuracy baseline.
-	MSGD Method = iota
+	MSGD = trainer.MSGD
 	// ASGD is vanilla asynchronous SGD: dense gradients up, whole model
 	// down.
-	ASGD
+	ASGD = trainer.ASGD
 	// GDAsync is Gradient Dropping made asynchronous via model-difference
 	// downward compression.
-	GDAsync
+	GDAsync = trainer.GDAsync
 	// DGCAsync is Deep Gradient Compression (momentum correction + factor
 	// masking) over the same dual-way path.
-	DGCAsync
+	DGCAsync = trainer.DGCAsync
 	// DGS is dual-way gradient sparsification with SAMomentum — the
 	// paper's contribution.
-	DGS
+	DGS = trainer.DGS
 )
-
-// String returns the paper's name for the method.
-func (m Method) String() string { return m.internal().String() }
-
-func (m Method) internal() trainer.Method {
-	switch m {
-	case MSGD:
-		return trainer.MSGD
-	case ASGD:
-		return trainer.ASGD
-	case GDAsync:
-		return trainer.GDAsync
-	case DGCAsync:
-		return trainer.DGCAsync
-	case DGS:
-		return trainer.DGS
-	default:
-		panic(fmt.Sprintf("dgs: unknown method %d", int(m)))
-	}
-}
 
 // Methods lists all five methods in the paper's comparison order.
 var Methods = []Method{MSGD, ASGD, GDAsync, DGCAsync, DGS}
@@ -276,7 +258,7 @@ func buildTrainerConfig(cfg Config) (*trainer.Config, error) {
 		return nil, err
 	}
 	return &trainer.Config{
-		Method:         cfg.Method.internal(),
+		Method:         cfg.Method,
 		Workers:        cfg.Workers,
 		BatchSize:      cfg.BatchSize,
 		Epochs:         cfg.Epochs,

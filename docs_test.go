@@ -29,7 +29,7 @@ func TestDocMetricNamesResolve(t *testing.T) {
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range span.FindAllStringSubmatch(line, -1) {
 				for _, name := range expandMetricName(m[1]) {
-					if !metricResolves(name, registered) {
+					if !nameResolves(name, registered) {
 						t.Errorf("%s:%d: `%s`: %s is not a registered metric", doc, i+1, m[1], name)
 					}
 				}
@@ -57,13 +57,15 @@ func expandMetricName(doc string) []string {
 	return out
 }
 
-func metricResolves(name string, registered map[string]bool) bool {
+// nameResolves reports whether name is in set or, with a trailing `*`, is a
+// prefix of a name in set.
+func nameResolves(name string, set map[string]bool) bool {
 	prefix, wild := strings.CutSuffix(name, "*")
 	if !wild {
-		return registered[name]
+		return set[name]
 	}
-	for r := range registered {
-		if strings.HasPrefix(r, prefix) {
+	for s := range set {
+		if strings.HasPrefix(s, prefix) {
 			return true
 		}
 	}
@@ -76,7 +78,7 @@ func metricLiterals(t *testing.T) map[string]bool {
 	t.Helper()
 	name := regexp.MustCompile(`^dgs_[a-z0-9_]+$`)
 	out := map[string]bool{}
-	for _, f := range moduleSource(t) {
+	for _, f := range moduleSource(t, ".", false) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if s, err := strconv.Unquote(lit.Value); err == nil && name.MatchString(s) {
@@ -89,25 +91,35 @@ func metricLiterals(t *testing.T) map[string]bool {
 	return out
 }
 
-// moduleSource parses every non-test Go file of the module.
-func moduleSource(t *testing.T) []*ast.File {
+// moduleSource parses the Go files of every module directory under root
+// (see moduleDirs): the test files when tests is set, the others otherwise.
+func moduleSource(t *testing.T, root string, tests bool) []*ast.File {
 	t.Helper()
 	var out []*ast.File
-	for _, dir := range moduleDirs(t, ".") {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	for _, dir := range moduleDirs(t, root) {
+		out = append(out, parseDir(t, dir, tests)...)
+	}
+	return out
+}
+
+// parseDir parses dir's test files when tests is set, its other Go files
+// otherwise.
+func parseDir(t *testing.T, dir string, tests bool) []*ast.File {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*ast.File
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") != tests {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, f)
-		}
+		out = append(out, f)
 	}
 	return out
 }
@@ -132,7 +144,7 @@ func TestDocIdentifiersResolve(t *testing.T) {
 		}
 		m[key][name] = true
 	}
-	for _, f := range moduleSource(t) {
+	for _, f := range moduleSource(t, ".", false) {
 		pkg := f.Name.Name
 		for _, d := range f.Decls {
 			switch d := d.(type) {
@@ -253,4 +265,142 @@ func unfenced(doc string) string {
 		}
 	}
 	return strings.Join(lines, "\n")
+}
+
+// goToolFlags are the flags the docs cite of commands other than dgs: go
+// test's own, gofmt's -l, and -help, which every flag set answers.
+var goToolFlags = map[string]bool{
+	"-bench": true, "-benchtime": true, "-count": true, "-cpu": true, "-fuzz": true,
+	"-race": true, "-run": true, "-short": true, "-timeout": true, "-v": true,
+	"-l": true, "-help": true,
+}
+
+// TestDocTestNamesAndFlagsResolve: in every backticked span of README.md,
+// DESIGN.md and EXPERIMENTS.md (fenced blocks skipped), each TestX, FuzzX,
+// BenchmarkX or ExampleX name is a top-level function so named in a test
+// file of this module or of the nested benchmark module — with a trailing
+// `*` it names a family, and one function at least must start with it —
+// and each `-flag` is registered by some dgs subcommand or is one of
+// goToolFlags. A renamed or deleted test or flag otherwise lives on in the
+// docs. CHANGES.md is history and is not checked.
+func TestDocTestNamesAndFlagsResolve(t *testing.T) {
+	tests := map[string]bool{}
+	for _, root := range []string{".", "benchmark"} {
+		for _, f := range moduleSource(t, root, true) {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					tests[fn.Name.Name] = true
+				}
+			}
+		}
+	}
+	flags := dgsFlags(t)
+	span := regexp.MustCompile("`([^`]+)`")
+	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)\w*\*?`)
+	flagName := regexp.MustCompile(`(?:^|[\s(|])(-[a-z][a-z0-9-]*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := unfenced(string(data))
+		for _, sm := range span.FindAllStringSubmatchIndex(text, -1) {
+			line := 1 + strings.Count(text[:sm[0]], "\n")
+			code := text[sm[2]:sm[3]]
+			for _, name := range testName.FindAllString(code, -1) {
+				if !nameResolves(name, tests) {
+					t.Errorf("%s:%d: `%s`: no test function %s in the module", doc, line, code, name)
+				}
+			}
+			for _, m := range flagName.FindAllStringSubmatch(code, -1) {
+				if !flags[m[1][1:]] && !goToolFlags[m[1]] {
+					t.Errorf("%s:%d: `%s`: no dgs subcommand registers %s", doc, line, code, m[1])
+				}
+			}
+		}
+	}
+}
+
+// dgsFlags returns the flag names cmd/dgs registers: the name argument of
+// every flag-defining call on a subcommand's FlagSet, which cmd/dgs always
+// calls fs (fs.Int("name", …), fs.IntVar(&v, "name", …)), and where that
+// argument is a parameter of the enclosing function, as in
+// dialFlags(fs, &d, "addr"), the string literals its callers pass for it.
+func dgsFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	files := parseDir(t, filepath.Join("cmd", "dgs"), false)
+	define := regexp.MustCompile(`^(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?$`)
+	out := map[string]bool{}
+	byParam := map[string]int{} // function → position of the parameter it names a flag by
+	literal := func(e ast.Expr) {
+		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil {
+				out[s] = true
+			}
+		}
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				recv, ok := sel.X.(*ast.Ident)
+				m := define.FindStringSubmatch(sel.Sel.Name)
+				if !ok || recv.Name != "fs" || m == nil {
+					return true
+				}
+				i := 0
+				if m[1] != "" {
+					i = 1 // the Var forms take the destination first
+				}
+				if i >= len(call.Args) {
+					return true
+				}
+				literal(call.Args[i])
+				if id, ok := call.Args[i].(*ast.Ident); ok {
+					if j := paramIndex(fn, id.Name); j >= 0 {
+						byParam[fn.Name.Name] = j
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if id, ok := call.Fun.(*ast.Ident); ok {
+					if j, ok := byParam[id.Name]; ok && j < len(call.Args) {
+						literal(call.Args[j])
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// paramIndex returns the position of fn's parameter called name, or −1.
+func paramIndex(fn *ast.FuncDecl, name string) int {
+	i := 0
+	for _, field := range fn.Type.Params.List {
+		for _, n := range field.Names {
+			if n.Name == name {
+				return i
+			}
+			i++
+		}
+	}
+	return -1
 }

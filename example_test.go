@@ -63,3 +63,55 @@ func ExampleMethods() {
 	// ASGD
 	// DGS
 }
+
+// The same training with every worker↔server exchange crossing a real TCP
+// socket: the multi-process deployment path of `dgs server` and
+// `dgs worker`, in one process. Setting Config.TCPAddr is the only change.
+func ExampleTrain_tcpCluster() {
+	res, err := dgs.Train(dgs.Config{
+		Method:    dgs.DGS,
+		Workers:   4,
+		Model:     dgs.ModelMLP,
+		Dataset:   dgs.DatasetMixture,
+		Epochs:    3,
+		KeepRatio: 0.05,
+		TCPAddr:   "127.0.0.1:0", // any free port
+		EvalLimit: 128,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(res.FinalAccuracy > 0.5)
+	fmt.Println(res.BytesUp > 0 && res.BytesDown > 0)
+	// Output:
+	// true
+	// true
+}
+
+// Federated-style training (paper §4.2.2): with many workers the model
+// difference a worker pulls accumulates many peers' updates and stops being
+// sparse. Secondary compression re-sparsifies it at the server, bounding
+// the downward message; the remainder stays in M − v_k, so nothing is lost.
+func ExampleTrain_federated() {
+	down := map[bool]float64{}
+	for _, secondary := range []bool{false, true} {
+		res, err := dgs.Train(dgs.Config{
+			Method:         dgs.DGS,
+			Workers:        16,
+			Model:          dgs.ModelMLP,
+			Dataset:        dgs.DatasetMixture,
+			Epochs:         2,
+			BatchSize:      8,
+			Secondary:      secondary,
+			SecondaryRatio: 0.01,
+			EvalLimit:      128,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		down[secondary] = res.AvgDownBytes
+	}
+	fmt.Println(down[true] < down[false])
+	// Output:
+	// true
+}

@@ -279,7 +279,7 @@ func (a *Aggregator) onJoin(worker int) error {
 // handle is the inner downstream handler: decode, enqueue into the current
 // window, wait for the window's upstream round trip, answer the gathered
 // downward diff appended to dst. The response is always raw — workers
-// decode any registered codec, and the mirror's diffs are exact. The
+// decode every codec, and the mirror's diffs are exact. The
 // fan-out encodes into the slot's reused p.resp, so the answer is a copy.
 func (a *Aggregator) handle(dst []byte, worker int, payload []byte) ([]byte, error) {
 	a.mu.Lock()

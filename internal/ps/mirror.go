@@ -49,7 +49,7 @@ func (m *Mirror) Rebuild() {
 	m.mu.Unlock()
 }
 
-// Decode decodes a frame of any registered codec into u and validates it
+// Decode decodes a frame of any codec into u and validates it
 // against the mirror's geometry. Frames are hostile input until both pass:
 // ApplyDiff indexes layers and blocks without bounds checks of its own.
 func (m *Mirror) Decode(u *sparse.Update, frame []byte) error {

@@ -13,6 +13,10 @@ func bareReplica(sizes []int) *Replica {
 	return &Replica{cfg: Config{LayerSizes: sizes}, mirror: ps.NewMirror(sizes, 1, 0)}
 }
 
+// frameHeader is the header every frame starts with: the magic "DGS3" (little
+// endian), then the codec id.
+func frameHeader(id byte) []byte { return []byte{0x33, 0x53, 0x47, 0x44, id} }
+
 func mirrorIsZero(t *testing.T, r *Replica, sizes []int) bool {
 	t.Helper()
 	m := alloc(sizes)
@@ -27,7 +31,7 @@ func mirrorIsZero(t *testing.T, r *Replica, sizes []int) bool {
 	return true
 }
 
-// rawFrame encodes u through the legacy raw codec, failing the test on the
+// rawFrame encodes u through the raw codec, failing the test on the
 // panics the encoder reserves for programmer error (the hostile updates
 // below stay within what the encoder accepts: ascending indices, matched
 // idx/val lengths — the geometry violation is against the MODEL, which only
@@ -45,8 +49,17 @@ func TestReplicaRejectsHostileFrames(t *testing.T) {
 	frames := map[string][]byte{
 		"empty":            {},
 		"garbage":          {0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x01, 0x02},
-		"truncated magic":  {0x31, 0x53, 0x47},
-		"unknown codec id": sparse.AppendV3Header(nil, 0x7F),
+		"truncated magic":  {0x33, 0x53, 0x47},
+		"unknown codec id": frameHeader(0x7F),
+		// A well-formed raw body inside the geometry under the retired
+		// "DGS1" magic, which once framed raw bodies without a codec id:
+		// refused as a bad magic.
+		"retired DGS1": {
+			0x31, 0x53, 0x47, 0x44, // little-endian "DGS1"
+			0x01, 0x00, 0x00, 0x02, // one chunk: layer 0, sparse, nnz 2
+			0x01, 0x03, // index gaps: indices 1 and 5
+			0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0, // values 1 and −2
+		},
 		"layer out of range": rawFrame(&sparse.Update{Chunks: []sparse.Chunk{
 			{Layer: 7, Idx: []int32{0, 1}, Val: []float32{1, 2}},
 		}}),
@@ -59,12 +72,12 @@ func TestReplicaRejectsHostileFrames(t *testing.T) {
 		"index far out of range": rawFrame(&sparse.Update{Chunks: []sparse.Chunk{
 			{Layer: 0, Idx: []int32{1 << 28}, Val: []float32{1}},
 		}}),
-		"implausible nnz": {0x31, 0x53, 0x47, 0x44, // raw magic
+		"implausible nnz": append(frameHeader(sparse.CodecRaw),
 			0x01,                         // one chunk
 			0x00,                         // layer 0
 			0x00,                         // flags: sparse
 			0xFF, 0xFF, 0xFF, 0xFF, 0x7F, // nnz ≈ 34 billion
-			0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+			0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00),
 	}
 	for name, b := range frames {
 		r := bareReplica(sizes)
@@ -83,7 +96,7 @@ func TestReplicaRejectsHostileFrames(t *testing.T) {
 }
 
 // TestReplicaAcceptsRegisteredCodecFrames is the positive control: frames
-// from every registered codec that fit the geometry must apply cleanly.
+// from every codec that fit the geometry must apply cleanly.
 func TestReplicaAcceptsRegisteredCodecFrames(t *testing.T) {
 	sizes := []int{32, 17}
 	u := &sparse.Update{Chunks: []sparse.Chunk{
@@ -112,7 +125,7 @@ func TestReplicaAcceptsRegisteredCodecFrames(t *testing.T) {
 
 // FuzzReplicaFrame feeds arbitrary bytes to the replica's subscription
 // decoder: applyFrame must never panic, and any frame it rejects must leave
-// the mirror bitwise untouched. Seeds cover every registered codec, the
+// the mirror bitwise untouched. Seeds cover every codec, the
 // reserved codec id 1 of the removed ternary codec, frames that decode but
 // violate the model geometry, and raw corruption.
 func FuzzReplicaFrame(f *testing.F) {
@@ -132,16 +145,16 @@ func FuzzReplicaFrame(f *testing.F) {
 	// Codec id 1, reserved: a well-formed frame of the removed ternary
 	// codec (one chunk, layer 0, scale 2, two indices, signs) and an empty
 	// one.
-	f.Add(append(sparse.AppendV3Header(nil, 1), 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x02, 0x01, 0x04, 0x02))
-	f.Add(append(sparse.AppendV3Header(nil, 1), 0x00))
+	f.Add(append(frameHeader(1), 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x02, 0x01, 0x04, 0x02))
+	f.Add(append(frameHeader(1), 0x00))
 	f.Add(rawFrame(&sparse.Update{Chunks: []sparse.Chunk{
 		{Layer: 7, Idx: []int32{0}, Val: []float32{1}},
 	}}))
 	f.Add(rawFrame(&sparse.Update{Chunks: []sparse.Chunk{
 		{Layer: 0, Idx: []int32{1 << 28}, Val: []float32{1}},
 	}}))
-	f.Add(sparse.AppendV3Header(nil, 0x7F))
-	f.Add([]byte{0x31, 0x53, 0x47, 0x44, 0x01, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(frameHeader(0x7F))
+	f.Add(append(frameHeader(sparse.CodecRaw), 0x01, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 0, 0, 0, 0))
 	f.Add([]byte{})
 	corrupt := rawFrame(u)
 	corrupt[len(corrupt)/2] ^= 0xFF

@@ -13,7 +13,7 @@
 // error into v_k via FoldDown, the same mechanism trainers rely on), and a
 // raw-framed poll returning an empty diff proves mirror == v_k == M at that
 // instant. The replica never needs new server state or protocol: it rides
-// the dirty-range gather, the secondary compression and the codec registry
+// the dirty-range gather, the secondary compression and the codec table
 // exactly as trainers do.
 //
 // Staleness: reads are served from the local mirror and are stale by at
@@ -280,7 +280,7 @@ func (r *Replica) pollOnce(forceRaw bool) (int, error) {
 	}
 	nnz, err := r.applyFrame(resp)
 	if err != nil {
-		// A frame the registry cannot decode (or that does not fit the
+		// A frame no codec can decode (or that does not fit the
 		// model geometry) means the link is feeding us garbage; treat it
 		// like a dead incarnation rather than guessing.
 		r.resync(err)

@@ -7,9 +7,8 @@ import (
 	"math/bits"
 )
 
-// Wire format (little endian):
+// Raw body (codec 0, after the frame header; little endian):
 //
-//	u32  magic "DGS1"
 //	uvarint chunk count
 //	per chunk:
 //	  uvarint layer
@@ -22,8 +21,6 @@ import (
 // 99%-sparse update costs roughly 5 bytes per nonzero instead of 8; dense
 // chunks (the ASGD baseline's whole-model messages) cost exactly 4 bytes
 // per value so baseline traffic accounting is not inflated.
-const codecMagic = 0x44475331 // "DGS1"
-
 const flagDense = 0x01
 
 // isDenseChunk reports whether the (strictly ascending) index set is exactly
@@ -33,9 +30,9 @@ func isDenseChunk(c *Chunk) bool {
 	return n > 0 && c.Idx[0] == 0 && c.Idx[n-1] == int32(n-1)
 }
 
-// Encode serialises an update. The update must satisfy Validate (ascending
-// indices); Encode panics on malformed chunks since that is a programming
-// error, not input error.
+// Encode serialises an update as a raw frame. The update must satisfy
+// Validate (ascending indices); Encode panics on malformed chunks since that
+// is a programming error, not input error.
 func Encode(u *Update) []byte {
 	return AppendEncode(nil, u)
 }
@@ -53,7 +50,7 @@ func AppendEncode(dst []byte, u *Update) []byte {
 		dst = grown
 	}
 	// Every append below fits the capacity just ensured.
-	dst = binary.LittleEndian.AppendUint32(dst, codecMagic)
+	dst = appendHeader(dst, CodecRaw)
 	dst = binary.AppendUvarint(dst, uint64(len(u.Chunks)))
 	for i := range u.Chunks {
 		c := &u.Chunks[i]
@@ -108,7 +105,7 @@ func appendGaps(dst []byte, c *Chunk) []byte {
 // n + n·log2(s/n)/7 < n + ⌈n·bits.Len(⌊s/n⌋)/7⌉ bytes. u must satisfy
 // Validate's ordering; the layer and nnz varints are sized exactly.
 func EncodedLenBound(u *Update) int {
-	size := 4 + uvarintLen(uint64(len(u.Chunks)))
+	size := headerLen + uvarintLen(uint64(len(u.Chunks)))
 	for i := range u.Chunks {
 		c := &u.Chunks[i]
 		n := len(c.Idx)
@@ -124,7 +121,7 @@ func EncodedLenBound(u *Update) int {
 // uvarintLen is the number of bytes binary.PutUvarint writes for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// Decode parses a serialised update into a fresh Update.
+// Decode parses a raw frame into a fresh Update.
 func Decode(b []byte) (*Update, error) {
 	u := &Update{}
 	if err := DecodeInto(u, b); err != nil {
@@ -133,20 +130,19 @@ func Decode(b []byte) (*Update, error) {
 	return u, nil
 }
 
-// DecodeInto parses a serialised update into u, reusing u's chunk slice and
-// each chunk's index/value storage. Steady-state decoding of same-shaped
-// updates allocates nothing. On error u's contents are unspecified. The
+// DecodeInto parses a raw frame into u, reusing u's chunk slice and each
+// chunk's index/value storage. Steady-state decoding of same-shaped updates
+// allocates nothing. On error u's contents are unspecified. The
 // decoded data is valid until the next DecodeInto on the same Update.
 func DecodeInto(u *Update, b []byte) error {
-	if len(b) < 4 || binary.LittleEndian.Uint32(b) != codecMagic {
-		return fmt.Errorf("sparse: bad magic")
+	b, err := frameBody(b, CodecRaw)
+	if err != nil {
+		return err
 	}
-	off := 4
-	nChunks, n := binary.Uvarint(b[off:])
-	if n <= 0 {
+	nChunks, off := binary.Uvarint(b)
+	if off <= 0 {
 		return fmt.Errorf("sparse: truncated chunk count")
 	}
-	off += n
 	// Every chunk costs at least 3 bytes (layer uvarint, flags, nnz
 	// uvarint), so the remaining payload bounds the plausible chunk count —
 	// a malformed frame cannot coerce a huge Chunks allocation.

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -18,32 +19,33 @@ func FuzzDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add(Encode(&Update{}))
 	f.Add([]byte{})
-	f.Add([]byte{0x31, 0x53, 0x47, 0x44}) // magic only
+	f.Add(appendHeader(nil, CodecRaw)) // header only
 	corrupted := append([]byte(nil), valid...)
 	corrupted[len(corrupted)/2] ^= 0xFF
 	f.Add(corrupted)
 	// Hostile small frames claiming huge element counts: the decoder must
 	// bound nnz and the chunk count by the bytes actually remaining instead
-	// of allocating first. A 20-byte frame must never trigger a giant make.
-	hugeNNZ := []byte{0x31, 0x53, 0x47, 0x44, // magic (little endian "DGS1")
+	// of allocating first. A 21-byte frame must never trigger a giant make.
+	hugeNNZ := append(appendHeader(nil, CodecRaw),
 		0x01,                         // one chunk
 		0x00,                         // layer 0
 		0x00,                         // flags: sparse
 		0xFF, 0xFF, 0xFF, 0xFF, 0x7F, // nnz ≈ 34 billion
-		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00} // 8 leftover bytes
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00) // 8 leftover bytes
 	f.Add(hugeNNZ)
 	hugeDense := append([]byte(nil), hugeNNZ...)
-	hugeDense[6] = 0x01 // flags: dense — values alone would still be ~128 GiB
+	hugeDense[headerLen+2] = 0x01 // flags: dense — values alone would still be ~128 GiB
 	f.Add(hugeDense)
-	f.Add([]byte{0x31, 0x53, 0x47, 0x44, 0xFF, 0xFF, 0xFF, 0x7F}) // huge chunk count, empty body
+	f.Add(append(appendHeader(nil, CodecRaw), 0xFF, 0xFF, 0xFF, 0x7F)) // huge chunk count, empty body
+	f.Add(retiredDGS1Frame())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkDecode(t, b)
 	})
 }
 
-// FuzzDecodeAny feeds arbitrary bytes to the generation-sniffing decoder,
-// which dispatches on the v3 codec id: it must never panic, hostile frames
+// FuzzDecodeAny feeds arbitrary bytes to DecodeAnyInto, which dispatches
+// on the header's codec id: it must never panic, hostile frames
 // (unknown ids, truncated headers, implausible counts, over-long Rice runs)
 // must error, and anything it accepts must re-encode through the same codec
 // to a decodable fixpoint.
@@ -52,7 +54,7 @@ func FuzzDecodeAny(f *testing.F) {
 		{Layer: 0, Idx: []int32{0, 3, 9}, Val: []float32{1, -2, 0.5}},
 		{Layer: 2, Idx: []int32{7, 70, 700}, Val: []float32{42, -1, -3}},
 	}}
-	f.Add(Encode(u)) // legacy DGS1 frames are codec 0
+	f.Add(Encode(u))
 	sbc, err := CodecByName("sbc")
 	if err != nil {
 		f.Fatal(err)
@@ -63,13 +65,13 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add(sbc.AppendEncode(nil, u)) // unquantized input: the lossy projection
 	f.Add(sbc.AppendEncode(nil, &Update{}))
 
-	f.Add(AppendV3Header(nil, 0x7F))      // unknown codec id
-	f.Add([]byte{0x33, 0x53, 0x47, 0x44}) // v3 magic, truncated before the id
-	f.Add(AppendV3Header(nil, CodecSBC))  // sbc header, empty body
+	f.Add(appendHeader(nil, 0x7F))        // unknown codec id
+	f.Add([]byte{0x33, 0x53, 0x47, 0x44}) // magic, truncated before the id
+	f.Add(appendHeader(nil, CodecSBC))    // sbc header, empty body
 
 	// Hostile sbc frame: one chunk claiming ~34 billion entries with no
 	// bitstream behind it. The nnz bound must reject it before allocating.
-	hugeNNZ := AppendV3Header(nil, CodecSBC)
+	hugeNNZ := appendHeader(nil, CodecSBC)
 	hugeNNZ = append(hugeNNZ, 0x01, 0x00)                   // one chunk, layer 0
 	hugeNNZ = append(hugeNNZ, make([]byte, 8)...)           // μ+ = μ− = 0
 	hugeNNZ = append(hugeNNZ, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F) // nnz ≈ 34 billion
@@ -77,14 +79,14 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add(hugeNNZ)
 
 	// Rice parameter beyond the 30-bit cap.
-	badK := AppendV3Header(nil, CodecSBC)
+	badK := appendHeader(nil, CodecSBC)
 	badK = append(badK, 0x01, 0x00)
 	badK = append(badK, make([]byte, 8)...)
 	badK = append(badK, 0x01, 31, 0x00)
 	f.Add(badK)
 
 	// Unary run past maxUnaryRun: 64 one-bits with no terminator.
-	longRun := AppendV3Header(nil, CodecSBC)
+	longRun := appendHeader(nil, CodecSBC)
 	longRun = append(longRun, 0x01, 0x00)
 	longRun = append(longRun, make([]byte, 8)...)
 	longRun = append(longRun, 0x01, 0x00)
@@ -92,10 +94,23 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add(longRun)
 
 	f.Add(retiredTernaryFrame())
+	f.Add(retiredDGS1Frame())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkDecodeAny(t, b)
 	})
+}
+
+// retiredDGS1Frame is a well-formed raw body under the retired "DGS1"
+// magic, which once framed raw bodies without a codec id. No fleet holds
+// such frames, so every decoder refuses one as a bad magic.
+func retiredDGS1Frame() []byte {
+	return []byte{
+		0x31, 0x53, 0x47, 0x44, // little-endian "DGS1"
+		0x01, 0x00, 0x00, 0x02, // one chunk: layer 0, sparse, nnz 2
+		0x01, 0x03, // index gaps: indices 1 and 5
+		0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0, // values 1 and −2
+	}
 }
 
 // retiredTernaryFrame is a well-formed frame of the removed ternary codec,
@@ -103,23 +118,24 @@ func FuzzDecodeAny(f *testing.F) {
 // sign byte (the second value negative). The id stays reserved, so every
 // process refuses such a frame as an unknown codec.
 func retiredTernaryFrame() []byte {
-	return append(AppendV3Header(nil, 1), 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x02, 0x01, 0x04, 0x02)
+	return append(appendHeader(nil, 1), 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x02, 0x01, 0x04, 0x02)
 }
 
-// TestDecodeAnyRejectsHostileV3 pins the v3 hostile-frame behaviour down as
-// a plain test (the fuzz seeds only assert "no panic"): unknown codec ids,
-// truncated headers, implausible counts, and over-long unary runs must all
-// error.
-func TestDecodeAnyRejectsHostileV3(t *testing.T) {
+// TestDecodeAnyRejectsHostileFrames pins the hostile-frame behaviour of the
+// id dispatch down as a plain test (the fuzz seeds only assert "no panic"):
+// retired magics, unknown codec ids, truncated headers, implausible counts,
+// and over-long unary runs must all error.
+func TestDecodeAnyRejectsHostileFrames(t *testing.T) {
 	frames := map[string][]byte{
-		"unknown codec id":  AppendV3Header(nil, 0x7F),
+		"unknown codec id":  appendHeader(nil, 0x7F),
 		"truncated header":  {0x33, 0x53, 0x47, 0x44},
-		"empty sbc body":    AppendV3Header(nil, CodecSBC),
-		"huge sbc nnz":      append(AppendV3Header(nil, CodecSBC), 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00),
-		"rice k 31":         append(AppendV3Header(nil, CodecSBC), 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 31, 0x00),
-		"unary run 64":      append(AppendV3Header(nil, CodecSBC), 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
+		"empty sbc body":    appendHeader(nil, CodecSBC),
+		"huge sbc nnz":      append(appendHeader(nil, CodecSBC), 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00),
+		"rice k 31":         append(appendHeader(nil, CodecSBC), 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 31, 0x00),
+		"unary run 64":      append(appendHeader(nil, CodecSBC), 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
 		"trailing sbc byte": append(sbcFrame(t), 0x00),
 		"retired id 1":      retiredTernaryFrame(),
+		"retired DGS1":      retiredDGS1Frame(),
 	}
 	var u Update
 	for name, b := range frames {
@@ -140,7 +156,7 @@ func sbcFrame(t *testing.T) []byte {
 	}})
 }
 
-// checkDecodeAny mirrors checkDecode for the registry path: an accepted
+// checkDecodeAny mirrors checkDecode for the id dispatch: an accepted
 // frame must re-encode through its own codec to a stable fixpoint.
 func checkDecodeAny(t *testing.T, b []byte) {
 	var u Update
@@ -153,7 +169,7 @@ func checkDecodeAny(t *testing.T, b []byte) {
 	}
 	c, err := CodecByID(id)
 	if err != nil {
-		t.Fatalf("accepted frame has unregistered codec: %v", err)
+		t.Fatalf("accepted frame has an unknown codec: %v", err)
 	}
 	re := c.AppendEncode(nil, &u)
 	var u2 Update
@@ -174,13 +190,60 @@ func checkDecodeAny(t *testing.T, b []byte) {
 // not answered with a multi-gigabyte allocation.
 func TestDecodeRejectsImplausibleCounts(t *testing.T) {
 	frames := [][]byte{
-		{0x31, 0x53, 0x47, 0x44, 0x01, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 0, 0, 0, 0},
-		{0x31, 0x53, 0x47, 0x44, 0x01, 0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 0, 0, 0, 0},
-		{0x31, 0x53, 0x47, 0x44, 0xFF, 0xFF, 0xFF, 0x7F},
+		append(appendHeader(nil, CodecRaw), 0x01, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 0, 0, 0, 0),
+		append(appendHeader(nil, CodecRaw), 0x01, 0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 0, 0, 0, 0),
+		append(appendHeader(nil, CodecRaw), 0xFF, 0xFF, 0xFF, 0x7F),
 	}
 	for i, b := range frames {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("frame %d: hostile %d-byte frame decoded without error", i, len(b))
+		}
+	}
+}
+
+// TestFrameGolden pins one raw and one sbc frame byte for byte: the header
+// ("DGS3" little endian, then the codec id) and each codec's body. A change
+// to either encoding shows up here as a diff of literal bytes.
+func TestFrameGolden(t *testing.T) {
+	raw := &Update{Chunks: []Chunk{
+		{Layer: 0, Idx: []int32{1, 5}, Val: []float32{1.5, -2}},
+		{Layer: 2, Idx: []int32{0, 1}, Val: []float32{0.25, 3}}, // dense
+	}}
+	sbc := &Update{Chunks: []Chunk{{Layer: 1, Idx: []int32{3, 4, 10}, Val: []float32{2, -0.5, 2}}}}
+	for _, c := range []struct {
+		codec byte
+		u     *Update
+		want  []byte
+	}{
+		{CodecRaw, raw, []byte{
+			0x33, 0x53, 0x47, 0x44, 0x00, // header: magic, codec 0
+			0x02,                         // two chunks
+			0x00, 0x00, 0x02, 0x01, 0x03, // layer 0, sparse, nnz 2, gaps 1 and 3
+			0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0xc0, // 1.5, −2
+			0x02, 0x01, 0x02, // layer 2, dense, nnz 2
+			0x00, 0x00, 0x80, 0x3e, 0x00, 0x00, 0x40, 0x40, // 0.25, 3
+		}},
+		{CodecSBC, sbc, []byte{
+			0x33, 0x53, 0x47, 0x44, 0x02, // header: magic, codec 2
+			0x01, 0x01, // one chunk, layer 1
+			0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x3f, // μ+ 2, μ− 0.5
+			0x03, 0x01, // nnz 3, Rice k 1
+			0x65, 0x05, // gaps 3, 0, 5 then signs +, −, +
+		}},
+	} {
+		codec, err := CodecByID(c.codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := codec.AppendEncode(nil, c.u)
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("%s frame\n got % x\nwant % x", codec.Name(), got, c.want)
+		}
+		var u Update
+		if err := DecodeAnyInto(&u, c.want); err != nil {
+			t.Errorf("%s golden frame: %v", codec.Name(), err)
+		} else if !reflect.DeepEqual(u.Chunks, c.u.Chunks) {
+			t.Errorf("%s golden frame decodes to %v, want %v", codec.Name(), u.Chunks, c.u.Chunks)
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"dgs/internal/tensor"
 )
 
-// quantizers returns every registered lossy codec and fails the test unless
-// sbc is among them, so a lost registration cannot shrink what is covered.
+// quantizers returns every lossy codec and fails the test unless sbc is
+// among them, so a codec dropped from the table cannot shrink what is
+// covered.
 func quantizers(t *testing.T) []sparse.Quantizer {
 	t.Helper()
 	var out []sparse.Quantizer

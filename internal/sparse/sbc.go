@@ -12,7 +12,7 @@ import (
 // SBC observes that after aggressive sparsification the surviving values
 // cluster around two magnitudes — one per sign — so it ships only the index
 // set (as Rice/Golomb-coded gaps), one sign bit per coordinate, and the two
-// per-sign mean magnitudes. Body layout after the v3 header:
+// per-sign mean magnitudes. Body layout after the frame header:
 //
 //	uvarint chunk count
 //	per chunk:
@@ -156,7 +156,7 @@ func (br *bitReader) readUnary() (uint64, error) {
 }
 
 func (sbcCodec) AppendEncode(dst []byte, u *Update) []byte {
-	dst = AppendV3Header(dst, CodecSBC)
+	dst = appendHeader(dst, CodecSBC)
 	var tmp [binary.MaxVarintLen64]byte
 	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(u.Chunks)))]...)
 	for i := range u.Chunks {
@@ -202,7 +202,7 @@ func (sbcCodec) AppendEncode(dst []byte, u *Update) []byte {
 }
 
 func (sbcCodec) DecodeInto(u *Update, b []byte) error {
-	body, err := checkV3Header(b, CodecSBC)
+	body, err := frameBody(b, CodecSBC)
 	if err != nil {
 		return err
 	}
@@ -352,8 +352,4 @@ func (sbcCodec) Quantize(dst *Update, src *Update, errOut *Update) {
 			errOut.Chunks = errOut.Chunks[:len(errOut.Chunks)-1]
 		}
 	}
-}
-
-func init() {
-	RegisterCodec(sbcCodec{})
 }

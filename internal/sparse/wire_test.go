@@ -92,7 +92,7 @@ func wireBytes(t *testing.T, codec sparse.Codec, sizes []int, updates []sparse.U
 	return up, down
 }
 
-// TestLossyCodecWireRatio: every registered lossy codec at least halves the
+// TestLossyCodecWireRatio: every lossy codec at least halves the
 // embed workload's wire against codec 0, in both directions. This is a
 // byte count over a fixed-seed exchange sequence, not a timing. A non-raw
 // codec that is not a Quantizer, or a missing sbc registration, fails the

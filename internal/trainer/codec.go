@@ -10,27 +10,24 @@ import (
 	"dgs/internal/transport"
 )
 
-// This file wires the sparse codec registry (DESIGN.md §14) into the
-// exchange path.
+// This file wires the sparse codec table (DESIGN.md §14) into the exchange
+// path.
 //
-// Negotiation is stateless and per-frame: codec 0 frames are bitwise the
-// legacy DGS1 encoding, so a v2 peer and a v3 peer speaking raw are
-// indistinguishable on the wire. The server answers each request in the
-// codec the request arrived in (or a forced policy codec, but only to
-// requests that already proved themselves v3), so a v2 worker talking to a
-// v3 server falls back to codec 0 without either side knowing the other's
-// version. A v3 worker needs a v3 server: a v2 server refuses its first
-// non-raw frame with a "bad magic" error, which ends the run.
-//
-// Both directions apply the *decoded* values and fold the projection error
-// of lossy codecs into residual state — the worker into its optimizer
-// accumulation (optim.ResidualFolder), the server into v_k
-// (ps.DownFolder) — so the Eq. 5 drain invariant v_k == M survives
-// quantization bitwise. Two rules protect that invariant at the edges:
-// empty pushes (the drain/sync probes) are always answered raw, so a drain
-// converges on exact diffs instead of oscillating on quantized ones; and a
-// server without FoldDown support (a ps.Pusher that is not a ps.DownFolder)
-// is answered raw too, never lossily.
+// Negotiation is stateless and per-frame: every frame's header names its
+// codec, and the server answers each request in the codec it arrived in
+// (the mirror policy) or in a forced policy codec. Both directions apply
+// the *decoded* values and fold the projection error of lossy codecs into
+// residual state — the worker into its optimizer accumulation
+// (optim.ResidualFolder), the server into v_k (ps.DownFolder) — so the
+// Eq. 5 drain invariant v_k == M survives quantization bitwise. Three rules
+// keep lossy answers away from the exchanges that need exact values, under
+// every policy:
+//   - a raw request is answered raw: a raw worker trains on exact values
+//     both ways, and a forced lossy codec does not change that;
+//   - an empty push (a drain or sync probe) is answered raw, so a drain
+//     converges on exact diffs instead of oscillating on quantized ones;
+//   - a server without FoldDown support (a ps.Pusher that is not a
+//     ps.DownFolder) is answered raw, because it cannot absorb the error.
 
 // downQuantState is the server's per-worker downward quantization scratch.
 // A worker's exchanges are serialised by the transport (the same contract
@@ -76,8 +73,8 @@ func (h *codecHandler) respCodec(reqID byte, drain bool) sparse.Quantizer {
 	}
 	codec := h.forced
 	if codec == nil {
-		// Mirror: the request's codec decoded successfully, so it is
-		// registered here.
+		// Mirror: the request's codec decoded successfully, so it is in
+		// the codec table.
 		codec, _ = sparse.CodecByID(reqID)
 	}
 	q, _ := codec.(sparse.Quantizer)
@@ -105,10 +102,11 @@ func (h *codecHandler) encodeDown(dst []byte, worker int, reqID byte, drain bool
 
 // HandlerWithCodec builds the server-side transport handler with a downward
 // codec policy: "" or "mirror" answers each request in its own codec; a
-// codec name forces that codec for every v3 request (v2/raw requests are
-// still answered raw — they may come from a peer that predates the
-// registry). Upward frames of any registered codec are accepted regardless
-// of policy.
+// codec name forces that codec for every lossy request (raw requests and
+// drains are still answered raw, see the rules above). With sbc the only
+// lossy codec, "sbc" answers exactly as "mirror" does and "raw" pins the
+// downward direction to exact values. Upward frames of every codec are
+// accepted regardless of policy.
 func HandlerWithCodec(server ps.Pusher, policy string) (transport.Handler, error) {
 	h, err := newCodecHandler(server, policy)
 	if err != nil {
@@ -132,7 +130,7 @@ func newCodecHandler(server ps.Pusher, policy string) (*codecHandler, error) {
 			return nil, fmt.Errorf("trainer: codec %q needs a server with downward error folding", policy)
 		}
 		// A forced raw codec is kept too: it pins the downward direction to
-		// codec 0 even for lossy v3 requests (respCodec sees a non-Quantizer
+		// codec 0 even for lossy requests (respCodec sees a non-Quantizer
 		// and answers raw), which is what "-codec raw" promises operators.
 		h.forced = c
 	}

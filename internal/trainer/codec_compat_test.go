@@ -12,10 +12,9 @@ import (
 	"dgs/internal/transport"
 )
 
-// Cross-version compatibility of the v3 codec negotiation (DESIGN.md §14):
-// raw frames are bitwise the legacy v2 encoding, so these tests pin down
-// that a v2 peer on either end of the exchange degrades the run to codec 0
-// instead of breaking it.
+// The downward codec policy (DESIGN.md §14): which codec each request is
+// answered in, under the mirror and forced policies, and which frames the
+// exchange refuses without touching the server.
 
 func encodeWith(t *testing.T, name string, u *sparse.Update) []byte {
 	t.Helper()
@@ -51,8 +50,8 @@ func compatUpdate() *sparse.Update {
 }
 
 // TestMirrorPolicyAnswersInRequestCodec: the default policy answers every
-// request in the codec it arrived in — raw stays raw (v2 workers never see
-// a v3 frame), lossy codecs are mirrored back, and the drain rule overrides
+// request in the codec it arrived in — raw stays raw (a raw worker gets
+// exact values), lossy codecs are mirrored back, and the drain rule overrides
 // even a lossy request with a raw answer.
 func TestMirrorPolicyAnswersInRequestCodec(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
@@ -79,10 +78,10 @@ func TestMirrorPolicyAnswersInRequestCodec(t *testing.T) {
 	}
 }
 
-// TestForcedPolicyAppliesOnlyToV3Requests: a forced codec binds v3 peers,
-// but a raw request may come from a v2 worker that cannot decode a v3
-// frame — it must still be answered raw.
-func TestForcedPolicyAppliesOnlyToV3Requests(t *testing.T) {
+// TestForcedPolicyAnswersRawRequestsRaw: a forced lossy codec binds lossy
+// requests, but a raw request asked for exact values and is still answered
+// raw.
+func TestForcedPolicyAnswersRawRequestsRaw(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
 	h, err := HandlerWithCodec(server, "sbc")
 	if err != nil {
@@ -99,7 +98,7 @@ func TestForcedPolicyAppliesOnlyToV3Requests(t *testing.T) {
 	}
 }
 
-// TestForcedRawPolicyPinsDownward: "-codec raw" must answer even lossy v3
+// TestForcedRawPolicyPinsDownward: "-codec raw" must answer even lossy
 // requests with codec 0 — the operator escape hatch for suspect links.
 func TestForcedRawPolicyPinsDownward(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
@@ -146,6 +145,31 @@ func TestBaselineServerAnsweredRaw(t *testing.T) {
 // the production handler stack, must come back as an error frame, and the
 // server must be left as it was: no push applied, M and v_k unchanged.
 func TestRetiredCodecIDRefused(t *testing.T) {
+	// One chunk, layer 0, scale 2, two delta-coded indices and a sign byte
+	// after the header ("DGS3" little endian, id 1): a well-formed frame of
+	// the retired codec.
+	requireRefusedPush(t, []byte{0x33, 0x53, 0x47, 0x44, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x02, 0x01, 0x04, 0x02})
+}
+
+// TestRetiredDGS1MagicRefused: raw bodies were once framed under a "DGS1"
+// magic without a codec id. Every frame now carries the one header, so a
+// well-formed update under the old magic is refused like any bad frame,
+// and the server is left as it was.
+func TestRetiredDGS1MagicRefused(t *testing.T) {
+	requireRefusedPush(t, []byte{
+		0x31, 0x53, 0x47, 0x44, // little-endian "DGS1"
+		0x01, 0x00, 0x00, 0x02, // one chunk: layer 0, sparse, nnz 2
+		0x01, 0x03, // index gaps: indices 1 and 5
+		0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0, // values 1 and −2
+	})
+}
+
+// requireRefusedPush sends one accepted push, then frame, over TCP through
+// ExactlyOnceHandlerWithCodec. frame must come back as an error frame with
+// the server's push count, M and v_k unchanged, and the session must
+// survive the refusal.
+func requireRefusedPush(t *testing.T, frame []byte) {
+	t.Helper()
 	sizes := []int{8}
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 1})
 	eo, err := ExactlyOnceHandlerWithCodec(server, "mirror")
@@ -173,18 +197,14 @@ func TestRetiredCodecIDRefused(t *testing.T) {
 	}
 	m0, v0, p0 := state()
 
-	// One chunk, layer 0, scale 2, two delta-coded indices and a sign byte:
-	// a well-formed frame of the retired codec.
-	retired := append(sparse.AppendV3Header(nil, 1), 0x01, 0x00, 0x00, 0x00, 0x00, 0x40, 0x02, 0x01, 0x04, 0x02)
 	var srvErr *transport.ServerError
-	if _, err := conn.Exchange(0, retired); !errors.As(err, &srvErr) {
-		t.Fatalf("codec id 1 push: got %v, want an error frame", err)
+	if _, err := conn.Exchange(0, frame); !errors.As(err, &srvErr) {
+		t.Fatalf("push % x: got %v, want an error frame", frame, err)
 	}
 	m1, v1, p1 := state()
 	if p1 != p0 || !slices.Equal(m1, m0) || !slices.Equal(v1, v0) {
 		t.Fatalf("refused push changed the server: pushes %d → %d, M %v → %v, v_k %v → %v", p0, p1, m0, m1, v0, v1)
 	}
-	// The session survives the refusal.
 	if _, err := conn.Exchange(0, sparse.Encode(&sparse.Update{})); err != nil {
 		t.Fatalf("push after the refused frame: %v", err)
 	}
@@ -225,7 +245,7 @@ func TestChaosQuantizedTrainingDrainsExact(t *testing.T) {
 		t.Fatal("no replays recorded — the fault schedule never exercised the replay cache")
 	}
 
-	// The drain decodes with the strict legacy decoder, so it doubles as the
+	// The drain decodes with the strict raw decoder, so it doubles as the
 	// end-to-end check that drains are answered raw; a quantization error
 	// leaked out of residual state would leave v_k != M.
 	requireDrainedFixpoint(t, f, server, sizes, 4)

@@ -12,12 +12,12 @@ import (
 	"dgs/internal/tensor"
 )
 
-// The convergence gate behind the CI `convergence` job: every registered
-// wire codec must reach the target training loss in no more steps than the
+// The convergence gate behind the CI `convergence` job: every wire codec
+// must reach the target training loss in no more steps than the
 // uncompressed asynchronous baseline (GD-async in the paper's terminology,
 // ASGD here). Single-worker runs with fixed seeds are fully deterministic —
-// the lossy codecs' stochastic rounding draws from a seeded RNG — so this
-// is a stable gate, not a statistical one.
+// sbc, the one lossy codec, draws no randomness — so this is a stable gate,
+// not a statistical one.
 
 // stepsToLoss returns the 1-based index of the first recorded training-loss
 // point whose trailing window mean is at or below target, or -1 if the run

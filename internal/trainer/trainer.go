@@ -282,8 +282,8 @@ var scratchPool = sync.Pool{New: func() any { return new(exchangeScratch) }}
 // Handler builds the server-side transport handler: decode → Push → encode.
 // It is shared by the in-process loopback and the TCP server binary, and
 // accepts either a plain Server or a ShardedServer. Responses mirror the
-// request's wire codec (see HandlerWithCodec in codec.go), so raw clients —
-// including v2 peers — get bitwise the legacy behaviour.
+// request's wire codec (see HandlerWithCodec in codec.go), so raw clients
+// are answered with exact values.
 func Handler(server ps.Pusher) transport.Handler {
 	h, err := HandlerWithCodec(server, "mirror")
 	if err != nil {
@@ -485,7 +485,7 @@ func syncModel(tr transport.Transport, id int, model *nn.Model) error {
 			return fmt.Errorf("trainer: final sync: %w", err)
 		}
 		// Empty pushes are always answered in codec 0 (the drain rule), but
-		// decode defensively through the registry regardless.
+		// decode defensively through the codec table regardless.
 		G := &sparse.Update{}
 		if err := sparse.DecodeAnyInto(G, resp); err != nil {
 			return fmt.Errorf("trainer: final sync decode: %w", err)
