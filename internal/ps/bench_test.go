@@ -207,6 +207,9 @@ func BenchmarkPushFleet(b *testing.B) {
 			func(rng *tensor.RNG) *sparse.Update { return embedRowUpdate(rng, fleetEmbedSizes) }},
 		{"embed/block1024", Config{LayerSizes: fleetEmbedSizes, Workers: 17, BlockShift: 10}, 16, 16, false,
 			func(rng *tensor.RNG) *sparse.Update { return embedRowUpdate(rng, fleetEmbedSizes) }},
+		// mlp_dgs's server: the plain gather on the MLP.
+		{"mlp/auto", Config{LayerSizes: fleetMLPSizes, Workers: 2}, 2, 16, false,
+			func(rng *tensor.RNG) *sparse.Update { return topKUpdate(rng, fleetMLPSizes, 0.05) }},
 		{"mlp_secondary/auto", Config{LayerSizes: fleetMLPSizes, Workers: 2, Secondary: true, SecondaryRatio: 0.05}, 2, 16, false,
 			func(rng *tensor.RNG) *sparse.Update { return topKUpdate(rng, fleetMLPSizes, 0.05) }},
 		{"mlp_secondary/block64", Config{LayerSizes: fleetMLPSizes, Workers: 2, Secondary: true, SecondaryRatio: 0.05, BlockShift: 6}, 2, 16, false,

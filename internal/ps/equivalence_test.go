@@ -97,6 +97,9 @@ func TestPushEquivalence(t *testing.T) {
 		{"default", Config{LayerSizes: []int{17, 1000, 3}, Workers: 3, Quiet: true}},
 		{"tiny_blocks", Config{LayerSizes: []int{17, 1000, 3}, Workers: 3, BlockShift: 4, Quiet: true}},
 		{"one_big_layer", Config{LayerSizes: []int{4096}, Workers: 2, BlockShift: 5, Quiet: true}},
+		// Blocks of 4 are shorter than one vector register: every gather
+		// runs tensor.DiffFold's scalar tail, on every host.
+		{"block4", Config{LayerSizes: []int{17, 1000, 3}, Workers: 3, BlockShift: 2, Quiet: true}},
 		{"secondary", Config{LayerSizes: []int{64, 257}, Workers: 3, Secondary: true, SecondaryRatio: 0.1, Quiet: true}},
 		// KForRatio boundaries: a ratio small enough that every layer floors
 		// at k = 1, and ratio 1.0 where k = n always exceeds nnz and the

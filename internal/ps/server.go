@@ -39,7 +39,10 @@
 //     per-push staleness and every float of M exactly what a serial
 //     schedule of the same pushes produces.
 //   - The expensive diff/gather runs under a read lock, so any number of
-//     workers compute their differences concurrently.
+//     workers compute their differences concurrently. Without secondary
+//     compression each dirty block is one tensor.DiffFold: M − v_k
+//     diffed, emitted and folded into v_k eight lanes at a time (AVX2,
+//     with a Go twin), bitwise the scalar loop.
 //   - v_k, prev(k) and the downward scratch are guarded per worker;
 //     statistics, the timestamp and epochs are atomics, so Stats(),
 //     Timestamp() and Epoch() never contend with an in-flight push.
@@ -64,6 +67,7 @@ import (
 	"time"
 
 	"dgs/internal/sparse"
+	"dgs/internal/tensor"
 )
 
 // Config parameterises a Server.
@@ -547,12 +551,13 @@ func denseDiff(c *sparse.Chunk, layer int, ml, vl []float32, denseIdx []int32) {
 
 // sparseDiff appends the nonzero coordinates of ml − vl (ascending) into c
 // and folds them into vl, visiting only blocks whose version exceeds since
-// or whose residual bit is set. Skipped blocks are exactly those where
-// vl == ml held at the worker's last exchange and no apply has touched them
-// since — their difference is provably zero. The residual bitmap tracks the
-// one exception: float addition can round v + (M−v) away from M, and the
-// full scan would re-send that sliver next time, so such blocks stay marked
-// until a rescan observes vl == ml for every coordinate.
+// or whose residual bit is set; each visited block is one tensor.DiffFold.
+// Skipped blocks are exactly those where vl == ml held at the worker's last
+// exchange and no apply has touched them since — their difference is
+// provably zero. The residual bitmap tracks the one exception: float
+// addition can round v + (M−v) away from M, and the full scan would re-send
+// that sliver next time, so such blocks stay marked until a rescan observes
+// vl == ml for every coordinate.
 func sparseDiff(c *sparse.Chunk, layer int, ml, vl []float32, ver, resid, vver []uint64, since, stamp uint64, shift uint) (scanned, skipped uint64) {
 	c.Layer = layer
 	c.Idx = c.Idx[:0]
@@ -565,16 +570,8 @@ func sparseDiff(c *sparse.Chunk, layer int, ml, vl []float32, ver, resid, vver [
 		scanned++
 		lo, hi := sparse.BlockSpan(b, shift, len(ml))
 		sent := len(c.Idx)
-		left := false
-		for j := lo; j < hi; j++ {
-			dv := ml[j] - vl[j]
-			if dv != 0 {
-				c.Idx = append(c.Idx, int32(j))
-				c.Val = append(c.Val, dv)
-				vl[j] += dv
-				left = left || vl[j] != ml[j]
-			}
-		}
+		var left bool
+		c.Idx, c.Val, left = tensor.DiffFold(ml[lo:hi], vl[lo:hi], int32(lo), c.Idx, c.Val)
 		if len(c.Idx) > sent {
 			vver[b] = stamp
 		}

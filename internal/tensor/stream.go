@@ -8,10 +8,12 @@ import (
 
 // Streaming kernels for the worker's warm-started Top-k (optim's Prepare):
 // one pass that updates a layer and measures it against a magnitude floor,
-// and one that splits it at that floor. Each has an AVX2 body on amd64 (the
-// same useSIMDKernel switch, and DGS_DISABLE_SIMD, as the GEMM micro-kernel)
-// and a portable Go twin that computes the same bits; the SIMD body covers a
-// multiple of StreamLanes coordinates and the twin finishes the rest.
+// and one that splits it at that floor; and for the server's plain gather
+// (ps), one pass that emits M − v_k and folds it into v_k. Each has an AVX2
+// body on amd64 (the same useSIMDKernel switch, and DGS_DISABLE_SIMD, as the
+// GEMM micro-kernel) and a portable Go twin that computes the same bits; the
+// SIMD body covers a multiple of StreamLanes coordinates and the twin
+// finishes the rest.
 //
 // A floor is compared against a value's magnitude bits, Float32bits(v) &
 // 0x7fffffff: the order of |v| as an integer, in which every NaN sits above
@@ -116,6 +118,49 @@ func sweepGo(x []float32, i int, s float32, floor uint32, idx []int32, val []flo
 		}
 	}
 	return idx, val
+}
+
+// DiffFold is the plain model-difference gather over one span (paper
+// Algorithm 2, line 4): for each j it takes d = m[j] − v[j] and, where
+// d != 0 (a NaN included), appends base+j to idx and d to val and folds d
+// into v, v[j] += d. Where d is ±0 v[j] is not changed, so a −0 there keeps
+// its sign. left reports whether some folded v[j] still differs from m[j]:
+// v + (m − v) rounded away from m, or a NaN. The result is bitwise the plain
+// loop's (up to which payload a NaN result carries, the hardware's choice).
+// idx and val must have equal lengths; they grow when they must, and a
+// caller that leaves room for len(m) more entries makes DiffFold
+// allocation-free. v must be at least as long as m.
+func DiffFold(m, v []float32, base int32, idx []int32, val []float32) ([]int32, []float32, bool) {
+	v = v[:len(m)]
+	left := false
+	body := 0
+	if useSIMDKernel {
+		body = len(m) &^ (StreamLanes - 1)
+	}
+	if body > 0 {
+		// Every group stores a full register at the write position, which
+		// never runs ahead of the groups consumed: room for body entries
+		// keeps every store in bounds.
+		idx, val = slices.Grow(idx, body), slices.Grow(val, body)
+		n := len(idx)
+		var w int
+		w, left = diffFoldAVX2(&m[0], &v[0], body, base, &compressLUT, &idx[:n+1][n], &val[:n+1][n])
+		idx, val = idx[:n+w], val[:n+w]
+	}
+	return diffFoldGo(m, v, body, base, idx, val, left)
+}
+
+// diffFoldGo is DiffFold's Go twin from coordinate i on.
+func diffFoldGo(m, v []float32, i int, base int32, idx []int32, val []float32, left bool) ([]int32, []float32, bool) {
+	v = v[:len(m)]
+	for ; i < len(m); i++ {
+		if d := m[i] - v[i]; d != 0 {
+			idx, val = append(idx, base+int32(i)), append(val, d)
+			v[i] += d
+			left = left || v[i] != m[i]
+		}
+	}
+	return idx, val, left
 }
 
 // compressLUT maps an 8-bit lane mask to the positions of its set bits in

@@ -21,3 +21,13 @@ func axpbyCountAVX2(x, y *float32, n int, a, b float32, floor uint32, lanes *[St
 //go:noescape
 func sweepAVX2(x *float32, n int, s float32, scale bool, floor uint32, lut *[1 << StreamLanes]uint64,
 	idx *int32, val *float32, base int32, room int) (done, w int)
+
+// diffFoldAVX2 is DiffFold's vector body over n coordinates, n a positive
+// multiple of StreamLanes. Emitted positions are numbered from base; idx and
+// val need room for n entries, because every group stores a full register
+// there. It returns the entries appended and whether some folded
+// coordinate still differs from m. Implemented in stream_kernel_amd64.s;
+// diffFoldGo is its twin.
+//
+//go:noescape
+func diffFoldAVX2(m, v *float32, n int, base int32, lut *[1 << StreamLanes]uint64, idx *int32, val *float32) (w int, left bool)

@@ -133,3 +133,66 @@ sweepdone:
 	MOVQ DX, w+80(FP)
 	VZEROUPPER
 	RET
+
+// func diffFoldAVX2(m, v *float32, n int, base int32, lut *[256]uint64, idx *int32, val *float32) (w int, left bool)
+//
+// Per group of 8: d = m − v (VSUBPS, m the first operand as in the Go twin's
+// m[j] − v[j]), and the lanes where d is not ±0 — NaN included, VCMPPS
+// predicate 4, NEQ_UQ — form the mask. v + d is blended into v under the
+// mask and stored back, so a lane whose d is ±0 is rewritten with its own
+// bits (v += d would turn a −0 into +0); the lanes that now differ from m
+// (NEQ_UQ again, so a NaN stays set; an unfolded lane equals m) are ORed
+// into Y14; and d and the lanes' positions (Y12 holds the group's first)
+// are packed through lut[mask] and stored as in sweepAVX2, w advancing by
+// the popcount. No branch skips a group without a set lane: at a tenth of
+// the lanes set, four groups in ten are empty, and the mispredicted skip
+// cost more than the stores it saved.
+TEXT ·diffFoldAVX2(SB), NOSPLIT, $0-65
+	MOVQ         m+0(FP), DI
+	MOVQ         v+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVL         base+24(FP), AX
+	VMOVD        AX, X12
+	VPBROADCASTD X12, Y12
+	MOVL         $8, AX
+	VMOVD        AX, X13
+	VPBROADCASTD X13, Y13
+	MOVQ         lut+32(FP), R8
+	MOVQ         idx+40(FP), R9
+	MOVQ         val+48(FP), R10
+	VXORPS       Y15, Y15, Y15
+	VXORPS       Y14, Y14, Y14
+	XORQ         BX, BX
+	XORQ         DX, DX
+
+diff:
+	VMOVUPS   (DI)(BX*4), Y0
+	VMOVUPS   (SI)(BX*4), Y1
+	VSUBPS    Y1, Y0, Y2
+	VCMPPS    $4, Y15, Y2, Y3
+	VMOVMSKPS Y3, AX
+	VADDPS    Y2, Y1, Y4
+	VBLENDVPS Y3, Y4, Y1, Y4
+	VMOVUPS   Y4, (SI)(BX*4)
+	VCMPPS    $4, Y0, Y4, Y5
+	VORPS     Y5, Y14, Y14
+	MOVQ      (R8)(AX*8), R11
+	VMOVQ     R11, X6
+	VPMOVZXBD X6, Y6
+	VPERMPS   Y2, Y6, Y7
+	VMOVUPS   Y7, (R10)(DX*4)
+	VPADDD    Y12, Y6, Y6
+	VMOVDQU   Y6, (R9)(DX*4)
+	POPCNTL   AX, AX
+	ADDQ      AX, DX
+	VPADDD    Y13, Y12, Y12
+	ADDQ      $8, BX
+	CMPQ      BX, CX
+	JLT       diff
+
+	MOVQ      DX, w+56(FP)
+	VMOVMSKPS Y14, AX
+	TESTL     AX, AX
+	SETNE     left+64(FP)
+	VZEROUPPER
+	RET

@@ -128,6 +128,80 @@ func TestSweepMatchesLoop(t *testing.T) {
 	}
 }
 
+// diffFoldLoop is the plain gather loop DiffFold must reproduce.
+func diffFoldLoop(m, v []float32, base int32, idx []int32, val []float32) ([]int32, []float32, bool) {
+	left := false
+	for j := range m {
+		if d := m[j] - v[j]; d != 0 {
+			idx, val = append(idx, base+int32(j)), append(val, d)
+			v[j] += d
+			left = left || v[j] != m[j]
+		}
+	}
+	return idx, val, left
+}
+
+// TestDiffFoldMatchesLoop holds DiffFold to the plain loop on whichever body
+// this host runs: the same entries after a prefix, numbered from base, the
+// same v bit for bit and the same left. Besides normal draws with a tenth of
+// the coordinates changed, m and v carry every special pattern, the
+// ulp-gap pair v = 2²⁵, M = 1 (the fold rounds v + (M − v) to 0, so left
+// must be set), and an unchanged lane holding −0 in v against +0 in M,
+// which must keep its sign bit.
+func TestDiffFoldMatchesLoop(t *testing.T) {
+	rng := NewRNG(45)
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 1031} {
+		for _, c := range []string{"sparse", "specials", "ulp_gap", "neg_zero"} {
+			for _, prefix := range []int{0, 3} {
+				m := streamInput(rng, n, c == "specials")
+				v := append([]float32(nil), m...)
+				for j := range v {
+					if rng.Intn(10) == 0 {
+						v[j] = float32(rng.NormFloat64())
+					}
+				}
+				if c == "specials" {
+					for j := 5; j < n; j += 10 {
+						v[j] = math.Float32frombits(streamSpecials[(j/10+3)%len(streamSpecials)])
+					}
+				}
+				if n > 0 && c == "ulp_gap" {
+					m[n/2], v[n/2] = 1, 1<<25
+				}
+				if n > 0 && c == "neg_zero" {
+					m[n-1], v[n-1] = 0, float32(math.Copysign(0, -1))
+				}
+				wantV := append([]float32(nil), v...)
+				wantIdx, wantVal, wantLeft := diffFoldLoop(m, wantV, 1000, make([]int32, prefix), make([]float32, prefix))
+				idx, val, left := DiffFold(m, v, 1000, make([]int32, prefix), make([]float32, prefix))
+				if len(idx) != len(wantIdx) || len(val) != len(idx) {
+					t.Fatalf("n=%d %s: %d/%d entries, loop %d", n, c, len(idx), len(val), len(wantIdx))
+				}
+				for j := range wantIdx {
+					if idx[j] != wantIdx[j] || !sameBits(val[j], wantVal[j]) {
+						t.Fatalf("n=%d %s: entry %d = (%d, %#x), loop (%d, %#x)",
+							n, c, j, idx[j], math.Float32bits(val[j]), wantIdx[j], math.Float32bits(wantVal[j]))
+					}
+				}
+				for j := range v {
+					if !sameBits(v[j], wantV[j]) {
+						t.Fatalf("n=%d %s: v[%d] = %#x, loop %#x", n, c, j, math.Float32bits(v[j]), math.Float32bits(wantV[j]))
+					}
+				}
+				if left != wantLeft {
+					t.Fatalf("n=%d %s: left %v, loop %v", n, c, left, wantLeft)
+				}
+				if c == "ulp_gap" && n > 0 && !left {
+					t.Fatalf("n=%d: the ulp-gap pair folded without leaving a difference", n)
+				}
+				if c == "neg_zero" && n > 0 && math.Float32bits(v[n-1]) != 0x80000000 {
+					t.Fatalf("n=%d: unchanged −0 in v became %#x", n, math.Float32bits(v[n-1]))
+				}
+			}
+		}
+	}
+}
+
 func TestStreamSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -138,8 +212,10 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() {
 		AxpbyCount(x, y, 0.7, 0.01, 0x3f800000)
 		idx, val = Sweep(x, 1/float32(0.7), 0x3f800000, idx[:0], val[:0])
+		// x and y differ everywhere after the update: every fold emits.
+		idx, val, _ = DiffFold(x, y, 0, idx[:0], val[:0])
 	}); allocs > 0 {
-		t.Errorf("AxpbyCount + Sweep with room allocate %v objects, want 0", allocs)
+		t.Errorf("AxpbyCount + Sweep + DiffFold with room allocate %v objects, want 0", allocs)
 	}
 }
 
@@ -196,6 +272,25 @@ func FuzzStreamKernels(f *testing.F) {
 			}
 		}
 
+		// The gather, x as M and y as v.
+		vs, vg := append([]float32(nil), y...), append([]float32(nil), y...)
+		idxS, valS = make([]int32, n), make([]float32, n)
+		w, leftS := diffFoldAVX2(&x[0], &vs[0], n, 5, &compressLUT, &idxS[0], &valS[0])
+		idxG, valG, leftG := diffFoldGo(x, vg, 0, 5, nil, nil, false)
+		if w != len(idxG) || leftS != leftG {
+			t.Fatalf("diff fold emitted %d (left %v), twin %d (left %v)", w, leftS, len(idxG), leftG)
+		}
+		for j := range idxG {
+			if idxS[j] != idxG[j] || !sameBits(valS[j], valG[j]) {
+				t.Fatalf("diff fold entry %d = (%d, %#x), twin (%d, %#x)", j, idxS[j], math.Float32bits(valS[j]), idxG[j], math.Float32bits(valG[j]))
+			}
+		}
+		for j := range vs {
+			if !sameBits(vs[j], vg[j]) {
+				t.Fatalf("diff fold v[%d] = %#x, twin %#x", j, math.Float32bits(vs[j]), math.Float32bits(vg[j]))
+			}
+		}
+
 		xa, xg := append([]float32(nil), x...), append([]float32(nil), x...)
 		var la, lg [StreamLanes]float64
 		ca := axpbyCountAVX2(&xa[0], &y[0], n, a, b, floor, &la)
@@ -220,7 +315,9 @@ func FuzzStreamKernels(f *testing.F) {
 // benchmark MLP's 512×512 layer: x = 0.7·x + 0.02·y with the count and sum
 // (pass 1), and the split of a normal draw at 1.8, which leaves 7 % of it
 // over the floor, scaling the rest by −1 (pass 2: every store taken, and
-// the magnitudes, so the split, the same on every iteration).
+// the magnitudes, so the split, the same on every iteration). The gather
+// folds v toward one of two models that differ in a tenth of their
+// coordinates, alternating, so every iteration emits and folds that tenth.
 func BenchmarkStreamKernels(b *testing.B) {
 	const n = 512 * 512
 	rng := NewRNG(44)
@@ -228,6 +325,15 @@ func BenchmarkStreamKernels(b *testing.B) {
 	floor := math.Float32bits(1.8)
 	idx, val := make([]int32, 0, n), make([]float32, 0, n)
 	var lanes [StreamLanes]float64
+	ms := [2][]float32{streamInput(rng, n, false), nil}
+	ms[1] = append([]float32(nil), ms[0]...)
+	for j := range ms[1] {
+		if rng.Intn(10) == 0 {
+			ms[1][j] = float32(rng.NormFloat64())
+		}
+	}
+	v := append([]float32(nil), ms[0]...)
+	fold := 0
 	for _, c := range []struct {
 		name string
 		simd bool
@@ -237,6 +343,8 @@ func BenchmarkStreamKernels(b *testing.B) {
 		{"axpby_count/avx2", true, func() { axpbyCountAVX2(&x[0], &y[0], n, 0.7, 0.02, floor, &lanes) }},
 		{"sweep/go", false, func() { idx, val = sweepGo(xs, 0, -1, floor, idx[:0], val[:0]) }},
 		{"sweep/avx2", true, func() { sweepAVX2(&xs[0], n, -1, true, floor, &compressLUT, &idx[:1][0], &val[:1][0], 0, n) }},
+		{"diff_fold/go", false, func() { fold++; idx, val, _ = diffFoldGo(ms[fold&1], v, 0, 0, idx[:0], val[:0], false) }},
+		{"diff_fold/avx2", true, func() { fold++; diffFoldAVX2(&ms[fold&1][0], &v[0], n, 0, &compressLUT, &idx[:1][0], &val[:1][0]) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if c.simd && !useSIMDKernel {
