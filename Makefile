@@ -55,8 +55,9 @@ bench: bench-kernels bench-paper
 # benchmark trains (ns/op, B/op, allocs/op), every GEMM shape such a step
 # performs, and the blocked-vs-baseline crossover that places
 # smallGemmVolume; then each streaming kernel (the worker's Prepare passes
-# and the server's plain gather) against its Go twin on a 512×512 layer.
-# DESIGN.md §8 quotes these. Then the server side alone:
+# and the server's two gathers) against its Go twin on a 512×512 layer, and
+# the worker's whole Prepare on the benchmark MLP. DESIGN.md §8 quotes
+# these. Then the server side alone:
 # Push under fleet contention at both candidate block sizes (ns/push,
 # allocs/op, updates applied per write-lock hold), and Eq. 6 on ResNet-18 at
 # the paper's scale (a ≈0.6 GB server). DESIGN.md §11 and §13 quote it.
@@ -65,6 +66,7 @@ KERNEL_BENCHTIME ?= 1s
 bench-kernels:
 	go test -run '^$$' -bench 'BenchmarkTrainStep' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn
 	go test -run '^$$' -bench 'BenchmarkGemm|BenchmarkStreamKernels' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/tensor
+	go test -run '^$$' -bench 'BenchmarkPrepare' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/optim
 	go test -run '^$$' -bench 'BenchmarkPushFleet' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/ps
 
 # The paper benchmarks run full (short-scale) training per artefact, so the

@@ -38,13 +38,6 @@ type WorkerOptimizer interface {
 	StateBytes() int
 }
 
-// candidateSlack bounds a warm step's candidates at candidateSlack·max(k,
-// sparse.ExactCap), which keeps the chunk slot and the Selector's scratch
-// O(k). Training puts 1.2–2.1·k over the floor, i.i.d. draws settle
-// SAMomentum's velocity at 2–3·k, and a hit at the bound still costs less
-// than a miss (DESIGN.md §8).
-const candidateSlack = 4
-
 // layerRule is what a sparsifying rule adds to the Top-k every rule shares
 // (topkScratch.layer): the pass that folds a gradient into its state and the
 // aftermath of sending a coordinate.
@@ -107,8 +100,8 @@ func (s *topkScratch) prepare(rule layerRule, grads [][]float32, lr float32, kee
 // layer selects the exact Top-k of layer i, warm-started from the boundary
 // its Selector resolved last step (DESIGN.md §8), and returns the L1 mass
 // left unsent. Pass 1 is the rule's accumulate, which counts the
-// coordinates at or above the Selector's floor. When there are at least k
-// and at most candidateSlack·max(k, ExactCap) of them (a hit), pass 2 is one
+// coordinates at or above the Selector's floor. When its WarmHit accepts
+// that count (at least k, at most sparse.CandidateBound(k)), pass 2 is one
 // Sweep that scales every coordinate below the floor and appends the rest
 // to the chunk slot in index order; the exact boundary is resolved over
 // those candidates alone, and an O(k) compaction keeps the selected ones and
@@ -123,10 +116,9 @@ func (s *topkScratch) layer(rule layerRule, i int, g []float32, lr float32, keep
 	}
 	sel, c := &s.sel[i], &s.chunks[i]
 	k := sparse.KForRatio(len(g), keep)
-	most := candidateSlack * max(k, sparse.ExactCap)
-	floor, warm := sel.Floor()
+	floor, _ := sel.Floor()
 	x, count, sum := rule.accumulate(i, g, lr, floor)
-	hit := warm && count >= k && count <= most
+	hit := sel.WarmHit(count, k)
 	var sentMass float64
 	if hit {
 		room := count + tensor.StreamLanes
@@ -158,7 +150,7 @@ func (s *topkScratch) layer(rule layerRule, i int, g []float32, lr float32, keep
 	}
 	c.Layer = i
 	rule.sent(i, c.Idx)
-	s.missed[i] = !hit && len(g) > most
+	s.missed[i] = !hit && len(g) > sparse.CandidateBound(k)
 	if len(c.Idx) == len(x) {
 		return 0 // everything sent; the subtraction below would leave rounding
 	}

@@ -226,7 +226,7 @@ func runSchedule(t *testing.T, opt WorkerOptimizer, ref *unfused, check func(ste
 			t.Fatalf("%s step %d (%s): layer 0 missed=%v, want a %s", opt.Name(), step, st.name, ts.missed[0], st.want)
 		}
 		zero := scheduleSizes[8]
-		if pastBound := zero > candidateSlack*max(sparse.KForRatio(zero, ref.keep), sparse.ExactCap); pastBound && !ts.missed[8] {
+		if pastBound := zero > sparse.CandidateBound(sparse.KForRatio(zero, ref.keep)); pastBound && !ts.missed[8] {
 			t.Fatalf("%s step %d (%s): the all-zero layer past the bound hit", opt.Name(), step, st.name)
 		}
 		check(step, st, got, want)

@@ -53,7 +53,7 @@ func (s *Server) Gather(worker int) (sparse.Update, uint64) {
 	stale := s.t.Load() - w.prev
 	s.stalenessSum.Add(stale)
 	atomicMax(&s.maxStaleness, stale)
-	tSeen, _, _, _ := s.gatherDown(w)
+	tSeen := s.gatherDown(w).tSeen
 	return w.down, tSeen
 }
 

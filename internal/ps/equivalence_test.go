@@ -111,6 +111,9 @@ func TestPushEquivalence(t *testing.T) {
 		// Tiny blocks spread the suppressed residual over many blocks, so
 		// most gathers skip some blocks and rescan others by their resid bit.
 		{"secondary_tiny_blocks", Config{LayerSizes: []int{17, 1000, 3}, Workers: 3, Secondary: true, SecondaryRatio: 0.1, BlockShift: 4, Quiet: true}},
+		// A layer past the candidate bound (k = 450, bound 4096): its gathers
+		// take the warm path and both histogram fallbacks.
+		{"secondary_large_layer", Config{LayerSizes: []int{9000, 64}, Workers: 3, Secondary: true, SecondaryRatio: 0.05, Quiet: true}},
 		{"dense_downward", Config{LayerSizes: []int{33, 80}, Workers: 2, DenseDownward: true, Quiet: true}},
 	}
 	for _, tc := range cases {

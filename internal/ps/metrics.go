@@ -25,6 +25,7 @@ type metrics struct {
 	blocksScanned *telemetry.Counter
 	blocksSkipped *telemetry.Counter
 	secCand       *telemetry.Counter
+	secMisses     *telemetry.Counter
 	staleness     []*telemetry.Histogram // per worker
 	modelSize     float64
 }
@@ -86,6 +87,8 @@ func newMetrics(layerSizes []int, workers int) *metrics {
 			"Dirty-tracking blocks proved untouched and skipped by the diff."),
 		secCand: reg.Counter("dgs_ps_secondary_candidates_total",
 			"Nonzero coordinates of the downward difference the secondary Top-k selected from."),
+		secMisses: reg.Counter("dgs_ps_secondary_topk_misses_total",
+			"Eq. 6 gathers of a layer longer than the candidate bound whose warm-start floor did not bracket the Top-k boundary (the worker's first gather of the layer, too few or too many candidates), so the layer took the histogram path."),
 		staleness: make([]*telemetry.Histogram, workers),
 	}
 	rate := &pushRate{src: m.pushes.Value}
@@ -103,7 +106,7 @@ func newMetrics(layerSizes []int, workers int) *metrics {
 }
 
 // observePush records one completed exchange. All paths are alloc-free.
-func (m *metrics) observePush(worker int, stale, upNNZ, downNNZ uint64, lockWait time.Duration, scanned, skipped, secCand uint64) {
+func (m *metrics) observePush(worker int, stale, upNNZ, downNNZ uint64, lockWait time.Duration, gs gatherStats) {
 	if m == nil {
 		return
 	}
@@ -112,9 +115,10 @@ func (m *metrics) observePush(worker int, stale, upNNZ, downNNZ uint64, lockWait
 	m.upValues.Add(upNNZ)
 	m.downValues.Add(downNNZ)
 	m.lockWait.Observe(lockWait.Seconds())
-	m.blocksScanned.Add(scanned)
-	m.blocksSkipped.Add(skipped)
-	m.secCand.Add(secCand)
+	m.blocksScanned.Add(gs.scanned)
+	m.blocksSkipped.Add(gs.skipped)
+	m.secCand.Add(gs.cand)
+	m.secMisses.Add(gs.misses)
 	if m.modelSize > 0 {
 		m.density.Set(float64(downNNZ) / m.modelSize)
 	}
@@ -164,6 +168,9 @@ func registerShardMetrics(shards []*Server) {
 		reg.GaugeFunc("dgs_ps_shard_secondary_candidates_total",
 			"Nonzero coordinates this shard's secondary Top-k selected from.",
 			func() float64 { return float64(sh.secCand.Load()) }, "shard", label)
+		reg.GaugeFunc("dgs_ps_shard_secondary_topk_misses_total",
+			"Eq. 6 gathers of this shard's layers that took the histogram path past the candidate bound.",
+			func() float64 { return float64(sh.secMisses.Load()) }, "shard", label)
 		rate := &pushRate{src: sh.pushes.Load}
 		reg.GaugeFunc("dgs_ps_shard_pushes_per_sec",
 			"Shard-local push throughput since the previous metrics collection.",

@@ -324,3 +324,137 @@ func TestRestoreRescansSuppressedResidual(t *testing.T) {
 		}
 	}
 }
+
+// warmKind classifies the Eq. 6 selection worker w's next gather of layer
+// will make, from the state both servers hold: "cold" before the layer's
+// Selector has a floor, "hit" when the candidates at the floor are
+// accepted, "few" when fewer than k are there, "over" when more than the
+// candidate bound are (or the floor is 0), and "" when there is nothing to
+// select. keepAll reports that k is the layer's nonzero count and below
+// KForRatio: the gather ships every nonzero M − v_k there.
+func warmKind(s *Server, b *BaselineServer, worker, layer int) (kind string, keepAll bool) {
+	m, v := alloc(s.cfg.LayerSizes), alloc(s.cfg.LayerSizes)
+	b.MSnapshot(m)
+	b.VSnapshot(worker, v)
+	floor, warm := s.workers[worker].sel[layer].Floor()
+	count, nnz := 0, 0
+	for j := range m[layer] {
+		if mag := math.Float32bits(m[layer][j]-v[layer][j]) & 0x7fffffff; mag != 0 {
+			nnz++
+			if mag >= floor {
+				count++
+			}
+		}
+	}
+	K := sparse.KForRatio(len(m[layer]), s.cfg.SecondaryRatio)
+	k := min(K, nnz)
+	switch {
+	case k == 0:
+		return "", false
+	case !warm:
+		kind = "cold"
+	case count < k:
+		kind = "few"
+	case floor == 0 || count > sparse.CandidateBound(k):
+		kind = "over"
+	default:
+		kind = "hit"
+	}
+	return kind, k < K
+}
+
+// TestSecondaryWarmStartPaths holds the Eq. 6 gather of a layer longer than
+// the candidate bound (9000 coordinates, k = 450, bound 4096) to the frozen
+// full-scan BaselineServer on every path its selection can take. Worker 1
+// pushes Top-20 % updates; after each, worker 0 gathers with an empty push.
+// The schedule forces the first (cold) gather, quiet ×10⁻³ steps that leave
+// fewer than k over the floor, and a dense ×10³ spike that puts the whole
+// layer over it, between settled steps that hit; then worker 0 drains, so
+// its last gathers keep every nonzero. Every frame, M and v_k must be
+// bitwise the baseline's, the server's miss counter must move exactly on
+// the predicted misses, and every path must occur.
+func TestSecondaryWarmStartPaths(t *testing.T) {
+	sizes := []int{9000, 300}
+	steps := []struct {
+		name  string
+		scale float32
+		dense bool
+		want  string
+	}{
+		{"first", 1, false, "cold"},
+		{"settle", 1, false, ""},
+		{"settle", 1, false, ""},
+		{"warm", 1, false, "hit"},
+		{"quiet ×1e-3", 1e-3, false, ""},
+		{"quiet ×1e-3", 1e-3, false, "few"},
+		{"settle", 1, false, ""},
+		{"settle", 1, false, ""},
+		{"settle", 1, false, ""},
+		{"warm", 1, false, "hit"},
+		{"spike ×1e3", 1e3, true, "over"},
+		{"settle", 1, false, ""},
+		{"settle", 1, false, ""},
+	}
+	for _, shift := range []uint{0, 2} {
+		t.Run(fmt.Sprintf("shift=%d", shift), func(t *testing.T) {
+			cfg := Config{LayerSizes: sizes, Workers: 2, Secondary: true, SecondaryRatio: 0.05, BlockShift: shift, Quiet: true}
+			cur, base := NewServer(cfg), NewBaselineServer(cfg)
+			rng := tensor.NewRNG(0x3A7)
+			seen := map[string]int{}
+			keptAll := 0
+			gather := func(step int, label, want string) int {
+				t.Helper()
+				kind, keepAll := warmKind(cur, base, 0, 0)
+				if want != "" && kind != want {
+					t.Fatalf("%s: layer 0 gather predicted %q, want %q", label, kind, want)
+				}
+				misses := cur.secMisses.Load()
+				var empty sparse.Update
+				G1, _ := cur.Push(0, &empty)
+				G2, _ := base.Push(0, &empty)
+				requireSameUpdate(t, step, &G1, &G2)
+				missed := cur.secMisses.Load() - misses
+				if wantMiss := kind == "cold" || kind == "few" || kind == "over"; missed != 0 != wantMiss || missed > 1 {
+					t.Fatalf("%s: predicted %q, server counted %d misses", label, kind, missed)
+				}
+				seen[kind]++
+				if keepAll {
+					keptAll++
+				}
+				requireResidInvariant(t, label, cur)
+				return G1.NNZ()
+			}
+			for i, st := range steps {
+				density := 0.2
+				if st.dense {
+					density = 1
+				}
+				g := randomUpdate(rng, sizes, density)
+				for ci := range g.Chunks {
+					for vi := range g.Chunks[ci].Val {
+						g.Chunks[ci].Val[vi] *= st.scale
+					}
+				}
+				G1, _ := cur.Push(1, &g)
+				G2, _ := base.Push(1, &g)
+				requireSameUpdate(t, i, &G1, &G2)
+				gather(i, fmt.Sprintf("step %d (%s)", i, st.name), st.want)
+			}
+			for round := 0; gather(len(steps)+round, fmt.Sprintf("drain %d", round), "") > 0; round++ {
+				if round > 1000 {
+					t.Fatal("worker 0 did not drain")
+				}
+			}
+			requireSameState(t, "drained", sizes, cur, base, cfg.Workers)
+			for _, kind := range []string{"cold", "hit", "few", "over"} {
+				if seen[kind] == 0 {
+					t.Errorf("no layer-0 gather took the %q path (%v)", kind, seen)
+				}
+			}
+			if keptAll == 0 {
+				t.Errorf("no layer-0 gather kept every nonzero")
+			}
+			t.Logf("paths %v, %d keep-all gathers", seen, keptAll)
+		})
+	}
+}

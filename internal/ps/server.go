@@ -54,14 +54,16 @@
 // worker's last gather: the rare float-rounding sliver (v_k + (M−v_k) ≠ M)
 // the full scan would re-send as a tiny correction, and, under secondary
 // compression (Eq. 6), the mass the Top-k left behind. The secondary gather
-// is one fused pass that writes M − v_k into dense scratch while feeding the
-// Top-k histogram, then one pass that emits what the selection keeps
-// (DESIGN.md §13).
+// writes M − v_k into dense scratch while counting it against the
+// warm-start floor of the layer's Selector, splits the candidates off in a
+// second vector pass, and emits what the exact selection keeps from those
+// alone (DESIGN.md §13).
 package ps
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,11 +190,14 @@ type workerState struct {
 	// it lives until this worker's next exchange, so steady-state pushes
 	// allocate nothing.
 	down sparse.Update
-	// Secondary gather scratch: sel is the Top-k selector, diff holds
-	// M − v_k for one layer at a time. diff is grown on first use, to the
-	// largest layer, and is all-zero between gathers (see secondaryDiff).
-	sel  sparse.Selector
-	diff []float32
+	// Eq. 6 gather scratch (see secondaryDiff): sel holds one Top-k
+	// Selector per layer, so each keeps its own warm-start floor; diff holds
+	// M − v_k for one layer at a time and tally one entry per block of it.
+	// diff and tally are grown on first use, to the largest layer, and diff
+	// is all-zero between gathers.
+	sel   []sparse.Selector
+	diff  []float32
+	tally []blockTally
 
 	// Apply-queue slot (see Server.enqueue). w.mu admits one Push per worker
 	// at a time, so one slot per worker is all the queue ever needs: pending
@@ -202,6 +207,14 @@ type workerState struct {
 	pending *sparse.Update
 	next    *workerState
 	applied chan uint64
+}
+
+// blockTally is what an Eq. 6 gather learns about one block: how many of its
+// differences are nonzero, how many of those it sent, and whether a fold
+// there left M − v_k nonzero (a rounding residue).
+type blockTally struct {
+	nnz, sent uint32
+	residue   bool
 }
 
 // Server is a thread-safe DGS parameter server.
@@ -239,6 +252,7 @@ type Server struct {
 	blocksScanned atomic.Uint64
 	blocksSkipped atomic.Uint64
 	secCand       atomic.Uint64
+	secMisses     atomic.Uint64
 
 	workers []workerState
 
@@ -280,6 +294,9 @@ func NewServer(cfg Config) *Server {
 		for i := range w.resid {
 			w.resid[i] = make([]uint64, (len(s.mver[i])+63)/64)
 			w.vver[i] = make([]uint64, len(s.mver[i]))
+		}
+		if cfg.Secondary {
+			w.sel = make([]sparse.Selector, len(cfg.LayerSizes))
 		}
 	}
 	s.denseIdx = make([]int32, maxLayer)
@@ -408,9 +425,17 @@ func (s *Server) push(worker int, g *sparse.Update) (sparse.Update, uint64) {
 
 	// Compute G = M − v_k (Eq. 3 / Algorithm 2 line 4); concurrent pushes
 	// by other workers gather in parallel.
-	tSeen, scanned, skipped, cand := s.gatherDown(w)
-	s.met.observePush(worker, stale, uint64(g.NNZ()), uint64(w.down.NNZ()), lockWait, scanned, skipped, cand)
-	return w.down, tSeen
+	gs := s.gatherDown(w)
+	s.met.observePush(worker, stale, uint64(g.NNZ()), uint64(w.down.NNZ()), lockWait, gs)
+	return w.down, gs.tSeen
+}
+
+// gatherStats is what one gatherDown saw: the clock it synchronised to, the
+// blocks it scanned and skipped, and, under Eq. 6, the nonzeros its Top-k
+// selected from and the layers longer than the candidate bound that took
+// the histogram path.
+type gatherStats struct {
+	tSeen, scanned, skipped, cand, misses uint64
 }
 
 // enqueue appends w's update to the apply queue and reports whether the
@@ -483,9 +508,9 @@ func (s *Server) applyLocked(g *sparse.Update, scale float32, stamp uint64) {
 // before t advances): the horizon v_k is synchronised to afterwards, and the
 // stamp written into w.vver for every v-block this gather changes — strictly
 // greater than any capture horizon recorded before the gather began.
-func (s *Server) gatherDown(w *workerState) (tSeen, scanned, skipped, cand uint64) {
+func (s *Server) gatherDown(w *workerState) (gs gatherStats) {
 	s.mu.RLock()
-	tSeen = s.t.Load()
+	gs.tSeen = s.t.Load()
 	since := w.syncVer
 	out := &w.down
 	out.Chunks = out.Chunks[:0]
@@ -496,24 +521,21 @@ func (s *Server) gatherDown(w *workerState) (tSeen, scanned, skipped, cand uint6
 			// them may have changed v, so stamp the whole layer.
 			denseDiff(out.NextChunk(), layer, ml, vl, s.denseIdx)
 			for b := range w.vver[layer] {
-				w.vver[layer][b] = tSeen
+				w.vver[layer][b] = gs.tSeen
 			}
 			continue
 		}
 		c := out.NextChunk()
-		var sc, sk uint64
 		if s.cfg.Secondary {
 			// Keep only the top R% of |G| for this layer; the remainder stays
 			// implicit in M − v_k and is transmitted once it grows large
 			// enough (Eq. 6).
-			var nnz uint64
-			sc, sk, nnz = s.secondaryDiff(w, c, layer, since, tSeen)
-			cand += nnz
+			s.secondaryDiff(w, c, layer, since, &gs)
 		} else {
-			sc, sk = sparseDiff(c, layer, ml, vl, s.mver[layer], w.resid[layer], w.vver[layer], since, tSeen, s.blockShift)
+			sc, sk := sparseDiff(c, layer, ml, vl, s.mver[layer], w.resid[layer], w.vver[layer], since, gs.tSeen, s.blockShift)
+			gs.scanned += sc
+			gs.skipped += sk
 		}
-		scanned += sc
-		skipped += sk
 		if len(c.Idx) == 0 {
 			// No difference in this layer: match the full scan, which emits
 			// no chunk (the popped slot's storage stays pooled).
@@ -522,14 +544,15 @@ func (s *Server) gatherDown(w *workerState) (tSeen, scanned, skipped, cand uint6
 	}
 	s.mu.RUnlock()
 
-	w.prev = tSeen
-	w.syncVer = tSeen
-	s.blocksScanned.Add(scanned)
-	s.blocksSkipped.Add(skipped)
+	w.prev = gs.tSeen
+	w.syncVer = gs.tSeen
+	s.blocksScanned.Add(gs.scanned)
+	s.blocksSkipped.Add(gs.skipped)
 	if s.cfg.Secondary {
-		s.secCand.Add(cand)
+		s.secCand.Add(gs.cand)
+		s.secMisses.Add(gs.misses)
 	}
-	return tSeen, scanned, skipped, cand
+	return gs
 }
 
 // denseDiff fills c with the complete difference ml − vl (every coordinate,
@@ -584,75 +607,98 @@ func sparseDiff(c *sparse.Chunk, layer int, ml, vl []float32, ver, resid, vver [
 // ml − vl it appends only the top R% of the layer (descending sparse.Rank,
 // ties to the lower coordinate) into c, ascending, and folds those into vl;
 // the rest stays in M − v_k as suppressed residual for a later exchange.
-// It reports blocks scanned and skipped and the nonzeros selected from.
+// It stamps changed v-blocks with gs.tSeen and adds to gs the blocks it
+// scanned and skipped, the nonzeros it selected from, and a miss when the
+// layer is longer than the candidate bound and took the histogram path.
 //
-// Pass 1 writes d = ml − vl of every block sparseDiff would visit into the
-// worker's dense scratch, feeds the selector's first histogram level and
-// counts nonzeros branch-free. A skipped block holds M == v_k (the resid
-// invariant), so it enters the histogram as a count of zeros, unread. The
-// Cut then resolves k = min(KForRatio, nnz) over d. Pass 2 revisits the
-// same blocks — a block's resid bit is read before pass 2 rewrites it —
-// emits what the Cut keeps, folds it into vl, re-zeroes d behind it, and
-// leaves each block's bit set iff a nonzero M − v_k remains there. Same d,
-// same k, same Cut, same ascending emit and same v += d as BaselineServer's
-// full-scan TopK: the chunk and v_k are bitwise its.
-func (s *Server) secondaryDiff(w *workerState, c *sparse.Chunk, layer int, since, stamp uint64) (scanned, skipped, nnz uint64) {
-	const absMask = 0x7fffffff
+// Pass 1 is one tensor.DiffCount per block sparseDiff would visit: d =
+// ml − vl into the worker's dense scratch, counting the nonzeros (kept per
+// block) and those at or above the warm-start floor of the layer's
+// Selector. A skipped block holds M == v_k (the resid invariant) and stays
+// zero in d. With k = min(KForRatio, nnz), the selection is warm when the
+// Selector's WarmHit accepts that count: pass 2 is one tensor.Sweep of d
+// that collects every coordinate at or above the floor, and CutCandidates
+// resolves the boundary over those alone. Otherwise Cut resolves it over
+// all of d and the same Sweep runs at the boundary's own magnitude. Either
+// way every selected coordinate is a candidate, in ascending order, and
+// one O(candidates) compaction keeps what the Cut keeps, folds it into vl
+// and tallies per block what was sent and whether the fold left a rounding
+// residue. Last, each visited block's d is cleared, its vver stamped if it
+// sent anything, and its resid bit — read before it is rewritten — left
+// set iff a nonzero M − v_k remains there: an unsent nonzero or a residue.
+// Same d, same k, the same Cut (both forms are exact), the same ascending
+// emit and the same v += d as BaselineServer's full-scan TopK: the chunk and
+// v_k are bitwise its.
+func (s *Server) secondaryDiff(w *workerState, c *sparse.Chunk, layer int, since uint64, gs *gatherStats) {
 	ml, vl := s.m[layer], w.v[layer]
 	ver, resid, vver := s.mver[layer], w.resid[layer], w.vver[layer]
 	if len(w.diff) < len(ml) {
 		w.diff = make([]float32, len(ml))
 	}
-	d := w.diff[:len(ml)]
-	h := w.sel.Begin(len(d))
+	if len(w.tally) < len(ver) {
+		w.tally = make([]blockTally, len(ver))
+	}
+	d, tally, sel := w.diff[:len(ml)], w.tally[:len(ver)], &w.sel[layer]
+	floor, _ := sel.Floor()
+	count, nnz := 0, 0
 	for b := range ver {
-		lo, hi := sparse.BlockSpan(b, s.blockShift, len(ml))
 		if !dirty(ver, resid, b, since) {
-			skipped++
-			h.AddZeros(hi - lo)
+			gs.skipped++
 			continue
 		}
-		scanned++
-		for j := lo; j < hi; j++ {
-			dv := ml[j] - vl[j]
-			d[j] = dv
-			h.Add(dv)
-			// 1 iff |dv| has a nonzero bit: ±0 count 0, NaN counts 1.
-			nnz += uint64((math.Float32bits(dv)&absMask + absMask) >> 31)
-		}
+		gs.scanned++
+		lo, hi := sparse.BlockSpan(b, s.blockShift, len(ml))
+		at, nz := tensor.DiffCount(d[lo:hi], ml[lo:hi], vl[lo:hi], floor)
+		count += at
+		nnz += nz
+		tally[b] = blockTally{nnz: uint32(nz)}
 	}
-	var cut sparse.Cut // selects nothing: a layer without nonzeros ships nothing
-	if k := min(sparse.KForRatio(len(ml), s.cfg.SecondaryRatio), int(nnz)); k > 0 {
-		cut = w.sel.Cut(d, k)
-	}
+	gs.cand += uint64(nnz)
 
 	c.Layer = layer
-	c.Idx = c.Idx[:0]
-	c.Val = c.Val[:0]
+	c.Idx, c.Val = c.Idx[:0], c.Val[:0]
+	if k := min(sparse.KForRatio(len(ml), s.cfg.SecondaryRatio), nnz); k > 0 {
+		var cut sparse.Cut
+		if sel.WarmHit(count, k) {
+			room := count + tensor.StreamLanes
+			c.Idx, c.Val = tensor.Sweep(d, 1, floor, slices.Grow(c.Idx, room), slices.Grow(c.Val, room))
+			cut = sel.CutCandidates(c.Idx, c.Val, k)
+		} else {
+			if len(ml) > sparse.CandidateBound(k) {
+				gs.misses++
+			}
+			cut = sel.Cut(d, k)
+			room := k + tensor.StreamLanes
+			c.Idx, c.Val = tensor.Sweep(d, 1, math.Float32bits(cut.Rank()), slices.Grow(c.Idx, room), slices.Grow(c.Val, room))
+		}
+		n := 0
+		for j, ord := range c.Idx {
+			dv := c.Val[j]
+			if !cut.Keeps(dv, ord) {
+				continue
+			}
+			c.Idx[n], c.Val[n] = ord, dv
+			n++
+			vl[ord] += dv
+			t := &tally[ord>>s.blockShift]
+			t.sent++
+			t.residue = t.residue || ml[ord]-vl[ord] != 0
+		}
+		c.Idx, c.Val = c.Idx[:n], c.Val[:n]
+	}
+
 	for b := range ver {
 		if !dirty(ver, resid, b, since) {
 			continue
 		}
 		lo, hi := sparse.BlockSpan(b, s.blockShift, len(ml))
-		sent := len(c.Idx)
-		left := false
-		for j := lo; j < hi; j++ {
-			dv := d[j]
-			d[j] = 0
-			if cut.Keeps(dv, int32(j)) {
-				c.Idx = append(c.Idx, int32(j))
-				c.Val = append(c.Val, dv)
-				vl[j] += dv
-				dv = ml[j] - vl[j]
-			}
-			left = left || dv != 0
+		clear(d[lo:hi])
+		t := tally[b]
+		if t.sent > 0 {
+			vver[b] = gs.tSeen
 		}
-		if len(c.Idx) > sent {
-			vver[b] = stamp
-		}
-		setResid(resid, b, left)
+		setResid(resid, b, t.nnz > t.sent || t.residue)
 	}
-	return scanned, skipped, nnz
 }
 
 // dirty reports whether a gather must visit block b: an apply stamped it

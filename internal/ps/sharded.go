@@ -222,7 +222,7 @@ func (s *ShardedServer) Push(worker int, g *sparse.Update) (sparse.Update, uint6
 		// wrapper reports zero (it holds no model lock itself) and surfaces
 		// the shard values through Stats and the dgs_ps_shard_* labelled
 		// children instead.
-		s.met.observePush(worker, uint64(stale), uint64(g.NNZ()), uint64(sp.out.NNZ()), 0, 0, 0, 0)
+		s.met.observePush(worker, uint64(stale), uint64(g.NNZ()), uint64(sp.out.NNZ()), 0, gatherStats{})
 	}
 	s.prevClock[worker] = clock
 	return sp.out, clock

@@ -109,25 +109,12 @@ func (c Cut) Keeps(v float32, ord int32) bool {
 // k-th element (+Inf if it is NaN).
 func (c Cut) Rank() float32 { return math.Float32frombits(c.key) }
 
-// Hist counts elements by the top digit of their composite. A caller that
-// already walks a layer (optim's momentum/accumulate pass) feeds it through
-// Add so selection costs no extra pass for the first histogram level.
-type Hist [1 << histDigit]uint32
+// histogram counts elements by the top digit of their composite.
+type histogram [1 << histDigit]uint32
 
-// Add counts one value. A nil Hist (Selector.Begin on a small layer) counts
-// nothing, so callers fuse one loop for every layer size.
-func (h *Hist) Add(v float32) {
-	if h != nil {
-		h[orderKey(v)>>(topShift-32)&(1<<histDigit-1)]++
-	}
-}
-
-// AddZeros counts n zero values at once: a caller that knows a run of the
-// layer is zero (ps's version-clean blocks) need not walk it.
-func (h *Hist) AddZeros(n int) {
-	if h != nil {
-		h[orderKey(0)>>(topShift-32)&(1<<histDigit-1)] += uint32(n)
-	}
+// add counts one value.
+func (h *histogram) add(v float32) {
+	h[orderKey(v)>>(topShift-32)&(1<<histDigit-1)]++
 }
 
 // Selector is reusable Top-k scratch: the digit histogram, up to
@@ -137,35 +124,14 @@ func (h *Hist) AddZeros(n int) {
 // retained, so steady-state selection allocates nothing. A Selector is not
 // safe for concurrent use.
 type Selector struct {
-	hist  *Hist
-	begun bool
-	cand  []uint64
-	out   []int32
+	hist *histogram
+	cand []uint64
+	out  []int32
 
 	// floor is the warm-start floor Floor reports, set by every resolved
 	// boundary; warm says one has been.
 	floor uint32
 	warm  bool
-}
-
-// Begin starts a selection over n values whose first histogram pass the
-// caller performs itself: Add every value to the returned Hist, then call
-// Cut with those same values. It returns nil when n is small enough for the
-// exact stage alone.
-func (s *Selector) Begin(n int) *Hist {
-	if n <= ExactCap {
-		return nil
-	}
-	s.begun = true
-	return s.resetHist()
-}
-
-func (s *Selector) resetHist() *Hist {
-	if s.hist == nil {
-		s.hist = new(Hist)
-	}
-	*s.hist = Hist{}
-	return s.hist
 }
 
 // Cut returns the boundary selecting the min(k, len(val)) first elements of
@@ -182,15 +148,14 @@ func (s *Selector) Cut(val []float32, k int) Cut {
 	fit := max(r, ExactCap) // the exact stage's scratch stays O(k)
 	var prefix uint64       // the bucket: composites with c>>shift == prefix
 	shift := uint(compositeBits)
-	begun := s.begun
-	s.begun = false
 	if len(val) > ExactCap {
+		if s.hist == nil {
+			s.hist = new(histogram)
+		}
 		h := s.hist
-		if !begun {
-			h = s.resetHist()
-			for _, v := range val {
-				h.Add(v)
-			}
+		*h = histogram{}
+		for _, v := range val {
+			h.add(v)
 		}
 		for {
 			width := min(shift, histDigit)
@@ -206,7 +171,7 @@ func (s *Selector) Cut(val []float32, k int) Cut {
 				break
 			}
 			// Next level: histogram the following digit of this bucket.
-			*h = Hist{}
+			*h = histogram{}
 			next := shift - min(shift, histDigit)
 			mask := uint64(1)<<(shift-next) - 1
 			lo, span := keyRange(prefix, shift)
@@ -237,11 +202,29 @@ func (s *Selector) Cut(val []float32, k int) Cut {
 // Floor returns the magnitude bits (Float32bits(v) & 0x7fffffff) one
 // top-digit histogram bucket (≈4.4 % of |v|) below the last boundary this
 // Selector resolved, and false before it has resolved one. A caller that
-// selects from the same layer every step, as optim's rules do, counts the
-// coordinates at or above it while it writes the layer; when there are at
-// least k of them and not too many, CutCandidates over just those finds the
-// exact boundary.
+// selects from the same layer every step, as optim's rules and ps's Eq. 6
+// gather do, counts the coordinates at or above it while it writes the
+// layer; when WarmHit accepts that count, CutCandidates over just those
+// finds the exact boundary.
 func (s *Selector) Floor() (floor uint32, ok bool) { return s.floor, s.warm }
+
+// CandidateBound is the most candidates a warm selection of k resolves:
+// 4·max(k, ExactCap), which keeps a caller's candidate scratch and the
+// Selector's O(k). Training puts 1.2–2.1·k over the floor, i.i.d. draws
+// settle SAMomentum's velocity at 2–3·k, and a hit at the bound still costs
+// less than a miss (DESIGN.md §8). A layer no longer than the bound costs
+// O(k) on the histogram path too, so callers count only a longer one's
+// misses.
+func CandidateBound(k int) int { return 4 * max(k, ExactCap) }
+
+// WarmHit reports whether count candidates, the elements at or above Floor,
+// resolve a selection of k through CutCandidates: this Selector has a
+// floor, it is above 0 (at 0 every zero would be a candidate), and
+// k ≤ count ≤ CandidateBound(k). Any other count takes Cut over the whole
+// layer. Both select the same set.
+func (s *Selector) WarmHit(count, k int) bool {
+	return s.warm && s.floor > 0 && count >= k && count <= CandidateBound(k)
+}
 
 // CutCandidates returns the Cut that Cut(val, k) would return for the whole
 // layer, given only its candidates: the coordinates idx, ascending, with

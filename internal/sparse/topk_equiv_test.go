@@ -12,8 +12,8 @@ import (
 
 // checkTopKEquivalence asserts that the histogram-select kernel picks
 // exactly what the frozen quickselect oracle picks for the layer x, through
-// the plain and the fused entry points. sel is reused across calls on
-// purpose: stale scratch must not leak between selections.
+// TopK, Cut with a split sweep and the warm form. sel is reused across
+// calls on purpose: stale scratch must not leak between selections.
 func checkTopKEquivalence(t testing.TB, sel *Selector, x []float32, k int) {
 	t.Helper()
 	want := oracleTopK(x, k)
@@ -22,22 +22,20 @@ func checkTopKEquivalence(t testing.TB, sel *Selector, x []float32, k int) {
 		t.Fatalf("TopK n=%d k=%d: kernel and oracle differ\n got  %v\n want %v", len(x), k, head(got), head(want))
 	}
 
-	// Fused form, as optim drives it: caller-fed first histogram level,
-	// then Cut, then the caller's own in-order sweep.
+	// Split form, as ps's Eq. 6 gather drives it on a miss: Cut over the
+	// layer, then Keeps over only the elements at or above the boundary's
+	// magnitude, Float32bits(cut.Rank()).
 	if k > 0 && len(x) > 0 {
-		h := sel.Begin(len(x))
-		for _, v := range x {
-			h.Add(v)
-		}
 		cut := sel.Cut(x, k)
-		var fused []int32
+		key := math.Float32bits(cut.Rank())
+		var split []int32
 		for i, v := range x {
-			if cut.Keeps(v, int32(i)) {
-				fused = append(fused, int32(i))
+			if math.Float32bits(v)&absMask >= key && cut.Keeps(v, int32(i)) {
+				split = append(split, int32(i))
 			}
 		}
-		if !slices.Equal(fused, want) {
-			t.Fatalf("fused Cut n=%d k=%d: kernel and oracle differ\n got  %v\n want %v", len(x), k, head(fused), head(want))
+		if !slices.Equal(split, want) {
+			t.Fatalf("split Cut n=%d k=%d: kernel and oracle differ\n got  %v\n want %v", len(x), k, head(split), head(want))
 		}
 
 		// Warm form, as optim drives it on the next step: the candidates at

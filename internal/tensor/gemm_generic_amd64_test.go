@@ -29,7 +29,7 @@ func TestGenericKernelMatchesBaseline(t *testing.T) {
 		return
 	}
 	cmd := exec.Command(os.Args[0], "-test.v",
-		"-test.run=^(TestGenericKernelMatchesBaseline|TestGemmDirectEqualsStagedTile|TestAxpbyCountMatchesLoop|TestSweepMatchesLoop|TestDiffFoldMatchesLoop)$")
+		"-test.run=^(TestGenericKernelMatchesBaseline|TestGemmDirectEqualsStagedTile|TestAxpbyCountMatchesLoop|TestSweepMatchesLoop|TestDiffFoldMatchesLoop|TestDiffCountMatchesLoop)$")
 	cmd.Env = append(os.Environ(), "DGS_TEST_GENERIC_CHILD=1", "DGS_DISABLE_SIMD=1")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -8,8 +8,10 @@ import (
 
 // Streaming kernels for the worker's warm-started Top-k (optim's Prepare):
 // one pass that updates a layer and measures it against a magnitude floor,
-// and one that splits it at that floor; and for the server's plain gather
-// (ps), one pass that emits M − v_k and folds it into v_k. Each has an AVX2
+// and one that splits it at that floor; and for the server (ps), one pass
+// that emits M − v_k and folds it into v_k (the plain gather) and one that
+// writes M − v_k and measures it against a floor for Sweep to split (the
+// Eq. 6 gather). Each has an AVX2
 // body on amd64 (the same useSIMDKernel switch, and DGS_DISABLE_SIMD, as the
 // GEMM micro-kernel) and a portable Go twin that computes the same bits; the
 // SIMD body covers a multiple of StreamLanes coordinates and the twin
@@ -161,6 +163,42 @@ func diffFoldGo(m, v []float32, i int, base int32, idx []int32, val []float32, l
 		}
 	}
 	return idx, val, left
+}
+
+// DiffCount writes d = m − v over len(d) coordinates (m and v at least as
+// long) and returns how many of the differences are nonzero and, of those,
+// how many have magnitude at or above floor: a NaN counts in both, ±0 in
+// neither. d is bitwise the plain loop's (up to which payload a NaN
+// difference carries, the hardware's choice).
+func DiffCount(d, m, v []float32, floor uint32) (atFloor, nonzero int) {
+	floor = min(max(floor, 1), infMag)
+	m, v = m[:len(d)], v[:len(d)]
+	body := 0
+	if useSIMDKernel {
+		body = len(d) &^ (StreamLanes - 1)
+	}
+	if body > 0 {
+		atFloor, nonzero = diffCountAVX2(&d[0], &m[0], &v[0], body, floor)
+	}
+	a, nz := diffCountGo(d[body:], m[body:], v[body:], floor)
+	return atFloor + a, nonzero + nz
+}
+
+// diffCountGo is DiffCount's Go twin, for a floor of at least 1.
+func diffCountGo(d, m, v []float32, floor uint32) (atFloor, nonzero int) {
+	m, v = m[:len(d)], v[:len(d)]
+	for j := range d {
+		dv := m[j] - v[j]
+		d[j] = dv
+		mag := math.Float32bits(dv) & magMask
+		if mag >= floor {
+			atFloor++
+		}
+		if mag != 0 {
+			nonzero++
+		}
+	}
+	return atFloor, nonzero
 }
 
 // compressLUT maps an 8-bit lane mask to the positions of its set bits in

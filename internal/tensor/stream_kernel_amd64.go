@@ -31,3 +31,11 @@ func sweepAVX2(x *float32, n int, s float32, scale bool, floor uint32, lut *[1 <
 //
 //go:noescape
 func diffFoldAVX2(m, v *float32, n int, base int32, lut *[1 << StreamLanes]uint64, idx *int32, val *float32) (w int, left bool)
+
+// diffCountAVX2 is DiffCount's vector body over n coordinates, n a positive
+// multiple of StreamLanes, for a floor of at least 1: d = m − v, the count
+// of differences whose magnitude is ≥ floor and the count of nonzero ones.
+// Implemented in stream_kernel_amd64.s; diffCountGo is its twin.
+//
+//go:noescape
+func diffCountAVX2(d, m, v *float32, n int, floor uint32) (atFloor, nonzero int)

@@ -196,3 +196,59 @@ diff:
 	SETNE     left+64(FP)
 	VZEROUPPER
 	RET
+
+// func diffCountAVX2(d, m, v *float32, n int, floor uint32) (atFloor, nonzero int)
+//
+// Per group of 8: d = m − v (VSUBPS, m the first operand as in the Go
+// twin's m[j] − v[j]), stored; its magnitude bits are compared against
+// floor−1 (Y10) and against 0 (Y15), and each true lane (−1) is subtracted
+// into the at-floor counts (Y12) and the nonzero counts (Y13). The caller
+// clamps floor to at least 1, so ±0 counts in neither.
+TEXT ·diffCountAVX2(SB), NOSPLIT, $0-56
+	MOVQ         d+0(FP), DI
+	MOVQ         m+8(FP), SI
+	MOVQ         v+16(FP), DX
+	MOVQ         n+24(FP), CX
+	MOVL         floor+32(FP), AX
+	DECL         AX
+	VMOVD        AX, X10
+	VPBROADCASTD X10, Y10
+	MOVL         $0x7fffffff, AX
+	VMOVD        AX, X11
+	VPBROADCASTD X11, Y11
+	VPXOR        Y12, Y12, Y12
+	VPXOR        Y13, Y13, Y13
+	VPXOR        Y15, Y15, Y15
+	XORQ         BX, BX
+
+diffcount:
+	VMOVUPS  (SI)(BX*4), Y0
+	VSUBPS   (DX)(BX*4), Y0, Y0
+	VMOVUPS  Y0, (DI)(BX*4)
+	VPAND    Y11, Y0, Y2
+	VPCMPGTD Y10, Y2, Y3
+	VPSUBD   Y3, Y12, Y12
+	VPCMPGTD Y15, Y2, Y4
+	VPSUBD   Y4, Y13, Y13
+	ADDQ     $8, BX
+	CMPQ     BX, CX
+	JLT      diffcount
+
+	VEXTRACTI128 $1, Y12, X0
+	VPADDD       X0, X12, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VPADDD       X1, X0, X0
+	VMOVD        X0, AX
+	MOVQ         AX, atFloor+40(FP)
+	VEXTRACTI128 $1, Y13, X0
+	VPADDD       X0, X13, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VPADDD       X1, X0, X0
+	VMOVD        X0, AX
+	MOVQ         AX, nonzero+48(FP)
+	VZEROUPPER
+	RET

@@ -202,26 +202,74 @@ func TestDiffFoldMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestDiffCountMatchesLoop holds DiffCount to the plain loop on whichever
+// body this host runs: bitwise the same d and the same two counts, with the
+// special patterns in m and in v (so differences come out ±0, denormal,
+// ±Inf and NaN) and floors of 0, +Inf and above.
+func TestDiffCountMatchesLoop(t *testing.T) {
+	rng := NewRNG(46)
+	for _, n := range []int{0, 1, 7, 8, 9, 1031} {
+		for _, specials := range []bool{false, true} {
+			for _, floor := range []uint32{0, 1, 0x3f000000, 0x7f800000, 0x7fc00000, 0xffffffff} {
+				m := streamInput(rng, n, specials)
+				v := append([]float32(nil), m...)
+				for j := range v {
+					if rng.Intn(3) == 0 {
+						v[j] = float32(rng.NormFloat64())
+					}
+				}
+				if specials {
+					for j := 5; j < n; j += 10 {
+						v[j] = math.Float32frombits(streamSpecials[(j/10+3)%len(streamSpecials)])
+					}
+				}
+				want := make([]float32, n)
+				wantAt, wantNZ := 0, 0
+				for j := range want {
+					want[j] = m[j] - v[j]
+					if mag := math.Float32bits(want[j]) & magMask; mag != 0 {
+						wantNZ++
+						if mag >= min(floor, infMag) {
+							wantAt++
+						}
+					}
+				}
+				d := streamInput(rng, n, false) // stale contents, all overwritten
+				at, nz := DiffCount(d, m, v, floor)
+				for j := range d {
+					if !sameBits(d[j], want[j]) {
+						t.Fatalf("n=%d floor=%#x: d[%d] = %#x, loop %#x", n, floor, j, math.Float32bits(d[j]), math.Float32bits(want[j]))
+					}
+				}
+				if at != wantAt || nz != wantNZ {
+					t.Fatalf("n=%d floor=%#x: counts (%d, %d), loop (%d, %d)", n, floor, at, nz, wantAt, wantNZ)
+				}
+			}
+		}
+	}
+}
+
 func TestStreamSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	rng := NewRNG(43)
-	x, y := streamInput(rng, 4099, false), streamInput(rng, 4099, false)
+	x, y, d := streamInput(rng, 4099, false), streamInput(rng, 4099, false), make([]float32, 4099)
 	idx, val := make([]int32, 0, len(x)+StreamLanes), make([]float32, 0, len(x)+StreamLanes)
 	if allocs := testing.AllocsPerRun(10, func() {
 		AxpbyCount(x, y, 0.7, 0.01, 0x3f800000)
 		idx, val = Sweep(x, 1/float32(0.7), 0x3f800000, idx[:0], val[:0])
 		// x and y differ everywhere after the update: every fold emits.
 		idx, val, _ = DiffFold(x, y, 0, idx[:0], val[:0])
+		DiffCount(d, x, y, 0x3f800000)
 	}); allocs > 0 {
-		t.Errorf("AxpbyCount + Sweep + DiffFold with room allocate %v objects, want 0", allocs)
+		t.Errorf("AxpbyCount + Sweep + DiffFold + DiffCount with room allocate %v objects, want 0", allocs)
 	}
 }
 
 // FuzzStreamKernels holds each AVX2 body to its Go twin on arbitrary float
 // bit patterns — ±0, denormals, ±Inf, NaN payloads — at any length, floor
-// and coefficients: bitwise the same stores, count, per-lane sums, selected
+// and coefficients: bitwise the same stores, counts, per-lane sums, selected
 // entries and stopping point (NaN payloads aside, see sameBits). It skips
 // where the AVX2 bodies do not run (other architectures, DGS_DISABLE_SIMD).
 func FuzzStreamKernels(f *testing.F) {
@@ -291,6 +339,20 @@ func FuzzStreamKernels(f *testing.F) {
 			}
 		}
 
+		// The Eq. 6 gather's measuring pass, x as M and y as v.
+		ds, dg := make([]float32, n), make([]float32, n)
+		f := max(floor, 1)
+		atS, nzS := diffCountAVX2(&ds[0], &x[0], &y[0], n, f)
+		atG, nzG := diffCountGo(dg, x, y, f)
+		if atS != atG || nzS != nzG {
+			t.Fatalf("diff count (%d, %d), twin (%d, %d)", atS, nzS, atG, nzG)
+		}
+		for j := range ds {
+			if !sameBits(ds[j], dg[j]) {
+				t.Fatalf("diff count d[%d] = %#x, twin %#x", j, math.Float32bits(ds[j]), math.Float32bits(dg[j]))
+			}
+		}
+
 		xa, xg := append([]float32(nil), x...), append([]float32(nil), x...)
 		var la, lg [StreamLanes]float64
 		ca := axpbyCountAVX2(&xa[0], &y[0], n, a, b, floor, &la)
@@ -317,7 +379,9 @@ func FuzzStreamKernels(f *testing.F) {
 // over the floor, scaling the rest by −1 (pass 2: every store taken, and
 // the magnitudes, so the split, the same on every iteration). The gather
 // folds v toward one of two models that differ in a tenth of their
-// coordinates, alternating, so every iteration emits and folds that tenth.
+// coordinates, alternating, so every iteration emits and folds that tenth;
+// the Eq. 6 gather's measuring pass diffs those two models, counting the
+// differences over 1.8 and the nonzero ones.
 func BenchmarkStreamKernels(b *testing.B) {
 	const n = 512 * 512
 	rng := NewRNG(44)
@@ -332,7 +396,7 @@ func BenchmarkStreamKernels(b *testing.B) {
 			ms[1][j] = float32(rng.NormFloat64())
 		}
 	}
-	v := append([]float32(nil), ms[0]...)
+	v, d := append([]float32(nil), ms[0]...), make([]float32, n)
 	fold := 0
 	for _, c := range []struct {
 		name string
@@ -345,6 +409,8 @@ func BenchmarkStreamKernels(b *testing.B) {
 		{"sweep/avx2", true, func() { sweepAVX2(&xs[0], n, -1, true, floor, &compressLUT, &idx[:1][0], &val[:1][0], 0, n) }},
 		{"diff_fold/go", false, func() { fold++; idx, val, _ = diffFoldGo(ms[fold&1], v, 0, 0, idx[:0], val[:0], false) }},
 		{"diff_fold/avx2", true, func() { fold++; diffFoldAVX2(&ms[fold&1][0], &v[0], n, 0, &compressLUT, &idx[:1][0], &val[:1][0]) }},
+		{"diff_count/go", false, func() { diffCountGo(d, ms[1], ms[0], floor) }},
+		{"diff_count/avx2", true, func() { diffCountAVX2(&d[0], &ms[1][0], &ms[0][0], n, floor) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if c.simd && !useSIMDKernel {
