@@ -79,9 +79,6 @@ type Config struct {
 	MaxInflight int
 	RetryHint   time.Duration
 	DrainHint   time.Duration
-	// ReplayWindow is the downstream replay cache depth (0 = transport
-	// default; must cover the workers' pipeline depth).
-	ReplayWindow int
 	// BlockShift is the mirror's dirty-tracking block size (0 = auto).
 	BlockShift uint
 }
@@ -206,7 +203,6 @@ func New(cfg Config) (*Aggregator, error) {
 		done:    make(chan struct{}),
 	}
 	a.eo = transport.NewExactlyOnce(a.handle, a.onJoin)
-	a.eo.Window = cfg.ReplayWindow
 	a.gate = transport.NewGate(a.eo.Handle, cfg.MaxInflight)
 	a.gate.RetryHint = cfg.RetryHint
 	a.gate.DrainHint = cfg.DrainHint
@@ -577,8 +573,10 @@ func (a *Aggregator) Close() error {
 	return nil
 }
 
-// Kill simulates a crash for chaos tests: every queued and in-flight
-// exchange fails immediately and nothing more is forwarded upstream.
+// Kill simulates a crash: every queued and in-flight exchange fails
+// immediately and nothing more is forwarded upstream. Test seam: the chaos
+// tests crash an aggregator mid-window with it, as a deterministic
+// whole-system simulation would.
 func (a *Aggregator) Kill() {
 	a.mu.Lock()
 	if a.closed {

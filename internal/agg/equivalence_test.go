@@ -30,7 +30,14 @@ func randUpdate(rng *tensor.RNG, sizes []int, ratio float64) sparse.Update {
 	for _, l := range dense {
 		rng.FillNormal(l, 0, 1)
 	}
-	return sparse.SparsifyLayers(dense, ratio)
+	var u sparse.Update
+	var sel sparse.Selector
+	for layer, l := range dense {
+		if k := sparse.KForRatio(len(l), ratio); k > 0 {
+			u.Chunks = append(u.Chunks, sparse.Gather(layer, l, sel.TopK(l, k)))
+		}
+	}
+	return u
 }
 
 func applyUpdate(u *sparse.Update, dst [][]float32) {
@@ -282,7 +289,9 @@ func TestEquivalenceMergedWindowBitwise(t *testing.T) {
 
 	// Reference: the same updates merged in slot order, applied as one push.
 	ref := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 1})
-	ref.Push(0, sparse.Merge(srcs))
+	merged := &sparse.Update{}
+	new(sparse.Merger).MergeInto(merged, srcs)
+	ref.Push(0, merged)
 
 	mUp, mRef := alloc(sizes), alloc(sizes)
 	up.MSnapshot(mUp)

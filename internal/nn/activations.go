@@ -45,29 +45,3 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil; ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
-
-// Flatten reshapes (B, ...) to (B, rest). It is shape bookkeeping only: both
-// directions return views of their argument's data.
-type Flatten struct {
-	inShape []int
-}
-
-// NewFlatten returns a Flatten layer.
-func NewFlatten() *Flatten { return &Flatten{} }
-
-// Forward flattens all but the batch dimension.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		f.inShape = append(f.inShape[:0], x.Shape...)
-	}
-	batch := x.Dim(0)
-	return x.Reshape(batch, x.Len()/batch)
-}
-
-// Backward restores the cached input shape.
-func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.inShape...)
-}
-
-// Params returns nil.
-func (f *Flatten) Params() []*Param { return nil }

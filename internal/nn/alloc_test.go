@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dgs/internal/raceflag"
@@ -108,7 +109,7 @@ func TestLayerBuffersFollowShape(t *testing.T) {
 		used.ZeroGrad()
 		got := used.Forward(x, true)
 		want := fresh.Forward(x, true)
-		if !got.SameShape(want) {
+		if !slices.Equal(got.Shape, want.Shape) {
 			t.Fatalf("step %d (batch %d): logits shape %v, want %v", step, batch, got.Shape, want.Shape)
 		}
 		for i := range want.Data {

@@ -50,7 +50,9 @@ func checkGradients(t *testing.T, m *Model, x *tensor.Tensor, labels []int) {
 
 func smallInput(rng *tensor.RNG, shape ...int) *tensor.Tensor {
 	x := tensor.New(shape...)
-	rng.FillUniform(x.Data, -1, 1)
+	for i := range x.Data {
+		x.Data[i] = -1 + 2*rng.Float32()
+	}
 	return x
 }
 

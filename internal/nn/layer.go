@@ -11,7 +11,7 @@
 // paper's algorithms do.
 //
 // Buffer ownership: the tensors Forward and Backward return alias storage
-// the layer owns (or the layer's input, for pure reshapes and identities),
+// the layer owns (or the layer's input, for an empty Sequential),
 // allocated on first use and reused from then on, so a steady-state
 // training step allocates nothing per layer. A Forward result is valid
 // until that layer's next Forward, a Backward result until its next
@@ -23,11 +23,7 @@
 // a different evaluation batch) and only grow.
 package nn
 
-import (
-	"fmt"
-
-	"dgs/internal/tensor"
-)
+import "dgs/internal/tensor"
 
 // Param is one trainable parameter tensor together with its gradient
 // accumulator. DGS treats each Param as one "layer" for per-layer Top-R%
@@ -144,36 +140,6 @@ func (m *Model) LayerSizes() []int {
 		sizes[i] = p.Value.Len()
 	}
 	return sizes
-}
-
-// SnapshotParams copies all parameter values into dst, one slice per layer.
-// dst must have been created by AllocLike or have matching lengths.
-func (m *Model) SnapshotParams(dst [][]float32) {
-	if len(dst) != len(m.params) {
-		panic(fmt.Sprintf("nn: snapshot layer count %d != %d", len(dst), len(m.params)))
-	}
-	for i, p := range m.params {
-		copy(dst[i], p.Value.Data)
-	}
-}
-
-// LoadParams copies src (one slice per layer) into the parameter values.
-func (m *Model) LoadParams(src [][]float32) {
-	if len(src) != len(m.params) {
-		panic(fmt.Sprintf("nn: load layer count %d != %d", len(src), len(m.params)))
-	}
-	for i, p := range m.params {
-		copy(p.Value.Data, src[i])
-	}
-}
-
-// AllocLike returns a per-layer buffer matching the model's parameters.
-func (m *Model) AllocLike() [][]float32 {
-	out := make([][]float32, len(m.params))
-	for i, p := range m.params {
-		out[i] = make([]float32, p.Value.Len())
-	}
-	return out
 }
 
 // Gradients returns the per-layer gradient slices (aliasing Param.Grad).

@@ -52,15 +52,3 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, gra
 	}
 	return loss, grad
 }
-
-// Accuracy returns the fraction of rows whose argmax matches the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	batch, classes := logits.Dim(0), logits.Dim(1)
-	correct := 0
-	for b := 0; b < batch; b++ {
-		if tensor.ArgMax(logits.Data[b*classes:(b+1)*classes]) == labels[b] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(batch)
-}

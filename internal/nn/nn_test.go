@@ -2,10 +2,16 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dgs/internal/tensor"
 )
+
+// fromSlice wraps data in a tensor of the given shape without copying.
+func fromSlice(data []float32, shape ...int) *tensor.Tensor {
+	return &tensor.Tensor{Data: data, Shape: shape}
+}
 
 func TestLinearShapes(t *testing.T) {
 	rng := tensor.NewRNG(1)
@@ -16,7 +22,7 @@ func TestLinearShapes(t *testing.T) {
 		t.Fatalf("output shape %v, want [5 3]", y.Shape)
 	}
 	dx := l.Backward(y)
-	if !dx.SameShape(x) {
+	if !slices.Equal(dx.Shape, x.Shape) {
 		t.Fatalf("input grad shape %v, want %v", dx.Shape, x.Shape)
 	}
 }
@@ -47,12 +53,12 @@ func TestLinearWrongInputPanics(t *testing.T) {
 
 func TestReLU(t *testing.T) {
 	r := NewReLU()
-	x := tensor.FromSlice([]float32{-1, 0, 2}, 1, 3)
+	x := fromSlice([]float32{-1, 0, 2}, 1, 3)
 	y := r.Forward(x, true)
 	if y.Data[0] != 0 || y.Data[1] != 0 || y.Data[2] != 2 {
 		t.Fatalf("ReLU forward wrong: %v", y.Data)
 	}
-	g := tensor.FromSlice([]float32{5, 5, 5}, 1, 3)
+	g := fromSlice([]float32{5, 5, 5}, 1, 3)
 	dx := r.Backward(g)
 	if dx.Data[0] != 0 || dx.Data[1] != 0 || dx.Data[2] != 5 {
 		t.Fatalf("ReLU backward wrong: %v", dx.Data)
@@ -75,7 +81,7 @@ func TestReLUSpecialValues(t *testing.T) {
 	grads := []float32{2, nan, inf}
 	for _, train := range []bool{true, false} {
 		r := NewReLU()
-		y := r.Forward(tensor.FromSlice(append([]float32(nil), in...), 1, len(in)), train)
+		y := r.Forward(fromSlice(append([]float32(nil), in...), 1, len(in)), train)
 		for _, g := range grads {
 			gt := tensor.New(1, len(in))
 			gt.Fill(g)
@@ -96,22 +102,9 @@ func TestReLUSpecialValues(t *testing.T) {
 	}
 }
 
-func TestFlattenRoundTrip(t *testing.T) {
-	f := NewFlatten()
-	x := tensor.New(2, 3, 4)
-	y := f.Forward(x, true)
-	if y.Dim(0) != 2 || y.Dim(1) != 12 {
-		t.Fatalf("flatten shape %v", y.Shape)
-	}
-	dx := f.Backward(y)
-	if !dx.SameShape(x) {
-		t.Fatalf("unflatten shape %v", dx.Shape)
-	}
-}
-
 func TestMaxPoolForwardBackward(t *testing.T) {
 	p := NewMaxPool2D(2)
-	x := tensor.FromSlice([]float32{
+	x := fromSlice([]float32{
 		1, 2, 5, 6,
 		3, 4, 7, 8,
 		9, 10, 13, 14,
@@ -124,10 +117,10 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 			t.Fatalf("pool out[%d]=%v want %v", i, y.Data[i], want[i])
 		}
 	}
-	g := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
+	g := fromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	dx := p.Backward(g)
 	// Gradient must land exactly on the max positions.
-	if dx.At(0, 0, 1, 1) != 1 || dx.At(0, 0, 1, 3) != 2 || dx.At(0, 0, 3, 1) != 3 || dx.At(0, 0, 3, 3) != 4 {
+	if dx.Data[1*4+1] != 1 || dx.Data[1*4+3] != 2 || dx.Data[3*4+1] != 3 || dx.Data[3*4+3] != 4 {
 		t.Fatalf("pool backward misrouted: %v", dx.Data)
 	}
 	var sum float32
@@ -141,12 +134,12 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 
 func TestGlobalAvgPool(t *testing.T) {
 	p := NewGlobalAvgPool2D()
-	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
+	x := fromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
 	y := p.Forward(x, true)
 	if y.Data[0] != 2.5 || y.Data[1] != 25 {
 		t.Fatalf("avg pool wrong: %v", y.Data)
 	}
-	g := tensor.FromSlice([]float32{4, 8}, 1, 2)
+	g := fromSlice([]float32{4, 8}, 1, 2)
 	dx := p.Backward(g)
 	if dx.Data[0] != 1 || dx.Data[4] != 2 {
 		t.Fatalf("avg pool backward wrong: %v", dx.Data)
@@ -183,11 +176,11 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		bn.Forward(x, true)
 	}
-	yTrain := bn.Forward(x, true).Clone() // Forward reuses its output buffer
+	yTrain := append([]float32(nil), bn.Forward(x, true).Data...) // Forward reuses its output buffer
 	yEval := bn.Forward(x, false)
 	var maxDiff float64
-	for i := range yTrain.Data {
-		d := math.Abs(float64(yTrain.Data[i] - yEval.Data[i]))
+	for i := range yTrain {
+		d := math.Abs(float64(yTrain[i] - yEval.Data[i]))
 		if d > maxDiff {
 			maxDiff = d
 		}
@@ -216,7 +209,7 @@ func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyStability(t *testing.T) {
-	logits := tensor.FromSlice([]float32{1000, -1000}, 1, 2)
+	logits := fromSlice([]float32{1000, -1000}, 1, 2)
 	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss not finite: %v", loss)
@@ -239,40 +232,6 @@ func TestSoftmaxGradSumsToZero(t *testing.T) {
 		s := tensor.Sum(grad.Data[b*5 : (b+1)*5])
 		if math.Abs(s) > 1e-6 {
 			t.Fatalf("row %d grad sum %v, want 0", b, s)
-		}
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float32{
-		1, 0, // pred 0
-		0, 1, // pred 1
-		5, 9, // pred 1
-	}, 3, 2)
-	if got := Accuracy(logits, []int{0, 1, 0}); math.Abs(got-2.0/3.0) > 1e-9 {
-		t.Fatalf("accuracy %v, want 2/3", got)
-	}
-}
-
-func TestModelSnapshotLoadRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(7)
-	m := NewMLP(rng, 3, 4, 2)
-	snap := m.AllocLike()
-	m.SnapshotParams(snap)
-	// Perturb, then restore.
-	for _, p := range m.Params() {
-		for i := range p.Value.Data {
-			p.Value.Data[i] += 1
-		}
-	}
-	m.LoadParams(snap)
-	snap2 := m.AllocLike()
-	m.SnapshotParams(snap2)
-	for i := range snap {
-		for j := range snap[i] {
-			if snap[i][j] != snap2[i][j] {
-				t.Fatal("load/snapshot round trip failed")
-			}
 		}
 	}
 }

@@ -431,9 +431,6 @@ func (o *SAMomentum) Name() string { return "DGS" }
 // StateBytes implements WorkerOptimizer.
 func (o *SAMomentum) StateBytes() int { return totalBytes(o.u, o.e) }
 
-// Velocity exposes the internal buffer for invariant tests.
-func (o *SAMomentum) Velocity() [][]float32 { return o.u }
-
 // RatioSetter is implemented by the sparsifying optimizers so callers can
 // anneal the keep ratio during training (warm-up schedules).
 type RatioSetter interface {

@@ -347,3 +347,6 @@ func TestSetKeepRatio(t *testing.T) {
 		}
 	}
 }
+
+// Velocity exposes the internal buffer for invariant tests.
+func (o *SAMomentum) Velocity() [][]float32 { return o.u }

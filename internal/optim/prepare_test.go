@@ -55,7 +55,7 @@ func (o *unfused) prepare(grads [][]float32, lr float32) sparse.Update {
 				}
 			}
 		}
-		idx := sparse.TopKIndices(sel, sparse.KForRatio(len(sel), o.keep))
+		idx := new(sparse.Selector).TopK(sel, sparse.KForRatio(len(sel), o.keep))
 		if len(idx) == 0 {
 			continue
 		}

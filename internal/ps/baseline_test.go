@@ -135,7 +135,7 @@ func (s *BaselineServer) Push(worker int, g *sparse.Update) (sparse.Update, uint
 		}
 		if s.cfg.DenseDownward {
 			c := out.NextChunk()
-			sparse.GatherInto(c, layer, d, s.denseIdx[:len(d)])
+			*c = sparse.Gather(layer, d, s.denseIdx[:len(d)])
 			sparse.Scatter(c, vl, 1)
 			continue
 		}
@@ -159,7 +159,7 @@ func (s *BaselineServer) Push(worker int, g *sparse.Update) (sparse.Update, uint
 			s.nzIdx = idx[:0]
 		}
 		c := out.NextChunk()
-		sparse.GatherInto(c, layer, d, idx)
+		*c = sparse.Gather(layer, d, idx)
 		sparse.Scatter(c, vl, 1)
 	}
 	s.prev[worker] = s.t
@@ -193,13 +193,15 @@ func (s *BaselineServer) MSnapshot(dst [][]float32) uint64 {
 	return s.t
 }
 
-// VSnapshot copies worker k's sent-accumulation v_k into dst.
-func (s *BaselineServer) VSnapshot(worker int, dst [][]float32) {
+// VSnapshot copies worker k's sent-accumulation v_k into dst and returns
+// the clock it is consistent against.
+func (s *BaselineServer) VSnapshot(worker int, dst [][]float32) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.v[worker] {
 		copy(dst[i], s.v[worker][i])
 	}
+	return s.t
 }
 
 // StateBytes reports server memory (M plus one v_k per worker).

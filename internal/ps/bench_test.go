@@ -1,10 +1,12 @@
 package ps
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
+	"dgs/internal/raceflag"
 	"dgs/internal/sparse"
 	"dgs/internal/tensor"
 )
@@ -24,7 +26,7 @@ func topKUpdate(rng *tensor.RNG, sizes []int, ratio float64) *sparse.Update {
 	for layer, n := range sizes {
 		x := make([]float32, n)
 		rng.FillNormal(x, 0, 1)
-		sparse.GatherInto(u.NextChunk(), layer, x, sel.TopK(x, sparse.KForRatio(n, ratio)))
+		*u.NextChunk() = sparse.Gather(layer, x, sel.TopK(x, sparse.KForRatio(n, ratio)))
 	}
 	return u
 }
@@ -59,6 +61,44 @@ func TestSecondaryPushSteadyStateAllocs(t *testing.T) {
 	pair := [2]*sparse.Update{topKUpdate(tensor.NewRNG(41), fleetMLPSizes, 0.05), topKUpdate(tensor.NewRNG(42), fleetMLPSizes, 0.05)}
 	if allocs := concurrentPushAllocs(mlp, pair); allocs > 0 {
 		t.Fatalf("two concurrent steady-state secondary MLP pushes allocate %v objects, want 0", allocs)
+	}
+}
+
+// TestFreshSecondaryServerAllocs: a fresh server's Eq. 6 gathers allocate
+// nothing once each worker has pushed once, even while M − v_k's candidate
+// counts are still climbing. The geometry is ResNet-18's layers up to 128
+// channels, pushed at Top-1 % by eight workers with Eq. 6 at 1 %, where
+// sizing the downward chunks to each new count costs about 19 allocations a
+// push over the first 48.
+func TestFreshSecondaryServerAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var sizes []int
+	for _, n := range resnet18Sizes() {
+		if n <= 128*128*9 {
+			sizes = append(sizes, n)
+		}
+	}
+	const workers, variants, pushes = 8, 2, 96
+	srv := NewServer(Config{LayerSizes: sizes, Workers: workers, Secondary: true, SecondaryRatio: 0.01, Quiet: true})
+	rng := tensor.NewRNG(44)
+	updates := make([][]*sparse.Update, workers)
+	for k := range updates {
+		for v := 0; v < variants; v++ {
+			updates[k] = append(updates[k], topKUpdate(rng, sizes, 0.01))
+		}
+		srv.Push(k, updates[k][0]) // each worker's first push sizes its scratch
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pushes; i++ {
+		srv.Push(i%workers, updates[i%workers][i/workers%variants])
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 0 {
+		t.Fatalf("the first %d Eq. 6 pushes after warm-up allocate %d objects, want 0", pushes, n)
 	}
 }
 

@@ -15,7 +15,7 @@ type pusherUnderTest interface {
 	Resync(worker int)
 	Stats() Stats
 	MSnapshot(dst [][]float32) uint64
-	VSnapshot(worker int, dst [][]float32)
+	VSnapshot(worker int, dst [][]float32) uint64
 }
 
 // requireSameUpdate asserts two downward updates are bitwise identical:

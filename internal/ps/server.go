@@ -657,19 +657,22 @@ func (s *Server) secondaryDiff(w *workerState, c *sparse.Chunk, layer int, since
 
 	c.Layer = layer
 	c.Idx, c.Val = c.Idx[:0], c.Val[:0]
-	if k := min(sparse.KForRatio(len(ml), s.cfg.SecondaryRatio), nnz); k > 0 {
+	kr := sparse.KForRatio(len(ml), s.cfg.SecondaryRatio)
+	if k := min(kr, nnz); k > 0 {
+		// Room for as many candidates as WarmHit accepts at this layer's
+		// largest k, so a chunk is sized once, not at every new count.
+		room := min(sparse.CandidateBound(kr), len(ml)) + tensor.StreamLanes
+		c.Idx, c.Val = slices.Grow(c.Idx, room), slices.Grow(c.Val, room)
 		var cut sparse.Cut
 		if sel.WarmHit(count, k) {
-			room := count + tensor.StreamLanes
-			c.Idx, c.Val = tensor.Sweep(d, 1, floor, slices.Grow(c.Idx, room), slices.Grow(c.Val, room))
+			c.Idx, c.Val = tensor.Sweep(d, 1, floor, c.Idx, c.Val)
 			cut = sel.CutCandidates(c.Idx, c.Val, k)
 		} else {
 			if len(ml) > sparse.CandidateBound(k) {
 				gs.misses++
 			}
 			cut = sel.Cut(d, k)
-			room := k + tensor.StreamLanes
-			c.Idx, c.Val = tensor.Sweep(d, 1, math.Float32bits(cut.Rank()), slices.Grow(c.Idx, room), slices.Grow(c.Val, room))
+			c.Idx, c.Val = tensor.Sweep(d, 1, math.Float32bits(cut.Rank()), c.Idx, c.Val)
 		}
 		n := 0
 		for j, ord := range c.Idx {
@@ -743,23 +746,20 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// VSnapshot copies worker k's sent-accumulation v_k into dst (for tests and
-// invariant checks). See VSnapshotT for the consistency cut it takes.
-func (s *Server) VSnapshot(worker int, dst [][]float32) {
-	s.VSnapshotT(worker, dst)
-}
-
-// VSnapshotT copies worker k's v_k into dst at a stamped consistency cut and
-// returns the server clock the copy is consistent against. It takes the same
-// per-worker quiesce Capture does — the worker lock, then the model read
-// lock (w→s, Push's order) — so the copy can never observe a mid-gather v_k
-// and the clock cannot advance while the copy runs: the returned t is the
-// exact timestamp of the state the caller received, which is what lets drain
-// assertions pin "v_k at clock t" instead of "v_k at some point near t".
-// (The vver stamps gatherDown maintains are what make this cut meaningful:
-// every v-block is stamped with the clock of the exchange that wrote it, so
-// a block stamped ≤ t is final at the returned cut.)
-func (s *Server) VSnapshotT(worker int, dst [][]float32) uint64 {
+// VSnapshot copies worker k's sent-accumulation v_k into dst at a stamped
+// consistency cut and returns the server clock the copy is consistent
+// against. It is a test seam: the drain-fixpoint check (v_k == M after
+// drain) that the tests of ps, agg, trainer and optim share. It takes the
+// same per-worker quiesce Capture does — the worker lock, then the model
+// read lock (w→s, Push's order) — so the copy can never observe a
+// mid-gather v_k and the clock cannot advance while the copy runs: the
+// returned t is the exact timestamp of the state the caller received, which
+// is what lets drain assertions pin "v_k at clock t" instead of "v_k at
+// some point near t". (The vver stamps gatherDown maintains are what make
+// this cut meaningful: every v-block is stamped with the clock of the
+// exchange that wrote it, so a block stamped ≤ t is final at the returned
+// cut.)
+func (s *Server) VSnapshot(worker int, dst [][]float32) uint64 {
 	if worker < 0 || worker >= s.cfg.Workers {
 		panic(fmt.Sprintf("ps: worker %d out of range [0,%d)", worker, s.cfg.Workers))
 	}

@@ -18,15 +18,21 @@ func alloc(sizes []int) [][]float32 {
 	return out
 }
 
+// randomUpdate draws every layer from N(0, 1) and keeps the top keepRatio
+// of each (all of it at keepRatio ≥ 1).
 func randomUpdate(rng *tensor.RNG, sizes []int, keepRatio float64) sparse.Update {
 	dense := alloc(sizes)
 	for _, l := range dense {
 		rng.FillNormal(l, 0, 1)
 	}
-	if keepRatio >= 1 {
-		return sparse.DenseUpdate(dense)
+	var u sparse.Update
+	var sel sparse.Selector
+	for layer, l := range dense {
+		if k := sparse.KForRatio(len(l), keepRatio); k > 0 {
+			u.Chunks = append(u.Chunks, sparse.Gather(layer, l, sel.TopK(l, k)))
+		}
 	}
-	return sparse.SparsifyLayers(dense, keepRatio)
+	return u
 }
 
 // apply adds the update into a dense accumulator with the given sign.

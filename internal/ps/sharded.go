@@ -162,9 +162,6 @@ func NewShardedServer(cfg Config, numShards int) *ShardedServer {
 	return s
 }
 
-// NumShards returns the shard count.
-func (s *ShardedServer) NumShards() int { return len(s.shards) }
-
 // Push splits the update across shards, applies each piece, and merges the
 // downward differences back into global layer ids. The returned timestamp
 // is the sum of shard timestamps (a useful monotone logical clock). Like
@@ -330,7 +327,3 @@ func (s *ShardedServer) StateBytes() int {
 
 // LayerSizes returns the global layer sizes.
 func (s *ShardedServer) LayerSizes() []int { return s.sizes }
-
-// ShardOf reports which shard owns a global layer (for tests and
-// placement inspection).
-func (s *ShardedServer) ShardOf(layer int) int { return s.layerShard[layer] }

@@ -306,3 +306,10 @@ func TestTwoCorePushAllocs(t *testing.T) {
 		}
 	}
 }
+
+// NumShards returns the shard count.
+func (s *ShardedServer) NumShards() int { return len(s.shards) }
+
+// ShardOf reports which shard owns a global layer (for tests and
+// placement inspection).
+func (s *ShardedServer) ShardOf(layer int) int { return s.layerShard[layer] }

@@ -256,7 +256,7 @@ func TestSnapshotPrefixConsistentUnderChurn(t *testing.T) {
 	}
 }
 
-// TestVSnapshotTCut pins the satellite-1 guarantee: a VSnapshotT cut taken
+// TestVSnapshotTCut pins the stamped (T) cut VSnapshot takes: a cut taken
 // while the worker is pushing returns (t, v) where v is exactly the worker's
 // state after the exchange stamped t — never a mid-gather v_k, never a stamp
 // from a different exchange. A single worker pushes (so the clock advances
@@ -287,7 +287,7 @@ func TestVSnapshotTCut(t *testing.T) {
 			default:
 			}
 			dst := alloc(sizes)
-			ts := s.VSnapshotT(0, dst)
+			ts := s.VSnapshot(0, dst)
 			observations = append(observations, obs{t: ts, v: dst})
 			nObs.Store(int64(len(observations)))
 			if len(observations) >= 500 {
@@ -346,7 +346,7 @@ func TestVSnapshotTCut(t *testing.T) {
 // TestSnapshotEngineStress joins the -race stress family: the full
 // runServerStress drill (pushes, resyncs, Stats/Timestamp pollers) with the
 // snapshot pollers routed through an incremental SnapshotState reader, the
-// frozen MSnapshotLocked path and the stamped VSnapshotT all racing each
+// frozen MSnapshotLocked path and the stamped VSnapshot all racing each
 // other.
 func TestSnapshotEngineStress(t *testing.T) {
 	sizes := []int{1 << 11, 257, 33}
@@ -365,7 +365,7 @@ func TestSnapshotEngineStress(t *testing.T) {
 		s.MSnapshotLocked(dst)
 	}
 	snapV := func(worker int, dst [][]float32) {
-		if ts := s.VSnapshotT(worker, dst); ts > s.Timestamp() {
+		if ts := s.VSnapshot(worker, dst); ts > s.Timestamp() {
 			t.Errorf("v cut stamped %d ahead of clock", ts)
 		}
 	}

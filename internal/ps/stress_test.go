@@ -117,7 +117,7 @@ func TestServerStress(t *testing.T) {
 	sizes := []int{1 << 11, 257, 33}
 	const workers = 8
 	s := NewServer(Config{LayerSizes: sizes, Workers: workers, BlockShift: 7, Quiet: true})
-	runServerStress(t, s, func(dst [][]float32) { s.MSnapshot(dst) }, s.VSnapshot, sizes, workers, 30)
+	runServerStress(t, s, func(dst [][]float32) { s.MSnapshot(dst) }, func(k int, dst [][]float32) { s.VSnapshot(k, dst) }, sizes, workers, 30)
 }
 
 // TestSecondaryServerStress is the same concurrent drill with secondary
@@ -132,7 +132,7 @@ func TestSecondaryServerStress(t *testing.T) {
 		LayerSizes: sizes, Workers: workers,
 		Secondary: true, SecondaryRatio: 0.05, BlockShift: 6, Quiet: true,
 	})
-	runServerStress(t, s, func(dst [][]float32) { s.MSnapshot(dst) }, s.VSnapshot, sizes, workers, 30)
+	runServerStress(t, s, func(dst [][]float32) { s.MSnapshot(dst) }, func(k int, dst [][]float32) { s.VSnapshot(k, dst) }, sizes, workers, 30)
 }
 
 // TestShardedServerStress is the same drill against a 4-shard server, where

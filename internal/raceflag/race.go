@@ -6,4 +6,6 @@
 // on pooled paths are not meaningful there.
 package raceflag
 
+// Enabled reports a -race build. Test seam: the allocation-count tests of
+// several packages skip under the race detector.
 const Enabled = true

@@ -99,42 +99,6 @@ func appendModelDump(dst []byte, model [][]float32, stamp, gen uint64, layer int
 	return dst
 }
 
-// DecodeModelDump parses a /model response (tests and Go-side evaluators).
-func DecodeModelDump(b []byte) (model [][]float32, stamp, gen uint64, err error) {
-	if len(b) < modelHeaderLen || binary.LittleEndian.Uint32(b) != modelMagic {
-		return nil, 0, 0, fmt.Errorf("replica: bad model dump magic")
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != modelWireVersion {
-		return nil, 0, 0, fmt.Errorf("replica: model dump version %d unsupported", v)
-	}
-	stamp = binary.LittleEndian.Uint64(b[8:])
-	gen = binary.LittleEndian.Uint64(b[16:])
-	layers := int(binary.LittleEndian.Uint32(b[24:]))
-	off := modelHeaderLen
-	if layers < 0 || len(b) < off+4*layers {
-		return nil, 0, 0, fmt.Errorf("replica: truncated model dump header")
-	}
-	sizes := make([]int, layers)
-	total := 0
-	for i := range sizes {
-		sizes[i] = int(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-		total += sizes[i]
-	}
-	if len(b) != off+4*total {
-		return nil, 0, 0, fmt.Errorf("replica: model dump length %d, want %d", len(b), off+4*total)
-	}
-	model = make([][]float32, layers)
-	for i, sz := range sizes {
-		model[i] = make([]float32, sz)
-		for j := range model[i] {
-			model[i][j] = math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))
-			off += 4
-		}
-	}
-	return model, stamp, gen, nil
-}
-
 func (h *httpServer) stats(w http.ResponseWriter, _ *http.Request) {
 	st := h.r.Stats()
 	out := map[string]any{

@@ -55,60 +55,11 @@ func Gather(layer int, x []float32, idx []int32) Chunk {
 	return Chunk{Layer: layer, Idx: ic, Val: val}
 }
 
-// GatherInto fills c with the values of x at idx, reusing c's backing
-// storage so steady-state gathers allocate nothing. Like Gather, the index
-// slice is copied, so idx may be scratch owned by the caller.
-func GatherInto(c *Chunk, layer int, x []float32, idx []int32) {
-	c.Layer = layer
-	c.Idx = append(c.Idx[:0], idx...)
-	if cap(c.Val) < len(idx) {
-		c.Val = make([]float32, len(idx))
-	}
-	c.Val = c.Val[:len(idx)]
-	for i, j := range idx {
-		c.Val[i] = x[j]
-	}
-}
-
 // Scatter adds scale*chunk into dst (dst[idx] += scale*val).
 func Scatter(c *Chunk, dst []float32, scale float32) {
 	for i, j := range c.Idx {
 		dst[j] += scale * c.Val[i]
 	}
-}
-
-// SparsifyLayers selects the top keepRatio fraction of each layer of x by
-// absolute value and returns the sparse update. x is not modified.
-func SparsifyLayers(x [][]float32, keepRatio float64) Update {
-	var u Update
-	for layer, lx := range x {
-		k := KForRatio(len(lx), keepRatio)
-		if k == 0 {
-			continue
-		}
-		idx := TopKIndices(lx, k)
-		u.Chunks = append(u.Chunks, Gather(layer, lx, idx))
-	}
-	return u
-}
-
-// DenseUpdate converts per-layer dense slices into an Update containing
-// every element (used when sparsification is disabled, R=100%).
-func DenseUpdate(x [][]float32) Update {
-	var u Update
-	for layer, lx := range x {
-		if len(lx) == 0 {
-			continue
-		}
-		idx := make([]int32, len(lx))
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		val := make([]float32, len(lx))
-		copy(val, lx)
-		u.Chunks = append(u.Chunks, Chunk{Layer: layer, Idx: idx, Val: val})
-	}
-	return u
 }
 
 // Validate checks structural invariants: ascending in-range indices and

@@ -121,15 +121,6 @@ func EncodedLenBound(u *Update) int {
 // uvarintLen is the number of bytes binary.PutUvarint writes for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// Decode parses a raw frame into a fresh Update.
-func Decode(b []byte) (*Update, error) {
-	u := &Update{}
-	if err := DecodeInto(u, b); err != nil {
-		return nil, err
-	}
-	return u, nil
-}
-
 // DecodeInto parses a raw frame into u, reusing u's chunk slice and each
 // chunk's index/value storage. Steady-state decoding of same-shaped updates
 // allocates nothing. On error u's contents are unspecified. The

@@ -115,11 +115,3 @@ func (m *Merger) MergeInto(dst *Update, srcs []*Update) {
 		}
 	}
 }
-
-// Merge is the allocating convenience form of MergeInto.
-func Merge(srcs []*Update) *Update {
-	var m Merger
-	dst := &Update{}
-	m.MergeInto(dst, srcs)
-	return dst
-}

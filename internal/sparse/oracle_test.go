@@ -1,6 +1,9 @@
 package sparse
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // The selection oracle: the index-array quickselect every Top-k in the repo
 // ran before the histogram-select kernel replaced it, frozen here as the
@@ -77,4 +80,16 @@ func oraclePartition(x []float32, idx []int32, lo, hi int) int {
 	}
 	idx[store], idx[hi] = idx[hi], idx[store]
 	return store
+}
+
+// Rank maps a value to its selection magnitude: |v|, with NaN promoted to
+// +Inf — the order topk.go's composite key encodes.
+func Rank(v float32) float32 {
+	if v != v {
+		return float32(math.Inf(1))
+	}
+	if v < 0 {
+		return -v
+	}
+	return v
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -160,6 +161,27 @@ func TestSelectorSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state selection allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestCutScratchGrowthAllocs: a Selector whose k climbs by one a call, as
+// Eq. 6's k = min(KForRatio, nnz) does on a fresh server, regrows its
+// candidate scratch O(log k) times, not at every new maximum: from just
+// above ExactCap to four times it, three doublings at most.
+func TestCutScratchGrowthAllocs(t *testing.T) {
+	x := make([]float32, 1<<14)
+	tensor.NewRNG(37).FillNormal(x, 0, 1)
+	var sel Selector
+	sel.Cut(x, ExactCap+1) // the histogram's one allocation, and the first scratch
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := ExactCap + 2; k <= 4*ExactCap; k++ {
+		sel.Cut(x, k)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 3 {
+		t.Fatalf("k rising from %d to %d regrows the scratch %d times, want at most 3", ExactCap+1, 4*ExactCap, n)
 	}
 }
 

@@ -27,24 +27,10 @@ func KForRatio(n int, ratio float64) int {
 	return k
 }
 
-// Rank maps a value to its selection magnitude: |v|, with NaN promoted to
-// +Inf. NaN payloads sort first (and deterministically, by index) instead of
-// leaving the comparator without a total order, so a selection never
-// depends on how NaNs happen to be laid out. A NaN gradient coordinate is
-// already a diverged run; shipping it first surfaces the divergence instead
-// of hiding it.
-func Rank(v float32) float32 {
-	if v != v {
-		return float32(math.Inf(1))
-	}
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // Selection order. Every Top-k in the repo picks the first k elements of one
-// total order: descending Rank, ties broken by ascending coordinate. An
+// total order: descending Rank — |v|, with NaN promoted to +Inf, so a
+// diverged coordinate ships first, deterministically by index, instead of
+// leaving the order undefined — ties broken by ascending coordinate. An
 // element's place in that order is a single integer, its composite:
 //
 //	bits 62..32  absMask ^ key, where key = min(Float32bits(v) & absMask,
@@ -117,8 +103,8 @@ func (h *histogram) add(v float32) {
 	h[orderKey(v)>>(topShift-32)&(1<<histDigit-1)]++
 }
 
-// Selector is reusable Top-k scratch: the digit histogram, up to
-// max(k, ExactCap) composites for the exact stage, and the k selected
+// Selector is reusable Top-k scratch: the digit histogram, room for under
+// twice max(k, ExactCap) composites for the exact stage, and the k selected
 // positions — O(buckets + k), never O(layer). The zero
 // value is ready to use; after the first call on a layer its capacity is
 // retained, so steady-state selection allocates nothing. A Selector is not
@@ -185,7 +171,11 @@ func (s *Selector) Cut(val []float32, k int) Cut {
 		}
 	}
 	if need := min(len(val), fit); cap(s.cand) < need {
-		s.cand = make([]uint64, 0, need) // all a bucket can hold: never regrown mid-run
+		// Doubling: a need that drifts upward from call to call (Eq. 6's k
+		// on a fresh server, a warm candidate count) regrows O(log need)
+		// times, not at every new maximum, and stays under twice the
+		// largest need: O(k) still.
+		s.cand = make([]uint64, 0, max(need, 2*cap(s.cand)))
 	}
 	s.cand = s.cand[:0]
 	lo, span := keyRange(prefix, shift)
@@ -310,7 +300,8 @@ func selectNth(a []uint64, r int) uint64 {
 // TopK returns the indices of the k largest |x| values in ascending order,
 // with deterministic tie-breaks (lower index wins). x is not modified. The
 // returned slice aliases the selector's scratch and is valid until the next
-// call on this Selector.
+// call on this Selector. Test seam: the full-scan selection that ps's
+// BaselineServer reference and other packages' tests build Top-k with.
 func (s *Selector) TopK(x []float32, k int) []int32 {
 	if k <= 0 || len(x) == 0 {
 		return nil
@@ -323,15 +314,4 @@ func (s *Selector) TopK(x []float32, k int) []int32 {
 		}
 	}
 	return s.out
-}
-
-// TopKIndices returns the indices of the k largest |x| values.
-// Ties are broken deterministically (lower index wins). The returned
-// indices are in ascending order. x is not modified.
-//
-// Each call allocates fresh scratch; hot paths that select every iteration
-// should hold a Selector instead.
-func TopKIndices(x []float32, k int) []int32 {
-	var s Selector
-	return s.TopK(x, k)
 }

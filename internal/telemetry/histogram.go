@@ -10,14 +10,13 @@ import (
 // Histogram is a bounded bucketed histogram for non-negative observations
 // (durations in seconds, staleness in pushes, byte counts). Buckets are
 // fixed at construction — inclusive upper bounds plus an implicit +Inf
-// overflow — so Observe is a bucket search plus three atomic operations
+// overflow — so Observe is a bucket search plus two atomic operations
 // and never allocates. Quantiles (p50/p95/p99) are estimated by linear
 // interpolation within the owning bucket, the standard Prometheus
 // histogram_quantile scheme.
 type Histogram struct {
 	bounds  []float64 // ascending inclusive upper bounds
 	buckets []atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
 
@@ -40,7 +39,6 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = overflow
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -49,20 +47,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
 
 // snapshot reads per-bucket counts, the total and the sum. Reads are not
 // mutually atomic; for monitoring that slack is acceptable (the total is
@@ -125,18 +111,6 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 	for i := range out {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns count ascending bounds {start, start+w, …}.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if width <= 0 || count < 1 {
-		panic("telemetry: LinearBuckets needs width > 0, count >= 1")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
 	}
 	return out
 }

@@ -42,7 +42,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := g.Value(); got != workers*perWorker {
 		t.Fatalf("gauge = %v, want %d", got, workers*perWorker)
 	}
-	if got := h.Count(); got != workers*perWorker {
+	if _, got, _ := h.snapshot(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 	// Σ (i%10) over perWorker values of i, times workers.
@@ -247,4 +247,23 @@ func TestBucketHelpers(t *testing.T) {
 	if b := StalenessBuckets(); b[0] != 0 || b[1] != 1 {
 		t.Fatalf("StalenessBuckets = %v", b)
 	}
+}
+
+// Render returns the full Prometheus text page.
+func (r *Registry) Render() string {
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	return b.String()
+}
+
+// LinearBuckets returns count ascending bounds {start, start+w, …}.
+func LinearBuckets(start, width float64, count int) []float64 {
+	if width <= 0 || count < 1 {
+		panic("telemetry: LinearBuckets needs width > 0, count >= 1")
+	}
+	out := make([]float64, count)
+	for i := range out {
+		out[i] = start + float64(i)*width
+	}
+	return out
 }

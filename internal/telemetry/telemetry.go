@@ -270,13 +270,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-// Render returns the full Prometheus text page.
-func (r *Registry) Render() string {
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	return b.String()
-}
-
 // writeHistogram emits one labelled histogram in cumulative bucket form.
 func writeHistogram(w io.Writer, name string, ch *child) {
 	h := ch.hist

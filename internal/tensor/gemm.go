@@ -32,12 +32,6 @@ const (
 	smallGemmVolume = 8 * 8 * 8
 )
 
-// SIMDKernelEnabled reports whether the AVX2 kernels (the GEMM micro-kernel
-// and the streaming kernels) are active on this host (false on other
-// architectures, when the CPU lacks the features, or under
-// DGS_DISABLE_SIMD). Exposed for benchmark reports and diagnostics.
-func SIMDKernelEnabled() bool { return useSIMDKernel }
-
 // Gemm computes C = alpha*A*B + beta*C for row-major matrices,
 // where A is m×k, B is k×n and C is m×n.
 func Gemm(alpha float32, a []float32, m, k int, b []float32, n int, beta float32, c []float32) {

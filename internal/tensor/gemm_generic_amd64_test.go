@@ -22,7 +22,7 @@ import (
 // job runs the whole package this way.)
 func TestGenericKernelMatchesBaseline(t *testing.T) {
 	if os.Getenv("DGS_TEST_GENERIC_CHILD") != "" {
-		if SIMDKernelEnabled() {
+		if useSIMDKernel {
 			t.Fatal("SIMD kernel still reported enabled under DGS_DISABLE_SIMD")
 		}
 		genericKernelChecks(t)

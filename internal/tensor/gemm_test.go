@@ -282,3 +282,11 @@ func BenchmarkGemm128(b *testing.B) {
 	}
 	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
 }
+
+// FillUniform fills x with uniform values in [lo,hi).
+func (r *RNG) FillUniform(x []float32, lo, hi float32) {
+	span := hi - lo
+	for i := range x {
+		x[i] = lo + span*r.Float32()
+	}
+}

@@ -20,40 +20,11 @@ func Scale(alpha float32, x []float32) {
 	}
 }
 
-// Dot returns the inner product of x and y (accumulated in float64 for
-// stability).
-func Dot(x, y []float32) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d != %d", len(x), len(y)))
-	}
-	var s float64
-	for i := range x {
-		s += float64(x[i]) * float64(y[i])
-	}
-	return s
-}
-
 // Add computes dst = a + b elementwise. dst may alias a or b.
 func Add(dst, a, b []float32) {
 	checkTriple("Add", dst, a, b)
 	for i := range dst {
 		dst[i] = a[i] + b[i]
-	}
-}
-
-// Sub computes dst = a - b elementwise. dst may alias a or b.
-func Sub(dst, a, b []float32) {
-	checkTriple("Sub", dst, a, b)
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-// Mul computes dst = a * b elementwise (Hadamard). dst may alias a or b.
-func Mul(dst, a, b []float32) {
-	checkTriple("Mul", dst, a, b)
-	for i := range dst {
-		dst[i] = a[i] * b[i]
 	}
 }
 
@@ -85,18 +56,4 @@ func ArgMax(x []float32) int {
 		}
 	}
 	return best
-}
-
-// Clip limits every element of x to [-c, c]. c must be positive.
-func Clip(x []float32, c float32) {
-	if c <= 0 {
-		panic("tensor: Clip bound must be positive")
-	}
-	for i, v := range x {
-		if v > c {
-			x[i] = c
-		} else if v < -c {
-			x[i] = -c
-		}
-	}
 }

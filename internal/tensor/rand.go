@@ -29,7 +29,8 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform value in [0,1).
+// Float32 returns a uniform value in [0,1). Test seam: the randomized tests
+// of nn, ps, sparse, trainer and tensor draw their inputs from it.
 func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) / (1 << 24)
 }
@@ -54,7 +55,8 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0,n).
+// Perm returns a random permutation of [0,n). Test seam: the randomized
+// tests of sparse, agg and tensor draw their orders from it.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
@@ -65,14 +67,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// FillUniform fills x with uniform values in [lo,hi).
-func (r *RNG) FillUniform(x []float32, lo, hi float32) {
-	span := hi - lo
-	for i := range x {
-		x[i] = lo + span*r.Float32()
-	}
 }
 
 // FillNormal fills x with normal deviates of the given mean and stddev.

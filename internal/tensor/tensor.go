@@ -7,10 +7,7 @@
 // needs, with deterministic behaviour for reproducible experiments.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense, contiguous, row-major float32 array with a shape.
 // The zero value is an empty tensor.
@@ -36,21 +33,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Data: make([]float32, n), Shape: s}
 }
 
-// FromSlice wraps data in a tensor of the given shape without copying.
-// It panics if len(data) does not match the shape volume.
-func FromSlice(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Data: data, Shape: s}
-}
-
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
@@ -59,35 +41,6 @@ func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
-
-// Clone returns a deep copy of t.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
-// CopyFrom copies src's data into t. Shapes must have equal volume.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(t.Data) != len(src.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d != %d", len(t.Data), len(src.Data)))
-	}
-	copy(t.Data, src.Data)
-}
-
-// Reshape returns a tensor sharing t's data with a new shape of equal volume.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.Shape, len(t.Data), shape, n))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Data: t.Data, Shape: s}
-}
 
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
@@ -103,68 +56,7 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set assigns the element at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.Shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.Shape) != len(u.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != u.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders a compact description, not the full contents.
 func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor%v", t.Shape)
-}
-
-// Norm2 returns the Euclidean norm of the tensor viewed as a flat vector.
-func (t *Tensor) Norm2() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the maximum absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }

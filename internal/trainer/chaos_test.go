@@ -104,8 +104,8 @@ func (f *fleet) drain(t *testing.T, k int) {
 		if err != nil {
 			t.Fatalf("drain worker %d: %v", k, err)
 		}
-		G, err := sparse.Decode(resp)
-		if err != nil {
+		G := new(sparse.Update)
+		if err := sparse.DecodeInto(G, resp); err != nil {
 			t.Fatalf("drain worker %d decode: %v", k, err)
 		}
 		if G.NNZ() == 0 {
@@ -381,7 +381,7 @@ func TestRetriedPushAppliedExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sparse.Decode(resp); err != nil {
+	if err := sparse.DecodeInto(new(sparse.Update), resp); err != nil {
 		t.Fatal(err)
 	}
 	if torn.recvs < 3 {

@@ -20,8 +20,8 @@ func TestHandlerDecodesAndResponds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	G, err := sparse.Decode(resp)
-	if err != nil {
+	G := new(sparse.Update)
+	if err := sparse.DecodeInto(G, resp); err != nil {
 		t.Fatal(err)
 	}
 	if G.NNZ() != 1 || G.Chunks[0].Idx[0] != 2 || G.Chunks[0].Val[0] != -1.5 {
@@ -36,8 +36,8 @@ func TestHandlerEmptyPayloadIsEmptyPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	G, err := sparse.Decode(resp)
-	if err != nil {
+	G := new(sparse.Update)
+	if err := sparse.DecodeInto(G, resp); err != nil {
 		t.Fatal(err)
 	}
 	if G.NNZ() != 0 {
@@ -70,8 +70,8 @@ func TestHandlerWorksWithShardedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	G, err := sparse.Decode(resp)
-	if err != nil {
+	G := new(sparse.Update)
+	if err := sparse.DecodeInto(G, resp); err != nil {
 		t.Fatal(err)
 	}
 	if err := G.Validate([]int{6, 6}); err != nil {

@@ -156,7 +156,7 @@ func TestSessionResponseIsEnvelopePlusFrame(t *testing.T) {
 							x := make([]float32, size)
 							rng.FillNormal(x, 0, 1)
 							var sel sparse.Selector
-							sparse.GatherInto(u.NextChunk(), layer, x, sel.TopK(x, 20))
+							*u.NextChunk() = sparse.Gather(layer, x, sel.TopK(x, 20))
 						}
 						payload = encodeWith(t, codec, u)
 					}

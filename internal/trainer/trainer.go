@@ -145,11 +145,9 @@ type Config struct {
 	// the telemetry HTTP endpoint (/metrics, /manifest, /debug/pprof) for
 	// the duration of the run.
 	MetricsAddr string
-	// ManifestPath, when non-empty, periodically writes the JSON run
-	// manifest (static run descriptors + live metric export) to this file.
+	// ManifestPath, when non-empty, writes the JSON run manifest (static
+	// run descriptors + live metric export) to this file every 10 s.
 	ManifestPath string
-	// ManifestEvery is the manifest write interval (default 10s).
-	ManifestEvery time.Duration
 }
 
 // Result captures everything a run produced.
@@ -295,8 +293,9 @@ func Handler(server ps.Pusher) transport.Handler {
 // ExactlyOnceHandler wraps Handler in the transport session middleware:
 // retried pushes are answered from the per-worker replay cache instead of
 // being re-applied, and a rejoining worker incarnation triggers a server
-// Resync so its first response ships a dense snapshot. This is the handler
-// the TCP deployment path (`dgs server`, chaos tests) should serve.
+// Resync so its first response ships a dense snapshot. Test seam: the
+// chaos and TCP tests serve it; `dgs server` calls
+// ExactlyOnceHandlerWithCodec, which can fail on a bad policy name.
 func ExactlyOnceHandler(server ps.Pusher) *transport.ExactlyOnce {
 	eo, err := ExactlyOnceHandlerWithCodec(server, "mirror")
 	if err != nil {
@@ -337,7 +336,7 @@ func Run(cfg Config) (*Result, error) {
 			defer msrv.Close()
 		}
 		if cfg.ManifestPath != "" {
-			stop := manifest.StartPeriodic(cfg.ManifestPath, cfg.ManifestEvery)
+			stop := manifest.StartPeriodic(cfg.ManifestPath, 0)
 			defer stop()
 		}
 	}

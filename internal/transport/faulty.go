@@ -63,9 +63,6 @@ type RestartState struct {
 	restarts atomic.Uint64
 }
 
-// Restarts reports how many simulated restarts have fired.
-func (s *RestartState) Restarts() uint64 { return s.restarts.Load() }
-
 func (s *RestartState) fire(delta uint64) {
 	s.skew.Add(delta)
 	s.restarts.Add(1)
@@ -115,13 +112,6 @@ func NewFaulty(inner MuxLink, cfg FaultConfig) *Faulty {
 		cfg.Restart = &RestartState{}
 	}
 	return &Faulty{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(int64(cfg.Seed)))}
-}
-
-// Stats snapshots the injected-fault counters.
-func (f *Faulty) Stats() FaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
 }
 
 // Submit implements MuxLink, possibly injecting one fault. Fault rolls

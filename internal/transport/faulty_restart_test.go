@@ -122,3 +122,6 @@ func TestFaultyServerRestartSkewIsStable(t *testing.T) {
 		t.Fatal("skew did not change the observed incarnation")
 	}
 }
+
+// Restarts reports how many simulated restarts have fired.
+func (s *RestartState) Restarts() uint64 { return s.restarts.Load() }

@@ -355,3 +355,10 @@ func TestFaultyKindsAtDepthTwo(t *testing.T) {
 		})
 	}
 }
+
+// Stats snapshots the injected-fault counters.
+func (f *Faulty) Stats() FaultStats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.stats
+}

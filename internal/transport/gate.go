@@ -102,13 +102,6 @@ func (g *Gate) Handle(worker int, payload []byte) ([]byte, error) {
 	return resp, err
 }
 
-// Inflight reports the number of currently executing requests.
-func (g *Gate) Inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight
-}
-
 // Stats snapshots the admission counters.
 func (g *Gate) Stats() GateStats {
 	g.mu.Lock()
@@ -118,9 +111,9 @@ func (g *Gate) Stats() GateStats {
 
 // Drain stops admitting new requests and blocks until every in-flight one
 // has finished or ctx is cancelled. After Drain returns nil the handler is
-// quiescent: no request is executing and none will be admitted until
-// Resume. Cancellation leaves the gate draining (still rejecting) — the
-// caller decided to shut down; re-opening on a timeout would be worse.
+// quiescent: no request is executing and none will be admitted again; a
+// gate does not reopen. Cancellation leaves it draining (still rejecting) —
+// the caller decided to shut down.
 func (g *Gate) Drain(ctx context.Context) error {
 	g.mu.Lock()
 	g.draining = true
@@ -148,13 +141,6 @@ func (g *Gate) Drain(ctx context.Context) error {
 	}
 	g.mu.Unlock()
 	return ctx.Err()
-}
-
-// Resume re-opens a drained (or draining) gate.
-func (g *Gate) Resume() {
-	g.mu.Lock()
-	g.draining = false
-	g.mu.Unlock()
 }
 
 // gmet holds the gate's telemetry handles (package-level: gates are

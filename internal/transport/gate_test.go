@@ -120,9 +120,9 @@ func TestGateDrainWaitsForInflight(t *testing.T) {
 		t.Fatal("drain returned before the in-flight request finished")
 	}
 
-	g.Resume()
-	if _, err := g.Handle(2, []byte("again")); err != nil {
-		t.Fatalf("post-resume exchange: %v", err)
+	// A drained gate stays closed: dgs server exits after its drain.
+	if _, err := g.Handle(2, []byte("again")); !errors.As(err, &ra) {
+		t.Fatalf("exchange after drain: got %v, want RetryAfter", err)
 	}
 }
 
@@ -288,4 +288,11 @@ func TestGateConcurrentNeverExceedsBound(t *testing.T) {
 		t.Fatalf("admitted=%d rejected=%d: test needs both outcomes to mean anything",
 			admitted.Load(), rejected.Load())
 	}
+}
+
+// Inflight reports the number of currently executing requests.
+func (g *Gate) Inflight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.inflight
 }

@@ -80,9 +80,6 @@ func DialMux(addr string) (*MuxConn, error) {
 	return &MuxConn{conn: conn, Traffic: &Traffic{}}, nil
 }
 
-// Pending returns the number of submitted requests not yet received.
-func (m *MuxConn) Pending() int { return m.pending }
-
 // Submit writes one request frame and returns its id without waiting for
 // the response. The frame bytes are fully copied to the socket before
 // Submit returns, so the caller may reuse them afterwards.

@@ -192,3 +192,6 @@ func TestMuxRecvWithoutSubmitIsMisuse(t *testing.T) {
 		t.Fatalf("err = %v, want ErrMuxMisuse", err)
 	}
 }
+
+// Pending returns the number of submitted requests not yet received.
+func (m *MuxConn) Pending() int { return m.pending }

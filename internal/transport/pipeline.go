@@ -156,9 +156,6 @@ func (p *PipelinedSession) slot(i int) *pipeSlot {
 	return &p.slots[(p.head+i)%len(p.slots)]
 }
 
-// Epoch returns the worker epoch reported by the last decoded response.
-func (p *PipelinedSession) Epoch() uint64 { return p.epoch }
-
 // InFlight implements Pipeliner.
 func (p *PipelinedSession) InFlight() int { return p.n }
 

@@ -453,3 +453,6 @@ func TestSessionReplayBytes(t *testing.T) {
 	eo.Reset()
 	check("after Reset", 0)
 }
+
+// Epoch returns the worker epoch reported by the last decoded response.
+func (p *PipelinedSession) Epoch() uint64 { return p.epoch }

@@ -69,7 +69,8 @@ type loopResult struct {
 	err  error
 }
 
-// NewLoopback wraps a handler.
+// NewLoopback wraps a handler. Test seam: the in-process transport of the
+// transport and trainer tests, and of a replayable step schedule to come.
 func NewLoopback(h Handler) *Loopback {
 	return &Loopback{H: h, Traffic: &Traffic{}}
 }
