@@ -16,8 +16,10 @@ fmt-check:
 build:
 	go build ./...
 
+# benchmark/ is its own module, which `./...` does not reach.
 vet:
 	go vet ./...
+	go vet -C benchmark ./...
 
 # Static analysis beyond vet. The tool is not vendored, so the target is a
 # no-op where it isn't installed (CI installs a pinned version; see
@@ -56,11 +58,11 @@ bench: bench-kernels bench-paper
 # performs, and the blocked-vs-baseline crossover that places
 # smallGemmVolume; then each streaming kernel (the worker's Prepare passes
 # and the server's two gathers) against its Go twin on a 512×512 layer, and
-# the worker's whole Prepare on the benchmark MLP. DESIGN.md §8 quotes
-# these. Then the server side alone:
+# the worker's whole Prepare on the benchmark MLP. DESIGN.md §2, §3
+# and §5 quote these. Then the server side alone:
 # Push under fleet contention at both candidate block sizes (ns/push,
 # allocs/op, updates applied per write-lock hold), and Eq. 6 on ResNet-18 at
-# the paper's scale (a ≈0.6 GB server). DESIGN.md §11 and §13 quote it.
+# the paper's scale (a ≈0.6 GB server). DESIGN.md §9 quotes it.
 KERNEL_BENCHTIME ?= 1s
 
 bench-kernels:

@@ -3,7 +3,7 @@
 // (minutes of CPU; use `dgs exp -full` for paper-faithful runs),
 // prints the rendered report, and asserts the paper's *shape*: who wins,
 // by roughly what factor, and where the crossovers fall. Absolute numbers
-// belong to the synthetic substrate (see DESIGN.md §2).
+// belong to the synthetic substrate (see DESIGN.md §1).
 //
 // Run a single artefact with e.g.:
 //

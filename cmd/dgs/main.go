@@ -3,8 +3,8 @@
 //
 //	dgs server   standalone parameter server over TCP
 //	dgs worker   one training worker against a server or aggregator
-//	dgs agg      one aggregator of the hierarchical tier (DESIGN.md §15)
-//	dgs replica  one diff-fed read replica (DESIGN.md §16)
+//	dgs agg      one aggregator of the hierarchical tier (DESIGN.md §11)
+//	dgs replica  one diff-fed read replica (DESIGN.md §12)
 //	dgs train    one in-process training run with curves and statistics
 //	dgs exp      the paper's tables and figures
 //	dgs plot     a training-curve CSV as an SVG chart

@@ -14,11 +14,11 @@ func TestReadCSV(t *testing.T) {
 	if len(series) != 2 || series[0].Name != "loss" || series[1].Name != "acc" {
 		t.Fatalf("series wrong: %v", series)
 	}
-	if series[0].Len() != 3 {
-		t.Fatalf("loss has %d points, want 3", series[0].Len())
+	if len(series[0].Points()) != 3 {
+		t.Fatalf("loss has %d points, want 3", len(series[0].Points()))
 	}
-	if series[1].Len() != 2 {
-		t.Fatalf("acc has %d points (empty cell must be skipped), want 2", series[1].Len())
+	if len(series[1].Points()) != 2 {
+		t.Fatalf("acc has %d points (empty cell must be skipped), want 2", len(series[1].Points()))
 	}
 	if p := series[1].Last(); p.X != 2 || p.Y != 0.8 {
 		t.Fatalf("acc last point %+v", p)

@@ -200,7 +200,7 @@ func checkpoints(server psServer, w *checkpoint.Writer, st *checkpoint.State, ev
 }
 
 // aggCmd runs one aggregator of the hierarchical aggregation tier
-// (DESIGN.md §15): it terminates worker sessions, merges their sparse
+// (DESIGN.md §11): it terminates worker sessions, merges their sparse
 // pushes into one combined push per window, forwards it to the upstream
 // `dgs server` over a single pipelined connection, and fans the downward
 // diffs back out from a local mirror. Workers point their -addr at this
@@ -270,7 +270,7 @@ func aggCmd(fs *flag.FlagSet) func() {
 }
 
 // replicaCmd runs one read replica of the read-path scale-out tier
-// (DESIGN.md §16): it subscribes to a `dgs server` (or `dgs agg`) endpoint
+// (DESIGN.md §12): it subscribes to a `dgs server` (or `dgs agg`) endpoint
 // as a read-session pseudo-worker, feeds a local model mirror from the
 // downward diff stream, and serves the mirrored model over HTTP at
 // arbitrary fan-out — evaluation, scraping and model export traffic move

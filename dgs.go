@@ -125,7 +125,7 @@ type Config struct {
 	// indices). SBC folds its projection error into residual state — the
 	// worker into its optimizer state or error memory, the server into
 	// v_k — so each error is deferred and delivered once, never lost
-	// (DESIGN.md §7, §14).
+	// (DESIGN.md §5, §8).
 	Codec string
 	// WarmupFrac, when positive, enables DGC-style warm-up over that
 	// fraction of training (learning-rate ramp + sparsity annealing).
@@ -149,7 +149,7 @@ type Config struct {
 	// Shards, when > 1, splits the parameter server's layers across that
 	// many independently locked shards (the classic PS layout). In one
 	// process this buys little speed: a single server already runs different
-	// workers' gathers side by side (DESIGN.md §13).
+	// workers' gathers side by side (DESIGN.md §9).
 	Shards int
 	// MetricsAddr, when set (e.g. "127.0.0.1:9090"), serves the telemetry
 	// HTTP endpoint (/metrics in Prometheus text format, /manifest,

@@ -26,7 +26,7 @@ func TestTrainDefaultsAndLearning(t *testing.T) {
 	if res.FinalAccuracy < 0.7 {
 		t.Fatalf("accuracy %.3f; mixture should be learnable", res.FinalAccuracy)
 	}
-	if res.Loss.Len() == 0 {
+	if len(res.Loss.Points()) == 0 {
 		t.Fatal("loss series empty")
 	}
 	if res.Iterations == 0 || res.BytesUp == 0 {

@@ -12,6 +12,87 @@ import (
 	"testing"
 )
 
+// designMaxLines bounds DESIGN.md at half the 1,966 lines it had as a
+// history of changes, before it became one section per package.
+const designMaxLines = 983
+
+// TestDesignDocShape: DESIGN.md stays a current-state architecture of at
+// most designMaxLines lines; every directory with non-test Go under
+// internal/, plus cmd/dgs and benchmark, is named (backticked, as `ps`,
+// `cmd/dgs` or `benchmark/`) by exactly one `##` heading; and every
+// "DESIGN.md §N" reference in README.md, EXPERIMENTS.md, the verify skill
+// and this module's Go files resolves to a numbered `##` heading
+// ("## N. …"), so a renumbered section cannot leave a stale pointer.
+func TestDesignDocShape(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) > designMaxLines {
+		t.Errorf("DESIGN.md has %d lines, more than %d", len(lines), designMaxLines)
+	}
+	sections := map[string]bool{}
+	named := map[string]int{}
+	number := regexp.MustCompile(`^## (\d+)\. `)
+	span := regexp.MustCompile("`([^`]+)`")
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "## ") {
+			continue
+		}
+		if m := number.FindStringSubmatch(l); m != nil {
+			sections[m[1]] = true
+		}
+		for _, m := range span.FindAllStringSubmatch(l, -1) {
+			named[strings.TrimSuffix(strings.TrimPrefix(m[1], "internal/"), "/")]++
+		}
+	}
+	pkgs := []string{"cmd/dgs", "benchmark"}
+	for _, dir := range moduleDirs(t, "internal") {
+		if len(parseDir(t, dir, false)) > 0 {
+			rel, err := filepath.Rel("internal", dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkgs = append(pkgs, filepath.ToSlash(rel))
+		}
+	}
+	for _, pkg := range pkgs {
+		if n := named[pkg]; n != 1 {
+			t.Errorf("DESIGN.md: %d `##` headings name `%s`, want exactly one", n, pkg)
+		}
+	}
+
+	docs := []string{"README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+	for _, dir := range moduleDirs(t, ".") {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, files...)
+	}
+	// A reference may wrap across comment lines and list several
+	// sections: "DESIGN.md §11, §13", "DESIGN.md\n// §14".
+	commentMarker := regexp.MustCompile(`\n\s*//`)
+	ref := regexp.MustCompile(`DESIGN(?:\.md)?\s*(?:§|section\s+)\s*\d+(?:\s*(?:,|and|or)\s*§\s*\d+)*|§\s*\d+\s+of\s+DESIGN`)
+	num := regexp.MustCompile(`\d+`)
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := commentMarker.ReplaceAllString(string(data), "\n")
+		for _, loc := range ref.FindAllStringIndex(text, -1) {
+			line := 1 + strings.Count(text[:loc[0]], "\n")
+			for _, n := range num.FindAllString(text[loc[0]:loc[1]], -1) {
+				if !sections[n] {
+					t.Errorf("%s:%d: %q: DESIGN.md has no section %s", doc, line, text[loc[0]:loc[1]], n)
+				}
+			}
+		}
+	}
+}
+
 // TestDocMetricNamesResolve: every backticked dgs_* metric name in README.md
 // and DESIGN.md is registered as a string literal in this module's non-test
 // Go. A `{k=v}` (or `{label}`) label set is stripped, an `{a,b}` alternation

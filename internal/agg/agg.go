@@ -1,4 +1,4 @@
-// Package agg implements the hierarchical aggregation tier (DESIGN.md §15):
+// Package agg implements the hierarchical aggregation tier (DESIGN.md §11):
 // an aggregator terminates N worker sessions, merges their sparse upward
 // pushes into one combined push per aggregation window, forwards it over a
 // single multiplexed upstream connection, and fans the server's downward

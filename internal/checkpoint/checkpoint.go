@@ -1,5 +1,5 @@
 // Package checkpoint implements the parameter server's crash-safe on-disk
-// snapshot format (DESIGN.md §12). A checkpoint holds what Algorithm 2's
+// snapshot format (DESIGN.md §10). A checkpoint holds what Algorithm 2's
 // server state is: the update accumulation M (Eq. 2) with its per-block
 // version stamps, the logical clock t, and every worker's sent-accumulation
 // v_k with its staleness baseline and incarnation epoch. Restoring it
@@ -125,7 +125,7 @@ type State struct {
 	NumWorkers int
 	BlockShift uint
 	// Codec records the wire codec policy the server ran with (DESIGN.md
-	// §14), so an operator restoring a snapshot can reproduce the run's
+	// §8), so an operator restoring a snapshot can reproduce the run's
 	// configuration. Informational: quantization error is folded into the
 	// persisted v_k at exchange time, so the snapshot is codec-agnostic and
 	// a restored server may legally change policy. At most 255 bytes are
@@ -164,7 +164,7 @@ func (c *CaptureStats) Add(o CaptureStats) {
 	c.Bytes += o.Bytes
 }
 
-// met holds the package's telemetry handles (DESIGN.md §9 conventions:
+// met holds the package's telemetry handles (DESIGN.md §13 conventions:
 // resolved once, atomic updates only).
 var met = struct {
 	writeSeconds *telemetry.Histogram

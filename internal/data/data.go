@@ -24,8 +24,6 @@ type Dataset interface {
 	InputLen() int
 	InputShape() []int
 	Classes() int
-	// Name identifies the dataset in logs.
-	Name() string
 }
 
 // Batch is a materialised minibatch.

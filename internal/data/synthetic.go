@@ -110,9 +110,6 @@ func (ds *SyntheticImages) InputShape() []int { return []int{ds.C, ds.H, ds.W} }
 // Classes returns the class count.
 func (ds *SyntheticImages) Classes() int { return ds.NClasses }
 
-// Name identifies the dataset.
-func (ds *SyntheticImages) Name() string { return "synthetic-images" }
-
 // Example materialises example i: prototype of class (i mod classes),
 // translated and noised deterministically.
 func (ds *SyntheticImages) Example(train bool, i int, x []float32) int {
@@ -190,9 +187,6 @@ func (g *GaussianMixture) InputShape() []int { return []int{g.D} }
 // Classes returns K.
 func (g *GaussianMixture) Classes() int { return g.K }
 
-// Name identifies the dataset.
-func (g *GaussianMixture) Name() string { return "gaussian-mixture" }
-
 // Example materialises example i.
 func (g *GaussianMixture) Example(train bool, i int, x []float32) int {
 	label := i % g.K
@@ -237,9 +231,6 @@ func (s *Spirals) InputShape() []int { return []int{2} }
 
 // Classes returns K.
 func (s *Spirals) Classes() int { return s.K }
-
-// Name identifies the dataset.
-func (s *Spirals) Name() string { return "spirals" }
 
 // Example materialises spiral point i.
 func (s *Spirals) Example(train bool, i int, x []float32) int {

@@ -67,7 +67,7 @@ func TestSmoothedMovingAverage(t *testing.T) {
 	if pts[0].Y != 0 || pts[2].Y != 1 || pts[5].Y != 4 {
 		t.Fatalf("smoothed values wrong: %+v", pts)
 	}
-	if sm.Len() != s.Len() {
+	if len(pts) != len(s.Points()) {
 		t.Fatal("smoothing must preserve sample count")
 	}
 }

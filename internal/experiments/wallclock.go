@@ -15,7 +15,7 @@ import (
 // measured from real runs of our implementation and then scaled to the
 // paper's ResNet-18 parameter count, restoring the paper's
 // compute/communication balance while keeping our measured compression
-// ratios (see DESIGN.md §2).
+// ratios (see DESIGN.md §1).
 type messageProfile struct {
 	method        trainer.Method
 	upPerParam    float64 // bytes per model parameter, upward

@@ -102,7 +102,7 @@ func TestErrorFeedbackConservesMass(t *testing.T) {
 		func() WorkerOptimizer { return NewSAMomentum(sizes, m, keep) },
 	} {
 		opt := build()
-		t.Run(opt.Name(), func(t *testing.T) {
+		t.Run(methodName(opt), func(t *testing.T) {
 			srv := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 1, Quiet: true})
 			x := &lossyExchange{q: sbcQuantizer(t)}
 			rng := tensor.NewRNG(31)

@@ -32,8 +32,6 @@ type WorkerOptimizer interface {
 	// optimizer state and scratch: it is valid until the next Prepare call
 	// and must not be mutated.
 	Prepare(grads [][]float32, lr float32) sparse.Update
-	// Name identifies the rule in logs and tables.
-	Name() string
 	// StateBytes reports worker-side optimizer memory (paper §5.6.2).
 	StateBytes() int
 }
@@ -98,7 +96,7 @@ func (s *topkScratch) prepare(rule layerRule, grads [][]float32, lr float32, kee
 }
 
 // layer selects the exact Top-k of layer i, warm-started from the boundary
-// its Selector resolved last step (DESIGN.md §8), and returns the L1 mass
+// its Selector resolved last step (DESIGN.md §5), and returns the L1 mass
 // left unsent. Pass 1 is the rule's accumulate, which counts the
 // coordinates at or above the Selector's floor. When its WarmHit accepts
 // that count (at least k, at most sparse.CandidateBound(k)), pass 2 is one
@@ -234,9 +232,6 @@ func (o *DenseSGD) Prepare(grads [][]float32, lr float32) sparse.Update {
 	return o.ds.update(o.scaled[:len(grads)])
 }
 
-// Name implements WorkerOptimizer.
-func (o *DenseSGD) Name() string { return "ASGD" }
-
 // StateBytes implements WorkerOptimizer; DenseSGD is stateless.
 func (o *DenseSGD) StateBytes() int { return 0 }
 
@@ -264,9 +259,6 @@ func (o *DenseMomentum) Prepare(grads [][]float32, lr float32) sparse.Update {
 	}
 	return o.ds.update(o.u)
 }
-
-// Name implements WorkerOptimizer.
-func (o *DenseMomentum) Name() string { return "MSGD" }
 
 // StateBytes implements WorkerOptimizer.
 func (o *DenseMomentum) StateBytes() int { return totalBytes(o.u) }
@@ -302,9 +294,6 @@ func (o *GradientDropping) sent(i int, idx []int32) {
 		r[j] = 0
 	}
 }
-
-// Name implements WorkerOptimizer.
-func (o *GradientDropping) Name() string { return "GD-async" }
 
 // StateBytes implements WorkerOptimizer.
 func (o *GradientDropping) StateBytes() int { return totalBytes(o.r) }
@@ -347,9 +336,6 @@ func (o *DGC) sent(i int, idx []int32) {
 		u[j], v[j] = 0, 0
 	}
 }
-
-// Name implements WorkerOptimizer.
-func (o *DGC) Name() string { return "DGC-async" }
 
 // StateBytes implements WorkerOptimizer.
 func (o *DGC) StateBytes() int { return totalBytes(o.u, o.v) }
@@ -424,9 +410,6 @@ func (o *SAMomentum) sent(i int, idx []int32) {
 		}
 	}
 }
-
-// Name implements WorkerOptimizer.
-func (o *SAMomentum) Name() string { return "DGS" }
 
 // StateBytes implements WorkerOptimizer.
 func (o *SAMomentum) StateBytes() int { return totalBytes(o.u, o.e) }

@@ -223,11 +223,11 @@ func runSchedule(t *testing.T, opt WorkerOptimizer, ref *unfused, check func(ste
 		}
 		got, want := opt.Prepare(grads, lr), ref.prepare(grads, lr)
 		if st.want != "" && ts.missed[0] != (st.want == "miss") {
-			t.Fatalf("%s step %d (%s): layer 0 missed=%v, want a %s", opt.Name(), step, st.name, ts.missed[0], st.want)
+			t.Fatalf("%s step %d (%s): layer 0 missed=%v, want a %s", methodName(opt), step, st.name, ts.missed[0], st.want)
 		}
 		zero := scheduleSizes[8]
 		if pastBound := zero > sparse.CandidateBound(sparse.KForRatio(zero, ref.keep)); pastBound && !ts.missed[8] {
-			t.Fatalf("%s step %d (%s): the all-zero layer past the bound hit", opt.Name(), step, st.name)
+			t.Fatalf("%s step %d (%s): the all-zero layer past the bound hit", methodName(opt), step, st.name)
 		}
 		check(step, st, got, want)
 	}
@@ -256,7 +256,7 @@ func newScheduleCases() []struct {
 
 func TestPrepareMatchesUnfusedReference(t *testing.T) {
 	for _, tc := range newScheduleCases() {
-		name := tc.opt.Name()
+		name := methodName(tc.opt)
 		runSchedule(t, tc.opt, tc.ref, func(step int, _ scheduleStep, got, want sparse.Update) {
 			if len(got.Chunks) != len(want.Chunks) {
 				t.Fatalf("%s step %d: %d chunks, reference %d", name, step, len(got.Chunks), len(want.Chunks))
@@ -292,7 +292,7 @@ func TestPrepareMatchesUnfusedReference(t *testing.T) {
 // sent, and NaN once a sent coordinate is infinite.
 func TestResidualMassMatchesDirectSum(t *testing.T) {
 	for _, tc := range newScheduleCases() {
-		name, gauge := tc.opt.Name(), scratchOf(tc.opt).om.residualMass
+		name, gauge := methodName(tc.opt), scratchOf(tc.opt).om.residualMass
 		runSchedule(t, tc.opt, tc.ref, func(step int, st scheduleStep, got, _ sparse.Update) {
 			m, direct := gauge.Value(), tc.ref.mass
 			if st.inf {
@@ -357,7 +357,7 @@ func TestPrepareSteadyStateAllocs(t *testing.T) {
 			o.Prepare(grads, 0.1)
 		}
 		if allocs := testing.AllocsPerRun(10, func() { o.Prepare(grads, 0.1) }); allocs > 0 {
-			t.Errorf("%s: steady-state Prepare allocates %v objects, want 0", o.Name(), allocs)
+			t.Errorf("%s: steady-state Prepare allocates %v objects, want 0", methodName(o), allocs)
 		}
 		// The same after an SBC fold, which gives SAMomentum its error
 		// memory: the steps after it fold an SBC error of their own.
@@ -373,7 +373,7 @@ func TestPrepareSteadyStateAllocs(t *testing.T) {
 			o.Prepare(grads, 0.1)
 			o.(ResidualFolder).FoldResidual(&e)
 		}); allocs > 0 {
-			t.Errorf("%s: Prepare after an SBC fold allocates %v objects, want 0", o.Name(), allocs)
+			t.Errorf("%s: Prepare after an SBC fold allocates %v objects, want 0", methodName(o), allocs)
 		}
 	}
 }
@@ -399,7 +399,7 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 	for _, build := range sparsifiers {
 		o := build(mlpSizes)
-		b.Run("iid/"+o.Name(), func(b *testing.B) {
+		b.Run("iid/"+methodName(o), func(b *testing.B) {
 			for d := range draws {
 				o.Prepare(draws[d], 0.1)
 			}
@@ -414,7 +414,7 @@ func BenchmarkPrepare(b *testing.B) {
 		})
 	}
 	for _, build := range sparsifiers {
-		b.Run("trained/"+build(mlpSizes).Name(), func(b *testing.B) {
+		b.Run("trained/"+methodName(build(mlpSizes)), func(b *testing.B) {
 			t := newTrainedMLP(24)
 			o := build(t.model.LayerSizes())
 			ts, misses := scratchOf(o), 0

@@ -6,7 +6,7 @@ import (
 	"dgs/internal/sparse"
 )
 
-// Aggregation-tier support (DESIGN.md §15). An aggregator keeps a local
+// Aggregation-tier support (DESIGN.md §11). An aggregator keeps a local
 // mirror of its upstream shard as a plain Server (held by a Mirror,
 // mirror.go): M here tracks the
 // upstream M by applying the downward diffs the upstream returns for the

@@ -226,9 +226,9 @@ func embedRowUpdate(rng *tensor.RNG, sizes []int) *sparse.Update {
 // pre-built updates, all against one server. ns/op is wall time per push
 // over all pushers; updates/batch is the mean number of updates one hold of
 // the model write lock applied. Each geometry runs at the auto-tuned block
-// and at the other candidate (DESIGN.md §11 records both). resnet18_secondary
+// and at the other candidate (DESIGN.md §6 gives the rule). resnet18_secondary
 // is the paper's scale: Top-1 % pushes of ResNet-18 from eight workers with
-// Eq. 6 at 1 % (DESIGN.md §13). Every other case builds a fresh server per
+// Eq. 6 at 1 % (DESIGN.md §9). Every other case builds a fresh server per
 // run; that one builds its ≈0.6 GB server and its updates once per process
 // (later runs, -count repeats and -cpu values push into a warmed server), and
 // each pusher cycles two updates, not sixteen, so setup stays in seconds.

@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements crash-safe snapshot capture and restore for Server
-// and ShardedServer (DESIGN.md §12).
+// and ShardedServer (DESIGN.md §9, §10).
 //
 // Capture is incremental: the checkpoint.State acts as the accumulating
 // snapshot buffer — its CapturedT horizon records the clock of the previous

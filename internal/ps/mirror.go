@@ -7,7 +7,7 @@ import (
 )
 
 // Mirror is a subscriber's copy of an upstream server: the aggregator's
-// (DESIGN.md §15) and the read replica's (§16). Its Server's M is fed only
+// (DESIGN.md §11) and the read replica's (§12). Its Server's M is fed only
 // by the downward diffs the upstream returns to the subscriber, through
 // ApplyDiff, so M(mirror) == v_k(upstream) bitwise — Eq. 5 with the
 // subscriber as worker k. When the upstream forgets that v_k (a restart, a

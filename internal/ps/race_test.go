@@ -170,8 +170,10 @@ func TestShardedResyncHitsAllShards(t *testing.T) {
 	}}
 	s.Push(0, &g)
 	s.Resync(0)
-	if s.Epoch(0) != 1 {
-		t.Fatalf("epoch %d, want 1", s.Epoch(0))
+	for i, shard := range s.shards {
+		if shard.Epoch(0) != 1 {
+			t.Fatalf("shard %d: epoch %d, want 1", i, shard.Epoch(0))
+		}
 	}
 	if s.Stats().Resyncs != 1 {
 		t.Fatalf("sharded resync counted %d times, want once", s.Stats().Resyncs)
@@ -191,3 +193,6 @@ func TestShardedResyncHitsAllShards(t *testing.T) {
 		}
 	}
 }
+
+// Epoch returns worker k's incarnation counter, which Resync bumps.
+func (s *Server) Epoch(worker int) uint64 { return s.workers[worker].epoch.Load() }

@@ -16,7 +16,7 @@
 // A naive Push serialises every exchange behind one mutex and rescans the
 // entire model computing M − v_k, capping server throughput at
 // ~1/(full-model scan) regardless of cores or workers. This implementation
-// (see DESIGN.md §11) makes Push cost O(coordinates changed since worker k
+// (see DESIGN.md §9) makes Push cost O(coordinates changed since worker k
 // last synced) and lets pushes from different workers overlap:
 //
 //   - M carries per-layer block version stamps (sparse.MarkBlocks): the
@@ -44,8 +44,8 @@
 //     diffed, emitted and folded into v_k eight lanes at a time (AVX2,
 //     with a Go twin), bitwise the scalar loop.
 //   - v_k, prev(k) and the downward scratch are guarded per worker;
-//     statistics, the timestamp and epochs are atomics, so Stats(),
-//     Timestamp() and Epoch() never contend with an in-flight push.
+//     statistics, the timestamp and epochs are atomics, so Stats() and
+//     Timestamp() never contend with an in-flight push.
 //
 // Results are bitwise-identical to the frozen single-mutex BaselineServer
 // (enforced by TestPushEquivalence): the skipped blocks are exactly those
@@ -57,7 +57,7 @@
 // writes M − v_k into dense scratch while counting it against the
 // warm-start floor of the layer's Selector, splits the candidates off in a
 // second vector pass, and emits what the exact selection keeps from those
-// alone (DESIGN.md §13).
+// alone (DESIGN.md §9).
 package ps
 
 import (
@@ -140,8 +140,6 @@ type Pusher interface {
 	// Resync resets a rejoining worker's server-side state (see
 	// Server.Resync).
 	Resync(worker int)
-	// Epoch returns the worker's incarnation counter (bumped by Resync).
-	Epoch(worker int) uint64
 	// Stats snapshots staleness counters.
 	Stats() Stats
 	// StateBytes reports server memory.
@@ -361,14 +359,6 @@ func (s *Server) Resync(worker int) {
 	w.epoch.Add(1)
 	s.resyncs.Add(1)
 	s.met.observeResync()
-}
-
-// Epoch returns worker k's incarnation counter.
-func (s *Server) Epoch(worker int) uint64 {
-	if worker < 0 || worker >= s.cfg.Workers {
-		panic(fmt.Sprintf("ps: worker %d out of range [0,%d)", worker, s.cfg.Workers))
-	}
-	return s.workers[worker].epoch.Load()
 }
 
 // Push applies worker k's update g (M ← M − g), computes the downward model

@@ -23,7 +23,7 @@ import (
 // a hand-off to a pinned goroutine must wake that goroutine's own thread, and
 // on mlp_dual_pipe (2 cores) such a pool made two shards ≈1.35× slower than
 // one. Without it, two shards measure a few percent ahead of one there
-// (DESIGN.md §13).
+// (DESIGN.md §9).
 type ShardedServer struct {
 	shards []*Server
 	// layerShard[l] is the shard owning global layer l; layerLocal[l] is
@@ -287,12 +287,6 @@ func (s *ShardedServer) Timestamp() uint64 {
 		clock += shard.Timestamp()
 	}
 	return clock
-}
-
-// Epoch returns the worker's incarnation counter (identical across shards;
-// shard 0 is authoritative).
-func (s *ShardedServer) Epoch(worker int) uint64 {
-	return s.shards[0].Epoch(worker)
 }
 
 // Stats aggregates the shard counters.

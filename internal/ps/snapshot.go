@@ -2,7 +2,7 @@ package ps
 
 import "dgs/internal/sparse"
 
-// Model reads (DESIGN.md §16). A reader cuts straight from M under the model
+// Model reads (DESIGN.md §9). A reader cuts straight from M under the model
 // read lock. The clock t only advances inside the write section, after that
 // section's applies completed, so it is stable for the whole read section
 // and every cut equals M(t) for a t that actually existed: prefix-consistent
@@ -36,9 +36,6 @@ type SnapshotState struct {
 // Model returns the reader's buffered cut of M. It aliases the state's
 // internal storage: valid until the next Snapshot into the same state.
 func (st *SnapshotState) Model() [][]float32 { return st.m }
-
-// T returns the server timestamp the buffered cut is consistent at.
-func (st *SnapshotState) T() uint64 { return st.t }
 
 // NewSnapshotState allocates a zeroed cut buffer matching this server's
 // geometry. The first Snapshot into it copies every block ever touched.

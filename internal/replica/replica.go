@@ -1,5 +1,5 @@
 // Package replica implements the diff-fed read replica tier (DESIGN.md
-// §16): a read-only mirror of an upstream parameter server that subscribes
+// §12): a read-only mirror of an upstream parameter server that subscribes
 // to downward diffs as a pseudo-worker — a read-session (transport
 // flagReader) whose pushes are always empty — and serves the mirrored model
 // to any number of local readers through incremental snapshot cursors, plus
@@ -458,12 +458,6 @@ func (r *Replica) MSnapshot(dst [][]float32) (stamp, gen uint64) {
 	r.reads.Add(1)
 	rmet.reads.Inc()
 	return ts, g
-}
-
-// Generation returns the current read generation.
-func (r *Replica) Generation() uint64 {
-	_, gen := r.mirror.Server()
-	return gen
 }
 
 // Err returns the fatal error that parked the subscription loop, if any

@@ -53,8 +53,8 @@ func BlockSpan(b int, shift uint, n int) (lo, hi int) {
 // anything at all; large layers get 64-element blocks on the plain path,
 // where a block is pure re-read cost, and up to 1024 on the secondary
 // path, whose gather visits every block in each of its two passes and is
-// measurably slower at 64 elements on dense Top-k pushes (DESIGN.md §11,
-// §13). A checkpoint records the
+// measurably slower at 64 elements on dense Top-k pushes (DESIGN.md §6,
+// §9). A checkpoint records the
 // shift it was taken at and a restore adopts it, so the rule is free to
 // differ between the server that wrote a checkpoint and the one reading it.
 func AutoBlockShift(sizes []int, secondary bool) uint {

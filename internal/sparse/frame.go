@@ -13,16 +13,16 @@ import (
 //
 // The receiver dispatches on the codec id through the codec table below.
 // The header is the same for every codec, so a frame names its own
-// encoding and each exchange is decoded on its own (DESIGN.md §14).
+// encoding and each exchange is decoded on its own (DESIGN.md §6).
 const frameMagic = 0x44475333 // "DGS3"
 
 // headerLen is the fixed prefix every frame carries.
 const headerLen = 5
 
 // Codec ids. The id is wire protocol: once shipped it must never be reused
-// for a different encoding. Id 1 was stochastic ternary, removed because
-// error feedback does not make it train (DESIGN.md §7); it stays reserved,
-// and a frame carrying it is refused as an unknown codec.
+// for a different encoding. Id 1 was stochastic ternary, which error
+// feedback does not make train; it stays reserved, and a frame carrying it
+// is refused as an unknown codec.
 const (
 	CodecRaw byte = 0 // sparse COO chunks, exact values
 	CodecSBC byte = 2 // sparse binary compression: Rice-coded gaps + per-sign means
@@ -41,8 +41,6 @@ const (
 // pass the update through the codec's Quantizer, which reports the
 // projection error so it can be folded into a residual.
 type Codec interface {
-	// ID is the wire codec id carried in the frame header.
-	ID() byte
 	// Name is the stable flag-friendly name ("raw", "sbc").
 	Name() string
 	// AppendEncode serialises u as a full frame, appending to dst.
@@ -162,7 +160,6 @@ func frameBody(b []byte, id byte) ([]byte, error) {
 // values.
 type rawCodec struct{}
 
-func (rawCodec) ID() byte     { return CodecRaw }
 func (rawCodec) Name() string { return "raw" }
 
 func (rawCodec) AppendEncode(dst []byte, u *Update) []byte { return AppendEncode(dst, u) }

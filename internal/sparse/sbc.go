@@ -35,7 +35,6 @@ import (
 // residual state, which is what keeps training unbiased over time.
 type sbcCodec struct{}
 
-func (sbcCodec) ID() byte     { return CodecSBC }
 func (sbcCodec) Name() string { return "sbc" }
 
 // maxUnaryRun bounds a single Rice quotient. The encoder guarantees it by

@@ -202,7 +202,7 @@ func (s *Selector) Floor() (floor uint32, ok bool) { return s.floor, s.warm }
 // 4·max(k, ExactCap), which keeps a caller's candidate scratch and the
 // Selector's O(k). Training puts 1.2–2.1·k over the floor, i.i.d. draws
 // settle SAMomentum's velocity at 2–3·k, and a hit at the bound still costs
-// less than a miss (DESIGN.md §8). A layer no longer than the bound costs
+// less than a miss (DESIGN.md §5). A layer no longer than the bound costs
 // O(k) on the histogram path too, so callers count only a longer one's
 // misses.
 func CandidateBound(k int) int { return 4 * max(k, ExactCap) }

@@ -52,7 +52,7 @@ func embedUpdates(rng *tensor.RNG, n int) []sparse.Update {
 	return out
 }
 
-// wireBytes runs the double-compression exchange loop of DESIGN.md §14 for
+// wireBytes runs the double-compression exchange loop of DESIGN.md §8 for
 // one codec against a fresh single-worker server and returns the total
 // frame bytes sent up and down: quantize and encode each update, decode it
 // as the server would, push the decoded values, then quantize the downward
@@ -113,7 +113,7 @@ func TestLossyCodecWireRatio(t *testing.T) {
 
 	covered := map[string]bool{}
 	for _, c := range sparse.Codecs() {
-		if c.ID() == sparse.CodecRaw {
+		if c.Name() == "raw" {
 			continue
 		}
 		if _, ok := c.(sparse.Quantizer); !ok {

@@ -45,13 +45,6 @@ func (s *Series) Points() []Point {
 	return out
 }
 
-// Len returns the sample count.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pts)
-}
-
 // Last returns the final sample by X order (zero Point if empty).
 func (s *Series) Last() Point {
 	pts := s.Points()

@@ -18,8 +18,8 @@ func TestSeriesSortedPoints(t *testing.T) {
 	if s.Last().Y != 30 {
 		t.Fatalf("Last = %v", s.Last())
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.Points()) != 3 {
+		t.Fatalf("Len = %d", len(s.Points()))
 	}
 }
 
@@ -43,8 +43,8 @@ func TestSeriesConcurrentAdd(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if s.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", s.Len())
+	if len(s.Points()) != 800 {
+		t.Fatalf("Len = %d, want 800", len(s.Points()))
 	}
 }
 

@@ -70,16 +70,16 @@ func (f *fleet) session(id int) transport.Pipeliner {
 		panic(err) // sessions dial lazily: building one cannot fail
 	}
 	f.mu.Lock()
-	f.last[id] = tr.(transport.Pipeliner)
+	f.last[id] = tr
 	f.mu.Unlock()
-	return tr.(transport.Pipeliner)
+	return tr
 }
 
 // dialer is worker id's dial for RunResilientWorkerLoop. With crashAfter >=
 // 0 the first incarnation dies after that many submits (a worker crash
 // mid-training); the loop rejoins as a fresh one.
-func (f *fleet) dialer(id, crashAfter int) func() (transport.Transport, error) {
-	return func() (transport.Transport, error) {
+func (f *fleet) dialer(id, crashAfter int) func() (transport.Pipeliner, error) {
+	return func() (transport.Pipeliner, error) {
 		s := f.session(id)
 		if crashAfter >= 0 {
 			ks := &killswitch{Pipeliner: s, remaining: crashAfter}

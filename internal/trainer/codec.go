@@ -10,7 +10,7 @@ import (
 	"dgs/internal/transport"
 )
 
-// This file wires the sparse codec table (DESIGN.md §14) into the exchange
+// This file wires the sparse codec table (DESIGN.md §6) into the exchange
 // path.
 //
 // Negotiation is stateless and per-frame: every frame's header names its

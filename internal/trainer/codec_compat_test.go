@@ -12,7 +12,7 @@ import (
 	"dgs/internal/transport"
 )
 
-// The downward codec policy (DESIGN.md §14): which codec each request is
+// The downward codec policy (DESIGN.md §8): which codec each request is
 // answered in, under the mirror and forced policies, and which frames the
 // exchange refuses without touching the server.
 

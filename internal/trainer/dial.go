@@ -34,9 +34,9 @@ type DialOptions struct {
 // wire-v2 mux links with a per-exchange deadline, each link optionally
 // wrapped in Faulty. A fresh incarnation's hello makes the server resync
 // the worker id and ship a dense snapshot.
-func NewDialStack(opts DialOptions) func() (transport.Transport, error) {
+func NewDialStack(opts DialOptions) func() (transport.Pipeliner, error) {
 	dials := uint64(0)
-	return func() (transport.Transport, error) {
+	return func() (transport.Pipeliner, error) {
 		ps := transport.NewPipelinedSession(func() (transport.MuxLink, error) {
 			c, err := transport.DialMux(opts.Addr)
 			if err != nil {

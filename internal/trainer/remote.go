@@ -13,21 +13,16 @@ import (
 // RunWorkerLoop runs a single worker's training loop against an external
 // transport — the multi-process deployment mode, where the parameter server
 // lives in another process (`dgs server`) and each `dgs worker` process
-// calls this. The transport must be a transport.Pipeliner (a session from
-// NewDialStack, or a Loopback); the final model sync of worker 0 runs on it
-// too. The worker processes its 1/Workers share of the total iteration
-// budget. Worker 0 evaluates and reports accuracy; other workers report
-// loss only.
-func RunWorkerLoop(cfg Config, id int, tr transport.Transport) (*Result, error) {
+// calls this. The transport is a session from NewDialStack, or a Loopback;
+// the final model sync of worker 0 runs on it too. The worker processes
+// its 1/Workers share of the total iteration budget. Worker 0 evaluates
+// and reports accuracy; other workers report loss only.
+func RunWorkerLoop(cfg Config, id int, tr transport.Pipeliner) (*Result, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
 	}
 	if id < 0 || id >= cfg.Workers {
 		return nil, fmt.Errorf("trainer: worker id %d out of range [0,%d)", id, cfg.Workers)
-	}
-	pipe, ok := tr.(transport.Pipeliner)
-	if !ok {
-		return nil, fmt.Errorf("trainer: worker %d: transport %T is not a transport.Pipeliner", id, tr)
 	}
 	totalIters := cfg.Epochs * cfg.Dataset.NumTrain() / cfg.BatchSize
 	share := totalIters / cfg.Workers
@@ -46,7 +41,7 @@ func RunWorkerLoop(cfg Config, id int, tr transport.Transport) (*Result, error) 
 	// counter in expectation.
 	localLR := newSchedule(&cfg, totalIters)
 	w := worker{
-		cfg: &cfg, id: id, sizes: nil, tr: pipe,
+		cfg: &cfg, id: id, sizes: nil, tr: tr,
 		totalIters: share, samplesPerEpoch: float64(cfg.Dataset.NumTrain()) / float64(cfg.Workers),
 		iterCounter: &iterCounter, computeNanos: &computeNanos,
 		lr:  func(iter int64) float32 { return localLR(iter * int64(cfg.Workers)) },
@@ -83,7 +78,7 @@ func RunWorkerLoop(cfg Config, id int, tr transport.Transport) (*Result, error) 
 // maxRestarts bounds rejoin attempts after the first. A stale-session
 // rejection (another live incarnation owns this worker id) is fatal and is
 // returned immediately — rejoining would fence out the legitimate owner.
-func RunResilientWorkerLoop(cfg Config, id int, dial func() (transport.Transport, error), maxRestarts int) (*Result, error) {
+func RunResilientWorkerLoop(cfg Config, id int, dial func() (transport.Pipeliner, error), maxRestarts int) (*Result, error) {
 	var lastErr error
 	for attempt := 0; attempt <= maxRestarts; attempt++ {
 		tr, err := dial()

@@ -70,12 +70,3 @@ func TestRunWorkerLoopRejectsBadID(t *testing.T) {
 		t.Fatal("negative worker id must be rejected")
 	}
 }
-
-// The loop needs a Pipeliner; a plain Transport is refused up front.
-func TestRunWorkerLoopRequiresPipeliner(t *testing.T) {
-	cfg := quickConfig(DGS, 1)
-	var tr transport.Transport = struct{ transport.Transport }{transport.NewLoopback(nil)}
-	if _, err := RunWorkerLoop(cfg, 0, tr); err == nil {
-		t.Fatal("a transport that cannot pipeline must be rejected")
-	}
-}

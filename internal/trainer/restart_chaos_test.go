@@ -107,7 +107,7 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			dial := func() (transport.Transport, error) {
+			dial := func() (transport.Pipeliner, error) {
 				return &gatedSession{Pipeliner: keepOpen{f.session(id)}, hold: holdAt, gate: killed}, nil
 			}
 			results[id], errs[id] = RunResilientWorkerLoop(cfg, id, dial, 5)

@@ -76,11 +76,9 @@ type Config struct {
 	Epochs int
 	// LR is the initial learning rate.
 	LR float32
-	// LRDecayAt lists epoch indices at which LR is multiplied by
-	// LRDecayFactor (paper: ×0.1 at epochs 30 and 40 of 50).
+	// LRDecayAt lists epoch indices at which LR is multiplied by 0.1
+	// (paper: at epochs 30 and 40 of 50).
 	LRDecayAt []int
-	// LRDecayFactor defaults to 0.1 when zero.
-	LRDecayFactor float32
 	// Momentum is m for MSGD/DGC/DGS (paper: 0.7, or 0.45/0.3 at scale).
 	Momentum float32
 	// KeepRatio is the upward sparsification keep fraction (0.01 = top 1%).
@@ -93,7 +91,7 @@ type Config struct {
 	GradClip float32
 	// Codec selects the wire compression backend for both directions
 	// ("raw"/"" = exact sparse chunks, "sbc" = sparse binary compression;
-	// DESIGN.md §14). SBC folds its projection error into the worker's
+	// DESIGN.md §6). SBC folds its projection error into the worker's
 	// optimizer residual on the way up (SAMomentum keeps a separate error
 	// memory for it) and into the server's v_k on the way down, so each
 	// error is delivered once and the Eq. 5 drain invariant still holds
@@ -106,11 +104,8 @@ type Config struct {
 	WeightDecay float32
 	// WarmupFrac, when positive, enables DGC-style warm-up over that
 	// fraction of training: the learning rate ramps linearly and the keep
-	// ratio anneals from WarmupKeepStart down to KeepRatio.
+	// ratio anneals from 0.25 down to KeepRatio.
 	WarmupFrac float64
-	// WarmupKeepStart is the initial keep ratio during warm-up
-	// (default 0.25 when WarmupFrac is set).
-	WarmupKeepStart float64
 	// Seed drives model init, data order and jitter; same seed + same
 	// method is reproducible up to goroutine interleaving.
 	Seed uint64
@@ -134,12 +129,12 @@ type Config struct {
 	// baselines and the paper figures are unchanged); D > 1 overlaps up to
 	// D exchanges with compute, applying each downward difference at the
 	// next batch boundary — bounded-delay ASGD with at most D−1 extra
-	// steps of client-side delay (see DESIGN.md §10).
+	// steps of client-side delay (see DESIGN.md §7, §8).
 	PipelineDepth int
 	// Shards, when > 1, partitions the parameter server's layers into that
 	// many independently locked shards (Li et al.'s PS layout). In one
 	// process this buys little speed: a single server already runs different
-	// workers' gathers side by side (DESIGN.md §13).
+	// workers' gathers side by side (DESIGN.md §9).
 	Shards int
 	// MetricsAddr, when non-empty (e.g. "127.0.0.1:9090" or ":0"), serves
 	// the telemetry HTTP endpoint (/metrics, /manifest, /debug/pprof) for
@@ -194,14 +189,8 @@ func (c *Config) normalise() error {
 	if c.BuildModel == nil || c.Dataset == nil {
 		return fmt.Errorf("trainer: BuildModel and Dataset are required")
 	}
-	if c.LRDecayFactor == 0 {
-		c.LRDecayFactor = 0.1
-	}
 	if c.EvalEveryEpochs == 0 {
 		c.EvalEveryEpochs = 1
-	}
-	if c.WarmupFrac > 0 && c.WarmupKeepStart == 0 {
-		c.WarmupKeepStart = 0.25
 	}
 	if c.WarmupFrac < 0 || c.WarmupFrac > 1 {
 		return fmt.Errorf("trainer: warmup fraction %v out of [0,1]", c.WarmupFrac)
@@ -364,11 +353,9 @@ func Run(cfg Config) (*Result, error) {
 		defer srv.Close()
 		dial := NewDialStack(DialOptions{Addr: srv.Addr(), Pipeline: cfg.PipelineDepth})
 		for k := range trs {
-			tr, err := dial()
-			if err != nil {
+			if trs[k], err = dial(); err != nil {
 				return nil, err
 			}
-			trs[k] = tr.(transport.Pipeliner)
 		}
 	} else {
 		for k := range trs {
@@ -514,19 +501,27 @@ func syncModel(tr transport.Transport, id int, model *nn.Model) error {
 	return nil // bounded drain: good enough if a remainder persists
 }
 
+const (
+	// lrDecayFactor multiplies the learning rate at each Config.LRDecayAt
+	// epoch (the paper's ×0.1).
+	lrDecayFactor = 0.1
+	// warmupKeepStart is the keep ratio warm-up starts from when
+	// Config.WarmupFrac is set.
+	warmupKeepStart = 0.25
+)
+
 // newSchedule returns the step-decay learning-rate schedule as a function of
 // the global iteration.
 func newSchedule(cfg *Config, totalIters int) func(int64) float32 {
 	itersPerEpoch := float64(totalIters) / float64(cfg.Epochs)
 	decays := append([]int(nil), cfg.LRDecayAt...)
-	factor := cfg.LRDecayFactor
 	base := cfg.LR
 	return func(iter int64) float32 {
 		epoch := float64(iter) / itersPerEpoch
 		lr := base
 		for _, d := range decays {
 			if epoch >= float64(d) {
-				lr *= factor
+				lr *= lrDecayFactor
 			}
 		}
 		return lr
@@ -651,7 +646,7 @@ func (w *worker) run() (*nn.Model, error) {
 			progress := float64(iter) / float64(w.totalIters)
 			stepLR *= float32(optim.LRWarmup(progress, cfg.WarmupFrac))
 			if rs, ok := opt.(optim.RatioSetter); ok {
-				rs.SetKeepRatio(optim.SparsityWarmup(progress, cfg.WarmupFrac, cfg.WarmupKeepStart, cfg.KeepRatio))
+				rs.SetKeepRatio(optim.SparsityWarmup(progress, cfg.WarmupFrac, warmupKeepStart, cfg.KeepRatio))
 			}
 		}
 		upd := opt.Prepare(grads, stepLR)

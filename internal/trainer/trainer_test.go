@@ -41,7 +41,7 @@ func TestAllMethodsLearnMixture(t *testing.T) {
 			if res.FinalAccuracy < 0.75 {
 				t.Fatalf("%s accuracy %.3f; expected the easy mixture to be learned (>0.75)", m, res.FinalAccuracy)
 			}
-			if res.Loss.Len() == 0 || res.Accuracy.Len() == 0 {
+			if len(res.Loss.Points()) == 0 || len(res.Accuracy.Points()) == 0 {
 				t.Fatal("loss/accuracy series must be recorded")
 			}
 			first := res.Loss.Points()[0].Y
@@ -155,7 +155,7 @@ func TestMemoryAccounting(t *testing.T) {
 }
 
 func TestLRSchedule(t *testing.T) {
-	cfg := Config{LR: 1, LRDecayAt: []int{2, 4}, LRDecayFactor: 0.1, Epochs: 6}
+	cfg := Config{LR: 1, LRDecayAt: []int{2, 4}, Epochs: 6}
 	lr := newSchedule(&cfg, 60) // 10 iters/epoch
 	if got := lr(0); got != 1 {
 		t.Fatalf("lr(0) = %v", got)

@@ -76,7 +76,7 @@ func TestFaultyServerRestartForcesRehello(t *testing.T) {
 	// a really-restarted server it must re-execute), so a simulated server
 	// that never lost its state may apply such frames twice; the excess is
 	// bounded by the restarts observed. The DGS layer absorbs those
-	// duplicates through resync, as §12 of DESIGN.md argues.
+	// duplicates through resync, as DESIGN.md §10 describes.
 	n := applied.Load()
 	if n < frames {
 		t.Fatalf("handler applied %d frames, want at least %d", n, frames)

@@ -2,9 +2,15 @@ package dgs
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"path"
+	"path/filepath"
 	"sort"
-	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -13,39 +19,67 @@ import (
 // An entry that no longer exists, or that a non-test file now uses, fails
 // TestNoTestOnlyExports: the list names only what it has to.
 var testSeams = map[string]string{
-	"agg.Aggregator.Kill":        "the crash the agg chaos tests inject mid-window",
-	"ps.Server.VSnapshot":        "the drain-fixpoint check (v_k == M) the tests of ps, agg, trainer and optim share",
-	"sparse.Selector.TopK":       "the full-scan Top-k behind ps's BaselineServer reference and other packages' test inputs",
-	"tensor.RNG.Float32":         "seeded uniform draws for the randomized tests of nn, ps, sparse, trainer and tensor",
-	"tensor.RNG.Perm":            "seeded permutations for the randomized tests of sparse, agg and tensor",
-	"trainer.ExactlyOnceHandler": "the infallible mirror-policy server stack the trainer chaos and TCP tests serve",
-	"transport.NewLoopback":      "the in-process transport of the transport and trainer tests",
+	"agg.Aggregator.Kill":               "the crash the agg chaos tests inject mid-window",
+	"ps.Server.VSnapshot":               "the drain-fixpoint check (v_k == M) the tests of ps, agg, trainer and optim share",
+	"sparse.Selector.TopK":              "the full-scan Top-k behind ps's BaselineServer reference and other packages' test inputs",
+	"tensor.RNG.Float32":                "seeded uniform draws for the randomized tests of nn, ps, sparse, trainer and tensor",
+	"tensor.RNG.Perm":                   "seeded permutations for the randomized tests of sparse, agg and tensor",
+	"trainer.ExactlyOnceHandler":        "the infallible mirror-policy server stack the trainer chaos and TCP tests serve",
+	"transport.ExactlyOnce.Incarnation": "the server incarnation the session tests of transport and trainer expect in every response envelope",
+	"transport.NewLoopback":             "the in-process transport of the transport and trainer tests",
 }
 
-// stdlibMethods are method names the standard library calls through its
-// interfaces (error, fmt.Stringer, sort.Interface, container/heap, io,
-// http.Handler, json), so a method so named has a user even when no file of
-// the module calls it.
-var stdlibMethods = map[string]bool{
-	"Error": true, "Unwrap": true, "Is": true, "As": true, "Timeout": true, "Temporary": true,
-	"String": true, "GoString": true, "Format": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-}
+// stdlibInterfaces declares the standard-library interfaces whose methods
+// the standard library itself calls (fmt, sort, container/heap, errors, io,
+// net/http, encoding/json, flag), so a method that implements one has a
+// user even when no file of the module calls it.
+const stdlibInterfaces = `package stdlib
 
-// TestNoTestOnlyExports: every exported top-level function and method under
-// internal/ and cmd/ has a user in non-test Go, or is a named test seam in
-// testSeams. Non-test files of the nested benchmark module count as users,
-// as it imports internal/. A use inside another function that only tests
-// reach does not count, so the scan repeats to a fixpoint over every
-// function, exported or not: a helper whose one caller is test-only is
-// test-only too. main, init and assembly-bodied functions always run, and
-// methods the standard library calls by interface (stdlibMethods) are not
-// judged. Uses are matched by name, per package for functions (a bare Name
-// inside the package, pkg.Name outside it) and across the module for
-// methods (any x.Name that is not a package qualifier). The root package
-// dgs is exempt: its users live outside the module.
+import (
+	"container/heap"
+	"encoding"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+)
+
+type (
+	errorI     error
+	stringer   fmt.Stringer
+	goStringer fmt.GoStringer
+	formatter  fmt.Formatter
+	heapI      heap.Interface
+	reader     io.Reader
+	writer     io.Writer
+	closer     io.Closer
+	netError   net.Error
+	handler    http.Handler
+	jsonM      json.Marshaler
+	jsonU      json.Unmarshaler
+	textM      encoding.TextMarshaler
+	textU      encoding.TextUnmarshaler
+	flagValue  flag.Value
+	unwrapper  interface{ Unwrap() error }
+	iser       interface{ Is(error) bool }
+	aser       interface{ As(any) bool }
+)
+`
+
+// TestNoTestOnlyExports: every exported function and method under internal/
+// and cmd/, interface methods included, has a user in non-test Go, or is a
+// named test seam in testSeams. The module's non-test packages and those of
+// the nested benchmark module (it imports internal/) are type-checked, and
+// liveness spreads from the roots to a fixpoint: package-level
+// initializers, main and init, the root package dgs's exported API (its
+// users live outside the module) and every method that implements a
+// standard-library interface (stdlibInterfaces) are live; a function is
+// live once a live function uses it; and a use of an interface method makes
+// every method that implements that interface's method live. A use inside a
+// function that only tests reach therefore does not count, and a test-only
+// method cannot hide behind another type's method of the same name.
 func TestNoTestOnlyExports(t *testing.T) {
 	found := map[string]bool{}
 	for _, sym := range testOnlyExports(t) {
@@ -61,11 +95,54 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// funcUse is one reference to a function or method: key is pkg.Name for a
-// function, .Name for a method; from is the key of the top-level function
-// whose body makes it, empty outside any function.
-type funcUse struct {
-	from, key string
+// moduleImporter type-checks the non-test Go of this module's packages (and
+// the nested benchmark module's) from source, each once, so every package
+// shares one object per declaration; the standard library comes from the
+// source importer.
+type moduleImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files map[*types.Package][]*ast.File
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if path != "dgs" && !strings.HasPrefix(path, "dgs/") {
+		return m.std.Import(path)
+	}
+	if p := m.pkgs[path]; p != nil {
+		return p, nil
+	}
+	dir := filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "dgs"), "/"))
+	if dir == "" {
+		dir = "."
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, filepath.Base(name)); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(m.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path], m.files[p] = p, files
+	return p, nil
 }
 
 // testOnlyExports returns the exported functions and methods under internal/
@@ -73,109 +150,175 @@ type funcUse struct {
 // pkg.Type.Method.
 func testOnlyExports(t *testing.T) []string {
 	t.Helper()
-	declared := map[string]string{} // function key → its use key
-	judged := map[string]bool{}
-	var uses []funcUse
-	for _, root := range []string{".", "benchmark"} {
-		for _, f := range moduleSource(t, root, false) {
-			pkg := path.Join(root, f.Name.Name) // benchmark's main is not cmd/dgs's
-			imports := importNames(f)
+	fset := token.NewFileSet()
+	m := &moduleImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		pkgs:  map[string]*types.Package{},
+		files: map[*types.Package][]*ast.File{},
+	}
+	for _, dir := range append(moduleDirs(t, "."), "benchmark") {
+		if len(parseDir(t, dir, false)) == 0 {
+			continue
+		}
+		if _, err := m.Import(path.Join("dgs", filepath.ToSlash(dir))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	std := stdlibInterfaceTypes(t, m)
+
+	// uses maps each function to the functions and methods its body names;
+	// the nil key holds the uses outside any function.
+	uses := map[*types.Func][]*types.Func{}
+	var roots, judged []*types.Func
+	var named []*types.Named // every named non-interface type, for dispatch
+	for p, files := range m.files {
+		for _, f := range files {
 			for _, d := range f.Decls {
-				from := ""
-				if fn, ok := d.(*ast.FuncDecl); ok {
-					from = funcKey(pkg, fn)
-					declared[from] = pkg + "." + fn.Name.Name
-					if fn.Recv != nil {
-						declared[from] = "." + fn.Name.Name
-					}
-					if root == "." && pkg != "dgs" && fn.Name.IsExported() && !(fn.Recv != nil && stdlibMethods[fn.Name.Name]) {
-						judged[from] = true
-					}
-					if fn.Body == nil || fn.Recv == nil && (fn.Name.Name == "main" || fn.Name.Name == "init") {
-						from = "" // entry points and assembly bodies always run
-					}
+				var owner *types.Func // nil: package-level code, and init
+				if fn, ok := d.(*ast.FuncDecl); ok && (fn.Recv != nil || fn.Name.Name != "init") {
+					owner = m.info.Defs[fn.Name].(*types.Func)
 				}
-				var walk func(n ast.Node) bool
-				walk = func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.FuncDecl:
-						if n.Body != nil {
-							ast.Inspect(n.Body, walk)
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := m.info.Uses[id].(*types.Func); ok {
+							uses[owner] = append(uses[owner], fn.Origin())
 						}
-						return false
-					case *ast.Field: // a declared name is not a use
-						ast.Inspect(n.Type, walk)
-						return false
-					case *ast.KeyValueExpr:
-						if _, ok := n.Key.(*ast.Ident); ok { // a field name
-							ast.Inspect(n.Value, walk)
-							return false
-						}
-					case *ast.SelectorExpr:
-						key := "." + n.Sel.Name
-						if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-							key = imports[x.Name] + "." + n.Sel.Name
-						}
-						uses = append(uses, funcUse{from, key})
-						ast.Inspect(n.X, walk)
-						return false
-					case *ast.Ident:
-						uses = append(uses, funcUse{from, pkg + "." + n.Name})
 					}
 					return true
+				})
+			}
+		}
+		internal := strings.HasPrefix(p.Path(), "dgs/internal/") || strings.HasPrefix(p.Path(), "dgs/cmd/")
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				switch {
+				case p.Path() == "dgs" && obj.Exported(), name == "main":
+					roots = append(roots, obj)
+				case internal && obj.Exported():
+					judged = append(judged, obj)
 				}
-				ast.Inspect(d, walk)
+			case *types.TypeName:
+				n, ok := obj.Type().(*types.Named)
+				if !ok {
+					continue
+				}
+				var methods []*types.Func
+				if iface, ok := n.Underlying().(*types.Interface); ok {
+					for i := 0; i < iface.NumExplicitMethods(); i++ {
+						methods = append(methods, iface.ExplicitMethod(i))
+					}
+				} else {
+					named = append(named, n)
+					for i := 0; i < n.NumMethods(); i++ {
+						methods = append(methods, n.Method(i))
+					}
+				}
+				for _, fn := range methods {
+					switch {
+					case implementsStdlib(n, fn.Name(), std), p.Path() == "dgs" && fn.Exported():
+						roots = append(roots, fn)
+					case internal && fn.Exported():
+						judged = append(judged, fn)
+					}
+				}
 			}
 		}
 	}
-	dead := map[string]bool{}
-	for grew := true; grew; {
-		live := map[string]bool{}
-		for _, u := range uses {
-			if u.from == "" || !dead[u.from] && declared[u.from] != u.key {
-				live[u.key] = true
+
+	live := map[*types.Func]bool{}
+	work := append([]*types.Func{nil}, roots...)
+	var mark func(fn *types.Func)
+	mark = func(fn *types.Func) {
+		if live[fn] {
+			return
+		}
+		live[fn] = true
+		work = append(work, fn)
+		iface, ok := receiver(fn).Underlying().(*types.Interface)
+		if !ok {
+			return
+		}
+		for _, n := range named { // dispatch: every implementation of fn
+			ptr := types.NewPointer(n)
+			if !types.Implements(ptr, iface) {
+				continue
+			}
+			if sel := types.NewMethodSet(ptr).Lookup(fn.Pkg(), fn.Name()); sel != nil {
+				mark(sel.Obj().(*types.Func))
 			}
 		}
-		grew = false
-		for sym, key := range declared {
-			if !dead[sym] && !live[key] {
-				dead[sym], grew = true, true
-			}
+	}
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, u := range uses[fn] {
+			mark(u)
 		}
 	}
 	var out []string
-	for sym := range judged {
-		if dead[sym] {
-			out = append(out, sym)
+	for _, fn := range judged {
+		if !live[fn] {
+			out = append(out, funcName(fn))
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// funcKey names a function declaration pkg.Func or pkg.Type.Method.
-func funcKey(pkg string, fn *ast.FuncDecl) string {
-	if fn.Recv == nil {
-		return pkg + "." + fn.Name.Name
+// stdlibInterfaceTypes type-checks stdlibInterfaces and returns its types.
+func stdlibInterfaceTypes(t *testing.T, imp types.Importer) []*types.Interface {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "stdlib.go", stdlibInterfaces, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return pkg + "." + typeName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-}
-
-// importNames maps the names a file refers to its imports by to the
-// imported packages' names (the last path element, as in this module).
-func importNames(f *ast.File) map[string]string {
-	out := map[string]string{}
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := path.Base(p)
-		if imp.Name != nil {
-			out[imp.Name.Name] = name
-		} else {
-			out[name] = name
-		}
+	p, err := (&types.Config{Importer: imp}).Check("stdlib", fset, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*types.Interface
+	for _, name := range p.Scope().Names() {
+		out = append(out, p.Scope().Lookup(name).Type().Underlying().(*types.Interface))
 	}
 	return out
+}
+
+// implementsStdlib reports whether n (or *n) implements one of the std
+// interfaces that has a method called method.
+func implementsStdlib(n *types.Named, method string, std []*types.Interface) bool {
+	for _, iface := range std {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == method && (types.Implements(n, iface) || types.Implements(types.NewPointer(n), iface)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// receiver returns the type a method is declared on, or an invalid type for
+// a function.
+func receiver(fn *types.Func) types.Type {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		return recv.Type()
+	}
+	return types.Typ[types.Invalid]
+}
+
+// funcName names a function pkg.Func and a method pkg.Type.Method, pkg
+// being the package's name.
+func funcName(fn *types.Func) string {
+	recv := receiver(fn)
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	if n, ok := recv.(*types.Named); ok {
+		return fn.Pkg().Name() + "." + n.Obj().Name() + "." + fn.Name()
+	}
+	return fn.Pkg().Name() + "." + fn.Name()
 }
