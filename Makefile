@@ -3,7 +3,7 @@
 # (the async exchange paths are required to be race-clean), then the tests
 # of the nested end-to-end benchmark module, which `./...` does not reach.
 # `make ci` is the CI entry point: formatting gate first, then check.
-.PHONY: ci check fmt-check build vet test race benchmark-test bench bench-kernels bench-paper staticcheck fuzz-smoke
+.PHONY: ci check fmt-check build vet test race benchmark-test bench bench-kernels bench-paper staticcheck fuzz-smoke loc
 
 ci: fmt-check staticcheck check
 
@@ -92,3 +92,15 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzStreamKernels$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/tensor
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/checkpoint
 	go test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/replica
+
+# Code size per package, the figure every CHANGES entry reports: non-test,
+# non-blank, non-comment lines, for Go and then for assembly, outside
+# benchmark/ (its own module), each followed by its total.
+loc:
+	@for ext in go s; do total=0; \
+	for d in . $$(find cmd internal -type d | sort); do \
+		files=$$(ls $$d/*.$$ext 2>/dev/null | grep -v '_test\.go$$'); \
+		[ -n "$$files" ] || continue; \
+		n=$$(for f in $$files; do grep -v '^\s*$$' $$f | grep -v '^\s*//'; done | wc -l); \
+		printf '%-3s %-22s %6d\n' $$ext $$d $$n; total=$$((total + n)); \
+	done; printf '%-3s %-22s %6d\n' $$ext total $$total; done

@@ -118,10 +118,9 @@ func (g *geometry) register(fs *flag.FlagSet) {
 }
 
 func (g geometry) resnet() nn.ResNetSConfig {
-	return nn.ResNetSConfig{
-		InC: g.inC, H: g.hw, W: g.hw,
-		StageChannels: []int{8, 16, 32}, Blocks: 1, Classes: g.classes,
-	}
+	cfg := nn.DefaultResNetS(g.classes)
+	cfg.InC = g.inC
+	return cfg
 }
 
 // model builds the geometry's model; servers, aggregators and replicas

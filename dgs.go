@@ -322,19 +322,14 @@ func modelBuilder(kind ModelKind, inShape []int, classes int) (func(*tensor.RNG)
 		if len(inShape) != 3 {
 			return nil, fmt.Errorf("dgs: ResNetS needs image input, got shape %v", inShape)
 		}
-		cfg := nn.ResNetSConfig{
-			InC: inShape[0], H: inShape[1], W: inShape[2],
-			StageChannels: []int{8, 16, 32}, Blocks: 1, Classes: classes,
-		}
+		cfg := nn.DefaultResNetS(classes)
+		cfg.InC = inShape[0]
 		return func(rng *tensor.RNG) *nn.Model { return nn.NewResNetS(rng, cfg) }, nil
 	case ModelCNN:
 		if len(inShape) != 3 {
 			return nil, fmt.Errorf("dgs: CNN needs image input, got shape %v", inShape)
 		}
-		cfg := nn.CNNConfig{
-			InC: inShape[0], H: inShape[1], W: inShape[2],
-			Channels: []int{8, 16}, Classes: classes, BatchNorm: true,
-		}
+		cfg := nn.CNNConfig{InC: inShape[0], Channels: []int{8, 16}, Classes: classes, BatchNorm: true}
 		return func(rng *tensor.RNG) *nn.Model { return nn.NewCNN(rng, cfg) }, nil
 	case ModelMLP:
 		if len(inShape) != 1 {

@@ -19,10 +19,13 @@ const designMaxLines = 983
 // TestDesignDocShape: DESIGN.md stays a current-state architecture of at
 // most designMaxLines lines; every directory with non-test Go under
 // internal/, plus cmd/dgs and benchmark, is named (backticked, as `ps`,
-// `cmd/dgs` or `benchmark/`) by exactly one `##` heading; and every
-// "DESIGN.md §N" reference in README.md, EXPERIMENTS.md, the verify skill
-// and this module's Go files resolves to a numbered `##` heading
-// ("## N. …"), so a renumbered section cannot leave a stale pointer.
+// `cmd/dgs` or `benchmark/`) by exactly one `##` heading, and a heading
+// names nothing else; and every "DESIGN.md §N" reference in README.md,
+// EXPERIMENTS.md, the verify skill and this module's Go files, and every
+// "§N" DESIGN.md makes to itself, resolves to a numbered `##` heading
+// ("## N. …"), so a renumbered section cannot leave a stale pointer. In
+// DESIGN.md a "§N.M" or "the paper's §N" is the paper's section, not one
+// of DESIGN's.
 func TestDesignDocShape(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -60,6 +63,18 @@ func TestDesignDocShape(t *testing.T) {
 	for _, pkg := range pkgs {
 		if n := named[pkg]; n != 1 {
 			t.Errorf("DESIGN.md: %d `##` headings name `%s`, want exactly one", n, pkg)
+		}
+		delete(named, pkg)
+	}
+	for name := range named {
+		t.Errorf("DESIGN.md: a `##` heading names `%s`, which is no package directory", name)
+	}
+	self := regexp.MustCompile(`(paper's\s+)?§(\d+)(\.\d)?`)
+	for i, l := range lines {
+		for _, m := range self.FindAllStringSubmatch(l, -1) {
+			if m[1] == "" && m[3] == "" && !sections[m[2]] {
+				t.Errorf("DESIGN.md:%d: %q: DESIGN.md has no section %s", i+1, m[0], m[2])
+			}
 		}
 	}
 

@@ -82,5 +82,5 @@ func Ablations(s Scale) (*Report, error) {
 	b.WriteString("\nSBC quantization shrinks upward bytes further at a small accuracy cost;\n")
 	b.WriteString("secondary compression bounds downward traffic; larger R trades bytes for\n")
 	b.WriteString("faster per-coordinate information flow.\n")
-	return &Report{ID: "ablations", Title: title, Text: b.String(), Values: values}, nil
+	return &Report{ID: "ablations", Text: b.String(), Values: values}, nil
 }

@@ -34,8 +34,6 @@ const (
 type Report struct {
 	// ID is the paper artefact name, e.g. "figure2" or "table3".
 	ID string
-	// Title describes the experiment.
-	Title string
 	// Text is the rendered report (tables, ASCII plots).
 	Text string
 	// Values holds the key metrics by name.
@@ -105,10 +103,8 @@ func imagenetPreset(s Scale) imagePreset {
 		cfg.Train, cfg.Test = 8192, 1024
 		epochs = 12
 	}
-	model := nn.ResNetSConfig{
-		InC: cfg.C, H: cfg.H, W: cfg.W,
-		StageChannels: []int{8, 16, 32}, Blocks: 1, Classes: cfg.Classes,
-	}
+	model := nn.DefaultResNetS(cfg.Classes)
+	model.InC = cfg.C
 	return imagePreset{
 		ds:        data.NewSyntheticImages(cfg),
 		model:     model,
@@ -204,7 +200,7 @@ func curvesReport(id, title string, results []*trainer.Result) *Report {
 	if err := stats.WriteSVG(&accSVG, stats.SVGOptions{Title: title + " — top-1 accuracy", XLabel: "epoch", YLabel: "accuracy"}, accSeries...); err == nil {
 		figures[id+"-acc.svg"] = accSVG.String()
 	}
-	return &Report{ID: id, Title: title, Text: b.String(), Values: values, Figures: figures}
+	return &Report{ID: id, Text: b.String(), Values: values, Figures: figures}
 }
 
 // smoothed returns a moving-average copy of a series for readable plots.
@@ -291,5 +287,5 @@ func Table2(s Scale) (*Report, error) {
 		}
 	}
 	b.WriteString(tbl.String())
-	return &Report{ID: "table2", Title: title, Text: b.String(), Values: values}, nil
+	return &Report{ID: "table2", Text: b.String(), Values: values}, nil
 }

@@ -77,7 +77,7 @@ func Table3(s Scale) (*Report, error) {
 	values[fmt.Sprintf("acc_%d_DGS_m0.3", largest)] = ablRes.FinalAccuracy
 	fmt.Fprintf(&b, "\n§5.4 ablation: DGS with momentum 0.3 at %d workers: %.2f%% (m=0.7 gave %.2f%%)\n",
 		largest, 100*ablRes.FinalAccuracy, 100*values[fmt.Sprintf("acc_%d_DGS", largest)])
-	return &Report{ID: "table3", Title: title, Text: b.String(), Values: values}, nil
+	return &Report{ID: "table3", Text: b.String(), Values: values}, nil
 }
 
 // Table4 reproduces the ImageNet scaling rows (4 and 16 workers).
@@ -117,7 +117,7 @@ func Table4(s Scale) (*Report, error) {
 		}
 	}
 	b.WriteString(tbl.String())
-	return &Report{ID: "table4", Title: title, Text: b.String(), Values: values}, nil
+	return &Report{ID: "table4", Text: b.String(), Values: values}, nil
 }
 
 // Table5 renders the qualitative technique matrix.
@@ -132,5 +132,5 @@ func Table5(Scale) (*Report, error) {
 	tbl.AddRow("DGS", "dual-way (model difference)", "SAMomentum", "not needed", "not needed")
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%s\n\n%s", title, strings.Repeat("=", len(title)), tbl.String())
-	return &Report{ID: "table5", Title: title, Text: b.String(), Values: map[string]float64{}}, nil
+	return &Report{ID: "table5", Text: b.String(), Values: map[string]float64{}}, nil
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"dgs/internal/nn"
-	"dgs/internal/ssgd"
 	"dgs/internal/stats"
-	"dgs/internal/tensor"
 	"dgs/internal/trainer"
 )
 
@@ -26,23 +23,21 @@ func SyncAsync(s Scale) (*Report, error) {
 	values := map[string]float64{}
 	tbl := stats.NewTable("Method", "Mode", "Top-1 Accuracy", "Up B/iter", "Down B/iter")
 
-	// Synchronous rows. Per-worker batch stays p.batch; 4 workers.
-	for _, m := range []ssgd.Method{ssgd.SSGD, ssgd.GD, ssgd.DGC} {
-		res, err := ssgd.Run(ssgd.Config{
-			Method: m, Workers: 4, BatchSize: p.batch, Epochs: p.epochs,
-			LR: p.lr, LRDecayAt: []int{p.epochs * 6 / 10, p.epochs * 8 / 10},
-			Momentum: p.momentum, KeepRatio: p.keepRatio, Seed: 1,
-			BuildModel: func(rng *tensor.RNG) *nn.Model { return nn.NewResNetS(rng, p.model) },
-			Dataset:    p.ds, EvalLimit: 512,
-		})
+	// Synchronous rows: the barrier runs of GD, DGC and, as MSGD at 4
+	// workers, SSGD, from the same run description as the async rows.
+	for _, sync := range []struct {
+		name string
+		m    trainer.Method
+	}{{"SSGD", trainer.MSGD}, {"GD", trainer.GDAsync}, {"DGC", trainer.DGCAsync}} {
+		res, err := trainer.RunSync(p.runConfig(sync.m, 4, p.batch, 1))
 		if err != nil {
-			return nil, fmt.Errorf("experiments: sync %s: %w", m, err)
+			return nil, fmt.Errorf("experiments: sync %s: %w", sync.name, err)
 		}
-		tbl.AddRow(m.String(), "sync", fmt.Sprintf("%.2f%%", 100*res.FinalAccuracy),
+		tbl.AddRow(sync.name, "sync", fmt.Sprintf("%.2f%%", 100*res.FinalAccuracy),
 			fmt.Sprintf("%.0f", res.AvgUpBytes), fmt.Sprintf("%.0f", res.AvgDownBytes))
-		values["acc_sync_"+m.String()] = res.FinalAccuracy
-		values["upbytes_sync_"+m.String()] = res.AvgUpBytes
-		values["downbytes_sync_"+m.String()] = res.AvgDownBytes
+		values["acc_sync_"+sync.name] = res.FinalAccuracy
+		values["upbytes_sync_"+sync.name] = res.AvgUpBytes
+		values["downbytes_sync_"+sync.name] = res.AvgDownBytes
 	}
 
 	// Asynchronous rows.
@@ -61,5 +56,5 @@ func SyncAsync(s Scale) (*Report, error) {
 	b.WriteString("\nThe sync rows have no staleness but pay a barrier every step; the async\n")
 	b.WriteString("rows trade staleness for wait-free workers. DGS keeps the async rows'\n")
 	b.WriteString("traffic sparse in both directions while holding accuracy.\n")
-	return &Report{ID: "syncasync", Title: title, Text: b.String(), Values: values}, nil
+	return &Report{ID: "syncasync", Text: b.String(), Values: values}, nil
 }

@@ -114,7 +114,7 @@ func Figure5(s Scale) (*Report, error) {
 	if err := stats.WriteSVG(&svg, stats.SVGOptions{Title: title, XLabel: "minutes", YLabel: "training loss"}, series...); err == nil {
 		figures["figure5.svg"] = svg.String()
 	}
-	return &Report{ID: "figure5", Title: title, Text: b.String(), Values: values, Figures: figures}, nil
+	return &Report{ID: "figure5", Text: b.String(), Values: values, Figures: figures}, nil
 }
 
 // figure6Workers returns the sweep points.
@@ -183,7 +183,7 @@ func Figure6(s Scale) (*Report, error) {
 	if err := stats.WriteSVG(&svg, stats.SVGOptions{Title: title, XLabel: "workers", YLabel: "speedup"}, plotSeries...); err == nil {
 		figures["figure6.svg"] = svg.String()
 	}
-	return &Report{ID: "figure6", Title: title, Text: b.String(), Values: values, Figures: figures}, nil
+	return &Report{ID: "figure6", Text: b.String(), Values: values, Figures: figures}, nil
 }
 
 // MemoryUsage reproduces §5.6.2: server overhead is one v_k per worker;
@@ -220,5 +220,5 @@ func MemoryUsage(s Scale) (*Report, error) {
 	values["resnet18_workers_on_16GB"] = workersSupported
 	fmt.Fprintf(&b, "\nProjection at ResNet-18 scale (46 MB of parameters):\n")
 	fmt.Fprintf(&b, "  server overhead = workers x 46 MB; a 16 GB card supports ~%.0f workers (paper: \"more than 300\")\n", workersSupported)
-	return &Report{ID: "memory", Title: title, Text: b.String(), Values: values}, nil
+	return &Report{ID: "memory", Text: b.String(), Values: values}, nil
 }

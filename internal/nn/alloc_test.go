@@ -96,14 +96,14 @@ func TestLayerBuffersFollowShape(t *testing.T) {
 	used := NewResNetS(tensor.NewRNG(54), cfg)
 	rng := tensor.NewRNG(55)
 	for step, batch := range []int{4, 1, 4, 3, 6} {
-		x := tensor.New(batch, cfg.InC, cfg.H, cfg.W)
+		x := tensor.New(batch, cfg.InC, 16, 16)
 		rng.FillNormal(x.Data, 0, 1)
 		labels := make([]int, batch)
 		for i := range labels {
 			labels[i] = rng.Intn(cfg.Classes)
 		}
 		if step == 2 {
-			used.Forward(tensor.New(5, cfg.InC, cfg.H, cfg.W), false)
+			used.Forward(tensor.New(5, cfg.InC, 16, 16), false)
 		}
 		fresh := NewResNetS(tensor.NewRNG(54), cfg)
 		used.ZeroGrad()

@@ -165,7 +165,7 @@ func TestGradientsResNetS(t *testing.T) {
 		t.Skip("gradcheck on ResNetS is slow")
 	}
 	rng := tensor.NewRNG(4)
-	cfg := ResNetSConfig{InC: 1, H: 8, W: 8, StageChannels: []int{2, 3}, Blocks: 1, Classes: 2}
+	cfg := ResNetSConfig{InC: 1, StageChannels: []int{2, 3}, Blocks: 1, Classes: 2}
 	m := NewResNetS(rng, cfg)
 	x := smallInput(rng, 2, 1, 8, 8)
 	labels := []int{0, 1}

@@ -138,7 +138,7 @@ func TestResidualIdentityGradientSplitting(t *testing.T) {
 
 func TestCNNModelEndToEnd(t *testing.T) {
 	rng := tensor.NewRNG(37)
-	m := NewCNN(rng, CNNConfig{InC: 3, H: 8, W: 8, Channels: []int{4, 8}, Classes: 5, BatchNorm: true})
+	m := NewCNN(rng, CNNConfig{InC: 3, Channels: []int{4, 8}, Classes: 5, BatchNorm: true})
 	x := smallInput(rng, 2, 3, 8, 8)
 	y := m.Forward(x, true)
 	if y.Dim(0) != 2 || y.Dim(1) != 5 {

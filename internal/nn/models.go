@@ -24,8 +24,9 @@ func layerName(prefix string, i int) string {
 
 // CNNConfig describes a small convolutional classifier.
 type CNNConfig struct {
-	// InC, H, W describe the input image.
-	InC, H, W int
+	// InC is the input image's channel count; no layer depends on its
+	// spatial size.
+	InC int
 	// Channels per conv stage (each stage: conv-bn-relu, then 2x2 maxpool).
 	Channels []int
 	// Classes is the output dimension.
@@ -59,7 +60,8 @@ func NewCNN(rng *tensor.RNG, cfg CNNConfig) *Model {
 // shortcuts within a stage and 1x1 projection shortcuts across stages —
 // the same per-layer gradient structure DGS interacts with in the paper.
 type ResNetSConfig struct {
-	InC, H, W int
+	// InC is the input image's channel count, as in CNNConfig.
+	InC int
 	// StageChannels lists the channel width of each stage.
 	StageChannels []int
 	// Blocks is the residual block count per stage.
@@ -67,11 +69,12 @@ type ResNetSConfig struct {
 	Classes int
 }
 
-// DefaultResNetS returns the configuration used by the CIFAR-like
-// experiments: 3 stages of width 8/16/32, 1 block each (~16k params),
-// small enough to train in CI yet structurally a residual CNN.
+// DefaultResNetS returns the one ResNetS every caller builds: 3 stages of
+// width 8/16/32, 1 block each (~16k params), small enough to train in CI
+// yet structurally a residual CNN, over 3 input channels; a caller with
+// other inputs sets InC.
 func DefaultResNetS(classes int) ResNetSConfig {
-	return ResNetSConfig{InC: 3, H: 16, W: 16, StageChannels: []int{8, 16, 32}, Blocks: 1, Classes: classes}
+	return ResNetSConfig{InC: 3, StageChannels: []int{8, 16, 32}, Blocks: 1, Classes: classes}
 }
 
 // NewResNetS builds the scaled-down residual network.

@@ -44,7 +44,8 @@ func (u *Update) NextChunk() *Chunk {
 	return &u.Chunks[len(u.Chunks)-1]
 }
 
-// Gather extracts the values of x at the given indices into a chunk.
+// Gather extracts the values of x at the given indices into a chunk. Test
+// seam: the tests of several packages cut their chunks with it.
 func Gather(layer int, x []float32, idx []int32) Chunk {
 	val := make([]float32, len(idx))
 	for i, j := range idx {

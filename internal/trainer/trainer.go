@@ -65,9 +65,10 @@ var AllMethods = []Method{MSGD, ASGD, GDAsync, DGCAsync, DGS}
 
 // Config describes one training run.
 type Config struct {
-	// Method is the algorithm to run. MSGD forces Workers=1.
+	// Method is the algorithm to run. Run and RunWorkerLoop force
+	// Workers=1 for MSGD; RunSync runs it at Workers as synchronous SGD.
 	Method Method
-	// Workers is the number of asynchronous workers.
+	// Workers is the number of workers.
 	Workers int
 	// BatchSize is the per-worker minibatch size.
 	BatchSize int
@@ -168,8 +169,6 @@ type Result struct {
 	Server ps.Stats
 	// ServerStateBytes and WorkerStateBytes report memory (paper §5.6.2).
 	ServerStateBytes, WorkerStateBytes int
-	// WallTime is the real elapsed time of the run.
-	WallTime time.Duration
 	// ComputePerIter is the mean measured forward+backward seconds per
 	// iteration (feeds the network simulator).
 	ComputePerIter float64
@@ -387,7 +386,6 @@ func Run(cfg Config) (*Result, error) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, cfg.Workers)
-	start := time.Now()
 	for k := 0; k < cfg.Workers; k++ {
 		wg.Add(1)
 		go func(k int) {
@@ -406,7 +404,6 @@ func Run(cfg Config) (*Result, error) {
 		}(k)
 	}
 	wg.Wait()
-	res.WallTime = time.Since(start)
 	close(errCh)
 	for err := range errCh {
 		return nil, err

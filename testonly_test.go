@@ -14,13 +14,16 @@ import (
 	"testing"
 )
 
-// testSeams are the exported functions and methods under internal/ and cmd/
-// that only tests call, each with the reason it stays in production code.
+// testSeams are the exported declarations under internal/ and cmd/ that only
+// tests use, each with the reason it stays in production code.
 // An entry that no longer exists, or that a non-test file now uses, fails
 // TestNoTestOnlyExports: the list names only what it has to.
 var testSeams = map[string]string{
 	"agg.Aggregator.Kill":               "the crash the agg chaos tests inject mid-window",
+	"experiments.Report.Values":         "the key numbers the root Benchmark* paper-shape checks assert on",
 	"ps.Server.VSnapshot":               "the drain-fixpoint check (v_k == M) the tests of ps, agg, trainer and optim share",
+	"raceflag.Enabled":                  "the race build the allocation-count tests of eleven packages skip under",
+	"sparse.Gather":                     "the chunk the tests of sparse, agg, optim, ps and trainer cut from a dense vector",
 	"sparse.Selector.TopK":              "the full-scan Top-k behind ps's BaselineServer reference and other packages' test inputs",
 	"tensor.RNG.Float32":                "seeded uniform draws for the randomized tests of nn, ps, sparse, trainer and tensor",
 	"tensor.RNG.Perm":                   "seeded permutations for the randomized tests of sparse, agg and tensor",
@@ -68,18 +71,23 @@ type (
 )
 `
 
-// TestNoTestOnlyExports: every exported function and method under internal/
-// and cmd/, interface methods included, has a user in non-test Go, or is a
-// named test seam in testSeams. The module's non-test packages and those of
-// the nested benchmark module (it imports internal/) are type-checked, and
-// liveness spreads from the roots to a fixpoint: package-level
-// initializers, main and init, the root package dgs's exported API (its
-// users live outside the module) and every method that implements a
-// standard-library interface (stdlibInterfaces) are live; a function is
-// live once a live function uses it; and a use of an interface method makes
-// every method that implements that interface's method live. A use inside a
-// function that only tests reach therefore does not count, and a test-only
-// method cannot hide behind another type's method of the same name.
+// TestNoTestOnlyExports: every exported declaration under internal/ and cmd/
+// (function, method, interface method, struct field, type, constant and
+// variable) has a user in non-test Go, or is a named test seam in
+// testSeams. The module's non-test packages and those of the nested
+// benchmark module (it imports internal/) are type-checked, and liveness
+// spreads from the roots to a fixpoint. The roots are package-level
+// variable initializers, main and init, every method that implements a
+// standard-library interface (stdlibInterfaces), and the root package dgs's
+// exported API together with the exported methods and fields of every type
+// that API hands out (dgs.Result.Loss is a *stats.Series), since their
+// users live outside the module. A declaration is live once a live one
+// uses it; a field or variable only once live code reads it or takes its
+// address, so one that is only written is not; a live value makes its type
+// live; and a use of an interface method makes every method that
+// implements it live. A use inside a function that only tests reach
+// therefore does not count, and a test-only method cannot hide behind
+// another type's method of the same name.
 func TestNoTestOnlyExports(t *testing.T) {
 	found := map[string]bool{}
 	for _, sym := range testOnlyExports(t) {
@@ -145,9 +153,10 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-// testOnlyExports returns the exported functions and methods under internal/
-// and cmd/ that no non-test code reaches, sorted, as pkg.Func or
-// pkg.Type.Method.
+// testOnlyExports returns the exported declarations under internal/ and
+// cmd/ that no non-test code reaches, sorted, as pkg.Name or
+// pkg.Type.Member: functions, methods, struct fields, types, constants and
+// variables.
 func testOnlyExports(t *testing.T) []string {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -168,105 +177,243 @@ func testOnlyExports(t *testing.T) []string {
 	}
 	std := stdlibInterfaceTypes(t, m)
 
-	// uses maps each function to the functions and methods its body names;
-	// the nil key holds the uses outside any function.
-	uses := map[*types.Func][]*types.Func{}
-	var roots, judged []*types.Func
+	uses := map[types.Object][]types.Object{}
+	judged := map[types.Object]string{}
+	var roots []types.Object
 	var named []*types.Named // every named non-interface type, for dispatch
+	exposed := map[types.Type]bool{}
 	for p, files := range m.files {
 		for _, f := range files {
 			for _, d := range f.Decls {
-				var owner *types.Func // nil: package-level code, and init
-				if fn, ok := d.(*ast.FuncDecl); ok && (fn.Recv != nil || fn.Name.Name != "init") {
-					owner = m.info.Defs[fn.Name].(*types.Func)
-				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if fn, ok := m.info.Uses[id].(*types.Func); ok {
-							uses[owner] = append(uses[owner], fn.Origin())
-						}
-					}
-					return true
-				})
+				recordUses(m.info, d, uses)
 			}
 		}
 		internal := strings.HasPrefix(p.Path(), "dgs/internal/") || strings.HasPrefix(p.Path(), "dgs/cmd/")
 		scope := p.Scope()
 		for _, name := range scope.Names() {
-			switch obj := scope.Lookup(name).(type) {
-			case *types.Func:
+			obj := scope.Lookup(name)
+			switch {
+			case p.Path() == "dgs" && obj.Exported(), name == "main":
+				roots = append(roots, obj)
+				exposeAPI(types.Unalias(obj.Type()), exposed, &roots)
+			case internal && obj.Exported():
+				judged[obj] = p.Name() + "." + name
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n := tn.Type().(*types.Named)
+			var methods []*types.Func
+			switch u := n.Underlying().(type) {
+			case *types.Interface:
+				for i := 0; i < u.NumExplicitMethods(); i++ {
+					methods = append(methods, u.ExplicitMethod(i))
+				}
+			case *types.Struct:
+				for i := 0; i < u.NumFields(); i++ {
+					if f := u.Field(i); internal && f.Exported() && !f.Embedded() {
+						judged[f] = p.Name() + "." + name + "." + f.Name()
+					}
+				}
+			}
+			if _, ok := n.Underlying().(*types.Interface); !ok {
+				named = append(named, n)
+				for i := 0; i < n.NumMethods(); i++ {
+					methods = append(methods, n.Method(i))
+				}
+			}
+			for _, fn := range methods {
 				switch {
-				case p.Path() == "dgs" && obj.Exported(), name == "main":
-					roots = append(roots, obj)
-				case internal && obj.Exported():
-					judged = append(judged, obj)
-				}
-			case *types.TypeName:
-				n, ok := obj.Type().(*types.Named)
-				if !ok {
-					continue
-				}
-				var methods []*types.Func
-				if iface, ok := n.Underlying().(*types.Interface); ok {
-					for i := 0; i < iface.NumExplicitMethods(); i++ {
-						methods = append(methods, iface.ExplicitMethod(i))
-					}
-				} else {
-					named = append(named, n)
-					for i := 0; i < n.NumMethods(); i++ {
-						methods = append(methods, n.Method(i))
-					}
-				}
-				for _, fn := range methods {
-					switch {
-					case implementsStdlib(n, fn.Name(), std), p.Path() == "dgs" && fn.Exported():
-						roots = append(roots, fn)
-					case internal && fn.Exported():
-						judged = append(judged, fn)
-					}
+				case implementsStdlib(n, fn.Name(), std):
+					roots = append(roots, fn)
+				case internal && fn.Exported():
+					judged[fn] = funcName(fn)
 				}
 			}
 		}
 	}
 
-	live := map[*types.Func]bool{}
-	work := append([]*types.Func{nil}, roots...)
-	var mark func(fn *types.Func)
-	mark = func(fn *types.Func) {
-		if live[fn] {
+	live := map[types.Object]bool{}
+	work := []types.Object{nil}
+	var mark func(obj types.Object)
+	mark = func(obj types.Object) {
+		if live[obj] {
 			return
 		}
-		live[fn] = true
-		work = append(work, fn)
-		iface, ok := receiver(fn).Underlying().(*types.Interface)
-		if !ok {
-			return
-		}
-		for _, n := range named { // dispatch: every implementation of fn
-			ptr := types.NewPointer(n)
-			if !types.Implements(ptr, iface) {
-				continue
+		live[obj] = true
+		work = append(work, obj)
+		switch obj := obj.(type) {
+		case *types.Const, *types.Var: // a value in use uses its type
+			if n, ok := types.Unalias(obj.Type()).(*types.Named); ok {
+				mark(n.Obj())
 			}
-			if sel := types.NewMethodSet(ptr).Lookup(fn.Pkg(), fn.Name()); sel != nil {
-				mark(sel.Obj().(*types.Func))
+		case *types.Func:
+			iface, ok := receiver(obj).Underlying().(*types.Interface)
+			if !ok {
+				return
+			}
+			for _, n := range named { // dispatch: every implementation of obj
+				ptr := types.NewPointer(n)
+				if !types.Implements(ptr, iface) {
+					continue
+				}
+				if sel := types.NewMethodSet(ptr).Lookup(obj.Pkg(), obj.Name()); sel != nil {
+					mark(sel.Obj())
+				}
 			}
 		}
 	}
+	for _, r := range roots {
+		mark(r)
+	}
 	for len(work) > 0 {
-		fn := work[len(work)-1]
+		obj := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, u := range uses[fn] {
+		for _, u := range uses[obj] {
 			mark(u)
 		}
 	}
 	var out []string
-	for _, fn := range judged {
-		if !live[fn] {
-			out = append(out, funcName(fn))
+	for obj, name := range judged {
+		if !live[obj] {
+			out = append(out, name)
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// exposeAPI appends to roots what code outside the module reaches through
+// t, a type the root package's exported API hands out: its named types and,
+// recursively, their exported methods and fields and the types those hand
+// out in turn.
+func exposeAPI(t types.Type, seen map[types.Type]bool, roots *[]types.Object) {
+	if seen[t] {
+		return
+	}
+	seen[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		*roots = append(*roots, t.Obj())
+		for i := 0; i < t.NumMethods(); i++ {
+			if fn := t.Method(i); fn.Exported() {
+				*roots = append(*roots, fn)
+				exposeAPI(fn.Type(), seen, roots)
+			}
+		}
+		exposeAPI(t.Underlying(), seen, roots)
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if f := t.Field(i); f.Exported() {
+				*roots = append(*roots, f)
+				exposeAPI(f.Type(), seen, roots)
+			}
+		}
+	case *types.Interface:
+		for i := 0; i < t.NumMethods(); i++ {
+			*roots = append(*roots, t.Method(i))
+			exposeAPI(t.Method(i).Type(), seen, roots)
+		}
+	case *types.Signature:
+		for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+			for i := 0; i < tuple.Len(); i++ {
+				exposeAPI(tuple.At(i).Type(), seen, roots)
+			}
+		}
+	case *types.Pointer:
+		exposeAPI(t.Elem(), seen, roots)
+	case *types.Slice:
+		exposeAPI(t.Elem(), seen, roots)
+	case *types.Array:
+		exposeAPI(t.Elem(), seen, roots)
+	case *types.Map:
+		exposeAPI(t.Key(), seen, roots)
+		exposeAPI(t.Elem(), seen, roots)
+	case *types.Chan:
+		exposeAPI(t.Elem(), seen, roots)
+	}
+}
+
+// recordUses adds to uses what the code of one top-level declaration reads
+// of the module, keyed by the declaration's object: a function's signature
+// and body, a type's definition, a constant's value. Variable initializers
+// and init run unconditionally, so they are keyed by nil. A field or
+// variable that is only written, as a composite-literal key or on the left
+// of a plain assignment, is not read; an address taken (how flags bind) or
+// a compound assignment is.
+func recordUses(info *types.Info, d ast.Decl, uses map[types.Object][]types.Object) {
+	type part struct {
+		owners []types.Object
+		code   ast.Node
+	}
+	var parts []part
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		var owner types.Object // nil for init
+		if d.Recv != nil || d.Name.Name != "init" {
+			owner = info.Defs[d.Name]
+		}
+		parts = append(parts, part{[]types.Object{owner}, d})
+	case *ast.GenDecl:
+		for _, s := range d.Specs {
+			switch s := s.(type) {
+			case *ast.TypeSpec:
+				parts = append(parts, part{[]types.Object{info.Defs[s.Name]}, s})
+			case *ast.ValueSpec:
+				owners := []types.Object{nil}
+				if d.Tok == token.CONST {
+					owners = owners[:0]
+					for _, id := range s.Names {
+						owners = append(owners, info.Defs[id])
+					}
+				}
+				parts = append(parts, part{owners, s})
+			}
+		}
+	}
+	for _, p := range parts {
+		written := map[*ast.Ident]bool{}
+		ast.Inspect(p.code, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+						written[id] = true
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN {
+					for _, lhs := range n.Lhs {
+						switch l := ast.Unparen(lhs).(type) {
+						case *ast.Ident:
+							written[l] = true
+						case *ast.SelectorExpr:
+							written[l.Sel] = true
+						}
+					}
+				}
+			case *ast.Ident:
+				obj := info.Uses[n]
+				if obj == nil || written[n] || obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path()+"/", "dgs/") {
+					return true
+				}
+				switch o := obj.(type) {
+				case *types.Func:
+					obj = o.Origin()
+				case *types.Var:
+					if !o.IsField() && o.Parent() != o.Pkg().Scope() {
+						return true // a local
+					}
+					obj = o.Origin()
+				}
+				for _, owner := range p.owners {
+					uses[owner] = append(uses[owner], obj)
+				}
+			}
+			return true
+		})
+	}
 }
 
 // stdlibInterfaceTypes type-checks stdlibInterfaces and returns its types.
