@@ -16,7 +16,7 @@
 //	dgs worker -addr 127.0.0.1:7000 -id 1 -workers 2
 //
 // `dgs <subcommand> -help` lists one subcommand's flags. Configuration that
-// several subcommands take is registered by one flag group each (geometry,
+// several subcommands take is registered by one flag group each (workload,
 // service, dial policy, admission, training, telemetry), so a flag means
 // the same thing and has the same default wherever it appears. Output and
 // error lines keep their per-role tags (dgs-server:, dgs-worker N:,
@@ -34,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"dgs"
 	"dgs/internal/nn"
 	"dgs/internal/telemetry"
 	"dgs/internal/tensor"
@@ -107,38 +106,55 @@ func pick[T any](kind, s, canonical string, choices map[string]T) (T, error) {
 	return v, nil
 }
 
-// geometry is the ResNetS shape every process of one deployment must
-// agree on; -hw is both spatial dimensions.
-type geometry struct{ classes, inC, hw int }
+// workload is the task every process of one deployment must agree on: the
+// model, and the dataset whose input shape and classes size it.
+type workload struct{ model, dataset string }
 
-func (g *geometry) register(fs *flag.FlagSet) {
-	fs.IntVar(&g.classes, "classes", 10, "model output classes (must match every peer)")
-	fs.IntVar(&g.inC, "inc", 3, "input channels")
-	fs.IntVar(&g.hw, "hw", 16, "input spatial size")
+func (w *workload) register(fs *flag.FlagSet) {
+	fs.StringVar(&w.model, "model", "resnets", "model: resnets|cnn|mlp (every process must agree)")
+	fs.StringVar(&w.dataset, "dataset", "cifar", "dataset: cifar|imagenet|mixture|spirals (every process must agree)")
 }
 
-func (g geometry) resnet() nn.ResNetSConfig {
-	cfg := nn.DefaultResNetS(g.classes)
-	cfg.InC = g.inC
-	return cfg
+// spec is s with the workload's model and dataset.
+func (w workload) spec(s trainer.Spec) trainer.Spec {
+	s.Model = must(pick("model", w.model, "resnets|cnn|mlp", models))
+	s.Dataset = must(pick("dataset", w.dataset, "cifar|imagenet|mixture|spirals", datasets))
+	return s
 }
 
-// model builds the geometry's model; servers, aggregators and replicas
-// read only its shape, so the initialisation seed does not matter.
-func (g geometry) model() *nn.Model { return nn.NewResNetS(tensor.NewRNG(1), g.resnet()) }
+// build builds the workload's model as trainer.Build does; servers,
+// aggregators and replicas read only its shape, so the seed does not
+// matter.
+func (w workload) build() *nn.Model {
+	cfg := must(trainer.Build(w.spec(trainer.Spec{})))
+	return cfg.BuildModel(tensor.NewRNG(1))
+}
+
+var (
+	models = map[string]trainer.ModelKind{
+		"resnets": trainer.ModelResNetS, "resnet": trainer.ModelResNetS,
+		"cnn": trainer.ModelCNN, "mlp": trainer.ModelMLP,
+	}
+	datasets = map[string]trainer.DatasetKind{
+		"cifar": trainer.DatasetCIFARLike, "cifar-like": trainer.DatasetCIFARLike,
+		"imagenet": trainer.DatasetImageNetLike, "imagenet-like": trainer.DatasetImageNetLike,
+		"mixture": trainer.DatasetMixture, "spirals": trainer.DatasetSpirals,
+	}
+)
 
 // service is what the long-running processes (server, agg, replica) share:
-// the model geometry, the dirty-tracking block size, telemetry, and a
-// foreground loop that prints stats until SIGINT or SIGTERM.
+// the workload that sizes the model, the dirty-tracking block size,
+// telemetry, and a foreground loop that prints stats until SIGINT or
+// SIGTERM.
 type service struct {
-	geometry
+	workload
 	blockSize  int
 	metrics    string
 	statsEvery time.Duration
 }
 
 func (s *service) register(fs *flag.FlagSet, metrics string) {
-	s.geometry.register(fs)
+	s.workload.register(fs)
 	fs.IntVar(&s.blockSize, "block-size", 0, "dirty-tracking block size in elements (power of two; 0 = auto-tune from the layer geometry)")
 	metricsFlag(fs, &s.metrics, metrics)
 	fs.DurationVar(&s.statsEvery, "stats", 10*time.Second, "stats print interval")
@@ -236,16 +252,18 @@ func (a admission) drain(s os.Signal, drain func(context.Context) error) {
 	}
 }
 
-// training holds the flags train and worker share. Most bind straight to
-// the dgs.Config field of the same meaning; the method name and the
-// float32 rates are converted once parsed.
+// training holds the run flags train and worker share, the workload among
+// them. Most bind straight to the trainer.Spec field of the same meaning;
+// the names and the float32 rates are resolved once parsed.
 type training struct {
-	dgs.Config
+	trainer.Spec
+	workload
 	method       string
 	lr, momentum float64
 }
 
 func (t *training) register(fs *flag.FlagSet) {
+	t.workload.register(fs)
 	fs.StringVar(&t.method, "method", "dgs", "training method: "+methodNames)
 	fs.IntVar(&t.Workers, "workers", 4, "number of asynchronous workers (every worker process must agree)")
 	fs.IntVar(&t.BatchSize, "batch", 8, "per-worker batch size")
@@ -256,6 +274,14 @@ func (t *training) register(fs *flag.FlagSet) {
 	fs.StringVar(&t.Codec, "codec", "raw", "wire compression backend (raw|sbc); sbc folds its error into the residual state")
 	fs.Uint64Var(&t.Seed, "seed", 1, "random seed (workers must share it for identical θ0)")
 	fs.IntVar(&t.PipelineDepth, "pipeline", 1, "in-flight exchanges per worker (1 = synchronous, >1 overlaps comm with compute)")
+}
+
+// resolve is the parsed run as the Spec trainer.Build takes.
+func (t training) resolve() trainer.Spec {
+	s := t.workload.spec(t.Spec)
+	s.Method = must(pick("method", t.method, methodNames, methods))
+	s.LR, s.Momentum = float32(t.lr), float32(t.momentum)
+	return s
 }
 
 // methods names the training methods; gd and dgc also answer to their

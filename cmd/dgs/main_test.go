@@ -7,11 +7,15 @@ import (
 	"os"
 	"path"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"dgs/internal/nn"
 	"dgs/internal/sparse"
+	"dgs/internal/tensor"
+	"dgs/internal/trainer"
 )
 
 // flagSet builds a subcommand's flags without running it.
@@ -82,6 +86,74 @@ func TestBlockShift(t *testing.T) {
 		shift, err := blockShift(c.size)
 		if (err == nil) != c.ok || shift != c.shift {
 			t.Errorf("blockShift(%d) = %d, %v; want %d, ok=%v", c.size, shift, err, c.shift, c.ok)
+		}
+	}
+}
+
+// TestOneWorkloadEveryRole: every process of a deployment reads the same
+// run description. For every model × dataset pair that trainer.Build
+// accepts, and for the defaults, each role parses -model and -dataset and
+// sizes its model as the worker's Build does; the default is the ResNetS
+// of 10 classes on 3 channels; worker and train share every run flag with
+// one default; and no role keeps the retired -classes, -inc or -hw.
+func TestOneWorkloadEveryRole(t *testing.T) {
+	resnet := nn.DefaultResNetS(10)
+	resnet.InC = 3
+	defaults := nn.NewResNetS(tensor.NewRNG(1), resnet).LayerSizes()
+	argSets := [][]string{nil}
+	for m := range models {
+		for d := range datasets {
+			argSets = append(argSets, []string{"-model", m, "-dataset", d})
+		}
+	}
+	for _, args := range argSets {
+		var tr training
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		tr.register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := trainer.Build(tr.resolve())
+		if err != nil {
+			continue // a pair Build refuses, such as an MLP on images
+		}
+		want := cfg.BuildModel(tensor.NewRNG(1)).LayerSizes()
+		if args == nil && !slices.Equal(want, defaults) {
+			t.Errorf("default workload has layers %v, want the ResNetS of 10 classes on 3 channels %v", want, defaults)
+		}
+		for _, role := range []string{"server", "agg", "replica", "worker", "train"} {
+			fs := flagSet(t, role)
+			if err := fs.Parse(args); err != nil {
+				t.Errorf("dgs %s %v: %v", role, args, err)
+				continue
+			}
+			w := workload{fs.Lookup("model").Value.String(), fs.Lookup("dataset").Value.String()}
+			if got := w.build().LayerSizes(); !slices.Equal(got, want) {
+				t.Errorf("dgs %s %v: layers %v, the worker builds %v", role, args, got, want)
+			}
+		}
+	}
+
+	var tr training
+	shared := flag.NewFlagSet("", flag.ContinueOnError)
+	tr.register(shared)
+	worker, train := flagSet(t, "worker"), flagSet(t, "train")
+	worker.VisitAll(func(f *flag.Flag) {
+		if g := train.Lookup(f.Name); g != nil && (g.DefValue != f.DefValue || g.Usage != f.Usage) {
+			t.Errorf("-%s: worker default %q (%s), train default %q (%s)", f.Name, f.DefValue, f.Usage, g.DefValue, g.Usage)
+		}
+	})
+	shared.VisitAll(func(f *flag.Flag) {
+		if worker.Lookup(f.Name) == nil || train.Lookup(f.Name) == nil {
+			t.Errorf("-%s: a run flag that worker and train do not both define", f.Name)
+		}
+	})
+	for _, name := range commandNames() {
+		fs := flagSet(t, name)
+		for _, retired := range []string{"classes", "inc", "hw"} {
+			if fs.Lookup(retired) != nil {
+				t.Errorf("dgs %s still defines -%s; -model and -dataset replace it", name, retired)
+			}
 		}
 	}
 }

@@ -28,7 +28,7 @@ type psServer interface {
 }
 
 // serverCmd runs a standalone parameter server over TCP. Workers connect
-// with matching geometry flags so the layer sizes agree.
+// with the same -model and -dataset so the layer sizes agree.
 func serverCmd(fs *flag.FlagSet) func() {
 	var svc service
 	var adm admission
@@ -48,7 +48,7 @@ func serverCmd(fs *flag.FlagSet) func() {
 	svc.register(fs, "127.0.0.1:9090")
 	adm.register(fs)
 	return func() {
-		model := svc.model()
+		model := svc.build()
 		cfg := ps.Config{
 			LayerSizes:     model.LayerSizes(),
 			Workers:        *workers,
@@ -204,7 +204,7 @@ func checkpoints(server psServer, w *checkpoint.Writer, st *checkpoint.State, ev
 // pushes into one combined push per window, forwards it to the upstream
 // `dgs server` over a single pipelined connection, and fans the downward
 // diffs back out from a local mirror. Workers point their -addr at this
-// process instead of the server; geometry flags must match both sides.
+// process instead of the server; -model and -dataset must match both sides.
 func aggCmd(fs *flag.FlagSet) func() {
 	var svc service
 	var adm admission
@@ -221,7 +221,7 @@ func aggCmd(fs *flag.FlagSet) func() {
 	return func() {
 		defer startMetrics(svc.metrics, "dgs-agg", nil)()
 		a, err := agg.New(agg.Config{
-			LayerSizes:     svc.model().LayerSizes(),
+			LayerSizes:     svc.build().LayerSizes(),
 			MaxWorkers:     *maxWork,
 			Window:         *windowSize,
 			WindowWait:     *window,
@@ -297,7 +297,7 @@ func replicaCmd(fs *flag.FlagSet) func() {
 	return func() {
 		defer startMetrics(svc.metrics, "dgs-replica", nil)()
 		r, err := replica.New(replica.Config{
-			LayerSizes:   svc.model().LayerSizes(),
+			LayerSizes:   svc.build().LayerSizes(),
 			Worker:       *worker,
 			Dial:         replica.DialStack(dial.Addr, dial.Timeout, dial.Retries, dial.Backoff, dial.MaxBackoff),
 			Codec:        *codec,

@@ -5,26 +5,20 @@ import (
 	"fmt"
 	"os"
 
-	"dgs"
-	"dgs/internal/data"
-	"dgs/internal/nn"
 	"dgs/internal/stats"
-	"dgs/internal/tensor"
 	"dgs/internal/trainer"
 	"dgs/internal/transport"
 )
 
 // workerCmd runs one training worker against `dgs server` or `dgs agg`.
-// Geometry flags must match the server's.
+// Its -model and -dataset must match the server's.
 func workerCmd(fs *flag.FlagSet) func() {
-	var geo geometry
 	var tr training
 	var dial trainer.DialOptions
 	var faults transport.FaultConfig
 	var metrics string
 	id := fs.Int("id", 0, "this worker's id (0..workers-1)")
 	rejoins := fs.Int("rejoins", 0, "crash-recovery budget: restart the loop as a fresh incarnation this many times")
-	geo.register(fs)
 	tr.register(fs)
 	dialFlags(fs, &dial, "addr")
 	fs.Float64Var(&faults.DropBeforeSend, "fault-drop", 0, "inject: P(request dropped before send)")
@@ -36,21 +30,7 @@ func workerCmd(fs *flag.FlagSet) func() {
 	metricsFlag(fs, &metrics, "")
 	return func() {
 		defer startMetrics(metrics, fmt.Sprintf("dgs-worker %d", *id), nil)()
-		m := must(pick("method", tr.method, methodNames, methods))
-
-		dcfg := data.CIFARLike(tr.Seed)
-		dcfg.C, dcfg.H, dcfg.W = geo.inC, geo.hw, geo.hw
-		dcfg.Classes = geo.classes
-		cfg := trainer.Config{
-			Method: m, Workers: tr.Workers, BatchSize: tr.BatchSize, Epochs: tr.Epochs,
-			LR: float32(tr.lr), LRDecayAt: []int{tr.Epochs * 6 / 10, tr.Epochs * 8 / 10},
-			Momentum: float32(tr.momentum), KeepRatio: tr.KeepRatio,
-			Codec: tr.Codec,
-			Seed:  tr.Seed, Dataset: data.NewSyntheticImages(dcfg),
-			BuildModel:    func(rng *tensor.RNG) *nn.Model { return nn.NewResNetS(rng, geo.resnet()) },
-			EvalLimit:     512,
-			PipelineDepth: tr.PipelineDepth,
-		}
+		cfg := must(trainer.Build(tr.resolve()))
 
 		// Transport stack: trainer.NewDialStack builds the one client — a
 		// PipelinedSession with -pipeline exchanges in flight over wire-v2
@@ -64,7 +44,7 @@ func workerCmd(fs *flag.FlagSet) func() {
 		}
 		dial.Pipeline = tr.PipelineDepth
 
-		fmt.Printf("dgs-worker %d: connecting to %s, method=%s\n", *id, dial.Addr, m)
+		fmt.Printf("dgs-worker %d: connecting to %s, method=%s\n", *id, dial.Addr, cfg.Method)
 		res := must(trainer.RunResilientWorkerLoop(cfg, *id, trainer.NewDialStack(dial), *rejoins))
 		fmt.Printf("dgs-worker %d: done, %d iterations, final loss %.4f\n", *id, res.Iterations, res.Loss.Last().Y)
 		if *id == 0 {
@@ -72,18 +52,6 @@ func workerCmd(fs *flag.FlagSet) func() {
 		}
 	}
 }
-
-var (
-	models = map[string]dgs.ModelKind{
-		"resnets": dgs.ModelResNetS, "resnet": dgs.ModelResNetS,
-		"cnn": dgs.ModelCNN, "mlp": dgs.ModelMLP,
-	}
-	datasets = map[string]dgs.DatasetKind{
-		"cifar": dgs.DatasetCIFARLike, "cifar-like": dgs.DatasetCIFARLike,
-		"imagenet": dgs.DatasetImageNetLike, "imagenet-like": dgs.DatasetImageNetLike,
-		"mixture": dgs.DatasetMixture, "spirals": dgs.DatasetSpirals,
-	}
-)
 
 // trainCmd runs one training configuration in process (or over loopback
 // TCP with -tcp) and prints the learning curve and summary statistics.
@@ -94,8 +62,6 @@ var (
 func trainCmd(fs *flag.FlagSet) func() {
 	var tr training
 	tr.register(fs)
-	model := fs.String("model", "resnets", "model: resnets|cnn|mlp")
-	dataset := fs.String("dataset", "cifar", "dataset: cifar|imagenet|mixture|spirals")
 	clip := fs.Float64("clip", 0, "global-norm gradient clip (0 = off)")
 	wd := fs.Float64("wd", 0, "L2 weight decay (0 = off)")
 	fs.BoolVar(&tr.Secondary, "secondary", false, "enable downward secondary compression")
@@ -107,15 +73,10 @@ func trainCmd(fs *flag.FlagSet) func() {
 	metricsFlag(fs, &tr.MetricsAddr, "")
 	csv := fs.String("csv", "", "write loss/accuracy curves to this CSV file")
 	return func() {
-		tr.Method = must(pick("method", tr.method, methodNames, methods))
-		tr.Model = must(pick("model", *model, "resnets|cnn|mlp", models))
-		tr.Dataset = must(pick("dataset", *dataset, "cifar|imagenet|mixture|spirals", datasets))
-		tr.LR, tr.Momentum = float32(tr.lr), float32(tr.momentum)
 		tr.GradClip, tr.WeightDecay = float32(*clip), float32(*wd)
+		res := must(trainer.Run(must(trainer.Build(tr.resolve()))))
 
-		res := must(dgs.Train(tr.Config))
-
-		fmt.Printf("method=%s workers=%d model=%s dataset=%s\n", res.Method, tr.Workers, *model, *dataset)
+		fmt.Printf("method=%s workers=%d model=%s dataset=%s\n", res.Method, tr.Workers, tr.model, tr.dataset)
 		fmt.Println("\nTraining loss vs epoch:")
 		fmt.Print(stats.AsciiPlot(72, 16, res.Loss))
 		fmt.Println("\nTest accuracy vs epoch:")

@@ -165,8 +165,10 @@ type Result struct {
 	// AvgUpBytes/AvgDownBytes are mean bytes per iteration, used to drive
 	// the network simulator for the wall-clock experiments.
 	AvgUpBytes, AvgDownBytes float64
-	// Server reports staleness statistics.
-	Server ps.Stats
+	// MeanStaleness and MaxStaleness summarise the asynchrony the server
+	// observed.
+	MeanStaleness float64
+	MaxStaleness  uint64
 	// ServerStateBytes and WorkerStateBytes report memory (paper §5.6.2).
 	ServerStateBytes, WorkerStateBytes int
 	// ComputePerIter is the mean measured forward+backward seconds per
@@ -416,7 +418,11 @@ func Run(cfg Config) (*Result, error) {
 		res.AvgUpBytes = float64(res.BytesUp) / float64(n)
 		res.AvgDownBytes = float64(res.BytesDown) / float64(n)
 	}
-	res.Server = server.Stats()
+	st := server.Stats()
+	res.MaxStaleness = st.MaxStaleness
+	if st.Pushes > 0 {
+		res.MeanStaleness = float64(st.StalenessSum) / float64(st.Pushes)
+	}
 	res.ServerStateBytes = server.StateBytes()
 	res.ComputePerIter = float64(computeNanos.Load()) / 1e9 / float64(max(totalIters, 1))
 
