@@ -17,11 +17,11 @@
 //
 // `dgs <subcommand> -help` lists one subcommand's flags. Configuration that
 // several subcommands take is registered by one flag group each (workload,
-// service, dial policy, admission, training, telemetry), so a flag means
-// the same thing and has the same default wherever it appears. Output and
-// error lines keep their per-role tags (dgs-server:, dgs-worker N:,
-// dgs-agg:, dgs-replica:, dgs-train:, dgs-bench:, dgs-plot:), so log
-// scrapers still tell the roles apart.
+// fleet, server, service, dial policy, admission, training, telemetry), so
+// a flag means the same thing and has the same default wherever it
+// appears. Output and error lines keep their per-role tags (dgs-server:,
+// dgs-worker N:, dgs-agg:, dgs-replica:, dgs-train:, dgs-bench:,
+// dgs-plot:), so log scrapers still tell the roles apart.
 package main
 
 import (
@@ -252,20 +252,65 @@ func (a admission) drain(s os.Signal, drain func(context.Context) error) {
 	}
 }
 
-// training holds the run flags train and worker share, the workload among
-// them. Most bind straight to the trainer.Spec field of the same meaning;
-// the names and the float32 rates are resolved once parsed.
+// fleet holds what the server and every worker of one run must agree on
+// besides the workload: the method, which decides what the server sends
+// down (ASGD the whole model, the sparse methods M − v_k), and the number
+// of workers. server, worker and train register it.
+type fleet struct{ method string }
+
+func (f *fleet) register(fs *flag.FlagSet, s *trainer.Spec) {
+	fs.StringVar(&f.method, "method", "dgs", "training method: "+methodNames+" (the server and every worker must agree)")
+	fs.IntVar(&s.Workers, "workers", 4, "number of asynchronous workers (the server and every worker must agree)")
+}
+
+// spec is s with the workload's model and dataset and the fleet's method.
+func (f fleet) spec(w workload, s trainer.Spec) trainer.Spec {
+	s = w.spec(s)
+	s.Method = must(pick("method", f.method, methodNames, methods))
+	return s
+}
+
+// serverFlags registers the parameter server's layout and downward
+// compression, which server and train take.
+func serverFlags(fs *flag.FlagSet, s *trainer.Spec) {
+	fs.BoolVar(&s.Secondary, "secondary", false, "enable downward secondary compression")
+	fs.Float64Var(&s.SecondaryRatio, "ratio", 0.01, "secondary compression keep ratio")
+	fs.IntVar(&s.Shards, "shards", 1, "parameter-server shards (in one process, a few percent faster than 1 at most)")
+}
+
+// serving is the run as `dgs server` reads it: the service flags with the
+// workload, the fleet and the server flags.
+type serving struct {
+	trainer.Spec
+	service
+	fleet
+}
+
+func (s *serving) register(fs *flag.FlagSet) {
+	s.service.register(fs, "127.0.0.1:9090")
+	s.fleet.register(fs, &s.Spec)
+	serverFlags(fs, &s.Spec)
+}
+
+// config is the run's Config, which trainer.NewServer builds the server
+// from.
+func (s serving) config() trainer.Config {
+	return must(trainer.Build(s.fleet.spec(s.workload, s.Spec)))
+}
+
+// training holds the run flags train and worker share, the workload and
+// the fleet among them. Most bind straight to the trainer.Spec field of the
+// same meaning; the names and the float32 rates are resolved once parsed.
 type training struct {
 	trainer.Spec
 	workload
-	method       string
+	fleet
 	lr, momentum float64
 }
 
 func (t *training) register(fs *flag.FlagSet) {
 	t.workload.register(fs)
-	fs.StringVar(&t.method, "method", "dgs", "training method: "+methodNames)
-	fs.IntVar(&t.Workers, "workers", 4, "number of asynchronous workers (every worker process must agree)")
+	t.fleet.register(fs, &t.Spec)
 	fs.IntVar(&t.BatchSize, "batch", 8, "per-worker batch size")
 	fs.IntVar(&t.Epochs, "epochs", 6, "training epochs (total across workers)")
 	fs.Float64Var(&t.lr, "lr", 0.1, "initial learning rate")
@@ -278,8 +323,7 @@ func (t *training) register(fs *flag.FlagSet) {
 
 // resolve is the parsed run as the Spec trainer.Build takes.
 func (t training) resolve() trainer.Spec {
-	s := t.workload.spec(t.Spec)
-	s.Method = must(pick("method", t.method, methodNames, methods))
+	s := t.fleet.spec(t.workload, t.Spec)
 	s.LR, s.Momentum = float32(t.lr), float32(t.momentum)
 	return s
 }

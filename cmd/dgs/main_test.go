@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path"
+	"reflect"
 	"regexp"
 	"slices"
 	"sort"
@@ -95,7 +96,9 @@ func TestBlockShift(t *testing.T) {
 // accepts, and for the defaults, each role parses -model and -dataset and
 // sizes its model as the worker's Build does; the default is the ResNetS
 // of 10 classes on 3 channels; worker and train share every run flag with
-// one default; and no role keeps the retired -classes, -inc or -hw.
+// one default; no role keeps the retired -classes, -inc, -hw or
+// -dense-down; and for every method, with and without Eq. 6 and sharded,
+// `dgs server` builds the ps.Config and shard count `dgs train` runs.
 func TestOneWorkloadEveryRole(t *testing.T) {
 	resnet := nn.DefaultResNetS(10)
 	resnet.InC = 3
@@ -150,9 +153,49 @@ func TestOneWorkloadEveryRole(t *testing.T) {
 	})
 	for _, name := range commandNames() {
 		fs := flagSet(t, name)
-		for _, retired := range []string{"classes", "inc", "hw"} {
+		for _, retired := range []string{"classes", "inc", "hw", "dense-down"} {
 			if fs.Lookup(retired) != nil {
-				t.Errorf("dgs %s still defines -%s; -model and -dataset replace it", name, retired)
+				t.Errorf("dgs %s still defines -%s; -model, -dataset and -method replace it", name, retired)
+			}
+		}
+	}
+
+	// The server side of one run: server, worker and train define the fleet
+	// flags alike, server and train the server flags, and the parameter
+	// server `dgs server` builds is the one `dgs train` runs in process.
+	sameFlags := func(names []string, roles ...string) {
+		for _, name := range names {
+			first := flagSet(t, roles[0]).Lookup(name)
+			for _, role := range roles {
+				f := flagSet(t, role).Lookup(name)
+				if f == nil || first == nil || f.DefValue != first.DefValue || f.Usage != first.Usage {
+					t.Errorf("-%s: dgs %s defines %+v, dgs %s %+v", name, roles[0], first, role, f)
+				}
+			}
+		}
+	}
+	sameFlags([]string{"method", "workers"}, "server", "worker", "train")
+	sameFlags([]string{"secondary", "ratio", "shards"}, "server", "train")
+	for m := range methods {
+		for _, extra := range [][]string{nil, {"-secondary", "-ratio", "0.05"}, {"-shards", "2"}} {
+			args := append([]string{"-method", m, "-workers", "3", "-model", "mlp", "-dataset", "mixture"}, extra...)
+			var sv serving
+			var tr training
+			sfs, tfs := flag.NewFlagSet("", flag.ContinueOnError), flag.NewFlagSet("", flag.ContinueOnError)
+			sv.register(sfs)
+			tr.register(tfs)
+			serverFlags(tfs, &tr.Spec)
+			if err := sfs.Parse(args); err != nil {
+				t.Fatal(err)
+			}
+			if err := tfs.Parse(args); err != nil {
+				t.Fatal(err)
+			}
+			scfg, tcfg := sv.config(), must(trainer.Build(tr.resolve()))
+			got := trainer.ServerConfig(&scfg, scfg.BuildModel(tensor.NewRNG(1)).LayerSizes())
+			want := trainer.ServerConfig(&tcfg, tcfg.BuildModel(tensor.NewRNG(1)).LayerSizes())
+			if !reflect.DeepEqual(got, want) || scfg.Shards != tcfg.Shards {
+				t.Errorf("%v: dgs server builds %+v with %d shard(s), dgs train %+v with %d", args, got, scfg.Shards, want, tcfg.Shards)
 			}
 		}
 	}

@@ -11,83 +11,52 @@ import (
 
 	"dgs/internal/agg"
 	"dgs/internal/checkpoint"
-	"dgs/internal/ps"
 	"dgs/internal/replica"
 	"dgs/internal/telemetry"
+	"dgs/internal/tensor"
 	"dgs/internal/trainer"
 	"dgs/internal/transport"
 )
 
-// psServer is the server surface `dgs server` drives; both ps.Server and
-// ps.ShardedServer satisfy it.
-type psServer interface {
-	ps.Pusher
-	NewCaptureState() *checkpoint.State
-	Capture(*checkpoint.State) (checkpoint.CaptureStats, error)
-	Timestamp() uint64
-}
-
-// serverCmd runs a standalone parameter server over TCP. Workers connect
-// with the same -model and -dataset so the layer sizes agree.
+// serverCmd runs a standalone parameter server over TCP, built from the
+// run's description as trainer.Run builds its own: workers connect with the
+// same -model, -dataset, -method and -workers, and the method decides what
+// the server sends down.
 func serverCmd(fs *flag.FlagSet) func() {
-	var svc service
+	var sv serving
 	var adm admission
 	addr := fs.String("addr", "127.0.0.1:7000", "listen address")
-	workers := fs.Int("workers", 4, "number of workers that will attach")
-	secondary := fs.Bool("secondary", false, "enable downward secondary compression")
-	ratio := fs.Float64("ratio", 0.01, "secondary compression keep ratio")
-	denseDown := fs.Bool("dense-down", false, "ship the whole model downward (ASGD mode)")
 	codec := fs.String("codec", "mirror", "downward wire codec policy: mirror (answer in the request's codec) or a codec name (raw|sbc) forced on lossy requests; raw requests and drains are answered raw")
-	shards := fs.Int("shards", 1, "partition layers across this many lock-independent shards (in one process, a few percent faster than 1 at most)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-exchange deadline (0 disables)")
 	ckptDir := fs.String("checkpoint-dir", "", "directory for crash-recovery checkpoints (empty disables; restores the latest on start)")
 	ckptEvery := fs.Duration("checkpoint-interval", 30*time.Second, "asynchronous checkpoint interval")
 	ckptKeep := fs.Int("checkpoint-keep", 3, "checkpoints retained on disk")
 	manifestPath := fs.String("manifest", "", "periodically write the JSON run manifest to this file")
 	manifestEvery := fs.Duration("manifest-every", 10*time.Second, "manifest write interval")
-	svc.register(fs, "127.0.0.1:9090")
+	sv.register(fs)
 	adm.register(fs)
 	return func() {
-		model := svc.build()
-		cfg := ps.Config{
-			LayerSizes:     model.LayerSizes(),
-			Workers:        *workers,
-			Secondary:      *secondary,
-			SecondaryRatio: *ratio,
-			DenseDownward:  *denseDown,
-			BlockShift:     svc.blockShift(),
-		}
+		cfg := sv.config()
+		model := cfg.BuildModel(tensor.NewRNG(1))
 		// Restart recovery: when a checkpoint directory is configured and
 		// holds a readable snapshot, the server resumes from it instead of
 		// θ0 — the session layer's fresh incarnation id then makes every
 		// reconnecting worker detect the restart and resync.
 		st, path := latestCheckpoint(*ckptDir)
-		var server psServer
-		var err error
-		switch {
-		case st != nil && *shards > 1:
-			server, err = ps.RestoreShardedServer(cfg, *shards, st)
-		case st != nil:
-			server, err = ps.RestoreServer(cfg, st)
-		case *shards > 1:
-			server = ps.NewShardedServer(cfg, *shards)
-		default:
-			server = ps.NewServer(cfg)
-		}
+		server, err := trainer.NewServer(&cfg, model.LayerSizes(), sv.blockShift(), st)
 		fatalIf(err, "restore "+path)
 		// The exactly-once session layer makes worker retries safe (replayed
 		// pushes answer from cache instead of re-applying) and resyncs
 		// crashed-and-rejoined workers with a dense snapshot. The admission
 		// gate sits outside it so shed pushes never consume session state.
-		eo, err := trainer.ExactlyOnceHandlerWithCodec(server, *codec)
-		fatalIf(err, "codec policy")
-		gate := transport.NewGate(eo.Handle, adm.maxInflight)
-		gate.RetryHint, gate.DrainHint = adm.retryHint, adm.drainTimeout
-		srv := must(transport.ListenTCP(*addr, gate.Handle))
-		srv.SetExchangeTimeout(*timeout)
-		defer srv.Close()
-		fmt.Printf("dgs-server: listening on %s (%d params, %d workers, %d shard(s), secondary=%v, codec=%s)\n",
-			srv.Addr(), model.NumParams(), *workers, *shards, *secondary, *codec)
+		ep, err := trainer.Serve(server, trainer.ServeOptions{
+			Addr: *addr, Policy: *codec, Timeout: *timeout,
+			MaxInflight: adm.maxInflight, RetryHint: adm.retryHint, DrainHint: adm.drainTimeout,
+		})
+		fatalIf(err, "serve")
+		defer ep.TCP.Close()
+		fmt.Printf("dgs-server: listening on %s (method=%s, %d params, %d workers, %d shard(s), secondary=%v, codec=%s)\n",
+			ep.TCP.Addr(), cfg.Method, model.NumParams(), cfg.Workers, cfg.Shards, cfg.Secondary, *codec)
 		if st != nil {
 			fmt.Printf("dgs-server: restored state from %s (t=%d)\n", path, server.Timestamp())
 			if st.Codec != "" && st.Codec != *codec {
@@ -111,31 +80,31 @@ func serverCmd(fs *flag.FlagSet) func() {
 
 		manifest := telemetry.NewManifest(nil)
 		for k, v := range map[string]any{
-			"role": "server", "workers": *workers, "params": model.NumParams(),
-			"secondary": *secondary, "secondary_ratio": *ratio, "dense_downward": *denseDown,
-			"codec": *codec, "shards": *shards, "addr": srv.Addr(),
+			"role": "server", "method": cfg.Method.String(), "workers": cfg.Workers, "params": model.NumParams(),
+			"secondary": cfg.Secondary, "secondary_ratio": cfg.SecondaryRatio,
+			"codec": *codec, "shards": cfg.Shards, "addr": ep.TCP.Addr(),
 		} {
 			manifest.Set(k, v)
 		}
-		defer startMetrics(svc.metrics, "dgs-server", manifest)()
+		defer startMetrics(sv.metrics, "dgs-server", manifest)()
 		if *manifestPath != "" {
 			stop := manifest.StartPeriodic(*manifestPath, *manifestEvery)
 			defer stop()
 		}
 
-		svc.run(func() {
+		sv.run(func() {
 			st := server.Stats()
 			mean := float64(st.StalenessSum) / float64(max(st.Pushes, 1))
-			ss := eo.Stats()
+			ss := ep.Sessions.Stats()
 			fmt.Printf("dgs-server: pushes=%d staleness(mean=%.2f max=%d) traffic(up=%dKB down=%dKB) sessions(joins=%d replays=%d stale=%d resyncs=%d)\n",
-				st.Pushes, mean, st.MaxStaleness, srv.Traffic.Up()/1000, srv.Traffic.Down()/1000,
+				st.Pushes, mean, st.MaxStaleness, ep.TCP.Traffic.Up()/1000, ep.TCP.Traffic.Down()/1000,
 				ss.Hellos, ss.Replays, ss.StaleRejected, st.Resyncs)
 		}, func(s os.Signal) {
 			// Graceful drain: stop admitting pushes (workers get RetryAfter
 			// and back off), let in-flight ones finish, then let the
 			// checkpointer take the final snapshot and exit. Eq. 5 holds in
 			// the snapshot because nothing is mid-apply once Drain returns.
-			adm.drain(s, gate.Drain)
+			adm.drain(s, ep.Gate.Drain)
 			close(stopCkpt)
 			<-ckptDone
 			fmt.Println("dgs-server: shutting down")
@@ -161,7 +130,7 @@ func latestCheckpoint(dir string) (*checkpoint.State, string) {
 // writes it atomically, entirely off the push path; a capture copies only
 // the blocks dirtied since the previous one. When stop closes it writes the
 // final checkpoint and closes done.
-func checkpoints(server psServer, w *checkpoint.Writer, st *checkpoint.State, every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+func checkpoints(server trainer.Server, w *checkpoint.Writer, st *checkpoint.State, every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	tick := time.NewTicker(every)
 	defer tick.Stop()

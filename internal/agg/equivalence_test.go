@@ -46,21 +46,17 @@ func applyUpdate(u *sparse.Update, dst [][]float32) {
 	}
 }
 
-// startUpstream serves a ps.Server over real TCP with the production
-// handler stack (codec-aware handler inside exactly-once sessions).
+// startUpstream serves a ps.Server over real TCP through trainer.Serve,
+// the stack `dgs server` deploys.
 func startUpstream(t *testing.T, cfg ps.Config) (*ps.Server, *transport.TCPServer) {
 	t.Helper()
 	up := ps.NewServer(cfg)
-	eo, err := trainer.ExactlyOnceHandlerWithCodec(up, "")
+	ep, err := trainer.Serve(up, trainer.ServeOptions{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return up, srv
+	t.Cleanup(func() { ep.TCP.Close() })
+	return up, ep.TCP
 }
 
 func dialUp(addr string) func() (transport.MuxLink, error) {

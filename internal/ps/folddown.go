@@ -8,7 +8,7 @@ import (
 
 // DownFolder is implemented by servers that can absorb downward
 // quantization error into the per-worker sent-accumulation v_k. The wire
-// codec layer (trainer.HandlerWithCodec) calls it after encoding a lossy
+// codec layer (trainer's codec handler) calls it after encoding a lossy
 // downward frame: e holds exact − decoded per shipped coordinate, so after
 // the fold v_k again tracks what the worker applied (up to one float32
 // rounding per coordinate — see the exactness note on FoldDown), and the

@@ -77,7 +77,7 @@ func TestReplicaHTTPEndpoints(t *testing.T) {
 	r, err := New(Config{
 		LayerSizes:   sizes,
 		Worker:       1,
-		Dial:         DialStack(u.srv.Addr(), 5*time.Second, 6, 2*time.Millisecond, 50*time.Millisecond),
+		Dial:         DialStack(u.TCP.Addr(), 5*time.Second, 6, 2*time.Millisecond, 50*time.Millisecond),
 		PollInterval: time.Hour,
 	})
 	if err != nil {
@@ -85,7 +85,7 @@ func TestReplicaHTTPEndpoints(t *testing.T) {
 	}
 	t.Cleanup(func() { r.Close() })
 
-	wtr := dialTrainer(u.srv.Addr())
+	wtr := dialTrainer(u.TCP.Addr())
 	defer wtr.Close()
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 20; i++ {

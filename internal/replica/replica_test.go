@@ -14,27 +14,21 @@ import (
 )
 
 // upstream is one in-process parameter-server endpoint: a real ps.Server
-// behind the exactly-once session middleware and a TCP listener, the same
-// stack `dgs server` serves.
+// served through trainer.Serve, the stack `dgs server` deploys.
 type upstream struct {
 	server *ps.Server
-	eo     *transport.ExactlyOnce
-	srv    *transport.TCPServer
+	*trainer.Endpoint
 }
 
 func startUpstream(t *testing.T, sizes []int, workers int, policy string) *upstream {
 	t.Helper()
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: workers, Quiet: true})
-	eo, err := trainer.ExactlyOnceHandlerWithCodec(server, policy)
+	ep, err := trainer.Serve(server, trainer.ServeOptions{Addr: "127.0.0.1:0", Policy: policy})
 	if err != nil {
-		t.Fatalf("handler: %v", err)
+		t.Fatalf("serve: %v", err)
 	}
-	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return &upstream{server: server, eo: eo, srv: srv}
+	t.Cleanup(func() { ep.TCP.Close() })
+	return &upstream{server: server, Endpoint: ep}
 }
 
 func alloc(sizes []int) [][]float32 {
@@ -88,7 +82,7 @@ func newReplica(t *testing.T, u *upstream, sizes []int, worker int, codec string
 	r, err := New(Config{
 		LayerSizes:    sizes,
 		Worker:        worker,
-		Dial:          DialStack(u.srv.Addr(), 5*time.Second, 6, 2*time.Millisecond, 50*time.Millisecond),
+		Dial:          DialStack(u.TCP.Addr(), 5*time.Second, 6, 2*time.Millisecond, 50*time.Millisecond),
 		Codec:         codec,
 		PollInterval:  time.Millisecond,
 		SyncEvery:     syncEvery,
@@ -110,7 +104,7 @@ func TestReplicaDrainEquivalence(t *testing.T) {
 	u := startUpstream(t, sizes, 2, "mirror")
 	r := newReplica(t, u, sizes, 1, "raw", 8)
 
-	wtr := dialTrainer(u.srv.Addr())
+	wtr := dialTrainer(u.TCP.Addr())
 	defer wtr.Close()
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 60; i++ {
@@ -131,13 +125,13 @@ func TestReplicaDrainEquivalence(t *testing.T) {
 	r.MSnapshot(mr)
 	requireSameModel(t, "replica after drain", mr, m)
 
-	if ss := u.eo.Stats(); ss.ReaderHellos == 0 {
+	if ss := u.Sessions.Stats(); ss.ReaderHellos == 0 {
 		t.Fatalf("upstream adopted no reader hellos: %+v", ss)
 	}
-	if !u.eo.ReaderSession(1) {
+	if !u.Sessions.ReaderSession(1) {
 		t.Fatal("worker 1's session not marked as reader")
 	}
-	if u.eo.ReaderSession(0) {
+	if u.Sessions.ReaderSession(0) {
 		t.Fatal("trainer session misreported as reader")
 	}
 	st := r.Stats()
@@ -157,7 +151,7 @@ func TestReplicaLossyCodecDrain(t *testing.T) {
 	u := startUpstream(t, sizes, 2, "mirror")
 	r := newReplica(t, u, sizes, 1, "sbc", 1<<30) // steady polls never raw
 
-	wtr := dialTrainer(u.srv.Addr())
+	wtr := dialTrainer(u.TCP.Addr())
 	defer wtr.Close()
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 60; i++ {
@@ -198,7 +192,7 @@ func TestReplicaSnapshotCursor(t *testing.T) {
 	u := startUpstream(t, sizes, 2, "mirror")
 	r := newReplica(t, u, sizes, 1, "raw", 2)
 
-	wtr := dialTrainer(u.srv.Addr())
+	wtr := dialTrainer(u.TCP.Addr())
 	defer wtr.Close()
 	rng := rand.New(rand.NewSource(47))
 	rs := r.NewReaderState()
@@ -233,7 +227,7 @@ func TestReplicaSnapshotCursor(t *testing.T) {
 func TestReplicaUpstreamRestart(t *testing.T) {
 	sizes := []int{1 << 10, 129}
 	u := startUpstream(t, sizes, 2, "mirror")
-	addr := u.srv.Addr()
+	addr := u.TCP.Addr()
 	r := newReplica(t, u, sizes, 1, "raw", 8)
 
 	wtr := dialTrainer(addr)
@@ -250,17 +244,13 @@ func TestReplicaUpstreamRestart(t *testing.T) {
 	wtr.Close()
 
 	// Crash: listener gone, server object discarded, nothing survives.
-	u.srv.Close()
+	u.TCP.Close()
 	server2 := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 2, Quiet: true})
-	eo2, err := trainer.ExactlyOnceHandlerWithCodec(server2, "mirror")
-	if err != nil {
-		t.Fatalf("handler: %v", err)
-	}
-	srv2, err := transport.ListenTCP(addr, eo2.Handle)
+	ep2, err := trainer.Serve(server2, trainer.ServeOptions{Addr: addr})
 	if err != nil {
 		t.Fatalf("re-listen: %v", err)
 	}
-	defer srv2.Close()
+	defer ep2.TCP.Close()
 
 	wtr2 := dialTrainer(addr)
 	defer wtr2.Close()
@@ -286,7 +276,7 @@ func TestReplicaUpstreamRestart(t *testing.T) {
 		t.Fatal("post-restart mirror has zero stamp despite applied diffs")
 	}
 	// The new incarnation re-adopted the replica as a reader.
-	if ss := eo2.Stats(); ss.ReaderHellos == 0 {
+	if ss := ep2.Sessions.Stats(); ss.ReaderHellos == 0 {
 		t.Fatalf("restarted upstream adopted no reader hellos: %+v", ss)
 	}
 }
@@ -300,7 +290,7 @@ func TestReplicaIncarnationFence(t *testing.T) {
 	u := startUpstream(t, sizes, 2, "mirror")
 	r := newReplica(t, u, sizes, 1, "raw", 8)
 
-	wtr := dialTrainer(u.srv.Addr())
+	wtr := dialTrainer(u.TCP.Addr())
 	defer wtr.Close()
 	rng := rand.New(rand.NewSource(59))
 	for i := 0; i < 20; i++ {
@@ -313,7 +303,7 @@ func TestReplicaIncarnationFence(t *testing.T) {
 		t.Fatalf("pre-fence sync: %v", err)
 	}
 
-	u.eo.Reset() // server state survives, every session is fenced
+	u.Sessions.Reset() // server state survives, every session is fenced
 
 	ctx, cancel = context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -337,7 +327,7 @@ func TestReplicaKillRejoin(t *testing.T) {
 	sizes := []int{1 << 9, 65}
 	u := startUpstream(t, sizes, 2, "mirror")
 
-	wtr := dialTrainer(u.srv.Addr())
+	wtr := dialTrainer(u.TCP.Addr())
 	defer wtr.Close()
 	rng := rand.New(rand.NewSource(61))
 
@@ -367,7 +357,7 @@ func TestReplicaKillRejoin(t *testing.T) {
 	r2.MSnapshot(mr)
 	requireSameModel(t, "successor replica", mr, m)
 	// The upstream adopted two reader incarnations on the same slot.
-	if ss := u.eo.Stats(); ss.ReaderHellos < 2 {
+	if ss := u.Sessions.Stats(); ss.ReaderHellos < 2 {
 		t.Fatalf("want ≥2 reader hellos across the rejoin, got %+v", ss)
 	}
 }

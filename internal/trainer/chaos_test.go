@@ -205,15 +205,9 @@ func TestChaosTrainingSurvivesFaultsExactlyOnce(t *testing.T) {
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	sizes := proto.LayerSizes()
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 4})
-	eo := ExactlyOnceHandler(server)
-	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetExchangeTimeout(20 * time.Second)
-	defer srv.Close()
+	ep := serve(t, server)
 
-	f := chaosFleet(srv.Addr(), 1)
+	f := chaosFleet(ep.TCP.Addr(), 1)
 	defer f.close()
 	// Worker 3 crashes mid-training; the resilient loop rejoins it as a new
 	// incarnation (hello → server resync → dense snapshot onto a fresh
@@ -227,7 +221,7 @@ func TestChaosTrainingSurvivesFaultsExactlyOnce(t *testing.T) {
 	}
 
 	// The faults actually happened and were absorbed by the protocol.
-	ss := eo.Stats()
+	ss := ep.Sessions.Stats()
 	if ss.Replays == 0 {
 		t.Fatal("no replays recorded — the fault schedule never exercised the replay cache")
 	}
@@ -253,22 +247,16 @@ func TestChaosTrainingSurvivesFaultsPipelined(t *testing.T) {
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	sizes := proto.LayerSizes()
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 4})
-	eo := ExactlyOnceHandler(server)
-	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetExchangeTimeout(20 * time.Second)
-	defer srv.Close()
+	ep := serve(t, server)
 
-	f := chaosFleet(srv.Addr(), 2)
+	f := chaosFleet(ep.TCP.Addr(), 2)
 	defer f.close()
 	results := runChaos(t, cfg, f) // worker 3 crashes with exchanges in flight
 
 	if acc := results[0].FinalAccuracy; acc < 0.6 {
 		t.Fatalf("final accuracy %.3f under chaos at depth 2; training diverged", acc)
 	}
-	ss := eo.Stats()
+	ss := ep.Sessions.Stats()
 	if ss.Replays == 0 {
 		t.Fatal("no replays recorded — the fault schedule never exercised the replay cache")
 	}
@@ -301,14 +289,9 @@ func TestChaosWorkerReplicaMatchesServerState(t *testing.T) {
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	sizes := proto.LayerSizes()
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 1})
-	eo := ExactlyOnceHandler(server)
-	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	ep := serve(t, server)
 
-	f := chaosFleet(srv.Addr(), 1)
+	f := chaosFleet(ep.TCP.Addr(), 1)
 	defer f.close()
 	tr := f.session(0)
 
@@ -357,15 +340,10 @@ func TestChaosWorkerReplicaMatchesServerState(t *testing.T) {
 // server applies it to M exactly once.
 func TestRetriedPushAppliedExactlyOnce(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{4}, Workers: 1})
-	eo := ExactlyOnceHandler(server)
-	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	ep := serve(t, server)
 	torn := &tearNth{tearAt: 2} // tear the push, not the hello
 	sc := transport.NewPipelinedSession(func() (transport.MuxLink, error) {
-		c, err := transport.DialMux(srv.Addr())
+		c, err := transport.DialMux(ep.TCP.Addr())
 		return &tornLink{MuxLink: c, n: torn}, err
 	}, 1)
 	sc.Backoff = time.Millisecond
@@ -387,7 +365,7 @@ func TestRetriedPushAppliedExactlyOnce(t *testing.T) {
 	if torn.recvs < 3 {
 		t.Fatalf("only %d wire deliveries; the tear did not force a retry", torn.recvs)
 	}
-	if st := eo.Stats(); st.Replays != 1 {
+	if st := ep.Sessions.Stats(); st.Replays != 1 {
 		t.Fatalf("session stats %+v, want exactly one replay", st)
 	}
 	// M must reflect ONE application of g: M = −g, not −2g.

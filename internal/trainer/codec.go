@@ -38,8 +38,10 @@ type downQuantState struct {
 }
 
 type codecHandler struct {
-	folder ps.DownFolder // nil when the server cannot fold quantization error
-	forced sparse.Codec  // nil under the mirror policy
+	server  ps.Pusher
+	metrics *handlerMetrics
+	folder  ps.DownFolder // nil when the server cannot fold quantization error
+	forced  sparse.Codec  // nil under the mirror policy
 
 	// reader reports whether a worker's current session declared the
 	// read-session role (transport flagReader). A reader's empty pushes are
@@ -100,28 +102,12 @@ func (h *codecHandler) encodeDown(dst []byte, worker int, reqID byte, drain bool
 	return q.AppendEncode(dst, &st.q)
 }
 
-// HandlerWithCodec builds the server-side transport handler with a downward
-// codec policy: "" or "mirror" answers each request in its own codec; a
-// codec name forces that codec for every lossy request (raw requests and
-// drains are still answered raw, see the rules above). With sbc the only
-// lossy codec, "sbc" answers exactly as "mirror" does and "raw" pins the
-// downward direction to exact values. Upward frames of every codec are
-// accepted regardless of policy.
-func HandlerWithCodec(server ps.Pusher, policy string) (transport.Handler, error) {
-	h, err := newCodecHandler(server, policy)
-	if err != nil {
-		return nil, err
-	}
-	ah := h.appendHandler(server)
-	return func(worker int, payload []byte) ([]byte, error) { return ah(nil, worker, payload) }, nil
-}
-
+// newCodecHandler builds server's exchange handler under the downward codec
+// policy (see ServeOptions.Policy); only a bad policy name fails.
 func newCodecHandler(server ps.Pusher, policy string) (*codecHandler, error) {
-	h := &codecHandler{workers: map[int]*downQuantState{}}
+	h := &codecHandler{server: server, workers: map[int]*downQuantState{}}
 	h.folder, _ = server.(ps.DownFolder)
-	switch policy {
-	case "", "mirror":
-	default:
+	if policy != "" && policy != "mirror" {
 		c, err := sparse.CodecByName(policy)
 		if err != nil {
 			return nil, err
@@ -134,62 +120,70 @@ func newCodecHandler(server ps.Pusher, policy string) (*codecHandler, error) {
 		// and answers raw), which is what "-codec raw" promises operators.
 		h.forced = c
 	}
+	h.metrics = newHandlerMetrics(server.LayerSizes())
 	return h, nil
 }
 
-// appendHandler is the exchange itself — decode, Push, encode — appending
-// the downward frame to dst, so the session middleware's reserved envelope
+// handle is the exchange itself — decode, Push, encode — appending the
+// downward frame to dst, so the session middleware's reserved envelope
 // prefix and the frame share the one allocation encodeDown makes.
-func (h *codecHandler) appendHandler(server ps.Pusher) transport.AppendHandler {
-	hm := newHandlerMetrics(server.LayerSizes())
-	return func(dst []byte, worker int, payload []byte) ([]byte, error) {
-		sc := scratchPool.Get().(*exchangeScratch)
-		defer scratchPool.Put(sc)
-		g := &sc.push
-		g.Chunks = g.Chunks[:0]
-		reqID := sparse.CodecRaw
-		if len(payload) > 0 {
-			if err := sparse.DecodeAnyInto(g, payload); err != nil {
-				return nil, fmt.Errorf("trainer: decode push from worker %d: %w", worker, err)
-			}
-			// A frame that decodes may still not fit this model; Push panics
-			// on one, so turn it into an error frame here.
-			if err := g.Validate(server.LayerSizes()); err != nil {
-				return nil, fmt.Errorf("trainer: push from worker %d: %w", worker, err)
-			}
-			reqID, _ = sparse.FrameCodecID(payload)
+func (h *codecHandler) handle(dst []byte, worker int, payload []byte) ([]byte, error) {
+	sc := scratchPool.Get().(*exchangeScratch)
+	defer scratchPool.Put(sc)
+	g := &sc.push
+	g.Chunks = g.Chunks[:0]
+	reqID := sparse.CodecRaw
+	if len(payload) > 0 {
+		if err := sparse.DecodeAnyInto(g, payload); err != nil {
+			return nil, fmt.Errorf("trainer: decode push from worker %d: %w", worker, err)
 		}
-		drain := g.NNZ() == 0
-		if drain && h.reader != nil && h.reader(worker) {
-			// Read-session poll: the empty push is the reader's subscription
-			// heartbeat, not a drain probe — honour the requested codec so
-			// replicas ride the compressed downward path. The FoldDown below
-			// keeps v_k tracking what the replica actually applied, so the
-			// reader's mirror stays bitwise equal to v_k even lossily.
-			drain = false
+		// A frame that decodes may still not fit this model; Push panics
+		// on one, so turn it into an error frame here.
+		if err := g.Validate(h.server.LayerSizes()); err != nil {
+			return nil, fmt.Errorf("trainer: push from worker %d: %w", worker, err)
 		}
-		sc.diff, _ = server.Push(worker, g)
-		resp := h.encodeDown(dst, worker, reqID, drain, &sc.diff)
-		sc.diff = sparse.Update{} // the server's scratch, not ours to keep
-		hm.observe(len(payload), len(resp)-len(dst))
-		return resp, nil
+		reqID, _ = sparse.FrameCodecID(payload)
 	}
+	drain := g.NNZ() == 0
+	if drain && h.reader != nil && h.reader(worker) {
+		// Read-session poll: the empty push is the reader's subscription
+		// heartbeat, not a drain probe — honour the requested codec so
+		// replicas ride the compressed downward path. The FoldDown below
+		// keeps v_k tracking what the replica actually applied, so the
+		// reader's mirror stays bitwise equal to v_k even lossily.
+		drain = false
+	}
+	sc.diff, _ = h.server.Push(worker, g)
+	resp := h.encodeDown(dst, worker, reqID, drain, &sc.diff)
+	sc.diff = sparse.Update{} // the server's scratch, not ours to keep
+	h.metrics.observe(len(payload), len(resp)-len(dst))
+	return resp, nil
 }
 
-// ExactlyOnceHandlerWithCodec wraps HandlerWithCodec in the session
-// middleware (see ExactlyOnceHandler). The session layer also supplies the
-// read-session role lookup, so reader polls keep their negotiated codec.
+// sessions puts the handler behind the exactly-once session middleware:
+// retried pushes are answered from the per-worker replay cache instead of
+// being re-applied, and a rejoining worker incarnation triggers a server
+// Resync so its first response ships a dense snapshot. The session layer
+// also supplies the read-session role, so reader polls keep their
+// negotiated codec.
+func (h *codecHandler) sessions() *transport.ExactlyOnce {
+	eo := transport.NewExactlyOnce(h.handle, func(worker int) error {
+		h.server.Resync(worker)
+		return nil
+	})
+	h.reader = eo.ReaderSession
+	return eo
+}
+
+// ExactlyOnceHandlerWithCodec is the session half of Serve — the codec
+// handler under the downward codec policy (see ServeOptions.Policy) inside
+// exactly-once sessions — for a caller that layers the rest itself.
 func ExactlyOnceHandlerWithCodec(server ps.Pusher, policy string) (*transport.ExactlyOnce, error) {
 	h, err := newCodecHandler(server, policy)
 	if err != nil {
 		return nil, err
 	}
-	eo := transport.NewExactlyOnce(h.appendHandler(server), func(worker int) error {
-		server.Resync(worker)
-		return nil
-	})
-	h.reader = eo.ReaderSession
-	return eo, nil
+	return h.sessions(), nil
 }
 
 // upCodec bundles the worker-side codec state: the resolved quantizer (nil

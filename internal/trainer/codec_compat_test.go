@@ -55,7 +55,7 @@ func compatUpdate() *sparse.Update {
 // even a lossy request with a raw answer.
 func TestMirrorPolicyAnswersInRequestCodec(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
-	h, err := HandlerWithCodec(server, "mirror")
+	h, err := plainHandler(server, "mirror")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMirrorPolicyAnswersInRequestCodec(t *testing.T) {
 // raw.
 func TestForcedPolicyAnswersRawRequestsRaw(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
-	h, err := HandlerWithCodec(server, "sbc")
+	h, err := plainHandler(server, "sbc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestForcedPolicyAnswersRawRequestsRaw(t *testing.T) {
 // requests with codec 0 — the operator escape hatch for suspect links.
 func TestForcedRawPolicyPinsDownward(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
-	h, err := HandlerWithCodec(server, "raw")
+	h, err := plainHandler(server, "raw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ type noFoldPusher struct{ ps.Pusher }
 // to raw answers, and forcing a lossy codec onto it must fail up front.
 func TestBaselineServerAnsweredRaw(t *testing.T) {
 	base := noFoldPusher{ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})}
-	h, err := HandlerWithCodec(base, "mirror")
+	h, err := plainHandler(base, "mirror")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestBaselineServerAnsweredRaw(t *testing.T) {
 	if id := compatPush(t, h, 0, encodeWith(t, "sbc", g)); id != sparse.CodecRaw {
 		t.Fatalf("fold-incapable server answered with codec %d, want raw", id)
 	}
-	if _, err := HandlerWithCodec(base, "sbc"); err == nil {
+	if _, err := plainHandler(base, "sbc"); err == nil {
 		t.Fatal("forcing a lossy codec onto a fold-incapable server must fail")
 	}
-	if _, err := HandlerWithCodec(base, "no-such-codec"); err == nil {
+	if _, err := plainHandler(base, "no-such-codec"); err == nil {
 		t.Fatal("unknown codec policy must fail")
 	}
 }
@@ -164,24 +164,15 @@ func TestRetiredDGS1MagicRefused(t *testing.T) {
 	})
 }
 
-// requireRefusedPush sends one accepted push, then frame, over TCP through
-// ExactlyOnceHandlerWithCodec. frame must come back as an error frame with
-// the server's push count, M and v_k unchanged, and the session must
-// survive the refusal.
+// requireRefusedPush sends one accepted push, then frame, over TCP to a
+// server behind Serve. frame must come back as an error frame with the
+// server's push count, M and v_k unchanged, and the session must survive
+// the refusal.
 func requireRefusedPush(t *testing.T, frame []byte) {
 	t.Helper()
 	sizes := []int{8}
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 1})
-	eo, err := ExactlyOnceHandlerWithCodec(server, "mirror")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	conn, err := NewDialStack(DialOptions{Addr: lis.Addr(), Timeout: 5 * time.Second})()
+	conn, err := NewDialStack(DialOptions{Addr: serve(t, server).TCP.Addr(), Timeout: 5 * time.Second})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,27 +212,18 @@ func TestChaosQuantizedTrainingDrainsExact(t *testing.T) {
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	sizes := proto.LayerSizes()
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 4})
-	eo, err := ExactlyOnceHandlerWithCodec(server, "mirror")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetExchangeTimeout(20 * time.Second)
-	defer srv.Close()
+	ep := serve(t, server)
 
 	// Worker 3 crashes mid-training and rejoins; the resync dense snapshot
 	// must stay exact under the lossy codec (drains and snapshots are
 	// answered raw).
-	f := chaosFleet(srv.Addr(), 1)
+	f := chaosFleet(ep.TCP.Addr(), 1)
 	defer f.close()
 	results := runChaos(t, cfg, f)
 	if acc := results[0].FinalAccuracy; acc < 0.6 {
 		t.Fatalf("final accuracy %.3f under quantized chaos; training diverged", acc)
 	}
-	if ss := eo.Stats(); ss.Replays == 0 {
+	if ss := ep.Sessions.Stats(); ss.Replays == 0 {
 		t.Fatal("no replays recorded — the fault schedule never exercised the replay cache")
 	}
 

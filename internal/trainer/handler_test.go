@@ -10,9 +10,31 @@ import (
 	"dgs/internal/transport"
 )
 
+// plainHandler is the codec handler under policy without the session
+// layer: one exchange per call, the downward frame in a fresh slice.
+func plainHandler(server ps.Pusher, policy string) (transport.Handler, error) {
+	h, err := newCodecHandler(server, policy)
+	if err != nil {
+		return nil, err
+	}
+	return func(worker int, payload []byte) ([]byte, error) { return h.handle(nil, worker, payload) }, nil
+}
+
+// serve serves server on a loopback port through Serve, the stack
+// `dgs server` deploys, with a 20 s exchange deadline, until the test ends.
+func serve(t *testing.T, server ps.Pusher) *Endpoint {
+	t.Helper()
+	ep, err := Serve(server, ServeOptions{Addr: "127.0.0.1:0", Timeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ep.TCP.Close() })
+	return ep
+}
+
 func TestHandlerDecodesAndResponds(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{8}, Workers: 1})
-	h := Handler(server)
+	h, _ := plainHandler(server, "mirror")
 
 	// A valid sparse push gets a decodable difference back.
 	g := sparse.Update{Chunks: []sparse.Chunk{{Layer: 0, Idx: []int32{2}, Val: []float32{1.5}}}}
@@ -31,7 +53,7 @@ func TestHandlerDecodesAndResponds(t *testing.T) {
 
 func TestHandlerEmptyPayloadIsEmptyPush(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{4}, Workers: 1})
-	h := Handler(server)
+	h, _ := plainHandler(server, "mirror")
 	resp, err := h(0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +72,7 @@ func TestHandlerEmptyPayloadIsEmptyPush(t *testing.T) {
 
 func TestHandlerRejectsGarbage(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{4}, Workers: 1})
-	h := Handler(server)
+	h, _ := plainHandler(server, "mirror")
 	if _, err := h(0, []byte("definitely not an update")); err == nil {
 		t.Fatal("garbage payload must be rejected")
 	}
@@ -61,7 +83,7 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 
 func TestHandlerWorksWithShardedServer(t *testing.T) {
 	shard := ps.NewShardedServer(ps.Config{LayerSizes: []int{6, 6}, Workers: 1}, 2)
-	h := Handler(shard)
+	h, _ := plainHandler(shard, "mirror")
 	g := sparse.Update{Chunks: []sparse.Chunk{
 		{Layer: 0, Idx: []int32{0}, Val: []float32{1}},
 		{Layer: 1, Idx: []int32{5}, Val: []float32{2}},
@@ -103,15 +125,10 @@ func TestBadFrameOverTCPDoesNotWedgeServer(t *testing.T) {
 		{"sharded", ps.NewShardedServer(ps.Config{LayerSizes: sizes, Workers: 2}, 2), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eo := ExactlyOnceHandler(tc.server)
-			lis, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer lis.Close()
-			dial := NewDialStack(DialOptions{Addr: lis.Addr(), Timeout: 5 * time.Second})
+			dial := NewDialStack(DialOptions{Addr: serve(t, tc.server).TCP.Addr(), Timeout: 5 * time.Second})
 			var conns [2]transport.Transport
 			for k := range conns {
+				var err error
 				if conns[k], err = dial(); err != nil {
 					t.Fatal(err)
 				}

@@ -1,11 +1,11 @@
 package trainer
 
 import (
-	"sync/atomic"
 	"time"
 
 	"dgs/internal/sparse"
 	"dgs/internal/telemetry"
+	"dgs/internal/transport"
 )
 
 // Package-level trainer handles, resolved once at init.
@@ -79,16 +79,15 @@ func init() {
 		})
 }
 
-// handlerMetrics instruments one server-side Handler: wire bytes in both
-// directions plus live compression ratios against the dense-gradient
-// baseline (4 bytes per model coordinate per exchange — the ASGD wire
-// cost the paper's Table 8 compares against). Local atomics keep each
-// ratio self-consistent even when several handlers share the process;
+// handlerMetrics instruments one server-side codec handler: its traffic,
+// plus live compression ratios against the dense-gradient baseline (4
+// bytes per model coordinate per exchange — the ASGD wire cost the paper's
+// Table 8 compares against). A counter of its own keeps each ratio
+// self-consistent even when several handlers share the process;
 // GaugeFunc re-registration means the latest handler's ratio wins.
 type handlerMetrics struct {
 	denseBytes float64
-	exchanges  atomic.Uint64
-	up, down   atomic.Uint64
+	traffic    transport.Traffic
 }
 
 func newHandlerMetrics(layerSizes []int) *handlerMetrics {
@@ -96,25 +95,22 @@ func newHandlerMetrics(layerSizes []int) *handlerMetrics {
 	reg := telemetry.Default()
 	reg.GaugeFunc("dgs_exchange_up_compression_ratio",
 		"Dense gradient bytes divided by actual upward wire bytes.",
-		func() float64 { return hm.ratio(&hm.up) })
+		func() float64 { return hm.ratio(hm.traffic.Up()) })
 	reg.GaugeFunc("dgs_exchange_down_compression_ratio",
 		"Dense model bytes divided by actual downward wire bytes.",
-		func() float64 { return hm.ratio(&hm.down) })
+		func() float64 { return hm.ratio(hm.traffic.Down()) })
 	return hm
 }
 
-func (hm *handlerMetrics) ratio(bytes *atomic.Uint64) float64 {
-	b := bytes.Load()
-	if b == 0 {
+func (hm *handlerMetrics) ratio(bytes int64) float64 {
+	if bytes == 0 {
 		return 0
 	}
-	return float64(hm.exchanges.Load()) * hm.denseBytes / float64(b)
+	return float64(hm.traffic.Exchanges()) * hm.denseBytes / float64(bytes)
 }
 
 func (hm *handlerMetrics) observe(upBytes, downBytes int) {
-	hm.exchanges.Add(1)
-	hm.up.Add(uint64(upBytes))
-	hm.down.Add(uint64(downBytes))
+	hm.traffic.Record(upBytes, downBytes)
 	trmet.upBytes.Add(uint64(upBytes))
 	trmet.downBytes.Add(uint64(downBytes))
 }

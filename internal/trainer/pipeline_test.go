@@ -85,15 +85,10 @@ func TestWorkerLoopOverPipelinedSession(t *testing.T) {
 	}
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	server := ps.NewServer(ps.Config{LayerSizes: proto.LayerSizes(), Workers: 1})
-	eo := ExactlyOnceHandler(server)
-	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	ep := serve(t, server)
 
 	ses := transport.NewPipelinedSession(func() (transport.MuxLink, error) {
-		return transport.DialMux(srv.Addr())
+		return transport.DialMux(ep.TCP.Addr())
 	}, 2)
 	defer ses.Close()
 	res, err := RunWorkerLoop(cfg, 0, ses)
@@ -103,8 +98,8 @@ func TestWorkerLoopOverPipelinedSession(t *testing.T) {
 	if res.FinalAccuracy < 0.7 {
 		t.Fatalf("pipelined-session run accuracy %.3f", res.FinalAccuracy)
 	}
-	if eo.Stats().Hellos != 1 {
-		t.Fatalf("stats %+v, want exactly one hello", eo.Stats())
+	if ss := ep.Sessions.Stats(); ss.Hellos != 1 {
+		t.Fatalf("stats %+v, want exactly one hello", ss)
 	}
 }
 

@@ -4,23 +4,22 @@ import (
 	"sync"
 	"testing"
 
-	"dgs/internal/ps"
 	"dgs/internal/tensor"
 	"dgs/internal/transport"
 )
 
 // Multi-process deployment path: a standalone TCP parameter server with
-// independent RunWorkerLoop workers, exactly as `dgs server` and
-// `dgs worker` wire things up.
+// independent RunWorkerLoop workers, wired as `dgs server` and `dgs worker`
+// wire them: NewServer from the run's Config, served through Serve, and
+// NewDialStack sessions.
 func TestRunWorkerLoopAgainstStandaloneServer(t *testing.T) {
 	cfg := quickConfig(DGS, 2)
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
-	server := ps.NewServer(ps.Config{LayerSizes: proto.LayerSizes(), Workers: 2})
-	srv, err := transport.ListenTCP("127.0.0.1:0", ExactlyOnceHandler(server).Handle)
+	server, err := NewServer(&cfg, proto.LayerSizes(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	srv := serve(t, server).TCP
 
 	var wg sync.WaitGroup
 	results := make([]*Result, 2)

@@ -49,13 +49,8 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 	psCfg := ps.Config{LayerSizes: sizes, Workers: 4}
 
 	server := ps.NewServer(psCfg)
-	eo := ExactlyOnceHandler(server)
-	srv, err := transport.ListenTCP("127.0.0.1:0", eo.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetExchangeTimeout(20 * time.Second)
-	addr := srv.Addr()
+	ep := serve(t, server)
+	addr := ep.TCP.Addr()
 
 	// Asynchronous checkpointer: off the push path, incremental via the
 	// dirty-block stamps, fsync'd atomically to dir.
@@ -124,9 +119,9 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 	}
 	close(stopCkpt)
 	<-ckptDone
-	srv.Close()
+	ep.TCP.Close()
 	killT := server.Timestamp()
-	server, eo = nil, nil
+	server, ep = nil, nil
 	close(killed)
 
 	// The restart: recover from the latest on-disk checkpoint, fresh
@@ -142,13 +137,11 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 	if got := server2.Timestamp(); got == 0 || got > killT {
 		t.Fatalf("restored timestamp %d outside (0, %d]: checkpoint is not a past state", got, killT)
 	}
-	eo2 := ExactlyOnceHandler(server2)
-	srv2, err := transport.ListenTCP(addr, eo2.Handle)
+	ep2, err := Serve(server2, ServeOptions{Addr: addr, Timeout: 20 * time.Second})
 	if err != nil {
 		t.Fatalf("re-listen on %s: %v", addr, err)
 	}
-	srv2.SetExchangeTimeout(20 * time.Second)
-	defer srv2.Close()
+	defer ep2.TCP.Close()
 
 	wg.Wait()
 	for id, err := range errs {
@@ -163,7 +156,7 @@ func TestChaosServerKillRestartRecoversFromCheckpoint(t *testing.T) {
 	}
 
 	// Every worker rejoined the restored server as a fresh incarnation.
-	if ss := eo2.Stats(); ss.Hellos < 4 {
+	if ss := ep2.Sessions.Stats(); ss.Hellos < 4 {
 		t.Fatalf("restored server adopted %d hellos, want ≥4 (every worker rejoins)", ss.Hellos)
 	}
 	if st := server2.Stats(); st.Resyncs < 4 {
@@ -183,9 +176,13 @@ func TestChaosOverloadedServerShedsAndRecovers(t *testing.T) {
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	sizes := proto.LayerSizes()
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 4})
-	eo := ExactlyOnceHandler(server)
-	// A deliberately slow apply path widens the admission window so the
-	// four workers actually collide (the toy model's compute would
+	eo, err := ExactlyOnceHandlerWithCodec(server, "mirror")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one stack Serve does not build: a deliberately slow apply path
+	// inside the gate widens the admission window so the four workers
+	// actually collide (the toy model's compute would
 	// otherwise dwarf the push service time).
 	slow := func(worker int, payload []byte) ([]byte, error) {
 		time.Sleep(300 * time.Microsecond)
@@ -248,14 +245,11 @@ func TestChaosGracefulDrainFinalCheckpoint(t *testing.T) {
 	sizes := proto.LayerSizes()
 	psCfg := ps.Config{LayerSizes: sizes, Workers: 2}
 	server := ps.NewServer(psCfg)
-	eo := ExactlyOnceHandler(server)
-	gate := transport.NewGate(eo.Handle, 0)
-	gate.DrainHint = 5 * time.Millisecond
-	srv, err := transport.ListenTCP("127.0.0.1:0", gate.Handle)
+	ep, err := Serve(server, ServeOptions{Addr: "127.0.0.1:0", DrainHint: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer ep.TCP.Close()
 
 	// Two workers push continuously in the background.
 	stop := make(chan struct{})
@@ -264,7 +258,7 @@ func TestChaosGracefulDrainFinalCheckpoint(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			tr, err := NewDialStack(DialOptions{Addr: srv.Addr(), Backoff: time.Millisecond, Timeout: 10 * time.Second})()
+			tr, err := NewDialStack(DialOptions{Addr: ep.TCP.Addr(), Backoff: time.Millisecond, Timeout: 10 * time.Second})()
 			if err != nil {
 				t.Errorf("worker %d dial: %v", id, err)
 				return
@@ -295,7 +289,7 @@ func TestChaosGracefulDrainFinalCheckpoint(t *testing.T) {
 	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := gate.Drain(drainCtx); err != nil {
+	if err := ep.Gate.Drain(drainCtx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	close(stop)

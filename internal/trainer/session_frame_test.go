@@ -128,7 +128,7 @@ func TestSessionFrameAllocs(t *testing.T) {
 
 // TestSessionResponseIsEnvelopePlusFrame: for raw and sbc pushes,
 // every session response is byte-equal to the OK envelope followed by the
-// frame the plain handler (HandlerWithCodec, which encodes into a fresh
+// frame the plain handler (plainHandler, which encodes into a fresh
 // slice) answers for the same exchange on an identical server — so writing
 // the envelope in place changed no wire byte, lossy downward quantization
 // and drain probes included.
@@ -141,7 +141,7 @@ func TestSessionResponseIsEnvelopePlusFrame(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := HandlerWithCodec(ps.NewServer(cfg), "mirror")
+			plain, err := plainHandler(ps.NewServer(cfg), "mirror")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,6 @@ import (
 	"dgs/internal/data"
 	"dgs/internal/nn"
 	"dgs/internal/optim"
-	"dgs/internal/ps"
 	"dgs/internal/sparse"
 	"dgs/internal/stats"
 	"dgs/internal/telemetry"
@@ -241,22 +240,6 @@ func buildOptimizer(cfg *Config, sizes []int) optim.WorkerOptimizer {
 	}
 }
 
-// serverConfig returns the ps.Config for the method.
-func serverConfig(cfg *Config, sizes []int) ps.Config {
-	sc := ps.Config{LayerSizes: sizes, Workers: cfg.Workers}
-	switch cfg.Method {
-	case ASGD:
-		// Vanilla ASGD downloads the whole model.
-		sc.DenseDownward = true
-	case MSGD:
-		// Single node: downward content is irrelevant; keep it sparse.
-	default:
-		sc.Secondary = cfg.Secondary
-		sc.SecondaryRatio = cfg.SecondaryRatio
-	}
-	return sc
-}
-
 // exchangeScratch is one handler call's Updates: the decoded push and the
 // header of the difference Push returns. Pooling the pair keeps both off
 // the per-exchange allocation count (the difference's address reaches a
@@ -266,33 +249,6 @@ func serverConfig(cfg *Config, sizes []int) ps.Config {
 type exchangeScratch struct{ push, diff sparse.Update }
 
 var scratchPool = sync.Pool{New: func() any { return new(exchangeScratch) }}
-
-// Handler builds the server-side transport handler: decode → Push → encode.
-// It is shared by the in-process loopback and the TCP server binary, and
-// accepts either a plain Server or a ShardedServer. Responses mirror the
-// request's wire codec (see HandlerWithCodec in codec.go), so raw clients
-// are answered with exact values.
-func Handler(server ps.Pusher) transport.Handler {
-	h, err := HandlerWithCodec(server, "mirror")
-	if err != nil {
-		panic(err) // the mirror policy is always valid
-	}
-	return h
-}
-
-// ExactlyOnceHandler wraps Handler in the transport session middleware:
-// retried pushes are answered from the per-worker replay cache instead of
-// being re-applied, and a rejoining worker incarnation triggers a server
-// Resync so its first response ships a dense snapshot. Test seam: the
-// chaos and TCP tests serve it; `dgs server` calls
-// ExactlyOnceHandlerWithCodec, which can fail on a bad policy name.
-func ExactlyOnceHandler(server ps.Pusher) *transport.ExactlyOnce {
-	eo, err := ExactlyOnceHandlerWithCodec(server, "mirror")
-	if err != nil {
-		panic(err) // the mirror policy is always valid
-	}
-	return eo
-}
 
 // Run executes a full training run and returns its result.
 func Run(cfg Config) (*Result, error) {
@@ -304,19 +260,13 @@ func Run(cfg Config) (*Result, error) {
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	sizes := proto.LayerSizes()
 
-	var server ps.Pusher
-	if cfg.Shards > 1 {
-		server = ps.NewShardedServer(serverConfig(&cfg, sizes), cfg.Shards)
-	} else {
-		server = ps.NewServer(serverConfig(&cfg, sizes))
-	}
-	handler := Handler(server)
+	server, _ := NewServer(&cfg, sizes, 0, nil) // only a restore can fail
 
 	// Observability: optional HTTP endpoint and periodic run manifest. The
 	// metrics themselves are always recorded (the instrumented packages feed
 	// the process-wide registry); these only control exposure.
 	if cfg.MetricsAddr != "" || cfg.ManifestPath != "" {
-		manifest := runManifest(&cfg, sizes)
+		manifest := runManifest(&cfg, proto.NumParams())
 		if cfg.MetricsAddr != "" {
 			msrv, err := telemetry.ListenAndServe(cfg.MetricsAddr, nil)
 			if err != nil {
@@ -331,36 +281,30 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Every worker gets its own Pipeliner. Traffic is counted by a loopback
-	// in both modes — over TCP the session middleware serves its Exchange —
-	// so it sees application payloads and both modes report one volume.
-	traffic := &transport.Traffic{}
-	loopback := func() *transport.Loopback { return &transport.Loopback{H: handler, Traffic: traffic} }
+	// Every worker gets its own Pipeliner: a loopback into the codec
+	// handler, or over TCP a session to the deployed stack. Traffic is
+	// counted by the codec handler in both modes, so it sees application
+	// payloads and both modes report one volume.
+	var traffic *transport.Traffic
 	trs := make([]transport.Pipeliner, cfg.Workers)
 	if cfg.TCPAddr != "" {
-		lb := loopback()
-		exchange := func(dst []byte, k int, payload []byte) ([]byte, error) {
-			resp, err := lb.Exchange(k, payload)
-			return append(dst, resp...), err
-		}
-		eo := transport.NewExactlyOnce(exchange, func(k int) error {
-			server.Resync(k)
-			return nil
-		})
-		srv, err := transport.ListenTCP(cfg.TCPAddr, eo.Handle)
+		ep, err := Serve(server, ServeOptions{Addr: cfg.TCPAddr})
 		if err != nil {
 			return nil, err
 		}
-		defer srv.Close()
-		dial := NewDialStack(DialOptions{Addr: srv.Addr(), Pipeline: cfg.PipelineDepth})
+		defer ep.TCP.Close()
+		traffic = ep.Traffic
+		dial := NewDialStack(DialOptions{Addr: ep.TCP.Addr(), Pipeline: cfg.PipelineDepth})
 		for k := range trs {
 			if trs[k], err = dial(); err != nil {
 				return nil, err
 			}
 		}
 	} else {
+		h, _ := newCodecHandler(server, "mirror") // the mirror policy is always valid
+		traffic = &h.metrics.traffic
 		for k := range trs {
-			trs[k] = loopback()
+			trs[k] = transport.NewLoopback(func(worker int, payload []byte) ([]byte, error) { return h.handle(nil, worker, payload) })
 		}
 	}
 	defer func() {
@@ -441,12 +385,8 @@ func Run(cfg Config) (*Result, error) {
 
 // runManifest assembles the static run descriptors for the telemetry
 // manifest (the live metrics section is filled at snapshot time).
-func runManifest(cfg *Config, sizes []int) *telemetry.Manifest {
+func runManifest(cfg *Config, params int) *telemetry.Manifest {
 	m := telemetry.NewManifest(nil)
-	params := 0
-	for _, n := range sizes {
-		params += n
-	}
 	m.Set("method", cfg.Method.String())
 	m.Set("workers", cfg.Workers)
 	m.Set("batch_size", cfg.BatchSize)

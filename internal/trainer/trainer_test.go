@@ -1,11 +1,14 @@
 package trainer
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dgs/internal/data"
 	"dgs/internal/nn"
+	"dgs/internal/stats"
 	"dgs/internal/tensor"
 )
 
@@ -245,6 +248,43 @@ func TestTrainingOverTCP(t *testing.T) {
 	}
 	if res.BytesUp == 0 || res.BytesDown == 0 {
 		t.Fatal("TCP traffic not recorded")
+	}
+}
+
+// TestTCPMatchesInProcessAtOneWorker: with one worker the exchange order is
+// fixed, so a run over TCP through the served stack is the in-process run —
+// for every async method, codec, Eq. 6 setting and pipeline depth the loss
+// series is bitwise equal and both directions count the same bytes.
+func TestTCPMatchesInProcessAtOneWorker(t *testing.T) {
+	for _, m := range []Method{ASGD, GDAsync, DGCAsync, DGS} {
+		for _, codec := range []string{"raw", "sbc"} {
+			for _, secondary := range []bool{false, true} {
+				for _, depth := range []int{1, 2} {
+					cfg := quickConfig(m, 1)
+					cfg.Epochs, cfg.Codec, cfg.PipelineDepth = 2, codec, depth
+					cfg.Secondary, cfg.SecondaryRatio = secondary, 0.05
+					name := fmt.Sprintf("%s/%s/secondary=%v/depth=%d", m, codec, secondary, depth)
+					local, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("%s in process: %v", name, err)
+					}
+					cfg.TCPAddr = "127.0.0.1:0"
+					remote, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("%s over TCP: %v", name, err)
+					}
+					if !slices.EqualFunc(local.Loss.Points(), remote.Loss.Points(), func(a, b stats.Point) bool {
+						return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+					}) {
+						t.Errorf("%s: loss series differ between in-process and TCP", name)
+					}
+					if local.BytesUp != remote.BytesUp || local.BytesDown != remote.BytesDown || local.BytesUp == 0 || local.BytesDown == 0 {
+						t.Errorf("%s: bytes up/down %d/%d in process, %d/%d over TCP",
+							name, local.BytesUp, local.BytesDown, remote.BytesUp, remote.BytesDown)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -344,8 +344,8 @@ func (e *ExactlyOnce) Reset() {
 	e.stats.Resets++
 	tmet.sessReplayBytes.Add(-float64(e.stats.ReplayBytes))
 	e.stats.ReplayBytes = 0
-	e.mu.Unlock()
 	e.incarnation.Store(randomSession())
+	e.mu.Unlock()
 	tmet.sessResets.Inc()
 }
 
@@ -369,7 +369,9 @@ func (e *ExactlyOnce) Stats() SessionStats {
 	return e.stats
 }
 
-func (e *ExactlyOnce) workerState(worker int) *workerSession {
+// workerState is worker's session, created on first use, and the
+// incarnation it belongs to.
+func (e *ExactlyOnce) workerState(worker int) (*workerSession, uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ws := e.workers[worker]
@@ -381,7 +383,7 @@ func (e *ExactlyOnce) workerState(worker int) *workerSession {
 		ws = &workerSession{window: make([]replayEntry, w)}
 		e.workers[worker] = ws
 	}
-	return ws
+	return ws, e.incarnation.Load()
 }
 
 func (e *ExactlyOnce) count(f func(*SessionStats)) {
@@ -414,8 +416,10 @@ func (e *ExactlyOnce) Handle(worker int, payload []byte) ([]byte, error) {
 	}
 	// One consistent incarnation per frame: a Reset landing mid-exchange
 	// must not produce a response mixing old-world state with the new id.
-	inc := e.incarnation.Load()
-	ws := e.workerState(worker)
+	// The session and the incarnation are read under the lock Reset swaps
+	// both under: a frame that met the emptied session table under the old
+	// id would be fenced as superseded instead of seeing the restart.
+	ws, inc := e.workerState(worker)
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 

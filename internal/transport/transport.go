@@ -69,8 +69,7 @@ type loopResult struct {
 	err  error
 }
 
-// NewLoopback wraps a handler. Test seam: the in-process transport of the
-// transport and trainer tests, and of a replayable step schedule to come.
+// NewLoopback wraps a handler, recording traffic on a Traffic of its own.
 func NewLoopback(h Handler) *Loopback {
 	return &Loopback{H: h, Traffic: &Traffic{}}
 }

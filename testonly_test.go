@@ -27,9 +27,7 @@ var testSeams = map[string]string{
 	"sparse.Selector.TopK":              "the full-scan Top-k behind ps's BaselineServer reference and other packages' test inputs",
 	"tensor.RNG.Float32":                "seeded uniform draws for the randomized tests of nn, ps, sparse, trainer and tensor",
 	"tensor.RNG.Perm":                   "seeded permutations for the randomized tests of sparse, agg and tensor",
-	"trainer.ExactlyOnceHandler":        "the infallible mirror-policy server stack the trainer chaos and TCP tests serve",
 	"transport.ExactlyOnce.Incarnation": "the server incarnation the session tests of transport and trainer expect in every response envelope",
-	"transport.NewLoopback":             "the in-process transport of the transport and trainer tests",
 }
 
 // stdlibInterfaces declares the standard-library interfaces whose methods
