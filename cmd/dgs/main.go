@@ -143,45 +143,18 @@ var (
 )
 
 // service is what the long-running processes (server, agg, replica) share:
-// the workload that sizes the model, the dirty-tracking block size,
-// telemetry, and a foreground loop that prints stats until SIGINT or
-// SIGTERM.
+// the workload that sizes the model, telemetry, and a foreground loop that
+// prints stats until SIGINT or SIGTERM.
 type service struct {
 	workload
-	blockSize  int
 	metrics    string
 	statsEvery time.Duration
 }
 
 func (s *service) register(fs *flag.FlagSet, metrics string) {
 	s.workload.register(fs)
-	fs.IntVar(&s.blockSize, "block-size", 0, "dirty-tracking block size in elements (power of two; 0 = auto-tune from the layer geometry)")
 	metricsFlag(fs, &s.metrics, metrics)
 	fs.DurationVar(&s.statsEvery, "stats", 10*time.Second, "stats print interval")
-}
-
-// blockShift converts a -block-size to a BlockShift: 0 keeps the auto-tuned
-// default, a power of two n gives log2(n).
-func blockShift(size int) (uint, error) {
-	if size < 0 || size&(size-1) != 0 {
-		return 0, fmt.Errorf("-block-size %d is not a power of two", size)
-	}
-	shift := uint(0)
-	for 1<<shift < size {
-		shift++
-	}
-	return shift, nil
-}
-
-// blockShift is the parsed -block-size as a BlockShift; a bad size is a
-// usage error, exit status 2.
-func (s service) blockShift() uint {
-	shift, err := blockShift(s.blockSize)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", tag, err)
-		os.Exit(2)
-	}
-	return shift
 }
 
 // run calls stats every -stats interval and returns after stop has handled
@@ -270,12 +243,11 @@ func (f fleet) spec(w workload, s trainer.Spec) trainer.Spec {
 	return s
 }
 
-// serverFlags registers the parameter server's layout and downward
-// compression, which server and train take.
+// serverFlags registers the parameter server's downward compression, which
+// server and train take.
 func serverFlags(fs *flag.FlagSet, s *trainer.Spec) {
 	fs.BoolVar(&s.Secondary, "secondary", false, "enable downward secondary compression")
 	fs.Float64Var(&s.SecondaryRatio, "ratio", 0.01, "secondary compression keep ratio")
-	fs.IntVar(&s.Shards, "shards", 1, "parameter-server shards (in one process, a few percent faster than 1 at most)")
 }
 
 // serving is the run as `dgs server` reads it: the service flags with the
@@ -316,7 +288,7 @@ func (t *training) register(fs *flag.FlagSet) {
 	fs.Float64Var(&t.lr, "lr", 0.1, "initial learning rate")
 	fs.Float64Var(&t.momentum, "momentum", 0.7, "momentum coefficient m")
 	fs.Float64Var(&t.KeepRatio, "keep", 0.01, "Top-k keep ratio R (0.01 = top 1%)")
-	fs.StringVar(&t.Codec, "codec", "raw", "wire compression backend (raw|sbc); sbc folds its error into the residual state")
+	fs.StringVar(&t.Codec, "codec", "raw", "wire codec the pushes are framed in, and the server answers in (raw|sbc); sbc folds its error into the residual state")
 	fs.Uint64Var(&t.Seed, "seed", 1, "random seed (workers must share it for identical θ0)")
 	fs.IntVar(&t.PipelineDepth, "pipeline", 1, "in-flight exchanges per worker (1 = synchronous, >1 overlaps comm with compute)")
 }

@@ -71,34 +71,15 @@ func TestAdvertisedCodecsAreLinked(t *testing.T) {
 	}
 }
 
-func TestBlockShift(t *testing.T) {
-	for _, c := range []struct {
-		size  int
-		shift uint
-		ok    bool
-	}{
-		{0, 0, true}, // auto
-		{1, 0, true},
-		{64, 6, true},
-		{1024, 10, true},
-		{48, 0, false},
-		{-8, 0, false},
-	} {
-		shift, err := blockShift(c.size)
-		if (err == nil) != c.ok || shift != c.shift {
-			t.Errorf("blockShift(%d) = %d, %v; want %d, ok=%v", c.size, shift, err, c.shift, c.ok)
-		}
-	}
-}
-
 // TestOneWorkloadEveryRole: every process of a deployment reads the same
 // run description. For every model × dataset pair that trainer.Build
 // accepts, and for the defaults, each role parses -model and -dataset and
 // sizes its model as the worker's Build does; the default is the ResNetS
 // of 10 classes on 3 channels; worker and train share every run flag with
-// one default; no role keeps the retired -classes, -inc, -hw or
-// -dense-down; and for every method, with and without Eq. 6 and sharded,
-// `dgs server` builds the ps.Config and shard count `dgs train` runs.
+// one default; no role keeps the retired -classes, -inc, -hw, -dense-down,
+// -shards or -block-size, and `dgs server` no -codec of its own; and for
+// every method, with and without Eq. 6, `dgs server` builds the ps.Config
+// `dgs train` runs.
 func TestOneWorkloadEveryRole(t *testing.T) {
 	resnet := nn.DefaultResNetS(10)
 	resnet.InC = 3
@@ -158,6 +139,17 @@ func TestOneWorkloadEveryRole(t *testing.T) {
 				t.Errorf("dgs %s still defines -%s; -model, -dataset and -method replace it", name, retired)
 			}
 		}
+		// A deployed server is one ps.Server at the auto-tuned block size
+		// (a restore keeps its file's), and it answers each request in the
+		// codec the request arrived in.
+		for _, retired := range []string{"shards", "block-size"} {
+			if fs.Lookup(retired) != nil {
+				t.Errorf("dgs %s still defines -%s, a server setting that no longer exists", name, retired)
+			}
+		}
+	}
+	if flagSet(t, "server").Lookup("codec") != nil {
+		t.Error("dgs server defines -codec; the server answers in each request's codec")
 	}
 
 	// The server side of one run: server, worker and train define the fleet
@@ -175,9 +167,9 @@ func TestOneWorkloadEveryRole(t *testing.T) {
 		}
 	}
 	sameFlags([]string{"method", "workers"}, "server", "worker", "train")
-	sameFlags([]string{"secondary", "ratio", "shards"}, "server", "train")
+	sameFlags([]string{"secondary", "ratio"}, "server", "train")
 	for m := range methods {
-		for _, extra := range [][]string{nil, {"-secondary", "-ratio", "0.05"}, {"-shards", "2"}} {
+		for _, extra := range [][]string{nil, {"-secondary", "-ratio", "0.05"}} {
 			args := append([]string{"-method", m, "-workers", "3", "-model", "mlp", "-dataset", "mixture"}, extra...)
 			var sv serving
 			var tr training
@@ -194,8 +186,8 @@ func TestOneWorkloadEveryRole(t *testing.T) {
 			scfg, tcfg := sv.config(), must(trainer.Build(tr.resolve()))
 			got := trainer.ServerConfig(&scfg, scfg.BuildModel(tensor.NewRNG(1)).LayerSizes())
 			want := trainer.ServerConfig(&tcfg, tcfg.BuildModel(tensor.NewRNG(1)).LayerSizes())
-			if !reflect.DeepEqual(got, want) || scfg.Shards != tcfg.Shards {
-				t.Errorf("%v: dgs server builds %+v with %d shard(s), dgs train %+v with %d", args, got, scfg.Shards, want, tcfg.Shards)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v: dgs server builds %+v, dgs train %+v", args, got, want)
 			}
 		}
 	}

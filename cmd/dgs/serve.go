@@ -11,6 +11,7 @@ import (
 
 	"dgs/internal/agg"
 	"dgs/internal/checkpoint"
+	"dgs/internal/ps"
 	"dgs/internal/replica"
 	"dgs/internal/telemetry"
 	"dgs/internal/tensor"
@@ -26,7 +27,6 @@ func serverCmd(fs *flag.FlagSet) func() {
 	var sv serving
 	var adm admission
 	addr := fs.String("addr", "127.0.0.1:7000", "listen address")
-	codec := fs.String("codec", "mirror", "downward wire codec policy: mirror (answer in the request's codec) or a codec name (raw|sbc) forced on lossy requests; raw requests and drains are answered raw")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-exchange deadline (0 disables)")
 	ckptDir := fs.String("checkpoint-dir", "", "directory for crash-recovery checkpoints (empty disables; restores the latest on start)")
 	ckptEvery := fs.Duration("checkpoint-interval", 30*time.Second, "asynchronous checkpoint interval")
@@ -43,28 +43,22 @@ func serverCmd(fs *flag.FlagSet) func() {
 		// θ0 — the session layer's fresh incarnation id then makes every
 		// reconnecting worker detect the restart and resync.
 		st, path := latestCheckpoint(*ckptDir)
-		server, err := trainer.NewServer(&cfg, model.LayerSizes(), sv.blockShift(), st)
+		server, err := trainer.NewServer(&cfg, model.LayerSizes(), st)
 		fatalIf(err, "restore "+path)
 		// The exactly-once session layer makes worker retries safe (replayed
 		// pushes answer from cache instead of re-applying) and resyncs
 		// crashed-and-rejoined workers with a dense snapshot. The admission
 		// gate sits outside it so shed pushes never consume session state.
 		ep, err := trainer.Serve(server, trainer.ServeOptions{
-			Addr: *addr, Policy: *codec, Timeout: *timeout,
+			Addr: *addr, Timeout: *timeout,
 			MaxInflight: adm.maxInflight, RetryHint: adm.retryHint, DrainHint: adm.drainTimeout,
 		})
 		fatalIf(err, "serve")
 		defer ep.TCP.Close()
-		fmt.Printf("dgs-server: listening on %s (method=%s, %d params, %d workers, %d shard(s), secondary=%v, codec=%s)\n",
-			ep.TCP.Addr(), cfg.Method, model.NumParams(), cfg.Workers, cfg.Shards, cfg.Secondary, *codec)
+		fmt.Printf("dgs-server: listening on %s (method=%s, %d params, %d workers, secondary=%v)\n",
+			ep.TCP.Addr(), cfg.Method, model.NumParams(), cfg.Workers, cfg.Secondary)
 		if st != nil {
 			fmt.Printf("dgs-server: restored state from %s (t=%d)\n", path, server.Timestamp())
-			if st.Codec != "" && st.Codec != *codec {
-				// Legal — error folding makes snapshots codec-agnostic — but
-				// worth flagging so an operator notices the policy change.
-				fmt.Printf("dgs-server: note: snapshot was taken under codec policy %q, continuing with %q\n",
-					st.Codec, *codec)
-			}
 		}
 
 		// Asynchronous checkpointing runs on its own goroutine, which also
@@ -73,16 +67,14 @@ func serverCmd(fs *flag.FlagSet) func() {
 		if *ckptDir == "" {
 			close(ckptDone)
 		} else {
-			capState := server.NewCaptureState()
-			capState.Codec = *codec
-			go checkpoints(server, &checkpoint.Writer{Dir: *ckptDir, Keep: *ckptKeep}, capState, *ckptEvery, stopCkpt, ckptDone)
+			go checkpoints(server, &checkpoint.Writer{Dir: *ckptDir, Keep: *ckptKeep}, server.NewCaptureState(), *ckptEvery, stopCkpt, ckptDone)
 		}
 
 		manifest := telemetry.NewManifest(nil)
 		for k, v := range map[string]any{
 			"role": "server", "method": cfg.Method.String(), "workers": cfg.Workers, "params": model.NumParams(),
 			"secondary": cfg.Secondary, "secondary_ratio": cfg.SecondaryRatio,
-			"codec": *codec, "shards": cfg.Shards, "addr": ep.TCP.Addr(),
+			"addr": ep.TCP.Addr(),
 		} {
 			manifest.Set(k, v)
 		}
@@ -97,7 +89,7 @@ func serverCmd(fs *flag.FlagSet) func() {
 			mean := float64(st.StalenessSum) / float64(max(st.Pushes, 1))
 			ss := ep.Sessions.Stats()
 			fmt.Printf("dgs-server: pushes=%d staleness(mean=%.2f max=%d) traffic(up=%dKB down=%dKB) sessions(joins=%d replays=%d stale=%d resyncs=%d)\n",
-				st.Pushes, mean, st.MaxStaleness, ep.TCP.Traffic.Up()/1000, ep.TCP.Traffic.Down()/1000,
+				st.Pushes, mean, st.MaxStaleness, ep.Traffic.Up()/1000, ep.Traffic.Down()/1000,
 				ss.Hellos, ss.Replays, ss.StaleRejected, st.Resyncs)
 		}, func(s os.Signal) {
 			// Graceful drain: stop admitting pushes (workers get RetryAfter
@@ -130,7 +122,7 @@ func latestCheckpoint(dir string) (*checkpoint.State, string) {
 // writes it atomically, entirely off the push path; a capture copies only
 // the blocks dirtied since the previous one. When stop closes it writes the
 // final checkpoint and closes done.
-func checkpoints(server trainer.Server, w *checkpoint.Writer, st *checkpoint.State, every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+func checkpoints(server *ps.Server, w *checkpoint.Writer, st *checkpoint.State, every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	tick := time.NewTicker(every)
 	defer tick.Stop()
@@ -206,7 +198,6 @@ func aggCmd(fs *flag.FlagSet) func() {
 			},
 			MaxRetries: dial.Retries, Backoff: dial.Backoff, MaxBackoff: dial.MaxBackoff,
 			MaxInflight: adm.maxInflight, RetryHint: adm.retryHint, DrainHint: adm.drainTimeout,
-			BlockShift: svc.blockShift(),
 		})
 		fatalIf(err, "config")
 
@@ -258,7 +249,7 @@ func replicaCmd(fs *flag.FlagSet) func() {
 	var dial trainer.DialOptions
 	worker := fs.Int("worker", 0, "this replica's worker id at the upstream server")
 	httpAddr := fs.String("http", "127.0.0.1:7080", "HTTP listen address for /model, /replicaz, /healthz")
-	codec := fs.String("codec", "raw", "downward wire codec for steady-state polls (raw|sbc)")
+	codec := fs.String("codec", "raw", "wire codec the steady-state polls are framed in, and the server answers in (raw|sbc)")
 	poll := fs.Duration("poll", 50*time.Millisecond, "subscription poll interval (read staleness bound)")
 	syncEvery := fs.Int("sync-every", 8, "every Nth poll is a raw exact probe (1 pins every poll raw)")
 	svc.register(fs, "")
@@ -272,7 +263,6 @@ func replicaCmd(fs *flag.FlagSet) func() {
 			Codec:        *codec,
 			PollInterval: *poll,
 			SyncEvery:    *syncEvery,
-			BlockShift:   svc.blockShift(),
 		})
 		fatalIf(err, "config")
 

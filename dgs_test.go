@@ -129,15 +129,3 @@ func TestSpiralsWithMLP(t *testing.T) {
 		t.Fatalf("spirals accuracy %.3f; want above chance (0.33) with margin", res.FinalAccuracy)
 	}
 }
-
-func TestShardedPublicConfig(t *testing.T) {
-	cfg := fastConfig(DGS)
-	cfg.Shards = 2
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAccuracy < 0.7 {
-		t.Fatalf("sharded run accuracy %.3f", res.FinalAccuracy)
-	}
-}

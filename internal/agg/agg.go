@@ -79,8 +79,6 @@ type Config struct {
 	MaxInflight int
 	RetryHint   time.Duration
 	DrainHint   time.Duration
-	// BlockShift is the mirror's dirty-tracking block size (0 = auto).
-	BlockShift uint
 }
 
 func (c *Config) normalise() error {
@@ -195,7 +193,7 @@ func New(cfg Config) (*Aggregator, error) {
 	}
 	a := &Aggregator{
 		cfg:     cfg,
-		mirror:  ps.NewMirror(cfg.LayerSizes, cfg.MaxWorkers, cfg.BlockShift),
+		mirror:  ps.NewMirror(cfg.LayerSizes, cfg.MaxWorkers),
 		slots:   make(map[int]int, cfg.MaxWorkers),
 		joinGen: make(map[int]uint64, cfg.MaxWorkers),
 		pend:    make([]*pending, 0, cfg.MaxWorkers),

@@ -3,7 +3,7 @@
 // server state is: the update accumulation M (Eq. 2) with its per-block
 // version stamps, the logical clock t, and every worker's sent-accumulation
 // v_k with its staleness baseline and incarnation epoch. Restoring it
-// (ps.Restore*) yields a server whose subsequent exchanges are
+// (ps.RestoreServer) yields a server whose subsequent exchanges are
 // bitwise-identical to the one that crashed, so the Eq. 5 drain invariant
 // (v_k == M) survives a full kill/restart cycle. The gather's dirty-tracking
 // state (each worker's horizon and residual bitmap) is not stored: restore
@@ -18,9 +18,9 @@
 //	header | u32 CRC(header) | body | u32 CRC(body)
 //
 // The header records the snapshot identity (server incarnation, checkpoint
-// sequence number, wall-clock time), the full model geometry (workers, block
-// shift, per-layer sizes and shard placement) and the codec name. The body
-// carries no framing of its own: its layout is fixed by that geometry. Per
+// sequence number, wall-clock time) and the full model geometry (workers,
+// block shift, per-layer sizes and shard placement). The body carries no
+// framing of its own: its layout is fixed by that geometry. Per
 // shard, in order: T and CapturedT, then M and MVer for each layer the shard
 // owns; then, per worker, Prev and Epoch followed by V for each layer.
 //
@@ -59,7 +59,7 @@ import (
 // Magic and version of the on-disk format.
 const (
 	fileMagic     = 0x4B534744 // "DGSK" little endian
-	formatVersion = 2
+	formatVersion = 3
 )
 
 // ErrNoCheckpoint is returned by LoadLatest when the directory holds no
@@ -124,13 +124,6 @@ type State struct {
 	// validates them against the target's geometry.
 	NumWorkers int
 	BlockShift uint
-	// Codec records the wire codec policy the server ran with (DESIGN.md
-	// §8), so an operator restoring a snapshot can reproduce the run's
-	// configuration. Informational: quantization error is folded into the
-	// persisted v_k at exchange time, so the snapshot is codec-agnostic and
-	// a restored server may legally change policy. At most 255 bytes are
-	// stored.
-	Codec string
 	// Shards holds one entry per server shard.
 	Shards []ShardState
 }
@@ -201,7 +194,7 @@ func ObserveCapture(cs CaptureStats) {
 func Encode(st *State) []byte {
 	le := binary.LittleEndian
 	nLayers := st.NumLayers()
-	hdr := make([]byte, 0, 41+12*nLayers+len(st.Codec))
+	hdr := make([]byte, 0, 40+12*nLayers)
 	hdr = le.AppendUint64(hdr, st.Incarnation)
 	hdr = le.AppendUint64(hdr, st.Seq)
 	hdr = le.AppendUint64(hdr, uint64(st.WallNano))
@@ -227,12 +220,6 @@ func Encode(st *State) []byte {
 		hdr = le.AppendUint64(hdr, sizes[gl])
 		hdr = le.AppendUint32(hdr, shardOf[gl])
 	}
-	codec := st.Codec
-	if len(codec) > 255 {
-		codec = codec[:255]
-	}
-	hdr = append(hdr, byte(len(codec)))
-	hdr = append(hdr, codec...)
 
 	buf := make([]byte, 0, 12+len(hdr)+4+body+4)
 	buf = le.AppendUint32(buf, fileMagic)
@@ -348,13 +335,9 @@ func decodeHeader(hdr []byte, bodyLen int) (*State, error) {
 	if nShards < 1 || nLayers < 1 || nShards > nLayers {
 		return nil, fmt.Errorf("checkpoint: implausible geometry (%d shards, %d layers)", nShards, nLayers)
 	}
-	// The layer table, then the length-prefixed codec name, end the header.
-	if nLayers > (len(hdr)-fixed-1)/12 {
-		return nil, fmt.Errorf("checkpoint: %d-byte header cannot hold %d layers", len(hdr), nLayers)
-	}
-	ext := hdr[fixed+12*nLayers:]
-	if len(ext) != 1+int(ext[0]) {
-		return nil, fmt.Errorf("checkpoint: codec extension is %d bytes, want %d", len(ext), 1+int(ext[0]))
+	// The layer table ends the header.
+	if (len(hdr)-fixed)%12 != 0 || (len(hdr)-fixed)/12 != nLayers {
+		return nil, fmt.Errorf("checkpoint: %d-byte header does not hold exactly %d layers", len(hdr), nLayers)
 	}
 	// The body length the geometry implies: per shard T and CapturedT, and
 	// per shard and worker Prev and Epoch; per layer M, MVer and one V per
@@ -382,7 +365,6 @@ func decodeHeader(hdr []byte, bodyLen int) (*State, error) {
 		WallNano:    int64(le.Uint64(hdr[16:])),
 		NumWorkers:  int(workers),
 		BlockShift:  shift,
-		Codec:       string(ext[1:]),
 		Shards:      make([]ShardState, nShards),
 	}
 	for gl := 0; gl < nLayers; gl++ {

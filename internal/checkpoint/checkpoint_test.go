@@ -216,10 +216,13 @@ func TestDecodeHostileInputs(t *testing.T) {
 
 // frame wraps a header and a body in the file layout, CRCs included, so a
 // test can hand Decode any geometry and any body length.
-func frame(hdr, body []byte) []byte {
+func frame(hdr, body []byte) []byte { return frameVersion(formatVersion, hdr, body) }
+
+// frameVersion is frame under the given format version.
+func frameVersion(version uint32, hdr, body []byte) []byte {
 	le := binary.LittleEndian
 	b := le.AppendUint32(nil, fileMagic)
-	b = le.AppendUint32(b, formatVersion)
+	b = le.AppendUint32(b, version)
 	b = le.AppendUint32(b, uint32(len(hdr)))
 	b = append(b, hdr...)
 	b = le.AppendUint32(b, crc32.Checksum(hdr, crcTable))
@@ -263,6 +266,23 @@ func TestDecodeBodyLength(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "implies a body") {
 			t.Errorf("body %+d bytes: got %v, want a body-length error", delta, err)
 		}
+	}
+}
+
+// TestDecodeRefusesVersion2: version 2 ended the header with a
+// length-prefixed codec-policy name. A file in that layout, intact CRCs
+// included, is refused with ErrFormatVersion naming version 2, not read as
+// a version-3 header with trailing bytes.
+func TestDecodeRefusesVersion2(t *testing.T) {
+	hdr, body := split(Encode(testState(1)))
+	v2 := append(append([]byte(nil), hdr...), byte(len("mirror")))
+	v2 = append(v2, "mirror"...)
+	_, err := Decode(frameVersion(2, v2, body))
+	if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "version 2 ") {
+		t.Fatalf("Decode of a version-2 file = %v, want ErrFormatVersion naming version 2", err)
+	}
+	if _, err := Decode(frame(v2, body)); err == nil {
+		t.Fatal("a version-3 header followed by the old codec extension decoded")
 	}
 }
 

@@ -108,5 +108,5 @@ func overflowingGeometry() []byte {
 		hdr = le.AppendUint64(hdr, 1<<31)
 		hdr = le.AppendUint32(hdr, 0)
 	}
-	return frame(append(hdr, 0), make([]byte, 64))
+	return frame(hdr, make([]byte, 64))
 }

@@ -204,15 +204,6 @@ func (s *BaselineServer) VSnapshot(worker int, dst [][]float32) uint64 {
 	return s.t
 }
 
-// StateBytes reports server memory (M plus one v_k per worker).
-func (s *BaselineServer) StateBytes() int {
-	n := 0
-	for _, l := range s.cfg.LayerSizes {
-		n += 4 * l
-	}
-	return n * (1 + s.cfg.Workers)
-}
-
 // LayerSizes returns the configured layer sizes.
 func (s *BaselineServer) LayerSizes() []int { return s.cfg.LayerSizes }
 

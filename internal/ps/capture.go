@@ -8,8 +8,8 @@ import (
 	"dgs/internal/sparse"
 )
 
-// This file implements crash-safe snapshot capture and restore for Server
-// and ShardedServer (DESIGN.md §9, §10).
+// This file implements crash-safe snapshot capture for Server and
+// ShardedServer, and restore for Server (DESIGN.md §9, §10).
 //
 // Capture is incremental: the checkpoint.State acts as the accumulating
 // snapshot buffer — its CapturedT horizon records the clock of the previous
@@ -179,7 +179,7 @@ func (s *Server) restoreFrom(ss *checkpoint.ShardState) {
 	}
 }
 
-// RestoreServer rebuilds an unsharded server from a checkpoint. The
+// RestoreServer rebuilds a server from a checkpoint. The
 // configuration must describe the same geometry the checkpoint was taken
 // with (layer sizes, worker count); compression flags are free to differ —
 // they shape future exchanges, not stored state. The block shift is stored
@@ -188,7 +188,7 @@ func (s *Server) restoreFrom(ss *checkpoint.ShardState) {
 // explicit, different BlockShift is rejected.
 func RestoreServer(cfg Config, st *checkpoint.State) (*Server, error) {
 	if len(st.Shards) != 1 {
-		return nil, fmt.Errorf("ps: checkpoint has %d shards, want 1 for an unsharded server", len(st.Shards))
+		return nil, fmt.Errorf("ps: checkpoint has %d shards, want 1", len(st.Shards))
 	}
 	if cfg.BlockShift == 0 {
 		cfg.BlockShift = st.BlockShift
@@ -222,10 +222,9 @@ func (s *ShardedServer) NewCaptureState() *checkpoint.State {
 
 // Capture snapshots every shard into st. Shards are captured one after
 // another, each at its own consistent cut; a logical push split across
-// shards may land in the snapshot on some shards and not others. That is
-// safe: a snapshot is only ever used after a server restart, where every
-// reconnecting worker is forced through Resync (incarnation fencing), which
-// re-establishes Eq. 5 per shard from the restored M.
+// shards may land in the snapshot on some shards and not others, so read a
+// sharded snapshot only once pushes have stopped. No restore reads it:
+// RestoreServer refuses a file of more than one shard.
 func (s *ShardedServer) Capture(st *checkpoint.State) (checkpoint.CaptureStats, error) {
 	if len(st.Shards) != len(s.shards) {
 		return checkpoint.CaptureStats{}, fmt.Errorf("ps: capture state has %d shards, server has %d", len(st.Shards), len(s.shards))
@@ -256,38 +255,4 @@ func checkLayerPlacement(got, want []int, sh int) error {
 		}
 	}
 	return nil
-}
-
-// RestoreShardedServer rebuilds a sharded server from a checkpoint. The
-// shard count and the deterministic cost-model LPT layer placement must
-// match the checkpoint's (same cfg.LayerSizes and shard count reproduce it).
-// Like RestoreServer, an auto-tuned configuration adopts the checkpoint's
-// block shift.
-func RestoreShardedServer(cfg Config, numShards int, st *checkpoint.State) (*ShardedServer, error) {
-	if cfg.BlockShift == 0 {
-		cfg.BlockShift = st.BlockShift
-	}
-	s := NewShardedServer(cfg, numShards)
-	if len(st.Shards) != len(s.shards) {
-		return nil, fmt.Errorf("ps: checkpoint has %d shards, server built %d", len(st.Shards), len(s.shards))
-	}
-	for sh, shard := range s.shards {
-		ss := &st.Shards[sh]
-		if err := shard.checkShardGeometry(ss, st.NumWorkers, st.BlockShift); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", sh, err)
-		}
-		if err := checkLayerPlacement(ss.Layers, s.globalOf[sh], sh); err != nil {
-			return nil, err
-		}
-	}
-	for sh, shard := range s.shards {
-		shard.restoreFrom(&st.Shards[sh])
-	}
-	// Reset each worker's wrapper-level staleness baseline to the restored
-	// clock, mirroring what restoreFrom does with prev(k) per shard.
-	clock := s.Timestamp()
-	for k := range s.prevClock {
-		s.prevClock[k] = clock
-	}
-	return s, nil
 }

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -282,98 +283,91 @@ func TestCaptureSeesResync(t *testing.T) {
 	}
 }
 
-// TestShardedCaptureRestore mirrors the round-trip test across shards.
-func TestShardedCaptureRestore(t *testing.T) {
-	cfg := captureConfig()
-	rng := rand.New(rand.NewSource(11))
-	s := NewShardedServer(cfg, 2)
-	drive(t, s, rng, cfg.LayerSizes, 40)
-
-	st := s.NewCaptureState()
-	if _, err := s.Capture(st); err != nil {
+// requireShardedCapture captures sh into st and requires the capture to
+// survive Encode → Decode unchanged and to hold, layer by layer, ref's M
+// and v_k bitwise: ref is one Server fed the same pushes.
+func requireShardedCapture(t *testing.T, sh *ShardedServer, ref *Server, st *checkpoint.State) {
+	t.Helper()
+	if _, err := sh.Capture(st); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := checkpoint.Decode(checkpoint.Encode(st))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("decode: %v", err)
 	}
-	r, err := RestoreShardedServer(cfg, 2, dec)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(dec, st) {
+		t.Fatal("decoded capture differs from the captured state")
 	}
-	if r.Timestamp() != s.Timestamp() {
-		t.Fatalf("restored clock %d, want %d", r.Timestamp(), s.Timestamp())
-	}
-	seq := rand.New(rand.NewSource(17))
-	for i := 0; i < 20; i++ {
-		u := randUpdate(seq, cfg.LayerSizes, 5)
-		w := i % cfg.Workers
-		gs, _ := s.Push(w, cloneUpdate(u))
-		gr, _ := r.Push(w, cloneUpdate(u))
-		if !updatesEqual(&gs, &gr) {
-			t.Fatalf("push %d: sharded downward differences diverge after restore", i)
+	sizes := ref.LayerSizes()
+	want := snapshotBuf(sizes)
+	for k := -1; k < len(st.Shards[0].Workers); k++ {
+		if k < 0 {
+			ref.MSnapshot(want)
+		} else {
+			ref.VSnapshot(k, want)
+		}
+		for si := range dec.Shards {
+			ss := &dec.Shards[si]
+			for li, gl := range ss.Layers {
+				got := ss.M[li]
+				if k >= 0 {
+					got = ss.Workers[k].V[li]
+				}
+				for j := range got {
+					if math.Float32bits(got[j]) != math.Float32bits(want[gl][j]) {
+						t.Fatalf("state %d (−1 = M), layer %d index %d: captured %v, one server holds %v", k, gl, j, got[j], want[gl][j])
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestShardedCaptureRestoreModelGeometries: the geometries the benchmark
-// trains, on 2 shards with Secondary at 5 % (mlp_dual_pipe's server), round
-// trip through Capture → Encode → Decode → Restore bitwise. Cost-model LPT
-// places a dominant layer first, so a shard's layers only decode if each
-// shard lists them in ascending global id.
-func TestShardedCaptureRestoreModelGeometries(t *testing.T) {
+// TestShardedCapture: a ShardedServer's capture, first full and then
+// incremental into the same State, decodes to one Server's M and v_k under
+// the same pushes.
+func TestShardedCapture(t *testing.T) {
+	cfg := captureConfig()
+	s, ref := NewShardedServer(cfg, 2), NewServer(cfg)
+	rng := rand.New(rand.NewSource(11))
+	st := s.NewCaptureState()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 40; i++ {
+			u := randUpdate(rng, cfg.LayerSizes, 6)
+			s.Push(i%cfg.Workers, cloneUpdate(u))
+			ref.Push(i%cfg.Workers, cloneUpdate(u))
+		}
+		requireShardedCapture(t, s, ref, st)
+	}
+}
+
+// TestShardedCaptureModelGeometries: the geometries the benchmark trains,
+// on 2 shards with Secondary at 5 % (mlp_dual_pipe's server), capture
+// through Encode → Decode bitwise. Cost-model LPT places a dominant layer
+// first, so a shard's layers only decode if each shard lists them in
+// ascending global id.
+func TestShardedCaptureModelGeometries(t *testing.T) {
 	for name, sizes := range map[string][]int{
 		"mlp":     nn.NewMLP(tensor.NewRNG(1), 64, 512, 512, 64).LayerSizes(),
 		"resnets": nn.NewResNetS(tensor.NewRNG(1), nn.DefaultResNetS(10)).LayerSizes(),
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{LayerSizes: sizes, Workers: 2, Secondary: true, SecondaryRatio: 0.05, Quiet: true}
-			s := NewShardedServer(cfg, 2)
+			s, ref := NewShardedServer(cfg, 2), NewServer(cfg)
 			rng := tensor.NewRNG(8)
 			for i := 0; i < 6; i++ {
-				s.Push(i%2, topKUpdate(rng, sizes, 0.05))
-			}
-			st := s.NewCaptureState()
-			if _, err := s.Capture(st); err != nil {
-				t.Fatal(err)
-			}
-			dec, err := checkpoint.Decode(checkpoint.Encode(st))
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			r, err := RestoreShardedServer(cfg, 2, dec)
-			if err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			again := r.NewCaptureState()
-			if _, err := r.Capture(again); err != nil {
-				t.Fatal(err)
-			}
-			for sh := range st.Shards {
-				a, b := &st.Shards[sh], &again.Shards[sh]
-				if !reflect.DeepEqual(a.Layers, b.Layers) || !reflect.DeepEqual(a.M, b.M) || !reflect.DeepEqual(a.MVer, b.MVer) {
-					t.Fatalf("shard %d: restored M differs", sh)
-				}
-				for k := range a.Workers {
-					if !reflect.DeepEqual(a.Workers[k].V, b.Workers[k].V) {
-						t.Fatalf("shard %d: restored v_%d differs", sh, k)
-					}
-				}
-			}
-			for i := 0; i < 6; i++ {
 				u := topKUpdate(rng, sizes, 0.05)
-				gs, ts1 := s.Push(i%2, cloneUpdate(u))
-				gr, ts2 := r.Push(i%2, cloneUpdate(u))
-				if ts1 != ts2 || !updatesEqual(&gs, &gr) {
-					t.Fatalf("push %d: restored server diverges from the original", i)
-				}
+				s.Push(i%2, cloneUpdate(u))
+				ref.Push(i%2, cloneUpdate(u))
 			}
+			requireShardedCapture(t, s, ref, s.NewCaptureState())
 		})
 	}
 }
 
 // TestRestoreRejectsGeometryMismatch: wrong worker counts, layer sizes or
-// block shifts must be refused, not silently misapplied.
+// block shifts, or a file of more than one shard, must be refused, not
+// silently misapplied.
 func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	cfg := captureConfig()
 	s := NewServer(cfg)
@@ -396,8 +390,13 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	if _, err := RestoreServer(bad, st); err == nil {
 		t.Fatal("restore accepted wrong block shift")
 	}
-	if _, err := RestoreShardedServer(cfg, 2, st); err == nil {
-		t.Fatal("sharded restore accepted single-shard checkpoint")
+	sharded := NewShardedServer(cfg, 2)
+	multi := sharded.NewCaptureState()
+	if _, err := sharded.Capture(multi); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreServer(cfg, multi); err == nil {
+		t.Fatal("restore accepted a checkpoint of two shards")
 	}
 }
 
@@ -414,10 +413,7 @@ func TestRestoreAdoptsCheckpointBlockShift(t *testing.T) {
 	if a, b := NewServer(auto).blockShift, NewServer(secondary).blockShift; a == b || a == 10 {
 		t.Fatalf("auto shifts %d (plain) and %d (secondary): the test needs them distinct and not 10", a, b)
 	}
-	checkpointOf := func(s interface {
-		NewCaptureState() *checkpoint.State
-		Capture(*checkpoint.State) (checkpoint.CaptureStats, error)
-	}) *checkpoint.State {
+	checkpointOf := func(s *Server) *checkpoint.State {
 		st := s.NewCaptureState()
 		if _, err := s.Capture(st); err != nil {
 			t.Fatal(err)
@@ -492,16 +488,6 @@ func TestRestoreAdoptsCheckpointBlockShift(t *testing.T) {
 	}
 	requireFixpoint("secondary -> plain", r)
 
-	// The sharded restore follows the same rule.
-	sh := NewShardedServer(secondary, 2)
-	drive(t, sh, rand.New(rand.NewSource(4)), sizes, 40)
-	rs, err := RestoreShardedServer(auto, 2, checkpointOf(sh))
-	if err != nil {
-		t.Fatalf("sharded secondary -> plain restore: %v", err)
-	}
-	if got, want := rs.shards[0].blockShift, sh.shards[0].blockShift; got != want {
-		t.Fatalf("sharded restore runs at shift %d, want the checkpoint's %d", got, want)
-	}
 }
 
 // TestCaptureConcurrentWithPushes exercises the quiesce path under the race

@@ -141,39 +141,3 @@ func (m *metrics) observeResync() {
 	}
 	m.resyncs.Inc()
 }
-
-// registerShardMetrics exposes a ShardedServer's per-shard counters as
-// labelled children in /metrics. The shards themselves run Quiet (the
-// wrapper counts each logical push exactly once), so these are GaugeFunc
-// views over the shard atomics rather than a second set of incremented
-// counters — no double counting, no hot-path cost, and a distinct metric
-// family name so the shard breakdown never aliases the logical totals.
-func registerShardMetrics(shards []*Server) {
-	reg := telemetry.Default()
-	for i, shard := range shards {
-		sh := shard // capture per iteration
-		label := strconv.Itoa(i)
-		reg.GaugeFunc("dgs_ps_shard_pushes_total",
-			"Shard-local pushes applied (one logical push touches every shard).",
-			func() float64 { return float64(sh.pushes.Load()) }, "shard", label)
-		reg.GaugeFunc("dgs_ps_shard_apply_batches_total",
-			"Write-lock holds this shard's apply queue took (pushes / batches is its mean combined batch size).",
-			func() float64 { return float64(sh.applyBatches.Load()) }, "shard", label)
-		reg.GaugeFunc("dgs_ps_shard_diff_blocks_scanned_total",
-			"Dirty-tracking blocks this shard's downward diffs visited.",
-			func() float64 { return float64(sh.blocksScanned.Load()) }, "shard", label)
-		reg.GaugeFunc("dgs_ps_shard_diff_blocks_skipped_total",
-			"Dirty-tracking blocks this shard's downward diffs proved untouched.",
-			func() float64 { return float64(sh.blocksSkipped.Load()) }, "shard", label)
-		reg.GaugeFunc("dgs_ps_shard_secondary_candidates_total",
-			"Nonzero coordinates this shard's secondary Top-k selected from.",
-			func() float64 { return float64(sh.secCand.Load()) }, "shard", label)
-		reg.GaugeFunc("dgs_ps_shard_secondary_topk_misses_total",
-			"Eq. 6 gathers of this shard's layers that took the histogram path past the candidate bound.",
-			func() float64 { return float64(sh.secMisses.Load()) }, "shard", label)
-		rate := &pushRate{src: sh.pushes.Load}
-		reg.GaugeFunc("dgs_ps_shard_pushes_per_sec",
-			"Shard-local push throughput since the previous metrics collection.",
-			rate.rate, "shard", label)
-	}
-}

@@ -24,10 +24,10 @@ type Mirror struct {
 }
 
 // NewMirror returns a mirror with the given geometry and downstream worker
-// slots; blockShift 0 auto-tunes (Config.BlockShift). The mirror server is
-// Quiet: its pushes are the upstream's, already counted there.
-func NewMirror(layerSizes []int, workers int, blockShift uint) *Mirror {
-	m := &Mirror{cfg: Config{LayerSizes: layerSizes, Workers: workers, BlockShift: blockShift, Quiet: true}}
+// slots, at the auto-tuned block size. The mirror server is Quiet: its
+// pushes are the upstream's, already counted there.
+func NewMirror(layerSizes []int, workers int) *Mirror {
+	m := &Mirror{cfg: Config{LayerSizes: layerSizes, Workers: workers, Quiet: true}}
 	m.srv = NewServer(m.cfg)
 	return m
 }

@@ -44,15 +44,15 @@ func requireResidInvariant(t *testing.T, label string, s *Server) {
 	}
 }
 
-// restartable is what the schedule drives: a Server or a ShardedServer.
-type restartable interface {
+// scheduled is what the schedule drives: a Server or a ShardedServer.
+type scheduled interface {
 	Pusher
 	DownFolder
 	NewCaptureState() *checkpoint.State
 	Capture(*checkpoint.State) (checkpoint.CaptureStats, error)
 }
 
-func shardsOf(p restartable) []*Server {
+func shardsOf(p scheduled) []*Server {
 	if s, ok := p.(*ShardedServer); ok {
 		return s.shards
 	}
@@ -61,7 +61,7 @@ func shardsOf(p restartable) []*Server {
 
 // globalState copies M (worker < 0) or worker's v_k into dst, by global
 // layer id.
-func globalState(p restartable, worker int, dst [][]float32) {
+func globalState(p scheduled, worker int, dst [][]float32) {
 	for sh, shard := range shardsOf(p) {
 		local := dst
 		if s, ok := p.(*ShardedServer); ok {
@@ -124,7 +124,8 @@ func sbcError(G *sparse.Update) *sparse.Update {
 // BaselineServer side by side: pushes whose values span 2^±25 (so rounding
 // slivers occur), empty pushes, Resync, FoldDown of the SBC codec's error
 // on the worker's last frame, and Capture → Encode → Decode → Restore of the
-// server mid-stream. Every downward frame must be bitwise the baseline's,
+// server mid-stream (a ShardedServer, which has no restore, stops at
+// Decode). Every downward frame must be bitwise the baseline's,
 // the residual invariant must hold after every operation, M and every v_k
 // must match bitwise, and draining every worker must end at v_k == M.
 func TestSecondaryScheduleProperty(t *testing.T) {
@@ -152,7 +153,7 @@ func TestSecondaryScheduleProperty(t *testing.T) {
 
 func runSecondarySchedule(t *testing.T, cfg Config, shards int, seed uint64) {
 	sizes, workers := cfg.LayerSizes, cfg.Workers
-	build := func() restartable {
+	build := func() scheduled {
 		if shards > 1 {
 			return NewShardedServer(cfg, shards)
 		}
@@ -215,11 +216,9 @@ func runSecondarySchedule(t *testing.T, cfg Config, shards int, seed uint64) {
 				t.Fatalf("step %d: decode: %v", step, err)
 			}
 			if shards > 1 {
-				cur, err = RestoreShardedServer(cfg, shards, dec)
-			} else {
-				cur, err = RestoreServer(cfg, dec)
+				break
 			}
-			if err != nil {
+			if cur, err = RestoreServer(cfg, dec); err != nil {
 				t.Fatalf("step %d: restore: %v", step, err)
 			}
 		case op < 5 && folds[k] != nil:

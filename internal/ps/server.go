@@ -142,8 +142,6 @@ type Pusher interface {
 	Resync(worker int)
 	// Stats snapshots staleness counters.
 	Stats() Stats
-	// StateBytes reports server memory.
-	StateBytes() int
 	// LayerSizes returns the model geometry.
 	LayerSizes() []int
 }

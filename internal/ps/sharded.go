@@ -11,19 +11,17 @@ import (
 // ShardedServer partitions the model's layers across several independent
 // Server shards, the classic parameter-server layout (Li et al., OSDI'14,
 // which the paper's PS architecture follows). Each shard owns its own lock
-// and apply queue.
+// and apply queue. No deployment builds one: a deployed server is one Server
+// (trainer.NewServer). It stays as the two-shard server of the benchmark's
+// mlp_dual_pipe workload, bitwise equal to one Server under the same pushes
+// (TestShardedEquivalentToSingleServer).
 //
 // Shards see a consistent per-worker exchange: a push is split by layer,
 // applied to every owning shard, and the downward differences are merged
-// back into one update with global layer ids.
-//
-// In one process, sharding buys little speed: a Server already runs gathers
-// of different workers side by side. The pieces of a push fan out through
-// par.Each, not through a persistent pool of goroutines pinned to OS threads:
-// a hand-off to a pinned goroutine must wake that goroutine's own thread, and
-// on mlp_dual_pipe (2 cores) such a pool made two shards ≈1.35× slower than
-// one. Without it, two shards measure a few percent ahead of one there
-// (DESIGN.md §9).
+// back into one update with global layer ids. The pieces of a push fan out
+// through par.Each, not through a persistent pool of goroutines pinned to OS
+// threads: on mlp_dual_pipe (2 cores) such a pool made two shards ≈1.35×
+// slower than one.
 type ShardedServer struct {
 	shards []*Server
 	// layerShard[l] is the shard owning global layer l; layerLocal[l] is
@@ -73,9 +71,8 @@ func (sp *shardSplit) pushShard(sh int) {
 // version array and chunk bookkeeping regardless of size, so a shard
 // holding many small conv layers does far more per-push work than its
 // element share suggests. The placement is a pure function of the layer
-// sizes and shard count, so restart recovery reproduces a checkpoint's
-// layout (RestoreShardedServer relies on this). The per-shard configuration
-// mirrors cfg (secondary compression, dense downward, worker count).
+// sizes and shard count. The per-shard configuration mirrors cfg (secondary
+// compression, dense downward, worker count).
 func NewShardedServer(cfg Config, numShards int) *ShardedServer {
 	if numShards < 1 {
 		panic("ps: need at least one shard")
@@ -153,11 +150,8 @@ func NewShardedServer(cfg Config, numShards int) *ShardedServer {
 	}
 	s.prevClock = make([]uint64, cfg.Workers)
 	if !cfg.Quiet {
+		// The shards run Quiet, so the wrapper counts each logical push once.
 		s.met = newMetrics(cfg.LayerSizes, cfg.Workers)
-		// The shards run Quiet; surface their counters as labelled children
-		// read at scrape time, so per-shard balance is visible without
-		// double-counting the wrapper's logical pushes.
-		registerShardMetrics(s.shards)
 	}
 	return s
 }
@@ -217,8 +211,7 @@ func (s *ShardedServer) Push(worker int, g *sparse.Update) (sparse.Update, uint6
 		}
 		// Lock-wait, block and secondary counters live on the shards; the
 		// wrapper reports zero (it holds no model lock itself) and surfaces
-		// the shard values through Stats and the dgs_ps_shard_* labelled
-		// children instead.
+		// the shard values through Stats instead.
 		s.met.observePush(worker, uint64(stale), uint64(g.NNZ()), uint64(sp.out.NNZ()), 0, gatherStats{})
 	}
 	s.prevClock[worker] = clock
@@ -277,18 +270,6 @@ func (s *ShardedServer) Resync(worker int) {
 	s.met.observeResync()
 }
 
-// Timestamp returns the wrapper's logical clock: the sum of shard
-// timestamps, the same clock Push returns. Shard clocks are read lock-free
-// and each is monotone, so successive Timestamp calls never go backwards
-// even while pushes are in flight.
-func (s *ShardedServer) Timestamp() uint64 {
-	var clock uint64
-	for _, shard := range s.shards {
-		clock += shard.Timestamp()
-	}
-	return clock
-}
-
 // Stats aggregates the shard counters.
 func (s *ShardedServer) Stats() Stats {
 	var total Stats
@@ -308,15 +289,6 @@ func (s *ShardedServer) Stats() Stats {
 		}
 	}
 	return total
-}
-
-// StateBytes totals shard memory.
-func (s *ShardedServer) StateBytes() int {
-	n := 0
-	for _, shard := range s.shards {
-		n += shard.StateBytes()
-	}
-	return n
 }
 
 // LayerSizes returns the global layer sizes.

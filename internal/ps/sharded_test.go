@@ -128,16 +128,6 @@ func TestShardedStatsAggregate(t *testing.T) {
 	}
 }
 
-func TestShardedStateBytes(t *testing.T) {
-	sizes := []int{10, 10}
-	single := NewServer(Config{LayerSizes: sizes, Workers: 3})
-	shard := NewShardedServer(Config{LayerSizes: sizes, Workers: 3}, 2)
-	if shard.StateBytes() != single.StateBytes() {
-		t.Fatalf("sharded state %dB != single %dB; sharding must not change totals",
-			shard.StateBytes(), single.StateBytes())
-	}
-}
-
 func TestShardedConcurrentConservation(t *testing.T) {
 	sizes := []int{64, 32}
 	const workers = 4
@@ -309,6 +299,15 @@ func TestTwoCorePushAllocs(t *testing.T) {
 
 // NumShards returns the shard count.
 func (s *ShardedServer) NumShards() int { return len(s.shards) }
+
+// Timestamp is the sum of the shard clocks, the clock Push returns.
+func (s *ShardedServer) Timestamp() uint64 {
+	var clock uint64
+	for _, shard := range s.shards {
+		clock += shard.Timestamp()
+	}
+	return clock
+}
 
 // ShardOf reports which shard owns a global layer (for tests and
 // placement inspection).

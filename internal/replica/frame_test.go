@@ -10,7 +10,7 @@ import (
 // bareReplica builds a replica around a mirror only — no subscription loop,
 // no transport — so applyFrame can be driven with hand-built wire bytes.
 func bareReplica(sizes []int) *Replica {
-	return &Replica{cfg: Config{LayerSizes: sizes}, mirror: ps.NewMirror(sizes, 1, 0)}
+	return &Replica{cfg: Config{LayerSizes: sizes}, mirror: ps.NewMirror(sizes, 1)}
 }
 
 // frameHeader is the header every frame starts with: the magic "DGS3" (little

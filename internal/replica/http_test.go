@@ -73,7 +73,7 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 // JSON.
 func TestReplicaHTTPEndpoints(t *testing.T) {
 	sizes := []int{1 << 10, 129}
-	u := startUpstream(t, sizes, 2, "mirror")
+	u := startUpstream(t, sizes, 2)
 	r, err := New(Config{
 		LayerSizes:   sizes,
 		Worker:       1,

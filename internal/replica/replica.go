@@ -76,8 +76,6 @@ type Config struct {
 	// ResyncBackoff is slept after a failed incarnation before redialling
 	// (default 200ms) so a hard-down upstream is not hot-looped.
 	ResyncBackoff time.Duration
-	// BlockShift is the mirror's dirty-tracking block size (0 = auto).
-	BlockShift uint
 }
 
 func (c *Config) normalise() error {
@@ -190,7 +188,7 @@ func New(cfg Config) (*Replica, error) {
 		codec:   codec,
 		probe:   codec.AppendEncode(nil, &empty),
 		raw:     sparse.AppendEncode(nil, &empty),
-		mirror:  ps.NewMirror(cfg.LayerSizes, 1, cfg.BlockShift),
+		mirror:  ps.NewMirror(cfg.LayerSizes, 1),
 		syncReq: make(chan syncRequest),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),

@@ -20,10 +20,10 @@ type upstream struct {
 	*trainer.Endpoint
 }
 
-func startUpstream(t *testing.T, sizes []int, workers int, policy string) *upstream {
+func startUpstream(t *testing.T, sizes []int, workers int) *upstream {
 	t.Helper()
 	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: workers, Quiet: true})
-	ep, err := trainer.Serve(server, trainer.ServeOptions{Addr: "127.0.0.1:0", Policy: policy})
+	ep, err := trainer.Serve(server, trainer.ServeOptions{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -101,7 +101,7 @@ func newReplica(t *testing.T, u *upstream, sizes []int, worker int, codec string
 // the upstream accounted the session as a read-session.
 func TestReplicaDrainEquivalence(t *testing.T) {
 	sizes := []int{1 << 10, 129}
-	u := startUpstream(t, sizes, 2, "mirror")
+	u := startUpstream(t, sizes, 2)
 	r := newReplica(t, u, sizes, 1, "raw", 8)
 
 	wtr := dialTrainer(u.TCP.Addr())
@@ -148,7 +148,7 @@ func TestReplicaDrainEquivalence(t *testing.T) {
 // incarnation, dense raw snapshot) before raw-draining to exactly empty.
 func TestReplicaLossyCodecDrain(t *testing.T) {
 	sizes := []int{1 << 10, 129}
-	u := startUpstream(t, sizes, 2, "mirror")
+	u := startUpstream(t, sizes, 2)
 	r := newReplica(t, u, sizes, 1, "sbc", 1<<30) // steady polls never raw
 
 	wtr := dialTrainer(u.TCP.Addr())
@@ -189,7 +189,7 @@ func TestReplicaLossyCodecDrain(t *testing.T) {
 // bitwise equal to MSnapshot at the same moment of quiescence.
 func TestReplicaSnapshotCursor(t *testing.T) {
 	sizes := []int{1 << 10, 129}
-	u := startUpstream(t, sizes, 2, "mirror")
+	u := startUpstream(t, sizes, 2)
 	r := newReplica(t, u, sizes, 1, "raw", 2)
 
 	wtr := dialTrainer(u.TCP.Addr())
@@ -226,7 +226,7 @@ func TestReplicaSnapshotCursor(t *testing.T) {
 // model, generation bumped so readers know stamps re-based.
 func TestReplicaUpstreamRestart(t *testing.T) {
 	sizes := []int{1 << 10, 129}
-	u := startUpstream(t, sizes, 2, "mirror")
+	u := startUpstream(t, sizes, 2)
 	addr := u.TCP.Addr()
 	r := newReplica(t, u, sizes, 1, "raw", 8)
 
@@ -287,7 +287,7 @@ func TestReplicaUpstreamRestart(t *testing.T) {
 // must rebuild rather than trust its mirror.
 func TestReplicaIncarnationFence(t *testing.T) {
 	sizes := []int{1 << 9, 65}
-	u := startUpstream(t, sizes, 2, "mirror")
+	u := startUpstream(t, sizes, 2)
 	r := newReplica(t, u, sizes, 1, "raw", 8)
 
 	wtr := dialTrainer(u.TCP.Addr())
@@ -325,7 +325,7 @@ func TestReplicaIncarnationFence(t *testing.T) {
 // predecessor.
 func TestReplicaKillRejoin(t *testing.T) {
 	sizes := []int{1 << 9, 65}
-	u := startUpstream(t, sizes, 2, "mirror")
+	u := startUpstream(t, sizes, 2)
 
 	wtr := dialTrainer(u.TCP.Addr())
 	defer wtr.Close()
@@ -368,7 +368,7 @@ func TestReplicaKillRejoin(t *testing.T) {
 // the legitimate owner) instead of fighting for the slot.
 func TestReplicaSupersededParks(t *testing.T) {
 	sizes := []int{1 << 9}
-	u := startUpstream(t, sizes, 2, "mirror")
+	u := startUpstream(t, sizes, 2)
 
 	r1 := newReplica(t, u, sizes, 1, "raw", 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -405,7 +405,7 @@ func TestReplicaSupersededParks(t *testing.T) {
 // exits, since Close was never called.
 func TestReplicaParkedSyncReportsSupersession(t *testing.T) {
 	sizes := []int{1 << 9}
-	u := startUpstream(t, sizes, 2, "mirror")
+	u := startUpstream(t, sizes, 2)
 	r1 := newReplica(t, u, sizes, 1, "raw", 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

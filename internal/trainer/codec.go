@@ -14,16 +14,14 @@ import (
 // path.
 //
 // Negotiation is stateless and per-frame: every frame's header names its
-// codec, and the server answers each request in the codec it arrived in
-// (the mirror policy) or in a forced policy codec. Both directions apply
-// the *decoded* values and fold the projection error of lossy codecs into
-// residual state — the worker into its optimizer accumulation
-// (optim.ResidualFolder), the server into v_k (ps.DownFolder) — so the
-// Eq. 5 drain invariant v_k == M survives quantization bitwise. Three rules
-// keep lossy answers away from the exchanges that need exact values, under
-// every policy:
+// codec, and the server answers each request in the codec it arrived in.
+// Both directions apply the *decoded* values and fold the projection error
+// of lossy codecs into residual state — the worker into its optimizer
+// accumulation (optim.ResidualFolder), the server into v_k (ps.DownFolder) —
+// so the Eq. 5 drain invariant v_k == M survives quantization bitwise. Three
+// rules keep lossy answers away from the exchanges that need exact values:
 //   - a raw request is answered raw: a raw worker trains on exact values
-//     both ways, and a forced lossy codec does not change that;
+//     both ways;
 //   - an empty push (a drain or sync probe) is answered raw, so a drain
 //     converges on exact diffs instead of oscillating on quantized ones;
 //   - a server without FoldDown support (a ps.Pusher that is not a
@@ -41,7 +39,6 @@ type codecHandler struct {
 	server  ps.Pusher
 	metrics *handlerMetrics
 	folder  ps.DownFolder // nil when the server cannot fold quantization error
-	forced  sparse.Codec  // nil under the mirror policy
 
 	// reader reports whether a worker's current session declared the
 	// read-session role (transport flagReader). A reader's empty pushes are
@@ -73,14 +70,10 @@ func (h *codecHandler) respCodec(reqID byte, drain bool) sparse.Quantizer {
 	if drain || reqID == sparse.CodecRaw || h.folder == nil {
 		return nil // raw
 	}
-	codec := h.forced
-	if codec == nil {
-		// Mirror: the request's codec decoded successfully, so it is in
-		// the codec table.
-		codec, _ = sparse.CodecByID(reqID)
-	}
+	// The request's codec decoded successfully, so it is in the codec table.
+	codec, _ := sparse.CodecByID(reqID)
 	q, _ := codec.(sparse.Quantizer)
-	return q // a lossless forced codec also lands on raw
+	return q
 }
 
 // encodeDown appends the serialised downward difference to dst, quantizing
@@ -102,26 +95,15 @@ func (h *codecHandler) encodeDown(dst []byte, worker int, reqID byte, drain bool
 	return q.AppendEncode(dst, &st.q)
 }
 
-// newCodecHandler builds server's exchange handler under the downward codec
-// policy (see ServeOptions.Policy); only a bad policy name fails.
-func newCodecHandler(server ps.Pusher, policy string) (*codecHandler, error) {
-	h := &codecHandler{server: server, workers: map[int]*downQuantState{}}
-	h.folder, _ = server.(ps.DownFolder)
-	if policy != "" && policy != "mirror" {
-		c, err := sparse.CodecByName(policy)
-		if err != nil {
-			return nil, err
-		}
-		if _, lossy := c.(sparse.Quantizer); lossy && h.folder == nil {
-			return nil, fmt.Errorf("trainer: codec %q needs a server with downward error folding", policy)
-		}
-		// A forced raw codec is kept too: it pins the downward direction to
-		// codec 0 even for lossy requests (respCodec sees a non-Quantizer
-		// and answers raw), which is what "-codec raw" promises operators.
-		h.forced = c
+// newCodecHandler builds server's exchange handler.
+func newCodecHandler(server ps.Pusher) *codecHandler {
+	h := &codecHandler{
+		server:  server,
+		metrics: newHandlerMetrics(server.LayerSizes()),
+		workers: map[int]*downQuantState{},
 	}
-	h.metrics = newHandlerMetrics(server.LayerSizes())
-	return h, nil
+	h.folder, _ = server.(ps.DownFolder)
+	return h
 }
 
 // handle is the exchange itself — decode, Push, encode — appending the
@@ -176,14 +158,14 @@ func (h *codecHandler) sessions() *transport.ExactlyOnce {
 }
 
 // ExactlyOnceHandlerWithCodec is the session half of Serve — the codec
-// handler under the downward codec policy (see ServeOptions.Policy) inside
-// exactly-once sessions — for a caller that layers the rest itself.
+// handler inside exactly-once sessions — for a caller that layers the rest
+// itself. policy must be "" or "mirror", the one downward policy: each
+// request is answered in its own codec.
 func ExactlyOnceHandlerWithCodec(server ps.Pusher, policy string) (*transport.ExactlyOnce, error) {
-	h, err := newCodecHandler(server, policy)
-	if err != nil {
-		return nil, err
+	if policy != "" && policy != "mirror" {
+		return nil, fmt.Errorf("trainer: downward codec policy %q: only \"mirror\" exists", policy)
 	}
-	return h.sessions(), nil
+	return newCodecHandler(server).sessions(), nil
 }
 
 // upCodec bundles the worker-side codec state: the resolved quantizer (nil

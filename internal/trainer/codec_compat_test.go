@@ -12,9 +12,8 @@ import (
 	"dgs/internal/transport"
 )
 
-// The downward codec policy (DESIGN.md §8): which codec each request is
-// answered in, under the mirror and forced policies, and which frames the
-// exchange refuses without touching the server.
+// The downward codec (DESIGN.md §8): which codec each request is answered
+// in, and which frames the exchange refuses without touching the server.
 
 func encodeWith(t *testing.T, name string, u *sparse.Update) []byte {
 	t.Helper()
@@ -49,16 +48,13 @@ func compatUpdate() *sparse.Update {
 	}}
 }
 
-// TestMirrorPolicyAnswersInRequestCodec: the default policy answers every
-// request in the codec it arrived in — raw stays raw (a raw worker gets
+// TestMirrorPolicyAnswersInRequestCodec: the server answers every request
+// in the codec it arrived in — raw stays raw (a raw worker gets
 // exact values), lossy codecs are mirrored back, and the drain rule overrides
 // even a lossy request with a raw answer.
 func TestMirrorPolicyAnswersInRequestCodec(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
-	h, err := plainHandler(server, "mirror")
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := plainHandler(server)
 	g := compatUpdate()
 	// Worker 1 keeps moving M so worker 0 always has a nonzero difference
 	// pending — a zero response would make the codec checks vacuous.
@@ -78,65 +74,38 @@ func TestMirrorPolicyAnswersInRequestCodec(t *testing.T) {
 	}
 }
 
-// TestForcedPolicyAnswersRawRequestsRaw: a forced lossy codec binds lossy
-// requests, but a raw request asked for exact values and is still answered
-// raw.
-func TestForcedPolicyAnswersRawRequestsRaw(t *testing.T) {
-	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
-	h, err := plainHandler(server, "sbc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := compatUpdate()
-	compatPush(t, h, 1, sparse.Encode(g))
-	if id := compatPush(t, h, 0, sparse.Encode(g)); id != sparse.CodecRaw {
-		t.Fatalf("raw request under forced policy answered with codec %d, want raw", id)
-	}
-	compatPush(t, h, 1, sparse.Encode(g))
-	if id := compatPush(t, h, 0, encodeWith(t, "sbc", g)); id != sparse.CodecSBC {
-		t.Fatalf("sbc request under forced sbc answered with codec %d, want sbc", id)
-	}
-}
-
-// TestForcedRawPolicyPinsDownward: "-codec raw" must answer even lossy
-// requests with codec 0 — the operator escape hatch for suspect links.
-func TestForcedRawPolicyPinsDownward(t *testing.T) {
-	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})
-	h, err := plainHandler(server, "raw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := compatUpdate()
-	compatPush(t, h, 1, sparse.Encode(g))
-	if id := compatPush(t, h, 0, encodeWith(t, "sbc", g)); id != sparse.CodecRaw {
-		t.Fatalf("sbc request under forced raw answered with codec %d, want raw", id)
-	}
-}
-
 // noFoldPusher exposes only the ps.Pusher surface of a server, hiding
 // FoldDown: the shape of a library caller's Pusher that cannot absorb
 // quantization error.
 type noFoldPusher struct{ ps.Pusher }
 
 // TestBaselineServerAnsweredRaw: a server without FoldDown support cannot
-// absorb downward quantization error, so the mirror policy must degrade it
-// to raw answers, and forcing a lossy codec onto it must fail up front.
+// absorb downward quantization error, so its lossy requests are answered
+// raw.
 func TestBaselineServerAnsweredRaw(t *testing.T) {
 	base := noFoldPusher{ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 2, Quiet: true})}
-	h, err := plainHandler(base, "mirror")
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := plainHandler(base)
 	g := compatUpdate()
 	compatPush(t, h, 1, sparse.Encode(g))
 	if id := compatPush(t, h, 0, encodeWith(t, "sbc", g)); id != sparse.CodecRaw {
 		t.Fatalf("fold-incapable server answered with codec %d, want raw", id)
 	}
-	if _, err := plainHandler(base, "sbc"); err == nil {
-		t.Fatal("forcing a lossy codec onto a fold-incapable server must fail")
+}
+
+// TestExactlyOnceHandlerWithCodecPolicy: "" and "mirror" name the one
+// downward policy, answering each request in its own codec; any other
+// name, a codec's included, is refused.
+func TestExactlyOnceHandlerWithCodecPolicy(t *testing.T) {
+	server := ps.NewServer(ps.Config{LayerSizes: []int{32}, Workers: 1, Quiet: true})
+	for _, policy := range []string{"", "mirror"} {
+		if _, err := ExactlyOnceHandlerWithCodec(server, policy); err != nil {
+			t.Errorf("policy %q: %v", policy, err)
+		}
 	}
-	if _, err := plainHandler(base, "no-such-codec"); err == nil {
-		t.Fatal("unknown codec policy must fail")
+	for _, policy := range []string{"raw", "sbc", "no-such-codec"} {
+		if _, err := ExactlyOnceHandlerWithCodec(server, policy); err == nil {
+			t.Errorf("policy %q accepted", policy)
+		}
 	}
 }
 

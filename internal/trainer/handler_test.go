@@ -10,14 +10,11 @@ import (
 	"dgs/internal/transport"
 )
 
-// plainHandler is the codec handler under policy without the session
-// layer: one exchange per call, the downward frame in a fresh slice.
-func plainHandler(server ps.Pusher, policy string) (transport.Handler, error) {
-	h, err := newCodecHandler(server, policy)
-	if err != nil {
-		return nil, err
-	}
-	return func(worker int, payload []byte) ([]byte, error) { return h.handle(nil, worker, payload) }, nil
+// plainHandler is the codec handler without the session layer: one
+// exchange per call, the downward frame in a fresh slice.
+func plainHandler(server ps.Pusher) transport.Handler {
+	h := newCodecHandler(server)
+	return func(worker int, payload []byte) ([]byte, error) { return h.handle(nil, worker, payload) }
 }
 
 // serve serves server on a loopback port through Serve, the stack
@@ -34,7 +31,7 @@ func serve(t *testing.T, server ps.Pusher) *Endpoint {
 
 func TestHandlerDecodesAndResponds(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{8}, Workers: 1})
-	h, _ := plainHandler(server, "mirror")
+	h := plainHandler(server)
 
 	// A valid sparse push gets a decodable difference back.
 	g := sparse.Update{Chunks: []sparse.Chunk{{Layer: 0, Idx: []int32{2}, Val: []float32{1.5}}}}
@@ -53,7 +50,7 @@ func TestHandlerDecodesAndResponds(t *testing.T) {
 
 func TestHandlerEmptyPayloadIsEmptyPush(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{4}, Workers: 1})
-	h, _ := plainHandler(server, "mirror")
+	h := plainHandler(server)
 	resp, err := h(0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +69,7 @@ func TestHandlerEmptyPayloadIsEmptyPush(t *testing.T) {
 
 func TestHandlerRejectsGarbage(t *testing.T) {
 	server := ps.NewServer(ps.Config{LayerSizes: []int{4}, Workers: 1})
-	h, _ := plainHandler(server, "mirror")
+	h := plainHandler(server)
 	if _, err := h(0, []byte("definitely not an update")); err == nil {
 		t.Fatal("garbage payload must be rejected")
 	}
@@ -83,7 +80,7 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 
 func TestHandlerWorksWithShardedServer(t *testing.T) {
 	shard := ps.NewShardedServer(ps.Config{LayerSizes: []int{6, 6}, Workers: 1}, 2)
-	h, _ := plainHandler(shard, "mirror")
+	h := plainHandler(shard)
 	g := sparse.Update{Chunks: []sparse.Chunk{
 		{Layer: 0, Idx: []int32{0}, Val: []float32{1}},
 		{Layer: 1, Idx: []int32{5}, Val: []float32{2}},

@@ -67,13 +67,15 @@ func RunWorkerLoop(cfg Config, id int, tr transport.Pipeliner) (*Result, error) 
 
 // RunResilientWorkerLoop is RunWorkerLoop with crash/rejoin recovery: each
 // attempt dials a fresh session (typically through NewDialStack), and when
-// an attempt dies on a transport failure
-// the loop rejoins as a new worker incarnation — the session hello makes
-// the server Resync this worker and ship a dense snapshot, so the rebuilt
-// θ0 replica lands on the current server model and training continues.
-// Worker-side optimizer residuals from the dead incarnation are
-// unrecoverable (the failure model's accepted loss); everything the server
-// committed survives exactly once.
+// an attempt dies on a transport failure the loop rejoins as a new worker
+// incarnation — the session hello makes the server Resync this worker and
+// ship a dense snapshot, so the rebuilt θ0 replica lands on the current
+// server model. Each rejoin then reruns the worker's whole share from step
+// 0: a fresh iteration count, learning-rate schedule and data order, so a
+// rejoined worker pushes more than its share, and the Result covers only
+// the last attempt. Worker-side optimizer residuals from the dead
+// incarnation are unrecoverable (the failure model's accepted loss);
+// everything the server committed survives exactly once.
 //
 // maxRestarts bounds rejoin attempts after the first. A stale-session
 // rejection (another live incarnation owns this worker id) is fatal and is

@@ -15,7 +15,7 @@ import (
 func TestRunWorkerLoopAgainstStandaloneServer(t *testing.T) {
 	cfg := quickConfig(DGS, 2)
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
-	server, err := NewServer(&cfg, proto.LayerSizes(), 0, nil)
+	server, err := NewServer(&cfg, proto.LayerSizes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,6 @@ import (
 	"dgs/internal/transport"
 )
 
-// Server is the parameter server a deployment serves and checkpoints; both
-// ps.Server and ps.ShardedServer satisfy it.
-type Server interface {
-	ps.Pusher
-	NewCaptureState() *checkpoint.State
-	Capture(*checkpoint.State) (checkpoint.CaptureStats, error)
-	Timestamp() uint64
-}
-
 // ServerConfig returns the ps.Config for the method: ASGD downloads the
 // whole model; the sparse methods download M − v_k, under Eq. 6 when
 // cfg.Secondary is set; for single-node MSGD the downward content is
@@ -30,19 +21,13 @@ func ServerConfig(cfg *Config, sizes []int) ps.Config {
 }
 
 // NewServer builds the parameter server of cfg's run for a model of the
-// given layer sizes: ServerConfig's server, partitioned into cfg.Shards
-// shards when there are more than one, resumed from restore when it is not
-// nil. blockShift sets the dirty-tracking block size (0 auto-tunes it).
-func NewServer(cfg *Config, sizes []int, blockShift uint, restore *checkpoint.State) (Server, error) {
+// given layer sizes: ServerConfig's server, resumed from restore when it is
+// not nil. The dirty-tracking block size is auto-tuned, or on a restore the
+// file's own.
+func NewServer(cfg *Config, sizes []int, restore *checkpoint.State) (*ps.Server, error) {
 	sc := ServerConfig(cfg, sizes)
-	sc.BlockShift = blockShift
-	switch {
-	case restore != nil && cfg.Shards > 1:
-		return ps.RestoreShardedServer(sc, cfg.Shards, restore)
-	case restore != nil:
+	if restore != nil {
 		return ps.RestoreServer(sc, restore)
-	case cfg.Shards > 1:
-		return ps.NewShardedServer(sc, cfg.Shards), nil
 	}
 	return ps.NewServer(sc), nil
 }
@@ -51,13 +36,6 @@ func NewServer(cfg *Config, sizes []int, blockShift uint, restore *checkpoint.St
 type ServeOptions struct {
 	// Addr is the listen address, e.g. "127.0.0.1:0".
 	Addr string
-	// Policy is the downward codec policy: "" or "mirror" answers each
-	// request in its own codec; a codec name forces that codec on every
-	// lossy request. Raw requests and drains are answered raw either way
-	// (codec.go), so with sbc the only lossy codec "sbc" answers as
-	// "mirror" does and "raw" pins the downward direction to exact values.
-	// Upward frames of every codec are accepted.
-	Policy string
 	// MaxInflight bounds the concurrently executing pushes (0 = unbounded);
 	// an excess push is answered with a RetryAfter frame carrying
 	// RetryHint, and a push during a drain one carrying DrainHint.
@@ -89,13 +67,11 @@ type Endpoint struct {
 // per-exchange deadline — and starts listening. `dgs server`, Run over TCP
 // and the tests all serve through it.
 func Serve(server ps.Pusher, o ServeOptions) (*Endpoint, error) {
-	h, err := newCodecHandler(server, o.Policy)
-	if err != nil {
-		return nil, err
-	}
+	h := newCodecHandler(server)
 	ep := &Endpoint{Sessions: h.sessions(), Traffic: &h.metrics.traffic}
 	ep.Gate = transport.NewGate(ep.Sessions.Handle, o.MaxInflight)
 	ep.Gate.RetryHint, ep.Gate.DrainHint = o.RetryHint, o.DrainHint
+	var err error
 	if ep.TCP, err = transport.ListenTCP(o.Addr, ep.Gate.Handle); err != nil {
 		return nil, err
 	}

@@ -141,10 +141,7 @@ func TestSessionResponseIsEnvelopePlusFrame(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := plainHandler(ps.NewServer(cfg), "mirror")
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain := plainHandler(ps.NewServer(cfg))
 			rng := tensor.NewRNG(11)
 			var req []byte
 			for seq := uint64(1); seq <= 12; seq++ {

@@ -100,11 +100,6 @@ type Spec struct {
 	// trading at most PipelineDepth−1 extra steps of staleness for hidden
 	// round trips.
 	PipelineDepth int
-	// Shards, when > 1, splits the parameter server's layers across that
-	// many independently locked shards (the classic PS layout). In one
-	// process this buys little speed: a single server already runs different
-	// workers' gathers side by side (DESIGN.md §9).
-	Shards int
 	// MetricsAddr, when set (e.g. "127.0.0.1:9090"), serves the telemetry
 	// HTTP endpoint (/metrics in Prometheus text format, /manifest,
 	// /debug/pprof) for the duration of the run.
@@ -179,7 +174,6 @@ func Build(s Spec) (Config, error) {
 		EvalLimit:      s.EvalLimit,
 		TCPAddr:        s.TCPAddr,
 		PipelineDepth:  s.PipelineDepth,
-		Shards:         s.Shards,
 		MetricsAddr:    s.MetricsAddr,
 		ManifestPath:   s.ManifestPath,
 	}, nil

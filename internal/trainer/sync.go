@@ -24,10 +24,9 @@ import (
 // downward bytes the encoded average sent to every worker, whose support is
 // the union of the workers' supports.
 //
-// There is no server and no exchange, so TCPAddr, PipelineDepth, Shards,
-// Secondary, a lossy Codec, MetricsAddr and ManifestPath are refused, as
-// are the worker loop's gradient shaping (WeightDecay, GradClip,
-// WarmupFrac).
+// There is no server and no exchange, so TCPAddr, PipelineDepth, Secondary,
+// a lossy Codec, MetricsAddr and ManifestPath are refused, as are the worker
+// loop's gradient shaping (WeightDecay, GradClip, WarmupFrac).
 func RunSync(cfg Config) (*Result, error) {
 	workers := cfg.Workers
 	if err := cfg.normalise(); err != nil {
@@ -37,7 +36,7 @@ func RunSync(cfg Config) (*Result, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("trainer: workers %d < 1", cfg.Workers)
 	}
-	if cfg.TCPAddr != "" || cfg.PipelineDepth > 1 || cfg.Shards > 1 || cfg.Secondary ||
+	if cfg.TCPAddr != "" || cfg.PipelineDepth > 1 || cfg.Secondary ||
 		(cfg.Codec != "" && cfg.Codec != "raw") || cfg.MetricsAddr != "" || cfg.ManifestPath != "" ||
 		cfg.WeightDecay != 0 || cfg.GradClip != 0 || cfg.WarmupFrac != 0 {
 		return nil, errors.New("trainer: RunSync takes no exchange, weight decay, clipping or warm-up settings")

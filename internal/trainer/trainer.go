@@ -131,11 +131,6 @@ type Config struct {
 	// next batch boundary — bounded-delay ASGD with at most D−1 extra
 	// steps of client-side delay (see DESIGN.md §7, §8).
 	PipelineDepth int
-	// Shards, when > 1, partitions the parameter server's layers into that
-	// many independently locked shards (Li et al.'s PS layout). In one
-	// process this buys little speed: a single server already runs different
-	// workers' gathers side by side (DESIGN.md §9).
-	Shards int
 	// MetricsAddr, when non-empty (e.g. "127.0.0.1:9090" or ":0"), serves
 	// the telemetry HTTP endpoint (/metrics, /manifest, /debug/pprof) for
 	// the duration of the run.
@@ -260,7 +255,7 @@ func Run(cfg Config) (*Result, error) {
 	proto := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
 	sizes := proto.LayerSizes()
 
-	server, _ := NewServer(&cfg, sizes, 0, nil) // only a restore can fail
+	server, _ := NewServer(&cfg, sizes, nil) // only a restore can fail
 
 	// Observability: optional HTTP endpoint and periodic run manifest. The
 	// metrics themselves are always recorded (the instrumented packages feed
@@ -301,7 +296,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 	} else {
-		h, _ := newCodecHandler(server, "mirror") // the mirror policy is always valid
+		h := newCodecHandler(server)
 		traffic = &h.metrics.traffic
 		for k := range trs {
 			trs[k] = transport.NewLoopback(func(worker int, payload []byte) ([]byte, error) { return h.handle(nil, worker, payload) })
@@ -396,7 +391,6 @@ func runManifest(cfg *Config, params int) *telemetry.Manifest {
 	m.Set("keep_ratio", cfg.KeepRatio)
 	m.Set("secondary", cfg.Secondary)
 	m.Set("secondary_ratio", cfg.SecondaryRatio)
-	m.Set("shards", cfg.Shards)
 	m.Set("seed", cfg.Seed)
 	m.Set("params", params)
 	m.Set("tcp", cfg.TCPAddr != "")

@@ -323,26 +323,6 @@ func TestWarmupFracValidated(t *testing.T) {
 	}
 }
 
-func TestShardedServerTraining(t *testing.T) {
-	cfg := quickConfig(DGS, 4)
-	cfg.Shards = 3
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAccuracy < 0.75 {
-		t.Fatalf("sharded-PS run accuracy %.3f", res.FinalAccuracy)
-	}
-	// Sharding must not change memory totals.
-	plain, err := Run(quickConfig(DGS, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ServerStateBytes != plain.ServerStateBytes {
-		t.Fatalf("sharded server state %dB != plain %dB", res.ServerStateBytes, plain.ServerStateBytes)
-	}
-}
-
 func TestWeightDecayRegularises(t *testing.T) {
 	run := func(wd float32) float64 {
 		// One worker: the async push schedule is wall-clock-dependent with

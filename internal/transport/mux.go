@@ -44,8 +44,6 @@ var ErrMuxMisuse = errors.New("transport: mux link misuse")
 // not safe for concurrent use. After any partial frame the connection is
 // broken and every call fails fast with ErrBrokenConn.
 type MuxConn struct {
-	Traffic *Traffic
-
 	// ExchangeTimeout, when positive, bounds each Submit write and each
 	// Recv read individually. Expiry breaks the connection (the stream
 	// position is unknown); pair with the pipelined session's
@@ -66,9 +64,6 @@ type MuxConn struct {
 	rhdr  [13]byte
 	wb    [2][]byte
 	wbufs net.Buffers
-	// sent[i] tracks the payload length of in-flight request ids for
-	// traffic accounting when the response lands.
-	sentBytes []int
 }
 
 // DialMux connects a mux client to a TCPServer.
@@ -77,7 +72,7 @@ func DialMux(addr string) (*MuxConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return &MuxConn{conn: conn, Traffic: &Traffic{}}, nil
+	return &MuxConn{conn: conn}, nil
 }
 
 // Submit writes one request frame and returns its id without waiting for
@@ -106,7 +101,6 @@ func (m *MuxConn) Submit(worker int, frame []byte) (uint64, error) {
 		return 0, fmt.Errorf("transport: write request: %w", err)
 	}
 	m.pending++
-	m.sentBytes = append(m.sentBytes, len(frame))
 	tmet.muxSubmits.Inc()
 	return id, nil
 }
@@ -150,8 +144,6 @@ func (m *MuxConn) Recv(buf []byte) (uint64, []byte, error) {
 		return 0, buf, fmt.Errorf("transport: read response: %w", err)
 	}
 	m.pending--
-	sent := m.sentBytes[0]
-	m.sentBytes = m.sentBytes[:copy(m.sentBytes, m.sentBytes[1:])]
 	switch status {
 	case statusOK:
 	case statusRetry:
@@ -161,9 +153,6 @@ func (m *MuxConn) Recv(buf []byte) (uint64, []byte, error) {
 	default:
 		// The frame itself was intact, so the connection stays usable.
 		return id, buf, &ServerError{Msg: string(buf)}
-	}
-	if m.Traffic != nil {
-		m.Traffic.Record(sent, len(buf))
 	}
 	return id, buf, nil
 }

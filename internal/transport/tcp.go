@@ -110,8 +110,7 @@ var ErrBrokenConn = errors.New("transport: connection broken by earlier partial 
 
 // TCPServer accepts worker connections and dispatches frames to a Handler.
 type TCPServer struct {
-	H       Handler
-	Traffic *Traffic
+	H Handler
 
 	// exchangeTimeout is accessed atomically: SetExchangeTimeout is called
 	// from the owning goroutine after listening has started, while every
@@ -133,7 +132,7 @@ func ListenTCP(addr string, h Handler) (*TCPServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &TCPServer{H: h, Traffic: &Traffic{}, listener: ln, conns: map[net.Conn]struct{}{}}
+	s := &TCPServer{H: h, listener: ln, conns: map[net.Conn]struct{}{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -258,9 +257,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		wbufs = wb[:]
 		if _, err := wbufs.WriteTo(conn); err != nil {
 			return
-		}
-		if status == statusOK {
-			s.Traffic.Record(int(n), len(resp))
 		}
 		if timeout > 0 {
 			if err := conn.SetDeadline(time.Time{}); err != nil {

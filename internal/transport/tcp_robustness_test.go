@@ -46,10 +46,6 @@ func TestTCPServerReturnsErrorFrameOnHandlerFailure(t *testing.T) {
 	if string(resp) != "fine" {
 		t.Fatalf("resp %q", resp)
 	}
-	// Failed exchanges are not counted as traffic. (The failed one came
-	// first on this connection, so once the good one is counted both are
-	// accounted for.)
-	waitServerExchanges(t, srv, 1)
 }
 
 // A panic provoked by one client's frame (e.g. mismatched model geometry

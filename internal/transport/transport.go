@@ -7,8 +7,8 @@
 // serving an ExactlyOnce handler, with redial-and-replay on faults — and
 // Loopback, which runs the handler in-process. Faulty decorates the
 // session's link with seeded fault injection, and Gate sheds load on the
-// server side. Traffic counters let experiments report exact communication
-// volumes.
+// server side. Traffic is the byte counter a server's exchange handler
+// keeps.
 package transport
 
 import (
@@ -53,13 +53,12 @@ func (t *Traffic) Exchanges() int64 { return t.exchanges.Load() }
 type Handler func(worker int, payload []byte) ([]byte, error)
 
 // Loopback dispatches exchanges directly to a Handler in-process while
-// still exercising the full encode/decode path and recording traffic. As a
-// Pipeliner it runs the handler inline at Submit and hands the result out at
-// Await, so one Loopback serves one worker goroutine; Exchange alone is safe
-// for concurrent use.
+// still exercising the full encode/decode path. As a Pipeliner it runs the
+// handler inline at Submit and hands the result out at Await, so one
+// Loopback serves one worker goroutine; Exchange alone is safe for
+// concurrent use.
 type Loopback struct {
-	H       Handler
-	Traffic *Traffic
+	H Handler
 
 	pending []loopResult // submitted, not yet awaited; oldest first
 }
@@ -69,9 +68,9 @@ type loopResult struct {
 	err  error
 }
 
-// NewLoopback wraps a handler, recording traffic on a Traffic of its own.
+// NewLoopback wraps a handler.
 func NewLoopback(h Handler) *Loopback {
-	return &Loopback{H: h, Traffic: &Traffic{}}
+	return &Loopback{H: h}
 }
 
 // Exchange implements Transport.
@@ -83,7 +82,6 @@ func (l *Loopback) Exchange(worker int, payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	tmet.exchangeSeconds.Observe(time.Since(t0).Seconds())
-	l.Traffic.Record(len(payload), len(resp))
 	return resp, nil
 }
 

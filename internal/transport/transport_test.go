@@ -7,7 +7,6 @@ import (
 	"maps"
 	"sync"
 	"testing"
-	"time"
 )
 
 func echoHandler(worker int, payload []byte) ([]byte, error) {
@@ -24,9 +23,6 @@ func TestLoopbackExchange(t *testing.T) {
 	}
 	if !bytes.Equal(resp, []byte{3, 'h', 'i'}) {
 		t.Fatalf("resp = %v", resp)
-	}
-	if l.Traffic.Up() != 2 || l.Traffic.Down() != 3 || l.Traffic.Exchanges() != 1 {
-		t.Fatalf("traffic wrong: up=%d down=%d n=%d", l.Traffic.Up(), l.Traffic.Down(), l.Traffic.Exchanges())
 	}
 }
 
@@ -56,9 +52,6 @@ func TestLoopbackPipelinesInOrder(t *testing.T) {
 	if _, err := l.Await(); !errors.Is(err, errWindowEmpty) {
 		t.Fatalf("await on a drained loopback: %v", err)
 	}
-	if l.Traffic.Exchanges() != 3 {
-		t.Fatalf("traffic counted %d exchanges, want 3", l.Traffic.Exchanges())
-	}
 }
 
 // exchange is one synchronous round trip on a mux link, checking that the
@@ -81,9 +74,6 @@ func TestLoopbackPropagatesError(t *testing.T) {
 	if _, err := l.Exchange(0, nil); !errors.Is(err, want) {
 		t.Fatalf("err = %v", err)
 	}
-	if l.Traffic.Exchanges() != 0 {
-		t.Fatal("failed exchange must not be counted")
-	}
 }
 
 func TestTCPRoundTrip(t *testing.T) {
@@ -103,9 +93,6 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(resp, append([]byte{7}, []byte("payload")...)) {
 		t.Fatalf("resp = %q", resp)
-	}
-	if cli.Traffic.Up() != 7 || cli.Traffic.Down() != 8 {
-		t.Fatalf("client traffic up=%d down=%d", cli.Traffic.Up(), cli.Traffic.Down())
 	}
 }
 
@@ -209,25 +196,6 @@ func TestTCPManyClientsConcurrently(t *testing.T) {
 		if served[k] != rounds {
 			t.Fatalf("worker %d served %d rounds, want %d", k, served[k], rounds)
 		}
-	}
-	waitServerExchanges(t, srv, workers*rounds)
-}
-
-// waitServerExchanges waits until the server has counted want successful
-// exchanges. It counts one after writing the response, so a client that
-// already holds the response can be ahead of the counter; the count must
-// still arrive, and must not overshoot.
-func waitServerExchanges(t *testing.T, srv *TCPServer, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Traffic.Exchanges() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("server counted %d exchanges, want %d", srv.Traffic.Exchanges(), want)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if got := srv.Traffic.Exchanges(); got != want {
-		t.Fatalf("server counted %d exchanges, want %d", got, want)
 	}
 }
 
